@@ -26,8 +26,11 @@ vet-json:
 vet-sarif:
 	go run ./cmd/dpx10-vet -sarif ./...
 
+# DPX10_TIMING_TESTS=1 turns on the wall-clock shape assertions that
+# `go test ./...` leaves out (see internal/bench/bench_test.go).
 bench: bench-sched bench-net
 	go run ./cmd/dpx10-bench -fig all -quick
+	DPX10_TIMING_TESTS=1 go test ./internal/bench/ -run TestFig12Shape -count=1
 
 # Scheduling microbenchmarks (per-vertex overhead across tile sizes,
 # vcache contention), summarized into results/BENCH_sched.json.
@@ -36,7 +39,8 @@ bench-sched:
 
 # Cross-place wire cost over real TCP sockets (pipelined data plane on
 # vs off), summarized into results/BENCH_net.json. Fails if the
-# pipeline's wire bytes/vertex is not >= 2x below the direct arm.
+# pipeline's wire bytes/vertex exceeds 14.5 or its ns/vertex exceeds
+# 1.3x the direct arm's.
 bench-net:
 	./scripts/bench_net.sh results/BENCH_net.json
 

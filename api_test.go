@@ -79,7 +79,10 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 	<-gate
 	cancel()
-	release()
+	// The gate stays shut until Wait has returned: the context watcher
+	// cancels the job from its own goroutine, and a run released right
+	// after cancel() can finish its remaining cells before that lands.
+	defer release()
 	_, err = job.Wait()
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Wait after ctx cancel = %v, want to wrap context.Canceled", err)

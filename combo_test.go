@@ -3,6 +3,7 @@ package dpx10_test
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
@@ -234,3 +235,54 @@ func (m *transposedMTP) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 }
 
 func (m *transposedMTP) AppFinished(*dpx10.Dag[int64]) {}
+
+// TestAggregationIsSelfClocked takes the aggregator's flush window away
+// (one hour) and runs SWLAG over every producer path: cyclic rows (every
+// row crosses places; single-cell tiles), block rows (tile walks), stealing
+// (completions arrive through the steal-done handler) and lifelines. Each
+// path must kick the flusher itself, so every arm finishes in seconds; a
+// path that leaned on the timer would sit on its last partial batch.
+func TestAggregationIsSelfClocked(t *testing.T) {
+	a := workload.Sequence(90, workload.DNA, 11)
+	b := workload.Sequence(90, workload.DNA, 12)
+	arms := map[string][]dpx10.Option[apps.AffineCell]{
+		"cyclic-rows": {dpx10.WithDist(dpx10.CyclicRowDist)},
+		"block-rows":  {},
+		"steal":       {dpx10.WithStrategy(dpx10.StealScheduling), dpx10.WithDist(dpx10.BlockColDist)},
+		"lifelines":   {dpx10.WithLifelines(2, 0), dpx10.WithDist(dpx10.BlockColDist)},
+	}
+	for name, arm := range arms {
+		arm := arm
+		t.Run(name, func(t *testing.T) {
+			app := apps.NewSWLAG(a, b)
+			opts := append([]dpx10.Option[apps.AffineCell]{
+				dpx10.Places(2), dpx10.Threads(2), dpx10.CacheSize(1024),
+				dpx10.WithCodec[apps.AffineCell](app.Codec()),
+				dpx10.WithAggregation(time.Hour, 256),
+			}, arm...)
+			type result struct {
+				dag *dpx10.Dag[apps.AffineCell]
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(), opts...)
+				done <- result{dag, err}
+			}()
+			select {
+			case r := <-done:
+				if r.err != nil {
+					t.Fatal(r.err)
+				}
+				if st := r.dag.Stats(); st.AggBatches == 0 {
+					t.Fatal("no aggregated batch was sent: the arm did not exercise the aggregator")
+				}
+				if err := app.Verify(r.dag); err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(60 * time.Second):
+				t.Fatal("run still waiting after 60s: a producer path relies on the flush window")
+			}
+		})
+	}
+}

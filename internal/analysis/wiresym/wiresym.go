@@ -7,17 +7,18 @@
 // configuration.
 //
 // The analyzer abstracts both sides to a shape: a sequence of tokens
-// u8, u32, u64, id, codec, bytes, with rep(...) for loop-carried
-// repetition and opt(...) for conditional fields. Encoder shapes are
-// extracted by tracking []byte builder chains (putU32/putU64/putID,
-// binary.LittleEndian.Append*, append, Codec.Encode, and local helper
-// functions summarized to a fixed point) flow-insensitively in
+// u8, u32, u64, id, uvarint, varint, iddelta, codec, bytes, with rep(...)
+// for loop-carried repetition and opt(...) for conditional fields.
+// Encoder shapes are extracted by tracking []byte builder chains
+// (putU32/putU64/putID/putIDDelta, binary.LittleEndian.Append*,
+// binary.AppendUvarint/AppendVarint, append, Codec.Encode, and local
+// helper functions summarized to a fixed point) flow-insensitively in
 // statement order, including through helpers like appendIDBatch.
 // Decoder shapes come from the handler body's reader method calls
-// (r.u8/u32/u64/id/rest), Codec.Decode calls, and decode*/split*
-// helper summaries. A kind is checked only when both sides yield a
-// non-empty shape; sites with non-constant kinds, nil payloads, or
-// builders the extractor cannot classify (e.g. buffers assembled
+// (r.u8/u32/u64/id/uvarint/varint/idDelta/rest), Codec.Decode calls, and
+// decode*/split* helper summaries. A kind is checked only when both sides
+// yield a non-empty shape; sites with non-constant kinds, nil payloads,
+// or builders the extractor cannot classify (e.g. buffers assembled
 // across function boundaries) are skipped rather than guessed at.
 //
 // Functions paired by name — encodeX and decodeX in one package — are
@@ -509,7 +510,8 @@ func (x *extractor) decExpr(pkg *framework.Package, n ast.Node) []string {
 }
 
 // readerOp classifies a call as a primitive wire read: a method on a
-// type named `reader` (u8/u32/u64/id/rest) or a Codec-shaped Decode.
+// type named `reader` (u8/u32/u64/id/uvarint/varint/idDelta/rest) or a
+// Codec-shaped Decode.
 func (x *extractor) readerOp(pkg *framework.Package, c *ast.CallExpr) (string, bool) {
 	sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr)
 	if !ok {
@@ -523,8 +525,10 @@ func (x *extractor) readerOp(pkg *framework.Package, c *ast.CallExpr) (string, b
 		}
 		if named, ok := recv.(*types.Named); ok && named.Obj().Name() == "reader" {
 			switch sel.Sel.Name {
-			case "u8", "u32", "u64", "id":
+			case "u8", "u32", "u64", "id", "uvarint", "varint":
 				return sel.Sel.Name, true
+			case "idDelta":
+				return "iddelta", true
 			case "rest":
 				return "bytes", true
 			}
@@ -901,11 +905,18 @@ func (w *encWalker) evalCall(c *ast.CallExpr) sum {
 			return w.withBase(c, "u32")
 		case "AppendUint64":
 			return w.withBase(c, "u64")
+		case "AppendUvarint":
+			return w.withBase(c, "uvarint")
+		case "AppendVarint": // zig-zag
+			return w.withBase(c, "varint")
 		}
 		return sum{}
 	}
-	if callee.Name() == "putID" {
+	switch callee.Name() {
+	case "putID":
 		return w.withBase(c, "id")
+	case "putIDDelta": // two zig-zag varints relative to a base id
+		return w.withBase(c, "iddelta")
 	}
 	// Codec-shaped Encode: (dst []byte, v T) []byte appends one value.
 	if sig, ok := callee.Type().(*types.Signature); ok && callee.Name() == "Encode" &&

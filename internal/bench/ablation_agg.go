@@ -16,8 +16,8 @@ type aggArm struct {
 }
 
 // AblationAgg measures cross-place decrement aggregation and value push on
-// the real runtime: outbound messages coalesced per destination within a
-// flush window, with finished values piggybacked so consumers hit their
+// the real runtime: outbound messages coalesced per destination by the
+// self-clocked flusher, with finished values piggybacked so consumers hit their
 // cache instead of issuing kindFetch round-trips. Every arm runs with the
 // same cache capacity so the push arms differ only in *how* values arrive.
 func AblationAgg(quick bool) ([]Report, error) {
@@ -42,10 +42,6 @@ func AblationAgg(quick bool) ([]Report, error) {
 		{"agg only", []dpx10.Option[apps.AffineCell]{
 			dpx10.WithoutValuePush()}},
 		{"agg+push (default)", nil},
-		{"agg+push 250us", []dpx10.Option[apps.AffineCell]{
-			dpx10.WithAggregation(250*time.Microsecond, 0)}},
-		{"agg+push 4ms", []dpx10.Option[apps.AffineCell]{
-			dpx10.WithAggregation(4*time.Millisecond, 0)}},
 	}
 	for _, arm := range arms {
 		app := apps.NewSWLAG(a, b)

@@ -8,6 +8,15 @@ import (
 	"testing"
 )
 
+// timingTests turns on TestFig12Shape's wall-clock assertions. Wall-clock
+// shape is a benchmark result, not a unit-test fact: on a loaded 2-core
+// box the Fig-12 ratio checks fail about one run in three, so `go test
+// ./...` checks structure only (report and row counts, every ratio cell
+// numeric) and `make bench` and the CI bench step set DPX10_TIMING_TESTS=1
+// to assert the shape. The other figure tests read the simulator's
+// virtual time, which is deterministic, and stay unconditional.
+var timingTests = os.Getenv("DPX10_TIMING_TESTS") == "1"
+
 // cellFloat parses a numeric report cell.
 func cellFloat(t *testing.T, s string) float64 {
 	t.Helper()
@@ -102,8 +111,11 @@ func TestFig12Shape(t *testing.T) {
 	if len(size.Rows) != 10 {
 		t.Fatalf("size table has %d rows, want 10", len(size.Rows))
 	}
+	if len(work.Rows) < 2 {
+		t.Fatalf("work sweep has %d rows, want a sweep", len(work.Rows))
+	}
 	for _, row := range size.Rows {
-		if r := cellFloat(t, row[5]); r < 1 {
+		if r := cellFloat(t, row[5]); timingTests && r < 1 {
 			t.Errorf("DPX10 faster than hand-written per-vertex code (ratio %.2f): suspicious", r)
 		}
 	}
@@ -111,20 +123,17 @@ func TestFig12Shape(t *testing.T) {
 	// grows, approaching the paper's regime. Under the race detector the
 	// instrumentation skews the two sides differently, so only the
 	// end-to-end convergence is asserted there.
-	if !raceEnabled {
-		var prev float64
-		for n, row := range work.Rows {
-			r := cellFloat(t, row[6])
-			if n > 0 && r > prev*1.1 {
-				t.Errorf("ratio did not fall as per-cell work grew: %.2f -> %.2f", prev, r)
-			}
-			prev = r
+	var prev float64
+	for n, row := range work.Rows {
+		r := cellFloat(t, row[6])
+		if timingTests && !raceEnabled && n > 0 && r > prev*1.1 {
+			t.Errorf("ratio did not fall as per-cell work grew: %.2f -> %.2f", prev, r)
 		}
+		prev = r
 	}
 	first := cellFloat(t, work.Rows[0][6])
-	last := cellFloat(t, work.Rows[len(work.Rows)-1][6])
-	if last >= first {
-		t.Errorf("work sweep ratio did not converge downward: %.2f -> %.2f", first, last)
+	if timingTests && prev >= first {
+		t.Errorf("work sweep ratio did not converge downward: %.2f -> %.2f", first, prev)
 	}
 }
 

@@ -51,10 +51,9 @@ type Params struct {
 	LifelineProbes int
 	LifelineEdges  int
 
-	// TCP data plane (worker mode only; the in-process fabric ignores them).
-	NoPipeline  bool // write each frame directly instead of batched writev
-	NoCompress  bool // never compress payloads
-	CompressMin int  // smallest payload to try compressing; 0 = default 1 KiB
+	// NoPipeline writes each TCP frame directly instead of batching them
+	// into one writev (worker mode only; the in-process fabric ignores it).
+	NoPipeline bool
 
 	Verify bool
 	Kill   int  // place to kill at ~50% progress; -1 disables
@@ -557,8 +556,6 @@ func driveWorker[T any](p Params, self int, addrs []string, w io.Writer,
 			NewDist:        distFactory(p.Dist),
 			Metrics:        p.metricsOn(),
 			NoPipeline:     p.NoPipeline,
-			NoCompress:     p.NoCompress,
-			CompressMin:    p.CompressMin,
 		},
 		Compute: compute,
 		Codec:   cd,

@@ -43,7 +43,10 @@ func TestRunLocalAllApps(t *testing.T) {
 
 func TestRunLocalWithKill(t *testing.T) {
 	p := smallParams("mtp")
-	p.M, p.N = 120, 120
+	// Large enough that the run outlasts the kill goroutine's 1 ms progress
+	// poll many times over: at 120x120 the whole run takes a few
+	// milliseconds and the poll can sleep through the second half.
+	p.M, p.N = 600, 600
 	p.Places = 4
 	p.Kill = 2
 	var out bytes.Buffer

@@ -178,13 +178,9 @@ func TestAggregationSurvivesFault(t *testing.T) {
 	checkResult(t, cl, pat)
 }
 
-// BenchmarkDecrBatchDecode guards the zero-allocation decode path the
-// receiver relies on: with reused scratch buffers, steady-state decoding
-// must not allocate.
-func BenchmarkDecrBatchDecode(b *testing.B) {
-	cd := codec.Int64{}
-	var recs []decrRecord[int64]
-	var targets []dag.VertexID
+// decrBatchFixture is a 64-record batch in scan order, four grid-neighbour
+// targets and a pushed value per record.
+func decrBatchFixture() (recs []decrRecord[int64], targets []dag.VertexID) {
 	for k := 0; k < 64; k++ {
 		t0 := len(targets)
 		for m := 0; m < 4; m++ {
@@ -195,6 +191,59 @@ func BenchmarkDecrBatchDecode(b *testing.B) {
 			t0: t0, t1: len(targets),
 		})
 	}
+	return recs, targets
+}
+
+// TestDecrRecordCompact pins the compact record's three promises: a
+// scan-order record with grid-neighbour targets costs one byte per delta
+// (the SWLAG shape — 12-byte value, two targets in the next row — fits in
+// 19 bytes against 41 for fixed-width ids), steady-state decode does not
+// allocate, and a batch cut off inside a varint is rejected without
+// allocating either.
+func TestDecrRecordCompact(t *testing.T) {
+	src := dag.VertexID{I: 7, J: 130}
+	next := dag.VertexID{I: 7, J: 131}
+	rec := appendDecrRecord(nil, codec.Int64{}, src, next, int64(1), true,
+		[]dag.VertexID{{I: 8, J: 131}, {I: 8, J: 132}})
+	if got, want := len(rec), 1+2+8+4; got != want {
+		t.Fatalf("scan-order record is %d bytes, want %d (head + src + value + 2 targets)", got, want)
+	}
+	if swlag := len(rec) - 8 + 12; swlag > 19 {
+		t.Fatalf("SWLAG-shaped record would be %d bytes, want <= 19", swlag)
+	}
+
+	cd := codec.Int64{}
+	recs, targets := decrBatchFixture()
+	payload := encodeDecrBatch(1, cd, recs, targets)
+	_, sr, st, err := decodeDecrBatch(payload, cd, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, sr, st, err = decodeDecrBatch(payload, cd, sr[:0], st[:0])
+	}); allocs != 0 || err != nil {
+		t.Fatalf("steady-state decode: %v allocs/op, err %v; want 0, nil", allocs, err)
+	}
+	// The payload ends in a target's ΔJ varint; give it a continuation bit
+	// and nothing after, then cut a multi-byte source delta in half.
+	cut := append([]byte(nil), payload...)
+	cut[len(cut)-1] |= 0x80
+	wide := encodeDecrBatch(1, cd, []decrRecord[int64]{{src: dag.VertexID{I: 1 << 20, J: 0}}}, nil)
+	for name, bad := range map[string][]byte{"target": cut, "source": wide[:len(wide)-2]} {
+		if allocs := testing.AllocsPerRun(100, func() {
+			_, sr, st, err = decodeDecrBatch(bad, cd, sr[:0], st[:0])
+		}); allocs != 0 || err == nil {
+			t.Fatalf("truncated %s varint: %v allocs/op, err %v; want 0 and an error", name, allocs, err)
+		}
+	}
+}
+
+// BenchmarkDecrBatchDecode guards the zero-allocation decode path the
+// receiver relies on: with reused scratch buffers, steady-state decoding
+// must not allocate.
+func BenchmarkDecrBatchDecode(b *testing.B) {
+	cd := codec.Int64{}
+	recs, targets := decrBatchFixture()
 	payload := encodeDecrBatch(1, cd, recs, targets)
 	var sr []decrRecord[int64]
 	var st []dag.VertexID

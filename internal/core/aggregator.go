@@ -10,12 +10,19 @@ import (
 )
 
 // aggregator coalesces this place's outbound indegree decrements into one
-// kindDecrBatch message per destination, flushing a destination's buffer
-// when it reaches maxRecs records, when the flush window elapses, or when
-// a worker goes idle. With value push enabled, each record also carries
-// the finished source vertex's encoded value so the receiver can serve
-// downstream dependency reads from its cache instead of issuing a
-// kindFetch round-trip.
+// kindDecrBatch message per destination. With value push enabled, each
+// record also carries the finished source vertex's encoded value so the
+// receiver can serve downstream dependency reads from its cache instead of
+// issuing a kindFetch round-trip.
+//
+// Flushing is self-clocked. Every producer kicks the flusher goroutine at
+// the end of its scheduling quantum — a tile walk, a single-cell tile, a
+// handler-origin completion — and the flusher sends every open buffer,
+// again and again, until nothing is pending. A batch is therefore whatever
+// accumulated while the previous send was on the wire: one record when the
+// link is idle, hundreds when it is busy. Workers never send, except inline
+// when one destination's buffer reaches maxRecs records (the memory cap).
+// The window tick is a liveness net only; no producer path depends on it.
 //
 // One aggregator belongs to one epochState and inherits its lifecycle:
 // its buffered records are stamped with the epoch at creation, its flusher
@@ -30,8 +37,11 @@ type aggregator[T any] struct {
 	maxRecs int
 	window  time.Duration
 
-	// pending counts buffered records so idle-path probes stay lock-free.
+	// pending counts buffered records so kick and the flusher's drain loop
+	// stay lock-free; kicked holds at most one undelivered wake-up.
 	pending atomic.Int64
+	kicked  chan struct{}
+	done    chan struct{} // closed when the flusher goroutine has exited
 
 	mu        sync.Mutex
 	bufs      []aggBuf // per destination place
@@ -50,10 +60,12 @@ const (
 )
 
 // aggBuf is one destination's open message: the incrementally built
-// kindDecrBatch payload and the record count backpatched at flush.
+// kindDecrBatch payload, the record count backpatched at flush, and the
+// last record's source id, which the next record's delta is taken from.
 type aggBuf struct {
 	msg  []byte
 	recs uint32
+	prev dag.VertexID
 }
 
 func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
@@ -63,6 +75,8 @@ func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
 		push:    !pe.cfg.PushDisabled && pe.cfg.CacheSize > 0,
 		maxRecs: pe.cfg.AggMaxBatch,
 		window:  pe.cfg.AggWindow,
+		kicked:  make(chan struct{}, 1),
+		done:    make(chan struct{}),
 		bufs:    make([]aggBuf, pe.cfg.Places),
 	}
 }
@@ -81,7 +95,8 @@ func (ag *aggregator[T]) add(dest int, src dag.VertexID, value T, targets []dag.
 		}
 		b.msg = putU32(putU64(b.msg, ag.epoch), 0) // count backpatched at flush
 	}
-	b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, src, value, ag.push, targets)
+	b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.prev, src, value, ag.push, targets)
+	b.prev = src
 	b.recs++
 	ag.pending.Add(1)
 	if ag.push {
@@ -141,35 +156,43 @@ func (ag *aggregator[T]) recycle(msg []byte) {
 	ag.mu.Unlock()
 }
 
-// flushAll sends every open buffer. Called by the flusher tick, when the
-// local chunk finishes, and by handlePause to drain the epoch before
-// recovery rebuilds state.
-func (ag *aggregator[T]) flushAll() {
-	if ag.pending.Load() == 0 {
+// kick wakes the flusher if anything is buffered. Producers call it at the
+// end of a scheduling quantum; it never blocks and never sends. A nil
+// aggregator (aggregation disabled) makes it a no-op.
+func (ag *aggregator[T]) kick() {
+	if ag == nil || ag.pending.Load() == 0 {
 		return
 	}
-	ag.mu.Lock()
-	type out struct {
-		dest int
-		msg  []byte
-	}
-	outs := make([]out, 0, len(ag.bufs))
-	for d := range ag.bufs {
-		if m := ag.takeLocked(d); m != nil {
-			outs = append(outs, out{d, m})
-		}
-	}
-	ag.mu.Unlock()
-	for _, o := range outs {
-		ag.send(o.dest, o.msg)
+	select {
+	case ag.kicked <- struct{}{}:
+	default: // a wake-up is already queued; the flusher will see our records
 	}
 }
 
-// loop is the time-based flush trigger: a buffered decrement waits at most
-// ~window before it is sent, bounding the latency this place can add to a
-// downstream critical path and guaranteeing termination cannot stall on
-// buffered traffic.
+// flushAll sends every open buffer, one destination at a time. Called by
+// the flusher and by handlePause, which drains the epoch before recovery
+// rebuilds state.
+func (ag *aggregator[T]) flushAll() {
+	for d := range ag.bufs {
+		if ag.pending.Load() == 0 {
+			return
+		}
+		ag.mu.Lock()
+		msg := ag.takeLocked(d)
+		ag.mu.Unlock()
+		if msg != nil {
+			ag.send(d, msg)
+		}
+	}
+}
+
+// loop is the flusher: each kick drains the buffers until nothing is
+// pending, so records that arrive while a send is on the wire leave with
+// the next one. The tick is the liveness net: should a producer path ever
+// fail to kick, its records still leave within a window, so termination
+// cannot stall on buffered traffic.
 func (ag *aggregator[T]) loop(quit <-chan struct{}) {
+	defer close(ag.done)
 	tick := time.NewTicker(ag.window)
 	defer tick.Stop()
 	for {
@@ -178,7 +201,10 @@ func (ag *aggregator[T]) loop(quit <-chan struct{}) {
 			return
 		case <-ag.pe.stopCh:
 			return
+		case <-ag.kicked:
 		case <-tick.C:
+		}
+		for ag.pending.Load() > 0 {
 			ag.flushAll()
 		}
 	}

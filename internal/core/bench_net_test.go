@@ -10,22 +10,16 @@ import (
 )
 
 // BenchmarkNetPerVertex measures the wire cost of a cross-place run over
-// real TCP sockets: bytes and write syscalls per vertex, with the send
-// pipeline (batched writev framing + compression) on and off. The
-// workload is the SWLAG dependency shape — a dense grid whose every
-// boundary row crosses the block distribution — so the traffic is the
-// decrement/fetch mix the aggregator and pipeline exist for.
+// real TCP sockets: time, bytes and write syscalls per vertex, with the
+// send pipeline (batched writev framing) on and off. The workload is the
+// SWLAG dependency shape — a dense grid whose every row crosses the cyclic
+// distribution — so the traffic is the decrement/fetch mix the aggregator
+// and pipeline exist for. Both arms carry the same compact decrBatch
+// records; they differ only in framing.
 //
 // scripts/bench_net.sh turns the output into results/BENCH_net.json and
-// gates the pipeline's bytes/vertex at >= 2x below the direct arm.
-//
-// Note on ns/vertex here: over loopback the run is latency-bound, not
-// bandwidth-bound, so compression's deflate+inflate sits on the critical
-// path of every cross-place handoff and the pipelined arm reads slower in
-// wall-clock. The same measurement with NoCompress shows the pipeline
-// itself beating direct writes; the bytes the compressor removes only pay
-// off on links where bandwidth, not CPU, is the bottleneck. That is why
-// the gate is on bytes and syscalls, not on this arm's ns/vertex.
+// gates the pipelined arm's bytes/vertex absolutely and its ns/vertex
+// against the direct arm.
 func BenchmarkNetPerVertex(b *testing.B) {
 	const side = 256
 	const places = 4
@@ -37,7 +31,7 @@ func BenchmarkNetPerVertex(b *testing.B) {
 		mutate func(*Config[int64])
 	}{
 		{"pipeline=on", func(cfg *Config[int64]) {}},
-		{"pipeline=off", func(cfg *Config[int64]) { cfg.NoPipeline = true; cfg.NoCompress = true }},
+		{"pipeline=off", func(cfg *Config[int64]) { cfg.NoPipeline = true }},
 	}
 	for _, arm := range arms {
 		b.Run(arm.name, func(b *testing.B) {

@@ -124,11 +124,14 @@ type Common struct {
 	// one kindDecrement message per completed vertex per destination.
 	// Aggregation is on by default.
 	AggDisabled bool
-	// AggWindow bounds how long a buffered decrement may wait before its
-	// batch is flushed. Default 1ms.
+	// AggWindow is the aggregator's liveness net: the longest a buffered
+	// decrement could wait if its producer failed to kick the flusher.
+	// Every producer path kicks at the end of its scheduling quantum, so
+	// no run depends on it. Default 1ms.
 	AggWindow time.Duration
-	// AggMaxBatch is the record count that flushes a destination's batch
-	// immediately, independent of the window. Default 256.
+	// AggMaxBatch is the record count at which a worker flushes a
+	// destination's batch inline instead of leaving it to the flusher —
+	// the cap on buffered memory. Default 256.
 	AggMaxBatch int
 	// PushDisabled stops piggybacking finished vertex values onto
 	// aggregated decrements. Push is on by default but only takes effect
@@ -191,11 +194,11 @@ type Common struct {
 	// NoPipeline disables the TCP data-plane pipeline (batched writev
 	// framing), writing each frame directly. In-process fabrics ignore it.
 	NoPipeline bool
-	// NoCompress keeps the pipeline but never compresses payloads.
+	// NoCompress does nothing: payload compression left the data plane.
+	//
+	// Deprecated: kept only because the benchmark module sets it; goes
+	// with the next benchmark revision.
 	NoCompress bool
-	// CompressMin is the smallest payload the pipeline will try to
-	// compress, in bytes. 0 means the transport default (1024).
-	CompressMin int
 }
 
 // normalize defaults and checks the type-independent fields. The job
@@ -297,9 +300,6 @@ func (c *Common) normalize() error {
 	}
 	if c.Jobs < 1 {
 		return fmt.Errorf("core: Jobs = %d, need >= 1", c.Jobs)
-	}
-	if c.CompressMin < 0 {
-		return fmt.Errorf("core: CompressMin = %d, need >= 0 (0 = default)", c.CompressMin)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/codec"
@@ -145,25 +146,53 @@ func FuzzDecodeIDBatch(f *testing.F) {
 	})
 }
 
+// decrBatchSeeds are the compact-record edge cases shared by the two
+// decrBatch fuzz corpora: deltas that are negative or wider than 2³¹,
+// sources out of scan order, records with no targets and no value, a
+// target count past the one-byte escape, and malformed inputs — varints cut
+// short, a delta that leaves int32, absurd counts.
+func decrBatchSeeds() [][]byte {
+	cd := codec.Int64{}
+	const lo, hi = -1 << 31, 1<<31 - 1
+	targets := []dag.VertexID{{I: 1, J: 2}, {I: 3, J: 4}, {I: lo, J: hi}}
+	wide := encodeDecrBatch(3, cd, []decrRecord[int64]{
+		{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
+		{src: dag.VertexID{I: lo, J: hi}, t0: 2, t1: 3},                         // negative delta
+		{src: dag.VertexID{I: hi, J: lo}, t0: 0, t1: 0},                         // |delta| = 2³²-1, no targets, no value
+		{src: dag.VertexID{I: 5, J: 5}, hasValue: true, value: 7, t0: 0, t1: 1}, // out of scan order
+	}, targets)
+	many := make([]dag.VertexID, decrCountEsc+3)
+	for k := range many {
+		many[k] = dag.VertexID{I: int32(k), J: int32(-k)}
+	}
+	escaped := encodeDecrBatch(4, cd, []decrRecord[int64]{{src: dag.VertexID{I: 1, J: 1}, t0: 0, t1: len(many)}}, many)
+	// One-record batches built by hand, head byte first.
+	rec := func(body ...byte) []byte { return append(putU32(putU64(nil, 1), 1), body...) }
+	const esc = decrCountEsc << decrCountShift
+	return [][]byte{
+		encodeDecrBatch[int64](0, cd, nil, nil),
+		wide,
+		escaped,
+		wide[:len(wide)-1], // last target's ΔJ cut off
+		rec(0, 0x80),       // source ΔI: continuation bit, then nothing
+		rec(binary.AppendVarint([]byte{0}, 1<<32)...),    // source I leaves int32
+		rec(binary.AppendUvarint([]byte{esc}, 1<<40)...), // huge escaped target count
+		rec(esc, 5, 0, 0),                  // escape used for a small count
+		putU32(putU64(nil, 1), 0xFFFFFFFF), // huge claimed record count
+		{},
+		{1, 2, 3},
+	}
+}
+
 // FuzzDecodeDecrBatch hardens the aggregated-decrement decoder: arbitrary
-// bytes — truncations, absurd record/target counts, unknown flags — must
-// never panic, and every payload that decodes must round-trip through
+// bytes — truncations, absurd record/target counts, deltas that overflow —
+// must never panic, and every payload that decodes must round-trip through
 // encodeDecrBatch unchanged.
 func FuzzDecodeDecrBatch(f *testing.F) {
 	cd := codec.Int64{}
-	targets := []dag.VertexID{{I: 1, J: 2}, {I: 3, J: 4}, {I: 5, J: 6}}
-	f.Add(encodeDecrBatch[int64](0, cd, nil, nil))
-	f.Add(encodeDecrBatch(3, cd, []decrRecord[int64]{
-		{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
-		{src: dag.VertexID{I: -1, J: 1 << 30}, t0: 2, t1: 3},
-	}, targets))
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add(putU32(putU64(nil, 1), 0xFFFFFFFF)) // huge claimed record count
-	// Valid header, one record with a huge target count.
-	f.Add(putU32(append(append(putU32(putU64(nil, 1), 1), putID(nil, dag.VertexID{})...), 0), 0xFFFFFFFF))
-	// Unknown flag bits must be rejected, not skipped.
-	f.Add(putU32(append(append(putU32(putU64(nil, 1), 1), putID(nil, dag.VertexID{})...), 0x80), 0))
+	for _, seed := range decrBatchSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		epoch, recs, tgts, err := decodeDecrBatch[int64](data, cd, nil, nil)
 		if err != nil {
@@ -342,11 +371,11 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindStealDone: rtIDVals,
 
 	kindLifelineDeliver: rtLifelineDeliver,
-	kindReadVal:   rtID,
-	kindPing:      rtPing, // [seq u64][sendNanos u64] echoed verbatim
-	kindHello:     rtEmpty,
-	kindBegin:     rtEmpty,
-	kindStats:     rtEmpty,
+	kindReadVal:         rtID,
+	kindPing:            rtPing, // [seq u64][sendNanos u64] echoed verbatim
+	kindHello:           rtEmpty,
+	kindBegin:           rtEmpty,
+	kindStats:           rtEmpty,
 }
 
 func rtIDBatch(data []byte) ([]byte, bool) {
@@ -521,11 +550,11 @@ func wireSeeds() map[uint8][]byte {
 		kindStealDone: idVals,
 		kindLifelineDeliver: encodeLifelineDeliver(nil, cd, 8,
 			[]dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}}, ids, []int64{-7, 1 << 40}),
-		kindReadVal:   putID(nil, ids[1]),
-		kindPing:      putU64(putU64(nil, 11), 12),
-		kindHello:     {},
-		kindBegin:     {},
-		kindStats:     {},
+		kindReadVal: putID(nil, ids[1]),
+		kindPing:    putU64(putU64(nil, 11), 12),
+		kindHello:   {},
+		kindBegin:   {},
+		kindStats:   {},
 	}
 }
 
@@ -573,6 +602,9 @@ func TestWireRoundTripsCovered(t *testing.T) {
 func FuzzWireKindRoundTrip(f *testing.F) {
 	for k, seed := range wireSeeds() {
 		f.Add(k, seed)
+	}
+	for _, seed := range decrBatchSeeds() {
+		f.Add(kindDecrBatch, seed)
 	}
 	f.Add(uint8(0), []byte{})                            // not a protocol kind
 	f.Add(kindFetch, []byte{1, 2})                       // truncated

@@ -78,26 +78,26 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 			cfg:     cfg,
 			abortCh: make(chan struct{}),
 			done:    make(chan struct{}),
+			ports:   make([]*jobPort, cfg.Places),
+			engines: make([]*placeEngine[T], cfg.Places),
 		}
+		for p := 0; p < cfg.Places; p++ {
+			port := m.routers[p].newPort(id)
+			// The engine registers its handlers on the port in its
+			// constructor; only then is the port routed, so inbound dispatch
+			// never sees a half-built handler table.
+			pe := newPlaceEngine[T](p, &jr.cfg, port, jr.abortWith, m.regs[p], m.hosts[p], id)
+			jr.ports[p] = port
+			jr.engines[p] = pe
+			m.routers[p].add(port)
+		}
+		jr.co = newCoordinator(jr.engines[0], jr.abortCh, jr.abortError, true)
+		jr.co.sink = m.sink
+		jr.engines[0].events = jr.co.events
 		return jr
 	}); err != nil {
 		return nil, err
 	}
-	jr.ports = make([]*jobPort, cfg.Places)
-	jr.engines = make([]*placeEngine[T], cfg.Places)
-	for p := 0; p < cfg.Places; p++ {
-		port := m.routers[p].newPort(jr.jobID)
-		// The engine registers its handlers on the port in its
-		// constructor; only then is the port routed, so inbound dispatch
-		// never sees a half-built handler table.
-		pe := newPlaceEngine[T](p, &jr.cfg, port, jr.abortWith, m.regs[p], m.hosts[p], jr.jobID)
-		jr.ports[p] = port
-		jr.engines[p] = pe
-		m.routers[p].add(port)
-	}
-	jr.co = newCoordinator(jr.engines[0], jr.abortCh, jr.abortError, true)
-	jr.co.sink = m.sink
-	jr.engines[0].events = jr.co.events
 	return jr, nil
 }
 
@@ -176,6 +176,7 @@ func (jr *JobRun[T]) execute() error {
 		for _, pe := range jr.engines {
 			if jr.co.alive[pe.self] && jr.m.fabric.Alive(pe.self) {
 				pe.wait()
+				pe.quiesce()
 			}
 		}
 	} else {

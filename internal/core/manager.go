@@ -127,9 +127,10 @@ func NewJobManager(common Common) (*JobManager, error) {
 	return m, nil
 }
 
-// register assigns the next job id and records the handle. The handle's
-// ports are not yet routed; newJobRun wires those after the engines'
-// handlers are installed.
+// register assigns the next job id and records the handle h builds for
+// it. h runs under the manager lock and must return the job complete —
+// engines built, ports routed — because the moment the handle is recorded
+// another client's metrics snapshot or fault fan-out may call into it.
 func (m *JobManager) register(h func(id uint32) jobHandle) (jobHandle, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

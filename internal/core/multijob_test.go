@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -380,4 +381,41 @@ func TestManagerCloseCancelsJobs(t *testing.T) {
 	if err := queued.Wait(); err == nil {
 		t.Error("queued job finished cleanly across manager Close")
 	}
+}
+
+// TestMetricsSnapshotRacesSubmit is two free-running clients on one
+// metrics-on cluster: each submits, waits and snapshots, so one client's
+// snapshot fan-out keeps landing while the other's submission is mid-
+// registration. A job must not be visible to the fan-out before its
+// engines exist (nil deref in overlayCacheStats; a slice race under -race).
+func TestMetricsSnapshotRacesSubmit(t *testing.T) {
+	m, err := NewJobManager(Common{Places: 2, Threads: 1, Metrics: true, ProbeInterval: -1})
+	if err != nil {
+		t.Fatalf("NewJobManager: %v", err)
+	}
+	defer m.Close()
+	pat := patterns.NewGrid(6, 6)
+	var clients sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		clients.Add(1)
+		go func() {
+			defer clients.Done()
+			for k := 0; k < 100; k++ {
+				jr, err := SubmitJob(m, jobConfig(pat, sched.Local))
+				if err != nil {
+					t.Errorf("SubmitJob: %v", err)
+					return
+				}
+				if err := jr.Wait(); err != nil {
+					t.Errorf("job %d: %v", jr.ID(), err)
+					return
+				}
+				if snaps := m.MetricsSnapshots(); len(snaps) != 2 {
+					t.Errorf("%d snapshots, want 2", len(snaps))
+					return
+				}
+			}
+		}()
+	}
+	clients.Wait()
 }

@@ -498,7 +498,6 @@ func (pe *placeEngine[T]) idlePull(w int) bool {
 		return false
 	}
 	wc.probesLeft--
-	pe.mLifeProbes.Inc(wc.sc.wkr)
 	if pe.trySteal(st, wc.sc, wc.rng) {
 		wc.probesLeft = pe.cfg.LifelineProbes
 		return true
@@ -808,6 +807,12 @@ func (pe *placeEngine[T]) trySteal(st *epochState[T], sc *scratch[T], rng *rand.
 // parked buddy the victim will push surplus tiles to later.
 func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim int, lifeline bool) bool {
 	pe.mStealAtt.Inc(sc.wkr)
+	if st.life != nil && !lifeline {
+		// A random probe of lifeline mode, counted where it is also counted
+		// as an attempt: a draw that landed on self or a dead place sent
+		// nothing, and probes <= attempts holds at every instant.
+		pe.mLifeProbes.Inc(sc.wkr)
+	}
 	sp := pe.cfg.Spans
 	var spanStart time.Time
 	if sp != nil {
@@ -1075,12 +1080,8 @@ func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], of
 		// once the parked completions have been settled.
 		return
 	}
-	if st.agg != nil && st.chunk.AllFinished() {
-		// The last local vertex just finished: nothing more will coalesce
-		// onto the open buffers, so push them out instead of waiting a
-		// flush window while downstream places sit idle.
-		st.agg.flushAll()
-	}
+	// Quantum end for a single-cell tile or a handler-origin completion.
+	st.agg.kick()
 	pe.maybeReportDone(st)
 }
 
@@ -1114,13 +1115,13 @@ func (pe *placeEngine[T]) flushTileWalk(st *epochState[T], sc *scratch[T]) {
 	}
 	sc.pendTile = sc.pendTile[:0]
 	sc.pendCnt = sc.pendCnt[:0]
+	// Quantum end: whatever the walk buffered leaves with the flusher's
+	// next send.
+	st.agg.kick()
 	if sc.doneN > 0 {
 		st.chunk.AddDone(sc.doneN)
 		pe.computed.Add(sc.doneN)
 		sc.doneN = 0
-		if st.agg != nil && st.chunk.AllFinished() {
-			st.agg.flushAll()
-		}
 		pe.maybeReportDone(st)
 	}
 }
@@ -1446,3 +1447,18 @@ func (pe *placeEngine[T]) stop() {
 
 // wait blocks until the run is stopped.
 func (pe *placeEngine[T]) wait() { <-pe.stopCh }
+
+// quiesce waits out what a stopped engine may still have in flight, so a
+// finished job's counters are final before its ports detach: workers
+// already inside an idle steal probe (one that landed after the detach
+// would fail with errUnknownJob and read as a send error of a fault-free
+// run) and the aggregator's flusher, which may still be accounting for
+// its last send. Only for a job that ran to completion — an aborted one
+// may have a worker parked in user code.
+func (pe *placeEngine[T]) quiesce() {
+	st := pe.current()
+	st.drainWorkers()
+	if st.agg != nil {
+		<-st.agg.done
+	}
+}

@@ -302,15 +302,75 @@ func decodeIDBatch(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.
 // destination place, coalesced by the outbound aggregator:
 //
 //	[epoch u64][nRecords u32]
-//	record:  [src id 8B][flags u8][value (codec) if flags&1]
-//	         [nTargets u32][target ids 8B each]
+//	record:  [head u8][src Δid][value (codec) if head&1][target Δid...]
 //
-// Bit 0 of flags marks a piggybacked source value (value push); the
+// Bit 0 of head marks a piggybacked source value (value push); the
 // receiver deposits it into the epoch's vertex cache before applying the
 // decrements, so downstream gatherDeps hits the cache instead of issuing
-// a kindFetch round-trip.
+// a kindFetch round-trip. Bits 1-7 of head are the target count; 127 is
+// an escape: the count (>= 127) follows head as a uvarint. A Δid is two
+// zig-zag varints, (ΔI, ΔJ): a source is taken relative to the previous
+// record's source ((0,0) for the first), a target relative to its own
+// source. Sources finish in scan order and a vertex's dependents are its
+// grid neighbours, so nearly every Δ is one byte.
 
-const decrFlagValue uint8 = 1
+const (
+	decrFlagValue  uint8 = 1
+	decrCountShift       = 1
+	decrCountEsc         = 0x7F // head count field: the real count follows as a uvarint
+)
+
+// errBadVarint is a sentinel, not a formatted error: a truncated batch is
+// rejected without allocating.
+var errBadVarint = errors.New("core: truncated, overlong or out-of-range varint")
+
+func (r *reader) varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	if r.off < len(r.b) && r.b[r.off] < 0x80 { // one byte: nearly every delta
+		b := r.b[r.off]
+		r.off++
+		return int64(b>>1) ^ -int64(b&1)
+	}
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 {
+		r.err = errBadVarint
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+func (r *reader) uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.err = errBadVarint
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// putIDDelta appends id as two zig-zag varints relative to base.
+func putIDDelta(dst []byte, base, id dag.VertexID) []byte {
+	dst = binary.AppendVarint(dst, int64(id.I)-int64(base.I))
+	return binary.AppendVarint(dst, int64(id.J)-int64(base.J))
+}
+
+// idDelta reads an id written by putIDDelta. A delta that leaves the int32
+// coordinate space is a protocol error, not a wrap-around.
+func (r *reader) idDelta(base dag.VertexID) dag.VertexID {
+	i := int64(base.I) + r.varint()
+	j := int64(base.J) + r.varint()
+	if r.err == nil && (i != int64(int32(i)) || j != int64(int32(j))) {
+		r.err = errBadVarint
+	}
+	return dag.VertexID{I: int32(i), J: int32(j)}
+}
 
 // decrRecord is one decoded record of a kindDecrBatch payload. Targets
 // are held as a range into a shared buffer so scratch slices can grow
@@ -322,31 +382,36 @@ type decrRecord[T any] struct {
 	t0, t1   int
 }
 
-// appendDecrRecord appends one aggregated-decrement record to dst.
-func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], src dag.VertexID, value T, hasValue bool, targets []dag.VertexID) []byte {
-	dst = putID(dst, src)
-	var flags uint8
+// appendDecrRecord appends one aggregated-decrement record to dst; prev is
+// the source of the record before it in the same batch.
+func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], prev, src dag.VertexID, value T, hasValue bool, targets []dag.VertexID) []byte {
+	var head uint8
 	if hasValue {
-		flags = decrFlagValue
+		head = decrFlagValue
 	}
-	dst = append(dst, flags)
+	dst = append(dst, head|uint8(min(len(targets), decrCountEsc))<<decrCountShift)
+	if len(targets) >= decrCountEsc {
+		dst = binary.AppendUvarint(dst, uint64(len(targets)))
+	}
+	dst = putIDDelta(dst, prev, src)
 	if hasValue {
 		dst = cd.Encode(dst, value)
 	}
-	dst = putU32(dst, uint32(len(targets)))
 	for _, id := range targets {
-		dst = putID(dst, id)
+		dst = putIDDelta(dst, src, id)
 	}
 	return dst
 }
 
 // encodeDecrBatch builds a whole kindDecrBatch payload from decoded form.
 // The aggregator builds its messages incrementally; this form exists for
-// the replay path, tests and the fuzzer's round trip.
+// tests and the fuzzer's round trip.
 func encodeDecrBatch[T any](epoch uint64, cd codec.Codec[T], recs []decrRecord[T], targets []dag.VertexID) []byte {
 	dst := putU32(putU64(nil, epoch), uint32(len(recs)))
+	var prev dag.VertexID
 	for _, rec := range recs {
-		dst = appendDecrRecord(dst, cd, rec.src, rec.value, rec.hasValue, targets[rec.t0:rec.t1])
+		dst = appendDecrRecord(dst, cd, prev, rec.src, rec.value, rec.hasValue, targets[rec.t0:rec.t1])
+		prev = rec.src
 	}
 	return dst
 }
@@ -362,21 +427,26 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], recs []decrRecord
 	if r.err != nil {
 		return 0, recs, targets, r.err
 	}
-	// Every record costs at least 13 bytes: src id + flags + target count.
-	if int(n) > (len(payload)-12)/13 {
+	// Every record costs at least 3 bytes: head + a two-varint source.
+	if int(n) > (len(payload)-12)/3 {
 		return 0, recs, targets, fmt.Errorf("core: decr batch record count %d exceeds payload", n)
 	}
+	var prev dag.VertexID
 	for k := uint32(0); k < n; k++ {
 		var rec decrRecord[T]
-		rec.src = r.id()
-		flags := r.u8()
+		head := r.u8()
+		nt := uint64(head >> decrCountShift)
+		if nt == decrCountEsc {
+			if nt = r.uvarint(); nt < decrCountEsc && r.err == nil {
+				return 0, recs, targets, fmt.Errorf("core: decr batch record %d: escaped target count %d", k, nt)
+			}
+		}
+		rec.src = r.idDelta(prev)
 		if r.err != nil {
 			return 0, recs, targets, r.err
 		}
-		if flags&^decrFlagValue != 0 {
-			return 0, recs, targets, fmt.Errorf("core: decr batch record %d: unknown flags %#x", k, flags)
-		}
-		if flags&decrFlagValue != 0 {
+		prev = rec.src
+		if head&decrFlagValue != 0 {
 			v, used, derr := cd.Decode(r.rest())
 			if derr != nil {
 				return 0, recs, targets, fmt.Errorf("core: decr batch value decode: %w", derr)
@@ -385,16 +455,13 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], recs []decrRecord
 			rec.hasValue = true
 			rec.value = v
 		}
-		nt := r.u32()
-		if r.err != nil {
-			return 0, recs, targets, r.err
-		}
-		if int(nt) > (len(payload)-r.off)/8 {
+		// Every target costs at least 2 bytes.
+		if nt > uint64(len(payload)-r.off)/2 {
 			return 0, recs, targets, fmt.Errorf("core: decr batch target count %d exceeds payload", nt)
 		}
 		rec.t0 = len(targets)
-		for m := uint32(0); m < nt; m++ {
-			targets = append(targets, r.id())
+		for m := uint64(0); m < nt; m++ {
+			targets = append(targets, r.idDelta(rec.src))
 		}
 		rec.t1 = len(targets)
 		if r.err != nil {

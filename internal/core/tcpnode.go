@@ -63,11 +63,7 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 	if self < 0 || self >= cfg.Places {
 		return nil, fmt.Errorf("core: place %d out of range", self)
 	}
-	tr, err := transport.NewTCPOpts(self, addrs, transport.TCPOptions{
-		NoPipeline:  cfg.NoPipeline,
-		NoCompress:  cfg.NoCompress,
-		CompressMin: cfg.CompressMin,
-	})
+	tr, err := transport.NewTCPOpts(self, addrs, transport.TCPOptions{NoPipeline: cfg.NoPipeline})
 	if err != nil {
 		return nil, err
 	}
@@ -95,18 +91,10 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 		n.reg = metrics.New(self)
 		batchFrames := n.reg.Histogram(metrics.TransportBatchFrames)
 		batchBytes := n.reg.Histogram(metrics.TransportBatchBytes)
-		compRaw := n.reg.Counter(metrics.TransportCompressRaw)
-		compWire := n.reg.Counter(metrics.TransportCompressWire)
 		tr.SetPipeObserver(transport.PipeObserver{
 			Flush: func(frames, wireBytes int) {
 				batchFrames.Observe(int64(frames))
 				batchBytes.Observe(int64(wireBytes))
-			},
-			Compress: func(rawBytes, wireBytes int) {
-				// Shard 0: compression happens on per-connection writer
-				// goroutines, which have no worker identity.
-				compRaw.Add(0, int64(rawBytes))
-				compWire.Add(0, int64(wireBytes))
 			},
 		})
 	}
@@ -233,15 +221,28 @@ func (n *TCPNode[T]) Run() error {
 	}
 	// The begin handler launches the jobs; serve until every job stopped
 	// or the node aborted.
+	err := n.awaitStop()
+	n.elapsed = time.Since(start)
+	return err
+}
+
+// awaitStop blocks until every job's engine stopped, or the node aborted
+// first. Both can be true at once — the stop broadcast lands and then the
+// coordinator detector loses place 0 as it shuts down — and a finished
+// run is not an abort, so a stopped engine always outranks the abort.
+func (n *TCPNode[T]) awaitStop() error {
 	for _, pe := range n.pes {
 		select {
 		case <-pe.stopCh:
 		case <-n.abortCh:
-			n.elapsed = time.Since(start)
+			select {
+			case <-pe.stopCh:
+				continue
+			default:
+			}
 			return n.abortReason()
 		}
 	}
-	n.elapsed = time.Since(start)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
@@ -233,5 +234,31 @@ func TestTCPNodeCoordinatorCrashTerminatesWorkers(t *testing.T) {
 		if errs[p] == nil {
 			t.Fatalf("place %d exited cleanly despite coordinator death", p)
 		}
+	}
+}
+
+// TestTCPNodeStopOutranksAbort pins the teardown verdict of a non-zero
+// place: once the stop broadcast has landed, an abort that follows it (the
+// coordinator detector losing place 0 as place 0 exits) must not turn a
+// finished run into "place 0 died". With both channels closed a bare
+// two-way select picks at random, so 200 tries would report the abort.
+func TestTCPNodeStopOutranksAbort(t *testing.T) {
+	cfg := baseConfig(patterns.NewGrid(4, 4), 2)
+	nodes := startTCPNodes(t, cfg, 2)
+	n := nodes[1]
+	for _, pe := range n.pes {
+		pe.stop()
+		pe.abort(placeDead(0))
+	}
+	for k := 0; k < 200; k++ {
+		if err := n.awaitStop(); err != nil {
+			t.Fatalf("try %d: stopped node reported %v", k, err)
+		}
+	}
+	// An abort with no stop is still an abort.
+	m := nodes[0]
+	m.pes[0].abort(placeDead(0))
+	if err := m.awaitStop(); !errors.Is(err, ErrPlaceZeroDead) {
+		t.Fatalf("aborted node reported %v, want ErrPlaceZeroDead", err)
 	}
 }

@@ -51,9 +51,14 @@ const (
 	TransportDedupDrops      = "transport.dedup_drops"
 	TransportHeartbeatMisses = "transport.heartbeat_misses"
 
-	// Data-plane pipeline: per-writev batch shape and compression yield.
-	TransportBatchFrames  = "transport.batch_frames"
-	TransportBatchBytes   = "transport.batch_bytes"
+	// Data-plane pipeline: per-writev batch shape.
+	TransportBatchFrames = "transport.batch_frames"
+	TransportBatchBytes  = "transport.batch_bytes"
+
+	// Deprecated: payload compression left the data plane. No instrument
+	// is registered under these names, so every snapshot reads 0 for them;
+	// the constants stay only because the benchmark module reads them and
+	// go with the next benchmark revision.
 	TransportCompressRaw  = "transport.compress_raw_bytes"
 	TransportCompressWire = "transport.compress_wire_bytes"
 
@@ -102,10 +107,8 @@ var instruments = map[string]Kind{
 	TransportDedupDrops:      KindCounter,
 	TransportHeartbeatMisses: KindCounter,
 
-	TransportBatchFrames:  KindHistogram,
-	TransportBatchBytes:   KindHistogram,
-	TransportCompressRaw:  KindCounter,
-	TransportCompressWire: KindCounter,
+	TransportBatchFrames: KindHistogram,
+	TransportBatchBytes:  KindHistogram,
 
 	RecoveryPauseNs:   KindHistogram,
 	RecoveryRebuildNs: KindHistogram,

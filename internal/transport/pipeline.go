@@ -1,35 +1,21 @@
 package transport
 
 import (
-	"compress/flate"
 	"encoding/binary"
 	"hash/crc32"
 	"net"
 	"sync"
 )
 
-// TCPOptions tunes the pipelined data plane of a TCP endpoint. The zero
-// value enables everything with defaults: batched writev framing and
-// payload compression above 1 KiB.
+// TCPOptions tunes the data plane of a TCP endpoint. The zero value is the
+// pipelined default: batched writev framing.
 type TCPOptions struct {
 	// NoPipeline disables the per-peer send pipeline: every frame is
 	// written directly under a per-connection mutex, one header+payload
 	// write pair per message, exactly the pre-pipeline wire dialect (no
-	// preamble, no batches, no compression). Peers in either mode
-	// interoperate — the preamble marks the dialect per connection.
+	// preamble, no batches). Peers in either mode interoperate — the
+	// preamble marks the dialect per connection.
 	NoPipeline bool
-	// NoCompress keeps the pipeline but never compresses payloads.
-	NoCompress bool
-	// CompressMin is the smallest payload the writer will try to
-	// compress; below it the flate overhead outweighs the saving.
-	// Default 1024.
-	CompressMin int
-}
-
-func (o *TCPOptions) normalize() {
-	if o.CompressMin <= 0 {
-		o.CompressMin = 1024
-	}
 }
 
 // PipeObserver receives data-plane events from a TCP endpoint's send
@@ -40,8 +26,6 @@ type PipeObserver struct {
 	// Flush observes one writev batch: how many frames it carried and
 	// its total wire size.
 	Flush func(frames, wireBytes int)
-	// Compress observes one compressed payload: original and wire sizes.
-	Compress func(rawBytes, wireBytes int)
 }
 
 // outFrame is one queued outbound frame. The payload slice is the
@@ -81,28 +65,14 @@ type tcpConn struct {
 	// this is used.
 	features     uint64
 	preambleSent bool
-	compressMin  int // 0 = compression off
 	hdr          []byte
 	spans        []span
 	iov          net.Buffers
-	cw           *flate.Writer
-	cbuf         []byte
-	res          []pendFrame
 	free         []outFrame // previous batch, payloads already nilled
 }
 
-// pendFrame is a frame's resolved wire form within one flush: final flags,
-// wire payload length, and the compressed payload's arena span when
-// flagCompressed was applied.
-type pendFrame struct {
-	flags uint8
-	plen  int
-	comp  span
-}
-
-// span marks a region of a writer arena (header block or compressed
-// payload scratch), recorded as offsets because the arena may reallocate
-// while the batch is being assembled.
+// span marks a region of the writer's header arena, recorded as offsets
+// because the arena may reallocate while the batch is being assembled.
 type span struct{ off, end int }
 
 func newTCPConn(c net.Conn, opts *TCPOptions) *tcpConn {
@@ -110,10 +80,6 @@ func newTCPConn(c net.Conn, opts *TCPOptions) *tcpConn {
 	tc.cond = sync.NewCond(&tc.mu)
 	if !opts.NoPipeline {
 		tc.features = featBatch
-		if !opts.NoCompress {
-			tc.features |= featCompress
-			tc.compressMin = opts.CompressMin
-		}
 	}
 	return tc
 }
@@ -206,35 +172,13 @@ func (t *TCP) writeLoop(tc *tcpConn) {
 // flush writes one batch as a single vectored write: [preamble] plus
 // either one classic frame or a multi-frame batch envelope. Headers live
 // in the connection's arena; payloads are referenced where the senders
-// put them — the only bytes ever copied are compressed payloads, which
-// are transformed, not moved. Returns the wire size written.
+// put them, never copied. Returns the wire size written.
 func (tc *tcpConn) flush(t *TCP, batch []outFrame) (int, error) {
 	tc.hdr = tc.hdr[:0]
-	tc.cbuf = tc.cbuf[:0]
 	tc.spans = tc.spans[:0]
 	iov := tc.iov[:0]
 
-	// Resolve payloads first (compression grows cbuf, so only offsets are
-	// stable until the arena stops moving).
-	res := tc.res[:0]
-	for i := range batch {
-		f := &batch[i]
-		r := pendFrame{flags: f.flags, plen: len(f.payload)}
-		if tc.compressMin > 0 && len(f.payload) >= tc.compressMin && f.flags&flagControl == 0 {
-			if sp, ok := tc.compress(f.payload); ok {
-				r.flags |= flagCompressed
-				r.plen = sp.end - sp.off
-				r.comp = sp
-				if cb := t.obs.Compress; cb != nil {
-					cb(len(f.payload), r.plen)
-				}
-			}
-		}
-		res = append(res, r)
-	}
-	tc.res = res
-
-	// Header arena, then iovec assembly from stable offsets.
+	// Header arena first, then iovec assembly from stable offsets.
 	preamble := span{-1, -1}
 	if !tc.preambleSent && tc.features != 0 {
 		s := len(tc.hdr)
@@ -244,32 +188,32 @@ func (tc *tcpConn) flush(t *TCP, batch []outFrame) (int, error) {
 	}
 	outer := span{-1, -1}
 	if len(batch) == 1 {
-		f, r := &batch[0], &res[0]
-		crc := crc32.Checksum(tc.payloadOf(f, r.comp, r.flags), crcTable)
+		f := &batch[0]
+		crc := crc32.Checksum(f.payload, crcTable)
 		s := len(tc.hdr)
-		tc.hdr = putFrameHeader(tc.hdr, f.kind, r.flags, t.self, f.seq, r.plen, crc)
+		tc.hdr = putFrameHeader(tc.hdr, f.kind, f.flags, t.self, f.seq, len(f.payload), crc)
 		outer = span{s, len(tc.hdr)}
 	} else {
 		total := 0
-		for i := range res {
-			total += subHeaderLen + res[i].plen
+		for i := range batch {
+			total += subHeaderLen + len(batch[i].payload)
 		}
 		s := len(tc.hdr)
 		tc.hdr = putFrameHeader(tc.hdr, 0, flagBatch, t.self, uint64(len(batch)), total, 0)
 		outer = span{s, len(tc.hdr)}
 		crc := uint32(0)
 		for i := range batch {
-			f, r := &batch[i], &res[i]
+			f := &batch[i]
 			hs := len(tc.hdr)
-			tc.hdr = putSubHeader(tc.hdr, f.kind, r.flags, f.seq, r.plen)
+			tc.hdr = putSubHeader(tc.hdr, f.kind, f.flags, f.seq, len(f.payload))
 			tc.spans = append(tc.spans, span{hs, len(tc.hdr)})
 			crc = crc32.Update(crc, crcTable, tc.hdr[hs:len(tc.hdr)])
-			crc = crc32.Update(crc, crcTable, tc.payloadOf(f, r.comp, r.flags))
+			crc = crc32.Update(crc, crcTable, f.payload)
 		}
 		binary.LittleEndian.PutUint32(tc.hdr[outer.off+18:outer.off+22], crc)
 	}
 
-	// The arenas are final; build the iovec list.
+	// The arena is final; build the iovec list.
 	wire := 0
 	add := func(b []byte) {
 		if len(b) > 0 {
@@ -286,7 +230,7 @@ func (tc *tcpConn) flush(t *TCP, batch []outFrame) (int, error) {
 			sp := tc.spans[i]
 			add(tc.hdr[sp.off:sp.end])
 		}
-		add(tc.payloadOf(&batch[i], res[i].comp, res[i].flags))
+		add(batch[i].payload)
 	}
 
 	arena := iov
@@ -297,43 +241,4 @@ func (tc *tcpConn) flush(t *TCP, batch []outFrame) (int, error) {
 	}
 	tc.iov = full[:0]
 	return wire, err
-}
-
-// payloadOf returns the wire payload for a frame: the sender's buffer, or
-// its compressed form in the cbuf arena.
-func (tc *tcpConn) payloadOf(f *outFrame, comp span, flags uint8) []byte {
-	if flags&flagCompressed != 0 {
-		return tc.cbuf[comp.off:comp.end]
-	}
-	return f.payload
-}
-
-// compress appends `origLen u32 | DEFLATE(p)` to the cbuf arena and
-// returns its span. Reports false — leaving the frame uncompressed — when
-// deflate does not actually shrink the payload.
-func (tc *tcpConn) compress(p []byte) (span, bool) {
-	start := len(tc.cbuf)
-	var lenb [4]byte
-	binary.LittleEndian.PutUint32(lenb[:], uint32(len(p)))
-	tc.cbuf = append(tc.cbuf, lenb[:]...)
-	if tc.cw == nil {
-		tc.cw, _ = flate.NewWriter((*sliceSink)(&tc.cbuf), flate.BestSpeed)
-	} else {
-		tc.cw.Reset((*sliceSink)(&tc.cbuf))
-	}
-	tc.cw.Write(p) //nolint:errcheck // sliceSink cannot fail
-	tc.cw.Close()  //nolint:errcheck
-	if len(tc.cbuf)-start >= len(p) {
-		tc.cbuf = tc.cbuf[:start]
-		return span{}, false
-	}
-	return span{start, len(tc.cbuf)}, true
-}
-
-// sliceSink is an io.Writer appending to a byte-slice arena in place.
-type sliceSink []byte
-
-func (s *sliceSink) Write(p []byte) (int, error) {
-	*s = append(*s, p...)
-	return len(p), nil
 }

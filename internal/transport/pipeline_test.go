@@ -22,25 +22,16 @@ func (m *memConn) SetReadDeadline(time.Time) error  { return nil }
 func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
 
 // decodeStream parses a pipelined wire stream — preamble, classic frames,
-// batch envelopes, compressed payloads — returning every logical payload
-// in arrival order. It mirrors the readLoop's parse using the same
-// production helpers (readFrame, walkBatch, inflatePayload).
+// batch envelopes — returning every logical payload in arrival order. It
+// mirrors the readLoop's parse using the same production helpers
+// (readFrame, walkBatch) and the same rejection of the retired flag.
 func decodeStream(r io.Reader) (payloads [][]byte, kinds []uint8, seqs []uint64, err error) {
-	var inf io.ReadCloser
-	var infSrc bytes.Reader
 	one := func(kind, flags uint8, seq uint64, payload []byte) bool {
-		if flags&flagCompressed != 0 {
-			rb, n, ierr := inflatePayload(&inf, &infSrc, payload)
-			if ierr != nil {
-				err = ierr
-				return false
-			}
-			payload = append([]byte(nil), rb.b[:n]...)
-			rb.release()
-		} else {
-			payload = append([]byte(nil), payload...)
+		if flags&flagRetired != 0 {
+			err = io.ErrUnexpectedEOF
+			return false
 		}
-		payloads = append(payloads, payload)
+		payloads = append(payloads, append([]byte(nil), payload...))
 		kinds = append(kinds, kind)
 		seqs = append(seqs, seq)
 		return true
@@ -74,15 +65,15 @@ func decodeStream(r io.Reader) (payloads [][]byte, kinds []uint8, seqs []uint64,
 }
 
 // FuzzFrameBatchRoundTrip drives the writer's flush path — batch
-// envelopes, compression, preamble — over fuzzer-chosen payload splits and
+// envelopes, preamble — over fuzzer-chosen payload splits and
 // checks byte-identical decode, then re-parses the stream truncated at
 // every byte boundary: truncation must never panic and never yield the
 // complete frame set.
 func FuzzFrameBatchRoundTrip(f *testing.F) {
-	f.Add([]byte("hello world"), uint8(1), uint16(0))
-	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(3), uint16(8))
-	f.Add(bytes.Repeat([]byte{0xAB, 0xCD}, 3000), uint8(5), uint16(64))
-	f.Add([]byte{}, uint8(2), uint16(0))
+	f.Add([]byte("hello world"), uint8(1))
+	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(3))
+	f.Add(bytes.Repeat([]byte{0xAB, 0xCD}, 3000), uint8(5))
+	f.Add([]byte{}, uint8(2))
 	// A lifelineDeliver-shaped payload (kind 22 on the wire): epoch u64,
 	// cell count u32, two 8-byte vertex ids, dep count u32, one (id, value)
 	// pair — the newest protocol kind must batch and decode like the rest.
@@ -94,9 +85,9 @@ func FuzzFrameBatchRoundTrip(f *testing.F) {
 		1, 0, 0, 0, // nDeps
 		3, 0, 0, 0, 0, 0, 0, 0, // dep id
 		42, 0, 0, 0, 0, 0, 0, 0, // dep value (int64)
-	}, uint8(1), uint16(0))
+	}, uint8(1))
 
-	f.Fuzz(func(t *testing.T, data []byte, nsplit uint8, compressMin uint16) {
+	f.Fuzz(func(t *testing.T, data []byte, nsplit uint8) {
 		if len(data) > 1<<14 {
 			return
 		}
@@ -107,14 +98,8 @@ func FuzzFrameBatchRoundTrip(f *testing.F) {
 			lo, hi := i*len(data)/n, (i+1)*len(data)/n
 			chunks = append(chunks, data[lo:hi])
 		}
-		opts := TCPOptions{CompressMin: int(compressMin)}
-		if compressMin == 0 {
-			opts.NoCompress = true
-		}
-		opts.normalize()
-
 		mc := &memConn{}
-		tc := newTCPConn(mc, &opts)
+		tc := newTCPConn(mc, &TCPOptions{})
 		tr := &TCP{self: 2}
 		batch := make([]outFrame, n)
 		for i, c := range chunks {
@@ -257,5 +242,54 @@ func TestPipelinedSendPerPeerFIFO(t *testing.T) {
 				k, r.sender, r.i, next[r.sender])
 		}
 		next[r.sender]++
+	}
+}
+
+// TestRetiredCompressionBitsRejected pins the reserved wire values left
+// behind by the compressed-payload form: a frame (classic or batched)
+// carrying flag bit 4, or a preamble declaring feature bit 1, is a protocol
+// error — the endpoint closes the connection and runs no handler.
+func TestRetiredCompressionBitsRejected(t *testing.T) {
+	frame := func(flags uint8, seq uint64, payload []byte) []byte {
+		var b bytes.Buffer
+		if err := writeFrame(&b, 7, flags, 1, seq, payload); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	sub := putSubHeader(nil, 7, flagRetired, 0, 2)
+	sub = append(sub, "hi"...)
+	batch := frame(flagBatch, 1, sub)
+	batch[0] = 0 // envelopes carry kind 0
+	cases := map[string][]byte{
+		"classic frame": frame(flagRetired, 0, []byte("hi")),
+		"batched frame": batch,
+		"preamble":      frame(flagControl, featBatch|1<<1, nil),
+	}
+	for name, wire := range cases {
+		wire := wire
+		t.Run(name, func(t *testing.T) {
+			ep, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ep.Close()
+			ep.Handle(7, func(int, []byte) ([]byte, error) {
+				t.Error("handler ran for a frame with a retired bit set")
+				return nil, nil
+			})
+			c, err := net.Dial("tcp", ep.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			if _, err := c.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test socket
+			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("endpoint kept the connection open: read err = %v, want EOF", err)
+			}
+		})
 	}
 }

@@ -2,8 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -82,7 +80,6 @@ func NewTCPOpts(self int, addrs []string, opts TCPOptions) (*TCP, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen %s: %w", addrs[self], err)
 	}
-	opts.normalize()
 	t := &TCP{
 		self: self,
 		// Copied, not aliased: callers (and in-process tests) share one
@@ -442,8 +439,6 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 		}
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
-	var inf io.ReadCloser // lazily created flate reader, reused across frames
-	var infSrc bytes.Reader
 	for {
 		var hdr [frameHeaderLen]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -488,9 +483,9 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 		}
 		ok := true
 		if flags&flagBatch != 0 {
-			ok = kind == 0 && t.dispatchBatch(rb, from, seq, buf, &inf, &infSrc)
+			ok = kind == 0 && t.dispatchBatch(rb, from, seq, buf)
 		} else {
-			ok = t.dispatch(rb, from, kind, flags, seq, buf, &inf, &infSrc)
+			ok = t.dispatch(rb, from, kind, flags, seq, buf)
 		}
 		rb.release()
 		if !ok {
@@ -502,24 +497,19 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 // dispatchBatch walks a batch envelope's sub-frames, dispatching each.
 // The envelope CRC was already verified; structural damage (counts or
 // lengths that do not add up) reports false and kills the connection.
-func (t *TCP) dispatchBatch(rb *recvBuf, from int, count uint64, buf []byte, inf *io.ReadCloser, infSrc *bytes.Reader) bool {
+func (t *TCP) dispatchBatch(rb *recvBuf, from int, count uint64, buf []byte) bool {
 	return walkBatch(buf, count, func(kind, flags uint8, seq uint64, payload []byte) bool {
-		return t.dispatch(rb, from, kind, flags, seq, payload, inf, infSrc)
+		return t.dispatch(rb, from, kind, flags, seq, payload)
 	})
 }
 
 // dispatch routes one frame: responses complete pending Calls (payload
 // copied — the caller outlives the pooled buffer), requests and one-way
-// messages run their handler on a borrowed reference to the buffer.
-func (t *TCP) dispatch(rb *recvBuf, from int, kind, flags uint8, seq uint64, payload []byte, inf *io.ReadCloser, infSrc *bytes.Reader) bool {
-	if flags&flagCompressed != 0 {
-		dec, n, err := inflatePayload(inf, infSrc, payload)
-		if err != nil {
-			return false
-		}
-		ok := t.dispatch(dec, from, kind, flags&^flagCompressed, seq, dec.b[:n], inf, infSrc)
-		dec.release()
-		return ok
+// messages run their handler on a borrowed reference to the buffer. A
+// frame carrying the retired flag reports false, killing the connection.
+func (t *TCP) dispatch(rb *recvBuf, from int, kind, flags uint8, seq uint64, payload []byte) bool {
+	if flags&flagRetired != 0 {
+		return false
 	}
 	switch {
 	case flags&flagResponse != 0:
@@ -558,30 +548,6 @@ func (t *TCP) dispatch(rb *recvBuf, from int, kind, flags uint8, seq uint64, pay
 		}
 	}
 	return true
-}
-
-// inflatePayload decodes a compressed payload (`origLen u32 | DEFLATE`)
-// into a fresh pooled buffer, reusing the loop's flate reader.
-func inflatePayload(inf *io.ReadCloser, src *bytes.Reader, payload []byte) (*recvBuf, int, error) {
-	if len(payload) < 4 {
-		return nil, 0, fmt.Errorf("transport: compressed payload truncated")
-	}
-	orig := binary.LittleEndian.Uint32(payload[:4])
-	if orig > maxFrameLen {
-		return nil, 0, fmt.Errorf("transport: compressed payload too large (%d bytes)", orig)
-	}
-	src.Reset(payload[4:])
-	if *inf == nil {
-		*inf = flate.NewReader(src)
-	} else if err := (*inf).(flate.Resetter).Reset(src, nil); err != nil {
-		return nil, 0, err
-	}
-	rb := getRecvBuf(int(orig))
-	if _, err := io.ReadFull(*inf, rb.b[:orig]); err != nil {
-		rb.release()
-		return nil, 0, err
-	}
-	return rb, int(orig), nil
 }
 
 func (t *TCP) serve(from int, kind uint8, seq uint64, payload []byte) {

@@ -22,12 +22,12 @@ import (
 // framing bugs and partial writes — a corrupted frame kills the
 // connection rather than delivering garbage to a handler.
 //
-// The pipelined data plane adds three frame forms on top of the classic
+// The pipelined data plane adds two frame forms on top of the classic
 // one, each selected by a flag bit:
 //
 //   - Control (flagControl): a connection preamble. The seq field carries
-//     the feature bits the writer will use on this connection (featBatch,
-//     featCompress); the payload is empty. A writer that uses any extended
+//     the feature bits the writer will use on this connection (featBatch);
+//     the payload is empty. A writer that uses any extended
 //     form sends the preamble first; a reader that sees unknown feature
 //     bits kills the connection instead of misparsing later traffic. A
 //     first frame without flagControl marks a legacy (classic-only) peer.
@@ -39,10 +39,9 @@ import (
 //     Batching lets one writev carry many messages — data decrements,
 //     piggybacked acks and small fetch replies coalesce into one syscall.
 //
-//   - Compressed payload (flagCompressed, per frame or per sub-frame): the
-//     payload is `origLen u32 | DEFLATE stream`. Applied by the writer to
-//     payloads at or above its negotiated threshold when the compressed
-//     form is actually smaller.
+// Flag bit 4 and feature bit 1 belonged to a retired compressed-payload
+// form. Both stay reserved: a frame or preamble carrying either is a
+// protocol error that kills the connection, never silently ignored.
 const (
 	frameHeaderLen = 1 + 1 + 4 + 8 + 4 + 4
 
@@ -55,13 +54,12 @@ const (
 	flagError         = 1 << 1
 	flagRequestMarker = 1 << 2 // Call request (needs a response)
 	flagBatch         = 1 << 3
-	flagCompressed    = 1 << 4
+	flagRetired       = 1 << 4 // reserved, see above
 	flagControl       = 1 << 5
 
 	// Feature bits carried in a control preamble's seq field.
-	featBatch    = 1 << 0
-	featCompress = 1 << 1
-	featAll      = featBatch | featCompress
+	featBatch = 1 << 0
+	featAll   = featBatch
 )
 
 // maxFrameLen bounds a single payload; larger frames indicate corruption.

@@ -214,10 +214,14 @@ func WithTileSize(cells int) UntypedOption {
 }
 
 // WithAggregation tunes the outbound decrement aggregator, which is on by
-// default: window bounds how long a buffered decrement may wait before
-// its batch is flushed, maxBatch is the record count that flushes a
-// destination's batch immediately. Zero values keep the defaults
-// (1ms, 256 records). Job-scoped.
+// default. The aggregator is self-clocked — every scheduling quantum that
+// buffered a record wakes the flusher, which sends whatever accumulated
+// while its previous send was on the wire — so neither value shapes a
+// normal run: maxBatch is the record count at which a worker flushes a
+// destination's batch inline (the buffer-memory cap), and window is only
+// the fallback bound on how long a record could wait if a producer failed
+// to wake the flusher. Zero values keep the defaults (1ms, 256 records).
+// Job-scoped.
 func WithAggregation(window time.Duration, maxBatch int) UntypedOption {
 	return jobOpt("WithAggregation", func(c *core.Common) {
 		c.AggDisabled = false
