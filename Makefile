@@ -37,10 +37,9 @@ bench: bench-sched bench-net
 bench-sched:
 	./scripts/bench_sched.sh results/BENCH_sched.json
 
-# Cross-place wire cost over real TCP sockets (pipelined data plane on
-# vs off), summarized into results/BENCH_net.json. Fails if the
-# pipeline's wire bytes/vertex exceeds 14.5 or its ns/vertex exceeds
-# 1.3x the direct arm's.
+# Cross-place wire cost over real TCP sockets, plus the scheduler's
+# ns/vertex as a ratio to the hand-written per-vertex loop, summarized
+# into results/BENCH_net.json. Fails if the wire bytes/vertex exceed 14.5.
 bench-net:
 	./scripts/bench_net.sh results/BENCH_net.json
 

@@ -45,17 +45,16 @@ func gatedApp(a, b string, gateAt int64) (*swApp, chan struct{}, func()) {
 	return app, gate, func() { once.Do(func() { close(resume) }) }
 }
 
-// TestOptionsMixUntypedTypedDeprecated pins the redesigned options surface:
-// untyped constructors, value-typed constructors and the deprecated
-// T-suffixed generic aliases all compose in one option list.
-func TestOptionsMixUntypedTypedDeprecated(t *testing.T) {
+// TestOptionsMixUntypedTyped pins the options surface: untyped and
+// value-typed constructors compose in one option list.
+func TestOptionsMixUntypedTyped(t *testing.T) {
 	a, b := "ACGTACGTACGT", "TACGTACGTA"
 	app := &swApp{a: a, b: b}
 	dag, err := dpx10.Run[int32](app, dpx10.DiagonalPattern(int32(len(a)+1), int32(len(b)+1)),
-		dpx10.Places(3),                            // untyped
-		dpx10.ThreadsT[int32](2),                   // deprecated generic alias
+		dpx10.Places(3), // untyped
+		dpx10.Threads(2),
 		dpx10.WithCodec[int32](dpx10.Int32Codec{}), // value-typed
-		dpx10.CacheSizeT[int32](16),                // deprecated generic alias
+		dpx10.CacheSize(16),
 		dpx10.WithStrategy(dpx10.LocalScheduling),
 	)
 	if err != nil {

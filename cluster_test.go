@@ -49,7 +49,7 @@ func TestSubmitRejectsClusterOptions(t *testing.T) {
 	}
 	defer c.Close()
 	app, pat := newSWPair()
-	_, err = dpx10.Submit[int32](context.Background(), c, app, pat, dpx10.ThreadsT[int32](4))
+	_, err = dpx10.Submit[int32](context.Background(), c, app, pat, dpx10.Threads(4))
 	var se *dpx10.OptionScopeError
 	if !errors.As(err, &se) {
 		t.Fatalf("got %v, want *OptionScopeError", err)

@@ -43,7 +43,6 @@ func main() {
 	flag.IntVar(&p.Cache, "cache", 0, "remote-vertex cache entries per place")
 	flag.IntVar(&p.TileSize, "tile", 0, "scheduling granularity in cells (0 = auto, 1 = per-vertex; must match across places)")
 	flag.BoolVar(&p.RestoreRemote, "restore-remote", false, "recovery copies moved results instead of recomputing")
-	flag.BoolVar(&p.NoPipeline, "no-pipeline", false, "disable the batched-writev send pipeline (one write per frame)")
 	flag.BoolVar(&p.Metrics, "metrics", false, "print this place's metrics after the run (place 0 aggregates all places; must match across places)")
 	flag.BoolVar(&p.MetricsJSON, "metrics-json", false, "print the metrics dump as JSON (implies -metrics)")
 	flag.StringVar(&p.MetricsAddr, "metrics-addr", "", "serve live Prometheus metrics at http://<addr>/metrics during the run")

@@ -236,12 +236,12 @@ func (m *transposedMTP) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 
 func (m *transposedMTP) AppFinished(*dpx10.Dag[int64]) {}
 
-// TestAggregationIsSelfClocked takes the aggregator's flush window away
-// (one hour) and runs SWLAG over every producer path: cyclic rows (every
-// row crosses places; single-cell tiles), block rows (tile walks), stealing
-// (completions arrive through the steal-done handler) and lifelines. Each
-// path must kick the flusher itself, so every arm finishes in seconds; a
-// path that leaned on the timer would sit on its last partial batch.
+// TestAggregationIsSelfClocked runs SWLAG over every producer path of the
+// decrement aggregator: cyclic rows (every row crosses places; single-cell
+// tiles), block rows (tile walks), stealing (completions arrive through
+// the steal-done handler) and lifelines. No timer backs the flusher, so
+// each path must kick it itself; one that did not would sit on its last
+// partial batch until the timeout below.
 func TestAggregationIsSelfClocked(t *testing.T) {
 	a := workload.Sequence(90, workload.DNA, 11)
 	b := workload.Sequence(90, workload.DNA, 12)
@@ -258,7 +258,6 @@ func TestAggregationIsSelfClocked(t *testing.T) {
 			opts := append([]dpx10.Option[apps.AffineCell]{
 				dpx10.Places(2), dpx10.Threads(2), dpx10.CacheSize(1024),
 				dpx10.WithCodec[apps.AffineCell](app.Codec()),
-				dpx10.WithAggregation(time.Hour, 256),
 			}, arm...)
 			type result struct {
 				dag *dpx10.Dag[apps.AffineCell]
@@ -281,7 +280,7 @@ func TestAggregationIsSelfClocked(t *testing.T) {
 					t.Fatal(err)
 				}
 			case <-time.After(60 * time.Second):
-				t.Fatal("run still waiting after 60s: a producer path relies on the flush window")
+				t.Fatal("run still waiting after 60s: a producer path does not kick the flusher")
 			}
 		})
 	}

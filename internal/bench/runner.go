@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"runtime/debug"
 	"sort"
 	"strings"
 )
@@ -111,9 +112,29 @@ func slug(title string) string {
 	return strings.Trim(s, "-")
 }
 
+// buildCommit names the commit the running binary was built from, with
+// "+dirty" when the tree had uncommitted changes: the provenance RunFiles
+// stamps into every results file. `go run` leaves VCS information out of
+// the binary, so regenerate results/ with a `go build` of cmd/dpx10-bench.
+func buildCommit() string {
+	rev, dirty := "unknown (binary built without VCS information)", ""
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "vcs.revision" {
+				rev = s.Value
+			}
+			if s.Key == "vcs.modified" && s.Value == "true" {
+				dirty = "+dirty"
+			}
+		}
+	}
+	return rev + dirty
+}
+
 // RunFiles regenerates one figure (or "all") and writes each report to
 // dir as both an aligned text table (.txt) and CSV (.csv), named by a
-// slug of the report title. It also prints the tables to w.
+// slug of the report title, the table stamped with the commit that
+// produced it. It also prints the tables to w.
 func RunFiles(name string, quick bool, dir string, w io.Writer) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
@@ -122,6 +143,7 @@ func RunFiles(name string, quick bool, dir string, w io.Writer) error {
 	if name == "all" {
 		names = Names()
 	}
+	stamp := "generated at commit " + buildCommit()
 	for _, n := range names {
 		f, ok := Figures[n]
 		if !ok {
@@ -133,6 +155,7 @@ func RunFiles(name string, quick bool, dir string, w io.Writer) error {
 		}
 		for i := range reports {
 			rep := &reports[i]
+			rep.Notes = append(rep.Notes, stamp)
 			rep.Print(w)
 			base := filepath.Join(dir, slug(rep.Title))
 			var txt bytes.Buffer

@@ -51,10 +51,6 @@ type Params struct {
 	LifelineProbes int
 	LifelineEdges  int
 
-	// NoPipeline writes each TCP frame directly instead of batching them
-	// into one writev (worker mode only; the in-process fabric ignores it).
-	NoPipeline bool
-
 	Verify bool
 	Kill   int  // place to kill at ~50% progress; -1 disables
 	Trace  bool // print per-place utilization after the run
@@ -81,6 +77,12 @@ type Params struct {
 	MetricsJSON bool
 	MetricsAddr string
 	TraceOut    string
+
+	// exchangeAddrs is the in-package test seam for worker mode: when set,
+	// a worker binds whatever port its address names (":0" for any), hands
+	// the address it actually bound to this function and adopts the table
+	// it returns — so a test never has to guess a free port in advance.
+	exchangeAddrs func(self int, bound string) []string
 }
 
 // chaotic reports whether any fault injection was requested.
@@ -555,7 +557,6 @@ func driveWorker[T any](p Params, self int, addrs []string, w io.Writer,
 			LifelineEdges:  p.LifelineEdges,
 			NewDist:        distFactory(p.Dist),
 			Metrics:        p.metricsOn(),
-			NoPipeline:     p.NoPipeline,
 		},
 		Compute: compute,
 		Codec:   cd,
@@ -580,6 +581,11 @@ func driveWorker[T any](p Params, self int, addrs []string, w io.Writer,
 		return err
 	}
 	defer node.Close()
+	if p.exchangeAddrs != nil {
+		if err := node.SetAddrTable(p.exchangeAddrs(self, node.Addr())); err != nil {
+			return err
+		}
+	}
 	fmt.Fprintf(w, "place %d listening on %s\n", self, node.Addr())
 	if p.MetricsAddr != "" {
 		stop, err := ServeMetrics(p.MetricsAddr, func() []*metrics.Snapshot {

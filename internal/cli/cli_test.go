@@ -2,9 +2,9 @@ package cli
 
 import (
 	"bytes"
-	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -97,27 +97,36 @@ func TestRunLocalRejectsBadInput(t *testing.T) {
 	}
 }
 
-// freePorts reserves n distinct loopback ports.
-func freePorts(t *testing.T, n int) []string {
-	t.Helper()
-	addrs := make([]string, n)
-	listeners := make([]net.Listener, n)
-	for k := 0; k < n; k++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
+// boundAddrs returns a Params.exchangeAddrs for an n-place cluster whose
+// workers all listen on port 0: each call publishes the caller's bound
+// address and returns the full table once every place has published. A
+// worker that returns without publishing (a setup error) must call giveUp,
+// which hands the others a nil table: they fail in SetAddrTable and the
+// test reports every place's error instead of hanging in the barrier.
+func boundAddrs(n int) (exchange func(self int, bound string) []string, giveUp func(self int)) {
+	table := make([]string, n)
+	arrived := make([]sync.Once, n)
+	var all sync.WaitGroup
+	all.Add(n)
+	var short atomic.Bool
+	exchange = func(self int, bound string) []string {
+		table[self] = bound
+		arrived[self].Do(all.Done)
+		all.Wait()
+		if short.Load() {
+			return nil
 		}
-		listeners[k] = ln
-		addrs[k] = ln.Addr().String()
+		return table
 	}
-	for _, ln := range listeners {
-		ln.Close()
+	giveUp = func(self int) {
+		arrived[self].Do(func() { short.Store(true); all.Done() })
 	}
-	return addrs
+	return exchange, giveUp
 }
 
 func TestRunWorkerCluster(t *testing.T) {
-	addrs := freePorts(t, 3)
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
+	exchange, giveUp := boundAddrs(len(addrs))
 	var wg sync.WaitGroup
 	outs := make([]bytes.Buffer, 3)
 	errs := make([]error, 3)
@@ -125,16 +134,21 @@ func TestRunWorkerCluster(t *testing.T) {
 		wg.Add(1)
 		go func(place int) {
 			defer wg.Done()
+			defer giveUp(place)
 			p := smallParams("swlag")
 			p.Kill = -1
+			p.exchangeAddrs = exchange
 			errs[place] = RunWorker(p, place, addrs, &outs[place])
 		}(place)
 	}
 	wg.Wait()
 	for place, err := range errs {
 		if err != nil {
-			t.Fatalf("place %d: %v\n%s", place, err, outs[place].String())
+			t.Errorf("place %d: %v\n%s", place, err, outs[place].String())
 		}
+	}
+	if t.Failed() {
+		return
 	}
 	if !strings.Contains(outs[0].String(), "corner vertex") {
 		t.Fatalf("coordinator summary missing:\n%s", outs[0].String())

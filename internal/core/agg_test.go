@@ -2,12 +2,16 @@ package core
 
 import (
 	"testing"
-	"time"
 
 	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 )
+
+// aggOff is the ablation's baseline arm: a batch cap of one record, so
+// every finished vertex costs one message per destination, and no value
+// push — the paper's §VI-C behaviour.
+func aggOff(cfg *Config[int64]) { cfg.AggMaxBatch, cfg.PushDisabled = 1, true }
 
 // TestAggregationMatchesReference runs the same patterns with aggregation
 // off, on, and on-without-push: every arm must produce the reference
@@ -19,7 +23,7 @@ func TestAggregationMatchesReference(t *testing.T) {
 		"grid":     patterns.NewGrid(13, 13),
 	}
 	arms := map[string]func(cfg *Config[int64]){
-		"off":      func(cfg *Config[int64]) { cfg.AggDisabled = true },
+		"off":      aggOff,
 		"agg":      func(cfg *Config[int64]) { cfg.PushDisabled = true },
 		"agg+push": func(cfg *Config[int64]) {},
 	}
@@ -103,11 +107,11 @@ func TestAggregationReducesTraffic(t *testing.T) {
 		cl := runAndCheck(t, cfg)
 		return cl.Stats()
 	}
-	off := run(func(cfg *Config[int64]) { cfg.AggDisabled = true })
+	off := run(aggOff)
 	on := run(func(cfg *Config[int64]) {})
 
-	if off.AggBatches != 0 || off.DecrsCoalesced != 0 || off.ValuesPushed != 0 {
-		t.Fatalf("aggregation disabled but batch stats nonzero: %+v", off)
+	if off.AggBatches == 0 || off.DecrsCoalesced != off.AggBatches || off.ValuesPushed != 0 {
+		t.Fatalf("batch cap 1 must send one record per message and push nothing: %+v", off)
 	}
 	if on.AggBatches == 0 || on.DecrsCoalesced == 0 {
 		t.Fatalf("aggregation enabled but no batches flushed: %+v", on)
@@ -155,7 +159,6 @@ func TestAggregationSurvivesFault(t *testing.T) {
 	pat := patterns.NewDiagonal(24, 18)
 	cfg, gate, release := gatedConfig(pat, 4, 150)
 	cfg.CacheSize = 128
-	cfg.AggWindow = 250 * time.Microsecond // more flushes in flight at the kill
 	cl, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -4,25 +4,28 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"github.com/dpx10/dpx10/internal/dag"
 )
 
-// aggregator coalesces this place's outbound indegree decrements into one
-// kindDecrBatch message per destination. With value push enabled, each
-// record also carries the finished source vertex's encoded value so the
-// receiver can serve downstream dependency reads from its cache instead of
-// issuing a kindFetch round-trip.
+// aggregator is the one path a finished vertex's cross-place indegree
+// decrements take: it coalesces them into one kindDecrBatch message per
+// destination. With value push enabled, each record also carries the
+// finished source vertex's encoded value so the receiver can serve
+// downstream dependency reads from its cache instead of issuing a
+// kindFetch round-trip.
 //
-// Flushing is self-clocked. Every producer kicks the flusher goroutine at
-// the end of its scheduling quantum — a tile walk, a single-cell tile, a
-// handler-origin completion — and the flusher sends every open buffer,
-// again and again, until nothing is pending. A batch is therefore whatever
-// accumulated while the previous send was on the wire: one record when the
-// link is idle, hundreds when it is busy. Workers never send, except inline
-// when one destination's buffer reaches maxRecs records (the memory cap).
-// The window tick is a liveness net only; no producer path depends on it.
+// Flushing is self-clocked, and the producers are the only clock. Every
+// producer kicks the flusher goroutine at the end of its scheduling
+// quantum — a tile walk, a single-cell tile, a handler-origin completion —
+// and the flusher sends every open buffer, again and again, until nothing
+// is pending. A batch is therefore whatever accumulated while the previous
+// send was on the wire: one record when the link is idle, hundreds when it
+// is busy. Workers never send, except inline when one destination's buffer
+// reaches maxRecs records (the memory cap; at maxRecs = 1 that is every
+// record, one message per finished vertex per destination). There is no
+// timer behind the kicks: a producer path that forgot to kick would hang
+// the run, which any test catches, instead of stalling it silently.
 //
 // One aggregator belongs to one epochState and inherits its lifecycle:
 // its buffered records are stamped with the epoch at creation, its flusher
@@ -35,7 +38,6 @@ type aggregator[T any] struct {
 	epoch   uint64
 	push    bool
 	maxRecs int
-	window  time.Duration
 
 	// pending counts buffered records so kick and the flusher's drain loop
 	// stay lock-free; kicked holds at most one undelivered wake-up.
@@ -74,7 +76,6 @@ func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
 		// Pushing a value only helps if the receiver has a cache to hold it.
 		push:    !pe.cfg.PushDisabled && pe.cfg.CacheSize > 0,
 		maxRecs: pe.cfg.AggMaxBatch,
-		window:  pe.cfg.AggWindow,
 		kicked:  make(chan struct{}, 1),
 		done:    make(chan struct{}),
 		bufs:    make([]aggBuf, pe.cfg.Places),
@@ -157,10 +158,9 @@ func (ag *aggregator[T]) recycle(msg []byte) {
 }
 
 // kick wakes the flusher if anything is buffered. Producers call it at the
-// end of a scheduling quantum; it never blocks and never sends. A nil
-// aggregator (aggregation disabled) makes it a no-op.
+// end of a scheduling quantum; it never blocks and never sends.
 func (ag *aggregator[T]) kick() {
-	if ag == nil || ag.pending.Load() == 0 {
+	if ag.pending.Load() == 0 {
 		return
 	}
 	select {
@@ -188,13 +188,9 @@ func (ag *aggregator[T]) flushAll() {
 
 // loop is the flusher: each kick drains the buffers until nothing is
 // pending, so records that arrive while a send is on the wire leave with
-// the next one. The tick is the liveness net: should a producer path ever
-// fail to kick, its records still leave within a window, so termination
-// cannot stall on buffered traffic.
+// the next one.
 func (ag *aggregator[T]) loop(quit <-chan struct{}) {
 	defer close(ag.done)
-	tick := time.NewTicker(ag.window)
-	defer tick.Stop()
 	for {
 		select {
 		case <-quit:
@@ -202,7 +198,6 @@ func (ag *aggregator[T]) loop(quit <-chan struct{}) {
 		case <-ag.pe.stopCh:
 			return
 		case <-ag.kicked:
-		case <-tick.C:
 		}
 		for ag.pending.Load() > 0 {
 			ag.flushAll()

@@ -10,82 +10,67 @@ import (
 )
 
 // BenchmarkNetPerVertex measures the wire cost of a cross-place run over
-// real TCP sockets: time, bytes and write syscalls per vertex, with the
-// send pipeline (batched writev framing) on and off. The workload is the
-// SWLAG dependency shape — a dense grid whose every row crosses the cyclic
-// distribution — so the traffic is the decrement/fetch mix the aggregator
-// and pipeline exist for. Both arms carry the same compact decrBatch
-// records; they differ only in framing.
+// real TCP sockets: time, bytes, frames and vectored writes per vertex. The
+// workload is the SWLAG dependency shape — a dense grid whose every row
+// crosses the cyclic distribution — so the traffic is the decrement/fetch
+// mix the aggregator exists for.
 //
 // scripts/bench_net.sh turns the output into results/BENCH_net.json and
-// gates the pipelined arm's bytes/vertex absolutely and its ns/vertex
-// against the direct arm.
+// gates the bytes/vertex absolutely.
 func BenchmarkNetPerVertex(b *testing.B) {
 	const side = 256
 	const places = 4
 	pat := patterns.NewGrid(side, side)
 	cells := float64(side) * float64(side)
 
-	arms := []struct {
-		name   string
-		mutate func(*Config[int64])
-	}{
-		{"pipeline=on", func(cfg *Config[int64]) {}},
-		{"pipeline=off", func(cfg *Config[int64]) { cfg.NoPipeline = true }},
+	var wireBytes, writeCalls, frames int64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg := Config[int64]{
+			Common: Common{
+				Places: places, Threads: 4, Pattern: pat,
+				CacheSize: 1024,
+				// Cyclic rows: every row boundary crosses places, so
+				// every cell pushes values and decrements off-place —
+				// SWLAG's worst-case communication arm.
+				NewDist: func(h, w int32, n int) dist.Dist {
+					return dist.NewCyclicRow(h, w, n)
+				},
+			},
+			Compute: sumCompute,
+			Codec:   codec.Int64{},
+		}
+		nodes := startBenchTCPNodes(b, cfg, places)
+		var workers sync.WaitGroup
+		for p := 1; p < places; p++ {
+			workers.Add(1)
+			go func(p int) {
+				defer workers.Done()
+				if err := nodes[p].Run(); err != nil {
+					b.Error(err)
+				}
+			}(p)
+		}
+		if err := nodes[0].Run(); err != nil {
+			b.Fatal(err)
+		}
+		for _, n := range nodes {
+			st := n.tr.Stats()
+			wireBytes += st.WireBytesOut.Load()
+			writeCalls += st.WriteCalls.Load()
+			frames += st.FramesOut.Load()
+		}
+		for _, n := range nodes {
+			n.Close()
+		}
+		workers.Wait()
 	}
-	for _, arm := range arms {
-		b.Run(arm.name, func(b *testing.B) {
-			var wireBytes, writeCalls, frames int64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cfg := Config[int64]{
-					Common: Common{
-						Places: places, Threads: 4, Pattern: pat,
-						CacheSize: 1024,
-						// Cyclic rows: every row boundary crosses places, so
-						// every cell pushes values and decrements off-place —
-						// SWLAG's worst-case communication arm.
-						NewDist: func(h, w int32, n int) dist.Dist {
-							return dist.NewCyclicRow(h, w, n)
-						},
-					},
-					Compute: sumCompute,
-					Codec:   codec.Int64{},
-				}
-				arm.mutate(&cfg)
-				nodes := startBenchTCPNodes(b, cfg, places)
-				var workers sync.WaitGroup
-				for p := 1; p < places; p++ {
-					workers.Add(1)
-					go func(p int) {
-						defer workers.Done()
-						if err := nodes[p].Run(); err != nil {
-							b.Error(err)
-						}
-					}(p)
-				}
-				if err := nodes[0].Run(); err != nil {
-					b.Fatal(err)
-				}
-				for _, n := range nodes {
-					st := n.tr.Stats()
-					wireBytes += st.WireBytesOut.Load()
-					writeCalls += st.WriteCalls.Load()
-					frames += st.FramesOut.Load()
-				}
-				for _, n := range nodes {
-					n.Close()
-				}
-				workers.Wait()
-			}
-			b.StopTimer()
-			n := float64(b.N) * cells
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/vertex")
-			b.ReportMetric(float64(wireBytes)/n, "wireB/vertex")
-			b.ReportMetric(float64(writeCalls)/n, "writes/vertex")
-			b.ReportMetric(float64(frames)/n, "frames/vertex")
-		})
-	}
+	b.StopTimer()
+	n := float64(b.N) * cells
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/vertex")
+	b.ReportMetric(float64(wireBytes)/n, "wireB/vertex")
+	b.ReportMetric(float64(writeCalls)/n, "writes/vertex")
+	b.ReportMetric(float64(frames)/n, "frames/vertex")
 }
 
 // startBenchTCPNodes is startTCPNodes without t.Cleanup: benchmark

@@ -101,13 +101,6 @@ type Common struct {
 	// disk-backed store instead of RAM — the paper's §X future work for
 	// problems larger than memory. Indegrees and flags stay resident.
 	Spill *SpillConfig
-	// NoDepCache disables the per-epoch dependency-resolution cache that
-	// the tile activation scans fill and the tile walks read (roughly
-	// 16 + 16·deg bytes per local cell). The cache is on by default and
-	// auto-disabled for spilled runs, where its memory footprint would
-	// defeat the point of spilling; set this for very large in-memory
-	// grids where the same trade applies.
-	NoDepCache bool
 	// ProbeInterval is the failure-detector heartbeat period. Place 0
 	// pings every place at this interval, mirroring the X10 runtime's own
 	// failure detection — pure communication-based detection can deadlock
@@ -120,18 +113,11 @@ type Common struct {
 	// chaos, link trouble — accumulate suspicion instead, so a lossy link
 	// is not mistaken for a crash on the first drop. Default 3.
 	SuspicionThreshold int
-	// AggDisabled turns off the outbound decrement aggregator, restoring
-	// one kindDecrement message per completed vertex per destination.
-	// Aggregation is on by default.
-	AggDisabled bool
-	// AggWindow is the aggregator's liveness net: the longest a buffered
-	// decrement could wait if its producer failed to kick the flusher.
-	// Every producer path kicks at the end of its scheduling quantum, so
-	// no run depends on it. Default 1ms.
-	AggWindow time.Duration
 	// AggMaxBatch is the record count at which a worker flushes a
-	// destination's batch inline instead of leaving it to the flusher —
-	// the cap on buffered memory. Default 256.
+	// destination's decrement batch inline instead of leaving it to the
+	// flusher — the cap on buffered memory. Default 256; 1 sends one
+	// message per finished vertex per destination, the paper's §VI-C
+	// behaviour and the aggregation ablation's baseline arm.
 	AggMaxBatch int
 	// PushDisabled stops piggybacking finished vertex values onto
 	// aggregated decrements. Push is on by default but only takes effect
@@ -191,8 +177,10 @@ type Common struct {
 	// on the shared places (every node must agree). Default 1. The
 	// in-process runtime ignores it — jobs arrive through Submit there.
 	Jobs int
-	// NoPipeline disables the TCP data-plane pipeline (batched writev
-	// framing), writing each frame directly. In-process fabrics ignore it.
+	// NoPipeline does nothing: the TCP data plane has one send path.
+	//
+	// Deprecated: kept only because the benchmark module sets it; goes
+	// with the next benchmark revision.
 	NoPipeline bool
 	// NoCompress does nothing: payload compression left the data plane.
 	//
@@ -245,12 +233,6 @@ func (c *Common) normalize() error {
 	}
 	if c.RetryMaxDelay < c.RetryBase {
 		return fmt.Errorf("core: RetryMaxDelay = %v below RetryBase = %v", c.RetryMaxDelay, c.RetryBase)
-	}
-	if c.AggWindow == 0 {
-		c.AggWindow = time.Millisecond
-	}
-	if c.AggWindow < 0 {
-		return fmt.Errorf("core: AggWindow = %v, need > 0 (use AggDisabled to turn aggregation off)", c.AggWindow)
 	}
 	if c.AggMaxBatch == 0 {
 		c.AggMaxBatch = 256

@@ -15,7 +15,7 @@ import (
 // constant block in proto.go: declaring a new kind without extending this
 // table (and wireProbes below) fails `make vet`.
 var fuzzedWireKinds = []uint8{
-	kindFetch, kindDecrement, kindExec, kindPlaceDone, kindFault,
+	kindFetch, kindExec, kindPlaceDone, kindFault,
 	kindPause, kindRebuild, kindRestore, kindRestoreTx, kindReplay,
 	kindReplayTx, kindResume, kindStop, kindReadVal, kindPing,
 	kindHello, kindBegin, kindSteal, kindStealDone, kindDecrBatch,
@@ -27,7 +27,6 @@ var fuzzedWireKinds = []uint8{
 // total: any input returns normally (possibly with an error) — no panics.
 var wireProbes = map[uint8]func(data []byte){
 	kindFetch:     func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
-	kindDecrement: func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
 	kindExec:      func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.id() },
 	kindPlaceDone: func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
 	kindFault:     func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
@@ -354,7 +353,6 @@ func FuzzReader(f *testing.F) {
 // byte-identity before it breaks a cluster.
 var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindFetch:     rtIDBatch,
-	kindDecrement: rtIDBatch,
 	kindReplayTx:  rtIDBatch,
 	kindDecrBatch: rtDecrBatch,
 	kindExec:      rtExec,
@@ -530,9 +528,8 @@ func wireSeeds() map[uint8][]byte {
 		idVals = cd.Encode(idVals, int64(100+k))
 	}
 	return map[uint8][]byte{
-		kindFetch:     encodeIDBatch(3, ids),
-		kindDecrement: encodeIDBatch(4, ids),
-		kindReplayTx:  encodeIDBatch(5, ids),
+		kindFetch:    encodeIDBatch(3, ids),
+		kindReplayTx: encodeIDBatch(5, ids),
 		kindDecrBatch: encodeDecrBatch(6, cd, []decrRecord[int64]{
 			{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
 		}, ids),
@@ -607,6 +604,7 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 		f.Add(kindDecrBatch, seed)
 	}
 	f.Add(uint8(0), []byte{})                            // not a protocol kind
+	f.Add(uint8(2), encodeIDBatch(4, nil))               // the retired per-vertex decrement: not one either
 	f.Add(kindFetch, []byte{1, 2})                       // truncated
 	f.Add(kindPause, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {

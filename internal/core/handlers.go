@@ -9,7 +9,6 @@ import (
 
 func (pe *placeEngine[T]) registerHandlers() {
 	pe.tr.Handle(kindFetch, pe.handleFetch)
-	pe.tr.Handle(kindDecrement, pe.handleDecrement)
 	pe.tr.Handle(kindExec, pe.handleExec)
 	pe.tr.Handle(kindPause, pe.handlePause)
 	pe.tr.Handle(kindRebuild, pe.handleRebuild)
@@ -98,26 +97,6 @@ func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) 
 		reply = pe.cfg.Codec.Encode(reply, st.chunk.Value(off))
 	}
 	return reply, nil
-}
-
-// handleDecrement applies a batch of indegree decrements from a finished
-// remote vertex, scheduling any cell that becomes ready. Stale-epoch
-// batches are dropped: the recovery replay has already accounted for them.
-func (pe *placeEngine[T]) handleDecrement(from int, payload []byte) ([]byte, error) {
-	epoch, ids, err := decodeIDBatch(payload, nil)
-	if err != nil {
-		return nil, err
-	}
-	st, serr := pe.stateAt(epoch)
-	if serr != nil {
-		return nil, nil // stale or pre-start: the recovery replay covers it
-	}
-	sc := pe.getScratch()
-	defer pe.putScratch(sc)
-	for _, id := range ids {
-		pe.applyDecrement(st, sc, id)
-	}
-	return nil, nil
 }
 
 // handleDecrBatch applies one aggregated decrement batch: pushed values
@@ -340,13 +319,11 @@ func (pe *placeEngine[T]) handlePause(from int, payload []byte) ([]byte, error) 
 	if st := pe.current(); st != nil {
 		st.closeQuit()
 		st.drainWorkers()
-		if st.agg != nil {
-			// Quiesce flush: with the workers stopped, drain the buffered
-			// decrements so they become ordinary in-flight messages — applied
-			// if they land before the receiver rebuilds, dropped as stale
-			// after. Either way the decrement replay re-derives them.
-			st.agg.flushAll()
-		}
+		// Quiesce flush: with the workers stopped, drain the buffered
+		// decrements so they become ordinary in-flight messages — applied
+		// if they land before the receiver rebuilds, dropped as stale
+		// after. Either way the decrement replay re-derives them.
+		st.agg.flushAll()
 	}
 	return nil, nil
 }

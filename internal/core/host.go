@@ -39,7 +39,6 @@ type hostSlot struct {
 // running up to `weight` tiles per slot per pass, and park on the wake
 // semaphore when no slot has work.
 type placeHost struct {
-	self    int
 	threads int
 
 	// wake carries worker wake tokens. Capacity `threads` suffices: a
@@ -59,12 +58,11 @@ type placeHost struct {
 	mParks *metrics.Counter
 }
 
-func newPlaceHost(self, threads int, reg *metrics.Registry) *placeHost {
+func newPlaceHost(threads int, reg *metrics.Registry) *placeHost {
 	if threads < 1 {
 		threads = 1
 	}
 	h := &placeHost{
-		self:    self,
 		threads: threads,
 		wake:    make(chan struct{}, threads),
 		stopCh:  make(chan struct{}),
@@ -75,14 +73,94 @@ func newPlaceHost(self, threads int, reg *metrics.Registry) *placeHost {
 	return h
 }
 
-// registerPlaceHandlers installs the place-scoped protocol handlers on
-// the shared stack: the failure detector's heartbeat echo and the
-// post-run metrics read. These kinds describe the place, not a job, so
+// placeStack is everything one place shares between its jobs, in both
+// deployments: the delivery stack — endpoint, then the metrics meter
+// (directly above the endpoint so its per-kind counts equal the endpoint's
+// own Stats number for number), then chaos injection on the send side, then
+// reliable delivery on top so retries re-traverse the faulty layer, then
+// the job router multiplexing every job's traffic over the shared stream —
+// and the worker-pool host.
+type placeStack struct {
+	common  *Common
+	sink    *eventSink
+	abortCh <-chan struct{}
+
+	reg    *metrics.Registry      // nil when Metrics is off
+	chaos  *transport.FaultFabric // nil without a chaos plan
+	rel    *reliableTransport     // nil unless Reliable
+	top    transport.Transport    // what place-scoped traffic and the detector use
+	router *jobRouter
+	host   *placeHost
+
+	// overlay adds the live cache counters of the jobs running on this
+	// place to a snapshot of reg (finished jobs folded theirs in already).
+	overlay func(*metrics.Snapshot)
+}
+
+// newPlaceStack builds place p's stack over endpoint ep and installs the
+// place-scoped handlers on it: the failure detector's heartbeat echo and
+// the post-run metrics read. These kinds describe the place, not a job, so
 // they bypass the job router (and the protokind analyzer sees their
-// constant registration here).
-func (h *placeHost) registerPlaceHandlers(tr transport.Transport, stats transport.Handler) {
-	tr.Handle(kindPing, handlePing)
-	tr.Handle(kindStats, stats)
+// constant registration here). abortCh ends the reliable layer's retries
+// and any detector built on the stack.
+func newPlaceStack(p int, ep transport.Transport, c *Common, sink *eventSink, abortCh <-chan struct{}, overlay func(*metrics.Snapshot)) *placeStack {
+	ps := &placeStack{common: c, sink: sink, abortCh: abortCh, overlay: overlay}
+	if c.Metrics {
+		ps.reg = metrics.New(p)
+	}
+	ps.top = transport.NewMetered(ep, ps.reg)
+	if c.Chaos != nil {
+		ps.chaos = transport.NewFaultFabric(ps.top, c.Chaos)
+		ps.top = ps.chaos
+	}
+	if c.Reliable {
+		ps.rel = newReliableTransport(ps.top, c, abortCh, ps.reg)
+		ps.top = ps.rel
+	}
+	ps.router = newJobRouter(ps.top, ps.reg)
+	ps.host = newPlaceHost(c.Threads, ps.reg)
+	ps.top.Handle(kindPing, handlePing)
+	ps.top.Handle(kindStats, func(int, []byte) ([]byte, error) {
+		return metrics.EncodeSnapshot(nil, ps.snapshot()), nil
+	})
+	return ps
+}
+
+// snapshot reads the place's registry with the running jobs overlaid.
+func (ps *placeStack) snapshot() *metrics.Snapshot {
+	s := ps.reg.Snapshot()
+	if ps.reg.Enabled() {
+		ps.overlay(s)
+	}
+	return s
+}
+
+// addReliableStats adds the reliable layer's delivery counters, if the
+// stack has one.
+func (ps *placeStack) addReliableStats(s *Stats) {
+	if ps.rel != nil {
+		s.Retries += ps.rel.retries.Load()
+		s.DedupHits += ps.rel.dedupHits.Load()
+	}
+}
+
+// newDetector builds a heartbeat failure detector probing targets from
+// this place; only the verdict callback and the stop channel differ
+// between place 0 watching its peers and a TCP place watching place 0.
+func (ps *placeStack) newDetector(targets []int, onDead func(int), stopCh <-chan struct{}) *detector {
+	return &detector{
+		tr:        ps.top,
+		targets:   targets,
+		interval:  ps.common.ProbeInterval,
+		threshold: ps.common.SuspicionThreshold,
+		onSuspect: func(p, misses int) {
+			ps.sink.emit(RunEvent{Kind: EventPlaceSuspected, Place: p, Misses: misses})
+		},
+		onDead:  onDead,
+		mMisses: ps.reg.Counter(metrics.TransportHeartbeatMisses),
+		abortCh: ps.abortCh,
+		stopCh:  stopCh,
+	}
 }
 
 // attach adds a job's runner to the scan list.

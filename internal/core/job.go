@@ -82,14 +82,15 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 			engines: make([]*placeEngine[T], cfg.Places),
 		}
 		for p := 0; p < cfg.Places; p++ {
-			port := m.routers[p].newPort(id)
+			ps := m.stacks[p]
+			port := ps.router.newPort(id)
 			// The engine registers its handlers on the port in its
 			// constructor; only then is the port routed, so inbound dispatch
 			// never sees a half-built handler table.
-			pe := newPlaceEngine[T](p, &jr.cfg, port, jr.abortWith, m.regs[p], m.hosts[p], id)
+			pe := newPlaceEngine[T](p, &jr.cfg, port, jr.abortWith, ps.reg, ps.host, id)
 			jr.ports[p] = port
 			jr.engines[p] = pe
-			m.routers[p].add(port)
+			ps.router.add(port)
 		}
 		jr.co = newCoordinator(jr.engines[0], jr.abortCh, jr.abortError, true)
 		jr.co.sink = m.sink
@@ -156,7 +157,7 @@ func (jr *JobRun[T]) execute() error {
 	// Only now may the shared workers see this job: the slot scan starts
 	// after epoch-0 state is installed everywhere.
 	for p, pe := range jr.engines {
-		jr.m.hosts[p].attach(pe, cfg.Weight)
+		jr.m.stacks[p].host.attach(pe, cfg.Weight)
 	}
 	// A job submitted after a place died never hears the original death;
 	// replay the known dead set so its first epoch recovers immediately.
@@ -193,9 +194,9 @@ func (jr *JobRun[T]) execute() error {
 // construction (detach/remove/fold all tolerate repeats).
 func (jr *JobRun[T]) detachAll() {
 	for p, pe := range jr.engines {
-		jr.m.hosts[p].detach(pe)
+		jr.m.stacks[p].host.detach(pe)
 		pe.foldFinalCache()
-		jr.m.routers[p].remove(jr.jobID)
+		jr.m.stacks[p].router.remove(jr.jobID)
 	}
 }
 
@@ -332,31 +333,10 @@ func (jr *JobRun[T]) Stats() Stats {
 		RecoveryNanos: jr.co.recoveryNanos,
 	}
 	for _, pe := range jr.engines {
-		s.ComputedCells += pe.computed.Load()
-		s.RemoteFetches += pe.remoteFetches.Load()
-		s.LocalReads += pe.localReads.Load()
-		s.ExecMigrated += pe.execMigrated.Load()
-		s.Stolen += pe.stolen.Load()
-		s.TilesExecuted += pe.tilesRun.Load()
-		s.CacheHits += pe.cacheHits.Load()
-		s.CacheMisses += pe.cacheMisses.Load()
-		s.FetchCalls += pe.fetchCalls.Load()
-		s.AggBatches += pe.aggBatches.Load()
-		s.DecrsCoalesced += pe.decrsCoalesced.Load()
-		s.ValuesPushed += pe.valuesPushed.Load()
-		s.PushDeposits += pe.pushDeposits.Load()
-		s.PushConsumed += pe.pushConsumed.Load()
-		s.LifelinePushes += pe.lifePushes.Load()
-		s.TilesMigrated += pe.migrRecv.Load()
-		s.MigratedRuns += pe.migrRun.Load()
-		ts := pe.tr.Stats().Snapshot()
-		s.MsgsSent += ts.SendsOut + ts.CallsOut
-		s.BytesSent += ts.BytesOut
-		s.SendsOut += ts.SendsOut
+		pe.addStats(&s)
 	}
-	for _, rt := range jr.m.rel {
-		s.Retries += rt.retries.Load()
-		s.DedupHits += rt.dedupHits.Load()
+	for _, ps := range jr.m.stacks {
+		ps.addReliableStats(&s)
 	}
 	return s
 }

@@ -63,10 +63,11 @@ type lifelineState[T any] struct {
 	armed atomic.Bool
 
 	kick chan struct{} // capacity 1; coalesced pusher wakeups
+	done chan struct{} // closed when the pusher goroutine has exited
 }
 
 func newLifelineState[T any](edges []int) *lifelineState[T] {
-	return &lifelineState[T]{edges: edges, kick: make(chan struct{}, 1)}
+	return &lifelineState[T]{edges: edges, kick: make(chan struct{}, 1), done: make(chan struct{})}
 }
 
 // kickPush wakes the pusher; a full channel already guarantees a drain.
@@ -170,6 +171,7 @@ func (pe *placeEngine[T]) lifelinesOn() bool {
 // them. Epoch-owned: it exits when the epoch's quit channel closes (pause
 // or stop), like the decrement aggregator's flusher.
 func (pe *placeEngine[T]) lifelineLoop(st *epochState[T]) {
+	defer close(st.life.done)
 	for {
 		select {
 		case <-st.quit:

@@ -8,6 +8,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/sched"
+	"github.com/dpx10/dpx10/internal/transport"
 )
 
 // lifelineConfig enables lifelines over the steal strategy on a tiled run.
@@ -52,6 +53,54 @@ func TestLifelineExactlyOnce(t *testing.T) {
 	want := len(refValues(pat))
 	if len(counts) != want {
 		t.Errorf("executed %d distinct cells, want %d", len(counts), want)
+	}
+}
+
+// lateReply keeps a pusher inside the Call of an accepted lifeline delivery
+// until the whole DAG is computed and 20 ms more, so the job finishes with
+// that push delivered, run, and not yet counted by its sender.
+type lateReply struct {
+	transport.Transport
+	computed func() bool
+}
+
+func (l *lateReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
+	reply, err := l.Transport.Call(to, kind, payload)
+	if kind == kindLifelineDeliver && err == nil {
+		for !l.computed() {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	return reply, err
+}
+
+// TestLifelineLedgerSettledAtWait pins quiesce joining the pusher
+// goroutine: when Run returns, every accepted push has been counted.
+func TestLifelineLedgerSettledAtWait(t *testing.T) {
+	pat := lastWave{h: 16, w: 32, hot: 14}
+	cfg := lifelineConfig(pat, 4)
+	cfg.Compute = skewCompute(func(i, j int32) bool { return i == 0 }, 300*time.Microsecond, 100*time.Microsecond)
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := int64(len(refValues(pat)))
+	computed := func() bool {
+		var n int64
+		for _, pe := range cl.engines {
+			n += pe.computed.Load()
+		}
+		return n >= total
+	}
+	for _, pe := range cl.engines {
+		pe.tr = &lateReply{pe.tr, computed}
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st := cl.Stats(); st.TilesMigrated == 0 || st.LifelinePushes != st.TilesMigrated {
+		t.Fatalf("at Run's return LifelinePushes = %d, TilesMigrated = %d; want equal and > 0", st.LifelinePushes, st.TilesMigrated)
 	}
 }
 

@@ -19,14 +19,9 @@ import (
 type JobManager struct {
 	common Common
 
-	fabric  *transport.LocalFabric
-	chaos   []*transport.FaultFabric
-	rel     []*reliableTransport
-	regs    []*metrics.Registry // per-place; all nil when Metrics is off
-	tops    []transport.Transport
-	routers []*jobRouter
-	hosts   []*placeHost
-	sink    *eventSink
+	fabric *transport.LocalFabric
+	stacks []*placeStack // per place
+	sink   *eventSink
 
 	closeCh   chan struct{}
 	closeOnce sync.Once
@@ -72,10 +67,7 @@ func NewJobManager(common Common) (*JobManager, error) {
 	m := &JobManager{
 		common:  common,
 		fabric:  transport.NewLocalFabric(common.Places),
-		regs:    make([]*metrics.Registry, common.Places),
-		tops:    make([]transport.Transport, common.Places),
-		routers: make([]*jobRouter, common.Places),
-		hosts:   make([]*placeHost, common.Places),
+		stacks:  make([]*placeStack, common.Places),
 		closeCh: make(chan struct{}),
 		detStop: make(chan struct{}),
 		jobs:    make(map[uint32]jobHandle),
@@ -96,34 +88,15 @@ func NewJobManager(common Common) (*JobManager, error) {
 			})
 		}
 	}
-	for p := 0; p < common.Places; p++ {
-		// Per-place transport stack: endpoint, then the metrics meter
-		// (directly above the endpoint so its per-kind counts equal the
-		// fabric's own Stats number for number), then chaos injection on
-		// the send side, then reliable delivery on top so retries
-		// re-traverse the faulty layer, then the job router multiplexing
-		// every job's traffic over the shared stream.
-		if m.common.Metrics {
-			m.regs[p] = metrics.New(p)
-		}
-		var tr transport.Transport = m.fabric.Endpoint(p)
-		tr = transport.NewMetered(tr, m.regs[p])
-		if m.common.Chaos != nil {
-			ff := transport.NewFaultFabric(tr, m.common.Chaos)
-			m.chaos = append(m.chaos, ff)
-			tr = ff
-		}
-		if m.common.Reliable {
-			rt := newReliableTransport(tr, &m.common, m.closeCh, m.regs[p])
-			m.rel = append(m.rel, rt)
-			tr = rt
-		}
-		m.tops[p] = tr
-		m.routers[p] = newJobRouter(tr, m.regs[p])
-		m.hosts[p] = newPlaceHost(p, common.Threads, m.regs[p])
-		m.hosts[p].registerPlaceHandlers(tr, m.statsHandler(p))
+	for p := range m.stacks {
+		p := p
+		m.stacks[p] = newPlaceStack(p, m.fabric.Endpoint(p), &m.common, m.sink, m.closeCh, func(s *metrics.Snapshot) {
+			for _, h := range m.handles() {
+				h.overlayCache(p, s)
+			}
+		})
 	}
-	m.mQueueWait = m.regs[0].Vec(metrics.JobQueueWaitNs)
+	m.mQueueWait = m.stacks[0].reg.Vec(metrics.JobQueueWaitNs)
 	return m, nil
 }
 
@@ -199,32 +172,15 @@ func (m *JobManager) recordQueueWait(id uint32, d time.Duration) {
 // worker pools and the failure detector. Idempotent.
 func (m *JobManager) start() {
 	m.startOnce.Do(func() {
-		for _, h := range m.hosts {
-			h.start()
+		for _, ps := range m.stacks {
+			ps.host.start()
 		}
 		if m.common.ProbeInterval > 0 {
-			go m.detector().run()
+			// One detector per cluster, not per job: a place death is
+			// observed once and fanned out to every active job.
+			go m.stacks[0].newDetector(peerTargets(m.common.Places, 0), m.placeDead, m.detStop).run()
 		}
 	})
-}
-
-// detector builds the manager-level heartbeat failure detector: one per
-// cluster, not per job, so a place death is observed once and fanned out
-// to every active job's coordinator.
-func (m *JobManager) detector() *detector {
-	return &detector{
-		tr:        m.tops[0],
-		targets:   peerTargets(m.common.Places, 0),
-		interval:  m.common.ProbeInterval,
-		threshold: m.common.SuspicionThreshold,
-		onSuspect: func(p, misses int) {
-			m.sink.emit(RunEvent{Kind: EventPlaceSuspected, Place: p, Misses: misses})
-		},
-		onDead:  m.placeDead,
-		mMisses: m.regs[0].Counter(metrics.TransportHeartbeatMisses),
-		abortCh: m.closeCh,
-		stopCh:  m.detStop,
-	}
 }
 
 // handles snapshots the unfinished jobs for a fanout.
@@ -297,7 +253,7 @@ func (m *JobManager) KillUnannounced(p int) {
 	}
 	// A real crash takes the place's workers and every job's local state
 	// with it.
-	m.hosts[p].stop()
+	m.stacks[p].host.stop()
 	for _, h := range m.handles() {
 		h.placeKilled(p)
 	}
@@ -374,28 +330,6 @@ func (m *JobManager) ActiveJobs() (active, queued int) {
 	return m.active, len(m.queue)
 }
 
-// placeSnapshot reads place p's registry, overlaying the live cache
-// counters of every job still running there (finished jobs folded their
-// final epoch into the registry already).
-func (m *JobManager) placeSnapshot(p int) *metrics.Snapshot {
-	s := m.regs[p].Snapshot()
-	if !m.regs[p].Enabled() {
-		return s
-	}
-	for _, h := range m.handles() {
-		h.overlayCache(p, s)
-	}
-	return s
-}
-
-// statsHandler serves place p's metrics snapshot over kindStats (TCP
-// deployments; in-process callers read MetricsSnapshots directly).
-func (m *JobManager) statsHandler(p int) transport.Handler {
-	return func(from int, payload []byte) ([]byte, error) {
-		return metrics.EncodeSnapshot(nil, m.placeSnapshot(p)), nil
-	}
-}
-
 // MetricsSnapshots reads every place's registry; nil when metrics are
 // off. Exact once the jobs have stopped; mid-run it is a
 // consistent-enough read.
@@ -404,8 +338,8 @@ func (m *JobManager) MetricsSnapshots() []*metrics.Snapshot {
 		return nil
 	}
 	out := make([]*metrics.Snapshot, 0, m.common.Places)
-	for p := 0; p < m.common.Places; p++ {
-		out = append(out, m.placeSnapshot(p))
+	for _, ps := range m.stacks {
+		out = append(out, ps.snapshot())
 	}
 	return out
 }
@@ -430,11 +364,13 @@ func (m *JobManager) Close() error {
 			h.awaitDone()
 		}
 		close(m.detStop)
-		for _, h := range m.hosts {
-			h.stop()
+		for _, ps := range m.stacks {
+			ps.host.stop()
 		}
-		for _, ff := range m.chaos {
-			ff.Close()
+		for _, ps := range m.stacks {
+			if ps.chaos != nil {
+				ps.chaos.Close()
+			}
 		}
 		m.fabric.Close()
 		m.sink.close()

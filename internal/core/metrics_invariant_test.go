@@ -211,8 +211,8 @@ func TestMetricsDisabled(t *testing.T) {
 	if snaps := cl.MetricsSnapshots(); snaps != nil {
 		t.Fatalf("MetricsSnapshots = %v with metrics off, want nil", snaps)
 	}
-	for p, reg := range cl.regs {
-		if reg != nil {
+	for p, ps := range cl.m.stacks {
+		if ps.reg != nil {
 			t.Fatalf("place %d has a registry with metrics off", p)
 		}
 	}

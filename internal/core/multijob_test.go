@@ -368,7 +368,8 @@ func TestManagerCloseCancelsJobs(t *testing.T) {
 	closed := make(chan struct{})
 	go func() { m.Close(); close(closed) }()
 	// Close cancels the blocked compute's job via engine stop; release the
-	// gate so the worker can observe it.
+	// gate, once the cancel has landed, so the worker can observe it.
+	<-running.abortCh
 	close(gate)
 	select {
 	case <-closed:

@@ -36,7 +36,7 @@ type epochState[T any] struct {
 	waves []int32    // per-tile anti-diagonal index (i+j of first cell)
 	quit  chan struct{}
 	cache *vcache.Cache[T]
-	agg   *aggregator[T]    // outbound decrement aggregator; nil when disabled
+	agg   *aggregator[T]    // outbound decrement aggregator
 	life  *lifelineState[T] // lifeline balancing state; nil when disabled
 
 	// runGate serializes tile execution against recovery pause. Workers
@@ -344,11 +344,9 @@ func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distar
 		waves: tileWaves(d, chunk, pe.self),
 		quit:  make(chan struct{}),
 		cache: pe.newCache(),
+		agg:   newAggregator(pe, epoch),
 	}
-	if !pe.cfg.AggDisabled {
-		st.agg = newAggregator(pe, epoch)
-		go st.agg.loop(st.quit)
-	}
+	go st.agg.loop(st.quit)
 	if pe.lifelinesOn() {
 		st.life = newLifelineState[T](pe.lifelineEdges(d))
 		go pe.lifelineLoop(st)
@@ -905,13 +903,9 @@ func (pe *placeEngine[T]) newChunk(d dist.Dist) *distarray.Chunk[T] {
 			pe.abort(fmt.Errorf("core: place %d spill store: %w", pe.self, err))
 			return distarray.NewChunk[T](pe.self, d)
 		}
-		// No dep cache for spilled runs: a run too large for dense values
-		// in memory cannot afford dense dependency lists either.
 		return distarray.NewChunkBacked[T](pe.self, d, store)
 	}
-	ch := distarray.NewChunk[T](pe.self, d)
-	ch.SetDepCache(!pe.cfg.NoDepCache)
-	return ch
+	return distarray.NewChunk[T](pe.self, d)
 }
 
 // spillRemap picks the spill store's page-locality permutation. Under a
@@ -997,8 +991,7 @@ func (pe *placeEngine[T]) runVertex(st *epochState[T], pk *sched.Picker, sc *scr
 // store it, propagate indegree decrements (same-tile edges are skipped —
 // the tile's own dependency-ordered walk, or the stolen batch's order,
 // already satisfies them; other local tiles directly; remote places
-// through the aggregator or as one legacy batch per owning place) and
-// report place completion. Called from the tile walk and from the
+// through the aggregator) and report place completion. Called from the tile walk and from the
 // steal-done handler.
 func (pe *placeEngine[T]) completeVertex(st *epochState[T], sc *scratch[T], off int, i, j int32, value T) {
 	sc.antiBuf = pe.cfg.Pattern.AntiDependencies(i, j, sc.antiBuf[:0])
@@ -1064,14 +1057,7 @@ func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], of
 	for _, owner := range sc.owners {
 		ids := sc.remote[owner]
 		sc.remote[owner] = ids[:0]
-		if st.agg != nil {
-			st.agg.add(owner, dag.VertexID{I: i, J: j}, value, ids)
-			continue
-		}
-		sc.enc = appendIDBatch(sc.enc[:0], st.epoch, ids)
-		if err := pe.tr.Send(owner, kindDecrement, sc.enc); err != nil {
-			pe.peerError(owner, err)
-		}
+		st.agg.add(owner, dag.VertexID{I: i, J: j}, value, ids)
 	}
 	sc.owners = sc.owners[:0]
 	if sc.deferOn {
@@ -1337,9 +1323,17 @@ func (pe *placeEngine[T]) reportFault(peer int) {
 	payload := make([]byte, 0, 12)
 	payload = putU64(payload, st.epoch)
 	payload = putU32(payload, uint32(peer))
-	if err := pe.tr.Send(0, kindFault, payload); errors.Is(err, transport.ErrDeadPlace) {
+	if err := pe.tr.Send(0, kindFault, payload); pe.coordinatorLost(err) {
 		pe.abort(placeDead(0))
 	}
+}
+
+// coordinatorLost reports whether a failed send to place 0 means place 0
+// died. A dead destination does — unless the dead place is this one: a
+// kill can land between the caller's liveness check and its send, and a
+// dead place's observations are void.
+func (pe *placeEngine[T]) coordinatorLost(err error) bool {
+	return errors.Is(err, transport.ErrDeadPlace) && pe.tr.Alive(pe.self)
 }
 
 // maybeReportDone notifies the coordinator once every local active vertex
@@ -1355,7 +1349,7 @@ func (pe *placeEngine[T]) maybeReportDone(st *epochState[T]) {
 	payload := make([]byte, 0, 12)
 	payload = putU64(payload, st.epoch)
 	payload = putU32(payload, uint32(pe.self))
-	if err := pe.tr.Send(0, kindPlaceDone, payload); errors.Is(err, transport.ErrDeadPlace) {
+	if err := pe.tr.Send(0, kindPlaceDone, payload); pe.coordinatorLost(err) {
 		pe.abort(placeDead(0))
 	}
 }
@@ -1428,16 +1422,30 @@ func (pe *placeEngine[T]) overlayCacheStats(s *metrics.Snapshot) {
 	}
 }
 
-// metricsSnapshot reads this place's registry, overlaying the live
-// epoch's cache shard counters (prior epochs were folded in at rebuild,
-// so the result is cumulative across recoveries).
-func (pe *placeEngine[T]) metricsSnapshot() *metrics.Snapshot {
-	s := pe.reg.Snapshot()
-	if !pe.reg.Enabled() {
-		return s
-	}
-	pe.overlayCacheStats(s)
-	return s
+// addStats adds this engine's counters, and its job port's transport
+// counts, to s: the one place a Stats field is mapped to its source.
+func (pe *placeEngine[T]) addStats(s *Stats) {
+	s.ComputedCells += pe.computed.Load()
+	s.RemoteFetches += pe.remoteFetches.Load()
+	s.LocalReads += pe.localReads.Load()
+	s.ExecMigrated += pe.execMigrated.Load()
+	s.Stolen += pe.stolen.Load()
+	s.TilesExecuted += pe.tilesRun.Load()
+	s.CacheHits += pe.cacheHits.Load()
+	s.CacheMisses += pe.cacheMisses.Load()
+	s.FetchCalls += pe.fetchCalls.Load()
+	s.AggBatches += pe.aggBatches.Load()
+	s.DecrsCoalesced += pe.decrsCoalesced.Load()
+	s.ValuesPushed += pe.valuesPushed.Load()
+	s.PushDeposits += pe.pushDeposits.Load()
+	s.PushConsumed += pe.pushConsumed.Load()
+	s.LifelinePushes += pe.lifePushes.Load()
+	s.TilesMigrated += pe.migrRecv.Load()
+	s.MigratedRuns += pe.migrRun.Load()
+	ts := pe.tr.Stats().Snapshot()
+	s.MsgsSent += ts.SendsOut + ts.CallsOut
+	s.BytesSent += ts.BytesOut
+	s.SendsOut += ts.SendsOut
 }
 
 // stop ends the run for this place.
@@ -1452,13 +1460,16 @@ func (pe *placeEngine[T]) wait() { <-pe.stopCh }
 // finished job's counters are final before its ports detach: workers
 // already inside an idle steal probe (one that landed after the detach
 // would fail with errUnknownJob and read as a send error of a fault-free
-// run) and the aggregator's flusher, which may still be accounting for
-// its last send. Only for a job that ran to completion — an aborted one
-// may have a worker parked in user code.
+// run), the aggregator's flusher, which may still be accounting for its
+// last send, and the lifeline pusher, which counts a push only after the
+// buddy accepted it — by when the buddy may have run the tile and the job
+// finished. Only for a job that ran to completion — an aborted one may
+// have a worker parked in user code.
 func (pe *placeEngine[T]) quiesce() {
 	st := pe.current()
 	st.drainWorkers()
-	if st.agg != nil {
-		<-st.agg.done
+	<-st.agg.done
+	if st.life != nil {
+		<-st.life.done
 	}
 }

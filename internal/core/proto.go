@@ -29,8 +29,9 @@ import (
 // Message kinds on the transport. Kind 0 is reserved by the TCP framing
 // for responses.
 const (
-	kindFetch     uint8 = 1  // Call: fetch finished vertex values
-	kindDecrement uint8 = 2  // Send: batched indegree decrements
+	kindFetch uint8 = 1 // Call: fetch finished vertex values
+	// 2 is unassigned: it was the per-vertex decrement message that
+	// kindDecrBatch replaced. Do not reuse or renumber.
 	kindExec      uint8 = 3  // Call: execute a vertex here (random/mincomm)
 	kindPlaceDone uint8 = 4  // Send: place finished all local vertices
 	kindFault     uint8 = 5  // Send: place observed a dead peer
@@ -123,7 +124,7 @@ func placeDead(p int) error { return &PlaceDeadError{Place: p} }
 //     like kindReadVal (a lost reply just re-reads the snapshot).
 var reliableKind = func() (t [256]bool) {
 	for _, k := range []uint8{
-		kindFetch, kindDecrement, kindExec, kindPlaceDone, kindFault,
+		kindFetch, kindExec, kindPlaceDone, kindFault,
 		kindPause, kindRebuild, kindRestore, kindRestoreTx,
 		kindReplay, kindReplayTx, kindResume, kindStop,
 		kindSteal, kindStealDone, kindDecrBatch, kindLifelineDeliver,
@@ -164,7 +165,7 @@ func splitEnvelope(payload []byte) (seq uint64, body []byte, err error) {
 // jobScopedKind marks the kinds whose payloads carry the job envelope.
 var jobScopedKind = func() (t [256]bool) {
 	for _, k := range []uint8{
-		kindFetch, kindDecrement, kindExec, kindPlaceDone, kindFault,
+		kindFetch, kindExec, kindPlaceDone, kindFault,
 		kindPause, kindRebuild, kindRestore, kindRestoreTx,
 		kindReplay, kindReplayTx, kindResume, kindStop, kindReadVal,
 		kindSteal, kindStealDone, kindDecrBatch, kindLifelineDeliver,
@@ -264,7 +265,7 @@ func putID(dst []byte, id dag.VertexID) []byte {
 }
 
 // appendIDBatch appends [epoch][n][ids...] to dst: the layout shared by
-// fetch requests, decrement batches and replay batches.
+// fetch requests and replay batches.
 func appendIDBatch(dst []byte, epoch uint64, ids []dag.VertexID) []byte {
 	dst = putU64(dst, epoch)
 	dst = putU32(dst, uint32(len(ids)))

@@ -8,6 +8,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/distarray"
+	"github.com/dpx10/dpx10/internal/transport"
 )
 
 // gatedConfig builds a config whose compute blocks after gateAt cells have
@@ -142,6 +143,44 @@ func TestKillPlaceZeroAborts(t *testing.T) {
 	if _, err := cl.Result(); err == nil {
 		t.Fatal("Result succeeded after aborted run")
 	}
+}
+
+// killAtCheck kills its own place inside the first self-liveness check for
+// which ripe() holds: a kill landing between the guard at the top of
+// reportFault/maybeReportDone and the send to place 0 that it guards.
+type killAtCheck struct {
+	transport.Transport
+	fabric *transport.LocalFabric
+	ripe   func() bool
+}
+
+func (k *killAtCheck) Alive(p int) bool {
+	alive := k.Transport.Alive(p)
+	if p == k.Self() && k.ripe() {
+		k.fabric.Kill(p)
+	}
+	return alive
+}
+
+// TestKilledPlaceDoesNotBlameCoordinator kills place 2 after it passed
+// maybeReportDone's guard with its last cell finished. Its done report
+// fails with ErrDeadPlace for its own death, which says nothing about
+// place 0: the run must recover, not abort with ErrPlaceZeroDead.
+func TestKilledPlaceDoesNotBlameCoordinator(t *testing.T) {
+	pat := patterns.NewGrid(12, 12)
+	cl, err := NewCluster(baseConfig(pat, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pe := cl.engines[2]
+	pe.tr = &killAtCheck{pe.tr, cl.fabric, func() bool { return pe.current().chunk.AllFinished() }}
+	if err := cl.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if cl.Stats().Recoveries < 1 {
+		t.Fatal("place 2 was never killed: no recovery recorded")
+	}
+	checkResult(t, cl, pat)
 }
 
 func TestFaultDetectedByCommunicationAlone(t *testing.T) {

@@ -54,11 +54,11 @@ func reliablePair(t *testing.T, failures int64, retryMax int) (*reliableTranspor
 func TestReliableRetriesTransientFailures(t *testing.T) {
 	sender, receiver, _ := reliablePair(t, 3, 0)
 	var calls atomic.Int64
-	receiver.Handle(kindDecrement, func(_ int, payload []byte) ([]byte, error) {
+	receiver.Handle(kindDecrBatch, func(_ int, payload []byte) ([]byte, error) {
 		calls.Add(1)
 		return []byte{42}, nil
 	})
-	reply, err := sender.Call(1, kindDecrement, []byte("payload"))
+	reply, err := sender.Call(1, kindDecrBatch, []byte("payload"))
 	if err != nil {
 		t.Fatalf("Call after transient failures: %v", err)
 	}
@@ -76,7 +76,7 @@ func TestReliableRetriesTransientFailures(t *testing.T) {
 func TestReliableSendBecomesAckedCall(t *testing.T) {
 	sender, receiver, _ := reliablePair(t, 2, 0)
 	got := make(chan []byte, 1)
-	receiver.Handle(kindDecrement, func(_ int, payload []byte) ([]byte, error) {
+	receiver.Handle(kindDecrBatch, func(_ int, payload []byte) ([]byte, error) {
 		body := make([]byte, len(payload))
 		copy(body, payload)
 		got <- body
@@ -84,7 +84,7 @@ func TestReliableSendBecomesAckedCall(t *testing.T) {
 	})
 	// A tracked one-way send survives transient loss: without the ack
 	// upgrade the two dropped attempts would silently lose the decrement.
-	if err := sender.Send(1, kindDecrement, []byte("decr")); err != nil {
+	if err := sender.Send(1, kindDecrBatch, []byte("decr")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
 	if body := <-got; string(body) != "decr" {
@@ -94,8 +94,8 @@ func TestReliableSendBecomesAckedCall(t *testing.T) {
 
 func TestReliableRetryExhaustionMarksDead(t *testing.T) {
 	sender, receiver, flaky := reliablePair(t, 1<<30, 4)
-	receiver.Handle(kindDecrement, func(int, []byte) ([]byte, error) { return nil, nil })
-	_, err := sender.Call(1, kindDecrement, []byte("x"))
+	receiver.Handle(kindDecrBatch, func(int, []byte) ([]byte, error) { return nil, nil })
+	_, err := sender.Call(1, kindDecrBatch, []byte("x"))
 	if !errors.Is(err, transport.ErrDeadPlace) {
 		t.Fatalf("err = %v, want ErrDeadPlace", err)
 	}
@@ -110,8 +110,8 @@ func TestReliableRetryExhaustionMarksDead(t *testing.T) {
 func TestReliablePermanentErrorsNotRetried(t *testing.T) {
 	sender, receiver, _ := reliablePair(t, 0, 0)
 	handlerErr := errors.New("handler rejected")
-	receiver.Handle(kindDecrement, func(int, []byte) ([]byte, error) { return nil, handlerErr })
-	if _, err := sender.Call(1, kindDecrement, nil); err == nil {
+	receiver.Handle(kindDecrBatch, func(int, []byte) ([]byte, error) { return nil, handlerErr })
+	if _, err := sender.Call(1, kindDecrBatch, nil); err == nil {
 		t.Fatal("handler error swallowed")
 	}
 	if got := sender.retries.Load(); got != 0 {
@@ -213,11 +213,11 @@ func TestReliableDedupRejectsTruncatedEnvelope(t *testing.T) {
 	abort := make(chan struct{})
 	defer close(abort)
 	receiver := newReliableTransport(fabric.Endpoint(1), testCommon(0), abort, nil)
-	receiver.Handle(kindDecrement, func(int, []byte) ([]byte, error) {
+	receiver.Handle(kindDecrBatch, func(int, []byte) ([]byte, error) {
 		t.Error("handler ran on a truncated envelope")
 		return nil, nil
 	})
-	if _, err := fabric.Endpoint(0).Call(1, kindDecrement, []byte{1, 2, 3}); err == nil {
+	if _, err := fabric.Endpoint(0).Call(1, kindDecrBatch, []byte{1, 2, 3}); err == nil {
 		t.Fatal("truncated envelope accepted")
 	}
 }

@@ -21,9 +21,6 @@ type Cluster[T any] struct {
 	// Shared-infrastructure views, exposed for the test harnesses that
 	// reach into the stack (fault injection, registry assertions).
 	fabric  *transport.LocalFabric
-	chaos   []*transport.FaultFabric
-	rel     []*reliableTransport
-	regs    []*metrics.Registry // per-place; all nil when cfg.Metrics is off
 	engines []*placeEngine[T]
 	co      *coordinator[T]
 
@@ -49,9 +46,6 @@ func NewCluster[T any](cfg Config[T]) (*Cluster[T], error) {
 		m:       m,
 		jr:      jr,
 		fabric:  m.fabric,
-		chaos:   m.chaos,
-		rel:     m.rel,
-		regs:    m.regs,
 		engines: jr.engines,
 		co:      jr.co,
 	}, nil

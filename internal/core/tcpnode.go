@@ -22,17 +22,14 @@ import (
 // wire). Admission control is not applied over TCP — all jobs start at
 // the begin barrier.
 type TCPNode[T any] struct {
-	cfg   Config[T]
-	self  int
-	tr    *transport.TCP
-	top   transport.Transport // top of the shared delivery stack
-	chaos *transport.FaultFabric
-	rel   *reliableTransport
-	reg   *metrics.Registry // nil when cfg.Metrics is off
-	host  *placeHost
-	pes   []*placeEngine[T]  // one per job
-	cos   []*coordinator[T]  // place 0 only; one per job
-	sink  *eventSink
+	cfg  Config[T]
+	self int
+	// tr is the raw endpoint under the shared stack; it stays around for
+	// the startup barrier and post-run reads (untracked kinds).
+	tr *transport.TCP
+	*placeStack
+	pes []*placeEngine[T] // one per job
+	cos []*coordinator[T] // place 0 only; one per job
 
 	abortCh  chan struct{}
 	abortMu  sync.Mutex
@@ -63,7 +60,7 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 	if self < 0 || self >= cfg.Places {
 		return nil, fmt.Errorf("core: place %d out of range", self)
 	}
-	tr, err := transport.NewTCPOpts(self, addrs, transport.TCPOptions{NoPipeline: cfg.NoPipeline})
+	tr, err := transport.NewTCP(self, addrs)
 	if err != nil {
 		return nil, err
 	}
@@ -80,15 +77,12 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 			close(n.abortCh)
 		}
 	}
-	n.sink = newEventSink(n.cfg.Events)
-	// Shared transport stack: TCP endpoint, the metrics meter (directly
-	// above the endpoint so per-kind counts track the wire exactly), chaos
-	// injection (if any), reliable delivery so retries re-traverse the
-	// faulty layer, then the job router multiplexing the jobs' traffic.
-	// The raw TCP endpoint stays around for the startup barrier and
-	// post-run reads (untracked kinds).
-	if n.cfg.Metrics {
-		n.reg = metrics.New(self)
+	n.placeStack = newPlaceStack(self, tr, &n.cfg.Common, newEventSink(n.cfg.Events), n.abortCh, func(s *metrics.Snapshot) {
+		for _, pe := range n.pes {
+			pe.overlayCacheStats(s)
+		}
+	})
+	if n.reg != nil {
 		batchFrames := n.reg.Histogram(metrics.TransportBatchFrames)
 		batchBytes := n.reg.Histogram(metrics.TransportBatchBytes)
 		tr.SetPipeObserver(transport.PipeObserver{
@@ -98,25 +92,11 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 			},
 		})
 	}
-	var ptr transport.Transport = tr
-	ptr = transport.NewMetered(ptr, n.reg)
-	if n.cfg.Chaos != nil {
-		n.chaos = transport.NewFaultFabric(ptr, n.cfg.Chaos)
-		ptr = n.chaos
-	}
-	if n.cfg.Reliable {
-		n.rel = newReliableTransport(ptr, &n.cfg.Common, n.abortCh, n.reg)
-		ptr = n.rel
-	}
-	n.top = ptr
-	router := newJobRouter(ptr, n.reg)
-	n.host = newPlaceHost(self, cfg.Threads, n.reg)
-	n.host.registerPlaceHandlers(ptr, n.statsHandler())
 	n.pes = make([]*placeEngine[T], cfg.Jobs)
 	for j := 0; j < cfg.Jobs; j++ {
-		port := router.newPort(uint32(j))
+		port := n.router.newPort(uint32(j))
 		n.pes[j] = newPlaceEngine[T](self, &n.cfg, port, abort, n.reg, n.host, uint32(j))
-		router.add(port)
+		n.router.add(port)
 	}
 	if self == 0 {
 		n.cos = make([]*coordinator[T], cfg.Jobs)
@@ -189,7 +169,17 @@ func (n *TCPNode[T]) Run() error {
 		n.sink.emit(RunEvent{Kind: EventClusterFormed, Place: 0})
 		n.launchJobs()
 		if n.cfg.ProbeInterval > 0 {
-			go n.peerDetector().run()
+			// One detector for the node, its verdicts fanned out to every
+			// job's coordinator — each job recovers independently.
+			go n.newDetector(peerTargets(n.cfg.Places, 0), func(p int) {
+				for _, co := range n.cos {
+					select {
+					case co.events <- coEvent{fault: true, place: p}:
+					case <-n.abortCh:
+					case <-n.detStop:
+					}
+				}
+			}, n.detStop).run()
 		}
 		// One coordinator per job, run concurrently; the node's verdict is
 		// the first failure (identical jobs share fate on a place death).
@@ -215,9 +205,14 @@ func (n *TCPNode[T]) Run() error {
 		return fmt.Errorf("core: place %d cannot reach the coordinator: %w", n.self, err)
 	}
 	// Watch the coordinator: if place 0 dies, the run is unrecoverable
-	// (Resilient X10 limitation) and this process must not linger.
+	// (Resilient X10 limitation) and this process must not linger, even
+	// while it is still waiting at the startup barrier.
 	if n.cfg.ProbeInterval > 0 {
-		go n.coordinatorDetector().run()
+		go n.newDetector([]int{0}, func(int) {
+			for _, pe := range n.pes {
+				pe.abort(placeDead(0))
+			}
+		}, n.detStop).run()
 	}
 	// The begin handler launches the jobs; serve until every job stopped
 	// or the node aborted.
@@ -280,56 +275,6 @@ func (n *TCPNode[T]) awaitCluster() error {
 	return nil
 }
 
-// coordinatorDetector builds the heartbeat detector a non-zero place runs
-// against place 0: a coordinator crash must terminate the whole deployment,
-// including places still waiting at the startup barrier.
-func (n *TCPNode[T]) coordinatorDetector() *detector {
-	return &detector{
-		tr:        n.top,
-		targets:   []int{0},
-		interval:  n.cfg.ProbeInterval,
-		threshold: n.cfg.SuspicionThreshold,
-		onSuspect: func(p, misses int) {
-			n.sink.emit(RunEvent{Kind: EventPlaceSuspected, Place: p, Misses: misses})
-		},
-		onDead: func(int) {
-			for _, pe := range n.pes {
-				pe.abort(placeDead(0))
-			}
-		},
-		mMisses: n.reg.Counter(metrics.TransportHeartbeatMisses),
-		abortCh: n.abortCh,
-		stopCh:  n.detStop,
-	}
-}
-
-// peerDetector builds the heartbeat detector place 0 runs against its
-// peers: one detector for the node, its verdicts fanned out to every
-// job's coordinator — each job recovers independently.
-func (n *TCPNode[T]) peerDetector() *detector {
-	return &detector{
-		tr:        n.top,
-		targets:   peerTargets(n.cfg.Places, 0),
-		interval:  n.cfg.ProbeInterval,
-		threshold: n.cfg.SuspicionThreshold,
-		onSuspect: func(p, misses int) {
-			n.sink.emit(RunEvent{Kind: EventPlaceSuspected, Place: p, Misses: misses})
-		},
-		onDead: func(p int) {
-			for _, co := range n.cos {
-				select {
-				case co.events <- coEvent{fault: true, place: p}:
-				case <-n.abortCh:
-				case <-n.detStop:
-				}
-			}
-		},
-		mMisses: n.reg.Counter(metrics.TransportHeartbeatMisses),
-		abortCh: n.abortCh,
-		stopCh:  n.detStop,
-	}
-}
-
 // Elapsed returns this node's wall time for Run.
 func (n *TCPNode[T]) Elapsed() time.Duration { return n.elapsed }
 
@@ -339,23 +284,7 @@ func (n *TCPNode[T]) JobStats(j int) Stats {
 	if j < 0 || j >= len(n.pes) {
 		return s
 	}
-	pe := n.pes[j]
-	s.ComputedCells = pe.computed.Load()
-	s.RemoteFetches = pe.remoteFetches.Load()
-	s.LocalReads = pe.localReads.Load()
-	s.ExecMigrated = pe.execMigrated.Load()
-	s.CacheHits = pe.cacheHits.Load()
-	s.CacheMisses = pe.cacheMisses.Load()
-	s.FetchCalls = pe.fetchCalls.Load()
-	s.AggBatches = pe.aggBatches.Load()
-	s.DecrsCoalesced = pe.decrsCoalesced.Load()
-	s.ValuesPushed = pe.valuesPushed.Load()
-	s.PushDeposits = pe.pushDeposits.Load()
-	s.PushConsumed = pe.pushConsumed.Load()
-	ts := pe.tr.Stats().Snapshot()
-	s.MsgsSent = ts.SendsOut + ts.CallsOut
-	s.BytesSent = ts.BytesOut
-	s.SendsOut = ts.SendsOut
+	n.pes[j].addStats(&s)
 	if n.cos != nil {
 		s.Epochs = int(n.cos[j].epoch) + 1
 		s.Recoveries = n.cos[j].recoveries
@@ -370,18 +299,7 @@ func (n *TCPNode[T]) JobStats(j int) Stats {
 func (n *TCPNode[T]) Stats() Stats {
 	s := Stats{Places: n.cfg.Places}
 	for _, pe := range n.pes {
-		s.ComputedCells += pe.computed.Load()
-		s.RemoteFetches += pe.remoteFetches.Load()
-		s.LocalReads += pe.localReads.Load()
-		s.ExecMigrated += pe.execMigrated.Load()
-		s.CacheHits += pe.cacheHits.Load()
-		s.CacheMisses += pe.cacheMisses.Load()
-		s.FetchCalls += pe.fetchCalls.Load()
-		s.AggBatches += pe.aggBatches.Load()
-		s.DecrsCoalesced += pe.decrsCoalesced.Load()
-		s.ValuesPushed += pe.valuesPushed.Load()
-		s.PushDeposits += pe.pushDeposits.Load()
-		s.PushConsumed += pe.pushConsumed.Load()
+		pe.addStats(&s)
 	}
 	ts := n.tr.Stats().Snapshot()
 	s.MsgsSent = ts.SendsOut + ts.CallsOut
@@ -394,30 +312,7 @@ func (n *TCPNode[T]) Stats() Stats {
 			s.RecoveryNanos += co.recoveryNanos
 		}
 	}
-	if n.rel != nil {
-		s.Retries = n.rel.retries.Load()
-		s.DedupHits = n.rel.dedupHits.Load()
-	}
-	return s
-}
-
-// statsHandler serves this place's metrics snapshot over kindStats.
-func (n *TCPNode[T]) statsHandler() transport.Handler {
-	return func(int, []byte) ([]byte, error) {
-		return metrics.EncodeSnapshot(nil, n.placeSnapshot()), nil
-	}
-}
-
-// placeSnapshot reads the node's registry, overlaying every job's live
-// cache counters.
-func (n *TCPNode[T]) placeSnapshot() *metrics.Snapshot {
-	s := n.reg.Snapshot()
-	if !n.reg.Enabled() {
-		return s
-	}
-	for _, pe := range n.pes {
-		pe.overlayCacheStats(s)
-	}
+	n.addReliableStats(&s)
 	return s
 }
 
@@ -430,7 +325,7 @@ func (n *TCPNode[T]) MetricsSnapshots() ([]*metrics.Snapshot, error) {
 	if !n.cfg.Metrics {
 		return nil, nil
 	}
-	snaps := []*metrics.Snapshot{n.placeSnapshot()}
+	snaps := []*metrics.Snapshot{n.snapshot()}
 	if n.self != 0 {
 		return snaps, nil
 	}

@@ -9,6 +9,7 @@ import (
 	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/metrics"
+	"github.com/dpx10/dpx10/internal/sched"
 )
 
 // startTCPNodes boots an n-place TCP deployment on loopback with
@@ -197,6 +198,41 @@ func TestTCPNodeMultiJob(t *testing.T) {
 		if errs[p] != nil {
 			t.Fatalf("place %d: %v", p, errs[p])
 		}
+	}
+}
+
+// TestTCPNodeStatsCountTiles pins Stats and JobStats to the engine's own
+// counters on a TCP deployment: a steal run's tile count, summed over the
+// nodes, is nonzero and equals the merged sched.tiles_executed metric.
+// (Both once reported 0: their hand-copied sums skipped five fields.)
+func TestTCPNodeStatsCountTiles(t *testing.T) {
+	cfg := Config[int64]{
+		Common: Common{Places: 2, Threads: 2, Pattern: patterns.NewDiagonal(24, 24),
+			Strategy: sched.Steal, TileSize: 4, Metrics: true},
+		Compute: sumCompute,
+		Codec:   codec.Int64{},
+	}
+	nodes := startTCPNodes(t, cfg, 2)
+	worker := make(chan error, 1)
+	go func() { worker <- nodes[1].Run() }()
+	if err := nodes[0].Run(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	snaps, err := nodes[0].MetricsSnapshots()
+	if err != nil {
+		t.Fatalf("MetricsSnapshots: %v", err)
+	}
+	var tiles, jobTiles int64
+	for _, n := range nodes {
+		tiles += n.Stats().TilesExecuted
+		jobTiles += n.JobStats(0).TilesExecuted
+	}
+	if want := metrics.MergeAll(snaps).Counters[metrics.SchedTilesExecuted]; tiles == 0 || tiles != want || jobTiles != want {
+		t.Fatalf("Stats count %d tiles, JobStats %d, sched.tiles_executed %d; want all equal and > 0", tiles, jobTiles, want)
+	}
+	nodes[0].Close()
+	if err := <-worker; err != nil {
+		t.Fatalf("place 1: %v", err)
 	}
 }
 

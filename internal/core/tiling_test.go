@@ -100,8 +100,8 @@ func TestTilingCoarseTasks(t *testing.T) {
 	}
 }
 
-// TestTilingNoDepCacheParity re-runs tiled execution with the
-// dependency-resolution cache disabled (the spilled-run configuration):
+// TestTilingNoDepCacheParity re-runs tiled execution spilled to disk, the
+// one configuration that runs without the dependency-resolution cache:
 // the walk's on-the-fly resolution path must stay cell-for-cell identical
 // to the reference for both a monotone wavefront pattern (whose cached
 // runs take the ascending-offset fast path) and an interval pattern
@@ -115,7 +115,7 @@ func TestTilingNoDepCacheParity(t *testing.T) {
 		name, mk := name, mk
 		t.Run(name, func(t *testing.T) {
 			cfg := mk()
-			cfg.NoDepCache = true
+			cfg.Spill = &SpillConfig{Dir: t.TempDir()}
 			cfg.TileSize = 4
 			runAndCheck(t, cfg)
 		})

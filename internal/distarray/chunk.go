@@ -38,7 +38,6 @@ type Chunk[T any] struct {
 	n      int
 	indeg  []int32
 	flags  []uint32 // 0 unfinished, 1 finished
-	queued []uint32 // 1 once the cell has entered a ready list this epoch
 	done   atomic.Int64
 	active int64 // cells that participate (finished inactive ones pre-counted)
 
@@ -76,7 +75,7 @@ type ValueStore[T any] interface {
 }
 
 // NewChunk allocates place p's chunk under d with all cells unfinished,
-// values held densely in memory.
+// values held densely in memory, dependency-resolution cache on.
 func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 	n := d.LocalCount(p)
 	return &Chunk[T]{
@@ -86,22 +85,22 @@ func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 		n:      n,
 		indeg:  make([]int32, n),
 		flags:  make([]uint32, n),
-		queued: make([]uint32, n),
+		depOn:  true,
 	}
 }
 
 // NewChunkBacked is NewChunk with vertex values kept in vs instead of a
-// dense slice. vs must cover d.LocalCount(p) values and start zeroed.
+// dense slice, and the dependency-resolution cache off (see depcache.go).
+// vs must cover d.LocalCount(p) values and start zeroed.
 func NewChunkBacked[T any](p int, d dist.Dist, vs ValueStore[T]) *Chunk[T] {
 	n := d.LocalCount(p)
 	return &Chunk[T]{
-		place:  p,
-		d:      d,
-		store:  vs,
-		n:      n,
-		indeg:  make([]int32, n),
-		flags:  make([]uint32, n),
-		queued: make([]uint32, n),
+		place: p,
+		d:     d,
+		store: vs,
+		n:     n,
+		indeg: make([]int32, n),
+		flags: make([]uint32, n),
 	}
 }
 
@@ -216,16 +215,6 @@ func (c *Chunk[T]) AddDone(n int64) {
 	if n != 0 {
 		c.done.Add(n)
 	}
-}
-
-// TryMarkQueued atomically claims the right to enqueue the cell on the
-// place's ready list. A vertex may hit indegree zero through two
-// concurrent paths in the same epoch — e.g. a remote decrement arriving
-// between a recovery's rebuild and its resume scan, and the scan itself —
-// and must still be scheduled exactly once; only the caller that wins
-// this flag enqueues.
-func (c *Chunk[T]) TryMarkQueued(off int) bool {
-	return atomic.CompareAndSwapUint32(&c.queued[off], 0, 1)
 }
 
 // Finished reports whether the cell at off has completed.

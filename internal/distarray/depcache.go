@@ -20,9 +20,9 @@ import "github.com/dpx10/dpx10/internal/dag"
 //
 // Cost: roughly 16 + 16·deg bytes per local cell (deg = dependency
 // count). That is an order of magnitude above the value storage itself,
-// so the engine disables the cache for disk-spilled runs — a run that
+// so a disk-backed chunk (NewChunkBacked) runs without it — a run that
 // cannot afford dense values in memory cannot afford dense dep lists
-// either — and exposes a config knob for very large in-memory grids.
+// either.
 //
 // Concurrency: the cache is written only inside the activation scans
 // (before the epoch state is published, or under tileMu during a
@@ -43,9 +43,9 @@ type CellRef struct {
 // back to on-the-fly resolution.
 const depCacheMaxEntries = 4 << 20
 
-// SetDepCache enables or disables the dependency-resolution cache. Call
-// before the epoch's activation scan; flipping it later has no effect
-// until the next epoch.
+// SetDepCache overrides the constructor's choice (NewChunk on,
+// NewChunkBacked off). Call before the epoch's activation scan; flipping
+// it later has no effect until the next epoch.
 func (c *Chunk[T]) SetDepCache(on bool) { c.depOn = on }
 
 // DepCached reports whether the cache holds this epoch's resolutions.

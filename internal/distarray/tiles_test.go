@@ -17,6 +17,7 @@ func tiledRowChunk(t *testing.T) (*Chunk[int32], dag.Pattern, dist.Dist) {
 	pat := patterns.NewGrid(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
+	c.SetDepCache(false) // the scans a disk-backed chunk runs
 	c.InitIndegrees(pat)
 	c.ConfigureTiles(6)
 	return c, pat, d
@@ -132,7 +133,6 @@ func TestDepCacheFilledByInitActivateTiles(t *testing.T) {
 	pat := patterns.NewGrid(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
-	c.SetDepCache(true)
 	c.ConfigureTiles(6)
 	if c.DepCached() {
 		t.Fatal("cache live before the activation scan ran")
@@ -173,7 +173,6 @@ func TestDepCacheColWaveNotMonotone(t *testing.T) {
 	pat := patterns.NewColWave(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
-	c.SetDepCache(true)
 	c.ConfigureTiles(6)
 	c.InitActivateTiles(pat)
 	if !c.DepCached() {
@@ -188,7 +187,6 @@ func TestDepCacheRecoveryRefillSkipsFinished(t *testing.T) {
 	pat := patterns.NewGrid(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
-	c.SetDepCache(true)
 	c.InitIndegrees(pat)
 	c.SetResult(0, 7) // (0,0) restored finished before the epoch activates
 	c.ConfigureTiles(6)
@@ -208,7 +206,6 @@ func TestConfigureTilesInvalidatesDepCache(t *testing.T) {
 	pat := patterns.NewGrid(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
-	c.SetDepCache(true)
 	c.ConfigureTiles(6)
 	c.InitActivateTiles(pat)
 	if !c.DepCached() {

@@ -9,7 +9,6 @@ import "fmt"
 // constant block: a missing, misnamed or stale entry fails `make vet`.
 var kindNames = map[uint8]string{
 	1:  "fetch",
-	2:  "decrement",
 	3:  "exec",
 	4:  "placeDone",
 	5:  "fault",

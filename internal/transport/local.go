@@ -55,9 +55,6 @@ func (f *LocalFabric) Endpoint(p int) Transport { return f.eps[p] }
 // with ErrDeadPlace. Killing an already-dead place is a no-op.
 func (f *LocalFabric) Kill(p int) { f.dead[p].Store(true) }
 
-// Revive clears the dead flag; used only by tests that reuse a fabric.
-func (f *LocalFabric) Revive(p int) { f.dead[p].Store(false) }
-
 // Alive reports whether place p is alive.
 func (f *LocalFabric) Alive(p int) bool { return !f.dead[p].Load() }
 

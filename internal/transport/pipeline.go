@@ -1,29 +1,24 @@
 package transport
 
 import (
-	"encoding/binary"
 	"hash/crc32"
 	"net"
 	"sync"
 )
 
-// TCPOptions tunes the data plane of a TCP endpoint. The zero value is the
-// pipelined default: batched writev framing.
-type TCPOptions struct {
-	// NoPipeline disables the per-peer send pipeline: every frame is
-	// written directly under a per-connection mutex, one header+payload
-	// write pair per message, exactly the pre-pipeline wire dialect (no
-	// preamble, no batches). Peers in either mode interoperate — the
-	// preamble marks the dialect per connection.
-	NoPipeline bool
-}
+// TCPOptions is empty: the data plane has one implementation and nothing
+// selects it.
+//
+// Deprecated: kept only because the benchmark module names it; goes with
+// the next benchmark revision.
+type TCPOptions struct{}
 
 // PipeObserver receives data-plane events from a TCP endpoint's send
 // pipeline; the node layer uses it to feed metrics histograms without the
 // transport importing the metrics package. Set it before any traffic.
 // Callbacks run on writer goroutines and must not block.
 type PipeObserver struct {
-	// Flush observes one writev batch: how many frames it carried and
+	// Flush observes one vectored write: how many frames it carried and
 	// its total wire size.
 	Flush func(frames, wireBytes int)
 }
@@ -44,11 +39,11 @@ type outFrame struct {
 // its own conn for outbound traffic, including Call responses), so the
 // writer goroutine is the connection's single writer. Senders append to
 // the queue under mu and wait on cond until the writer reports their
-// frame flushed; the writer swaps the whole queue out, packs it into one
-// net.Buffers writev — headers from a per-connection arena, payloads
-// referenced in place — and broadcasts completion. Batching is emergent:
-// while one writev is in flight, every new sender parks in the queue, and
-// the next swap takes them all at once.
+// frame flushed; the writer swaps the whole queue out, writes it as
+// back-to-back frames in one net.Buffers writev — headers from a
+// per-connection arena, payloads referenced in place — and broadcasts
+// completion. Coalescing is emergent: while one writev is in flight,
+// every new sender parks in the queue, and the next swap takes them all.
 type tcpConn struct {
 	c net.Conn
 
@@ -60,27 +55,15 @@ type tcpConn struct {
 	werr    error  // sticky pipeline error; set once, with down
 	down    bool
 
-	// Writer-owned state; no locking (single writer goroutine). In
-	// NoPipeline mode mu serializes direct writes instead and none of
-	// this is used.
-	features     uint64
-	preambleSent bool
-	hdr          []byte
-	spans        []span
-	iov          net.Buffers
-	free         []outFrame // previous batch, payloads already nilled
+	// Writer-owned state; no locking (single writer goroutine).
+	hdr  []byte
+	iov  net.Buffers
+	free []outFrame // previous swap, payloads already nilled
 }
 
-// span marks a region of the writer's header arena, recorded as offsets
-// because the arena may reallocate while the batch is being assembled.
-type span struct{ off, end int }
-
-func newTCPConn(c net.Conn, opts *TCPOptions) *tcpConn {
+func newTCPConn(c net.Conn) *tcpConn {
 	tc := &tcpConn{c: c}
 	tc.cond = sync.NewCond(&tc.mu)
-	if !opts.NoPipeline {
-		tc.features = featBatch
-	}
 	return tc
 }
 
@@ -122,8 +105,8 @@ func (tc *tcpConn) shutdown(err error) {
 }
 
 // writeLoop is the connection's writer goroutine: swap out everything
-// queued, pack it into one vectored write, confirm, repeat. It exits when
-// the pipeline is shut down (connection drop or endpoint close).
+// queued, put it on the wire in one vectored write, confirm, repeat. It
+// exits when the pipeline is shut down (connection drop or endpoint close).
 func (t *TCP) writeLoop(tc *tcpConn) {
 	for {
 		tc.mu.Lock()
@@ -169,68 +152,28 @@ func (t *TCP) writeLoop(tc *tcpConn) {
 	}
 }
 
-// flush writes one batch as a single vectored write: [preamble] plus
-// either one classic frame or a multi-frame batch envelope. Headers live
-// in the connection's arena; payloads are referenced where the senders
-// put them, never copied. Returns the wire size written.
+// flush writes one swap of the queue as a single vectored write of
+// back-to-back frames. Headers live in the connection's arena; payloads
+// are referenced where the senders put them, never copied. Returns the
+// wire size written.
 func (tc *tcpConn) flush(t *TCP, batch []outFrame) (int, error) {
-	tc.hdr = tc.hdr[:0]
-	tc.spans = tc.spans[:0]
+	// Sized up front: the iovecs below point into the arena, so it must
+	// not reallocate while they are being assembled.
+	if need := len(batch) * frameHeaderLen; cap(tc.hdr) < need {
+		tc.hdr = make([]byte, 0, need)
+	}
+	hdr := tc.hdr[:0]
 	iov := tc.iov[:0]
-
-	// Header arena first, then iovec assembly from stable offsets.
-	preamble := span{-1, -1}
-	if !tc.preambleSent && tc.features != 0 {
-		s := len(tc.hdr)
-		tc.hdr = putFrameHeader(tc.hdr, 0, flagControl, t.self, tc.features, 0, 0)
-		preamble = span{s, len(tc.hdr)}
-		tc.preambleSent = true
-	}
-	outer := span{-1, -1}
-	if len(batch) == 1 {
-		f := &batch[0]
-		crc := crc32.Checksum(f.payload, crcTable)
-		s := len(tc.hdr)
-		tc.hdr = putFrameHeader(tc.hdr, f.kind, f.flags, t.self, f.seq, len(f.payload), crc)
-		outer = span{s, len(tc.hdr)}
-	} else {
-		total := 0
-		for i := range batch {
-			total += subHeaderLen + len(batch[i].payload)
-		}
-		s := len(tc.hdr)
-		tc.hdr = putFrameHeader(tc.hdr, 0, flagBatch, t.self, uint64(len(batch)), total, 0)
-		outer = span{s, len(tc.hdr)}
-		crc := uint32(0)
-		for i := range batch {
-			f := &batch[i]
-			hs := len(tc.hdr)
-			tc.hdr = putSubHeader(tc.hdr, f.kind, f.flags, f.seq, len(f.payload))
-			tc.spans = append(tc.spans, span{hs, len(tc.hdr)})
-			crc = crc32.Update(crc, crcTable, tc.hdr[hs:len(tc.hdr)])
-			crc = crc32.Update(crc, crcTable, f.payload)
-		}
-		binary.LittleEndian.PutUint32(tc.hdr[outer.off+18:outer.off+22], crc)
-	}
-
-	// The arena is final; build the iovec list.
 	wire := 0
-	add := func(b []byte) {
-		if len(b) > 0 {
-			iov = append(iov, b)
-			wire += len(b)
-		}
-	}
-	if preamble.off >= 0 {
-		add(tc.hdr[preamble.off:preamble.end])
-	}
-	add(tc.hdr[outer.off:outer.end])
 	for i := range batch {
-		if len(batch) > 1 {
-			sp := tc.spans[i]
-			add(tc.hdr[sp.off:sp.end])
+		f := &batch[i]
+		s := len(hdr)
+		hdr = putFrameHeader(hdr, f.kind, f.flags, t.self, f.seq, len(f.payload), crc32.ChecksumIEEE(f.payload))
+		iov = append(iov, hdr[s:])
+		if len(f.payload) > 0 {
+			iov = append(iov, f.payload)
 		}
-		add(batch[i].payload)
+		wire += frameHeaderLen + len(f.payload)
 	}
 
 	arena := iov

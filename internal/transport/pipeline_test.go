@@ -6,14 +6,27 @@ import (
 	"encoding/binary"
 	"io"
 	"net"
+	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 )
 
-// memConn is an in-memory net.Conn sink for driving flush directly.
-type memConn struct{ bytes.Buffer }
+// memConn is an in-memory net.Conn sink for driving the writer directly.
+// A non-nil gate holds every Write until the gate is closed, so a test can
+// park the writer mid-flush.
+type memConn struct {
+	bytes.Buffer
+	gate chan struct{}
+}
 
+func (m *memConn) Write(p []byte) (int, error) {
+	if m.gate != nil {
+		<-m.gate
+	}
+	return m.Buffer.Write(p)
+}
 func (m *memConn) Close() error                     { return nil }
 func (m *memConn) LocalAddr() net.Addr              { return nil }
 func (m *memConn) RemoteAddr() net.Addr             { return nil }
@@ -21,54 +34,29 @@ func (m *memConn) SetDeadline(time.Time) error      { return nil }
 func (m *memConn) SetReadDeadline(time.Time) error  { return nil }
 func (m *memConn) SetWriteDeadline(time.Time) error { return nil }
 
-// decodeStream parses a pipelined wire stream — preamble, classic frames,
-// batch envelopes — returning every logical payload in arrival order. It
-// mirrors the readLoop's parse using the same production helpers
-// (readFrame, walkBatch) and the same rejection of the retired flag.
+// decodeStream parses a wire stream with the reference reader, one frame
+// after another and nothing else, returning every payload in arrival
+// order. A clean end of stream is not an error.
 func decodeStream(r io.Reader) (payloads [][]byte, kinds []uint8, seqs []uint64, err error) {
-	one := func(kind, flags uint8, seq uint64, payload []byte) bool {
-		if flags&flagRetired != 0 {
-			err = io.ErrUnexpectedEOF
-			return false
-		}
-		payloads = append(payloads, append([]byte(nil), payload...))
-		kinds = append(kinds, kind)
-		seqs = append(seqs, seq)
-		return true
-	}
 	for {
-		kind, flags, _, seq, payload, rerr := readFrame(r)
+		kind, _, _, seq, payload, rerr := readFrame(r)
+		if rerr == io.EOF {
+			return payloads, kinds, seqs, nil
+		}
 		if rerr != nil {
-			if rerr == io.EOF {
-				return payloads, kinds, seqs, err
-			}
 			return payloads, kinds, seqs, rerr
 		}
-		switch {
-		case flags&flagControl != 0:
-			if seq&^uint64(featAll) != 0 {
-				return payloads, kinds, seqs, io.ErrUnexpectedEOF
-			}
-		case flags&flagBatch != 0:
-			if kind != 0 || !walkBatch(payload, seq, one) {
-				if err == nil {
-					err = io.ErrUnexpectedEOF
-				}
-				return payloads, kinds, seqs, err
-			}
-		default:
-			if !one(kind, flags, seq, payload) {
-				return payloads, kinds, seqs, err
-			}
-		}
+		payloads = append(payloads, payload)
+		kinds = append(kinds, kind)
+		seqs = append(seqs, seq)
 	}
 }
 
-// FuzzFrameBatchRoundTrip drives the writer's flush path — batch
-// envelopes, preamble — over fuzzer-chosen payload splits and
-// checks byte-identical decode, then re-parses the stream truncated at
-// every byte boundary: truncation must never panic and never yield the
-// complete frame set.
+// FuzzFrameBatchRoundTrip drives the writer's flush path over
+// fuzzer-chosen payload splits — N frames back to back in one vectored
+// write — and checks byte-identical decode, then re-parses the stream
+// truncated at every byte boundary: truncation must never panic and never
+// yield the complete frame set.
 func FuzzFrameBatchRoundTrip(f *testing.F) {
 	f.Add([]byte("hello world"), uint8(1))
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(3))
@@ -76,7 +64,7 @@ func FuzzFrameBatchRoundTrip(f *testing.F) {
 	f.Add([]byte{}, uint8(2))
 	// A lifelineDeliver-shaped payload (kind 22 on the wire): epoch u64,
 	// cell count u32, two 8-byte vertex ids, dep count u32, one (id, value)
-	// pair — the newest protocol kind must batch and decode like the rest.
+	// pair — the newest protocol kind must coalesce and decode like the rest.
 	f.Add([]byte{
 		7, 0, 0, 0, 0, 0, 0, 0, // epoch
 		2, 0, 0, 0, // nCells
@@ -99,16 +87,20 @@ func FuzzFrameBatchRoundTrip(f *testing.F) {
 			chunks = append(chunks, data[lo:hi])
 		}
 		mc := &memConn{}
-		tc := newTCPConn(mc, &TCPOptions{})
+		tc := newTCPConn(mc)
 		tr := &TCP{self: 2}
 		batch := make([]outFrame, n)
 		for i, c := range chunks {
 			batch[i] = outFrame{kind: uint8(i + 1), seq: uint64(i) << 8, payload: c}
 		}
-		if _, err := tc.flush(tr, batch); err != nil {
+		wire, err := tc.flush(tr, batch)
+		if err != nil {
 			t.Fatalf("flush: %v", err)
 		}
 		stream := mc.Bytes()
+		if wire != len(stream) || wire != n*frameHeaderLen+len(data) {
+			t.Fatalf("flush reported %d wire bytes, wrote %d, want %d", wire, len(stream), n*frameHeaderLen+len(data))
+		}
 
 		payloads, kinds, seqs, err := decodeStream(bytes.NewReader(stream))
 		if err != nil {
@@ -133,18 +125,71 @@ func FuzzFrameBatchRoundTrip(f *testing.F) {
 				t.Fatalf("truncated stream (%d/%d bytes) still decoded all %d frames", cut, len(stream), n)
 			}
 		}
-
-		// Arbitrary bytes must never panic the batch walker, whatever the
-		// claimed count.
-		walkBatch(data, uint64(nsplit), func(_, _ uint8, _ uint64, _ []byte) bool { return true })
 	})
+}
+
+// TestParkedSendersShareOneWrite pins what coalescing means now that there
+// is no envelope: K senders that queue up behind one blocked write leave
+// together in the writer's next vectored write, as K ordinary frames in
+// queue order, and a frame-by-frame reader parses the lot.
+func TestParkedSendersShareOneWrite(t *testing.T) {
+	const K = 6
+	mc := &memConn{gate: make(chan struct{})}
+	tc := newTCPConn(mc)
+	var flushes []int // writer-owned until writerDone closes
+	tr := &TCP{self: 2, obs: PipeObserver{Flush: func(frames, _ int) { flushes = append(flushes, frames) }}}
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		tr.writeLoop(tc)
+	}()
+	await := func(cond func() bool) {
+		for ok := false; !ok; runtime.Gosched() {
+			tc.mu.Lock()
+			ok = cond()
+			tc.mu.Unlock()
+		}
+	}
+	var wg sync.WaitGroup
+	for k := 0; k <= K; k++ {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			if err := tc.enqueue(7, 0, uint64(k), []byte{byte(k)}); err != nil {
+				t.Errorf("sender %d: %v", k, err)
+			}
+		}(k)
+		// Frame 0 must be inside the gated write, and frame k in the queue,
+		// before frame k+1 is sent: queue order is then sender order.
+		await(func() bool { return tc.enq == uint64(k)+1 && (k > 0 || len(tc.q) == 0) })
+	}
+	close(mc.gate)
+	wg.Wait()
+	tc.shutdown(ErrClosed)
+	<-writerDone
+
+	if want := []int{1, K}; !reflect.DeepEqual(flushes, want) {
+		t.Fatalf("frames per write = %v, want %v", flushes, want)
+	}
+	if w, fr := tr.stats.WriteCalls.Load(), tr.stats.FramesOut.Load(); w != 2 || fr != K+1 {
+		t.Fatalf("WriteCalls = %d, FramesOut = %d, want 2 and %d", w, fr, K+1)
+	}
+	payloads, _, seqs, err := decodeStream(&mc.Buffer)
+	if err != nil || len(seqs) != K+1 {
+		t.Fatalf("decoded %d frames (err %v), want %d", len(seqs), err, K+1)
+	}
+	for k, seq := range seqs {
+		if seq != uint64(k) || !bytes.Equal(payloads[k], []byte{byte(k)}) {
+			t.Fatalf("frame %d is sender %d's (payload %v): queue order lost", k, seq, payloads[k])
+		}
+	}
 }
 
 // TestPipelinedSendPerPeerFIFO hammers one peer from concurrent senders
 // and asserts the wire preserves each sender's order — the per-peer FIFO
 // invariant batching must not break. The receiver is a raw listener
 // parsing frames straight off the socket, so the check covers exactly
-// what was written, batch boundaries included. Senders reuse one payload
+// what was written, write boundaries included. Senders reuse one payload
 // buffer across sends, which also exercises the group-commit contract:
 // the buffer must be free for reuse the moment Send returns.
 func TestPipelinedSendPerPeerFIFO(t *testing.T) {
@@ -173,33 +218,18 @@ func TestPipelinedSendPerPeerFIFO(t *testing.T) {
 		defer c.Close()
 		var recs []rec
 		br := bufio.NewReaderSize(c, 64<<10)
-		add := func(_, flags uint8, _ uint64, p []byte) bool {
-			if len(p) != 8 {
-				errCh <- io.ErrUnexpectedEOF
-				return false
-			}
-			recs = append(recs, rec{binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint32(p[4:8])})
-			return true
-		}
 		for {
-			kind, flags, _, seq, payload, err := readFrame(br)
+			_, _, _, _, p, err := readFrame(br)
 			if err != nil { // EOF: sender closed after the last Send returned
 				recsCh <- recs
 				return
 			}
-			switch {
-			case flags&flagControl != 0:
-			case flags&flagBatch != 0:
-				if kind != 0 || !walkBatch(payload, seq, add) {
-					recsCh <- recs
-					return
-				}
-			default:
-				if !add(kind, flags, seq, payload) {
-					recsCh <- recs
-					return
-				}
+			if len(p) != 8 {
+				errCh <- io.ErrUnexpectedEOF
+				recsCh <- recs
+				return
 			}
+			recs = append(recs, rec{binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint32(p[4:8])})
 		}
 	}()
 
@@ -245,51 +275,59 @@ func TestPipelinedSendPerPeerFIFO(t *testing.T) {
 	}
 }
 
-// TestRetiredCompressionBitsRejected pins the reserved wire values left
-// behind by the compressed-payload form: a frame (classic or batched)
-// carrying flag bit 4, or a preamble declaring feature bit 1, is a protocol
-// error — the endpoint closes the connection and runs no handler.
+// TestRetiredCompressionBitsRejected pins the reserved flag bits. Each case
+// is named for the retired frame form that owned the bit: 8 marked a batch
+// envelope, 16 a compressed payload on a classic frame, 32 a connection
+// preamble. A frame carrying any of them — first on its connection or after
+// good traffic — is a protocol error: the endpoint closes the connection
+// and runs no handler for it.
 func TestRetiredCompressionBitsRejected(t *testing.T) {
-	frame := func(flags uint8, seq uint64, payload []byte) []byte {
-		var b bytes.Buffer
-		if err := writeFrame(&b, 7, flags, 1, seq, payload); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	sub := putSubHeader(nil, 7, flagRetired, 0, 2)
-	sub = append(sub, "hi"...)
-	batch := frame(flagBatch, 1, sub)
-	batch[0] = 0 // envelopes carry kind 0
-	cases := map[string][]byte{
-		"classic frame": frame(flagRetired, 0, []byte("hi")),
-		"batched frame": batch,
-		"preamble":      frame(flagControl, featBatch|1<<1, nil),
-	}
-	for name, wire := range cases {
-		wire := wire
-		t.Run(name, func(t *testing.T) {
-			ep, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ep.Close()
-			ep.Handle(7, func(int, []byte) ([]byte, error) {
-				t.Error("handler ran for a frame with a retired bit set")
-				return nil, nil
-			})
-			c, err := net.Dial("tcp", ep.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			if _, err := c.Write(wire); err != nil {
-				t.Fatal(err)
-			}
-			c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test socket
-			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
-				t.Fatalf("endpoint kept the connection open: read err = %v, want EOF", err)
-			}
+	bits := []struct {
+		name string
+		bit  uint8
+	}{{"batched frame", 1 << 3}, {"classic frame", 1 << 4}, {"preamble", 1 << 5}}
+	for _, tc := range bits {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("first", func(t *testing.T) { rejectReserved(t, tc.bit, false) })
+			t.Run("mid-stream", func(t *testing.T) { rejectReserved(t, tc.bit, true) })
 		})
+	}
+}
+
+func rejectReserved(t *testing.T, bit uint8, midStream bool) {
+	ep, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	ep.Handle(7, func(int, []byte) ([]byte, error) {
+		t.Errorf("handler ran for a frame with reserved bit %d set", bit)
+		return nil, nil
+	})
+	good := make(chan struct{})
+	ep.Handle(9, func(int, []byte) ([]byte, error) {
+		close(good)
+		return nil, nil
+	})
+	c, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wire []byte
+	if midStream {
+		wire = appendFrame(wire, 9, 0, 1, 0, []byte("ok"))
+	}
+	wire = appendFrame(wire, 7, bit, 1, 0, []byte("hi"))
+	if _, err := c.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test socket
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("endpoint kept the connection open: read err = %v, want EOF", err)
+	}
+	if midStream {
+		<-good // the frame ahead of the bad one was still delivered
 	}
 }

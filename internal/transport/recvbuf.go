@@ -7,12 +7,12 @@ import (
 )
 
 // recvBuf is a pooled, reference-counted receive buffer. The read loop
-// reads a frame (or a whole batch envelope) into one recvBuf and lends
-// sub-slices of it to handler goroutines; each borrow takes a reference,
-// and the buffer returns to its size-class pool when the last reference
-// is released. This is what lets the receive path deliver payloads with
-// zero copies: the Handler contract — the payload must not be retained
-// after the handler returns — is exactly the license to recycle.
+// reads one frame's payload into a recvBuf and lends it to the handler
+// goroutine; the borrow takes a reference, and the buffer returns to its
+// size-class pool when the last reference is released. This is what lets
+// the receive path deliver payloads with zero copies: the Handler
+// contract — the payload must not be retained after the handler returns —
+// is exactly the license to recycle.
 //
 // Response payloads are the one exception: Call callers keep their reply
 // after Call returns, so the dispatch path copies those out of the pooled

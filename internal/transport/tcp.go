@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -18,15 +17,14 @@ import (
 // marks the peer dead and surfaces ErrDeadPlace to the engine.
 //
 // The data plane is pipelined (see pipeline.go): each connection has a
-// single writer goroutine that packs queued frames into vectored writes,
-// and the read side parses frames out of pooled, reference-counted
-// buffers that handlers borrow. See wire.go for the frame dialects.
+// single writer goroutine that puts queued frames on the wire in vectored
+// writes, and the read side parses frames out of pooled, reference-counted
+// buffers that handlers borrow. See wire.go for the frame layout.
 type TCP struct {
 	self  int
 	addrs []string
 	ln    net.Listener
 	stats Stats
-	opts  TCPOptions
 	obs   PipeObserver
 
 	hmu      sync.RWMutex
@@ -64,15 +62,17 @@ type tcpReply struct {
 
 var _ Transport = (*TCP)(nil)
 
-// NewTCP creates the endpoint for place self, listening on addrs[self],
-// with the default pipelined data plane. All places must share the same
-// addrs slice (place id -> address).
-func NewTCP(self int, addrs []string) (*TCP, error) {
-	return NewTCPOpts(self, addrs, TCPOptions{})
+// NewTCPOpts is NewTCP; the options are empty.
+//
+// Deprecated: kept only because the benchmark module calls it; goes with
+// the next benchmark revision.
+func NewTCPOpts(self int, addrs []string, _ TCPOptions) (*TCP, error) {
+	return NewTCP(self, addrs)
 }
 
-// NewTCPOpts is NewTCP with explicit data-plane options.
-func NewTCPOpts(self int, addrs []string, opts TCPOptions) (*TCP, error) {
+// NewTCP creates the endpoint for place self, listening on addrs[self].
+// All places must share the same addrs slice (place id -> address).
+func NewTCP(self int, addrs []string) (*TCP, error) {
 	if self < 0 || self >= len(addrs) {
 		return nil, fmt.Errorf("transport: place %d out of range (%d places)", self, len(addrs))
 	}
@@ -87,7 +87,6 @@ func NewTCPOpts(self int, addrs []string, opts TCPOptions) (*TCP, error) {
 		// not mutate storage another endpoint's dial loop is reading.
 		addrs:       append([]string(nil), addrs...),
 		ln:          ln,
-		opts:        opts,
 		conns:       make([]*tcpConn, len(addrs)),
 		dialing:     make([]chan struct{}, len(addrs)),
 		accepted:    make(map[net.Conn]struct{}),
@@ -176,12 +175,7 @@ func (t *TCP) accept() {
 	for {
 		c, err := t.ln.Accept()
 		if err != nil {
-			select {
-			case <-t.closed:
-				return
-			default:
-			}
-			return
+			return // listener closed: the endpoint is shutting down
 		}
 		t.cmu.Lock()
 		t.accepted[c] = struct{}{}
@@ -234,11 +228,9 @@ func (t *TCP) conn(p int) (*tcpConn, error) {
 			c.Close()
 			err = ErrClosed
 		default:
-			tc = newTCPConn(c, &t.opts)
+			tc = newTCPConn(c)
 			t.conns[p] = tc
-			if !t.opts.NoPipeline {
-				go t.writeLoop(tc)
-			}
+			go t.writeLoop(tc)
 			go t.readLoop(c, p)
 		}
 	}
@@ -303,31 +295,15 @@ func (t *TCP) dropConn(p int) {
 	t.dead[p].Store(true)
 }
 
-// send delivers one frame to peer p through its pipeline (or directly in
-// NoPipeline mode) and returns once the frame is on the wire — the
-// payload buffer is the caller's again when send returns.
+// send delivers one frame to peer p through its pipeline and returns once
+// the frame is on the wire — the payload buffer is the caller's again when
+// send returns.
 func (t *TCP) send(p int, kind, flags uint8, seq uint64, payload []byte) error {
 	tc, err := t.conn(p)
 	if err != nil {
 		return err
 	}
-	if t.opts.NoPipeline {
-		tc.mu.Lock()
-		err = writeFrame(tc.c, kind, flags, t.self, seq, payload)
-		tc.mu.Unlock()
-		if err == nil {
-			writes := int64(1)
-			if len(payload) > 0 {
-				writes = 2
-			}
-			t.stats.WriteCalls.Add(writes)
-			t.stats.FramesOut.Add(1)
-			t.stats.WireBytesOut.Add(int64(frameHeaderLen + len(payload)))
-		}
-	} else {
-		err = tc.enqueue(kind, flags, seq, payload)
-	}
-	if err != nil {
+	if err := tc.enqueue(kind, flags, seq, payload); err != nil {
 		select {
 		case <-t.closed:
 			return ErrClosed
@@ -406,8 +382,8 @@ func (t *TCP) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // Frames are read through a buffered reader into pooled recvBufs; handler
 // goroutines borrow sub-slices under the recvBuf's refcount, and response
 // payloads are copied out (Call callers retain them). A malformed frame —
-// bad CRC, bad batch structure, unknown preamble features — kills the
-// connection rather than risking misframed traffic.
+// bad CRC, oversized length, a reserved flag bit — kills the connection
+// rather than risking misframed traffic.
 //
 // Places are fail-stop (the paper's model, like X10's socket runtime), so
 // an established connection breaking means the peer died — unless this
@@ -444,48 +420,20 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return
 		}
-		kind := hdr[0]
-		flags := hdr[1]
-		from := int(binary.LittleEndian.Uint32(hdr[2:6]))
-		seq := binary.LittleEndian.Uint64(hdr[6:14])
-		n := binary.LittleEndian.Uint32(hdr[14:18])
-		sum := binary.LittleEndian.Uint32(hdr[18:22])
-		if n > maxFrameLen {
+		h, err := parseFrameHeader(&hdr)
+		if err != nil {
 			return
 		}
 		if peer < 0 {
-			peer = from
+			peer = h.from
 		}
-		t.noteContact(from)
-		if flags&flagControl != 0 {
-			// Connection preamble: the writer declares the frame forms it
-			// will use. Unknown features mean a peer from the future —
-			// dying here beats misparsing its traffic.
-			if seq&^uint64(featAll) != 0 {
-				return
-			}
-			if n > 0 {
-				if _, err := io.CopyN(io.Discard, br, int64(n)); err != nil {
-					return
-				}
-			}
-			continue
-		}
-		rb := getRecvBuf(int(n))
-		buf := rb.b[:n]
-		if _, err := io.ReadFull(br, buf); err != nil {
-			rb.release()
-			return
-		}
-		if crc32.ChecksumIEEE(buf) != sum {
-			rb.release()
-			return
-		}
-		ok := true
-		if flags&flagBatch != 0 {
-			ok = kind == 0 && t.dispatchBatch(rb, from, seq, buf)
-		} else {
-			ok = t.dispatch(rb, from, kind, flags, seq, buf)
+		t.noteContact(h.from)
+		rb := getRecvBuf(int(h.n))
+		buf := rb.b[:h.n]
+		_, err = io.ReadFull(br, buf)
+		ok := err == nil && crc32.ChecksumIEEE(buf) == h.crc
+		if ok {
+			t.dispatch(rb, h, buf)
 		}
 		rb.release()
 		if !ok {
@@ -494,23 +442,11 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 	}
 }
 
-// dispatchBatch walks a batch envelope's sub-frames, dispatching each.
-// The envelope CRC was already verified; structural damage (counts or
-// lengths that do not add up) reports false and kills the connection.
-func (t *TCP) dispatchBatch(rb *recvBuf, from int, count uint64, buf []byte) bool {
-	return walkBatch(buf, count, func(kind, flags uint8, seq uint64, payload []byte) bool {
-		return t.dispatch(rb, from, kind, flags, seq, payload)
-	})
-}
-
 // dispatch routes one frame: responses complete pending Calls (payload
 // copied — the caller outlives the pooled buffer), requests and one-way
-// messages run their handler on a borrowed reference to the buffer. A
-// frame carrying the retired flag reports false, killing the connection.
-func (t *TCP) dispatch(rb *recvBuf, from int, kind, flags uint8, seq uint64, payload []byte) bool {
-	if flags&flagRetired != 0 {
-		return false
-	}
+// messages run their handler on a borrowed reference to the buffer.
+func (t *TCP) dispatch(rb *recvBuf, h frameHeader, payload []byte) {
+	from, kind, flags, seq := h.from, h.kind, h.flags, h.seq
 	switch {
 	case flags&flagResponse != 0:
 		t.pmu.Lock()
@@ -547,7 +483,6 @@ func (t *TCP) dispatch(rb *recvBuf, from int, kind, flags uint8, seq uint64, pay
 			}()
 		}
 	}
-	return true
 }
 
 func (t *TCP) serve(from int, kind uint8, seq uint64, payload []byte) {

@@ -200,21 +200,14 @@ func TestTCPLargePayload(t *testing.T) {
 
 func TestTCPFrameChecksum(t *testing.T) {
 	// A corrupted payload must be rejected by the reader, not delivered.
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, 5, 0, 1, 9, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
+	raw := appendFrame(nil, 5, 0, 1, 9, []byte("payload"))
 	raw[len(raw)-1] ^= 0xFF // flip a payload byte
 	if _, _, _, _, _, err := readFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("corrupted frame accepted")
 	}
 	// And an intact one round-trips.
-	buf.Reset()
-	if err := writeFrame(&buf, 5, 0, 1, 9, []byte("payload")); err != nil {
-		t.Fatal(err)
-	}
-	kind, _, from, seq, payload, err := readFrame(&buf)
+	raw[len(raw)-1] ^= 0xFF
+	kind, _, from, seq, payload, err := readFrame(bytes.NewReader(raw))
 	if err != nil || kind != 5 || from != 1 || seq != 9 || string(payload) != "payload" {
 		t.Fatalf("round trip failed: %v", err)
 	}

@@ -76,13 +76,13 @@ type Stats struct {
 	BytesIn   atomic.Int64 // payload bytes received
 	RepliesIn atomic.Int64 // call replies received
 
-	// Data-plane counters (TCP endpoints only): actual socket activity
-	// after batching and compression, as opposed to the logical message
-	// counters above. WireBytesOut/FramesOut vs BytesOut is the framing
-	// overhead; FramesOut/WriteCalls is the mean writev batch size.
-	WriteCalls   atomic.Int64 // write/writev syscalls issued
-	FramesOut    atomic.Int64 // frames put on the wire (batch sub-frames count individually)
-	WireBytesOut atomic.Int64 // total bytes written, headers and compression included
+	// Data-plane counters (TCP endpoints only): actual socket activity,
+	// as opposed to the logical message counters above. WireBytesOut vs
+	// BytesOut is the framing overhead; FramesOut/WriteCalls is the mean
+	// number of frames one vectored write carried.
+	WriteCalls   atomic.Int64 // vectored writes issued
+	FramesOut    atomic.Int64 // frames put on the wire
+	WireBytesOut atomic.Int64 // total bytes written, headers included
 }
 
 // Snapshot returns a plain-value copy of the counters.

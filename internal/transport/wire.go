@@ -7,7 +7,7 @@ import (
 	"io"
 )
 
-// Wire format, little-endian:
+// Wire format, little-endian — the one frame form every message takes:
 //
 //	kind   uint8   message kind (application-defined)
 //	flags  uint8   see flag bits below
@@ -22,50 +22,25 @@ import (
 // framing bugs and partial writes — a corrupted frame kills the
 // connection rather than delivering garbage to a handler.
 //
-// The pipelined data plane adds two frame forms on top of the classic
-// one, each selected by a flag bit:
+// Frames are self-delimiting, so a writer coalesces by putting several
+// back to back in one vectored write (pipeline.go); the stream needs no
+// envelope, preamble or negotiation for that.
 //
-//   - Control (flagControl): a connection preamble. The seq field carries
-//     the feature bits the writer will use on this connection (featBatch);
-//     the payload is empty. A writer that uses any extended
-//     form sends the preamble first; a reader that sees unknown feature
-//     bits kills the connection instead of misparsing later traffic. A
-//     first frame without flagControl marks a legacy (classic-only) peer.
-//
-//   - Batch (flagBatch, kind=0): a multi-frame envelope. The seq field is
-//     the sub-frame count, the payload is the concatenation of sub-frames
-//     `kind u8 | flags u8 | seq u64 | length u32 | payload`, and the outer
-//     CRC covers the whole payload (sub-frames carry no individual CRC).
-//     Batching lets one writev carry many messages — data decrements,
-//     piggybacked acks and small fetch replies coalesce into one syscall.
-//
-// Flag bit 4 and feature bit 1 belonged to a retired compressed-payload
-// form. Both stay reserved: a frame or preamble carrying either is a
-// protocol error that kills the connection, never silently ignored.
+// Flag bits 8, 16 and 32 belonged to retired frame forms (a multi-frame
+// batch envelope, a compressed payload, a connection preamble). All three
+// stay reserved: a frame carrying any of them is a protocol error that
+// kills the connection, never silently ignored.
 const (
 	frameHeaderLen = 1 + 1 + 4 + 8 + 4 + 4
-
-	// subHeaderLen is the per-sub-frame header inside a batch envelope:
-	// kind u8, flags u8, seq u64, length u32. No from (the envelope names
-	// the sender) and no CRC (the envelope CRC covers everything).
-	subHeaderLen = 1 + 1 + 8 + 4
 
 	flagResponse      = 1 << 0
 	flagError         = 1 << 1
 	flagRequestMarker = 1 << 2 // Call request (needs a response)
-	flagBatch         = 1 << 3
-	flagRetired       = 1 << 4 // reserved, see above
-	flagControl       = 1 << 5
-
-	// Feature bits carried in a control preamble's seq field.
-	featBatch = 1 << 0
-	featAll   = featBatch
+	flagsReserved     = 1<<3 | 1<<4 | 1<<5
 )
 
 // maxFrameLen bounds a single payload; larger frames indicate corruption.
 const maxFrameLen = 1 << 28 // 256 MiB
-
-var crcTable = crc32.IEEETable
 
 // putFrameHeader appends a classic frame header to dst.
 func putFrameHeader(dst []byte, kind, flags uint8, from int, seq uint64, length int, crc uint32) []byte {
@@ -79,80 +54,56 @@ func putFrameHeader(dst []byte, kind, flags uint8, from int, seq uint64, length 
 	return append(dst, hdr[:]...)
 }
 
-// putSubHeader appends a batch sub-frame header to dst.
-func putSubHeader(dst []byte, kind, flags uint8, seq uint64, length int) []byte {
-	var hdr [subHeaderLen]byte
-	hdr[0] = kind
-	hdr[1] = flags
-	binary.LittleEndian.PutUint64(hdr[2:10], seq)
-	binary.LittleEndian.PutUint32(hdr[10:14], uint32(length))
-	return append(dst, hdr[:]...)
+// frameHeader is a decoded frame header.
+type frameHeader struct {
+	kind, flags uint8
+	from        int
+	seq         uint64
+	n, crc      uint32
 }
 
-func writeFrame(w io.Writer, kind, flags uint8, from int, seq uint64, payload []byte) error {
-	hdr := putFrameHeader(nil, kind, flags, from, seq, len(payload), crc32.ChecksumIEEE(payload))
-	if _, err := w.Write(hdr); err != nil {
-		return err
+// parseFrameHeader decodes hdr and rejects what no writer produces: a
+// reserved flag bit, or a length past maxFrameLen.
+func parseFrameHeader(hdr *[frameHeaderLen]byte) (frameHeader, error) {
+	h := frameHeader{
+		kind:  hdr[0],
+		flags: hdr[1],
+		from:  int(binary.LittleEndian.Uint32(hdr[2:6])),
+		seq:   binary.LittleEndian.Uint64(hdr[6:14]),
+		n:     binary.LittleEndian.Uint32(hdr[14:18]),
+		crc:   binary.LittleEndian.Uint32(hdr[18:22]),
 	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
+	switch {
+	case h.flags&flagsReserved != 0:
+		return h, fmt.Errorf("transport: frame carries reserved flag bits %#x", h.flags&flagsReserved)
+	case h.n > maxFrameLen:
+		return h, fmt.Errorf("transport: frame too large (%d bytes)", h.n)
 	}
-	return nil
+	return h, nil
 }
 
+// readFrame reads one whole frame into a fresh buffer: the unpooled
+// reference reader the tests and fuzz targets parse streams with (the
+// endpoint's readLoop shares parseFrameHeader but reads into recvBufs).
 func readFrame(r io.Reader) (kind, flags uint8, from int, seq uint64, payload []byte, err error) {
 	var hdr [frameHeaderLen]byte
 	if _, err = io.ReadFull(r, hdr[:]); err != nil {
 		return
 	}
-	kind = hdr[0]
-	flags = hdr[1]
-	from = int(binary.LittleEndian.Uint32(hdr[2:6]))
-	seq = binary.LittleEndian.Uint64(hdr[6:14])
-	n := binary.LittleEndian.Uint32(hdr[14:18])
-	sum := binary.LittleEndian.Uint32(hdr[18:22])
-	if n > maxFrameLen {
-		err = fmt.Errorf("transport: frame too large (%d bytes)", n)
+	h, err := parseFrameHeader(&hdr)
+	if err != nil {
 		return
 	}
-	if n > 0 {
-		payload = make([]byte, n)
+	if h.n > 0 {
+		payload = make([]byte, h.n)
 		if _, err = io.ReadFull(r, payload); err != nil {
 			return
 		}
 	}
-	if crc32.ChecksumIEEE(payload) != sum {
-		err = fmt.Errorf("transport: frame checksum mismatch (kind %d, %d bytes)", kind, n)
+	if crc32.ChecksumIEEE(payload) != h.crc {
+		err = fmt.Errorf("transport: frame checksum mismatch (kind %d, %d bytes)", h.kind, h.n)
 	}
-	return
-}
-
-// walkBatch iterates the sub-frames of a CRC-verified batch payload,
-// calling fn for each. It reports false on structural damage — a header
-// that does not fit, a length past the end, trailing junk — or when fn
-// itself reports failure.
-func walkBatch(buf []byte, count uint64, fn func(kind, flags uint8, seq uint64, payload []byte) bool) bool {
-	off := 0
-	for i := uint64(0); i < count; i++ {
-		if off+subHeaderLen > len(buf) {
-			return false
-		}
-		kind := buf[off]
-		flags := buf[off+1]
-		seq := binary.LittleEndian.Uint64(buf[off+2 : off+10])
-		n := int(binary.LittleEndian.Uint32(buf[off+10 : off+14]))
-		off += subHeaderLen
-		if n < 0 || n > len(buf)-off {
-			return false
-		}
-		if !fn(kind, flags, seq, buf[off:off+n]) {
-			return false
-		}
-		off += n
-	}
-	return off == len(buf)
+	return h.kind, h.flags, h.from, h.seq, payload, err
 }
 
 // Wire errors preserve ErrDeadPlace identity across the connection so the

@@ -213,28 +213,15 @@ func WithTileSize(cells int) UntypedOption {
 	return jobOpt("WithTileSize", func(c *core.Common) { c.TileSize = cells })
 }
 
-// WithAggregation tunes the outbound decrement aggregator, which is on by
-// default. The aggregator is self-clocked — every scheduling quantum that
-// buffered a record wakes the flusher, which sends whatever accumulated
-// while its previous send was on the wire — so neither value shapes a
-// normal run: maxBatch is the record count at which a worker flushes a
-// destination's batch inline (the buffer-memory cap), and window is only
-// the fallback bound on how long a record could wait if a producer failed
-// to wake the flusher. Zero values keep the defaults (1ms, 256 records).
-// Job-scoped.
-func WithAggregation(window time.Duration, maxBatch int) UntypedOption {
-	return jobOpt("WithAggregation", func(c *core.Common) {
-		c.AggDisabled = false
-		c.AggWindow = window
-		c.AggMaxBatch = maxBatch
-	})
-}
-
-// WithoutAggregation disables cross-place decrement aggregation and value
-// push, restoring one message per completed vertex per destination — the
-// baseline arm of the agg ablation. Job-scoped.
+// WithoutAggregation restores the paper's §VI-C behaviour — one message
+// per completed vertex per destination, no value push — as the baseline
+// arm of the agg ablation: the aggregator's batch cap drops to one record,
+// so every record leaves on its own the moment it is produced. Job-scoped.
 func WithoutAggregation() UntypedOption {
-	return jobOpt("WithoutAggregation", func(c *core.Common) { c.AggDisabled = true })
+	return jobOpt("WithoutAggregation", func(c *core.Common) {
+		c.AggMaxBatch = 1
+		c.PushDisabled = true
+	})
 }
 
 // WithoutValuePush keeps decrement aggregation but stops piggybacking
@@ -486,86 +473,3 @@ type ChaosEvent = transport.InjectEvent
 
 // ChaosStats counts the faults a plan injected.
 type ChaosStats = transport.InjectStats
-
-// Deprecated generic forms of the untyped options above, kept so pre-chaos
-// call sites (dpx10.PlacesT[int32](8), formerly dpx10.Places[int32](8))
-// migrate mechanically. New code should use the untyped constructors;
-// DESIGN.md §9 schedules these aliases for removal with the next major
-// revision.
-
-// PlacesT is the deprecated generic form of Places.
-//
-// Deprecated: use Places.
-func PlacesT[T any](n int) Option[T] { return Places(n) }
-
-// ThreadsT is the deprecated generic form of Threads.
-//
-// Deprecated: use Threads.
-func ThreadsT[T any](n int) Option[T] { return Threads(n) }
-
-// WithStrategyT is the deprecated generic form of WithStrategy.
-//
-// Deprecated: use WithStrategy.
-func WithStrategyT[T any](s Strategy) Option[T] { return WithStrategy(s) }
-
-// CacheSizeT is the deprecated generic form of CacheSize.
-//
-// Deprecated: use CacheSize.
-func CacheSizeT[T any](entries int) Option[T] { return CacheSize(entries) }
-
-// WithAggregationT is the deprecated generic form of WithAggregation.
-//
-// Deprecated: use WithAggregation.
-func WithAggregationT[T any](window time.Duration, maxBatch int) Option[T] {
-	return WithAggregation(window, maxBatch)
-}
-
-// WithoutAggregationT is the deprecated generic form of WithoutAggregation.
-//
-// Deprecated: use WithoutAggregation.
-func WithoutAggregationT[T any]() Option[T] { return WithoutAggregation() }
-
-// WithoutValuePushT is the deprecated generic form of WithoutValuePush.
-//
-// Deprecated: use WithoutValuePush.
-func WithoutValuePushT[T any]() Option[T] { return WithoutValuePush() }
-
-// RestoreRemoteT is the deprecated generic form of RestoreRemote.
-//
-// Deprecated: use RestoreRemote.
-func RestoreRemoteT[T any]() Option[T] { return RestoreRemote() }
-
-// WithDistT is the deprecated generic form of WithDist.
-//
-// Deprecated: use WithDist.
-func WithDistT[T any](kind DistKind) Option[T] { return WithDist(kind) }
-
-// WithBlockCyclicDistT is the deprecated generic form of
-// WithBlockCyclicDist.
-//
-// Deprecated: use WithBlockCyclicDist.
-func WithBlockCyclicDistT[T any](blockRows int32) Option[T] { return WithBlockCyclicDist(blockRows) }
-
-// WithBlock2DDistT is the deprecated generic form of WithBlock2DDist.
-//
-// Deprecated: use WithBlock2DDist.
-func WithBlock2DDistT[T any](pr, pc int) Option[T] { return WithBlock2DDist(pr, pc) }
-
-// WithCustomDistT is the deprecated generic form of WithCustomDist.
-//
-// Deprecated: use WithCustomDist.
-func WithCustomDistT[T any](fn func(i, j int32, places int) int) Option[T] {
-	return WithCustomDist(fn)
-}
-
-// WithTraceT is the deprecated generic form of WithTrace.
-//
-// Deprecated: use WithTrace.
-func WithTraceT[T any](tr *Trace) Option[T] { return WithTrace(tr) }
-
-// WithSpillT is the deprecated generic form of WithSpill.
-//
-// Deprecated: use WithSpill.
-func WithSpillT[T any](dir string, pageVals, residentPages int) Option[T] {
-	return WithSpill(dir, pageVals, residentPages)
-}

@@ -22,7 +22,11 @@ go test ./internal/vcache/ -run xxx -bench BenchmarkVCacheParallel \
 	-benchtime "$benchtime" -benchmem | tee -a "$tmp"
 
 mkdir -p "$(dirname "$out")"
-awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v bt="$benchtime" '
+commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if ! git diff --quiet HEAD 2>/dev/null; then
+	commit="$commit+dirty"
+fi
+awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v commit="$commit" -v bt="$benchtime" '
 /^Benchmark/ {
 	name = $1; sub(/-[0-9]+$/, "", name)
 	line = sprintf("    {\"name\": \"%s\", \"iterations\": %s", name, $2)
@@ -37,7 +41,7 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v bt="$benchtime" '
 	lines[n++] = line "}"
 }
 END {
-	printf "{\n  \"generated\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", date, bt
+	printf "{\n  \"generated\": \"%s\",\n  \"commit\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"benchmarks\": [\n", date, commit, bt
 	for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
 	print "  ]\n}"
 }
