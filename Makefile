@@ -1,6 +1,6 @@
 # Convenience targets; the repository is plain `go build`-able.
 
-.PHONY: tier1 test vet vet-json vet-sarif bench bench-sched bench-net bench-skew fuzz chaos
+.PHONY: tier1 test vet vet-json vet-sarif bench bench-sched bench-net bench-skew bench-e2e fuzz chaos
 
 # The merge gate: build, vet (standard + dpx10-vet), full tests, race
 # detector across the tree. Same contract as scripts/tier1.sh.
@@ -49,6 +49,13 @@ bench-net:
 # random-victim stealing.
 bench-skew:
 	./scripts/bench_skew.sh results/BENCH_skew.json
+
+# The repo's end-to-end benchmark (benchmark/, a module of its own that
+# `go build ./...` does not reach) compiled against this tree and run once
+# per workload at its quick size. Exits non-zero when a workload's results
+# fail verification; the numbers it prints are not gated.
+bench-e2e:
+	go -C benchmark vet ./... && go -C benchmark run . -quick
 
 fuzz:
 	go test ./internal/core/ -run xxx -fuzz FuzzDecodeDecrBatch -fuzztime 30s

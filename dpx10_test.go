@@ -195,12 +195,16 @@ func TestLaunchKillRecovers(t *testing.T) {
 }
 
 func TestKillPlaceZero(t *testing.T) {
-	app := &swApp{a: "AAAAAAAAAAAAAAAAAAAA", b: "AAAAAAAAAAAAAAAAAAAA"}
+	// No cell computes until the kill has landed: a 441-cell run can
+	// otherwise finish before this goroutine gets to call Kill.
+	killed := make(chan struct{})
+	app := &swApp{a: "AAAAAAAAAAAAAAAAAAAA", b: "AAAAAAAAAAAAAAAAAAAA", onCompute: func() { <-killed }}
 	job, err := dpx10.Launch[int32](app, dpx10.DiagonalPattern(21, 21), dpx10.Places(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	job.Kill(0)
+	close(killed)
 	if _, err := job.Wait(); !errors.Is(err, dpx10.ErrPlaceZeroDead) {
 		t.Fatalf("err = %v, want ErrPlaceZeroDead", err)
 	}

@@ -13,7 +13,7 @@
 // (putU32/putU64/putID/putIDDelta, binary.LittleEndian.Append*,
 // binary.AppendUvarint/AppendVarint, append, Codec.Encode, and local
 // helper functions summarized to a fixed point) flow-insensitively in
-// statement order, including through helpers like appendIDBatch.
+// statement order, including through helpers like appendFetchReq.
 // Decoder shapes come from the handler body's reader method calls
 // (r.u8/u32/u64/id/uvarint/varint/idDelta/rest), Codec.Decode calls, and
 // decode*/split* helper summaries. A kind is checked only when both sides

@@ -18,7 +18,9 @@ type chaosArm struct {
 }
 
 // AblationChaos measures what fault injection costs the hardened fabric.
-// The first report runs SWLAG on the real runtime under a ladder of seeded
+// The first report runs SWLAG on the real runtime — on cyclic rows, so every
+// tile's inputs and completions cross places and the plans have hundreds of
+// messages to act on however much the engine batches — under a ladder of seeded
 // chaos plans — drops, duplicates, delays, a transient partition — with the
 // heartbeat detector and retry/backoff delivery absorbing the damage; every
 // arm must still produce the exact serial result. The second report sweeps
@@ -33,7 +35,7 @@ func AblationChaos(quick bool) ([]Report, error) {
 	b := workload.Sequence(side, workload.DNA, 22)
 
 	engine := Report{
-		Title: "Ablation — chaos-hardened fabric (SWLAG, real runtime, 4 places)",
+		Title: "Ablation — chaos-hardened fabric (SWLAG, cyclic rows, real runtime, 4 places)",
 		Header: []string{"arm", "time(s)", "normalized", "injected",
 			"retries", "dedup", "recoveries"},
 	}
@@ -50,11 +52,14 @@ func AblationChaos(quick bool) ([]Report, error) {
 				Delay: 0.20, DelayMin: 50 * time.Microsecond, DelayMax: time.Millisecond}
 		}},
 		{"transient partition", func() *dpx10.ChaosPlan {
-			// Place 0 loses place 3 for a window mid-run; heartbeats keep
-			// missing until the link heals or the detector declares it.
+			// Place 0 loses place 1 from the run's first message on: row 0's
+			// decrements and the coordinator's heartbeats both cross that
+			// link, so the window catches traffic however short the run is;
+			// heartbeats keep missing until the link heals or the detector
+			// declares the place.
 			return &dpx10.ChaosPlan{Seed: 104, Drop: 0.02,
 				Partitions: []dpx10.ChaosPartition{
-					{From: 0, To: 3, Start: 5 * time.Millisecond, End: 25 * time.Millisecond}}}
+					{From: 0, To: 1, Start: 0, End: 20 * time.Millisecond}}}
 		}},
 	}
 	var base float64
@@ -62,6 +67,7 @@ func AblationChaos(quick bool) ([]Report, error) {
 		app := apps.NewSWLAG(a, b)
 		opts := append(extra[apps.AffineCell](),
 			dpx10.Places(4),
+			dpx10.WithDist(dpx10.CyclicRowDist),
 			dpx10.WithCodec[apps.AffineCell](app.Codec()),
 			dpx10.WithHeartbeat(2*time.Millisecond, 5),
 		)

@@ -165,6 +165,11 @@ func TestRunWorkerRejectsUnsupportedApp(t *testing.T) {
 func TestRunLocalChaosArm(t *testing.T) {
 	p := smallParams("sw")
 	p.M, p.N = 80, 80
+	// Per-vertex tiles on cyclic rows: every cell fetches its N and NW
+	// inputs from the place above, one call per cell (~6 500 reliable
+	// messages), so a 5 % plan fires hundreds of times whatever the tiled
+	// engine batches away.
+	p.TileSize, p.Dist = 1, "cyclicrow"
 	p.ChaosSeed, p.ChaosDrop, p.ChaosDup = 9, 0.05, 0.05
 	p.HeartbeatMs, p.HeartbeatMiss = 2, 5
 	var out bytes.Buffer

@@ -65,9 +65,10 @@ func TestWorkerProcessCrashE2E(t *testing.T) {
 	args := func(place int) []string {
 		return []string{
 			"-place", fmt.Sprint(place), "-addrs", addrList,
-			// Sized so the run comfortably outlasts the post-formation kill
-			// delay below even on an unloaded machine; at 900 the run could
-			// finish in ~650ms and the kill landed after completion (flaky).
+			// Sized so the run outlasts the post-formation kill delay below
+			// several times over even on an unloaded machine: the four block
+			// rows compute one after another, ~400 ms from formation here now
+			// that each boundary costs one halo fetch instead of 1 801.
 			"-app", "swlag", "-m", "1800", "-threads", "2",
 		}
 	}
@@ -102,7 +103,7 @@ func TestWorkerProcessCrashE2E(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	time.Sleep(400 * time.Millisecond)
+	time.Sleep(75 * time.Millisecond)
 	if err := procs[2].Process.Signal(syscall.SIGKILL); err != nil {
 		t.Fatalf("killing worker 2: %v", err)
 	}

@@ -354,13 +354,22 @@ func (sc *SpillConfig) normalize() {
 
 // Stats aggregates observable behaviour of one run, for the benchmark
 // harness and the overhead/recovery experiments.
+//
+// RemoteFetches and FetchCalls count per tile, not per cell: a multi-cell
+// tile fetches each distinct remote dependency once, whatever number of its
+// cells read it, with at most one kindFetch call per owning place (per 4096
+// ids). With the cache off RemoteFetches is therefore the sum over executed
+// tiles of their distinct remote dependencies, and FetchCalls is at most
+// tiles × (places − 1). On the per-cell path — TileSize 1, exec migration —
+// both are the paper's per-vertex counts: one value per remote dependency
+// edge, one call per owning place per cell.
 type Stats struct {
 	Places         int
 	Epochs         int   // 1 + number of recoveries
 	Recoveries     int   // failures survived
 	RecoveryNanos  int64 // total wall time spent inside recovery
 	ComputedCells  int64 // compute() invocations that produced a result
-	RemoteFetches  int64 // dependency values moved between places
+	RemoteFetches  int64 // dependency values fetched from other places (see above)
 	LocalReads     int64 // dependency values served from the local chunk
 	CacheHits      int64
 	CacheMisses    int64
@@ -370,7 +379,7 @@ type Stats struct {
 	MsgsSent       int64 // transport messages (sends + calls)
 	BytesSent      int64 // transport payload bytes
 	SendsOut       int64 // one-way transport messages (decrements, notifications)
-	FetchCalls     int64 // kindFetch round-trips issued
+	FetchCalls     int64 // kindFetch round-trips issued (see above)
 	AggBatches     int64 // aggregated decrement batches flushed
 	DecrsCoalesced int64 // decrement records carried by those batches
 	ValuesPushed   int64 // vertex values piggybacked onto aggregated batches

@@ -26,7 +26,7 @@ var fuzzedWireKinds = []uint8{
 // what the kind's handler does with an incoming payload. A probe must be
 // total: any input returns normally (possibly with an error) — no panics.
 var wireProbes = map[uint8]func(data []byte){
-	kindFetch:     func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
+	kindFetch:     func(b []byte) { _, _, _ = decodeFetchReq(b, nil) },
 	kindExec:      func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.id() },
 	kindPlaceDone: func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
 	kindFault:     func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
@@ -117,9 +117,9 @@ func TestWireKindsCovered(t *testing.T) {
 	}
 }
 
-// FuzzDecodeIDBatch hardens the wire decoder shared by fetch requests,
-// decrement batches and replay batches: arbitrary bytes must never panic
-// or allocate absurdly, and every valid encoding must round-trip.
+// FuzzDecodeIDBatch hardens the replay batch decoder: arbitrary bytes must
+// never panic or allocate absurdly, and every valid encoding must
+// round-trip.
 func FuzzDecodeIDBatch(f *testing.F) {
 	f.Add(encodeIDBatch(0, nil))
 	f.Add(encodeIDBatch(7, []dag.VertexID{{I: 1, J: 2}, {I: -3, J: 1 << 30}}))
@@ -143,6 +143,104 @@ func FuzzDecodeIDBatch(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fetchReqSeeds are the delta-coded kindFetch request's edge cases: a halo
+// in walk order, deltas that are negative or span the whole int32 range, a
+// full chunk, and the malformed inputs the handler must reject — a varint cut
+// short, an overlong one, a delta that leaves int32, a count above the chunk
+// bound and one above what the payload could hold.
+func fetchReqSeeds() [][]byte {
+	const lo, hi = -1 << 31, 1<<31 - 1
+	req := func(n uint32, body ...byte) []byte { return append(putU32(putU64(nil, 1), n), body...) }
+	full := make([]dag.VertexID, fetchMaxIDs)
+	for k := range full {
+		full[k] = dag.VertexID{I: int32(k / 64), J: int32(k % 64)}
+	}
+	wide := appendFetchReq(nil, 7, []dag.VertexID{{I: 1, J: 2}, {I: -3, J: 1 << 30}, {I: lo, J: hi}, {I: hi, J: lo}})
+	overlong := bytes.Repeat([]byte{0x80}, binary.MaxVarintLen64+1)
+	return [][]byte{
+		appendFetchReq(nil, 0, nil),
+		appendFetchReq(nil, 3, []dag.VertexID{{I: 4, J: 500}, {I: 4, J: 499}, {I: 4, J: 498}, {I: 5, J: 500}}),
+		wide,
+		appendFetchReq(nil, 9, full),
+		wide[:len(wide)-1],             // last id's ΔJ cut off
+		req(1, 0x80),                   // ΔI: continuation bit, then nothing
+		req(1, append(overlong, 0)...), // ΔI: more continuation bytes than a varint has
+		req(1, binary.AppendVarint(nil, 1<<32)...),                               // I leaves int32
+		req(2, append([]byte{0, 0}, binary.AppendVarint([]byte{0}, hi+1)...)...), // second J leaves int32
+		req(fetchMaxIDs+1, make([]byte, 2*(fetchMaxIDs+1))...),                   // above the chunk bound
+		req(0xFFFFFFFF), // huge claimed count
+		{},
+		{1, 2, 3},
+	}
+}
+
+// FuzzDecodeFetchReq hardens the fetch request decoder: arbitrary bytes
+// must never panic, a decoded request never exceeds the chunk bound, and
+// every payload that decodes round-trips through appendFetchReq unchanged.
+func FuzzDecodeFetchReq(f *testing.F) {
+	for _, seed := range fetchReqSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		epoch, ids, err := decodeFetchReq(data, nil)
+		if err != nil {
+			return
+		}
+		if len(ids) > fetchMaxIDs {
+			t.Fatalf("decoded %d ids, above the %d bound", len(ids), fetchMaxIDs)
+		}
+		epoch2, ids2, err2 := decodeFetchReq(appendFetchReq(nil, epoch, ids), nil)
+		if err2 != nil || epoch2 != epoch || len(ids2) != len(ids) {
+			t.Fatalf("round trip failed: %v / %d->%d ids", err2, len(ids), len(ids2))
+		}
+		for k := range ids {
+			if ids[k] != ids2[k] {
+				t.Fatalf("id %d changed: %v -> %v", k, ids[k], ids2[k])
+			}
+		}
+	})
+}
+
+// TestFetchReqCompact pins the request's promises: a halo in walk order
+// costs about two bytes an id against eight fixed-width, steady-state decode
+// does not allocate, and every malformed seed — truncated or overlong varint,
+// a delta leaving int32, a count above the bound — is rejected without
+// allocating either.
+func TestFetchReqCompact(t *testing.T) {
+	halo := make([]dag.VertexID, 300)
+	for k := range halo {
+		halo[k] = dag.VertexID{I: int32(40 + k/100), J: int32(400 + k%100)}
+	}
+	payload := appendFetchReq(nil, 1, halo)
+	if perID := float64(len(payload)-12) / float64(len(halo)); perID > 2.1 {
+		t.Fatalf("walk-order halo costs %.2f bytes an id, want about 2", perID)
+	}
+	_, buf, err := decodeFetchReq(payload, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, buf, err = decodeFetchReq(payload, buf[:0])
+	}); allocs != 0 || err != nil {
+		t.Fatalf("steady-state decode: %v allocs/op, err %v; want 0, nil", allocs, err)
+	}
+	rejected := 0
+	for k, seed := range fetchReqSeeds() {
+		if _, _, err := decodeFetchReq(seed, nil); err == nil {
+			continue // the well-formed seeds
+		}
+		rejected++
+		if allocs := testing.AllocsPerRun(100, func() {
+			_, buf, err = decodeFetchReq(seed, buf[:0])
+		}); allocs != 0 || err == nil {
+			t.Fatalf("malformed seed %d: %v allocs/op, err %v; want 0 and an error", k, allocs, err)
+		}
+	}
+	if rejected != 9 {
+		t.Fatalf("%d seeds rejected, want the 9 malformed ones", rejected)
+	}
 }
 
 // decrBatchSeeds are the compact-record edge cases shared by the two
@@ -352,7 +450,7 @@ func FuzzReader(f *testing.F) {
 // added on one side only, a count written but not read back) breaks
 // byte-identity before it breaks a cluster.
 var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
-	kindFetch:     rtIDBatch,
+	kindFetch:     rtFetchReq,
 	kindReplayTx:  rtIDBatch,
 	kindDecrBatch: rtDecrBatch,
 	kindExec:      rtExec,
@@ -382,6 +480,14 @@ func rtIDBatch(data []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return encodeIDBatch(epoch, ids), true
+}
+
+func rtFetchReq(data []byte) ([]byte, bool) {
+	epoch, ids, err := decodeFetchReq(data, nil)
+	if err != nil {
+		return nil, false
+	}
+	return appendFetchReq(nil, epoch, ids), true
 }
 
 func rtDecrBatch(data []byte) ([]byte, bool) {
@@ -528,7 +634,7 @@ func wireSeeds() map[uint8][]byte {
 		idVals = cd.Encode(idVals, int64(100+k))
 	}
 	return map[uint8][]byte{
-		kindFetch:    encodeIDBatch(3, ids),
+		kindFetch:    appendFetchReq(nil, 3, ids),
 		kindReplayTx: encodeIDBatch(5, ids),
 		kindDecrBatch: encodeDecrBatch(6, cd, []decrRecord[int64]{
 			{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
@@ -603,9 +709,11 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	for _, seed := range decrBatchSeeds() {
 		f.Add(kindDecrBatch, seed)
 	}
+	for _, seed := range fetchReqSeeds() {
+		f.Add(kindFetch, seed)
+	}
 	f.Add(uint8(0), []byte{})                            // not a protocol kind
 	f.Add(uint8(2), encodeIDBatch(4, nil))               // the retired per-vertex decrement: not one either
-	f.Add(kindFetch, []byte{1, 2})                       // truncated
 	f.Add(kindPause, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		rt, ok := wireRoundTrips[kind]

@@ -75,9 +75,13 @@ func (pe *placeEngine[T]) stateAt(epoch uint64) (*epochState[T], error) {
 }
 
 // handleFetch serves finished vertex values to a peer resolving its
-// dependencies. Values are encoded in request order.
+// dependencies — a tile's halo, or one cell's on the fallback path. Values
+// are encoded in request order.
 func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) {
-	epoch, ids, err := decodeIDBatch(payload, nil)
+	sc := pe.getScratch()
+	defer pe.putScratch(sc)
+	epoch, ids, err := decodeFetchReq(payload, sc.ids[:0])
+	sc.ids = ids // keep grown capacity in the pool
 	if err != nil {
 		return nil, err
 	}
@@ -85,12 +89,12 @@ func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	reply := make([]byte, 0, len(ids)*8)
+	reply := make([]byte, 0, len(ids)*pe.valueSize())
 	for _, id := range ids {
-		if st.d.Place(id.I, id.J) != pe.self {
-			return nil, fmt.Errorf("core: place %d asked to fetch %v owned by %d", pe.self, id, st.d.Place(id.I, id.J))
+		owner, off := st.d.PlaceOffset(id.I, id.J)
+		if owner != pe.self {
+			return nil, fmt.Errorf("core: place %d asked to fetch %v owned by %d", pe.self, id, owner)
 		}
-		off := st.d.LocalOffset(id.I, id.J)
 		if !st.chunk.Finished(off) {
 			return nil, fmt.Errorf("core: fetch of unfinished vertex %v from place %d", id, from)
 		}
@@ -160,7 +164,7 @@ func (pe *placeEngine[T]) handleExec(from int, payload []byte) ([]byte, error) {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
 	sc.depIDs = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.depIDs[:0])
-	v, err := pe.computeHere(st, sc, id.I, id.J, sc.depIDs)
+	v, err := pe.computeWith(st, sc, id.I, id.J, sc.depIDs, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,7 +49,7 @@ type lifelineState[T any] struct {
 	edges []int // this place's outgoing lifeline edges (alive-place ids)
 
 	mu     sync.Mutex
-	parked []int            // places parked on this place, dedup, FIFO
+	parked []int             // places parked on this place, dedup, FIFO
 	inbox  []migratedTile[T] // tiles pushed here, not yet claimed
 
 	nParked atomic.Int32 // len(parked) mirror for lock-free fast paths
@@ -386,72 +385,10 @@ func (pe *placeEngine[T]) maybePark(st *epochState[T], sc *scratch[T]) bool {
 	return got
 }
 
-// runMigrated executes a pushed tile: dependency values delivered with it
-// seed the in-flight map (gatherDeps falls back to local reads, cache and
-// fetches for the rest), cells compute in the sender's stated order, and
-// the results return to the owning place over the ordinary steal-done
-// path. A tile that diffused back to its own owner completes locally.
+// runMigrated executes a pushed tile (runForeign) and counts the run when
+// its results went back to the owning place over the steal-done path.
 func (pe *placeEngine[T]) runMigrated(st *epochState[T], sc *scratch[T], mt migratedTile[T]) {
-	if len(mt.cells) == 0 {
-		return
-	}
-	owner := st.d.Place(mt.cells[0].I, mt.cells[0].J)
-	if sc.stolenVals == nil {
-		sc.stolenVals = make(map[dag.VertexID]T, len(mt.cells)+len(mt.depIDs))
-	}
-	defer clear(sc.stolenVals)
-	for k, id := range mt.depIDs {
-		sc.stolenVals[id] = mt.depVals[k]
-	}
-	sc.stolenIDs = append(sc.stolenIDs[:0], mt.cells...)
-	if owner == pe.self {
-		// Forwarded full circle: we own these cells, so complete them
-		// directly — the same store-and-propagate the steal-done handler
-		// would have run for us.
-		ran := false
-		for _, id := range sc.stolenIDs {
-			sc.depIDs = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.depIDs[:0])
-			v, err := pe.computeHere(st, sc, id.I, id.J, sc.depIDs)
-			if err != nil || pe.stale(st) {
-				break
-			}
-			sc.stolenVals[id] = v
-			ran = true
-			pe.completeVertex(st, sc, st.d.LocalOffset(id.I, id.J), id.I, id.J, v)
-		}
-		if ran {
-			pe.tilesRun.Add(1)
-			pe.mTiles.Inc(sc.wkr)
-			pe.mJobTiles.Add(pe.jobKey, 1)
-		}
-		return
-	}
-	// [epoch][count][(id, value)...], count backpatched — the steal-done
-	// wire shape, truncated to the finished prefix on a mid-tile error.
-	sc.out = putU64(sc.out[:0], st.epoch)
-	cntAt := len(sc.out)
-	sc.out = putU32(sc.out, 0)
-	done := 0
-	for _, id := range sc.stolenIDs {
-		sc.depIDs = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.depIDs[:0])
-		v, err := pe.computeHere(st, sc, id.I, id.J, sc.depIDs)
-		if err != nil {
-			break // the owner's recovery will reschedule the rest
-		}
-		sc.stolenVals[id] = v
-		sc.out = putID(sc.out, id)
-		sc.out = pe.cfg.Codec.Encode(sc.out, v)
-		done++
-	}
-	if done == 0 {
-		return
-	}
-	binary.LittleEndian.PutUint32(sc.out[cntAt:], uint32(done))
-	pe.tilesRun.Add(1)
-	pe.mTiles.Inc(sc.wkr)
-	pe.mJobTiles.Add(pe.jobKey, 1)
-	pe.migrRun.Add(1)
-	if _, err := pe.tr.Call(owner, kindStealDone, sc.out); err != nil {
-		pe.peerError(owner, err)
+	if _, returned := pe.runForeign(st, sc, mt); returned {
+		pe.migrRun.Add(1)
 	}
 }

@@ -176,7 +176,7 @@ type scratch[T any] struct {
 	cells       []Cell[T]      // deps passed to Compute; valid only during the call
 	ids         []dag.VertexID // fetch request id batch
 	enc         []byte         // wire encode buffer
-	out         []byte         // second encode buffer for messages built across computeHere calls
+	out         []byte         // second encode buffer for messages built across computeWith calls
 
 	recs    []decrRecord[T] // handleDecrBatch decode state
 	targets []dag.VertexID
@@ -205,18 +205,32 @@ type scratch[T any] struct {
 	pendTile []int32                   // target tiles with parked decrements (tiny; linear scan)
 	pendCnt  []int32                   // parked decrement count per entry of pendTile
 	extDeps  []dag.VertexID            // PickTile inputs (MinComm)
-	extSeen  map[dag.VertexID]struct{} // dedup for extDeps; lazily allocated
-	// stolenIDs/stolenVals carry a thief's stolen tile: the cell list in
-	// the victim's stated order (a dedicated buffer — gatherDeps reuses
-	// sc.ids mid-loop) and the in-flight results, so gatherDeps resolves
-	// intra-tile dependencies without fetching values the victim has not
-	// stored yet.
-	stolenIDs  []dag.VertexID
-	stolenVals map[dag.VertexID]T
+	extSeen  map[dag.VertexID]struct{} // dedup for extDeps; a foreign walk's own cells; lazily allocated
+	// stolenIDs is a thief's stolen tile: the cell list in the victim's
+	// stated order (a dedicated buffer — gatherDeps reuses sc.ids mid-loop).
+	stolenIDs []dag.VertexID
+	// halo holds the values the tile being walked reads from other places:
+	// filled by prefetchHalo before the cells run, pre-seeded with what a
+	// lifeline push delivered, and — on a thief — extended with each in-flight
+	// result, which the owner has not stored yet. gatherDeps consults it
+	// before the vertex cache, so a walk's inputs do not depend on surviving
+	// the LRU. Bounded by the distinct remote dependencies of one tile (plus
+	// the tile's own cells on a thief); emptied when the walk ends, never
+	// reallocated.
+	halo map[dag.VertexID]T
 
 	// wkr is the owning worker's deque index, or -1 when the scratch is
 	// used by a protocol handler; enqueueTile uses it for LIFO locality.
 	wkr int
+}
+
+func newScratch[T any](wkr int) *scratch[T] {
+	return &scratch[T]{
+		remote:   make(map[int][]dag.VertexID, 4),
+		fetchIdx: make(map[int][]int, 4),
+		halo:     make(map[dag.VertexID]T),
+		wkr:      wkr,
+	}
 }
 
 func (pe *placeEngine[T]) getScratch() *scratch[T] {
@@ -224,11 +238,7 @@ func (pe *placeEngine[T]) getScratch() *scratch[T] {
 		sc.wkr = -1
 		return sc
 	}
-	return &scratch[T]{
-		remote:   make(map[int][]dag.VertexID, 4),
-		fetchIdx: make(map[int][]int, 4),
-		wkr:      -1,
-	}
+	return newScratch[T](-1)
 }
 
 func (pe *placeEngine[T]) putScratch(sc *scratch[T]) { pe.scratchPool.Put(sc) }
@@ -284,11 +294,7 @@ func newPlaceEngine[T any](self int, cfg *Config[T], tr transport.Transport, abo
 		pe.spanSteal = fmt.Sprintf("j%d:steal", job)
 	}
 	for w := range pe.workers {
-		pe.workers[w].sc = &scratch[T]{
-			remote:   make(map[int][]dag.VertexID, 4),
-			fetchIdx: make(map[int][]int, 4),
-			wkr:      w,
-		}
+		pe.workers[w].sc = newScratch[T](w)
 	}
 	pe.mTiles = reg.Counter(metrics.SchedTilesExecuted)
 	pe.mStealAtt = reg.Counter(metrics.SchedStealsAttempted)
@@ -557,6 +563,18 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 	sc.deferOn = true
 	defer pe.flushTileWalk(st, sc)
 	cached := st.chunk.DepCached()
+	if st.chunk.TileRemote(tile) && !migrate {
+		// The activation scan saw a remote dependency in this tile: move the
+		// whole halo now, one fetch per owning place, instead of one per cell.
+		deps, res := sc.tileDeps, sc.tileDepRes
+		if cached {
+			deps, res = st.chunk.TileDeps(lo, hi)
+		}
+		defer clear(sc.halo)
+		if pe.prefetchHalo(st, sc, deps, res, nil) != nil {
+			return // dead peer or superseded epoch, as for a cell's own fetch below
+		}
+	}
 	for k, off := range order {
 		select {
 		case <-st.quit:
@@ -785,11 +803,8 @@ func (pe *placeEngine[T]) tileExtDeps(st *epochState[T], sc *scratch[T], lo, hi 
 	return sc.extDeps
 }
 
-// trySteal asks one random alive peer for a ready tile, computes its
-// cells here in the victim's stated order and returns the results to the
-// owner (which stores them and propagates decrements). Intra-tile
-// dependencies resolve from the thief's in-flight result map — the victim
-// has not stored them yet. Returns whether any work was done.
+// trySteal asks one random alive peer for a ready tile and runs it here
+// (runForeign). Returns whether any work was done.
 func (pe *placeEngine[T]) trySteal(st *epochState[T], sc *scratch[T], rng *rand.Rand) bool {
 	places := st.d.Places()
 	victim := places[rng.Intn(len(places))]
@@ -841,41 +856,12 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 	if r.err != nil {
 		return false
 	}
-	if sc.stolenVals == nil {
-		sc.stolenVals = make(map[dag.VertexID]T, n)
-	}
-	defer clear(sc.stolenVals)
-	// [epoch][count][(id, value)...], count backpatched: a mid-tile error
-	// (the victim died, or a recovery superseded the epoch) still returns
-	// the finished prefix — the victim can keep restored work across a
-	// redistribution — and the recovery reschedules the rest.
-	sc.out = putU64(sc.out[:0], st.epoch)
-	cntAt := len(sc.out)
-	sc.out = putU32(sc.out, 0)
-	done := 0
-	for _, id := range sc.stolenIDs {
-		sc.depIDs = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.depIDs[:0])
-		v, err := pe.computeHere(st, sc, id.I, id.J, sc.depIDs)
-		if err != nil {
-			break // the victim's recovery will reschedule the rest
-		}
-		sc.stolenVals[id] = v
-		sc.out = putID(sc.out, id)
-		sc.out = pe.cfg.Codec.Encode(sc.out, v)
-		done++
-	}
+	done, _ := pe.runForeign(st, sc, migratedTile[T]{tile: -1, cells: sc.stolenIDs})
 	if done == 0 {
 		return false
 	}
-	binary.LittleEndian.PutUint32(sc.out[cntAt:], uint32(done))
 	pe.stolen.Add(int64(done))
-	pe.tilesRun.Add(1)
-	pe.mTiles.Inc(sc.wkr)
-	pe.mJobTiles.Add(pe.jobKey, 1)
 	pe.mStealOK.Inc(sc.wkr)
-	if _, err := pe.tr.Call(victim, kindStealDone, sc.out); err != nil {
-		pe.peerError(victim, err)
-	}
 	if sp != nil {
 		sp.Add(pe.spanSteal, pe.self, sc.wkr, spanStart)
 	}
@@ -1156,18 +1142,14 @@ func tileWaves[T any](d dist.Dist, chunk *distarray.Chunk[T], self int) []int32 
 	return waves
 }
 
-// computeHere gathers dependency values (locally, from the cache, or by
-// remote fetch) and invokes the user's compute function on this place. It
-// runs at the executing place — the owner under local scheduling, the
-// target under exec migration, the thief under stealing — so telemetry
-// recorded here attributes work to where it actually ran.
-func (pe *placeEngine[T]) computeHere(st *epochState[T], sc *scratch[T], i, j int32, depIDs []dag.VertexID) (T, error) {
-	return pe.computeWith(st, sc, i, j, depIDs, nil)
-}
-
-// computeWith is computeHere with optional pre-resolved dependency
-// ownership (parallel to depIDs); the tile walk supplies it from
-// tileOrder's scan so the dist is not queried twice per edge.
+// computeWith gathers dependency values (locally, from the tile's halo,
+// from the cache, or by remote fetch) and invokes the user's compute
+// function on this place. It runs at the executing place — the owner under
+// local scheduling, the target under exec migration, the thief under
+// stealing — so telemetry recorded here attributes work to where it
+// actually ran. depRes is the optional pre-resolved dependency ownership
+// (parallel to depIDs); the tile walks supply it so the dist is not
+// queried twice per edge.
 func (pe *placeEngine[T]) computeWith(st *epochState[T], sc *scratch[T], i, j int32, depIDs []dag.VertexID, depRes []cellRef) (T, error) {
 	var t0 time.Time
 	if pe.cfg.Trace != nil {
@@ -1185,10 +1167,10 @@ func (pe *placeEngine[T]) computeWith(st *epochState[T], sc *scratch[T], i, j in
 	return v, nil
 }
 
-// gatherDeps resolves dependency values in the pattern's order: the
-// thief's in-flight stolen results, local chunk reads, cache hits
-// (including sender-pushed values), then one batched kindFetch round-trip
-// per remaining owner.
+// gatherDeps resolves dependency values in the pattern's order: local
+// chunk reads, the walk's halo, cache hits (including sender-pushed
+// values), then one batched fetch per remaining owner — the fallback for
+// single-cell tiles, exec migration and anything a halo did not cover.
 func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], depIDs []dag.VertexID, depRes []cellRef) ([]Cell[T], error) {
 	if cap(sc.cells) < len(depIDs) {
 		sc.cells = make([]Cell[T], len(depIDs))
@@ -1202,12 +1184,6 @@ func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], depIDs [
 	localReads := 0
 	for k, id := range depIDs {
 		cells[k].ID = id
-		if len(sc.stolenVals) > 0 {
-			if v, ok := sc.stolenVals[id]; ok {
-				cells[k].Value = v
-				continue
-			}
-		}
 		var owner, off int
 		if depRes != nil {
 			owner, off = int(depRes[k].Owner), int(depRes[k].Off)
@@ -1221,6 +1197,12 @@ func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], depIDs [
 			cells[k].Value = st.chunk.Value(off)
 			localReads++
 			continue
+		}
+		if len(sc.halo) > 0 {
+			if v, ok := sc.halo[id]; ok {
+				cells[k].Value = v
+				continue
+			}
 		}
 		if v, ok, pushed := st.cache.GetTagged(id); ok {
 			cells[k].Value = v
@@ -1250,11 +1232,31 @@ func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], depIDs [
 		for _, k := range idxs {
 			sc.ids = append(sc.ids, depIDs[k])
 		}
+		vals, err := pe.fetchValues(st, sc, owner, sc.ids)
+		if err != nil {
+			return nil, err
+		}
+		for n, k := range idxs {
+			cells[k].Value = vals[n]
+		}
+	}
+	sc.fetchOwners = sc.fetchOwners[:0]
+	return cells, nil
+}
+
+// fetchValues reads the finished values of ids, all owned by owner, into
+// sc.vals in id order: one kindFetch call per fetchMaxIDs ids. Every value
+// is offered to the vertex cache.
+func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner int, ids []dag.VertexID) ([]T, error) {
+	sc.vals = sc.vals[:0]
+	for len(ids) > 0 {
+		req := ids[:min(len(ids), fetchMaxIDs)]
+		ids = ids[len(req):]
 		var f0 time.Time
 		if pe.cfg.Trace != nil {
 			f0 = time.Now()
 		}
-		sc.enc = appendIDBatch(sc.enc[:0], st.epoch, sc.ids)
+		sc.enc = appendFetchReq(sc.enc[:0], st.epoch, req)
 		pe.fetchCalls.Add(1)
 		reply, err := pe.tr.Call(owner, kindFetch, sc.enc)
 		if pe.cfg.Trace != nil {
@@ -1264,20 +1266,168 @@ func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], depIDs [
 			pe.peerError(owner, err)
 			return nil, err
 		}
-		buf := reply
-		for _, k := range idxs {
-			v, n, derr := pe.cfg.Codec.Decode(buf)
+		for _, id := range req {
+			v, n, derr := pe.cfg.Codec.Decode(reply)
 			if derr != nil {
 				return nil, fmt.Errorf("core: fetch decode from place %d: %w", owner, derr)
 			}
-			buf = buf[n:]
-			cells[k].Value = v
-			st.cache.Put(depIDs[k], v)
-			pe.remoteFetches.Add(1)
+			reply = reply[n:]
+			sc.vals = append(sc.vals, v)
+			st.cache.Put(id, v)
+		}
+		pe.remoteFetches.Add(int64(len(req)))
+	}
+	return sc.vals, nil
+}
+
+// prefetchHalo moves a tile's halo before its cells run. deps/res are the
+// flattened resolved dependencies of the cells about to execute; own lists
+// those cells when another place owns them (a thief's or a lifeline
+// receiver's walk — the owner has not stored them, so they are never
+// fetched; an owner's own cells are local and skipped as such). Every
+// distinct remote dependency that the halo buffer does not already hold is
+// copied out of the vertex cache or, failing that, fetched — one fetchValues
+// per owning place — and lands in sc.halo, where gatherDeps finds it.
+// Callers empty sc.halo when their walk ends, and abandon the walk on an
+// error: a value still to be fetched is held as a zero placeholder, which
+// also keeps a second edge to it from listing it twice.
+func (pe *placeEngine[T]) prefetchHalo(st *epochState[T], sc *scratch[T], deps []dag.VertexID, res []cellRef, own []dag.VertexID) error {
+	if len(own) > 0 {
+		if sc.extSeen == nil {
+			sc.extSeen = make(map[dag.VertexID]struct{}, len(own))
+		}
+		clear(sc.extSeen)
+		for _, id := range own {
+			sc.extSeen[id] = struct{}{}
 		}
 	}
-	sc.fetchOwners = sc.fetchOwners[:0]
-	return cells, nil
+	// Clear grouping state a previous, error-aborted use may have left.
+	for _, owner := range sc.owners {
+		sc.remote[owner] = sc.remote[owner][:0]
+	}
+	sc.owners = sc.owners[:0]
+	var hits, misses, pushHits int64
+	for k, dep := range deps {
+		owner := int(res[k].Owner)
+		if owner == pe.self {
+			continue
+		}
+		if _, held := sc.halo[dep]; held {
+			continue
+		}
+		if len(own) > 0 {
+			if _, mine := sc.extSeen[dep]; mine {
+				continue
+			}
+		}
+		v, ok, pushed := st.cache.GetTagged(dep)
+		sc.halo[dep] = v
+		if ok {
+			hits++
+			if pushed {
+				pushHits++
+				if pe.cfg.Trace != nil {
+					pe.cfg.Trace.AddPushHit(pe.self)
+				}
+			}
+			continue
+		}
+		misses++
+		lst := sc.remote[owner]
+		if len(lst) == 0 {
+			sc.owners = append(sc.owners, owner)
+		}
+		sc.remote[owner] = append(lst, dep)
+	}
+	pe.cacheHits.Add(hits)
+	pe.cacheMisses.Add(misses)
+	pe.pushConsumed.Add(pushHits)
+	for _, owner := range sc.owners {
+		ids := sc.remote[owner]
+		sc.remote[owner] = ids[:0]
+		vals, err := pe.fetchValues(st, sc, owner, ids)
+		if err != nil {
+			return err
+		}
+		for k, id := range ids {
+			sc.halo[id] = vals[k]
+		}
+	}
+	sc.owners = sc.owners[:0]
+	return nil
+}
+
+// runForeign executes a tile that arrived from another place — stolen from
+// it, or pushed here along a lifeline — and reports how many cells it
+// computed and whether their results went back over the wire. mt.cells is
+// the owner's stated intra-tile dependency order; dependency values delivered
+// with the tile pre-seed the halo. The walk resolves every cell's
+// dependencies once, moves the rest of the halo in one step (the tile's own
+// cells excluded: their values exist only here, in sc.halo, until the owner
+// stores them), computes in order and returns the results to the owner over
+// kindStealDone, which stores them and propagates decrements. A tile that
+// diffused back to its own owner completes locally instead.
+func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], mt migratedTile[T]) (done int, returned bool) {
+	if len(mt.cells) == 0 {
+		return 0, false
+	}
+	owner := st.d.Place(mt.cells[0].I, mt.cells[0].J)
+	sc.tileDeps = sc.tileDeps[:0]
+	sc.tileDepRes = sc.tileDepRes[:0]
+	sc.tileDepAt = sc.tileDepAt[:0]
+	for _, id := range mt.cells {
+		at := len(sc.tileDeps)
+		sc.tileDepAt = append(sc.tileDepAt, int32(at))
+		sc.tileDeps = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.tileDeps)
+		for _, dep := range sc.tileDeps[at:] {
+			o, off := st.d.PlaceOffset(dep.I, dep.J)
+			sc.tileDepRes = append(sc.tileDepRes, cellRef{Owner: int32(o), Off: int32(off)})
+		}
+	}
+	sc.tileDepAt = append(sc.tileDepAt, int32(len(sc.tileDeps)))
+	defer clear(sc.halo)
+	for k, id := range mt.depIDs {
+		sc.halo[id] = mt.depVals[k]
+	}
+	if pe.prefetchHalo(st, sc, sc.tileDeps, sc.tileDepRes, mt.cells) != nil {
+		return 0, false // the owner's recovery will reschedule the tile
+	}
+	// [epoch][count][(id, value)...], count backpatched: a mid-tile error
+	// (the owner died, or a recovery superseded the epoch) still returns the
+	// finished prefix — the owner can keep restored work across a
+	// redistribution — and the recovery reschedules the rest.
+	sc.out = putU64(sc.out[:0], st.epoch)
+	cntAt := len(sc.out)
+	sc.out = putU32(sc.out, 0)
+	for k, id := range mt.cells {
+		a, b := sc.tileDepAt[k], sc.tileDepAt[k+1]
+		v, err := pe.computeWith(st, sc, id.I, id.J, sc.tileDeps[a:b], sc.tileDepRes[a:b])
+		if err != nil || pe.stale(st) {
+			break
+		}
+		if owner == pe.self {
+			pe.completeVertex(st, sc, st.d.LocalOffset(id.I, id.J), id.I, id.J, v)
+		} else {
+			sc.halo[id] = v
+			sc.out = putID(sc.out, id)
+			sc.out = pe.cfg.Codec.Encode(sc.out, v)
+		}
+		done++
+	}
+	if done == 0 {
+		return 0, false
+	}
+	pe.tilesRun.Add(1)
+	pe.mTiles.Inc(sc.wkr)
+	pe.mJobTiles.Add(pe.jobKey, 1)
+	if owner == pe.self {
+		return done, false
+	}
+	binary.LittleEndian.PutUint32(sc.out[cntAt:], uint32(done))
+	if _, err := pe.tr.Call(owner, kindStealDone, sc.out); err != nil {
+		pe.peerError(owner, err)
+	}
+	return done, true
 }
 
 // execRemote ships the vertex to another place for execution

@@ -264,20 +264,14 @@ func putID(dst []byte, id dag.VertexID) []byte {
 	return putU32(dst, uint32(id.J))
 }
 
-// appendIDBatch appends [epoch][n][ids...] to dst: the layout shared by
-// fetch requests and replay batches.
-func appendIDBatch(dst []byte, epoch uint64, ids []dag.VertexID) []byte {
-	dst = putU64(dst, epoch)
-	dst = putU32(dst, uint32(len(ids)))
+// encodeIDBatch builds [epoch][n][ids...], the replay batch layout, in a
+// fresh buffer.
+func encodeIDBatch(epoch uint64, ids []dag.VertexID) []byte {
+	dst := putU32(putU64(make([]byte, 0, 12+8*len(ids)), epoch), uint32(len(ids)))
 	for _, id := range ids {
 		dst = putID(dst, id)
 	}
 	return dst
-}
-
-// encodeIDBatch builds [epoch][n][ids...] in a fresh buffer.
-func encodeIDBatch(epoch uint64, ids []dag.VertexID) []byte {
-	return appendIDBatch(make([]byte, 0, 12+8*len(ids)), epoch, ids)
 }
 
 // decodeIDBatch parses [epoch][n][ids...], appending ids to buf.
@@ -471,6 +465,55 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], recs []decrRecord
 		recs = append(recs, rec)
 	}
 	return epoch, recs, targets, nil
+}
+
+// --- value fetch (kindFetch) ------------------------------------------
+//
+//	request: [epoch u64][n u32][Δid...]    reply: [value (codec)...]
+//
+// The ids are the decrBatch Δid chain: each relative to the one before it,
+// (0,0) for the first. A tile's halo arrives in walk order and a cell's
+// remote dependencies are grid neighbours, so an id costs about two bytes.
+// The reply carries the values in request order.
+
+// fetchMaxIDs bounds one request, and through it the reply: at most
+// fetchMaxIDs values of the codec's width. Callers split a longer id list
+// over several requests; the handler rejects a request above the bound.
+const fetchMaxIDs = 4096
+
+// errFetchReq is a sentinel for the same reason errBadVarint is.
+var errFetchReq = errors.New("core: fetch request header truncated, or its id count exceeds the request bound or the payload")
+
+// appendFetchReq appends a kindFetch request for ids (at most fetchMaxIDs).
+func appendFetchReq(dst []byte, epoch uint64, ids []dag.VertexID) []byte {
+	dst = putU32(putU64(dst, epoch), uint32(len(ids)))
+	var prev dag.VertexID
+	for _, id := range ids {
+		dst = putIDDelta(dst, prev, id)
+		prev = id
+	}
+	return dst
+}
+
+// decodeFetchReq parses a kindFetch request, appending the ids to buf. The
+// grown buffer is returned even on error so callers keep the capacity.
+func decodeFetchReq(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.VertexID, err error) {
+	if len(payload) < 12 {
+		return 0, buf, errFetchReq
+	}
+	r := reader{b: payload}
+	epoch = r.u64()
+	n := r.u32()
+	// Every id costs at least 2 bytes.
+	if n > fetchMaxIDs || int(n) > (len(payload)-12)/2 {
+		return 0, buf, errFetchReq
+	}
+	var prev dag.VertexID
+	for k := uint32(0); k < n; k++ {
+		prev = r.idDelta(prev)
+		buf = append(buf, prev)
+	}
+	return epoch, buf, r.err
 }
 
 // --- lifeline tile migration (kindLifelineDeliver) --------------------

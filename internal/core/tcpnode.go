@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -221,10 +222,20 @@ func (n *TCPNode[T]) Run() error {
 	return err
 }
 
+// stopGrace is how long a node that has just lost place 0 waits for a stop
+// broadcast before calling the loss an abort. Place 0 says stop and then
+// closes its endpoint; the stop frame travels on place 0's connection and
+// the detector's probe on this node's own, so a probe that lands right
+// behind the close can report the death a few microseconds before the stop
+// handler has run. The frame is already in this node's receive path by then.
+const stopGrace = 100 * time.Millisecond
+
 // awaitStop blocks until every job's engine stopped, or the node aborted
-// first. Both can be true at once — the stop broadcast lands and then the
-// coordinator detector loses place 0 as it shuts down — and a finished
-// run is not an abort, so a stopped engine always outranks the abort.
+// first. Both can be true at once — the stop broadcast lands and the
+// coordinator detector loses place 0 as it shuts down, in either order —
+// and a finished run is not an abort, so a stopped engine always outranks
+// the abort, and the loss of place 0 waits stopGrace for the stop it may
+// have overtaken.
 func (n *TCPNode[T]) awaitStop() error {
 	for _, pe := range n.pes {
 		select {
@@ -234,6 +245,13 @@ func (n *TCPNode[T]) awaitStop() error {
 			case <-pe.stopCh:
 				continue
 			default:
+			}
+			if errors.Is(n.abortReason(), ErrPlaceZeroDead) {
+				select {
+				case <-pe.stopCh:
+					continue
+				case <-time.After(stopGrace):
+				}
 			}
 			return n.abortReason()
 		}

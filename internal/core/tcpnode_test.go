@@ -273,6 +273,27 @@ func TestTCPNodeCoordinatorCrashTerminatesWorkers(t *testing.T) {
 	}
 }
 
+// TestTCPNodeLateStopOutranksAbort is the same verdict with the two events
+// the other way round: place 0 closes right after its stop broadcast, and
+// the detector's probe can find it gone before the stop handler has run.
+// The stop that arrives within the grace window still wins.
+func TestTCPNodeLateStopOutranksAbort(t *testing.T) {
+	cfg := baseConfig(patterns.NewGrid(4, 4), 2)
+	n := startTCPNodes(t, cfg, 2)[1]
+	n.pes[0].abort(placeDead(0))
+	verdict := make(chan error, 1)
+	go func() { verdict <- n.awaitStop() }()
+	select {
+	case err := <-verdict:
+		t.Fatalf("node reported %v without waiting for a stop in flight", err)
+	case <-time.After(stopGrace / 10):
+	}
+	n.pes[0].stop()
+	if err := <-verdict; err != nil {
+		t.Fatalf("node stopped within the grace window reported %v", err)
+	}
+}
+
 // TestTCPNodeStopOutranksAbort pins the teardown verdict of a non-zero
 // place: once the stop broadcast has landed, an abort that follows it (the
 // coordinator detector losing place 0 as place 0 exits) must not turn a

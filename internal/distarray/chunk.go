@@ -49,6 +49,7 @@ type Chunk[T any] struct {
 	numTiles   int
 	tileIndeg  []int32
 	tileQueued []uint32
+	tileRemote []bool      // tile has a dependency on another place; nil at tile size 1
 	tileMu     sync.Mutex  // serializes ActivateTiles against early decrements
 	tileLive   atomic.Bool // true once the tile counters are authoritative
 

@@ -73,6 +73,15 @@ func (c *Chunk[T]) CellDeps(off int) ([]dag.VertexID, []CellRef) {
 	return c.cdeps[lo:hi], c.cres[lo:hi]
 }
 
+// TileDeps returns the cached dependency lists of the local cells in
+// [lo, hi), concatenated in offset order, with the matching resolutions:
+// CellDeps for a whole tile in one slice pair. Cells that were finished at
+// activation contribute nothing. Same aliasing rule as CellDeps.
+func (c *Chunk[T]) TileDeps(lo, hi int) ([]dag.VertexID, []CellRef) {
+	a, b := c.cdepAt[lo], c.cdepAt[hi]
+	return c.cdeps[a:b], c.cres[a:b]
+}
+
 // depReset prepares the cache buffers for an activation scan's fill.
 // The flat dep arrays start at 4 entries per cell — enough for every
 // stencil pattern in the repo without append-growth copying; heavier

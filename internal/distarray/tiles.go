@@ -52,6 +52,12 @@ func (c *Chunk[T]) ConfigureTiles(size int) {
 	}
 	c.tileIndeg = make([]int32, c.numTiles)
 	c.tileQueued = make([]uint32, c.numTiles)
+	c.tileRemote = nil
+	if size > 1 {
+		// Single-cell tiles run the per-vertex path, which never consults
+		// the flag; skipping it there keeps the per-cell footprint as it was.
+		c.tileRemote = make([]bool, c.numTiles)
+	}
 	c.tileLive.Store(false)
 	c.depLive = false // resolutions are per-epoch; the next scan refills
 }
@@ -75,6 +81,12 @@ func (c *Chunk[T]) TileRange(t int) (lo, hi int) {
 	}
 	return lo, hi
 }
+
+// TileRemote reports whether any cell of tile t that was unfinished at the
+// epoch's activation scan has a dependency owned by another place — the
+// tiles whose walk has a halo to resolve. Always false for single-cell
+// tiles. Only meaningful after an activation scan.
+func (c *Chunk[T]) TileRemote(t int) bool { return c.tileRemote != nil && c.tileRemote[t] }
 
 // TryMarkTileQueued atomically claims the right to enqueue tile t on the
 // place's work deques, exactly once per epoch: a tile can reach readiness
@@ -101,7 +113,7 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 	for t := 0; t < c.numTiles; t++ {
 		lo, hi := c.TileRange(t)
 		var indeg int32
-		pending := false
+		pending, remote := false, false
 		for off := lo; off < hi; off++ {
 			if c.Finished(off) {
 				// Restored cells never execute, so the cache keeps an empty
@@ -125,6 +137,7 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 					c.cres = append(c.cres, CellRef{Owner: int32(owner), Off: int32(doff)})
 				}
 				if owner != c.place {
+					remote = true
 					continue
 				}
 				if doff >= off {
@@ -146,6 +159,9 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 			indeg += n
 		}
 		atomic.StoreInt32(&c.tileIndeg[t], indeg)
+		if c.tileRemote != nil {
+			c.tileRemote[t] = remote
+		}
 		if pending && indeg == 0 {
 			ready = append(ready, t)
 		}
@@ -175,9 +191,12 @@ func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int {
 	t := 0
 	lo, hi := c.TileRange(0)
 	var tindeg int32
-	pending := false
+	pending, remote := false, false
 	closeTile := func() {
 		c.tileIndeg[t] = tindeg //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see func doc)
+		if c.tileRemote != nil {
+			c.tileRemote[t] = remote
+		}
 		if pending && tindeg == 0 {
 			ready = append(ready, t)
 		}
@@ -187,7 +206,7 @@ func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int {
 			closeTile()
 			t++
 			lo, hi = c.TileRange(t)
-			tindeg, pending = 0, false
+			tindeg, pending, remote = 0, false, false
 		}
 		i, j := c.d.CellAt(c.place, off)
 		if !dag.IsActive(pat, i, j) {
@@ -214,10 +233,14 @@ func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int {
 			if c.depOn {
 				c.cres = append(c.cres, CellRef{Owner: int32(owner), Off: int32(doff)})
 			}
-			if owner == c.place && doff >= off {
+			if owner != c.place {
+				remote = true
+				continue
+			}
+			if doff >= off {
 				c.depMono = false
 			}
-			if owner != c.place || doff < lo || doff >= hi {
+			if doff < lo || doff >= hi {
 				continue
 			}
 			di, dj := dep.I, dep.J

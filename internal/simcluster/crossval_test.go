@@ -11,12 +11,15 @@ import (
 )
 
 // TestSimMatchesEngineTraffic cross-validates the simulator against the
-// real runtime: with the cache off and local scheduling, the number of
-// remote dependency transfers is a deterministic function of (pattern,
-// distribution) — every vertex fetches each remotely-owned dependency
-// exactly once — so the simulator and the engine must agree exactly.
-// This pins the simulator's communication model to the engine's actual
-// behaviour, which is what makes the simulated Figures 10/11/13 credible.
+// real runtime: with the cache off, local scheduling and single-cell tiles
+// (the paper's per-vertex model, which is what the simulator implements),
+// the number of remote dependency transfers is a deterministic function of
+// (pattern, distribution) — every vertex fetches each remotely-owned
+// dependency exactly once — so the simulator and the engine must agree
+// exactly. This pins the simulator's communication model to the engine's
+// actual behaviour, which is what makes the simulated Figures 10/11/13
+// credible. With tiles the engine fetches each distinct remote dependency
+// once per tile, so its count can only be lower.
 func TestSimMatchesEngineTraffic(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -39,25 +42,33 @@ func TestSimMatchesEngineTraffic(t *testing.T) {
 			h, w := tc.pat.Bounds()
 
 			// Real engine, cache off, local scheduling.
-			cfg := core.Config[int64]{
-				Common: core.Common{Places: tc.places, Pattern: tc.pat, NewDist: tc.nd},
-				Codec:  codec.Int64{},
-				Compute: func(i, j int32, deps []core.Cell[int64]) int64 {
-					v := int64(i) + int64(j)
-					for _, d := range deps {
-						v += d.Value
-					}
-					return v
-				},
+			engine := func(tileSize int) core.Stats {
+				cfg := core.Config[int64]{
+					Common: core.Common{Places: tc.places, Pattern: tc.pat, NewDist: tc.nd, TileSize: tileSize},
+					Codec:  codec.Int64{},
+					Compute: func(i, j int32, deps []core.Cell[int64]) int64 {
+						v := int64(i) + int64(j)
+						for _, d := range deps {
+							v += d.Value
+						}
+						return v
+					},
+				}
+				cl, err := core.NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Run(); err != nil {
+					t.Fatal(err)
+				}
+				return cl.Stats()
 			}
-			cl, err := core.NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
+			perVertex := engine(1)
+			engineFetches := perVertex.RemoteFetches
+			if tiled := engine(0).RemoteFetches; tiled > engineFetches {
+				t.Fatalf("tiled engine fetched %d values, per-vertex %d: a tile's halo must not fetch more",
+					tiled, engineFetches)
 			}
-			if err := cl.Run(); err != nil {
-				t.Fatal(err)
-			}
-			engineFetches := cl.Stats().RemoteFetches
 
 			// Simulator, same pattern and distribution.
 			sim, err := New(tc.pat, tc.nd(h, w, tc.places), DefaultModel(2))
@@ -72,9 +83,9 @@ func TestSimMatchesEngineTraffic(t *testing.T) {
 				t.Fatalf("simulator models %d remote fetches, engine measured %d",
 					res.RemoteFetches, engineFetches)
 			}
-			if res.ComputedCells != cl.Stats().ComputedCells {
+			if res.ComputedCells != perVertex.ComputedCells {
 				t.Fatalf("simulator computed %d cells, engine %d",
-					res.ComputedCells, cl.Stats().ComputedCells)
+					res.ComputedCells, perVertex.ComputedCells)
 			}
 		})
 	}
