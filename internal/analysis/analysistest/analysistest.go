@@ -85,7 +85,7 @@ type loader struct {
 	testdata string
 	fset     *token.FileSet
 	pkgs     map[string]*framework.Package // corpus path -> package
-	exports  map[string]string            // stdlib path -> export file
+	exports  map[string]string             // stdlib path -> export file
 }
 
 func load(t *testing.T, testdata string, paths []string) (*token.FileSet, []*framework.Package) {

@@ -73,8 +73,8 @@ func d() int {
 		line int
 		want bool
 	}{
-		{4, true},  // same-line allow
-		{9, true},  // allow on the line above
+		{4, true},   // same-line allow
+		{9, true},   // allow on the line above
 		{13, false}, // wrong analyzer name
 		{17, false}, // no allow at all
 	}

@@ -1,8 +1,7 @@
 package a
 
-// Lifeline protocol shapes: deliver pushes whole tiles (cell ids plus
-// resolved dep values) to a parked buddy; the probe carries a park flag
-// after the epoch.
+// Lifeline protocol shapes: deliver pushes whole tiles (their cell ids)
+// to a parked buddy; the probe carries a park flag after the epoch.
 
 const (
 	kLifeDeliver uint8 = 13
@@ -14,7 +13,7 @@ func (e *engine) registerLifeline() {
 	e.tr.Handle(kLifeProbe, e.handleLifeProbe)
 }
 
-// --- deliver: [epoch, cells, dep (id, value) pairs] both ways: clean --
+// --- deliver: [epoch, cells] both ways: clean ------------------------
 
 func (e *engine) handleLifeDeliver(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
@@ -23,24 +22,14 @@ func (e *engine) handleLifeDeliver(from int, payload []byte) ([]byte, error) {
 	for k := uint32(0); k < n; k++ {
 		_ = r.id()
 	}
-	nd := r.u32()
-	for k := uint32(0); k < nd; k++ {
-		_ = r.id()
-		_ = r.u64()
-	}
 	return []byte{1}, r.err
 }
 
-func (e *engine) pushLifeline(epoch uint64, cells, deps []ident, vals []uint64) error {
+func (e *engine) pushLifeline(epoch uint64, cells []ident) error {
 	buf := putU64(nil, epoch)
 	buf = putU32(buf, uint32(len(cells)))
 	for _, id := range cells {
 		buf = putID(buf, id)
-	}
-	buf = putU32(buf, uint32(len(deps)))
-	for i, id := range deps {
-		buf = putID(buf, id)
-		buf = putU64(buf, vals[i])
 	}
 	_, err := e.tr.Call(1, kLifeDeliver, buf)
 	return err

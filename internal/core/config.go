@@ -355,14 +355,14 @@ func (sc *SpillConfig) normalize() {
 // Stats aggregates observable behaviour of one run, for the benchmark
 // harness and the overhead/recovery experiments.
 //
-// RemoteFetches and FetchCalls count per tile, not per cell: a multi-cell
-// tile fetches each distinct remote dependency once, whatever number of its
-// cells read it, with at most one kindFetch call per owning place (per 4096
-// ids). With the cache off RemoteFetches is therefore the sum over executed
-// tiles of their distinct remote dependencies, and FetchCalls is at most
-// tiles × (places − 1). On the per-cell path — TileSize 1, exec migration —
-// both are the paper's per-vertex counts: one value per remote dependency
-// edge, one call per owning place per cell.
+// RemoteFetches and FetchCalls count per tile, not per cell: a tile fetches
+// each distinct remote dependency once, whatever number of its cells read
+// it, with at most one kindFetch call per owning place (per 4096 ids). With
+// the cache off RemoteFetches is therefore the sum over executed tiles of
+// their distinct remote dependencies, and FetchCalls is at most
+// tiles × (places − 1). A single-cell tile (TileSize 1) and an exec-migrated
+// cell are tiles of one, so there both are the paper's per-vertex counts:
+// one value per remote dependency edge, one call per owning place per cell.
 type Stats struct {
 	Places         int
 	Epochs         int   // 1 + number of recoveries

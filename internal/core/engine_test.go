@@ -10,6 +10,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/sched"
+	"github.com/dpx10/dpx10/internal/transport"
 )
 
 // sumCompute is a deterministic compute(): a cell is a function of its
@@ -24,7 +25,9 @@ func sumCompute(i, j int32, deps []Cell[int64]) int64 {
 }
 
 // refValues computes the expected result with Kahn's algorithm, no engine.
-func refValues(pat dag.Pattern) map[dag.VertexID]int64 {
+func refValues(pat dag.Pattern) map[dag.VertexID]int64 { return refValuesWith(pat, sumCompute) }
+
+func refValuesWith(pat dag.Pattern, compute ComputeFunc[int64]) map[dag.VertexID]int64 {
 	h, w := pat.Bounds()
 	vals := make(map[dag.VertexID]int64)
 	indeg := make(map[dag.VertexID]int32)
@@ -50,7 +53,7 @@ func refValues(pat dag.Pattern) map[dag.VertexID]int64 {
 		for k, d := range buf {
 			cells[k] = Cell[int64]{ID: d, Value: vals[d]}
 		}
-		vals[v] = sumCompute(v.I, v.J, cells)
+		vals[v] = compute(v.I, v.J, cells)
 		buf = pat.AntiDependencies(v.I, v.J, buf[:0])
 		for _, a := range buf {
 			indeg[a]--
@@ -278,5 +281,61 @@ func TestComputeSeesDepsInPatternOrder(t *testing.T) {
 	}
 	if bad.Load() != 0 {
 		t.Fatalf("%d compute calls saw out-of-order or missing deps", bad.Load())
+	}
+}
+
+// stealReply answers every kindSteal probe with a canned tile.
+type stealReply struct {
+	transport.Transport
+	reply []byte
+}
+
+func (s *stealReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
+	if kind == kindSteal {
+		return s.reply, nil
+	}
+	return s.Transport.Call(to, kind, payload)
+}
+
+// TestWireIDsVetted hands every handler that resolves vertex ids from a
+// payload an id outside the grid, a negative one and one another place owns.
+// The dist tables index unchecked, so each of these panicked (or touched a
+// neighbour's offset) before ownedOffset: a Call must answer with an error,
+// a one-way batch must skip the id, a steal reply must read as no work.
+func TestWireIDsVetted(t *testing.T) {
+	cfg := stealConfig(patterns.NewDiagonal(9, 9), 3)
+	cfg.Lifelines = true
+	pe := runAndCheck(t, cfg).engines[1] // block rows: owns rows 3..5
+	st, cd, mine := pe.current(), codec.Int64{}, dag.VertexID{I: 3, J: 0}
+	sc, steal := pe.getScratch(), &stealReply{Transport: pe.tr}
+	pe.tr = steal
+	idVal := func(id dag.VertexID) []byte { return cd.Encode(putID(putU32(putU64(nil, st.epoch), 1), id), 7) }
+	calls := map[string]struct {
+		handle  func(int, []byte) ([]byte, error)
+		payload func(dag.VertexID) []byte
+	}{
+		"fetch":     {pe.handleFetch, func(id dag.VertexID) []byte { return appendFetchReq(nil, st.epoch, []dag.VertexID{id}) }},
+		"exec":      {pe.handleExec, func(id dag.VertexID) []byte { return putID(putU64(nil, st.epoch), id) }},
+		"stealDone": {pe.handleStealDone, idVal},
+		"restoreTx": {pe.handleRestoreTx, idVal},
+		"replayTx":  {pe.handleReplayTx, func(id dag.VertexID) []byte { return encodeIDBatch(st.epoch, []dag.VertexID{id}) }},
+		"deliver":   {pe.handleLifelineDeliver, func(id dag.VertexID) []byte { return encodeIDBatch(st.epoch, []dag.VertexID{mine, id}) }},
+		"readVal":   {pe.handleReadVal, func(id dag.VertexID) []byte { return putID(nil, id) }},
+	}
+	bad := map[string]dag.VertexID{"out of range": {I: 1000, J: 1000}, "negative": {I: -5, J: -7}, "wrong owner": {I: 8, J: 8}}
+	for what, id := range bad {
+		for kind, c := range calls {
+			if _, err := c.handle(1, c.payload(id)); err == nil {
+				t.Errorf("%s with an id that is %s: no error", kind, what)
+			}
+		}
+		batch := encodeDecrBatch(st.epoch, cd, []decrRecord[int64]{{src: mine, t1: 1}}, []dag.VertexID{id})
+		if _, err := pe.handleDecrBatch(0, batch); err != nil {
+			t.Errorf("decrBatch with an id that is %s: %v, want it skipped", what, err)
+		}
+		steal.reply = putID(putU32([]byte{1}, 1), id)
+		if pe.stealFrom(st, sc, 0, false) {
+			t.Errorf("a steal reply with an id that is %s was run", what)
+		}
 	}
 }

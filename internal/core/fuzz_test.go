@@ -75,11 +75,9 @@ var wireProbes = map[uint8]func(data []byte){
 			r.off += used
 		}
 	},
-	kindDecrBatch: func(b []byte) { _, _, _, _ = decodeDecrBatch[int64](b, codec.Int64{}, nil, nil) },
-	kindStats:     func(b []byte) {}, // request has no payload; the reply decoder is FuzzSnapshotWire's target
-	kindLifelineDeliver: func(b []byte) {
-		_, _, _, _, _ = decodeLifelineDeliver[int64](b, codec.Int64{}, nil, nil, nil)
-	},
+	kindDecrBatch:       func(b []byte) { _, _, _, _ = decodeDecrBatch[int64](b, codec.Int64{}, nil, nil) },
+	kindStats:           func(b []byte) {}, // request has no payload; the reply decoder is FuzzSnapshotWire's target
+	kindLifelineDeliver: func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
 }
 
 // TestWireKindsCovered pins the coverage table's shape: every listed kind
@@ -466,7 +464,7 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindRestoreTx: rtIDVals,
 	kindStealDone: rtIDVals,
 
-	kindLifelineDeliver: rtLifelineDeliver,
+	kindLifelineDeliver: rtIDBatch,
 	kindReadVal:         rtID,
 	kindPing:            rtPing, // [seq u64][sendNanos u64] echoed verbatim
 	kindHello:           rtEmpty,
@@ -588,15 +586,6 @@ func rtSteal(data []byte) ([]byte, bool) {
 	return append(putU64(nil, epoch), flag), true
 }
 
-func rtLifelineDeliver(data []byte) ([]byte, bool) {
-	cd := codec.Int64{}
-	epoch, cells, depIDs, depVals, err := decodeLifelineDeliver[int64](data, cd, nil, nil, nil)
-	if err != nil {
-		return nil, false
-	}
-	return encodeLifelineDeliver(nil, cd, epoch, cells, depIDs, depVals), true
-}
-
 func rtID(data []byte) ([]byte, bool) {
 	r := reader{b: data}
 	id := r.id()
@@ -639,31 +628,40 @@ func wireSeeds() map[uint8][]byte {
 		kindDecrBatch: encodeDecrBatch(6, cd, []decrRecord[int64]{
 			{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
 		}, ids),
-		kindExec:      putID(putU64(nil, 1), ids[0]),
-		kindPlaceDone: putU32(putU64(nil, 1), 2),
-		kindFault:     putU32(putU64(nil, 1), 3),
-		kindPause:     putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
-		kindRebuild:   putU64(nil, 1),
-		kindRestore:   putU64(nil, 2),
-		kindReplay:    putU64(nil, 3),
-		kindResume:    putU64(nil, 4),
-		kindSteal:     append(putU64(nil, 5), 1),
-		kindStop:      putU64(nil, 6),
-		kindRestoreTx: idVals,
-		kindStealDone: idVals,
-		kindLifelineDeliver: encodeLifelineDeliver(nil, cd, 8,
-			[]dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}}, ids, []int64{-7, 1 << 40}),
-		kindReadVal: putID(nil, ids[1]),
-		kindPing:    putU64(putU64(nil, 11), 12),
-		kindHello:   {},
-		kindBegin:   {},
-		kindStats:   {},
+		kindExec:            putID(putU64(nil, 1), ids[0]),
+		kindPlaceDone:       putU32(putU64(nil, 1), 2),
+		kindFault:           putU32(putU64(nil, 1), 3),
+		kindPause:           putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
+		kindRebuild:         putU64(nil, 1),
+		kindRestore:         putU64(nil, 2),
+		kindReplay:          putU64(nil, 3),
+		kindResume:          putU64(nil, 4),
+		kindSteal:           append(putU64(nil, 5), 1),
+		kindStop:            putU64(nil, 6),
+		kindRestoreTx:       idVals,
+		kindStealDone:       idVals,
+		kindLifelineDeliver: encodeIDBatch(8, []dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}}),
+		kindReadVal:         putID(nil, ids[1]),
+		kindPing:            putU64(putU64(nil, 11), 12),
+		kindHello:           {},
+		kindBegin:           {},
+		kindStats:           {},
 	}
+}
+
+// retiredDeliver is a lifeline push in the retired layout, which followed the
+// cells with [nDeps u32][(id, value)...]: trailing bytes to today's decoder.
+func retiredDeliver() []byte {
+	b := putU32(encodeIDBatch(8, []dag.VertexID{{I: 4, J: 5}}), 1)
+	return codec.Int64{}.Encode(putID(b, dag.VertexID{I: 3, J: 5}), -7)
 }
 
 // TestWireRoundTripsCovered pins the round-trip table to the coverage
 // list and checks every seed payload is a canonical fixed point.
 func TestWireRoundTripsCovered(t *testing.T) {
+	if _, _, err := decodeIDBatch(retiredDeliver(), nil); err == nil {
+		t.Error("a lifeline push with the retired dependency section decoded; want it rejected as trailing bytes")
+	}
 	seeds := wireSeeds()
 	seen := map[uint8]bool{}
 	for _, k := range fuzzedWireKinds {
@@ -715,6 +713,7 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	f.Add(uint8(0), []byte{})                            // not a protocol kind
 	f.Add(uint8(2), encodeIDBatch(4, nil))               // the retired per-vertex decrement: not one either
 	f.Add(kindPause, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
+	f.Add(kindLifelineDeliver, retiredDeliver())
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		rt, ok := wireRoundTrips[kind]
 		if !ok {

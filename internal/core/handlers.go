@@ -74,9 +74,31 @@ func (pe *placeEngine[T]) stateAt(epoch uint64) (*epochState[T], error) {
 	return st, nil
 }
 
+// ownedOffset vets a vertex id that came off the wire: ok only when it lies
+// inside the grid and place want owns it under this epoch's distribution, in
+// which case off is its local offset there. The dist tables do no bounds
+// check of their own, so every handler resolves wire ids through here.
+func (st *epochState[T]) ownedOffset(id dag.VertexID, want int) (off int, ok bool) {
+	if !st.inGrid(id) {
+		return 0, false
+	}
+	owner, off := st.d.PlaceOffset(id.I, id.J)
+	return off, owner == want
+}
+
+func (st *epochState[T]) inGrid(id dag.VertexID) bool {
+	h, w := st.d.Bounds()
+	return id.I >= 0 && id.J >= 0 && id.I < h && id.J < w
+}
+
+// errBadID is what a Call carrying such an id is answered with.
+func (pe *placeEngine[T]) errBadID(kind string, id dag.VertexID, from int) error {
+	return fmt.Errorf("core: place %d: %s from place %d names %v, which is outside the grid or owned elsewhere", pe.self, kind, from, id)
+}
+
 // handleFetch serves finished vertex values to a peer resolving its
-// dependencies — a tile's halo, or one cell's on the fallback path. Values
-// are encoded in request order.
+// dependencies — the halo of a tile, or of the one cell of a single-cell
+// tile or an exec request. Values are encoded in request order.
 func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
@@ -91,9 +113,9 @@ func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) 
 	}
 	reply := make([]byte, 0, len(ids)*pe.valueSize())
 	for _, id := range ids {
-		owner, off := st.d.PlaceOffset(id.I, id.J)
-		if owner != pe.self {
-			return nil, fmt.Errorf("core: place %d asked to fetch %v owned by %d", pe.self, id, owner)
+		off, ok := st.ownedOffset(id, pe.self)
+		if !ok {
+			return nil, pe.errBadID("fetch", id, from)
 		}
 		if !st.chunk.Finished(off) {
 			return nil, fmt.Errorf("core: fetch of unfinished vertex %v from place %d", id, from)
@@ -134,22 +156,20 @@ func (pe *placeEngine[T]) handleDecrBatch(from int, payload []byte) ([]byte, err
 			pe.pushDeposits.Add(int64(st.cache.PutPushed(sc.ids, sc.vals)))
 		}
 	}
-	h, w := st.d.Bounds()
 	for _, rec := range recs {
 		for _, id := range targets[rec.t0:rec.t1] {
-			if id.I < 0 || id.J < 0 || id.I >= h || id.J >= w || st.d.Place(id.I, id.J) != pe.self {
-				continue
+			if off, ok := st.ownedOffset(id, pe.self); ok {
+				pe.applyDecrement(st, sc, off)
 			}
-			pe.applyDecrement(st, sc, id)
 		}
 	}
 	return nil, nil
 }
 
-// handleExec runs compute() for a vertex owned by another place — the
-// execution half of the random and min-communication strategies. The
-// result is returned to the owner, which stores it; this place's chunk is
-// untouched.
+// handleExec runs compute() for a vertex owned by the calling place — the
+// execution half of the random and min-communication strategies: a one-cell
+// unit, described and walked like any other. The result is returned to the
+// owner, which stores it; this place's chunk is untouched.
 func (pe *placeEngine[T]) handleExec(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	epoch := r.u64()
@@ -161,13 +181,16 @@ func (pe *placeEngine[T]) handleExec(from int, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if _, ok := st.ownedOffset(id, from); !ok {
+		return nil, pe.errBadID("exec", id, from)
+	}
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
-	sc.depIDs = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.depIDs[:0])
-	v, err := pe.computeWith(st, sc, id.I, id.J, sc.depIDs, nil)
-	if err != nil {
+	sc.td.idBuf = append(sc.td.idBuf[:0], id)
+	if _, err := pe.walk(st, sc, pe.describeCells(st, sc, from, sc.td.idBuf), pe.self); err != nil {
 		return nil, err
 	}
+	v, _ := sc.halo.get(id)
 	return pe.cfg.Codec.Encode(nil, v), nil
 }
 
@@ -206,16 +229,13 @@ func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) 
 			}
 			return []byte{0}, nil
 		}
-		lo, hi := st.chunk.TileRange(t)
-		order := pe.tileOrder(st, sc, lo, hi)
-		if len(order) == 0 {
+		td := pe.describeTile(st, sc, t)
+		if len(td.order) == 0 {
 			continue // fully restored by a recovery; try the next tile
 		}
-		reply := []byte{1}
-		reply = putU32(reply, uint32(len(order)))
-		for _, off := range order {
-			i, j := st.d.CellAt(pe.self, off)
-			reply = putID(reply, dag.VertexID{I: i, J: j})
+		reply := putU32([]byte{1}, uint32(len(td.order)))
+		for _, s := range td.order {
+			reply = putID(reply, td.ids[s])
 		}
 		return reply, nil
 	}
@@ -249,21 +269,23 @@ func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, err
 			return nil, fmt.Errorf("core: steal-done decode: %w", derr)
 		}
 		r.off += used
-		off := st.d.LocalOffset(id.I, id.J)
+		off, ok := st.ownedOffset(id, pe.self)
+		if !ok {
+			return nil, pe.errBadID("steal-done", id, from)
+		}
 		pe.completeVertex(st, sc, off, id.I, id.J, v)
 	}
 	return nil, nil
 }
 
-// handleLifelineDeliver accepts a tile pushed along a lifeline — its
-// cells in execution order plus the dependency values the sender could
-// serve — into the inbox, and wakes the worker pool. Reply [1] is the
-// acceptance the pusher's accounting keys on; a stale epoch errors so the
-// pusher keeps the tile runnable on its side. The decode allocates fresh
-// slices (nil buffers): the tile outlives this handler, so it must not
-// alias the transport's payload.
+// handleLifelineDeliver accepts a tile pushed along a lifeline — its cells
+// in execution order, all owned by one place — into the inbox, and wakes the
+// worker pool. Reply [1] is the acceptance the pusher's accounting keys on; a
+// stale epoch errors so the pusher keeps the tile runnable on its side. The
+// decode allocates a fresh slice (nil buffer): the tile outlives this
+// handler, so it must not alias the transport's payload.
 func (pe *placeEngine[T]) handleLifelineDeliver(from int, payload []byte) ([]byte, error) {
-	epoch, cells, depIDs, depVals, err := decodeLifelineDeliver[T](payload, pe.cfg.Codec, nil, nil, nil)
+	epoch, cells, err := decodeIDBatch(payload, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -277,7 +299,16 @@ func (pe *placeEngine[T]) handleLifelineDeliver(from int, payload []byte) ([]byt
 	if len(cells) == 0 {
 		return nil, fmt.Errorf("core: place %d received an empty lifeline push from %d", pe.self, from)
 	}
-	st.life.deposit(migratedTile[T]{tile: -1, cells: cells, depIDs: depIDs, depVals: depVals})
+	owner := -1 // of the first cell, and so of all of them
+	if st.inGrid(cells[0]) {
+		owner = st.d.Place(cells[0].I, cells[0].J)
+	}
+	for _, id := range cells {
+		if _, ok := st.ownedOffset(id, owner); !ok {
+			return nil, pe.errBadID("lifeline push", id, from)
+		}
+	}
+	st.life.deposit(migratedTile{tile: -1, cells: cells})
 	// Note: a delivery does NOT clear the armed latch — our registrations
 	// with upstream victims persist, and only new *local* work (enqueueTile)
 	// re-arms probing. Pushed tiles drain through the inbox without a fresh
@@ -425,7 +456,11 @@ func (pe *placeEngine[T]) handleRestoreTx(from int, payload []byte) ([]byte, err
 			return nil, fmt.Errorf("core: restore decode: %w", err)
 		}
 		r.off += used
-		st.chunk.SetResult(st.d.LocalOffset(id.I, id.J), v)
+		off, ok := st.ownedOffset(id, pe.self)
+		if !ok {
+			return nil, pe.errBadID("restore", id, from)
+		}
+		st.chunk.SetResult(off, v)
 	}
 	return nil, r.err
 }
@@ -474,7 +509,11 @@ func (pe *placeEngine[T]) handleReplayTx(from int, payload []byte) ([]byte, erro
 		return nil, serr
 	}
 	for _, id := range ids {
-		st.chunk.DecrementIndegree(st.d.LocalOffset(id.I, id.J))
+		off, ok := st.ownedOffset(id, pe.self)
+		if !ok {
+			return nil, pe.errBadID("replay", id, from)
+		}
+		st.chunk.DecrementIndegree(off)
 	}
 	return nil, nil
 }
@@ -525,10 +564,10 @@ func (pe *placeEngine[T]) handleReadVal(from int, payload []byte) ([]byte, error
 	if st == nil {
 		return nil, errStaleEpoch
 	}
-	if st.d.Place(id.I, id.J) != pe.self {
-		return nil, fmt.Errorf("core: readval for %v: not the owner", id)
+	off, ok := st.ownedOffset(id, pe.self)
+	if !ok {
+		return nil, pe.errBadID("readval", id, from)
 	}
-	off := st.d.LocalOffset(id.I, id.J)
 	if !st.chunk.Finished(off) {
 		return []byte{0}, nil
 	}

@@ -229,7 +229,7 @@ func (jr *JobRun[T]) abortWith(err error) {
 
 // --- jobHandle (manager-facing) ---------------------------------------
 
-func (jr *JobRun[T]) id() uint32     { return jr.jobID }
+func (jr *JobRun[T]) id() uint32 { return jr.jobID }
 func (jr *JobRun[T]) finished() bool {
 	select {
 	case <-jr.done:

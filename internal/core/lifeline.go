@@ -13,8 +13,8 @@ import (
 // probes (Config.LifelineProbes); when all are spent it registers itself
 // as a parked buddy on its lifeline edges — a cyclic hypercube over the
 // epoch's alive places (internal/sched.LifelineEdges) — and goes quiet.
-// A victim that later has surplus ready tiles pushes whole tiles, with
-// the dependency values it can serve, to its parked buddies over
+// A victim that later has surplus ready tiles pushes whole tiles — their
+// cell lists, what a steal reply carries — to its parked buddies over
 // kindLifelineDeliver. Registrations are persistent: a buddy stays in the
 // victim's parked list across any number of pushes, and only new *local*
 // work on the buddy (enqueueTile) re-arms its probing — so a long burst of
@@ -31,15 +31,12 @@ import (
 const lifelineParkDelay = 5 * time.Millisecond
 
 // migratedTile is one ready tile in flight between places: its unfinished
-// cells in intra-tile dependency order plus the dependency values the
-// sender could serve (finished local cells and cache hits). tile is the
-// local tile index when the sender packed it from its own deques (so a
-// failed push can requeue it), -1 for a tile received over the wire.
-type migratedTile[T any] struct {
-	tile    int
-	cells   []dag.VertexID
-	depIDs  []dag.VertexID
-	depVals []T
+// cells in intra-tile dependency order. tile is the local tile index when
+// the sender packed it from its own deques (so a failed push can requeue
+// it), -1 for a tile received over the wire.
+type migratedTile struct {
+	tile  int
+	cells []dag.VertexID
 }
 
 // lifelineState is the epoch-owned lifeline bookkeeping of one place: the
@@ -49,8 +46,8 @@ type lifelineState[T any] struct {
 	edges []int // this place's outgoing lifeline edges (alive-place ids)
 
 	mu     sync.Mutex
-	parked []int             // places parked on this place, dedup, FIFO
-	inbox  []migratedTile[T] // tiles pushed here, not yet claimed
+	parked []int          // places parked on this place, dedup, FIFO
+	inbox  []migratedTile // tiles pushed here, not yet claimed
 
 	nParked atomic.Int32 // len(parked) mirror for lock-free fast paths
 	nInbox  atomic.Int32 // len(inbox) mirror
@@ -119,7 +116,7 @@ func (l *lifelineState[T]) removeParked(p int) {
 func (l *lifelineState[T]) parkedCount() int { return int(l.nParked.Load()) }
 
 // deposit appends a delivered tile to the inbox.
-func (l *lifelineState[T]) deposit(mt migratedTile[T]) {
+func (l *lifelineState[T]) deposit(mt migratedTile) {
 	l.mu.Lock()
 	l.inbox = append(l.inbox, mt)
 	l.nInbox.Store(int32(len(l.inbox)))
@@ -127,15 +124,14 @@ func (l *lifelineState[T]) deposit(mt migratedTile[T]) {
 }
 
 // popInbox claims the oldest pushed tile (worker execution path).
-func (l *lifelineState[T]) popInbox() (migratedTile[T], bool) {
+func (l *lifelineState[T]) popInbox() (migratedTile, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.inbox) == 0 {
-		var zero migratedTile[T]
-		return zero, false
+		return migratedTile{}, false
 	}
 	mt := l.inbox[0]
-	l.inbox[0] = migratedTile[T]{}
+	l.inbox[0] = migratedTile{}
 	l.inbox = append(l.inbox[:0], l.inbox[1:]...)
 	l.nInbox.Store(int32(len(l.inbox)))
 	return mt, true
@@ -144,15 +140,14 @@ func (l *lifelineState[T]) popInbox() (migratedTile[T], bool) {
 // popInboxOver claims the newest pushed tile, but only while more than
 // keep remain — the diffusion source: a buddy forwards pushed work it
 // cannot drain itself, keeping the oldest tiles for its own workers.
-func (l *lifelineState[T]) popInboxOver(keep int) (migratedTile[T], bool) {
+func (l *lifelineState[T]) popInboxOver(keep int) (migratedTile, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if len(l.inbox) <= keep {
-		var zero migratedTile[T]
-		return zero, false
+		return migratedTile{}, false
 	}
 	mt := l.inbox[len(l.inbox)-1]
-	l.inbox[len(l.inbox)-1] = migratedTile[T]{}
+	l.inbox[len(l.inbox)-1] = migratedTile{}
 	l.inbox = l.inbox[:len(l.inbox)-1]
 	l.nInbox.Store(int32(len(l.inbox)))
 	return mt, true
@@ -226,7 +221,7 @@ func (pe *placeEngine[T]) drainLifelines(st *epochState[T]) {
 				if !ok {
 					break
 				}
-				if !pe.pushMigrated(st, sc, buddy, mt) {
+				if !pe.pushMigrated(st, buddy, mt) {
 					// The buddy is gone, stale or refusing; keep the tile
 					// runnable here and stop feeding it — it re-registers
 					// if it is in fact alive and idle.
@@ -246,15 +241,14 @@ func (pe *placeEngine[T]) drainLifelines(st *epochState[T]) {
 // takeSurplus claims one surplus ready tile: pushed tiles beyond the local
 // keep first (forwarding), then the place's own queued tiles. Own tiles
 // that a recovery fully restored are consumed and skipped.
-func (pe *placeEngine[T]) takeSurplus(st *epochState[T], sc *scratch[T], keep int) (migratedTile[T], bool) {
+func (pe *placeEngine[T]) takeSurplus(st *epochState[T], sc *scratch[T], keep int) (migratedTile, bool) {
 	if mt, ok := st.life.popInboxOver(keep); ok {
 		return mt, true
 	}
 	for {
 		t, ok := st.sched.stealIfOver(keep)
 		if !ok {
-			var zero migratedTile[T]
-			return zero, false
+			return migratedTile{}, false
 		}
 		if mt, ok := pe.packTile(st, sc, t); ok {
 			return mt, true
@@ -263,65 +257,26 @@ func (pe *placeEngine[T]) takeSurplus(st *epochState[T], sc *scratch[T], keep in
 }
 
 // packTile turns one of this place's own queued tiles into a migrated
-// tile: the unfinished cells in intra-tile dependency order, plus every
-// distinct dependency value this place can serve — finished local cells
-// and remote-vertex cache hits. Unfinished local dependencies are the
-// tile's own cells; the receiver computes them in the stated order.
-func (pe *placeEngine[T]) packTile(st *epochState[T], sc *scratch[T], t int) (migratedTile[T], bool) {
-	lo, hi := st.chunk.TileRange(t)
-	order := pe.tileOrder(st, sc, lo, hi)
-	if len(order) == 0 {
-		var zero migratedTile[T]
-		return zero, false
+// tile: the unfinished cells in intra-tile dependency order, the order the
+// receiver computes them in.
+func (pe *placeEngine[T]) packTile(st *epochState[T], sc *scratch[T], t int) (migratedTile, bool) {
+	td := pe.describeTile(st, sc, t)
+	if len(td.order) == 0 {
+		return migratedTile{}, false
 	}
-	mt := migratedTile[T]{tile: t, cells: make([]dag.VertexID, 0, len(order))}
-	for _, off := range order {
-		i, j := st.d.CellAt(pe.self, off)
-		mt.cells = append(mt.cells, dag.VertexID{I: i, J: j})
+	cells := make([]dag.VertexID, len(td.order))
+	for k, s := range td.order {
+		cells[k] = td.ids[s]
 	}
-	if sc.extSeen == nil {
-		sc.extSeen = make(map[dag.VertexID]struct{}, 16)
-	}
-	clear(sc.extSeen)
-	for _, id := range mt.cells {
-		sc.depIDs = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.depIDs[:0])
-		for _, dep := range sc.depIDs {
-			if _, dup := sc.extSeen[dep]; dup {
-				continue
-			}
-			sc.extSeen[dep] = struct{}{}
-			owner, off := st.d.PlaceOffset(dep.I, dep.J)
-			if owner == pe.self {
-				if st.chunk.Finished(off) {
-					mt.depIDs = append(mt.depIDs, dep)
-					mt.depVals = append(mt.depVals, st.chunk.Value(off))
-				}
-				continue
-			}
-			// Mirror gatherDeps' counter discipline: GetTagged bumps the
-			// shard counters, so the engine totals must follow.
-			if v, ok, pushed := st.cache.GetTagged(dep); ok {
-				pe.cacheHits.Add(1)
-				if pushed {
-					pe.pushConsumed.Add(1)
-				}
-				mt.depIDs = append(mt.depIDs, dep)
-				mt.depVals = append(mt.depVals, v)
-				continue
-			}
-			pe.cacheMisses.Add(1)
-		}
-	}
-	return mt, true
+	return migratedTile{tile: t, cells: cells}, true
 }
 
 // pushMigrated delivers one tile to a parked buddy and reports acceptance.
-func (pe *placeEngine[T]) pushMigrated(st *epochState[T], sc *scratch[T], buddy int, mt migratedTile[T]) bool {
+func (pe *placeEngine[T]) pushMigrated(st *epochState[T], buddy int, mt migratedTile) bool {
 	if !pe.isAlive(buddy) {
 		return false
 	}
-	sc.enc = encodeLifelineDeliver(sc.enc[:0], pe.cfg.Codec, st.epoch, mt.cells, mt.depIDs, mt.depVals)
-	reply, err := pe.tr.Call(buddy, kindLifelineDeliver, sc.enc)
+	reply, err := pe.tr.Call(buddy, kindLifelineDeliver, encodeIDBatch(st.epoch, mt.cells))
 	if err != nil {
 		pe.peerError(buddy, err)
 		return false
@@ -338,7 +293,7 @@ func (pe *placeEngine[T]) pushMigrated(st *epochState[T], sc *scratch[T], buddy 
 // tiles go back on the deques (their queued flag is still set), received
 // tiles back into the inbox. Stale epochs drop the tile — the recovery's
 // rebuilt counters cover it.
-func (pe *placeEngine[T]) depositMigrated(st *epochState[T], mt migratedTile[T]) {
+func (pe *placeEngine[T]) depositMigrated(st *epochState[T], mt migratedTile) {
 	if pe.stale(st) {
 		return
 	}
@@ -387,8 +342,8 @@ func (pe *placeEngine[T]) maybePark(st *epochState[T], sc *scratch[T]) bool {
 
 // runMigrated executes a pushed tile (runForeign) and counts the run when
 // its results went back to the owning place over the steal-done path.
-func (pe *placeEngine[T]) runMigrated(st *epochState[T], sc *scratch[T], mt migratedTile[T]) {
-	if _, returned := pe.runForeign(st, sc, mt); returned {
+func (pe *placeEngine[T]) runMigrated(st *epochState[T], sc *scratch[T], mt migratedTile) {
+	if _, returned := pe.runForeign(st, sc, mt.cells); returned {
 		pe.migrRun.Add(1)
 	}
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -159,65 +158,45 @@ type placeEngine[T any] struct {
 	migrRun        atomic.Int64
 }
 
-// scratch bundles the reusable buffers of the vertex hot path —
-// dependency and anti-dependency lists, per-owner grouping, fetch id
-// batches, wire encode space, batch decode state and the tile walk's
-// ordering buffers — so steady-state vertex execution allocates only what
-// it must (the user-visible Cell slice, which Compute may retain).
+// scratch bundles the reusable buffers of the vertex hot path — the tile
+// descriptor, anti-dependency lists, per-owner grouping, fetch id batches,
+// wire encode space and batch decode state — so steady-state vertex
+// execution allocates only what it must (the user-visible Cell slice, which
+// Compute may retain).
 type scratch[T any] struct {
-	depIDs  []dag.VertexID
-	antiBuf []dag.VertexID
+	td      tileDesc       // the unit being described or walked (walk.go)
+	antiBuf []dag.VertexID // Pattern.AntiDependencies output
+	antiRes []resolvedAnti // completeVertex's resolutions
 
-	remote map[int][]dag.VertexID // completeVertex: owner -> decrement targets
-	owners []int                  // owners with buffered targets, in first-use order
+	remote map[int][]dag.VertexID // owner -> decrement targets (completeResolved) or ids to fetch (fillHalo)
+	owners []int                  // owners with buffered ids, in first-use order
 
-	fetchIdx    map[int][]int // gatherDeps: owner -> indexes into cells
-	fetchOwners []int
-	cells       []Cell[T]      // deps passed to Compute; valid only during the call
-	ids         []dag.VertexID // fetch request id batch
-	enc         []byte         // wire encode buffer
-	out         []byte         // second encode buffer for messages built across computeWith calls
+	cells []Cell[T]      // deps passed to Compute; valid only during the call
+	ids   []dag.VertexID // handleFetch / handleDecrBatch decode state
+	enc   []byte         // wire encode buffer
 
 	recs    []decrRecord[T] // handleDecrBatch decode state
 	targets []dag.VertexID
 	vals    []T
 
-	// Tile walk state. The ordering scan resolves every cell's coordinates,
-	// dependencies and anti-dependencies exactly once; the execution loop
-	// and completeVertex reuse the resolutions instead of re-deriving them.
-	tileRem    []int32        // remaining unfinished same-tile deps, indexed off-lo
-	tileIJ     []dag.VertexID // cell coordinates, indexed off-lo (computed once per tile)
-	tileDeps   []dag.VertexID // flattened per-cell dependency lists
-	tileDepAt  []int32        // tileDeps start per cell, indexed off-lo, len n+1
-	tileDepRes []cellRef      // owner/offset per entry of tileDeps
-	tileAnti   []resolvedAnti // flattened anti-deps in execution (pop) order
-	tileAntiAt []int32        // tileAnti start per order position, len(order)+1
-	antiRes    []resolvedAnti // completeVertex scratch for the uncached path
-	tileStack  []int
-	tileOrder  []int
-
-	// Deferred-completion state, active only inside a runTile walk (the
-	// walk owns its cells exclusively). Completions use relaxed stores and
-	// park their done-counter adds and cross-tile counter decrements here;
-	// flushTileWalk settles both when the walk ends.
+	// Deferred-completion state, active only inside a walk of cells this
+	// place owns (the walk owns them exclusively). Completions use relaxed
+	// stores and park their done-counter adds and cross-tile counter
+	// decrements here; flushTileWalk settles both when the walk ends.
 	deferOn  bool
 	doneN    int64
 	pendTile []int32                   // target tiles with parked decrements (tiny; linear scan)
 	pendCnt  []int32                   // parked decrement count per entry of pendTile
 	extDeps  []dag.VertexID            // PickTile inputs (MinComm)
-	extSeen  map[dag.VertexID]struct{} // dedup for extDeps; a foreign walk's own cells; lazily allocated
-	// stolenIDs is a thief's stolen tile: the cell list in the victim's
-	// stated order (a dedicated buffer — gatherDeps reuses sc.ids mid-loop).
-	stolenIDs []dag.VertexID
-	// halo holds the values the tile being walked reads from other places:
-	// filled by prefetchHalo before the cells run, pre-seeded with what a
-	// lifeline push delivered, and — on a thief — extended with each in-flight
-	// result, which the owner has not stored yet. gatherDeps consults it
-	// before the vertex cache, so a walk's inputs do not depend on surviving
-	// the LRU. Bounded by the distinct remote dependencies of one tile (plus
-	// the tile's own cells on a thief); emptied when the walk ends, never
-	// reallocated.
-	halo map[dag.VertexID]T
+	extSeen  map[dag.VertexID]struct{} // dedup for extDeps; lazily allocated
+	// halo holds the values the unit being walked reads from other places:
+	// filled by fillHalo before the cells run and — when another place owns
+	// the cells — extended with each result, which the owner has not stored
+	// yet. It is the only place gatherDeps finds a remote value, so a walk's
+	// inputs do not depend on surviving the LRU. Bounded by the distinct
+	// remote dependencies of one tile (plus the tile's own cells on a
+	// thief); emptied by the next walk's fillHalo, never shrunk.
+	halo haloTable[T]
 
 	// wkr is the owning worker's deque index, or -1 when the scratch is
 	// used by a protocol handler; enqueueTile uses it for LIFO locality.
@@ -226,11 +205,18 @@ type scratch[T any] struct {
 
 func newScratch[T any](wkr int) *scratch[T] {
 	return &scratch[T]{
-		remote:   make(map[int][]dag.VertexID, 4),
-		fetchIdx: make(map[int][]int, 4),
-		halo:     make(map[dag.VertexID]T),
-		wkr:      wkr,
+		remote: make(map[int][]dag.VertexID, 4),
+		wkr:    wkr,
 	}
+}
+
+// resetGroups empties the per-owner grouping, which a previous,
+// error-aborted use may have left half-filled.
+func (sc *scratch[T]) resetGroups() {
+	for _, owner := range sc.owners {
+		sc.remote[owner] = sc.remote[owner][:0]
+	}
+	sc.owners = sc.owners[:0]
 }
 
 func (pe *placeEngine[T]) getScratch() *scratch[T] {
@@ -522,285 +508,39 @@ func (pe *placeEngine[T]) parkDelay(w int) time.Duration {
 	return stealRetryDelay
 }
 
-// runTile executes one claimed tile: its unfinished cells, in intra-tile
-// dependency order, as one stack-local loop — no channel operations, no
-// readiness counters and no decrement traffic for edges inside the tile.
-// Cross-tile and cross-place edges propagate per cell exactly as before.
+// runTile executes one claimed tile of this place: its unfinished cells, in
+// intra-tile dependency order, as one stack-local loop — no channel
+// operations, no readiness counters and no decrement traffic for edges
+// inside the tile. Cross-tile and cross-place edges propagate per cell.
 func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scratch[T], tile int) {
-	lo, hi := st.chunk.TileRange(tile)
 	if sp := pe.cfg.Spans; sp != nil {
 		t0 := sp.Start()
 		defer func() { sp.Add(pe.spanTile, pe.self, sc.wkr, t0) }()
 	}
-	if hi-lo == 1 {
-		// Single-cell tile (TileSize=1): the per-vertex path, with the
-		// per-vertex placement decision, exactly as before tiling.
-		if !st.chunk.Finished(lo) {
-			pe.tilesRun.Add(1)
-			pe.mTiles.Inc(sc.wkr)
-			pe.mJobTiles.Add(pe.jobKey, 1)
-			pe.runVertex(st, pk, sc, lo)
-		}
-		return
-	}
-	order := pe.tileOrder(st, sc, lo, hi)
-	if len(order) == 0 {
+	td := pe.describeTile(st, sc, tile)
+	if len(td.order) == 0 {
 		return // every cell restored by a recovery; nothing to run
 	}
-	pe.tilesRun.Add(1)
-	pe.mTiles.Inc(sc.wkr)
-	pe.mJobTiles.Add(pe.jobKey, 1)
+	pe.countTile(sc)
 	// One placement decision for the whole tile.
 	var ext []dag.VertexID
 	if pe.cfg.Strategy == sched.MinComm {
-		ext = pe.tileExtDeps(st, sc, lo, hi, order)
+		ext = pe.tileExtDeps(sc, td)
 	}
-	exec := pk.PickTile(pe.self, len(order), ext)
-	migrate := exec != pe.self && pe.isAlive(exec)
-	// The walk owns every cell it executes, so completions run in deferred
-	// mode: relaxed result stores, parked cross-tile counter decrements and
-	// one batched done-count add, settled by flushTileWalk on every exit.
-	sc.deferOn = true
-	defer pe.flushTileWalk(st, sc)
-	cached := st.chunk.DepCached()
-	if st.chunk.TileRemote(tile) && !migrate {
-		// The activation scan saw a remote dependency in this tile: move the
-		// whole halo now, one fetch per owning place, instead of one per cell.
-		deps, res := sc.tileDeps, sc.tileDepRes
-		if cached {
-			deps, res = st.chunk.TileDeps(lo, hi)
-		}
-		defer clear(sc.halo)
-		if pe.prefetchHalo(st, sc, deps, res, nil) != nil {
-			return // dead peer or superseded epoch, as for a cell's own fetch below
-		}
+	exec := pk.PickTile(pe.self, len(td.order), ext)
+	if !pe.isAlive(exec) {
+		exec = pe.self
 	}
-	for k, off := range order {
-		select {
-		case <-st.quit:
-			// Pause or stop: abandon the rest of the tile. Completed cells
-			// stand; the remainder is neither finished nor queued, exactly
-			// the state the recovery's rebuilt counters cover.
-			return
-		default:
-		}
-		// Coordinates, dependency lists and anti-dep resolutions come from
-		// the chunk's activation-scan cache (or tileOrder's scratch on the
-		// uncached path) instead of being re-derived per cell.
-		var id dag.VertexID
-		var deps []dag.VertexID
-		var depRes []cellRef
-		if cached {
-			id = st.chunk.CellID(off)
-			deps, depRes = st.chunk.CellDeps(off)
-		} else {
-			id = sc.tileIJ[off-lo]
-			deps = sc.tileDeps[sc.tileDepAt[off-lo]:sc.tileDepAt[off-lo+1]]
-			depRes = sc.tileDepRes[sc.tileDepAt[off-lo]:sc.tileDepAt[off-lo+1]]
-		}
-		i, j := id.I, id.J
-		var value T
-		var err error
-		if migrate {
-			// Ship cells one at a time, in order: each completes (the owner
-			// stores it) before the next ships, so the target's fetches of
-			// intra-tile dependencies always find them finished.
-			value, err = pe.execRemote(st, sc, exec, i, j)
-			if err == nil {
-				pe.execMigrated.Add(1)
-			}
-		} else {
-			value, err = pe.computeWith(st, sc, i, j, deps, depRes)
-		}
-		if err != nil || pe.stale(st) {
-			// Dead peer or superseded epoch: the tile's remaining cells will
-			// be rescheduled by the recovery's rebuilt tile counters.
-			return
-		}
-		anti := sc.tileAnti[sc.tileAntiAt[k]:sc.tileAntiAt[k+1]]
-		pe.completeResolved(st, sc, off, i, j, value, anti)
-	}
+	// A dead peer or superseded epoch abandons the rest of the tile; the
+	// recovery's rebuilt tile counters reschedule it.
+	_, _ = pe.walk(st, sc, td, exec)
 }
 
-// tileOrder returns the tile's unfinished cells in intra-tile dependency
-// order (a Kahn walk over the tile-internal edges, in scratch buffers).
-// Cross-tile dependencies of a claimed tile are already finished — that
-// is precisely what the tile counter tracked — so only internal edges
-// constrain the order.
-//
-// When the chunk's dependency-resolution cache is live (the common case)
-// the ordering pass reads the activation scan's cached coordinates, dep
-// lists and PlaceOffset resolutions; the uncached path re-derives them
-// into the scratch buffers as before.
-func (pe *placeEngine[T]) tileOrder(st *epochState[T], sc *scratch[T], lo, hi int) []int {
-	n := hi - lo
-	if cap(sc.tileRem) < n {
-		sc.tileRem = make([]int32, n)
-		sc.tileIJ = make([]dag.VertexID, n)
-		sc.tileDepAt = make([]int32, n+1)
-	}
-	rem := sc.tileRem[:n]
-	sc.tileStack = sc.tileStack[:0]
-	sc.tileOrder = sc.tileOrder[:0]
-	if cap(sc.tileAntiAt) < n+1 {
-		sc.tileAntiAt = make([]int32, 0, n+1)
-	}
-	sc.tileAnti = sc.tileAnti[:0]
-	sc.tileAntiAt = sc.tileAntiAt[:0]
-	cached := st.chunk.DepCached()
-	if cached && st.chunk.DepMonotone() {
-		// Wavefront fast path: the activation scan proved every same-place
-		// dependency resolves to a smaller local offset, so ascending offset
-		// order is already topological within the tile — skip the rem-count
-		// fill and the Kahn walk and only resolve the anti-dep lists the
-		// deferred-completion walk consumes.
-		for off := lo; off < hi; off++ {
-			if st.chunk.Finished(off) {
-				continue
-			}
-			sc.tileOrder = append(sc.tileOrder, off)
-			sc.tileAntiAt = append(sc.tileAntiAt, int32(len(sc.tileAnti)))
-			id := st.chunk.CellID(off)
-			sc.antiBuf = pe.cfg.Pattern.AntiDependencies(id.I, id.J, sc.antiBuf[:0])
-			for _, a := range sc.antiBuf {
-				owner, aoff := st.d.PlaceOffset(a.I, a.J)
-				sc.tileAnti = append(sc.tileAnti, resolvedAnti{id: a, owner: int32(owner), off: aoff})
-			}
-		}
-		sc.tileAntiAt = append(sc.tileAntiAt, int32(len(sc.tileAnti)))
-		return sc.tileOrder
-	}
-	pending := 0
-	if cached {
-		for off := lo; off < hi; off++ {
-			if st.chunk.Finished(off) {
-				rem[off-lo] = -1
-				continue
-			}
-			_, res := st.chunk.CellDeps(off)
-			cnt := int32(0)
-			for _, r := range res {
-				if int(r.Owner) != pe.self {
-					continue
-				}
-				if doff := int(r.Off); doff >= lo && doff < hi && !st.chunk.Finished(doff) {
-					cnt++
-				}
-			}
-			rem[off-lo] = cnt
-			pending++
-			if cnt == 0 {
-				sc.tileStack = append(sc.tileStack, off)
-			}
-		}
-	} else {
-		sc.tileIJ = sc.tileIJ[:n]
-		sc.tileDepAt = sc.tileDepAt[:n+1]
-		sc.tileDeps = sc.tileDeps[:0]
-		sc.tileDepRes = sc.tileDepRes[:0]
-		for off := lo; off < hi; off++ {
-			sc.tileDepAt[off-lo] = int32(len(sc.tileDeps))
-			if st.chunk.Finished(off) {
-				rem[off-lo] = -1
-				continue
-			}
-			i, j := st.d.CellAt(pe.self, off)
-			sc.tileIJ[off-lo] = dag.VertexID{I: i, J: j}
-			sc.tileDeps = pe.cfg.Pattern.Dependencies(i, j, sc.tileDeps)
-			cnt := int32(0)
-			for _, dep := range sc.tileDeps[sc.tileDepAt[off-lo]:] {
-				owner, doff := st.d.PlaceOffset(dep.I, dep.J)
-				sc.tileDepRes = append(sc.tileDepRes, cellRef{Owner: int32(owner), Off: int32(doff)})
-				if owner != pe.self {
-					continue
-				}
-				if doff >= lo && doff < hi && !st.chunk.Finished(doff) {
-					cnt++
-				}
-			}
-			rem[off-lo] = cnt
-			pending++
-			if cnt == 0 {
-				sc.tileStack = append(sc.tileStack, off)
-			}
-		}
-		sc.tileDepAt[n] = int32(len(sc.tileDeps))
-	}
-	for len(sc.tileStack) > 0 {
-		off := sc.tileStack[len(sc.tileStack)-1]
-		sc.tileStack = sc.tileStack[:len(sc.tileStack)-1]
-		sc.tileOrder = append(sc.tileOrder, off)
-		sc.tileAntiAt = append(sc.tileAntiAt, int32(len(sc.tileAnti)))
-		var id dag.VertexID
-		if cached {
-			id = st.chunk.CellID(off)
-		} else {
-			id = sc.tileIJ[off-lo]
-		}
-		sc.antiBuf = pe.cfg.Pattern.AntiDependencies(id.I, id.J, sc.antiBuf[:0])
-		for _, a := range sc.antiBuf {
-			owner, aoff := st.d.PlaceOffset(a.I, a.J)
-			sc.tileAnti = append(sc.tileAnti, resolvedAnti{id: a, owner: int32(owner), off: aoff})
-			if owner != pe.self {
-				continue
-			}
-			if aoff < lo || aoff >= hi {
-				continue
-			}
-			if r := rem[aoff-lo]; r > 0 {
-				rem[aoff-lo] = r - 1
-				if r == 1 {
-					sc.tileStack = append(sc.tileStack, aoff)
-				}
-			}
-		}
-	}
-	sc.tileAntiAt = append(sc.tileAntiAt, int32(len(sc.tileAnti)))
-	if len(sc.tileOrder) != pending {
-		// The intra-tile subgraph of a DAG cannot be cyclic; an incomplete
-		// walk means the pattern's deps/anti-deps disagree.
-		panic(fmt.Sprintf("core: place %d tile [%d,%d): intra-tile order covers %d of %d cells",
-			pe.self, lo, hi, len(sc.tileOrder), pending))
-	}
-	return sc.tileOrder
-}
-
-// tileExtDeps collects the distinct dependencies of the tile's runnable
-// cells that live outside the tile — the inputs PickTile's MinComm cost
-// model weighs.
-func (pe *placeEngine[T]) tileExtDeps(st *epochState[T], sc *scratch[T], lo, hi int, order []int) []dag.VertexID {
-	sc.extDeps = sc.extDeps[:0]
-	if sc.extSeen == nil {
-		sc.extSeen = make(map[dag.VertexID]struct{}, 16)
-	}
-	clear(sc.extSeen)
-	cached := st.chunk.DepCached()
-	for _, off := range order {
-		var deps []dag.VertexID
-		var res []cellRef
-		if cached {
-			deps, res = st.chunk.CellDeps(off)
-		} else {
-			deps = sc.tileDeps[sc.tileDepAt[off-lo]:sc.tileDepAt[off-lo+1]]
-		}
-		for k, dep := range deps {
-			var owner, doff int
-			if cached {
-				owner, doff = int(res[k].Owner), int(res[k].Off)
-			} else {
-				owner, doff = st.d.PlaceOffset(dep.I, dep.J)
-			}
-			if owner == pe.self && doff >= lo && doff < hi {
-				continue
-			}
-			if _, dup := sc.extSeen[dep]; dup {
-				continue
-			}
-			sc.extSeen[dep] = struct{}{}
-			sc.extDeps = append(sc.extDeps, dep)
-		}
-	}
-	return sc.extDeps
+// countTile records one tile task run here.
+func (pe *placeEngine[T]) countTile(sc *scratch[T]) {
+	pe.tilesRun.Add(1)
+	pe.mTiles.Inc(sc.wkr)
+	pe.mJobTiles.Add(pe.jobKey, 1)
 }
 
 // trySteal asks one random alive peer for a ready tile and runs it here
@@ -846,17 +586,19 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 	}
 	r := reader{b: reply[1:]}
 	n := int(r.u32())
-	if r.err != nil || n <= 0 {
+	if r.err != nil || n <= 0 || n > len(r.rest())/8 {
 		return false
 	}
-	sc.stolenIDs = sc.stolenIDs[:0]
+	cells := sc.td.idBuf[:0]
 	for k := 0; k < n; k++ {
-		sc.stolenIDs = append(sc.stolenIDs, r.id())
+		id := r.id()
+		if _, ok := st.ownedOffset(id, victim); !ok {
+			return false // not a cell list the victim could have stated
+		}
+		cells = append(cells, id)
 	}
-	if r.err != nil {
-		return false
-	}
-	done, _ := pe.runForeign(st, sc, migratedTile[T]{tile: -1, cells: sc.stolenIDs})
+	sc.td.idBuf = cells
+	done, _ := pe.runForeign(st, sc, cells)
 	if done == 0 {
 		return false
 	}
@@ -932,66 +674,20 @@ func (pe *placeEngine[T]) current() *epochState[T] { return pe.st.Load() }
 // stale reports whether st has been superseded by a recovery.
 func (pe *placeEngine[T]) stale(st *epochState[T]) bool { return pe.st.Load() != st }
 
-// runVertex executes one ready vertex end to end: resolve dependencies,
-// run (or ship) compute, publish the result and propagate decrements
-// (paper §VI-C). It is the whole-tile path when TileSize is 1.
-func (pe *placeEngine[T]) runVertex(st *epochState[T], pk *sched.Picker, sc *scratch[T], off int) {
-	// The activation scan's cache already holds this cell's coordinates,
-	// dependency list and PlaceOffset resolutions.
-	var i, j int32
-	var deps []dag.VertexID
-	var depRes []cellRef
-	if st.chunk.DepCached() {
-		id := st.chunk.CellID(off)
-		i, j = id.I, id.J
-		deps, depRes = st.chunk.CellDeps(off)
-	} else {
-		i, j = st.d.CellAt(pe.self, off)
-		sc.depIDs = pe.cfg.Pattern.Dependencies(i, j, sc.depIDs[:0])
-		deps = sc.depIDs
-	}
-
-	var value T
-	var err error
-	exec := pk.Pick(pe.self, i, j, deps)
-	if exec != pe.self && pe.isAlive(exec) {
-		value, err = pe.execRemote(st, sc, exec, i, j)
-		if err == nil {
-			pe.execMigrated.Add(1)
-		}
-	} else {
-		value, err = pe.computeWith(st, sc, i, j, deps, depRes)
-	}
-	if err != nil {
-		// Dead peer or superseded epoch: the vertex will be rescheduled
-		// by the recovery's rebuilt tile counters.
-		return
-	}
-	if pe.stale(st) {
-		return
-	}
-	pe.completeVertex(st, sc, off, i, j, value)
-}
-
 // completeVertex publishes a computed value for a locally owned vertex:
 // store it, propagate indegree decrements (same-tile edges are skipped —
-// the tile's own dependency-ordered walk, or the stolen batch's order,
-// already satisfies them; other local tiles directly; remote places
-// through the aggregator) and report place completion. Called from the tile walk and from the
-// steal-done handler.
+// the executing walk's order already satisfied them; other local tiles
+// directly; remote places through the aggregator) and report place
+// completion. Called from the steal-done handler; a walk of cells this place
+// owns calls completeResolved directly.
 func (pe *placeEngine[T]) completeVertex(st *epochState[T], sc *scratch[T], off int, i, j int32, value T) {
-	sc.antiBuf = pe.cfg.Pattern.AntiDependencies(i, j, sc.antiBuf[:0])
-	sc.antiRes = sc.antiRes[:0]
-	for _, a := range sc.antiBuf {
-		owner, aoff := st.d.PlaceOffset(a.I, a.J)
-		sc.antiRes = append(sc.antiRes, resolvedAnti{id: a, owner: int32(owner), off: aoff})
-	}
+	sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], dag.VertexID{I: i, J: j})
 	pe.completeResolved(st, sc, off, i, j, value, sc.antiRes)
 }
 
 // completeResolved is completeVertex with the anti-dependency resolutions
-// supplied by the caller — the tile walk resolves them once in tileOrder's
-// Kahn scan and replays them here for every cell it executes.
+// supplied by the caller — the tile walk resolves them once, in orderTile,
+// and replays them here for every cell it executes.
 func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], off int, i, j int32, value T, anti []resolvedAnti) {
 	if sc.deferOn {
 		// Tile walk: the cell is exclusively owned, so publish with a
@@ -1007,12 +703,7 @@ func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], of
 		pe.maybeSnapshot(st)
 	}
 
-	// Clear grouping state a previous, error-aborted use may have left.
-	for _, owner := range sc.owners {
-		sc.remote[owner] = sc.remote[owner][:0]
-	}
-	sc.owners = sc.owners[:0]
-
+	sc.resetGroups()
 	tile := st.chunk.TileOf(off)
 	for _, a := range anti {
 		owner := int(a.owner)
@@ -1052,7 +743,7 @@ func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], of
 		// once the parked completions have been settled.
 		return
 	}
-	// Quantum end for a single-cell tile or a handler-origin completion.
+	// Quantum end for a handler-origin completion (steal-done).
 	st.agg.kick()
 	pe.maybeReportDone(st)
 }
@@ -1074,7 +765,7 @@ func (sc *scratch[T]) noteTileDec(t int) {
 // flushTileWalk leaves deferred-completion mode and settles everything the
 // walk parked: the per-target-tile counter decrements (scheduling tiles
 // they complete) and the batched done count, then runs the completion
-// checks the per-cell path skipped. Registered as a defer by runTile so an
+// checks completeResolved skipped. Registered as a defer by walk so an
 // early exit (pause, stale epoch, peer error, panic) settles too —
 // harmless when the epoch is being torn down, since recovery rebuilds the
 // counters from the per-vertex indegrees.
@@ -1099,11 +790,10 @@ func (pe *placeEngine[T]) flushTileWalk(st *epochState[T], sc *scratch[T]) {
 }
 
 // applyDecrement lowers the tile-readiness counter (and the per-vertex
-// indegree backing recovery) for the locally owned vertex id, scheduling
+// indegree backing recovery) for the locally owned vertex at off, scheduling
 // its tile when the last cross-tile input arrives. Finished vertices
 // (restored by a recovery) absorb decrements without being re-scheduled.
-func (pe *placeEngine[T]) applyDecrement(st *epochState[T], sc *scratch[T], id dag.VertexID) {
-	off := st.d.LocalOffset(id.I, id.J)
+func (pe *placeEngine[T]) applyDecrement(st *epochState[T], sc *scratch[T], off int) {
 	if t, ready := st.chunk.TileDecrement(off); ready {
 		pe.enqueueTile(st, t, sc.wkr)
 	}
@@ -1142,302 +832,12 @@ func tileWaves[T any](d dist.Dist, chunk *distarray.Chunk[T], self int) []int32 
 	return waves
 }
 
-// computeWith gathers dependency values (locally, from the tile's halo,
-// from the cache, or by remote fetch) and invokes the user's compute
-// function on this place. It runs at the executing place — the owner under
-// local scheduling, the target under exec migration, the thief under
-// stealing — so telemetry recorded here attributes work to where it
-// actually ran. depRes is the optional pre-resolved dependency ownership
-// (parallel to depIDs); the tile walks supply it so the dist is not
-// queried twice per edge.
-func (pe *placeEngine[T]) computeWith(st *epochState[T], sc *scratch[T], i, j int32, depIDs []dag.VertexID, depRes []cellRef) (T, error) {
-	var t0 time.Time
-	if pe.cfg.Trace != nil {
-		t0 = time.Now()
-	}
-	cells, err := pe.gatherDeps(st, sc, depIDs, depRes)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	v := pe.cfg.Compute(i, j, cells)
-	if pe.cfg.Trace != nil {
-		pe.cfg.Trace.RecordCompute(pe.self, i, j, t0, time.Since(t0))
-	}
-	return v, nil
-}
-
-// gatherDeps resolves dependency values in the pattern's order: local
-// chunk reads, the walk's halo, cache hits (including sender-pushed
-// values), then one batched fetch per remaining owner — the fallback for
-// single-cell tiles, exec migration and anything a halo did not cover.
-func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], depIDs []dag.VertexID, depRes []cellRef) ([]Cell[T], error) {
-	if cap(sc.cells) < len(depIDs) {
-		sc.cells = make([]Cell[T], len(depIDs))
-	}
-	cells := sc.cells[:len(depIDs)]
-	// Clear grouping state a previous, error-aborted use may have left.
-	for _, owner := range sc.fetchOwners {
-		sc.fetchIdx[owner] = sc.fetchIdx[owner][:0]
-	}
-	sc.fetchOwners = sc.fetchOwners[:0]
-	localReads := 0
-	for k, id := range depIDs {
-		cells[k].ID = id
-		var owner, off int
-		if depRes != nil {
-			owner, off = int(depRes[k].Owner), int(depRes[k].Off)
-		} else {
-			owner, off = st.d.PlaceOffset(id.I, id.J)
-		}
-		if owner == pe.self {
-			if !st.chunk.Finished(off) {
-				return nil, fmt.Errorf("core: place %d scheduled a vertex before local dependency %v finished", pe.self, id)
-			}
-			cells[k].Value = st.chunk.Value(off)
-			localReads++
-			continue
-		}
-		if len(sc.halo) > 0 {
-			if v, ok := sc.halo[id]; ok {
-				cells[k].Value = v
-				continue
-			}
-		}
-		if v, ok, pushed := st.cache.GetTagged(id); ok {
-			cells[k].Value = v
-			pe.cacheHits.Add(1)
-			if pushed {
-				pe.pushConsumed.Add(1)
-				if pe.cfg.Trace != nil {
-					pe.cfg.Trace.AddPushHit(pe.self)
-				}
-			}
-			continue
-		}
-		pe.cacheMisses.Add(1)
-		idxs := sc.fetchIdx[owner]
-		if len(idxs) == 0 {
-			sc.fetchOwners = append(sc.fetchOwners, owner)
-		}
-		sc.fetchIdx[owner] = append(idxs, k)
-	}
-	if localReads > 0 {
-		pe.localReads.Add(int64(localReads))
-	}
-	for _, owner := range sc.fetchOwners {
-		idxs := sc.fetchIdx[owner]
-		sc.fetchIdx[owner] = idxs[:0]
-		sc.ids = sc.ids[:0]
-		for _, k := range idxs {
-			sc.ids = append(sc.ids, depIDs[k])
-		}
-		vals, err := pe.fetchValues(st, sc, owner, sc.ids)
-		if err != nil {
-			return nil, err
-		}
-		for n, k := range idxs {
-			cells[k].Value = vals[n]
-		}
-	}
-	sc.fetchOwners = sc.fetchOwners[:0]
-	return cells, nil
-}
-
-// fetchValues reads the finished values of ids, all owned by owner, into
-// sc.vals in id order: one kindFetch call per fetchMaxIDs ids. Every value
-// is offered to the vertex cache.
-func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner int, ids []dag.VertexID) ([]T, error) {
-	sc.vals = sc.vals[:0]
-	for len(ids) > 0 {
-		req := ids[:min(len(ids), fetchMaxIDs)]
-		ids = ids[len(req):]
-		var f0 time.Time
-		if pe.cfg.Trace != nil {
-			f0 = time.Now()
-		}
-		sc.enc = appendFetchReq(sc.enc[:0], st.epoch, req)
-		pe.fetchCalls.Add(1)
-		reply, err := pe.tr.Call(owner, kindFetch, sc.enc)
-		if pe.cfg.Trace != nil {
-			pe.cfg.Trace.AddFetchWait(pe.self, time.Since(f0))
-		}
-		if err != nil {
-			pe.peerError(owner, err)
-			return nil, err
-		}
-		for _, id := range req {
-			v, n, derr := pe.cfg.Codec.Decode(reply)
-			if derr != nil {
-				return nil, fmt.Errorf("core: fetch decode from place %d: %w", owner, derr)
-			}
-			reply = reply[n:]
-			sc.vals = append(sc.vals, v)
-			st.cache.Put(id, v)
-		}
-		pe.remoteFetches.Add(int64(len(req)))
-	}
-	return sc.vals, nil
-}
-
-// prefetchHalo moves a tile's halo before its cells run. deps/res are the
-// flattened resolved dependencies of the cells about to execute; own lists
-// those cells when another place owns them (a thief's or a lifeline
-// receiver's walk — the owner has not stored them, so they are never
-// fetched; an owner's own cells are local and skipped as such). Every
-// distinct remote dependency that the halo buffer does not already hold is
-// copied out of the vertex cache or, failing that, fetched — one fetchValues
-// per owning place — and lands in sc.halo, where gatherDeps finds it.
-// Callers empty sc.halo when their walk ends, and abandon the walk on an
-// error: a value still to be fetched is held as a zero placeholder, which
-// also keeps a second edge to it from listing it twice.
-func (pe *placeEngine[T]) prefetchHalo(st *epochState[T], sc *scratch[T], deps []dag.VertexID, res []cellRef, own []dag.VertexID) error {
-	if len(own) > 0 {
-		if sc.extSeen == nil {
-			sc.extSeen = make(map[dag.VertexID]struct{}, len(own))
-		}
-		clear(sc.extSeen)
-		for _, id := range own {
-			sc.extSeen[id] = struct{}{}
-		}
-	}
-	// Clear grouping state a previous, error-aborted use may have left.
-	for _, owner := range sc.owners {
-		sc.remote[owner] = sc.remote[owner][:0]
-	}
-	sc.owners = sc.owners[:0]
-	var hits, misses, pushHits int64
-	for k, dep := range deps {
-		owner := int(res[k].Owner)
-		if owner == pe.self {
-			continue
-		}
-		if _, held := sc.halo[dep]; held {
-			continue
-		}
-		if len(own) > 0 {
-			if _, mine := sc.extSeen[dep]; mine {
-				continue
-			}
-		}
-		v, ok, pushed := st.cache.GetTagged(dep)
-		sc.halo[dep] = v
-		if ok {
-			hits++
-			if pushed {
-				pushHits++
-				if pe.cfg.Trace != nil {
-					pe.cfg.Trace.AddPushHit(pe.self)
-				}
-			}
-			continue
-		}
-		misses++
-		lst := sc.remote[owner]
-		if len(lst) == 0 {
-			sc.owners = append(sc.owners, owner)
-		}
-		sc.remote[owner] = append(lst, dep)
-	}
-	pe.cacheHits.Add(hits)
-	pe.cacheMisses.Add(misses)
-	pe.pushConsumed.Add(pushHits)
-	for _, owner := range sc.owners {
-		ids := sc.remote[owner]
-		sc.remote[owner] = ids[:0]
-		vals, err := pe.fetchValues(st, sc, owner, ids)
-		if err != nil {
-			return err
-		}
-		for k, id := range ids {
-			sc.halo[id] = vals[k]
-		}
-	}
-	sc.owners = sc.owners[:0]
-	return nil
-}
-
-// runForeign executes a tile that arrived from another place — stolen from
-// it, or pushed here along a lifeline — and reports how many cells it
-// computed and whether their results went back over the wire. mt.cells is
-// the owner's stated intra-tile dependency order; dependency values delivered
-// with the tile pre-seed the halo. The walk resolves every cell's
-// dependencies once, moves the rest of the halo in one step (the tile's own
-// cells excluded: their values exist only here, in sc.halo, until the owner
-// stores them), computes in order and returns the results to the owner over
-// kindStealDone, which stores them and propagates decrements. A tile that
-// diffused back to its own owner completes locally instead.
-func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], mt migratedTile[T]) (done int, returned bool) {
-	if len(mt.cells) == 0 {
-		return 0, false
-	}
-	owner := st.d.Place(mt.cells[0].I, mt.cells[0].J)
-	sc.tileDeps = sc.tileDeps[:0]
-	sc.tileDepRes = sc.tileDepRes[:0]
-	sc.tileDepAt = sc.tileDepAt[:0]
-	for _, id := range mt.cells {
-		at := len(sc.tileDeps)
-		sc.tileDepAt = append(sc.tileDepAt, int32(at))
-		sc.tileDeps = pe.cfg.Pattern.Dependencies(id.I, id.J, sc.tileDeps)
-		for _, dep := range sc.tileDeps[at:] {
-			o, off := st.d.PlaceOffset(dep.I, dep.J)
-			sc.tileDepRes = append(sc.tileDepRes, cellRef{Owner: int32(o), Off: int32(off)})
-		}
-	}
-	sc.tileDepAt = append(sc.tileDepAt, int32(len(sc.tileDeps)))
-	defer clear(sc.halo)
-	for k, id := range mt.depIDs {
-		sc.halo[id] = mt.depVals[k]
-	}
-	if pe.prefetchHalo(st, sc, sc.tileDeps, sc.tileDepRes, mt.cells) != nil {
-		return 0, false // the owner's recovery will reschedule the tile
-	}
-	// [epoch][count][(id, value)...], count backpatched: a mid-tile error
-	// (the owner died, or a recovery superseded the epoch) still returns the
-	// finished prefix — the owner can keep restored work across a
-	// redistribution — and the recovery reschedules the rest.
-	sc.out = putU64(sc.out[:0], st.epoch)
-	cntAt := len(sc.out)
-	sc.out = putU32(sc.out, 0)
-	for k, id := range mt.cells {
-		a, b := sc.tileDepAt[k], sc.tileDepAt[k+1]
-		v, err := pe.computeWith(st, sc, id.I, id.J, sc.tileDeps[a:b], sc.tileDepRes[a:b])
-		if err != nil || pe.stale(st) {
-			break
-		}
-		if owner == pe.self {
-			pe.completeVertex(st, sc, st.d.LocalOffset(id.I, id.J), id.I, id.J, v)
-		} else {
-			sc.halo[id] = v
-			sc.out = putID(sc.out, id)
-			sc.out = pe.cfg.Codec.Encode(sc.out, v)
-		}
-		done++
-	}
-	if done == 0 {
-		return 0, false
-	}
-	pe.tilesRun.Add(1)
-	pe.mTiles.Inc(sc.wkr)
-	pe.mJobTiles.Add(pe.jobKey, 1)
-	if owner == pe.self {
-		return done, false
-	}
-	binary.LittleEndian.PutUint32(sc.out[cntAt:], uint32(done))
-	if _, err := pe.tr.Call(owner, kindStealDone, sc.out); err != nil {
-		pe.peerError(owner, err)
-	}
-	return done, true
-}
-
 // execRemote ships the vertex to another place for execution
 // (random / min-communication scheduling) and returns the computed value.
-func (pe *placeEngine[T]) execRemote(st *epochState[T], sc *scratch[T], exec int, i, j int32) (T, error) {
+func (pe *placeEngine[T]) execRemote(st *epochState[T], sc *scratch[T], exec int, id dag.VertexID) (T, error) {
 	var zero T
-	payload := putU64(sc.enc[:0], st.epoch)
-	payload = putID(payload, dag.VertexID{I: i, J: j})
-	sc.enc = payload
-	reply, err := pe.tr.Call(exec, kindExec, payload)
+	sc.enc = putID(putU64(sc.enc[:0], st.epoch), id)
+	reply, err := pe.tr.Call(exec, kindExec, sc.enc)
 	if err != nil {
 		pe.peerError(exec, err)
 		return zero, err

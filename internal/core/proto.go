@@ -52,11 +52,11 @@ const (
 	kindDecrBatch uint8 = 20 // Send: aggregated decrements, optionally carrying values
 	kindStats     uint8 = 21 // Call: place 0 -> place, read the metrics snapshot
 	// kindLifelineDeliver migrates one whole ready tile from a victim to a
-	// lifeline buddy that parked on it: the tile's unfinished cells in
-	// intra-tile dependency order plus the dependency values the victim
-	// already holds (local finished cells and cache hits), so the thief
-	// starts computing without a fetch round-trip. The thief returns results
-	// over the ordinary kindStealDone path, truncation semantics included.
+	// lifeline buddy that parked on it: an id batch ([epoch][n][ids...]) of
+	// the tile's unfinished cells in intra-tile dependency order, exactly
+	// the kindSteal reply's contract. The thief sources their inputs and
+	// returns results as for a stolen tile: one halo step, then the ordinary
+	// kindStealDone path, truncation semantics included.
 	kindLifelineDeliver uint8 = 22 // Call: victim -> parked thief, pushed ready tile
 )
 
@@ -264,8 +264,8 @@ func putID(dst []byte, id dag.VertexID) []byte {
 	return putU32(dst, uint32(id.J))
 }
 
-// encodeIDBatch builds [epoch][n][ids...], the replay batch layout, in a
-// fresh buffer.
+// encodeIDBatch builds [epoch][n][ids...], the layout of a replay batch and
+// of a lifeline push, in a fresh buffer.
 func encodeIDBatch(epoch uint64, ids []dag.VertexID) []byte {
 	dst := putU32(putU64(make([]byte, 0, 12+8*len(ids)), epoch), uint32(len(ids)))
 	for _, id := range ids {
@@ -274,7 +274,8 @@ func encodeIDBatch(epoch uint64, ids []dag.VertexID) []byte {
 	return dst
 }
 
-// decodeIDBatch parses [epoch][n][ids...], appending ids to buf.
+// decodeIDBatch parses [epoch][n][ids...], appending ids to buf. The ids
+// must fill the payload exactly: trailing bytes are a protocol error.
 func decodeIDBatch(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.VertexID, err error) {
 	r := reader{b: payload}
 	epoch = r.u64()
@@ -282,8 +283,8 @@ func decodeIDBatch(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.
 	if r.err != nil {
 		return 0, nil, r.err
 	}
-	if int(n) > (len(payload)-12)/8 {
-		return 0, nil, fmt.Errorf("core: id batch count %d exceeds payload", n)
+	if int64(n)*8 != int64(len(payload)-12) {
+		return 0, nil, fmt.Errorf("core: id batch of %d ids in a %d-byte payload", n, len(payload))
 	}
 	for k := uint32(0); k < n; k++ {
 		buf = append(buf, r.id())
@@ -301,7 +302,7 @@ func decodeIDBatch(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.
 //
 // Bit 0 of head marks a piggybacked source value (value push); the
 // receiver deposits it into the epoch's vertex cache before applying the
-// decrements, so downstream gatherDeps hits the cache instead of issuing
+// decrements, so the consumer's halo step hits the cache instead of issuing
 // a kindFetch round-trip. Bits 1-7 of head are the target count; 127 is
 // an escape: the count (>= 127) follows head as a uvarint. A Δid is two
 // zig-zag varints, (ΔI, ΔJ): a source is taken relative to the previous
@@ -514,72 +515,4 @@ func decodeFetchReq(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag
 		buf = append(buf, prev)
 	}
 	return epoch, buf, r.err
-}
-
-// --- lifeline tile migration (kindLifelineDeliver) --------------------
-//
-// One delivery migrates one whole ready tile from a victim to a lifeline
-// buddy parked on it:
-//
-//	[epoch u64][nCells u32][cell ids 8B each]
-//	[nDeps u32][(dep id 8B, dep value codec)...]
-//
-// Cells are the tile's unfinished vertices in intra-tile dependency order
-// — exactly the kindSteal reply's contract — and the dep section carries
-// the dependency values the victim could serve without a round-trip (its
-// own finished cells and its cache hits). The thief preloads them, computes
-// the cells in order and answers the victim with an ordinary kindStealDone
-// batch, mid-tile truncation semantics included.
-
-// encodeLifelineDeliver builds a kindLifelineDeliver payload.
-func encodeLifelineDeliver[T any](dst []byte, cd codec.Codec[T], epoch uint64, cells []dag.VertexID, depIDs []dag.VertexID, depVals []T) []byte {
-	dst = putU64(dst, epoch)
-	dst = putU32(dst, uint32(len(cells)))
-	for _, id := range cells {
-		dst = putID(dst, id)
-	}
-	dst = putU32(dst, uint32(len(depIDs)))
-	for k, id := range depIDs {
-		dst = putID(dst, id)
-		dst = cd.Encode(dst, depVals[k])
-	}
-	return dst
-}
-
-// decodeLifelineDeliver parses a kindLifelineDeliver payload, appending
-// cells, dep ids and dep values to the caller's buffers (nil buffers give
-// fresh allocations, so handler output never aliases the wire payload).
-// Counts are bounds-checked against the payload length before any
-// allocation they imply.
-func decodeLifelineDeliver[T any](payload []byte, cd codec.Codec[T], cells, depIDs []dag.VertexID, depVals []T) (epoch uint64, outCells, outDepIDs []dag.VertexID, outDepVals []T, err error) {
-	r := reader{b: payload}
-	epoch = r.u64()
-	nc := r.u32()
-	if r.err != nil {
-		return 0, cells, depIDs, depVals, r.err
-	}
-	if int(nc) > (len(payload)-16)/8 {
-		return 0, cells, depIDs, depVals, fmt.Errorf("core: lifeline deliver cell count %d exceeds payload", nc)
-	}
-	for k := uint32(0); k < nc; k++ {
-		cells = append(cells, r.id())
-	}
-	nd := r.u32()
-	if r.err != nil {
-		return 0, cells, depIDs, depVals, r.err
-	}
-	if int(nd) > (len(payload)-r.off)/8 {
-		return 0, cells, depIDs, depVals, fmt.Errorf("core: lifeline deliver dep count %d exceeds payload", nd)
-	}
-	for k := uint32(0); k < nd; k++ {
-		id := r.id()
-		v, used, derr := cd.Decode(r.rest())
-		if derr != nil {
-			return 0, cells, depIDs, depVals, fmt.Errorf("core: lifeline deliver value decode: %w", derr)
-		}
-		r.off += used
-		depIDs = append(depIDs, id)
-		depVals = append(depVals, v)
-	}
-	return epoch, cells, depIDs, depVals, r.err
 }

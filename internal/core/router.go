@@ -113,10 +113,10 @@ type jobPort struct {
 
 var _ transport.Transport = (*jobPort)(nil)
 
-func (p *jobPort) Self() int         { return p.router.tr.Self() }
-func (p *jobPort) NPlaces() int      { return p.router.tr.NPlaces() }
-func (p *jobPort) Alive(q int) bool  { return p.router.tr.Alive(q) }
-func (p *jobPort) Close() error      { return nil } // lifetime owned by the router's stack
+func (p *jobPort) Self() int        { return p.router.tr.Self() }
+func (p *jobPort) NPlaces() int     { return p.router.tr.NPlaces() }
+func (p *jobPort) Alive(q int) bool { return p.router.tr.Alive(q) }
+func (p *jobPort) Close() error     { return nil } // lifetime owned by the router's stack
 func (p *jobPort) Stats() *transport.Stats {
 	return &p.stats
 }

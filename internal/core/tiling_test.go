@@ -4,37 +4,93 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/sched"
 )
 
-// TestTilingStrategyParity is the tiling acceptance matrix: every
-// scheduling strategy, run per-vertex (tile=1, the pre-tiling engine),
-// with small fixed tiles, and with the auto pick, must produce a matrix
-// cell-for-cell identical to the serial reference.
-func TestTilingStrategyParity(t *testing.T) {
-	pat := patterns.NewDiagonal(24, 18)
-	strategies := map[string]sched.Strategy{
-		"local":   sched.Local,
-		"random":  sched.Random,
-		"mincomm": sched.MinComm,
-		"steal":   sched.Steal,
-	}
-	for name, st := range strategies {
-		for _, tile := range []int{1, 4, 0} {
-			name, st, tile := name, st, tile
-			label := fmt.Sprintf("%s/tile=%d", name, tile)
-			if tile == 0 {
-				label = name + "/tile=auto"
+// orderedCompute is a compute() that sees a reordered, substituted or stale
+// dependency: it weighs deps[k] by its position and panics unless deps[k] is
+// the pattern's k-th dependency.
+func orderedCompute(pat dag.Pattern) ComputeFunc[int64] {
+	return func(i, j int32, deps []Cell[int64]) int64 {
+		want := pat.Dependencies(i, j, nil)
+		v := int64(i)*31 + int64(j)*17
+		for k, d := range deps {
+			if d.ID != want[k] {
+				panic(fmt.Sprintf("cell (%d,%d): deps[%d] is %v, the pattern says %v", i, j, k, d.ID, want[k]))
 			}
-			t.Run(label, func(t *testing.T) {
-				cfg := baseConfig(pat, 4)
-				cfg.Strategy = st
-				cfg.TileSize = tile
-				runAndCheck(t, cfg)
-			})
+			v = v*1000003 + int64(k+1)*d.Value
+		}
+		return v
+	}
+}
+
+// tilingParity is the tiling acceptance matrix: every scheduling arm (the
+// four strategies, and stealing with lifelines), run per-vertex (tile=1),
+// with small fixed tiles, with the auto pick and with one tile per chunk,
+// each with the dependency cache live and — spilled to disk, the one
+// configuration that runs without it — off, must compute every active cell
+// exactly once and produce a matrix identical to the serial reference.
+func tilingParity(t *testing.T, pat dag.Pattern, places int) {
+	compute := orderedCompute(pat)
+	want := refValuesWith(pat, compute)
+	for _, arm := range []string{"local", "random", "mincomm", "steal", "lifelines"} {
+		for _, tile := range []int{1, 4, 0, 1 << 20} {
+			for _, spill := range []bool{false, true} {
+				label := fmt.Sprintf("%s/tile=%d", arm, tile)
+				if tile == 0 {
+					label = arm + "/tile=auto"
+				}
+				if spill {
+					label += "/nodepcache"
+				}
+				t.Run(label, func(t *testing.T) {
+					cfg := baseConfig(pat, places)
+					cfg.Compute = compute
+					cfg.TileSize = tile
+					if cfg.Lifelines = arm == "lifelines"; cfg.Lifelines {
+						cfg.Strategy = sched.Steal
+					} else {
+						cfg.Strategy, _ = sched.ParseStrategy(arm)
+					}
+					if spill {
+						cfg.Spill = &SpillConfig{Dir: t.TempDir()}
+					}
+					cl, err := NewCluster(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := cl.Run(); err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					res, err := cl.Result()
+					if err != nil {
+						t.Fatal(err)
+					}
+					for id, wv := range want {
+						if got := res.Value(id.I, id.J); !res.Finished(id.I, id.J) || got != wv {
+							t.Fatalf("cell %v = %d, want %d", id, got, wv)
+						}
+					}
+					if got := cl.Stats().ComputedCells; got != int64(len(want)) {
+						t.Fatalf("ComputedCells = %d for %d active cells", got, len(want))
+					}
+				})
+			}
 		}
 	}
+}
+
+func TestTilingStrategyParity(t *testing.T) { tilingParity(t, patterns.NewDiagonal(24, 18), 4) }
+
+// TestTilingNoDepCacheParity runs the matrix on three places for a monotone
+// wavefront pattern (whose cached runs take the ascending-offset order) and
+// an interval pattern (whose same-tile deps point at larger offsets, forcing
+// the Kahn walk).
+func TestTilingNoDepCacheParity(t *testing.T) {
+	t.Run("diagonal", func(t *testing.T) { tilingParity(t, patterns.NewDiagonal(24, 18), 3) })
+	t.Run("interval", func(t *testing.T) { tilingParity(t, patterns.NewInterval(12), 3) })
 }
 
 // TestTilingKillMidRunRecovers kills a place mid-run under tiled
@@ -97,27 +153,5 @@ func TestTilingCoarseTasks(t *testing.T) {
 	s := cl.Stats()
 	if s.TilesExecuted >= s.ComputedCells/8 {
 		t.Fatalf("tiling not engaged: %d tile tasks for %d cells", s.TilesExecuted, s.ComputedCells)
-	}
-}
-
-// TestTilingNoDepCacheParity re-runs tiled execution spilled to disk, the
-// one configuration that runs without the dependency-resolution cache:
-// the walk's on-the-fly resolution path must stay cell-for-cell identical
-// to the reference for both a monotone wavefront pattern (whose cached
-// runs take the ascending-offset fast path) and an interval pattern
-// (whose same-tile deps point at larger offsets, forcing the Kahn walk).
-func TestTilingNoDepCacheParity(t *testing.T) {
-	pats := map[string]func() Config[int64]{
-		"diagonal": func() Config[int64] { return baseConfig(patterns.NewDiagonal(24, 18), 3) },
-		"interval": func() Config[int64] { return baseConfig(patterns.NewInterval(12), 3) },
-	}
-	for name, mk := range pats {
-		name, mk := name, mk
-		t.Run(name, func(t *testing.T) {
-			cfg := mk()
-			cfg.Spill = &SpillConfig{Dir: t.TempDir()}
-			cfg.TileSize = 4
-			runAndCheck(t, cfg)
-		})
 	}
 }

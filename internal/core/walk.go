@@ -1,0 +1,533 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"github.com/dpx10/dpx10/internal/dag"
+)
+
+// The tile walk (paper §VI-C): take a ready unit, gather its dependencies,
+// compute, decrement. Every unit — one of this place's own tiles, a tile
+// stolen from or pushed by another place, a single cell shipped here by exec
+// migration — is described once (describeTile / describeCells: resolve, then
+// order) and executed by walk, which sources every remote value in fillHalo.
+
+// tileDesc is the scratch-resident description of a unit about to execute:
+// its cells with their resolved dependencies, and the cells to run, in order,
+// with their resolved anti-dependencies. For one of this place's own tiles
+// slot s is local offset lo+s, and cells already finished keep their slot but
+// stay out of order; for a cell list that came over the wire slot s is its
+// s-th cell and lo is -1.
+type tileDesc struct {
+	owner  int            // the place that owns the cells
+	lo     int            // first local offset of an own tile, -1 for a cell list
+	remote bool           // a dependency may live on another place: the walk needs a halo
+	ids    []dag.VertexID // per slot
+	depAt  []int32        // per slot, len(ids)+1: slot s depends on deps[depAt[s]:depAt[s+1]]
+	deps   []dag.VertexID
+	res    []cellRef      // dist.PlaceOffset of each entry of deps
+	order  []int32        // slots in execution order
+	antiAt []int32        // per order position, len(order)+1; filled only when owner is this place
+	anti   []resolvedAnti // what completeResolved propagates to
+
+	// Backing store of the filled form (ids, depAt, deps, res alias the
+	// chunk's dependency cache otherwise) and of the Kahn pass.
+	idBuf    []dag.VertexID
+	depAtBuf []int32
+	depBuf   []dag.VertexID
+	resBuf   []cellRef
+	rem      []int32 // unfinished same-tile deps per slot
+	stack    []int32
+}
+
+// haloTable holds vertex values by id for the span of one walk: open
+// addressing over power-of-two arrays, emptied in O(1) by moving on to the
+// next generation stamp. A walk at tile size 1 fills and empties it once per
+// cell, which is where a built-in map's clear() and hashing showed up as the
+// hottest lines of the whole engine.
+type haloTable[T any] struct {
+	keys []dag.VertexID
+	vals []T
+	gen  []uint32 // slot i is live iff gen[i] == cur
+	cur  uint32
+	n    int
+}
+
+func (h *haloTable[T]) reset() {
+	h.n = 0
+	if h.cur++; h.cur == 0 { // wrapped: stale stamps would read as live
+		clear(h.gen)
+		h.cur = 1
+	}
+}
+
+// find returns the index holding id, or of the free slot id would take.
+func (h *haloTable[T]) find(id dag.VertexID) (i int, ok bool) {
+	mask := len(h.keys) - 1
+	key := uint64(uint32(id.I))<<32 | uint64(uint32(id.J))
+	for i = int(key*0x9E3779B97F4A7C15>>33) & mask; h.gen[i] == h.cur; i = (i + 1) & mask {
+		if h.keys[i] == id {
+			return i, true
+		}
+	}
+	return i, false
+}
+
+func (h *haloTable[T]) get(id dag.VertexID) (v T, ok bool) {
+	if h.n == 0 {
+		return v, false
+	}
+	i, ok := h.find(id)
+	return h.vals[i], ok
+}
+
+// slot returns where id's value lives, making room for it if it is new, and
+// reports whether it was held already. The pointer is good until the next slot.
+func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held bool) {
+	if 2*(h.n+1) > len(h.keys) {
+		old := *h
+		size := max(16, 2*len(old.keys))
+		*h = haloTable[T]{keys: make([]dag.VertexID, size), vals: make([]T, size), gen: make([]uint32, size), cur: 1}
+		for i, g := range old.gen {
+			if g == old.cur {
+				p, _ := h.slot(old.keys[i])
+				*p = old.vals[i]
+			}
+		}
+	}
+	i, held := h.find(id)
+	if !held {
+		h.keys[i], h.gen[i] = id, h.cur
+		h.n++
+	}
+	return &h.vals[i], held
+}
+
+// describeTile resolves and orders this place's own tile t: a view onto the
+// chunk's dependency cache when the activation scan left one, filled from
+// the pattern otherwise (spilled chunks, patterns over the cache's bound).
+func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int) *tileDesc {
+	td := &sc.td
+	lo, hi := st.chunk.TileRange(t)
+	td.owner, td.lo, td.remote = pe.self, lo, st.chunk.TileRemote(t)
+	if st.chunk.DepCached() {
+		td.ids, td.depAt, td.deps, td.res = st.chunk.DepView(lo, hi)
+	} else {
+		td.idBuf = td.idBuf[:0]
+		for off := lo; off < hi; off++ {
+			i, j := st.d.CellAt(pe.self, off)
+			td.idBuf = append(td.idBuf, dag.VertexID{I: i, J: j})
+		}
+		pe.fillDeps(st, td, td.idBuf)
+	}
+	// Ascending offsets are a topological order when the activation scan saw
+	// every same-place dependency at a smaller offset.
+	pe.orderTile(st, sc, td, !st.chunk.DepMonotone())
+	return td
+}
+
+// describeCells resolves a cell list that arrived over the wire — a steal
+// reply, a lifeline push, an exec request — all owned by owner and already in
+// the order its owner stated.
+func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner int, cells []dag.VertexID) *tileDesc {
+	td := &sc.td
+	td.owner, td.lo, td.remote = owner, -1, true
+	pe.fillDeps(st, td, cells)
+	pe.orderTile(st, sc, td, false)
+	return td
+}
+
+// fillDeps resolves the dependencies of ids from the pattern and the
+// distribution into td's own buffers.
+func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc, ids []dag.VertexID) {
+	td.depAtBuf, td.depBuf, td.resBuf = td.depAtBuf[:0], td.depBuf[:0], td.resBuf[:0]
+	for s, id := range ids {
+		at := len(td.depBuf)
+		td.depAtBuf = append(td.depAtBuf, int32(at))
+		if td.lo >= 0 && st.chunk.Finished(td.lo+s) {
+			continue
+		}
+		td.depBuf = pe.cfg.Pattern.Dependencies(id.I, id.J, td.depBuf)
+		for _, dep := range td.depBuf[at:] {
+			owner, off := st.d.PlaceOffset(dep.I, dep.J)
+			td.resBuf = append(td.resBuf, cellRef{Owner: int32(owner), Off: int32(off)})
+		}
+	}
+	td.depAtBuf = append(td.depAtBuf, int32(len(td.depBuf)))
+	td.ids, td.depAt, td.deps, td.res = ids, td.depAtBuf, td.depBuf, td.resBuf
+}
+
+// appendAnti appends id's anti-dependencies to dst with their ownership
+// resolved, so completeResolved propagates decrements without querying the
+// distribution again.
+func (pe *placeEngine[T]) appendAnti(st *epochState[T], sc *scratch[T], dst []resolvedAnti, id dag.VertexID) []resolvedAnti {
+	sc.antiBuf = pe.cfg.Pattern.AntiDependencies(id.I, id.J, sc.antiBuf[:0])
+	for _, a := range sc.antiBuf {
+		owner, off := st.d.PlaceOffset(a.I, a.J)
+		dst = append(dst, resolvedAnti{id: a, owner: int32(owner), off: off})
+	}
+	return dst
+}
+
+// appendRun makes slot s the next cell of td.order and, when this place owns
+// the cells, resolves its anti-dependencies into td.anti; it returns those.
+func (pe *placeEngine[T]) appendRun(st *epochState[T], sc *scratch[T], td *tileDesc, s int32) []resolvedAnti {
+	td.order = append(td.order, s)
+	at := len(td.anti)
+	td.antiAt = append(td.antiAt, int32(at))
+	if td.owner == pe.self {
+		td.anti = pe.appendAnti(st, sc, td.anti, td.ids[s])
+	}
+	return td.anti[at:]
+}
+
+// orderTile fills td.order with the unfinished slots in an order that honors
+// the dependencies among them, and — when this place owns the cells — td.anti
+// with each one's anti-dependencies. Cross-tile dependencies of a claimed
+// tile are finished already (that is what its counter tracked), so only edges
+// inside the tile constrain the order: slot order when kahn is false, a Kahn
+// walk over those edges otherwise (own tiles only).
+func (pe *placeEngine[T]) orderTile(st *epochState[T], sc *scratch[T], td *tileDesc, kahn bool) {
+	td.order, td.antiAt, td.anti = td.order[:0], td.antiAt[:0], td.anti[:0]
+	n := len(td.ids)
+	lo, hi := td.lo, td.lo+n
+	if !kahn {
+		for s := 0; s < n; s++ {
+			if lo < 0 || !st.chunk.Finished(lo+s) {
+				pe.appendRun(st, sc, td, int32(s))
+			}
+		}
+		td.antiAt = append(td.antiAt, int32(len(td.anti)))
+		return
+	}
+	if cap(td.rem) < n {
+		td.rem = make([]int32, n)
+	}
+	rem := td.rem[:n]
+	td.stack = td.stack[:0]
+	pending := 0
+	for s := 0; s < n; s++ {
+		if st.chunk.Finished(lo + s) {
+			rem[s] = -1
+			continue
+		}
+		cnt := int32(0)
+		for _, r := range td.res[td.depAt[s]:td.depAt[s+1]] {
+			if doff := int(r.Off); int(r.Owner) == pe.self && doff >= lo && doff < hi && !st.chunk.Finished(doff) {
+				cnt++
+			}
+		}
+		rem[s] = cnt
+		pending++
+		if cnt == 0 {
+			td.stack = append(td.stack, int32(s))
+		}
+	}
+	for len(td.stack) > 0 {
+		s := td.stack[len(td.stack)-1]
+		td.stack = td.stack[:len(td.stack)-1]
+		for _, a := range pe.appendRun(st, sc, td, s) {
+			if int(a.owner) != pe.self || a.off < lo || a.off >= hi {
+				continue
+			}
+			if r := rem[a.off-lo]; r > 0 {
+				rem[a.off-lo] = r - 1
+				if r == 1 {
+					td.stack = append(td.stack, int32(a.off-lo))
+				}
+			}
+		}
+	}
+	td.antiAt = append(td.antiAt, int32(len(td.anti)))
+	if len(td.order) != pending {
+		// The intra-tile subgraph of a DAG cannot be cyclic; an incomplete
+		// walk means the pattern's deps/anti-deps disagree.
+		panic(fmt.Sprintf("core: place %d tile [%d,%d): intra-tile order covers %d of %d cells",
+			pe.self, lo, hi, len(td.order), pending))
+	}
+}
+
+// tileExtDeps collects the distinct dependencies of an own tile's runnable
+// cells that live outside the tile — the inputs PickTile's MinComm cost
+// model weighs.
+func (pe *placeEngine[T]) tileExtDeps(sc *scratch[T], td *tileDesc) []dag.VertexID {
+	sc.extDeps = sc.extDeps[:0]
+	if sc.extSeen == nil {
+		sc.extSeen = make(map[dag.VertexID]struct{}, 16)
+	}
+	clear(sc.extSeen)
+	lo, hi := td.lo, td.lo+len(td.ids)
+	for _, s := range td.order {
+		for k := td.depAt[s]; k < td.depAt[s+1]; k++ {
+			if r := td.res[k]; int(r.Owner) == pe.self && int(r.Off) >= lo && int(r.Off) < hi {
+				continue
+			}
+			dep := td.deps[k]
+			if _, dup := sc.extSeen[dep]; dup {
+				continue
+			}
+			sc.extSeen[dep] = struct{}{}
+			sc.extDeps = append(sc.extDeps, dep)
+		}
+	}
+	return sc.extDeps
+}
+
+// walk executes a described unit: here, after one halo step, or — exec
+// migration of an own tile — by shipping its cells to exec one at a time, in
+// order, each completing (the owner stores it) before the next ships, so the
+// target's fetches of intra-tile dependencies find them finished. The only
+// other variation is where a result goes: into this place's chunk through
+// completeResolved when it owns the cells, otherwise into sc.halo, where the
+// unit's later cells read it and from where the caller returns it to the
+// owner (steal-done batch, exec reply). walk reports how many cells of
+// td.order completed, a prefix. Anything short of all of them — a pause or
+// stop, a dead peer, a superseded epoch — leaves the remainder neither
+// finished nor queued, exactly the state a recovery's rebuilt counters cover.
+func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc, exec int) (done int, err error) {
+	own := td.owner == pe.self
+	if own {
+		// The walk owns every cell it completes, so completions run in
+		// deferred mode: relaxed result stores, parked cross-tile counter
+		// decrements and one batched done-count add, settled by
+		// flushTileWalk on every exit.
+		sc.deferOn = true
+		defer pe.flushTileWalk(st, sc)
+	}
+	migrate := exec != pe.self
+	if !migrate {
+		if err := pe.fillHalo(st, sc, td); err != nil {
+			return 0, err
+		}
+	}
+	for k, s := range td.order {
+		select {
+		case <-st.quit:
+			return done, errStaleEpoch
+		default:
+		}
+		id := td.ids[s]
+		var v T
+		if migrate {
+			if v, err = pe.execRemote(st, sc, exec, id); err == nil {
+				pe.execMigrated.Add(1)
+			}
+		} else {
+			a, b := td.depAt[s], td.depAt[s+1]
+			v, err = pe.computeWith(st, sc, id, td.deps[a:b], td.res[a:b])
+		}
+		if err == nil && pe.stale(st) {
+			err = errStaleEpoch
+		}
+		if err != nil {
+			return done, err
+		}
+		if own {
+			off := td.lo + int(s)
+			if td.lo < 0 {
+				off = st.d.LocalOffset(id.I, id.J)
+			}
+			pe.completeResolved(st, sc, off, id.I, id.J, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
+		} else {
+			p, _ := sc.halo.slot(id)
+			*p = v
+		}
+		done++
+	}
+	return done, nil
+}
+
+// fillHalo is the one place a walk's remote inputs come from, and the one
+// place their cache accounting happens. Every distinct dependency of the
+// cells about to run that another place owns is copied out of the vertex
+// cache (a pushed value counts as consumed) or, failing that, fetched — one
+// fetchValues per owning place — into sc.halo, which holds nothing else. The
+// cells themselves, when another place owns them, are held as placeholders:
+// their values exist only here until walk stores them, so they are never
+// fetched. So is a value still to be fetched, which also keeps a second edge
+// to it from listing it twice. On an error the caller abandons the walk.
+func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDesc) error {
+	sc.halo.reset()
+	if !td.remote {
+		return nil
+	}
+	if td.owner != pe.self {
+		for _, s := range td.order {
+			sc.halo.slot(td.ids[s])
+		}
+	}
+	sc.resetGroups()
+	var hits, misses, pushHits int64
+	for _, s := range td.order {
+		for k := td.depAt[s]; k < td.depAt[s+1]; k++ {
+			owner := int(td.res[k].Owner)
+			if owner == pe.self {
+				continue
+			}
+			dep := td.deps[k]
+			p, held := sc.halo.slot(dep)
+			if held {
+				continue
+			}
+			var ok, pushed bool
+			if *p, ok, pushed = st.cache.GetTagged(dep); ok {
+				hits++
+				if pushed {
+					pushHits++
+					if pe.cfg.Trace != nil {
+						pe.cfg.Trace.AddPushHit(pe.self)
+					}
+				}
+				continue
+			}
+			misses++
+			lst := sc.remote[owner]
+			if len(lst) == 0 {
+				sc.owners = append(sc.owners, owner)
+			}
+			sc.remote[owner] = append(lst, dep)
+		}
+	}
+	if hits+misses == 0 {
+		return nil
+	}
+	pe.cacheHits.Add(hits)
+	pe.cacheMisses.Add(misses)
+	pe.pushConsumed.Add(pushHits)
+	for _, owner := range sc.owners {
+		ids := sc.remote[owner]
+		sc.remote[owner] = ids[:0]
+		vals, err := pe.fetchValues(st, sc, owner, ids)
+		if err != nil {
+			return err
+		}
+		for k, id := range ids {
+			p, _ := sc.halo.slot(id)
+			*p = vals[k]
+		}
+	}
+	sc.owners = sc.owners[:0]
+	return nil
+}
+
+// fetchValues reads the finished values of ids, all owned by owner, into
+// sc.vals in id order: one kindFetch call per fetchMaxIDs ids. Every value
+// is offered to the vertex cache.
+func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner int, ids []dag.VertexID) ([]T, error) {
+	sc.vals = sc.vals[:0]
+	for len(ids) > 0 {
+		req := ids[:min(len(ids), fetchMaxIDs)]
+		ids = ids[len(req):]
+		var f0 time.Time
+		if pe.cfg.Trace != nil {
+			f0 = time.Now()
+		}
+		sc.enc = appendFetchReq(sc.enc[:0], st.epoch, req)
+		pe.fetchCalls.Add(1)
+		reply, err := pe.tr.Call(owner, kindFetch, sc.enc)
+		if pe.cfg.Trace != nil {
+			pe.cfg.Trace.AddFetchWait(pe.self, time.Since(f0))
+		}
+		if err != nil {
+			pe.peerError(owner, err)
+			return nil, err
+		}
+		for _, id := range req {
+			v, n, derr := pe.cfg.Codec.Decode(reply)
+			if derr != nil {
+				return nil, fmt.Errorf("core: fetch decode from place %d: %w", owner, derr)
+			}
+			reply = reply[n:]
+			sc.vals = append(sc.vals, v)
+			st.cache.Put(id, v)
+		}
+		pe.remoteFetches.Add(int64(len(req)))
+	}
+	return sc.vals, nil
+}
+
+// computeWith reads one cell's dependency values and invokes the user's
+// compute function on this place. It runs at the executing place — the owner
+// under local scheduling, the target under exec migration, the thief under
+// stealing — so telemetry recorded here attributes work to where it actually
+// ran.
+func (pe *placeEngine[T]) computeWith(st *epochState[T], sc *scratch[T], id dag.VertexID, deps []dag.VertexID, res []cellRef) (T, error) {
+	var t0 time.Time
+	if pe.cfg.Trace != nil {
+		t0 = time.Now()
+	}
+	cells, err := pe.gatherDeps(st, sc, deps, res)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	v := pe.cfg.Compute(id.I, id.J, cells)
+	if pe.cfg.Trace != nil {
+		pe.cfg.Trace.RecordCompute(pe.self, id.I, id.J, t0, time.Since(t0))
+	}
+	return v, nil
+}
+
+// gatherDeps reads dependency values in the pattern's order: from the local
+// chunk when this place owns the dependency, from the walk's halo otherwise.
+// It moves nothing; a value in neither is an engine bug, reported as an error.
+func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], deps []dag.VertexID, res []cellRef) ([]Cell[T], error) {
+	if cap(sc.cells) < len(deps) {
+		sc.cells = make([]Cell[T], len(deps))
+	}
+	cells := sc.cells[:len(deps)]
+	localReads := 0
+	for k, id := range deps {
+		cells[k].ID = id
+		if off := int(res[k].Off); int(res[k].Owner) == pe.self {
+			if !st.chunk.Finished(off) {
+				return nil, fmt.Errorf("core: place %d scheduled a vertex before local dependency %v finished", pe.self, id)
+			}
+			cells[k].Value = st.chunk.Value(off)
+			localReads++
+			continue
+		}
+		v, ok := sc.halo.get(id)
+		if !ok {
+			return nil, fmt.Errorf("core: place %d walked a tile whose halo lacks remote dependency %v", pe.self, id)
+		}
+		cells[k].Value = v
+	}
+	if localReads > 0 {
+		pe.localReads.Add(int64(localReads))
+	}
+	return cells, nil
+}
+
+// runForeign executes a tile another place handed over — stolen from it, or
+// pushed here along a lifeline — and reports how many cells it computed and
+// whether their results went back over the wire: a kindStealDone batch
+// [epoch][count][(id, value)...] to the owner, which stores them and
+// propagates decrements. A mid-tile error (the owner died, or a recovery
+// superseded the epoch) still returns the finished prefix — the owner can
+// keep restored work across a redistribution — and the recovery reschedules
+// the rest. A tile that diffused back to its own owner completes locally.
+// cells is the owner's stated order; the caller has checked that one place
+// owns them all.
+func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], cells []dag.VertexID) (done int, returned bool) {
+	owner := st.d.Place(cells[0].I, cells[0].J)
+	td := pe.describeCells(st, sc, owner, cells)
+	done, _ = pe.walk(st, sc, td, pe.self)
+	if done == 0 {
+		return 0, false
+	}
+	pe.countTile(sc)
+	if owner == pe.self {
+		return done, false
+	}
+	sc.enc = putU32(putU64(sc.enc[:0], st.epoch), uint32(done))
+	for _, s := range td.order[:done] {
+		v, _ := sc.halo.get(td.ids[s])
+		sc.enc = pe.cfg.Codec.Encode(putID(sc.enc, td.ids[s]), v)
+	}
+	if _, err := pe.tr.Call(owner, kindStealDone, sc.enc); err != nil {
+		pe.peerError(owner, err)
+	}
+	return done, true
+}

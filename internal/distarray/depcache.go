@@ -60,26 +60,14 @@ func (c *Chunk[T]) DepCached() bool { return c.depLive }
 // entirely. Only meaningful when DepCached() is true.
 func (c *Chunk[T]) DepMonotone() bool { return c.depLive && c.depMono }
 
-// CellID returns the cached coordinates of the local cell at off. Only
-// meaningful when DepCached() is true and the cell was unfinished at
-// activation.
-func (c *Chunk[T]) CellID(off int) dag.VertexID { return c.cids[off] }
-
-// CellDeps returns the cached dependency list of the local cell at off
-// and the matching PlaceOffset resolution per entry. The slices alias
-// the cache: callers must not modify or retain them past the epoch.
-func (c *Chunk[T]) CellDeps(off int) ([]dag.VertexID, []CellRef) {
-	lo, hi := c.cdepAt[off], c.cdepAt[off+1]
-	return c.cdeps[lo:hi], c.cres[lo:hi]
-}
-
-// TileDeps returns the cached dependency lists of the local cells in
-// [lo, hi), concatenated in offset order, with the matching resolutions:
-// CellDeps for a whole tile in one slice pair. Cells that were finished at
-// activation contribute nothing. Same aliasing rule as CellDeps.
-func (c *Chunk[T]) TileDeps(lo, hi int) ([]dag.VertexID, []CellRef) {
-	a, b := c.cdepAt[lo], c.cdepAt[hi]
-	return c.cdeps[a:b], c.cres[a:b]
+// DepView returns the cached resolutions of the local cells in [lo, hi):
+// cell lo+s has coordinates ids[s] and dependency list deps[at[s]:at[s+1]],
+// each entry's PlaceOffset resolution at the same index of res. A cell that
+// was finished at activation has an empty list and no meaningful id. Only
+// valid when DepCached() is true; the slices alias the cache, so callers
+// must not modify them or retain them past the epoch.
+func (c *Chunk[T]) DepView(lo, hi int) (ids []dag.VertexID, at []int32, deps []dag.VertexID, res []CellRef) {
+	return c.cids[lo:hi], c.cdepAt[lo : hi+1], c.cdeps, c.cres
 }
 
 // depReset prepares the cache buffers for an activation scan's fill.

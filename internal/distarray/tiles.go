@@ -54,8 +54,8 @@ func (c *Chunk[T]) ConfigureTiles(size int) {
 	c.tileQueued = make([]uint32, c.numTiles)
 	c.tileRemote = nil
 	if size > 1 {
-		// Single-cell tiles run the per-vertex path, which never consults
-		// the flag; skipping it there keeps the per-cell footprint as it was.
+		// A single-cell tile checks its own few dependencies faster than it
+		// could read a flag, and skipping the flag keeps the per-cell footprint.
 		c.tileRemote = make([]bool, c.numTiles)
 	}
 	c.tileLive.Store(false)
@@ -84,9 +84,9 @@ func (c *Chunk[T]) TileRange(t int) (lo, hi int) {
 
 // TileRemote reports whether any cell of tile t that was unfinished at the
 // epoch's activation scan has a dependency owned by another place — the
-// tiles whose walk has a halo to resolve. Always false for single-cell
-// tiles. Only meaningful after an activation scan.
-func (c *Chunk[T]) TileRemote(t int) bool { return c.tileRemote != nil && c.tileRemote[t] }
+// tiles whose walk has a halo to resolve. Single-cell tiles carry no flag
+// and always report true. Only meaningful after an activation scan.
+func (c *Chunk[T]) TileRemote(t int) bool { return c.tileRemote == nil || c.tileRemote[t] }
 
 // TryMarkTileQueued atomically claims the right to enqueue tile t on the
 // place's work deques, exactly once per epoch: a tile can reach readiness

@@ -145,23 +145,24 @@ func TestDepCacheFilledByInitActivateTiles(t *testing.T) {
 		t.Fatal("Grid deps (up, left) all have smaller offsets; want monotone")
 	}
 	var buf []dag.VertexID
+	ids, at, allDeps, allRes := c.DepView(0, c.Len())
 	for off := 0; off < c.Len(); off++ {
 		i, j := d.CellAt(0, off)
-		if id := c.CellID(off); id.I != i || id.J != j {
-			t.Fatalf("CellID(%d) = %v, want (%d,%d)", off, id, i, j)
+		if id := ids[off]; id.I != i || id.J != j {
+			t.Fatalf("ids[%d] = %v, want (%d,%d)", off, id, i, j)
 		}
 		buf = pat.Dependencies(i, j, buf[:0])
-		deps, res := c.CellDeps(off)
+		deps, res := allDeps[at[off]:at[off+1]], allRes[at[off]:at[off+1]]
 		if len(deps) != len(buf) || len(res) != len(buf) {
-			t.Fatalf("CellDeps(%d): %d deps / %d res, want %d", off, len(deps), len(res), len(buf))
+			t.Fatalf("deps of cell %d: %d deps / %d res, want %d", off, len(deps), len(res), len(buf))
 		}
 		for k, dep := range buf {
 			if deps[k] != dep {
-				t.Fatalf("CellDeps(%d)[%d] = %v, want %v", off, k, deps[k], dep)
+				t.Fatalf("deps of cell %d[%d] = %v, want %v", off, k, deps[k], dep)
 			}
 			owner, doff := d.PlaceOffset(dep.I, dep.J)
 			if int(res[k].Owner) != owner || int(res[k].Off) != doff {
-				t.Fatalf("CellDeps(%d) res[%d] = %+v, want (%d,%d)", off, k, res[k], owner, doff)
+				t.Fatalf("deps of cell %d res[%d] = %+v, want (%d,%d)", off, k, res[k], owner, doff)
 			}
 		}
 	}
@@ -194,11 +195,12 @@ func TestDepCacheRecoveryRefillSkipsFinished(t *testing.T) {
 	if !c.DepCached() || !c.DepMonotone() {
 		t.Fatalf("cache live=%v mono=%v after ActivateTiles, want true/true", c.DepCached(), c.DepMonotone())
 	}
-	if deps, res := c.CellDeps(0); len(deps) != 0 || len(res) != 0 {
-		t.Fatalf("finished cell cached %d deps, want 0", len(deps))
+	_, at, _, _ := c.DepView(0, c.Len())
+	if n := at[1] - at[0]; n != 0 {
+		t.Fatalf("finished cell cached %d deps, want 0", n)
 	}
-	if deps, _ := c.CellDeps(7); len(deps) != 2 { // (1,1): up + left
-		t.Fatalf("cell (1,1) cached %d deps, want 2", len(deps))
+	if n := at[8] - at[7]; n != 2 { // (1,1): up + left
+		t.Fatalf("cell (1,1) cached %d deps, want 2", n)
 	}
 }
 

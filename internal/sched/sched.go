@@ -70,8 +70,7 @@ func (s Strategy) String() string {
 	}
 }
 
-// Picker makes per-vertex execution-place decisions for one place's
-// worker. It is not safe for concurrent use; each worker thread owns one.
+// Picker makes execution-place decisions for one place's worker. It is not safe for concurrent use; each worker thread owns one.
 type Picker struct {
 	strategy  Strategy
 	d         dist.Dist
@@ -98,35 +97,18 @@ func NewPicker(s Strategy, d dist.Dist, alive func(p int) bool, valueSize int, s
 // Rebind points the picker at a new distribution (after recovery).
 func (pk *Picker) Rebind(d dist.Dist) { pk.d = d }
 
-// Pick returns the place where the ready vertex (i,j), owned by owner,
-// should execute. deps are its dependencies.
-func (pk *Picker) Pick(owner int, i, j int32, deps []dag.VertexID) int {
-	switch pk.strategy {
-	case Random:
-		places := pk.d.Places()
-		// Try a few times to land on an alive place; fall back to owner.
-		for t := 0; t < 4; t++ {
-			p := places[pk.rng.Intn(len(places))]
-			if pk.alive(p) {
-				return p
-			}
-		}
-		return owner
-	case MinComm:
-		return pk.minComm(owner, deps)
-	default:
-		return owner
-	}
-}
-
 // PickTile returns the place where a ready tile of n cells, owned by
-// owner, should execute — one decision for the whole tile. extDeps are
-// the tile's distinct external dependencies (cells outside the tile);
-// only MinComm consults them, so other strategies may pass nil.
+// owner, should execute — one decision for the whole tile; a single vertex
+// is a tile of one. extDeps are the tile's distinct external dependencies
+// (cells outside the tile); only MinComm consults them, so other strategies
+// may pass nil. MinComm evaluates the owner and every dependency owner as
+// candidates; ties favor the owner (no migration), then lower place ids for
+// determinism.
 func (pk *Picker) PickTile(owner, n int, extDeps []dag.VertexID) int {
 	switch pk.strategy {
 	case Random:
 		places := pk.d.Places()
+		// Try a few times to land on an alive place; fall back to owner.
 		for t := 0; t < 4; t++ {
 			p := places[pk.rng.Intn(len(places))]
 			if pk.alive(p) {
@@ -165,45 +147,6 @@ func (pk *Picker) tileCost(exec, owner, n int, extDeps []dag.VertexID) int {
 	}
 	if exec != owner {
 		cost += n * pk.valueSize
-	}
-	return cost
-}
-
-// minComm evaluates the owner and every dependency owner as candidate
-// execution places and returns the cheapest. Cost model: each dependency
-// resident elsewhere costs one value transfer; executing away from the
-// owner costs one extra transfer to write the result back. Ties favor the
-// owner (no migration), then lower place ids for determinism.
-func (pk *Picker) minComm(owner int, deps []dag.VertexID) int {
-	best, bestCost := owner, pk.commCost(owner, owner, deps)
-	for _, dep := range deps {
-		cand := pk.d.Place(dep.I, dep.J)
-		if cand == best || !pk.alive(cand) {
-			continue
-		}
-		cost := pk.commCost(cand, owner, deps)
-		if cost < bestCost || (cost == bestCost && cand != owner && best != owner && cand < best) {
-			best, bestCost = cand, cost
-		}
-	}
-	return best
-}
-
-// CommCost exposes the MinComm cost model: the modeled bytes moved when
-// vertex owned by owner executes at exec with the given dependencies.
-func (pk *Picker) CommCost(exec, owner int, deps []dag.VertexID) int {
-	return pk.commCost(exec, owner, deps)
-}
-
-func (pk *Picker) commCost(exec, owner int, deps []dag.VertexID) int {
-	cost := 0
-	for _, dep := range deps {
-		if pk.d.Place(dep.I, dep.J) != exec {
-			cost += pk.valueSize
-		}
-	}
-	if exec != owner {
-		cost += pk.valueSize // result write-back
 	}
 	return cost
 }

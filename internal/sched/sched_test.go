@@ -37,7 +37,7 @@ func TestLocalAlwaysOwner(t *testing.T) {
 	pk := NewPicker(Local, d, allAlive, 4, 1)
 	for i := int32(0); i < 8; i++ {
 		owner := d.Place(i, 0)
-		if got := pk.Pick(owner, i, 0, deps([2]int32{0, 0})); got != owner {
+		if got := pk.PickTile(owner, 1, deps([2]int32{0, 0})); got != owner {
 			t.Fatalf("Local picked %d, owner %d", got, owner)
 		}
 	}
@@ -49,7 +49,7 @@ func TestRandomStaysAlive(t *testing.T) {
 	pk := NewPicker(Random, d, alive, 4, 7)
 	counts := map[int]int{}
 	for n := 0; n < 400; n++ {
-		p := pk.Pick(1, 4, 4, nil)
+		p := pk.PickTile(1, 1, nil)
 		counts[p]++
 		if p == 2 {
 			t.Fatal("Random picked a dead place")
@@ -66,7 +66,7 @@ func TestMinCommPrefersDependencyCluster(t *testing.T) {
 	pk := NewPicker(MinComm, d, allAlive, 4, 1)
 	// Vertex owned by place 3 with both dependencies on place 0: executing
 	// at place 0 costs one write-back (4 bytes) vs two fetches (8 bytes).
-	got := pk.Pick(3, 7, 7, deps([2]int32{0, 0}, [2]int32{1, 1}))
+	got := pk.PickTile(3, 1, deps([2]int32{0, 0}, [2]int32{1, 1}))
 	if got != 0 {
 		t.Fatalf("MinComm picked %d, want 0 (dependency cluster)", got)
 	}
@@ -77,7 +77,7 @@ func TestMinCommPrefersOwnerOnTie(t *testing.T) {
 	pk := NewPicker(MinComm, d, allAlive, 4, 1)
 	// One dependency on place 0, owner place 1: both choices move exactly
 	// one value (fetch vs write-back), so the owner must win the tie.
-	got := pk.Pick(1, 2, 2, deps([2]int32{0, 0}))
+	got := pk.PickTile(1, 1, deps([2]int32{0, 0}))
 	if got != 1 {
 		t.Fatalf("MinComm picked %d on a tie, want owner 1", got)
 	}
@@ -87,7 +87,7 @@ func TestMinCommAllLocalStaysHome(t *testing.T) {
 	d := dist.NewBlockRow(8, 8, 2)
 	pk := NewPicker(MinComm, d, allAlive, 4, 1)
 	owner := d.Place(1, 1)
-	got := pk.Pick(owner, 1, 1, deps([2]int32{0, 1}, [2]int32{1, 0}, [2]int32{0, 0}))
+	got := pk.PickTile(owner, 1, deps([2]int32{0, 1}, [2]int32{1, 0}, [2]int32{0, 0}))
 	if got != owner {
 		t.Fatalf("MinComm migrated a fully local vertex to %d", got)
 	}
@@ -97,7 +97,7 @@ func TestMinCommSkipsDeadCandidates(t *testing.T) {
 	d := dist.NewBlockRow(8, 8, 4)
 	alive := func(p int) bool { return p != 0 }
 	pk := NewPicker(MinComm, d, alive, 4, 1)
-	got := pk.Pick(3, 7, 7, deps([2]int32{0, 0}, [2]int32{1, 1}))
+	got := pk.PickTile(3, 1, deps([2]int32{0, 0}, [2]int32{1, 1}))
 	if got == 0 {
 		t.Fatal("MinComm picked the dead place")
 	}
@@ -107,13 +107,13 @@ func TestCommCostModel(t *testing.T) {
 	d := dist.NewBlockRow(8, 8, 4)
 	pk := NewPicker(MinComm, d, allAlive, 10, 1)
 	ds := deps([2]int32{0, 0}, [2]int32{2, 0}) // owners: 0 and 1
-	if got := pk.CommCost(0, 3, ds); got != 20 {
+	if got := pk.tileCost(0, 3, 1, ds); got != 20 {
 		t.Fatalf("cost at 0 = %d, want 20 (one fetch + write-back)", got)
 	}
-	if got := pk.CommCost(3, 3, ds); got != 20 {
+	if got := pk.tileCost(3, 3, 1, ds); got != 20 {
 		t.Fatalf("cost at owner = %d, want 20 (two fetches)", got)
 	}
-	if got := pk.CommCost(1, 3, ds); got != 20 {
+	if got := pk.tileCost(1, 3, 1, ds); got != 20 {
 		t.Fatalf("cost at 1 = %d, want 20", got)
 	}
 }
@@ -126,7 +126,7 @@ func TestRebind(t *testing.T) {
 		t.Fatal(err)
 	}
 	pk.Rebind(rd)
-	got := pk.Pick(2, 7, 7, deps([2]int32{0, 0}))
+	got := pk.PickTile(2, 1, deps([2]int32{0, 0}))
 	if got == 3 {
 		t.Fatal("picker still routes to a place absent from the new dist")
 	}

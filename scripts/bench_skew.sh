@@ -30,7 +30,11 @@ trap 'rm -f "$tmp"' EXIT
 go run ./cmd/dpx10-bench -fig skew -csv $quick_flag | tee "$tmp"
 
 mkdir -p "$(dirname "$out")"
-awk -F, -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v mode="$mode" \
+commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
+if ! git diff --quiet HEAD 2>/dev/null; then
+	commit="$commit+dirty"
+fi
+awk -F, -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v commit="$commit" -v mode="$mode" \
 	-v sgate="$spread_gate" -v pgate="$probe_gate" '
 # CSV rows: arm,time(s),spread,probes,parks,pushes,migrated
 $1 == "steal (random probes)" {
@@ -48,7 +52,7 @@ END {
 	spread_x = spread_off / spread_on
 	probe_x = probes_off / probes_on
 	printf "{\n"
-	printf "  \"generated\": \"%s\",\n  \"mode\": \"%s\",\n", date, mode
+	printf "  \"generated\": \"%s\",\n  \"commit\": \"%s\",\n  \"mode\": \"%s\",\n", date, commit, mode
 	printf "  \"off\": {\"time_s\": %s, \"spread\": %s, \"probes\": %s},\n", t_off, spread_off, probes_off
 	printf "  \"on\": {\"time_s\": %s, \"spread\": %s, \"probes\": %s, \"parks\": %s, \"pushes\": %s, \"migrated\": %s},\n", t_on, spread_on, probes_on, parks, pushes, migrated
 	printf "  \"spread_improvement\": %.2f,\n  \"probe_reduction\": %.2f,\n", spread_x, probe_x

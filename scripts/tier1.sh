@@ -5,6 +5,9 @@
 set -eux
 cd "$(dirname "$0")/.."
 go build ./...
+# Formatting drift must not accumulate: every Go file outside the analyzers'
+# testdata corpora is gofmt-clean.
+test -z "$(gofmt -l . | grep -v '/testdata/')"
 go vet ./...
 # The repo's own analyzers, under a wall-clock budget: the suite shares
 # type-checked facts (CFGs, call graph) across analyzers in one process,
