@@ -172,7 +172,7 @@ func (e *engine) handleNil(from int, payload []byte) ([]byte, error) {
 	return nil, r.err
 }
 
-func (e *engine) stopAll() error { return e.tr.Send(1, kNil, nil) }
+func (e *engine) stopAll() error { _, err := e.tr.Call(1, kNil, nil); return err }
 
 // --- unclassifiable builder: the site is skipped, not guessed --------
 

@@ -159,10 +159,10 @@ type Common struct {
 	// steal round-trips, recovery phases) into the given log. Span
 	// collection is independent of Metrics.
 	Spans *trace.SpanLog
-	// MetricsObserver, when non-nil, receives every place's metrics
-	// snapshot when the run stops, just before Cluster.Run returns
-	// (single-process runtime only; TCP deployments read snapshots
-	// through TCPNode.MetricsSnapshots). Setting it implies Metrics.
+	// MetricsObserver, when non-nil, receives the metrics snapshots of
+	// the process's places when the cluster closes, just before
+	// Cluster.Run returns (a TCP deployment gathers every place's through
+	// TCPNode.MetricsSnapshots, before Close). Setting it implies Metrics.
 	MetricsObserver func([]*metrics.Snapshot)
 	// MaxActiveJobs bounds how many jobs the manager admits concurrently;
 	// submissions beyond the bound queue FIFO until a slot frees. 0 means

@@ -39,11 +39,6 @@ type coordinator[T any] struct {
 	events   chan coEvent
 	abort    <-chan struct{}
 	abortErr func() error
-	// autoStop broadcasts stop as soon as the computation completes. The
-	// single-process cluster does that; a TCP deployment defers the
-	// broadcast until place 0 finished its post-run reads, so survivors
-	// keep serving readVal until then.
-	autoStop bool
 
 	epoch uint64
 	alive map[int]bool
@@ -62,13 +57,12 @@ type coordinator[T any] struct {
 	sink *eventSink
 }
 
-func newCoordinator[T any](pe *placeEngine[T], abort <-chan struct{}, abortErr func() error, autoStop bool) *coordinator[T] {
+func newCoordinator[T any](pe *placeEngine[T], abort <-chan struct{}, abortErr func() error) *coordinator[T] {
 	co := &coordinator[T]{
 		pe:       pe,
 		events:   make(chan coEvent, 4096),
 		abort:    abort,
 		abortErr: abortErr,
-		autoStop: autoStop,
 		alive:    make(map[int]bool, pe.cfg.Places),
 		done:     make(map[int]bool),
 	}
@@ -114,15 +108,6 @@ func (co *coordinator[T]) run() error {
 	co.epochT0 = time.Now()
 	for {
 		select {
-		case <-co.pe.stopCh:
-			// The hosting node was torn down mid-run (Close before
-			// completion); normal completion returns before stop lands.
-			// An abort closes the engines' stop channels right after
-			// recording its reason, so when both are ready the reason wins.
-			if err := co.abortErr(); err != nil {
-				return err
-			}
-			return ErrCanceled
 		case <-co.abort:
 			if err := co.abortErr(); err != nil {
 				return err
@@ -149,9 +134,6 @@ func (co *coordinator[T]) run() error {
 			}
 			if co.allDone() {
 				co.endEpochSpan()
-				if co.autoStop {
-					co.broadcastStop()
-				}
 				return nil
 			}
 		}
@@ -167,19 +149,13 @@ func (co *coordinator[T]) allDone() bool {
 	return true
 }
 
+// broadcastStop ends the run on every alive place. Stop is a Call: when it
+// returns, each place that could be reached has closed its stop channel, so
+// whatever the caller does next — detach the job, close place 0's endpoint —
+// cannot overtake it. A place that died (or a fabric torn down) during
+// shutdown no longer matters; stop is the last thing place 0 has to say.
 func (co *coordinator[T]) broadcastStop() {
-	payload := putU64(nil, co.epoch)
-	for _, p := range co.alivePlaces() {
-		err := co.pe.tr.Send(p, kindStop, payload)
-		switch {
-		case err == nil:
-		case errors.Is(err, transport.ErrDeadPlace), errors.Is(err, transport.ErrClosed):
-			// A place dying (or the fabric tearing down) during shutdown
-			// no longer matters; stop is the last thing we had to say.
-		default:
-			debugf("stop -> place %d failed: %v", p, err)
-		}
-	}
+	phase(co.pe.tr, co.alivePlaces(), kindStop, putU64(nil, co.epoch), nil, true)
 }
 
 // recoverFrom executes the recovery protocol of §VI-D after the death of
@@ -266,7 +242,7 @@ func (co *coordinator[T]) attemptRecovery(survivors []int) (int, error) {
 // keeps the histogram sums comparable to the total recovery wall time.
 func (co *coordinator[T]) timedPhase(survivors []int, kind uint8, payload []byte, onReply func(p int, reply []byte)) (int, error) {
 	t0 := time.Now()
-	p, err := co.phase(survivors, kind, payload, onReply)
+	p, err := phase(co.pe.tr, survivors, kind, payload, onReply, false)
 	co.phaseHists[kind].Observe(time.Since(t0).Nanoseconds())
 	if sp := co.pe.cfg.Spans; sp != nil {
 		sp.Add("recovery:"+trace.KindName(kind), 0, trace.LaneCoordinator, t0)
@@ -282,22 +258,27 @@ func (co *coordinator[T]) endEpochSpan() {
 	}
 }
 
-// phase issues one synchronous Call per survivor. It returns the failing
-// place id when a survivor died during the phase, or -1 with the error for
-// non-failure faults.
-func (co *coordinator[T]) phase(survivors []int, kind uint8, payload []byte, onReply func(p int, reply []byte)) (int, error) {
-	for _, p := range survivors {
-		debugf("recovery phase %s -> place %d", trace.KindName(kind), p)
-		reply, err := co.pe.tr.Call(p, kind, payload)
-		debugf("recovery phase %s <- place %d (err=%v)", trace.KindName(kind), p, err)
-		if errors.Is(err, transport.ErrDeadPlace) {
+// phase issues one synchronous Call per place, in order: the fan-out behind
+// every broadcast place 0 makes — begin, the five recovery phases, stop and
+// the stats gather. It ends at the first failure and returns the failing
+// place id when that place died, or -1 with the error otherwise; with
+// skipFailed (the shutdown broadcasts, where a lost place no longer matters)
+// a failing place is passed over instead.
+func phase(tr transport.Transport, places []int, kind uint8, payload []byte, onReply func(p int, reply []byte), skipFailed bool) (int, error) {
+	for _, p := range places {
+		debugf("phase %s -> place %d", trace.KindName(kind), p)
+		reply, err := tr.Call(p, kind, payload)
+		debugf("phase %s <- place %d (err=%v)", trace.KindName(kind), p, err)
+		switch {
+		case err == nil:
+			if onReply != nil {
+				onReply(p, reply)
+			}
+		case skipFailed:
+		case errors.Is(err, transport.ErrDeadPlace):
 			return p, err
-		}
-		if err != nil {
-			return -1, fmt.Errorf("core: recovery phase %s at place %d: %w", trace.KindName(kind), p, err)
-		}
-		if onReply != nil {
-			onReply(p, reply)
+		default:
+			return -1, fmt.Errorf("core: phase %s at place %d: %w", trace.KindName(kind), p, err)
 		}
 	}
 	return 0, nil

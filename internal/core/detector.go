@@ -22,8 +22,8 @@ import (
 // On declaration the target is marked dead at the transport (so every
 // place observes the death, like X10's runtime-wide DeadPlaceException)
 // and onDead runs exactly once for it. Both place 0 (watching its peers)
-// and the non-zero TCP places (watching the coordinator) run detectors;
-// only the callbacks differ.
+// and a process without place 0 (watching the coordinator) run detectors;
+// only the targets differ.
 type detector struct {
 	tr        transport.Transport
 	targets   []int
@@ -39,9 +39,8 @@ type detector struct {
 	// mMisses counts failed heartbeats (nil no-op when metrics are off).
 	mMisses *metrics.Counter
 
-	// The detector exits when either channel closes (run abort / stop).
-	abortCh <-chan struct{}
-	stopCh  <-chan struct{}
+	// The detector exits when stopCh closes.
+	stopCh <-chan struct{}
 }
 
 // heartbeat payload: [seq u64][send-time unix nanos u64], echoed verbatim
@@ -58,8 +57,6 @@ func (d *detector) run() {
 	buf := make([]byte, 0, pingPayloadLen)
 	for {
 		select {
-		case <-d.abortCh:
-			return
 		case <-d.stopCh:
 			return
 		case <-tick.C:
@@ -79,7 +76,7 @@ func (d *detector) run() {
 				return // endpoint torn down; the run is over
 			case errors.Is(err, transport.ErrDeadPlace):
 				declared[p] = true
-				d.declare(p)
+				d.onDead(p)
 			default:
 				// Unreachable, a malformed echo, or a handler error: one
 				// more reason to suspect, not yet proof of death.
@@ -91,15 +88,11 @@ func (d *detector) run() {
 				if misses[p] >= d.threshold {
 					declared[p] = true
 					d.markDead(p)
-					d.declare(p)
+					d.onDead(p)
 				}
 			}
 		}
 	}
-}
-
-func (d *detector) declare(p int) {
-	d.onDead(p)
 }
 
 // markDead pushes the verdict down to the transport so the whole fabric —

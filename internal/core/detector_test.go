@@ -111,9 +111,8 @@ func TestDetectorSuspicionThreshold(t *testing.T) {
 			misses = append(misses, m)
 			mu.Unlock()
 		},
-		onDead:  func(p int) { declared <- p },
-		abortCh: stop,
-		stopCh:  stop,
+		onDead: func(p int) { declared <- p },
+		stopCh: stop,
 	}
 	go d.run()
 	select {
@@ -153,7 +152,6 @@ func TestDetectorMissResetOnSuccess(t *testing.T) {
 		interval:  time.Millisecond,
 		threshold: 3,
 		onDead:    func(p int) { declared <- p },
-		abortCh:   stop,
 		stopCh:    stop,
 	}
 	go d.run()

@@ -56,7 +56,7 @@ var wireProbes = map[uint8]func(data []byte){
 	kindReplay:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
 	kindReplayTx: func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
 	kindResume:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
-	kindStop:     func(b []byte) {}, // no payload
+	kindStop:     func(b []byte) {}, // epoch payload unread; the empty reply is the ack
 	kindReadVal:  func(b []byte) { r := reader{b: b}; _ = r.id() },
 	kindPing:     func(b []byte) { _, _ = handlePing(0, b) }, // heartbeat echo, total for any input
 	kindHello:    func(b []byte) {},                          // no payload
@@ -460,7 +460,7 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindReplay:    rtU64,
 	kindResume:    rtU64,
 	kindSteal:     rtSteal,
-	kindStop:      rtU64, // broadcastStop stamps the epoch even though handleStop ignores it
+	kindStop:      rtU64, // the stop Call stamps the epoch even though handleStop ignores it
 	kindRestoreTx: rtIDVals,
 	kindStealDone: rtIDVals,
 

@@ -31,9 +31,6 @@ func (pe *placeEngine[T]) registerHandlers() {
 // [send-nanos u64]) so the detector can verify liveness end to end. The
 // payload is copied — handlers must not let the transport buffer escape.
 func handlePing(_ int, payload []byte) ([]byte, error) {
-	if len(payload) == 0 {
-		return nil, nil // legacy empty ping (raw-transport callers)
-	}
 	echo := make([]byte, len(payload))
 	copy(echo, payload)
 	return echo, nil
@@ -545,9 +542,6 @@ func (pe *placeEngine[T]) handleResume(from int, payload []byte) ([]byte, error)
 
 // handleStop ends the run for this place.
 func (pe *placeEngine[T]) handleStop(from int, payload []byte) ([]byte, error) {
-	if st := pe.current(); st != nil {
-		st.closeQuit()
-	}
 	pe.stop()
 	return nil, nil
 }

@@ -49,7 +49,6 @@ type placeHost struct {
 	wake     chan struct{}
 	stopCh   chan struct{}
 	stopOnce sync.Once
-	startOne sync.Once
 	wg       sync.WaitGroup
 
 	mu    sync.Mutex // guards slot list replacement
@@ -70,6 +69,10 @@ func newPlaceHost(threads int, reg *metrics.Registry) *placeHost {
 	}
 	empty := []hostSlot{}
 	h.slots.Store(&empty)
+	for w := 0; w < threads; w++ {
+		h.wg.Add(1)
+		go h.worker(w)
+	}
 	return h
 }
 
@@ -85,6 +88,9 @@ type placeStack struct {
 	sink    *eventSink
 	abortCh <-chan struct{}
 
+	// ep is the raw endpoint under the stack: the cluster-formed barrier and
+	// the post-run stats gather call on it directly, below chaos injection.
+	ep     transport.Transport
 	reg    *metrics.Registry      // nil when Metrics is off
 	chaos  *transport.FaultFabric // nil without a chaos plan
 	rel    *reliableTransport     // nil unless Reliable
@@ -104,7 +110,7 @@ type placeStack struct {
 // constant registration here). abortCh ends the reliable layer's retries
 // and any detector built on the stack.
 func newPlaceStack(p int, ep transport.Transport, c *Common, sink *eventSink, abortCh <-chan struct{}, overlay func(*metrics.Snapshot)) *placeStack {
-	ps := &placeStack{common: c, sink: sink, abortCh: abortCh, overlay: overlay}
+	ps := &placeStack{common: c, sink: sink, abortCh: abortCh, ep: ep, overlay: overlay}
 	if c.Metrics {
 		ps.reg = metrics.New(p)
 	}
@@ -145,9 +151,8 @@ func (ps *placeStack) addReliableStats(s *Stats) {
 }
 
 // newDetector builds a heartbeat failure detector probing targets from
-// this place; only the verdict callback and the stop channel differ
-// between place 0 watching its peers and a TCP place watching place 0.
-func (ps *placeStack) newDetector(targets []int, onDead func(int), stopCh <-chan struct{}) *detector {
+// this place; it runs until the stack's abort channel closes.
+func (ps *placeStack) newDetector(targets []int, onDead func(int)) *detector {
 	return &detector{
 		tr:        ps.top,
 		targets:   targets,
@@ -158,8 +163,7 @@ func (ps *placeStack) newDetector(targets []int, onDead func(int), stopCh <-chan
 		},
 		onDead:  onDead,
 		mMisses: ps.reg.Counter(metrics.TransportHeartbeatMisses),
-		abortCh: ps.abortCh,
-		stopCh:  stopCh,
+		stopCh:  ps.abortCh,
 	}
 }
 
@@ -191,16 +195,6 @@ func (h *placeHost) detach(r jobRunner) {
 	}
 	h.slots.Store(upd)
 	h.mu.Unlock()
-}
-
-// start spawns the worker pool; idempotent.
-func (h *placeHost) start() {
-	h.startOne.Do(func() {
-		for w := 0; w < h.threads; w++ {
-			h.wg.Add(1)
-			go h.worker(w)
-		}
-	})
 }
 
 // stop tears the pool down. Workers finish their in-flight tile and

@@ -8,28 +8,29 @@ import (
 	"github.com/dpx10/dpx10/internal/metrics"
 )
 
-// JobRun is one job on a JobManager's places: its own engines (chunk,
-// cache, epoch state, deques) and coordinator, sharing the manager's
-// transport stacks, worker pools and registries. The zero job of a
-// single-job Cluster and every Submit on a persistent cluster are both
-// JobRuns.
+// JobRun is one job on a JobManager's places, in every deployment the only
+// thing that assembles, launches, aborts, waits for and reports a job: its
+// engines (chunk, cache, epoch state, deques) on the places local to this
+// process, and its coordinator iff place 0 is among them.
 type JobRun[T any] struct {
 	jobID uint32
 	m     *JobManager
 	cfg   Config[T]
 
-	ports   []*jobPort
+	// engines parallels m.stacks: one per local place, so on an in-process
+	// cluster the index is the place id.
 	engines []*placeEngine[T]
-	co      *coordinator[T]
+	co      *coordinator[T] // nil unless place 0 is local
 
-	abortCh   chan struct{}
-	abortOnce sync.Once
-	abortErr  error
-	abortMu   sync.Mutex
+	abortCh  chan struct{}
+	abortMu  sync.Mutex
+	abortErr error // guarded by abortMu; set once, with abortCh's close
 
-	admitCh <-chan struct{}
+	admitCh  <-chan struct{}
+	admitted bool // holds an admission slot; run goroutine, then release
 
-	done      chan struct{}
+	done      chan struct{} // closed when run returns: err is final
+	relOnce   sync.Once
 	err       error
 	elapsed   time.Duration
 	queueWait time.Duration
@@ -70,78 +71,73 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	var jr *JobRun[T]
-	if _, err := m.register(func(id uint32) jobHandle {
-		jr = &JobRun[T]{
-			jobID:   id,
-			m:       m,
-			cfg:     cfg,
-			abortCh: make(chan struct{}),
-			done:    make(chan struct{}),
-			ports:   make([]*jobPort, cfg.Places),
-			engines: make([]*placeEngine[T], cfg.Places),
-		}
-		for p := 0; p < cfg.Places; p++ {
-			ps := m.stacks[p]
-			port := ps.router.newPort(id)
-			// The engine registers its handlers on the port in its
-			// constructor; only then is the port routed, so inbound dispatch
-			// never sees a half-built handler table.
-			pe := newPlaceEngine[T](p, &jr.cfg, port, jr.abortWith, ps.reg, ps.host, id)
-			jr.ports[p] = port
-			jr.engines[p] = pe
-			ps.router.add(port)
-		}
-		jr.co = newCoordinator(jr.engines[0], jr.abortCh, jr.abortError, true)
-		jr.co.sink = m.sink
-		jr.engines[0].events = jr.co.events
-		return jr
-	}); err != nil {
+	id, err := m.newJobID()
+	if err != nil {
 		return nil, err
+	}
+	jr := &JobRun[T]{
+		jobID:   id,
+		m:       m,
+		cfg:     cfg,
+		abortCh: make(chan struct{}),
+		done:    make(chan struct{}),
+		engines: make([]*placeEngine[T], len(m.stacks)),
+	}
+	for k, ps := range m.stacks {
+		port := ps.router.newPort(id)
+		// The engine registers its handlers on the port in its constructor;
+		// only then is the port routed, so inbound dispatch never sees a
+		// half-built handler table.
+		jr.engines[k] = newPlaceEngine[T](port.Self(), &jr.cfg, port, jr.abortWith, ps.reg, ps.host, id)
+		ps.router.add(port)
+	}
+	if pe := jr.engines[0]; pe.self == 0 {
+		jr.co = newCoordinator(pe, jr.abortCh, jr.abortError)
+		jr.co.sink = m.sink
+		pe.events = jr.co.events
 	}
 	return jr, nil
 }
 
 // start enters the admission queue and runs the job asynchronously.
 func (jr *JobRun[T]) start() {
-	jr.admitCh = jr.m.admit(jr.jobID)
+	jr.admitCh = jr.m.admit(jr.jobID, jr)
 	go jr.run(time.Now())
 }
 
+// run is the job's lifecycle: admission, execute, and — where the places
+// are all local — release. In a multi-process cluster the job stays up after
+// execute, serving result reads, until the manager's Close releases it.
 func (jr *JobRun[T]) run(submitted time.Time) {
 	defer close(jr.done)
 	select {
 	case <-jr.admitCh:
-	case <-jr.abortCh:
-		// Aborted while queued (or racing admission): return the slot if
-		// the ticket was already released, otherwise just leave the queue.
-		if jr.m.dequeue(jr.jobID) {
-			jr.m.jobDone()
+		jr.admitted = true
+		jr.queueWait = time.Since(submitted)
+		jr.m.mQueueWait.Add(uint8(jr.jobID), jr.queueWait.Nanoseconds())
+		start := time.Now()
+		jr.err = jr.execute()
+		jr.elapsed = time.Since(start)
+		if !jr.m.allLocal() {
+			return
 		}
-		jr.detachAll()
-		jr.err = jr.abortError()
-		return
+	case <-jr.abortCh:
 	case <-jr.m.closeCh:
 		jr.abortWith(ErrCanceled)
-		if jr.m.dequeue(jr.jobID) {
-			jr.m.jobDone()
-		}
-		jr.detachAll()
-		jr.err = jr.abortError()
-		return
 	}
-	jr.queueWait = time.Since(submitted)
-	jr.m.recordQueueWait(jr.jobID, jr.queueWait)
-	jr.m.start()
-	start := time.Now()
-	err := jr.execute()
-	jr.elapsed = time.Since(start)
-	jr.err = err
-	jr.detachAll()
-	jr.m.jobDone()
+	if !jr.admitted {
+		// Aborted while queued (or racing admission): leave the queue, or
+		// keep the slot to return if the ticket was already released.
+		jr.admitted = jr.m.dequeue(jr.jobID)
+		jr.err = jr.abortError()
+	}
+	jr.release()
 }
 
-// execute mirrors the single-cluster run loop over this job's engines.
+// execute runs this process's share of the job through to completion. Each
+// local place prepares itself, attaches to its worker pool and launches;
+// place 0, where it is local, additionally coordinates. A process without
+// place 0 serves until the coordinator's stop.
 func (jr *JobRun[T]) execute() error {
 	cfg := &jr.cfg
 	h, w := cfg.Pattern.Bounds()
@@ -151,13 +147,25 @@ func (jr *JobRun[T]) execute() error {
 	}
 	// Two-phase start: every place installs its epoch-0 state before any
 	// worker runs, so no early message finds a place without state.
+	var wg sync.WaitGroup
 	for _, pe := range jr.engines {
-		pe.prepare(d)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			pe.prepare(d)
+		}()
+	}
+	wg.Wait()
+	if err := jr.m.formed(jr.abortCh); err != nil {
+		if aerr := jr.abortError(); aerr != nil {
+			return aerr
+		}
+		return err
 	}
 	// Only now may the shared workers see this job: the slot scan starts
 	// after epoch-0 state is installed everywhere.
-	for p, pe := range jr.engines {
-		jr.m.stacks[p].host.attach(pe, cfg.Weight)
+	for k, pe := range jr.engines {
+		jr.m.stacks[k].host.attach(pe, cfg.Weight)
 	}
 	// A job submitted after a place died never hears the original death;
 	// replay the known dead set so its first epoch recovers immediately.
@@ -167,37 +175,63 @@ func (jr *JobRun[T]) execute() error {
 	for _, pe := range jr.engines {
 		pe.launch()
 	}
-	err := jr.co.run()
-	if err == nil {
-		// Make sure every place observed the stop before returning. A
-		// place declared dead after the coordinator's last recovery (so
-		// co.alive is stale) never receives the stop broadcast — the
-		// fabric check is race-free because a failed stop send implies
-		// the dead mark landed before it.
+	if jr.co == nil {
+		return jr.awaitStop()
+	}
+	return jr.co.run()
+}
+
+// awaitStop blocks until every local engine observed the coordinator's
+// stop, or the job aborted first. Both can be true at once — stop lands, and
+// the detector then loses place 0 as it shuts down — and a finished run is
+// not an abort, so a stopped engine outranks the abort. (Never the other
+// way round: stop is acknowledged before place 0 may go away.)
+func (jr *JobRun[T]) awaitStop() error {
+	for _, pe := range jr.engines {
+		select {
+		case <-pe.stopCh:
+		case <-jr.abortCh:
+			select {
+			case <-pe.stopCh:
+				continue
+			default:
+			}
+			return jr.abortError()
+		}
+	}
+	return nil
+}
+
+// release ends the job on the local places: stop, detach from the shared
+// pools and routers, bank the final cache counters, return the admission
+// slot. Place 0 first broadcasts the stop — acknowledged, so every reachable
+// place has observed it before anything is torn down. Runs once.
+func (jr *JobRun[T]) release() {
+	jr.relOnce.Do(func() {
+		if jr.err != nil {
+			jr.abortWith(jr.err)
+		}
+		if jr.co != nil {
+			jr.co.broadcastStop()
+		}
 		for _, pe := range jr.engines {
-			if jr.co.alive[pe.self] && jr.m.fabric.Alive(pe.self) {
-				pe.wait()
+			pe.stop()
+		}
+		for _, pe := range jr.engines {
+			// Quiesce a job that ran to completion (an aborted one may have a
+			// worker parked in user code), on places that are not dead — all
+			// of them before any port goes, or a last steal probe finds none.
+			if jr.err == nil && pe.tr.Alive(pe.self) {
 				pe.quiesce()
 			}
 		}
-	} else {
-		jr.abortWith(err)
-	}
-	for _, pe := range jr.engines {
-		pe.stop()
-	}
-	return err
-}
-
-// detachAll removes the job from the shared pools and routers and banks
-// its final cache counters in the registries. Idempotent by
-// construction (detach/remove/fold all tolerate repeats).
-func (jr *JobRun[T]) detachAll() {
-	for p, pe := range jr.engines {
-		jr.m.stacks[p].host.detach(pe)
-		pe.foldFinalCache()
-		jr.m.stacks[p].router.remove(jr.jobID)
-	}
+		for k, pe := range jr.engines {
+			jr.m.stacks[k].host.detach(pe)
+			pe.foldFinalCache()
+			jr.m.stacks[k].router.remove(jr.jobID)
+		}
+		jr.m.retire(jr.jobID, jr.admitted)
+	})
 }
 
 // Wait blocks until the job finishes and returns its terminal error.
@@ -209,9 +243,6 @@ func (jr *JobRun[T]) Wait() error {
 // Done exposes completion for select-based callers.
 func (jr *JobRun[T]) Done() <-chan struct{} { return jr.done }
 
-// awaitDone blocks until the job's run goroutine exits (jobHandle).
-func (jr *JobRun[T]) awaitDone() { <-jr.done }
-
 func (jr *JobRun[T]) abortError() error {
 	jr.abortMu.Lock()
 	defer jr.abortMu.Unlock()
@@ -219,17 +250,16 @@ func (jr *JobRun[T]) abortError() error {
 }
 
 func (jr *JobRun[T]) abortWith(err error) {
-	jr.abortOnce.Do(func() {
-		jr.abortMu.Lock()
+	jr.abortMu.Lock()
+	defer jr.abortMu.Unlock()
+	if jr.abortErr == nil {
 		jr.abortErr = err
-		jr.abortMu.Unlock()
 		close(jr.abortCh)
-	})
+	}
 }
 
 // --- jobHandle (manager-facing) ---------------------------------------
 
-func (jr *JobRun[T]) id() uint32 { return jr.jobID }
 func (jr *JobRun[T]) finished() bool {
 	select {
 	case <-jr.done:
@@ -241,6 +271,9 @@ func (jr *JobRun[T]) finished() bool {
 
 // fault delivers a place death to this job's coordinator.
 func (jr *JobRun[T]) fault(p int) {
+	if jr.co == nil {
+		return
+	}
 	select {
 	case jr.co.events <- coEvent{fault: true, place: p}:
 	case <-jr.abortCh:
@@ -250,27 +283,14 @@ func (jr *JobRun[T]) fault(p int) {
 
 // placeKilled tears down this job's local state on a killed place, as a
 // real crash would.
-func (jr *JobRun[T]) placeKilled(p int) {
-	if st := jr.engines[p].current(); st != nil {
-		st.closeQuit()
-	}
-	jr.engines[p].stop()
-}
-
-// cancel aborts the job.
-func (jr *JobRun[T]) cancel(err error) {
-	jr.abortWith(err)
-	for _, pe := range jr.engines {
-		pe.stop()
-	}
-}
+func (jr *JobRun[T]) placeKilled(p int) { jr.engines[p].stop() }
 
 // Cancel aborts the job with ErrCanceled. Safe at any time; a finished
 // job is unaffected.
-func (jr *JobRun[T]) Cancel() { jr.cancel(ErrCanceled) }
+func (jr *JobRun[T]) Cancel() { jr.abortWith(ErrCanceled) }
 
-func (jr *JobRun[T]) overlayCache(p int, s *metrics.Snapshot) {
-	jr.engines[p].overlayCacheStats(s)
+func (jr *JobRun[T]) overlayCache(k int, s *metrics.Snapshot) {
+	jr.engines[k].overlayCacheStats(s)
 }
 
 // --- results & introspection ------------------------------------------
@@ -287,12 +307,8 @@ func (jr *JobRun[T]) QueueWait() time.Duration { return jr.queueWait }
 // across alive places.
 func (jr *JobRun[T]) Progress() int64 {
 	var n int64
-	for p, pe := range jr.engines {
-		st := pe.current()
-		if st == nil {
-			continue
-		}
-		if jr.m.fabric.Alive(p) {
+	for _, pe := range jr.engines {
+		if st := pe.current(); st != nil && pe.tr.Alive(pe.self) {
 			n += st.chunk.FinishedCount()
 		}
 	}
@@ -321,21 +337,29 @@ func (jr *JobRun[T]) Result() (*Result[T], error) {
 	return &Result[T]{engines: jr.engines, d: ref.current().d, pattern: jr.cfg.Pattern}, nil
 }
 
-// Stats aggregates this job's counters across places. Transport counts
-// come from the job's ports (envelope traffic only); Retries and
-// DedupHits are delivery-layer totals shared by every job on the
-// cluster.
-func (jr *JobRun[T]) Stats() Stats {
-	s := Stats{
-		Places:        jr.cfg.Places,
-		Epochs:        int(jr.co.epoch) + 1,
-		Recoveries:    jr.co.recoveries,
-		RecoveryNanos: jr.co.recoveryNanos,
+// Stats aggregates this job's counters across the local places. Transport
+// counts come from the job's ports (envelope traffic only); Retries and
+// DedupHits are delivery-layer totals shared by every job on the cluster.
+func (jr *JobRun[T]) Stats() Stats { return jobStats(jr.m, jr) }
+
+// jobStats sums the given jobs' counters over the local places and adds the
+// delivery-layer totals: the one place a Stats is assembled. Epochs is the
+// first coordinator's — summing a node's identical jobs, job 0's.
+func jobStats[T any](m *JobManager, jobs ...*JobRun[T]) Stats {
+	s := Stats{Places: m.common.Places}
+	for _, jr := range jobs {
+		if jr.co != nil {
+			if s.Epochs == 0 {
+				s.Epochs = int(jr.co.epoch) + 1
+			}
+			s.Recoveries += jr.co.recoveries
+			s.RecoveryNanos += jr.co.recoveryNanos
+		}
+		for _, pe := range jr.engines {
+			pe.addStats(&s)
+		}
 	}
-	for _, pe := range jr.engines {
-		pe.addStats(&s)
-	}
-	for _, ps := range jr.m.stacks {
+	for _, ps := range m.stacks {
 		ps.addReliableStats(&s)
 	}
 	return s

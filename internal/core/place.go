@@ -372,8 +372,8 @@ func (pe *placeEngine[T]) lifelineEdges(d dist.Dist) []int {
 }
 
 // launch makes the prepared epoch-0 state runnable on the shared worker
-// pool (paper §VI-A step 2). The pool itself is started by the job
-// manager; launch only signals that this engine's deques have work.
+// pool (paper §VI-A step 2). The pool itself lives with the place; launch
+// only signals that this engine's deques have work.
 func (pe *placeEngine[T]) launch() {
 	st := pe.current()
 	pe.maybeReportDone(st)
@@ -998,13 +998,13 @@ func (pe *placeEngine[T]) addStats(s *Stats) {
 	s.SendsOut += ts.SendsOut
 }
 
-// stop ends the run for this place.
+// stop ends the run for this place; the live epoch's workers quit with it.
 func (pe *placeEngine[T]) stop() {
 	pe.stopOnce.Do(func() { close(pe.stopCh) })
+	if st := pe.current(); st != nil {
+		st.closeQuit()
+	}
 }
-
-// wait blocks until the run is stopped.
-func (pe *placeEngine[T]) wait() { <-pe.stopCh }
 
 // quiesce waits out what a stopped engine may still have in flight, so a
 // finished job's counters are final before its ports detach: workers

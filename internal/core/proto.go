@@ -7,7 +7,8 @@
 // detects global termination and drives the recovery protocol when a place
 // dies (§VI-D). A single-process run wires the place engines to a
 // transport.LocalFabric; a multi-process run gives each place a
-// transport.TCP endpoint — the engine code is identical.
+// transport.TCP endpoint — the engine code and the job lifecycle around it
+// (JobRun) are identical.
 //
 // Epochs. Every run starts in epoch 0. Each recovery bumps the epoch and
 // rebuilds per-epoch state (distribution, chunk, ready list, cache) on the
@@ -42,7 +43,7 @@ const (
 	kindReplay    uint8 = 10 // Call: coordinator -> place, replay decrements
 	kindReplayTx  uint8 = 11 // Call: place -> place, replayed decrements
 	kindResume    uint8 = 12 // Call: coordinator -> place, restart workers
-	kindStop      uint8 = 13 // Send: coordinator -> place, run finished
+	kindStop      uint8 = 13 // Call: coordinator -> place, run finished; the reply is the ack
 	kindReadVal   uint8 = 14 // Call: post-run result access
 	kindPing      uint8 = 15 // Call: failure-detector heartbeat
 	kindHello     uint8 = 16 // Call: place -> place 0, "my state is prepared"
@@ -117,8 +118,8 @@ func placeDead(p int) error { return &PlaceDeadError{Place: p} }
 // duplicate-suppression protocol. Exempt:
 //   - kindPing: the failure detector must observe raw link state, not a
 //     retried view of it;
-//   - kindHello, kindBegin: the TCP startup barrier registers and calls
-//     these on the raw transport, before the engine wrapper exists;
+//   - kindHello, kindBegin: the cluster-formed barrier registers and calls
+//     these on the raw endpoint, below chaos injection;
 //   - kindReadVal: idempotent post-run read, also issued raw (TCPNode.Value);
 //   - kindStats: idempotent post-run metrics read, issued raw after the run
 //     like kindReadVal (a lost reply just re-reads the snapshot).

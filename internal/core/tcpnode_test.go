@@ -255,8 +255,8 @@ func TestTCPNodeCoordinatorCrashTerminatesWorkers(t *testing.T) {
 	// broadcast Close performs. Workers must notice and exit with an
 	// error rather than waiting forever.
 	nodes[0].tr.Close()
-	for _, pe := range nodes[0].pes {
-		pe.stop()
+	for _, jr := range nodes[0].jobs {
+		jr.Cancel()
 	}
 	release()
 	done := make(chan struct{})
@@ -273,24 +273,33 @@ func TestTCPNodeCoordinatorCrashTerminatesWorkers(t *testing.T) {
 	}
 }
 
-// TestTCPNodeLateStopOutranksAbort is the same verdict with the two events
-// the other way round: place 0 closes right after its stop broadcast, and
-// the detector's probe can find it gone before the stop handler has run.
-// The stop that arrives within the grace window still wins.
-func TestTCPNodeLateStopOutranksAbort(t *testing.T) {
-	cfg := baseConfig(patterns.NewGrid(4, 4), 2)
-	n := startTCPNodes(t, cfg, 2)[1]
-	n.pes[0].abort(placeDead(0))
-	verdict := make(chan error, 1)
-	go func() { verdict <- n.awaitStop() }()
-	select {
-	case err := <-verdict:
-		t.Fatalf("node reported %v without waiting for a stop in flight", err)
-	case <-time.After(stopGrace / 10):
+// TestTCPNodeCloseWaitsForStop pins stop as an acknowledged call: place 0's
+// Close may not return — so cannot close its endpoint — before every place
+// observed stop, here delivered 50 ms late to a place 1 probing place 0 every
+// millisecond. A one-way stop loses that race and reports "place 0 died".
+func TestTCPNodeCloseWaitsForStop(t *testing.T) {
+	cfg := baseConfig(patterns.NewDiagonal(12, 12), 2)
+	cfg.ProbeInterval = time.Millisecond
+	nodes := startTCPNodes(t, cfg, 2)
+	port := nodes[1].jobs[0].engines[0].tr.(*jobPort)
+	stop := port.handlers[kindStop]
+	port.handlers[kindStop] = func(from int, payload []byte) ([]byte, error) {
+		time.Sleep(50 * time.Millisecond)
+		return stop(from, payload)
 	}
-	n.pes[0].stop()
-	if err := <-verdict; err != nil {
-		t.Fatalf("node stopped within the grace window reported %v", err)
+	worker := make(chan error, 1)
+	go func() { worker <- nodes[1].Run() }()
+	if err := nodes[0].Run(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	nodes[0].Close()
+	select {
+	case <-nodes[1].jobs[0].engines[0].stopCh:
+	default:
+		t.Fatal("place 0's Close returned before place 1 observed stop")
+	}
+	if err := <-worker; err != nil {
+		t.Fatalf("place 1: %v", err)
 	}
 }
 
@@ -302,8 +311,8 @@ func TestTCPNodeLateStopOutranksAbort(t *testing.T) {
 func TestTCPNodeStopOutranksAbort(t *testing.T) {
 	cfg := baseConfig(patterns.NewGrid(4, 4), 2)
 	nodes := startTCPNodes(t, cfg, 2)
-	n := nodes[1]
-	for _, pe := range n.pes {
+	n := nodes[1].jobs[0]
+	for _, pe := range n.engines {
 		pe.stop()
 		pe.abort(placeDead(0))
 	}
@@ -313,8 +322,8 @@ func TestTCPNodeStopOutranksAbort(t *testing.T) {
 		}
 	}
 	// An abort with no stop is still an abort.
-	m := nodes[0]
-	m.pes[0].abort(placeDead(0))
+	m := nodes[0].jobs[0]
+	m.engines[0].abort(placeDead(0))
 	if err := m.awaitStop(); !errors.Is(err, ErrPlaceZeroDead) {
 		t.Fatalf("aborted node reported %v, want ErrPlaceZeroDead", err)
 	}

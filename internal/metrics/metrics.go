@@ -147,6 +147,14 @@ func (v *Vec) Add(key uint8, n int64) {
 	v.slots[key].Add(n)
 }
 
+// Reset zeroes the slot under key, for a key about to name something new.
+func (v *Vec) Reset(key uint8) {
+	if v == nil {
+		return
+	}
+	v.slots[key].Store(0)
+}
+
 // Get returns the current value under key.
 func (v *Vec) Get(key uint8) int64 {
 	if v == nil {

@@ -70,9 +70,12 @@ const (
 	RecoveryResumeNs  = "recovery.resume_ns"
 
 	// Per-job accounting on multi-job clusters, one Vec key per job id
-	// (low byte). Tiles and outbound traffic are recorded by the place
-	// that did the work; queue-wait is recorded once per admitted job, on
-	// place 0, when the job leaves the admission queue.
+	// (low byte): a slot names the latest job with that low byte — it is
+	// cleared when the cluster registers job id+256 — so on a long-lived
+	// cluster the slots cover the last 256 jobs, not all of them. Tiles and
+	// outbound traffic are recorded by the place that did the work;
+	// queue-wait is recorded once per admitted job, on place 0, when the
+	// job leaves the admission queue.
 	JobTilesExecuted = "job.tiles_executed"
 	JobMsgsOut       = "job.msgs_out"
 	JobBytesOut      = "job.bytes_out"

@@ -9,6 +9,9 @@ go build ./...
 # testdata corpora is gofmt-clean.
 test -z "$(gofmt -l . | grep -v '/testdata/')"
 go vet ./...
+# The benchmark is its own module, so `go build ./...` above never compiles
+# it against the engine types it uses.
+go -C benchmark vet ./...
 # The repo's own analyzers, under a wall-clock budget: the suite shares
 # type-checked facts (CFGs, call graph) across analyzers in one process,
 # and 30s is the line past which that sharing has regressed. The budget
@@ -35,4 +38,8 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
 go test -race -run 'TestMultiJob|TestManagerClose' -count=1 ./internal/core/
+# The TCP job lifecycle, repeated: stop is acknowledged rather than timed, so
+# the interleavings of stop, Close and the failure detector have to hold
+# every time (~5 s; TestTCPNodeFaultRecovery takes 10 s a run and stays out).
+go test -race -run 'TestTCPNode(EndToEnd|MultiJob|CloseWaitsForStop|StopOutranksAbort)$' -count=25 ./internal/core/
 go test -race -run 'TestCluster|TestSubmit|TestNewCluster' -count=1 .
