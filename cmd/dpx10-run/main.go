@@ -37,7 +37,7 @@ func main() {
 	flag.IntVar(&p.LifelineEdges, "lifeline-edges", 0, "lifelines: outgoing lifeline edges per place (0 = auto, ceil(log2(places)))")
 	flag.StringVar(&p.Dist, "dist", "blockrow", "distribution: blockrow | blockcol | cyclicrow | cycliccol")
 	flag.IntVar(&p.Cache, "cache", 0, "remote-vertex cache entries per place (0 = off)")
-	flag.IntVar(&p.TileSize, "tile", 0, "scheduling granularity in cells (0 = auto, 1 = per-vertex)")
+	flag.IntVar(&p.TileSize, "tile", 0, "cells per tile, about; the engine picks the rectangle (0 = auto, 1 = per-vertex)")
 	flag.BoolVar(&p.RestoreRemote, "restore-remote", false, "recovery copies moved results instead of recomputing")
 	flag.BoolVar(&p.Verify, "verify", false, "check the result against the serial reference")
 	flag.IntVar(&p.Kill, "kill", -1, "kill this place at ~50% progress (fault-tolerance demo)")

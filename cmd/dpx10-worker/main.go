@@ -41,7 +41,7 @@ func main() {
 	flag.IntVar(&p.LifelineEdges, "lifeline-edges", 0, "lifelines: outgoing lifeline edges per place (0 = auto)")
 	flag.StringVar(&p.Dist, "dist", "blockrow", "distribution: blockrow | blockcol | cyclicrow | cycliccol")
 	flag.IntVar(&p.Cache, "cache", 0, "remote-vertex cache entries per place")
-	flag.IntVar(&p.TileSize, "tile", 0, "scheduling granularity in cells (0 = auto, 1 = per-vertex; must match across places)")
+	flag.IntVar(&p.TileSize, "tile", 0, "cells per tile, about; the engine picks the rectangle (0 = auto, 1 = per-vertex; must match across places)")
 	flag.BoolVar(&p.RestoreRemote, "restore-remote", false, "recovery copies moved results instead of recomputing")
 	flag.BoolVar(&p.Metrics, "metrics", false, "print this place's metrics after the run (place 0 aggregates all places; must match across places)")
 	flag.BoolVar(&p.MetricsJSON, "metrics-json", false, "print the metrics dump as JSON (implies -metrics)")

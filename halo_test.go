@@ -1,12 +1,14 @@
 package dpx10_test
 
 import (
+	"strings"
 	"testing"
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dist"
+	"github.com/dpx10/dpx10/internal/distarray"
 )
 
 // Counter gates for the tile halo: the demand side of value movement is
@@ -48,7 +50,8 @@ func TestHaloFetchCallsBoundedByTiles(t *testing.T) {
 // TestHaloFetchesDistinctRemoteDepsPerTile pins RemoteFetches with the
 // cache off to its closed form: every tile fetches each distinct
 // dependency another place owns exactly once, however many of its cells
-// read it.
+// read it. Both layouts cut 37-cell tiles as 1 x 37 row segments of the
+// place's box (the run's reported layout is checked to say so).
 func TestHaloFetchesDistinctRemoteDepsPerTile(t *testing.T) {
 	const places, tile = 3, 37
 	app := apps.NewRandomKnapsack(40, 30, 50, 150, 7)
@@ -66,11 +69,12 @@ func TestHaloFetchesDistinctRemoteDepsPerTile(t *testing.T) {
 			var want int64
 			var deps []dag.VertexID
 			for p := 0; p < places; p++ {
-				n := dd.LocalCount(p)
-				for lo := 0; lo < n; lo += tile {
+				box := dd.LocalBox(p)
+				grid := distarray.NewTileGrid(box.Rows, box.Cols, 1, tile)
+				for tl := 0; tl < grid.NumTiles(); tl++ {
 					halo := map[dag.VertexID]bool{}
-					for off := lo; off < min(lo+tile, n); off++ {
-						i, j := dd.CellAt(p, off)
+					for tb, off := grid.TileBox(tl), 0; off < tb.W; off++ {
+						i, j := dd.CellAt(p, tb.Lo+off)
 						deps = pat.Dependencies(i, j, deps[:0])
 						for _, dep := range deps {
 							if dd.Place(dep.I, dep.J) != p {
@@ -89,6 +93,9 @@ func TestHaloFetchesDistinctRemoteDepsPerTile(t *testing.T) {
 			}
 			if err := app.Verify(d); err != nil {
 				t.Fatal(err)
+			}
+			if lay := d.Stats().TileLayout; strings.Count(lay, " in ") != strings.Count(lay, " in 1x37)") {
+				t.Fatalf("layout %q: want 1x37 tiles on every place", lay)
 			}
 			if got := d.Stats().RemoteFetches; got != want || want == 0 {
 				t.Fatalf("RemoteFetches = %d, want %d (distinct remote dependencies summed over tiles)", got, want)

@@ -24,7 +24,7 @@ func AblationTileSize(quick bool) (Report, error) {
 	b := workload.Sequence(side, workload.DNA, 8)
 	rep := Report{
 		Title:  "Ablation — tile size (SWLAG, real runtime, 4 places)",
-		Header: []string{"tile", "time(s)", "tileTasks", "cells/task", "msgs", "remoteFetches"},
+		Header: []string{"tile", "time(s)", "tileTasks", "cells/task", "msgs", "remoteFetches", "layout"},
 	}
 	for _, tile := range []int{1, 4, 16, 64, 256, 0} {
 		app := apps.NewSWLAG(a, b)
@@ -51,11 +51,12 @@ func AblationTileSize(quick bool) (Report, error) {
 			perTask /= float64(s.TilesExecuted)
 		}
 		rep.Add(label, fmt.Sprintf("%.3f", dag.Elapsed().Seconds()),
-			d(s.TilesExecuted), f2(perTask), d(s.MsgsSent), d(s.RemoteFetches))
+			d(s.TilesExecuted), f2(perTask), d(s.MsgsSent), d(s.RemoteFetches), s.TileLayout)
 	}
 	rep.Notes = append(rep.Notes,
 		"tile=1 is the pre-tiling engine: one schedulable task per vertex",
 		"auto targets ~64 tiles per place, clamped to [8, 2048] cells",
+		"layout: places x (local box in tile); the engine picks the tile's shape for the asked cell count",
 		"intra-tile dependencies resolve in the tile task's loop: no deque ops, no decrement messages")
 	return rep, nil
 }

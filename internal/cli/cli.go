@@ -496,6 +496,7 @@ func printStats(w io.Writer, s dpx10.Stats, elapsed time.Duration) {
 		elapsed.Seconds(), s.Places, s.Epochs, s.Recoveries, float64(s.RecoveryNanos)/1e6)
 	fmt.Fprintf(w, "cells=%d localReads=%d remoteFetches=%d cacheHits=%d migrated=%d msgs=%d bytes=%d\n",
 		s.ComputedCells, s.LocalReads, s.RemoteFetches, s.CacheHits, s.ExecMigrated, s.MsgsSent, s.BytesSent)
+	fmt.Fprintf(w, "tiles=%d layout: %s\n", s.TilesExecuted, s.TileLayout)
 	if s.Retries > 0 || s.DedupHits > 0 {
 		fmt.Fprintf(w, "reliable delivery: retries=%d dedupHits=%d\n", s.Retries, s.DedupHits)
 	}

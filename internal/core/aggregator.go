@@ -64,10 +64,33 @@ const (
 // aggBuf is one destination's open message: the incrementally built
 // kindDecrBatch payload, the record count backpatched at flush, and the
 // last record's source id, which the next record's delta is taken from.
+//
+// A record that carries no value needs its source only as the base its
+// targets are coded against, so a finished vertex's targets join the record
+// before them for as long as that keeps every delta in one byte (joins): the
+// last row of a tile, whose cells finish one after another, leaves as a
+// record per 63 cells rather than a head and a source for each — what keeps
+// a place boundary crossed strip by strip, some of it for a place that then
+// dies, no dearer in bytes than one crossed in a piece.
 type aggBuf struct {
 	msg  []byte
-	recs uint32
-	prev dag.VertexID
+	adds uint32       // finished vertices folded in: what the flush cap and the stats count
+	recs uint32       // records in msg
+	prev dag.VertexID // source of the last record
+	head int          // index of the last record's head byte while targets may still join it, else 0
+}
+
+// joins reports whether targets can be appended to b's last record.
+func (b *aggBuf) joins(targets []dag.VertexID) bool {
+	if b.head == 0 || int(b.msg[b.head]>>decrCountShift)+len(targets) >= decrCountEsc {
+		return false
+	}
+	for _, t := range targets {
+		if di, dj := t.I-b.prev.I, t.J-b.prev.J; di < -64 || di > 63 || dj < -64 || dj > 63 {
+			return false
+		}
+	}
+	return true
 }
 
 func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
@@ -96,15 +119,27 @@ func (ag *aggregator[T]) add(dest int, src dag.VertexID, value T, targets []dag.
 		}
 		b.msg = putU32(putU64(b.msg, ag.epoch), 0) // count backpatched at flush
 	}
-	b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.prev, src, value, ag.push, targets)
-	b.prev = src
-	b.recs++
+	if b.joins(targets) {
+		for _, t := range targets {
+			b.msg = putIDDelta(b.msg, b.prev, t)
+		}
+		b.msg[b.head] += uint8(len(targets)) << decrCountShift
+	} else {
+		b.head = 0
+		if !ag.push && len(targets) < decrCountEsc {
+			b.head = len(b.msg)
+		}
+		b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.prev, src, value, ag.push, targets)
+		b.prev = src
+		b.recs++
+	}
+	b.adds++
 	ag.pending.Add(1)
 	if ag.push {
 		ag.pe.valuesPushed.Add(1)
 	}
 	var msg []byte
-	if int(b.recs) >= ag.maxRecs {
+	if int(b.adds) >= ag.maxRecs {
 		msg = ag.takeLocked(dest)
 	}
 	ag.mu.Unlock()
@@ -116,16 +151,16 @@ func (ag *aggregator[T]) add(dest int, src dag.VertexID, value T, targets []dag.
 // takeLocked finalizes and detaches dest's open message. Caller holds mu.
 func (ag *aggregator[T]) takeLocked(dest int) []byte {
 	b := &ag.bufs[dest]
-	if b.recs == 0 {
+	if b.adds == 0 {
 		return nil
 	}
 	binary.LittleEndian.PutUint32(b.msg[8:12], b.recs)
 	msg := b.msg
-	ag.pending.Add(-int64(b.recs))
+	ag.pending.Add(-int64(b.adds))
 	ag.pe.aggBatches.Add(1)
-	ag.pe.decrsCoalesced.Add(int64(b.recs))
+	ag.pe.decrsCoalesced.Add(int64(b.adds))
 	if tc := ag.pe.cfg.Trace; tc != nil {
-		tc.AddAggFlush(ag.pe.self, int64(b.recs))
+		tc.AddAggFlush(ag.pe.self, int64(b.adds))
 	}
 	*b = aggBuf{}
 	return msg

@@ -34,6 +34,7 @@ func BenchmarkSchedulePerVertex(b *testing.B) {
 			runtime.GC()
 			runtime.ReadMemStats(&before)
 			b.ResetTimer()
+			var last *Cluster[int64]
 			for i := 0; i < b.N; i++ {
 				cl, err := NewCluster(cfg)
 				if err != nil {
@@ -42,8 +43,15 @@ func BenchmarkSchedulePerVertex(b *testing.B) {
 				if err := cl.Run(); err != nil {
 					b.Fatal(err)
 				}
+				last = cl
 			}
 			b.StopTimer()
+			// The shape the engine chose for this size, on place 0.
+			st := last.jr.engines[0].current()
+			bi, bj := st.grids[0].Shape()
+			b.ReportMetric(float64(bi), "tile-rows")
+			b.ReportMetric(float64(bj), "tile-cols")
+			b.ReportMetric(st.lay.parallelism(), "tile-parallelism")
 			runtime.ReadMemStats(&after)
 			n := float64(b.N) * cells
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/vertex")

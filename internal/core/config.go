@@ -63,17 +63,22 @@ type Common struct {
 	// CacheSize is the per-place remote-vertex cache capacity in entries
 	// (paper §VI-C); 0 disables the cache.
 	CacheSize int
-	// TileSize is the scheduling granularity: each place partitions its
-	// chunk into tiles of this many consecutive local offsets and tracks
-	// readiness per tile, executing a ready tile as one task in intra-tile
-	// dependency order. 0 (the default) auto-sizes per place; 1 schedules
-	// per vertex, exactly the pre-tiling behaviour. When coarsening would
-	// deadlock — the tile quotient graph of the pattern under the current
-	// distribution is cyclic — every place independently falls back to 1.
+	// TileSize is the scheduling granularity: each place cuts its local
+	// index box into rectangular tiles of about this many cells — the engine
+	// picks the shape (tileShape) — and tracks readiness per tile, executing
+	// a ready tile as one task in intra-tile dependency order. 0 (the
+	// default) auto-sizes per place; 1 schedules per vertex, exactly the
+	// pre-tiling behaviour. When coarsening would deadlock — the tile
+	// quotient graph of the pattern under the current distribution is
+	// cyclic — every place independently falls back to 1.
 	TileSize int
-	// tileCheck memoizes the tile-quotient acyclicity verdict; shared by
-	// every place of an in-process cluster through the common Config.
-	tileCheck *tileQuotientCache
+	// TileShape, when non-zero, is the tile's height and width in cells on
+	// every place, overriding the engine's pick. For tests and
+	// internal/bench; no public option sets it.
+	TileShape [2]int
+	// tileCheck memoizes the tile-quotient check; shared by every place of
+	// an in-process cluster through the common Config.
+	tileCheck *tileLayoutCache
 	// Lifelines enables GLB-style lifeline load balancing for Steal jobs:
 	// an idle place makes LifelineProbes bounded random-victim steal
 	// attempts, then parks on its LifelineEdges lifeline buddies (a cyclic
@@ -258,7 +263,7 @@ func (c *Common) normalize() error {
 		}
 	}
 	if c.tileCheck == nil {
-		c.tileCheck = &tileQuotientCache{}
+		c.tileCheck = &tileLayoutCache{}
 	}
 	if c.Spill != nil {
 		c.Spill.normalize()
@@ -390,4 +395,12 @@ type Stats struct {
 	LifelinePushes int64 // tiles pushed to parked lifeline buddies (accepted deliveries, per hop)
 	TilesMigrated  int64 // migrated tiles accepted from lifeline victims (per hop)
 	MigratedRuns   int64 // migrated tiles executed here (the rest were forwarded onward)
+
+	// TileLayout says what the engine cut the final epoch's places into:
+	// "<places>x(<box> in <tile>)" per distinct box, then the tile DAG's size
+	// and longest chain. TileParallelism is their ratio — 1 means the tiles
+	// form a chain and no number of places or threads can overlap them; 0
+	// means it was not measured (single-cell tiles).
+	TileLayout      string
+	TileParallelism float64
 }

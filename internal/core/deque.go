@@ -9,15 +9,15 @@ import (
 // plus a wake semaphore. It replaces the old single shared ready channel,
 // which made every enqueue and dequeue contend on one MPMC queue.
 //
-// Discipline: tiles carry their anti-diagonal wavefront index (i+j of the
-// tile's first cell), and each deque keeps its entries sorted by it. A
-// worker pushes tiles it enables onto its own deque and pops its own
-// minimum — the place advances diagonal by diagonal, so successive tiles
-// share cache-resident dependency rows and the front's width (the DAG's
-// available parallelism) is released as early as possible. Thieves, local
-// and remote, pop a victim's maximum: the tile farthest ahead of the
-// front, where they least disturb the owner's locality. Protocol handlers,
-// which have no worker identity, spread their pushes round-robin.
+// Discipline: tiles carry a priority (tilePriorities; called wave here, for
+// the anti-diagonal index it once was), and each deque keeps its entries
+// sorted by it. A worker pushes tiles it enables onto its own deque and pops
+// its own minimum — the place drains toward the boundary its neighbour
+// waits on, strip by strip or band by band, so successive tiles share
+// cache-resident dependency rows. Thieves, local and remote, pop a victim's
+// maximum: the tile farthest from that boundary, where they least disturb
+// the owner's locality. Protocol handlers, which have no worker identity,
+// spread their pushes round-robin.
 type tileSched struct {
 	deques []workDeque
 	// notify wakes the place's shared worker pool after a push has made

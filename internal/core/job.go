@@ -343,8 +343,8 @@ func (jr *JobRun[T]) Result() (*Result[T], error) {
 func (jr *JobRun[T]) Stats() Stats { return jobStats(jr.m, jr) }
 
 // jobStats sums the given jobs' counters over the local places and adds the
-// delivery-layer totals: the one place a Stats is assembled. Epochs is the
-// first coordinator's — summing a node's identical jobs, job 0's.
+// delivery-layer totals: the one place a Stats is assembled. Epochs and the
+// tile layout are the first job's — summing a node's identical jobs, job 0's.
 func jobStats[T any](m *JobManager, jobs ...*JobRun[T]) Stats {
 	s := Stats{Places: m.common.Places}
 	for _, jr := range jobs {
@@ -361,6 +361,10 @@ func jobStats[T any](m *JobManager, jobs ...*JobRun[T]) Stats {
 	}
 	for _, ps := range m.stacks {
 		ps.addReliableStats(&s)
+	}
+	// Every place of every one of these jobs derived the same layout.
+	if st := jobs[0].engines[0].current(); st != nil {
+		s.TileLayout, s.TileParallelism = describeLayout(st.grids, st.lay), st.lay.parallelism()
 	}
 	return s
 }

@@ -298,7 +298,7 @@ func (pe *placeEngine[T]) depositMigrated(st *epochState[T], mt migratedTile) {
 		return
 	}
 	if mt.tile >= 0 {
-		st.sched.push(mt.tile, -1, st.waves[mt.tile])
+		st.sched.push(mt.tile, -1, st.prio[mt.tile])
 		return
 	}
 	st.life.deposit(mt)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -31,8 +32,10 @@ type epochState[T any] struct {
 	epoch uint64
 	d     dist.Dist
 	chunk *distarray.Chunk[T]
-	sched *tileSched // per-worker deques of schedulable tiles
-	waves []int32    // per-tile anti-diagonal index (i+j of first cell)
+	sched *tileSched           // per-worker deques of schedulable tiles
+	prio  []int32              // per-tile claim order among ready tiles (tilePriorities)
+	grids []distarray.TileGrid // every place's tile grid, indexed like d.Places()
+	lay   tileLayout           // what the tile-quotient check made of grids
 	quit  chan struct{}
 	cache *vcache.Cache[T]
 	agg   *aggregator[T]    // outbound decrement aggregator
@@ -168,8 +171,8 @@ type scratch[T any] struct {
 	antiBuf []dag.VertexID // Pattern.AntiDependencies output
 	antiRes []resolvedAnti // completeVertex's resolutions
 
-	remote map[int][]dag.VertexID // owner -> decrement targets (completeResolved) or ids to fetch (fillHalo)
-	owners []int                  // owners with buffered ids, in first-use order
+	remote [][]dag.VertexID // by owning place: decrement targets (completeResolved) or ids to fetch (fillHalo)
+	owners []int            // owners with buffered ids, in first-use order
 
 	cells []Cell[T]      // deps passed to Compute; valid only during the call
 	ids   []dag.VertexID // handleFetch / handleDecrBatch decode state
@@ -203,11 +206,8 @@ type scratch[T any] struct {
 	wkr int
 }
 
-func newScratch[T any](wkr int) *scratch[T] {
-	return &scratch[T]{
-		remote: make(map[int][]dag.VertexID, 4),
-		wkr:    wkr,
-	}
+func newScratch[T any](places, wkr int) *scratch[T] {
+	return &scratch[T]{remote: make([][]dag.VertexID, places), wkr: wkr}
 }
 
 // resetGroups empties the per-owner grouping, which a previous,
@@ -224,7 +224,7 @@ func (pe *placeEngine[T]) getScratch() *scratch[T] {
 		sc.wkr = -1
 		return sc
 	}
-	return newScratch[T](-1)
+	return newScratch[T](pe.cfg.Places, -1)
 }
 
 func (pe *placeEngine[T]) putScratch(sc *scratch[T]) { pe.scratchPool.Put(sc) }
@@ -280,7 +280,7 @@ func newPlaceEngine[T any](self int, cfg *Config[T], tr transport.Transport, abo
 		pe.spanSteal = fmt.Sprintf("j%d:steal", job)
 	}
 	for w := range pe.workers {
-		pe.workers[w].sc = newScratch[T](w)
+		pe.workers[w].sc = newScratch[T](cfg.Places, w)
 	}
 	pe.mTiles = reg.Counter(metrics.SchedTilesExecuted)
 	pe.mStealAtt = reg.Counter(metrics.SchedStealsAttempted)
@@ -327,13 +327,20 @@ func (pe *placeEngine[T]) prepare(d dist.Dist) {
 // The decrement aggregator is epoch-owned: its flusher goroutine exits
 // when this epoch's quit channel closes.
 func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distarray.Chunk[T]) *epochState[T] {
-	chunk.ConfigureTiles(pe.tileSizeFor(d))
+	grids, lay := pe.cfg.tileGrids(d)
+	grid := distarray.NewTileGrid(0, 0, 1, 1) // what a place d gives no cells has
+	if k := slices.Index(d.Places(), pe.self); k >= 0 {
+		grid = grids[k]
+	}
+	chunk.ConfigureGrid(grid)
 	st := &epochState[T]{
 		epoch: epoch,
 		d:     d,
 		chunk: chunk,
 		sched: newTileSched(pe.cfg.Threads, pe.host.notify),
-		waves: tileWaves(d, chunk, pe.self),
+		prio:  tilePriorities(&chunk.TileGrid, d.LocalBox(pe.self)),
+		grids: grids,
+		lay:   lay,
 		quit:  make(chan struct{}),
 		cache: pe.newCache(),
 		agg:   newAggregator(pe, epoch),
@@ -353,13 +360,7 @@ func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distar
 // strongly connected instead of leaving edges pointing at the dead.
 func (pe *placeEngine[T]) lifelineEdges(d dist.Dist) []int {
 	places := d.Places()
-	rank := -1
-	for k, p := range places {
-		if p == pe.self {
-			rank = k
-			break
-		}
-	}
+	rank := slices.Index(places, pe.self)
 	if rank < 0 {
 		return nil
 	}
@@ -682,13 +683,14 @@ func (pe *placeEngine[T]) stale(st *epochState[T]) bool { return pe.st.Load() !=
 // owns calls completeResolved directly.
 func (pe *placeEngine[T]) completeVertex(st *epochState[T], sc *scratch[T], off int, i, j int32, value T) {
 	sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], dag.VertexID{I: i, J: j})
-	pe.completeResolved(st, sc, off, i, j, value, sc.antiRes)
+	pe.completeResolved(st, sc, off, st.chunk.TileBox(st.chunk.TileOf(off)), i, j, value, sc.antiRes)
 }
 
-// completeResolved is completeVertex with the anti-dependency resolutions
-// supplied by the caller — the tile walk resolves them once, in orderTile,
-// and replays them here for every cell it executes.
-func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], off int, i, j int32, value T, anti []resolvedAnti) {
+// completeResolved is completeVertex with the cell's tile and its
+// anti-dependency resolutions supplied by the caller — the tile walk knows
+// the one and resolves the others once, in orderTile, and replays them here
+// for every cell it executes.
+func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], off int, tile distarray.TileBox, i, j int32, value T, anti []resolvedAnti) {
 	if sc.deferOn {
 		// Tile walk: the cell is exclusively owned, so publish with a
 		// release store and batch the done-count — and the shared computed
@@ -704,11 +706,10 @@ func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], of
 	}
 
 	sc.resetGroups()
-	tile := st.chunk.TileOf(off)
 	for _, a := range anti {
 		owner := int(a.owner)
 		if owner == pe.self {
-			if st.chunk.TileOf(a.off) == tile {
+			if tile.Holds(a.off) {
 				// Intra-tile edge: no counter tracks it. The executing walk
 				// (runTile's order, or the thief's batch order) schedules
 				// the dependent after this cell.
@@ -801,13 +802,12 @@ func (pe *placeEngine[T]) applyDecrement(st *epochState[T], sc *scratch[T], off 
 
 // enqueueTile puts a ready tile on the place's work deques, exactly once
 // per epoch (the chunk's tileQueued flag arbitrates concurrent paths),
-// keyed by its wavefront index so workers drain the front in
-// anti-diagonal order.
+// keyed by its priority so workers drain toward the place's boundary.
 func (pe *placeEngine[T]) enqueueTile(st *epochState[T], t, wkr int) {
 	if !st.chunk.TryMarkTileQueued(t) {
 		return
 	}
-	st.sched.push(t, wkr, st.waves[t])
+	st.sched.push(t, wkr, st.prio[t])
 	if life := st.life; life != nil {
 		// New local work: leave the parked state (idle workers may probe
 		// again) and, if buddies are parked on us, offer them the surplus.
@@ -816,20 +816,6 @@ func (pe *placeEngine[T]) enqueueTile(st *epochState[T], t, wkr int) {
 			life.kickPush()
 		}
 	}
-}
-
-// tileWaves precomputes each tile's anti-diagonal wavefront index — i+j of
-// its first local cell — once per epoch. For the row/column/block
-// distributions local offsets advance in scan order, so the first cell is
-// the tile's earliest point on the front.
-func tileWaves[T any](d dist.Dist, chunk *distarray.Chunk[T], self int) []int32 {
-	waves := make([]int32, chunk.NumTiles())
-	for t := range waves {
-		lo, _ := chunk.TileRange(t)
-		i, j := d.CellAt(self, lo)
-		waves[t] = i + j
-	}
-	return waves
 }
 
 // execRemote ships the vertex to another place for execution

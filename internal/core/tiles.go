@@ -7,6 +7,7 @@ import (
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dist"
+	"github.com/dpx10/dpx10/internal/distarray"
 )
 
 // maxQuotientEdges bounds the memory the tile-quotient acyclicity check
@@ -14,121 +15,207 @@ import (
 // back to per-vertex scheduling.
 const maxQuotientEdges = 1 << 22
 
-// effectiveTileSize resolves the configured tile size for a chunk of n
-// local cells. 0 auto-sizes: roughly 64 tiles per place, clamped so a
-// tile amortizes scheduling overhead (>= 8 cells) without starving the
-// worker pool or a recovery of parallelism (<= 2048 cells).
-func effectiveTileSize(cfgSize, n int) int {
-	if n <= 0 {
-		return 1
+// tileCells resolves the configured cells per tile for a box of n local
+// cells. 0 auto-sizes: roughly 64 tiles per place, clamped so a tile
+// amortizes scheduling overhead (>= 8 cells) without starving the worker
+// pool or a recovery of parallelism, or growing a walk's scratch (<= 2048
+// cells).
+func tileCells(cfgSize, n int) int {
+	if cfgSize <= 0 {
+		cfgSize = min(max(n/64, 8), 2048)
 	}
-	s := cfgSize
-	if s <= 0 {
-		s = n / 64
-		if s < 8 {
-			s = 8
-		}
-		if s > 2048 {
-			s = 2048
-		}
-	}
-	if s > n {
-		s = n
-	}
-	return s
+	return max(min(cfgSize, n), 1)
 }
 
-// tileQuotientCache memoizes the tile-quotient acyclicity verdict per
-// (pattern, distribution, configured size). All places of a single-process
-// cluster share one cache through the shared Config, so the O(cells)
-// check runs once per epoch, not once per place.
-type tileQuotientCache struct {
+// stripExtent is the furthest a tile may reach along an axis whose far edge
+// another place waits on: the axis is cut into up to 8 strips, so the
+// neighbour starts after an eighth of this place's work instead of all of
+// it, each at least 64 cells long, because every strip that touches the
+// boundary sends its own decrement batch and a shorter one is mostly header.
+func stripExtent(n int) int {
+	strips := min(max(n/64, 1), 8)
+	return (n + strips - 1) / strips
+}
+
+// tileShape picks the tile of one place's box: the configured cell count,
+// as wide (along the contiguous axis) as the box allows. Two things bound
+// it. Across a dealt axis neighbouring local indexes are not neighbours in
+// the grid, and a tile spanning two of them makes the tile quotient cyclic:
+// the extent there is 1. And along an axis the dist leaves whole, a tile
+// stops at a strip (stripExtent) whenever the other axis is split.
+func (c *Common) tileShape(box dist.Box) (bi, bj int) {
+	if c.TileShape != [2]int{} {
+		return c.TileShape[0], c.TileShape[1]
+	}
+	maxBI, maxBJ := box.Rows, box.Cols
+	if box.RowAxis != dist.Whole {
+		maxBJ = stripExtent(box.Cols)
+	}
+	if box.ColAxis != dist.Whole {
+		maxBI = stripExtent(box.Rows)
+	}
+	if box.RowAxis == dist.Dealt {
+		maxBI = 1
+	}
+	if box.ColAxis == dist.Dealt {
+		maxBJ = 1
+	}
+	cells := tileCells(c.TileSize, box.Rows*box.Cols)
+	bj = max(min(cells, maxBJ), 1)
+	bi = max(min((cells+bj-1)/bj, maxBI), 1) // rounded up: no more tiles than the count asked for
+	return bi, bj
+}
+
+// tilePriorities gives each tile of a place's grid its place in the order
+// ready tiles are claimed (lowest first), so that the place drains toward
+// the boundary a neighbour is waiting on: strip by strip under a row split
+// (the first strip reaches the last local row, and the place below starts,
+// after one strip's worth of work), band by band under a column split, and
+// along anti-diagonals when both axes or neither are split.
+func tilePriorities(g *distarray.TileGrid, box dist.Box) []int32 {
+	rows, cols := g.TileRows(), g.TileCols()
+	prio := make([]int32, g.NumTiles())
+	for t := range prio {
+		r, c := t/cols, t%cols
+		switch {
+		case box.RowAxis != dist.Whole && box.ColAxis == dist.Whole:
+			prio[t] = int32(c*rows + r)
+		case box.ColAxis != dist.Whole && box.RowAxis == dist.Whole:
+			prio[t] = int32(t)
+		default:
+			prio[t] = int32(r + c)
+		}
+	}
+	return prio
+}
+
+// tileLayout is what the tile-quotient check learned about a global tile
+// layout: whether coarsening to it is safe, and how much parallelism the
+// coarsened DAG exposes (tiles / span; dag.QuotientSpan).
+type tileLayout struct {
+	ok          bool
+	tiles, span int // zero when nothing was coarsened, so nothing checked
+}
+
+// parallelism is tiles per tile of the longest chain; 0 when unmeasured.
+func (l tileLayout) parallelism() float64 {
+	if !l.ok || l.span == 0 {
+		return 0
+	}
+	return float64(l.tiles) / float64(l.span)
+}
+
+// tileLayoutCache memoizes tileLayouts per (pattern, distribution,
+// configured tile). All places of a single-process cluster share one cache
+// through the shared Config, so the O(cells) check runs once per epoch, not
+// once per place.
+type tileLayoutCache struct {
 	mu sync.Mutex
-	m  map[string]bool
+	m  map[string]tileLayout
 }
 
-// check returns the memoized verdict for key, running compute under the
+// check returns the memoized layout for key, running compute under the
 // cache lock on a miss. Holding the lock across compute keeps the check
 // single-flight: the P-1 sibling places block briefly instead of each
 // redoing the O(cells) scan.
-func (c *tileQuotientCache) check(key string, compute func() bool) bool {
+func (c *tileLayoutCache) check(key string, compute func() tileLayout) tileLayout {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if ok, hit := c.m[key]; hit {
-		return ok
+	if lay, hit := c.m[key]; hit {
+		return lay
 	}
-	ok := compute()
+	lay := compute()
 	if c.m == nil {
-		c.m = make(map[string]bool, 4)
+		c.m = make(map[string]tileLayout, 4)
 	} else if len(c.m) >= 64 {
 		clear(c.m) // bound a long-lived process cycling through configs
 	}
-	c.m[key] = ok
-	return ok
+	c.m[key] = lay
+	return lay
 }
 
-// globalTileCheck memoizes verdicts across cluster lifetimes. Only keys
-// that capture the layout entirely by value may use it: a key containing
-// a memory address (closure or pointer field in a custom pattern) could
-// alias a semantically different pattern once the address is reused, so
-// those verdicts stay in the per-cluster cache.
-var globalTileCheck tileQuotientCache
+// globalTileCheck memoizes layouts across cluster lifetimes. Only keys
+// that capture the pattern and the distribution entirely by value may use
+// it: a key containing a memory address (closure or pointer field in a
+// custom pattern) could alias a semantically different pattern once the
+// address is reused, so those verdicts stay in the per-cluster cache.
+var globalTileCheck tileLayoutCache
 
-// tileSizeFor decides this place's tile size under d: the configured (or
-// auto) size when coarsening the DAG to tiles provably cannot deadlock,
-// 1 otherwise. Every place evaluates the same global predicate from the
-// same inputs, so the fallback is uniform across the cluster without any
+// tileGrids decides every place's tile grid under d, indexed like
+// d.Places(), and what the layout amounts to: the configured (or auto)
+// shape when coarsening the DAG to it provably cannot deadlock, single cells
+// otherwise. Every place evaluates the same global predicate from the same
+// inputs, so the fallback is uniform across the cluster without any
 // communication — required, because a single coarsened place can deadlock
-// the whole run.
-func (pe *placeEngine[T]) tileSizeFor(d dist.Dist) int {
-	s := effectiveTileSize(pe.cfg.TileSize, d.LocalCount(pe.self))
-	if !pe.tileQuotientOK(d) {
-		return 1
-	}
-	return s
-}
-
-// tileQuotientOK reports whether the global tile layout induced by the
-// configured size keeps the coarsened DAG acyclic (see dag.QuotientAcyclic
-// for why cyclic quotients deadlock).
-func (pe *placeEngine[T]) tileQuotientOK(d dist.Dist) bool {
+// the whole run (see dag.QuotientAcyclic).
+func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 	places := d.Places()
-	tiled := false
-	for _, p := range places {
-		if effectiveTileSize(pe.cfg.TileSize, d.LocalCount(p)) > 1 {
-			tiled = true
-			break
-		}
+	grids := make([]distarray.TileGrid, len(places))
+	base := make([]int, len(places)+1)           // place k's tiles are [base[k], base[k+1]) globally
+	rank := make([]int, places[len(places)-1]+1) // place id -> index in places
+	cells := 0
+	for k, p := range places {
+		box := d.LocalBox(p)
+		bi, bj := c.tileShape(box)
+		grids[k] = distarray.NewTileGrid(box.Rows, box.Cols, bi, bj)
+		base[k+1] = base[k] + grids[k].NumTiles()
+		rank[p] = k
+		cells += box.Rows * box.Cols
 	}
-	if !tiled {
-		return true // per-vertex everywhere: nothing coarsened
+	if base[len(places)] == cells {
+		return grids, tileLayout{ok: true} // per-vertex everywhere: nothing coarsened
 	}
 	// The pattern's %v covers its parameters (sizes, weights); function
-	// fields print as addresses, which distinguishes distinct closures.
-	key := fmt.Sprintf("%T|%v|%s|%v|%d", pe.cfg.Pattern, pe.cfg.Pattern, d.Name(), places, pe.cfg.TileSize)
-	cache := pe.cfg.tileCheck
+	// fields print as addresses, which distinguishes distinct closures. A
+	// distribution with an ownership table says so by its digest.
+	name := d.Name()
+	if t, ok := d.(interface{ Digest() uint64 }); ok {
+		name = fmt.Sprintf("%s#%x", name, t.Digest())
+	}
+	key := fmt.Sprintf("%T|%v|%s|%v|%d|%v", c.Pattern, c.Pattern, name, places, c.TileSize, c.TileShape)
+	cache := c.tileCheck
 	if !strings.Contains(key, "0x") {
 		cache = &globalTileCheck
 	}
-	return cache.check(key, func() bool {
-		// Global tile numbering: place k's tiles occupy [base[k], base[k+1]).
-		idx := make(map[int]int, len(places))
-		base := make([]int, len(places)+1)
-		sizes := make([]int, len(places))
-		for k, p := range places {
-			idx[p] = k
-			lc := d.LocalCount(p)
-			sizes[k] = effectiveTileSize(pe.cfg.TileSize, lc)
-			nt := 0
-			if lc > 0 {
-				nt = (lc + sizes[k] - 1) / sizes[k]
-			}
-			base[k+1] = base[k] + nt
-		}
+	lay := cache.check(key, func() tileLayout {
 		tileOf := func(i, j int32) int {
-			k := idx[d.Place(i, j)]
-			return base[k] + d.LocalOffset(i, j)/sizes[k]
+			p, off := d.PlaceOffset(i, j)
+			k := rank[p]
+			return base[k] + grids[k].TileOf(off)
 		}
-		return dag.QuotientAcyclic(pe.cfg.Pattern, tileOf, base[len(places)], maxQuotientEdges)
+		span, ok := dag.QuotientSpan(c.Pattern, tileOf, base[len(places)], maxQuotientEdges)
+		return tileLayout{ok: ok, tiles: base[len(places)], span: span}
 	})
+	if !lay.ok {
+		for k, p := range places {
+			box := d.LocalBox(p)
+			grids[k] = distarray.NewTileGrid(box.Rows, box.Cols, 1, 1)
+		}
+	}
+	return grids, lay
+}
+
+// describeLayout renders a layout for a human: each distinct (box, tile)
+// once with the number of places that have it, then the parallelism the
+// tile DAG exposes.
+func describeLayout(grids []distarray.TileGrid, lay tileLayout) string {
+	var kinds []string
+	count := map[string]int{}
+	for k := range grids {
+		s := grids[k].String()
+		if count[s]++; count[s] == 1 {
+			kinds = append(kinds, s)
+		}
+	}
+	var sb strings.Builder
+	for _, s := range kinds {
+		fmt.Fprintf(&sb, "%dx(%s) ", count[s], s)
+	}
+	switch {
+	case !lay.ok:
+		sb.WriteString("tile quotient cyclic, fell back to single cells")
+	case lay.span > 0:
+		fmt.Fprintf(&sb, "%d tiles, longest chain %d, parallelism %.1f", lay.tiles, lay.span, lay.parallelism())
+	}
+	return strings.TrimSpace(sb.String())
 }

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
+	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/sched"
 )
 
@@ -26,29 +27,38 @@ func orderedCompute(pat dag.Pattern) ComputeFunc[int64] {
 	}
 }
 
+// tileArm is one tile geometry of the parity matrix: a cell count the engine
+// shapes itself, or an explicit bi x bj.
+type tileArm struct {
+	label string
+	size  int
+	shape [2]int
+}
+
+// sizeArms are the tile sizes the engine shapes on its own: per-vertex,
+// small fixed tiles, the auto pick and one tile per strip of the box.
+var sizeArms = []tileArm{{label: "tile=1", size: 1}, {label: "tile=4", size: 4}, {label: "tile=auto"}, {label: "tile=1048576", size: 1 << 20}}
+
 // tilingParity is the tiling acceptance matrix: every scheduling arm (the
-// four strategies, and stealing with lifelines), run per-vertex (tile=1),
-// with small fixed tiles, with the auto pick and with one tile per chunk,
-// each with the dependency cache live and — spilled to disk, the one
+// four strategies, and stealing with lifelines), under every tile geometry
+// given, each with the dependency cache live and — spilled to disk, the one
 // configuration that runs without it — off, must compute every active cell
 // exactly once and produce a matrix identical to the serial reference.
-func tilingParity(t *testing.T, pat dag.Pattern, places int) {
+func tilingParity(t *testing.T, pat dag.Pattern, places int, newDist func(h, w int32, n int) dist.Dist, arms []tileArm) {
 	compute := orderedCompute(pat)
 	want := refValuesWith(pat, compute)
 	for _, arm := range []string{"local", "random", "mincomm", "steal", "lifelines"} {
-		for _, tile := range []int{1, 4, 0, 1 << 20} {
+		for _, tile := range arms {
 			for _, spill := range []bool{false, true} {
-				label := fmt.Sprintf("%s/tile=%d", arm, tile)
-				if tile == 0 {
-					label = arm + "/tile=auto"
-				}
+				label := arm + "/" + tile.label
 				if spill {
 					label += "/nodepcache"
 				}
 				t.Run(label, func(t *testing.T) {
 					cfg := baseConfig(pat, places)
 					cfg.Compute = compute
-					cfg.TileSize = tile
+					cfg.NewDist = newDist
+					cfg.TileSize, cfg.TileShape = tile.size, tile.shape
 					if cfg.Lifelines = arm == "lifelines"; cfg.Lifelines {
 						cfg.Strategy = sched.Steal
 					} else {
@@ -82,15 +92,17 @@ func tilingParity(t *testing.T, pat dag.Pattern, places int) {
 	}
 }
 
-func TestTilingStrategyParity(t *testing.T) { tilingParity(t, patterns.NewDiagonal(24, 18), 4) }
+func TestTilingStrategyParity(t *testing.T) {
+	tilingParity(t, patterns.NewDiagonal(24, 18), 4, nil, sizeArms)
+}
 
 // TestTilingNoDepCacheParity runs the matrix on three places for a monotone
 // wavefront pattern (whose cached runs take the ascending-offset order) and
 // an interval pattern (whose same-tile deps point at larger offsets, forcing
 // the Kahn walk).
 func TestTilingNoDepCacheParity(t *testing.T) {
-	t.Run("diagonal", func(t *testing.T) { tilingParity(t, patterns.NewDiagonal(24, 18), 3) })
-	t.Run("interval", func(t *testing.T) { tilingParity(t, patterns.NewInterval(12), 3) })
+	t.Run("diagonal", func(t *testing.T) { tilingParity(t, patterns.NewDiagonal(24, 18), 3, nil, sizeArms) })
+	t.Run("interval", func(t *testing.T) { tilingParity(t, patterns.NewInterval(12), 3, nil, sizeArms) })
 }
 
 // TestTilingKillMidRunRecovers kills a place mid-run under tiled

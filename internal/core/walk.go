@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/dpx10/dpx10/internal/dag"
+	"github.com/dpx10/dpx10/internal/distarray"
 )
 
 // The tile walk (paper §VI-C): take a ready unit, gather its dependencies,
@@ -16,15 +18,17 @@ import (
 // tileDesc is the scratch-resident description of a unit about to execute:
 // its cells with their resolved dependencies, and the cells to run, in order,
 // with their resolved anti-dependencies. For one of this place's own tiles
-// slot s is local offset lo+s, and cells already finished keep their slot but
-// stay out of order; for a cell list that came over the wire slot s is its
-// s-th cell and lo is -1.
+// slot s is local offset box.Lo+s — so the slots of a tile more than one row
+// high lie in runs, and those between the runs belong to other tiles — and
+// cells already finished keep their slot; neither kind is ever in order. For
+// a cell list that came over the wire slot s is its s-th cell, in one run,
+// and box.Lo is -1.
 type tileDesc struct {
-	owner  int            // the place that owns the cells
-	lo     int            // first local offset of an own tile, -1 for a cell list
-	remote bool           // a dependency may live on another place: the walk needs a halo
-	ids    []dag.VertexID // per slot
-	depAt  []int32        // per slot, len(ids)+1: slot s depends on deps[depAt[s]:depAt[s+1]]
+	owner  int               // the place that owns the cells
+	box    distarray.TileBox // which slots are the unit's cells
+	remote bool              // a dependency may live on another place: the walk needs a halo
+	ids    []dag.VertexID    // per slot
+	depAt  []int32           // per slot, len(ids)+1: slot s depends on deps[depAt[s]:depAt[s+1]]
 	deps   []dag.VertexID
 	res    []cellRef      // dist.PlaceOffset of each entry of deps
 	order  []int32        // slots in execution order
@@ -109,15 +113,17 @@ func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held bool) {
 // the pattern otherwise (spilled chunks, patterns over the cache's bound).
 func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int) *tileDesc {
 	td := &sc.td
-	lo, hi := st.chunk.TileRange(t)
-	td.owner, td.lo, td.remote = pe.self, lo, st.chunk.TileRemote(t)
+	td.owner, td.box, td.remote = pe.self, st.chunk.TileBox(t), st.chunk.TileRemote(t)
+	lo, n := td.box.Lo, td.box.Span()
 	if st.chunk.DepCached() {
-		td.ids, td.depAt, td.deps, td.res = st.chunk.DepView(lo, hi)
+		td.ids, td.depAt, td.deps, td.res = st.chunk.DepView(lo, lo+n)
 	} else {
-		td.idBuf = td.idBuf[:0]
-		for off := lo; off < hi; off++ {
-			i, j := st.d.CellAt(pe.self, off)
-			td.idBuf = append(td.idBuf, dag.VertexID{I: i, J: j})
+		td.idBuf = slices.Grow(td.idBuf[:0], n)[:n]
+		for base := 0; base < n; base += td.box.Stride {
+			for s := base; s < base+td.box.W; s++ {
+				i, j := st.d.CellAt(pe.self, lo+s)
+				td.idBuf[s] = dag.VertexID{I: i, J: j}
+			}
 		}
 		pe.fillDeps(st, td, td.idBuf)
 	}
@@ -132,29 +138,35 @@ func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int)
 // the order its owner stated.
 func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner int, cells []dag.VertexID) *tileDesc {
 	td := &sc.td
-	td.owner, td.lo, td.remote = owner, -1, true
+	td.owner, td.remote = owner, true
+	td.box = distarray.TileBox{Lo: -1, W: len(cells), Rows: 1, Stride: len(cells)}
 	pe.fillDeps(st, td, cells)
 	pe.orderTile(st, sc, td, false)
 	return td
 }
 
-// fillDeps resolves the dependencies of ids from the pattern and the
-// distribution into td's own buffers.
+// fillDeps resolves the dependencies of td's cells, whose slots hold ids,
+// from the pattern and the distribution into td's own buffers. Slots
+// between the runs get an empty list.
 func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc, ids []dag.VertexID) {
-	td.depAtBuf, td.depBuf, td.resBuf = td.depAtBuf[:0], td.depBuf[:0], td.resBuf[:0]
-	for s, id := range ids {
-		at := len(td.depBuf)
-		td.depAtBuf = append(td.depAtBuf, int32(at))
-		if td.lo >= 0 && st.chunk.Finished(td.lo+s) {
-			continue
-		}
-		td.depBuf = pe.cfg.Pattern.Dependencies(id.I, id.J, td.depBuf)
-		for _, dep := range td.depBuf[at:] {
-			owner, off := st.d.PlaceOffset(dep.I, dep.J)
-			td.resBuf = append(td.resBuf, cellRef{Owner: int32(owner), Off: int32(off)})
+	n := len(ids)
+	td.depAtBuf, td.depBuf, td.resBuf = slices.Grow(td.depAtBuf[:0], n+1)[:n+1], td.depBuf[:0], td.resBuf[:0]
+	s := 0
+	for base := 0; base < n; base += td.box.Stride {
+		for ; s < base+td.box.W; s++ {
+			at := len(td.depBuf)
+			td.depAtBuf[s] = int32(at)
+			if s < base || td.box.Lo >= 0 && st.chunk.Finished(td.box.Lo+s) {
+				continue
+			}
+			td.depBuf = pe.cfg.Pattern.Dependencies(ids[s].I, ids[s].J, td.depBuf)
+			for _, dep := range td.depBuf[at:] {
+				owner, off := st.d.PlaceOffset(dep.I, dep.J)
+				td.resBuf = append(td.resBuf, cellRef{Owner: int32(owner), Off: int32(off)})
+			}
 		}
 	}
-	td.depAtBuf = append(td.depAtBuf, int32(len(td.depBuf)))
+	td.depAtBuf[n] = int32(len(td.depBuf))
 	td.ids, td.depAt, td.deps, td.res = ids, td.depAtBuf, td.depBuf, td.resBuf
 }
 
@@ -190,45 +202,45 @@ func (pe *placeEngine[T]) appendRun(st *epochState[T], sc *scratch[T], td *tileD
 // walk over those edges otherwise (own tiles only).
 func (pe *placeEngine[T]) orderTile(st *epochState[T], sc *scratch[T], td *tileDesc, kahn bool) {
 	td.order, td.antiAt, td.anti = td.order[:0], td.antiAt[:0], td.anti[:0]
-	n := len(td.ids)
-	lo, hi := td.lo, td.lo+n
+	n, lo, box := len(td.ids), td.box.Lo, td.box
 	if !kahn {
-		for s := 0; s < n; s++ {
-			if lo < 0 || !st.chunk.Finished(lo+s) {
-				pe.appendRun(st, sc, td, int32(s))
+		for base := 0; base < n; base += box.Stride {
+			for s := base; s < base+box.W; s++ {
+				if lo < 0 || !st.chunk.Finished(lo+s) {
+					pe.appendRun(st, sc, td, int32(s))
+				}
 			}
 		}
 		td.antiAt = append(td.antiAt, int32(len(td.anti)))
 		return
 	}
-	if cap(td.rem) < n {
-		td.rem = make([]int32, n)
-	}
-	rem := td.rem[:n]
-	td.stack = td.stack[:0]
+	rem := slices.Grow(td.rem[:0], n)[:n]
+	td.rem, td.stack = rem, td.stack[:0]
 	pending := 0
-	for s := 0; s < n; s++ {
-		if st.chunk.Finished(lo + s) {
-			rem[s] = -1
-			continue
-		}
-		cnt := int32(0)
-		for _, r := range td.res[td.depAt[s]:td.depAt[s+1]] {
-			if doff := int(r.Off); int(r.Owner) == pe.self && doff >= lo && doff < hi && !st.chunk.Finished(doff) {
-				cnt++
+	for base := 0; base < n; base += box.Stride {
+		for s := base; s < base+box.W; s++ {
+			if st.chunk.Finished(lo + s) {
+				rem[s] = -1
+				continue
 			}
-		}
-		rem[s] = cnt
-		pending++
-		if cnt == 0 {
-			td.stack = append(td.stack, int32(s))
+			cnt := int32(0)
+			for _, r := range td.res[td.depAt[s]:td.depAt[s+1]] {
+				if doff := int(r.Off); int(r.Owner) == pe.self && box.Holds(doff) && !st.chunk.Finished(doff) {
+					cnt++
+				}
+			}
+			rem[s] = cnt
+			pending++
+			if cnt == 0 {
+				td.stack = append(td.stack, int32(s))
+			}
 		}
 	}
 	for len(td.stack) > 0 {
 		s := td.stack[len(td.stack)-1]
 		td.stack = td.stack[:len(td.stack)-1]
 		for _, a := range pe.appendRun(st, sc, td, s) {
-			if int(a.owner) != pe.self || a.off < lo || a.off >= hi {
+			if int(a.owner) != pe.self || !box.Holds(a.off) {
 				continue
 			}
 			if r := rem[a.off-lo]; r > 0 {
@@ -243,8 +255,8 @@ func (pe *placeEngine[T]) orderTile(st *epochState[T], sc *scratch[T], td *tileD
 	if len(td.order) != pending {
 		// The intra-tile subgraph of a DAG cannot be cyclic; an incomplete
 		// walk means the pattern's deps/anti-deps disagree.
-		panic(fmt.Sprintf("core: place %d tile [%d,%d): intra-tile order covers %d of %d cells",
-			pe.self, lo, hi, len(td.order), pending))
+		panic(fmt.Sprintf("core: place %d tile %+v: intra-tile order covers %d of %d cells",
+			pe.self, box, len(td.order), pending))
 	}
 }
 
@@ -257,10 +269,9 @@ func (pe *placeEngine[T]) tileExtDeps(sc *scratch[T], td *tileDesc) []dag.Vertex
 		sc.extSeen = make(map[dag.VertexID]struct{}, 16)
 	}
 	clear(sc.extSeen)
-	lo, hi := td.lo, td.lo+len(td.ids)
 	for _, s := range td.order {
 		for k := td.depAt[s]; k < td.depAt[s+1]; k++ {
-			if r := td.res[k]; int(r.Owner) == pe.self && int(r.Off) >= lo && int(r.Off) < hi {
+			if r := td.res[k]; int(r.Owner) == pe.self && td.box.Holds(int(r.Off)) {
 				continue
 			}
 			dep := td.deps[k]
@@ -324,11 +335,12 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc, 
 			return done, err
 		}
 		if own {
-			off := td.lo + int(s)
-			if td.lo < 0 {
+			off, tile := td.box.Lo+int(s), td.box
+			if td.box.Lo < 0 {
 				off = st.d.LocalOffset(id.I, id.J)
+				tile = st.chunk.TileBox(st.chunk.TileOf(off))
 			}
-			pe.completeResolved(st, sc, off, id.I, id.J, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
+			pe.completeResolved(st, sc, off, tile, id.I, id.J, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
 		} else {
 			p, _ := sc.halo.slot(id)
 			*p = v

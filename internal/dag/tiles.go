@@ -19,10 +19,19 @@ import "slices"
 // DP patterns produce a few distinct neighbor tiles per tile, so the
 // bound is generous in practice.
 func QuotientAcyclic(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges int) bool {
+	_, ok := QuotientSpan(p, tileOf, numTiles, maxEdges)
+	return ok
+}
+
+// QuotientSpan is QuotientAcyclic that also measures the coarsened DAG: span
+// is the number of tiles on its longest chain, so numTiles/span is the
+// parallelism the tiling exposes — 1 when the tiles form a chain, whatever
+// the places and threads. span is meaningless when ok is false.
+func QuotientSpan(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges int) (span int, ok bool) {
 	if numTiles <= 1 {
 		// Everything in one tile (or nothing at all): the tile's internal
 		// topological order is the whole schedule.
-		return true
+		return numTiles, true
 	}
 	h, w := p.Bounds()
 	var edges []uint64 // from<<32 | to
@@ -53,7 +62,7 @@ func QuotientAcyclic(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges 
 				ri = (ri + 1) & 3
 				edges = append(edges, e)
 				if len(edges) > maxEdges {
-					return false
+					return 0, false
 				}
 			}
 		}
@@ -78,17 +87,20 @@ func QuotientAcyclic(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges 
 			queue = append(queue, t)
 		}
 	}
+	depth := make([]int32, numTiles) // tiles on the longest chain ending at t, less one
 	processed := 0
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		processed++
+		span = max(span, int(depth[t])+1)
 		for _, e := range edges[start[t]:start[t+1]] {
 			to := int(uint32(e))
+			depth[to] = max(depth[to], depth[t]+1)
 			if indeg[to]--; indeg[to] == 0 {
 				queue = append(queue, to)
 			}
 		}
 	}
-	return processed == numTiles
+	return span, processed == numTiles
 }

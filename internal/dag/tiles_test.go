@@ -53,3 +53,29 @@ func TestQuotientSingleTileTrivial(t *testing.T) {
 		t.Fatal("single tile must be trivially acyclic")
 	}
 }
+
+func TestQuotientSpan(t *testing.T) {
+	pat := patterns.NewDiagonal(12, 12)
+	for _, tc := range []struct {
+		name        string
+		tileOf      func(i, j int32) int
+		tiles, span int
+	}{
+		// Whole rows form a chain: every tile lies on it.
+		{"rows", func(i, j int32) int { return int(i) }, 12, 12},
+		// A 4 x 3 grid of 3 x 4 blocks: the longest chain walks one edge
+		// of the grid and then the other.
+		{"blocks", func(i, j int32) int { return int(i/3)*3 + int(j/4) }, 12, 4 + 3 - 1},
+		// Every cell its own tile: the DAG's own critical path.
+		{"cells", func(i, j int32) int { return int(i)*12 + int(j) }, 144, 12 + 12 - 1},
+		{"one", func(i, j int32) int { return 0 }, 1, 1},
+	} {
+		span, ok := dag.QuotientSpan(pat, tc.tileOf, tc.tiles, 1<<16)
+		if !ok || span != tc.span {
+			t.Errorf("%s: span %d ok %v, want %d", tc.name, span, ok, tc.span)
+		}
+	}
+	if _, ok := dag.QuotientSpan(pat, func(i, j int32) int { return int(i+j) % 2 }, 2, 1<<16); ok {
+		t.Error("a cyclic quotient has no span")
+	}
+}

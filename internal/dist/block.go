@@ -35,12 +35,14 @@ func (d *BlockRow) Place(i, j int32) int {
 	return d.places[d.look.index(i)]
 }
 
-func (d *BlockRow) LocalCount(p int) int {
+func (d *BlockRow) LocalCount(p int) int { b := d.LocalBox(p); return b.Rows * b.Cols }
+
+func (d *BlockRow) LocalBox(p int) Box {
 	k := rankIn(d.rank, p)
 	if k < 0 {
-		return 0
+		return Box{}
 	}
-	return int(d.starts[k+1]-d.starts[k]) * int(d.w)
+	return Box{Rows: int(d.starts[k+1] - d.starts[k]), Cols: int(d.w), RowAxis: Block}
 }
 
 func (d *BlockRow) LocalOffset(i, j int32) int {
@@ -109,12 +111,14 @@ func (d *BlockCol) Place(i, j int32) int {
 	return d.places[d.look.index(j)]
 }
 
-func (d *BlockCol) LocalCount(p int) int {
+func (d *BlockCol) LocalCount(p int) int { b := d.LocalBox(p); return b.Rows * b.Cols }
+
+func (d *BlockCol) LocalBox(p int) Box {
 	k := rankIn(d.rank, p)
 	if k < 0 {
-		return 0
+		return Box{}
 	}
-	return d.cols[k] * int(d.h)
+	return Box{Rows: int(d.h), Cols: d.cols[k], ColAxis: Block}
 }
 
 func (d *BlockCol) LocalOffset(i, j int32) int {

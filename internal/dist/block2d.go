@@ -71,13 +71,15 @@ func (d *Block2D) blockDims(k int) (rows, cols int) {
 	return int(d.rowStarts[br+1] - d.rowStarts[br]), d.cols[k]
 }
 
-func (d *Block2D) LocalCount(p int) int {
+func (d *Block2D) LocalCount(p int) int { b := d.LocalBox(p); return b.Rows * b.Cols }
+
+func (d *Block2D) LocalBox(p int) Box {
 	k := rankIn(d.rank, p)
 	if k < 0 {
-		return 0
+		return Box{}
 	}
 	rows, cols := d.blockDims(k)
-	return rows * cols
+	return Box{Rows: rows, Cols: cols, RowAxis: Block, ColAxis: Block}
 }
 
 func (d *Block2D) LocalOffset(i, j int32) int {

@@ -62,12 +62,16 @@ func (d *BlockCyclicRow) rowsOwned(k int) int32 {
 	return rows
 }
 
-func (d *BlockCyclicRow) LocalCount(p int) int {
+func (d *BlockCyclicRow) LocalCount(p int) int { b := d.LocalBox(p); return b.Rows * b.Cols }
+
+// LocalBox deals whole row blocks, but local rows on either side of a
+// block's edge are not neighbours in the grid: the axis counts as dealt.
+func (d *BlockCyclicRow) LocalBox(p int) Box {
 	k := rankOf(d.places, p)
 	if k < 0 {
-		return 0
+		return Box{}
 	}
-	return int(d.rowsOwned(k)) * int(d.w)
+	return Box{Rows: int(d.rowsOwned(k)), Cols: int(d.w), RowAxis: Dealt}
 }
 
 func (d *BlockCyclicRow) LocalOffset(i, j int32) int {

@@ -40,12 +40,14 @@ func (d *CyclicRow) localRows(k int) int {
 	return rows
 }
 
-func (d *CyclicRow) LocalCount(p int) int {
+func (d *CyclicRow) LocalCount(p int) int { b := d.LocalBox(p); return b.Rows * b.Cols }
+
+func (d *CyclicRow) LocalBox(p int) Box {
 	k := rankOf(d.places, p)
 	if k < 0 {
-		return 0
+		return Box{}
 	}
-	return d.localRows(k) * int(d.w)
+	return Box{Rows: d.localRows(k), Cols: int(d.w), RowAxis: Dealt}
 }
 
 func (d *CyclicRow) LocalOffset(i, j int32) int {
@@ -103,12 +105,14 @@ func (d *CyclicCol) localCols(k int) int {
 	return cols
 }
 
-func (d *CyclicCol) LocalCount(p int) int {
+func (d *CyclicCol) LocalCount(p int) int { b := d.LocalBox(p); return b.Rows * b.Cols }
+
+func (d *CyclicCol) LocalBox(p int) Box {
 	k := rankOf(d.places, p)
 	if k < 0 {
-		return 0
+		return Box{}
 	}
-	return d.localCols(k) * int(d.h)
+	return Box{Rows: int(d.h), Cols: d.localCols(k), ColAxis: Dealt}
 }
 
 func (d *CyclicCol) LocalOffset(i, j int32) int {

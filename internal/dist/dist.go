@@ -36,6 +36,9 @@ type Dist interface {
 	Place(i, j int32) int
 	// LocalCount returns how many cells place p owns (0 if p owns none).
 	LocalCount(p int) int
+	// LocalBox returns the index box place p's offsets are laid out in
+	// (the zero Box if p owns none).
+	LocalBox(p int) Box
 	// LocalOffset returns the dense offset of (i,j) within its owner's
 	// chunk. Calling it for a cell and a non-owner is undefined.
 	LocalOffset(i, j int32) int
@@ -48,6 +51,28 @@ type Dist interface {
 	// Restrict rebuilds this distribution shape over only the places for
 	// which alive[p] is true. It fails if no owner survives.
 	Restrict(alive func(p int) bool) (Dist, error)
+}
+
+// Axis says what a Dist does to one axis of the grid.
+type Axis uint8
+
+const (
+	// Whole: every place holds the full extent of the axis.
+	Whole Axis = iota
+	// Block: the axis is cut into contiguous blocks, so neighbouring local
+	// indexes are neighbouring global ones.
+	Block
+	// Dealt: the axis is dealt out round-robin, so the global neighbour of
+	// a local index is on another place.
+	Dealt
+)
+
+// Box is one place's dense local index box: Rows × Cols cells, the cell
+// in local row r and local column c at offset r*Cols + c. The engine cuts
+// its tiles out of it.
+type Box struct {
+	Rows, Cols       int
+	RowAxis, ColAxis Axis
 }
 
 // blockStarts computes balanced contiguous block boundaries: part k of n

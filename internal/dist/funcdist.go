@@ -15,6 +15,7 @@ type Func struct {
 	offset []int32   // linear cell index -> offset within owner chunk
 	cells  [][]int64 // place rank -> owned linear cell indexes, scan order
 	ranks  map[int]int
+	digest uint64 // FNV-1a over the owner of every cell, scan order
 }
 
 // NewFunc builds a custom distribution from fn, which must return a valid
@@ -26,6 +27,7 @@ func NewFunc(h, w int32, places []int, fn func(i, j int32) int) (*Func, error) {
 		offset: make([]int32, int64(h)*int64(w)),
 		cells:  make([][]int64, len(places)),
 		ranks:  make(map[int]int, len(places)),
+		digest: 14695981039346656037,
 	}
 	for k, p := range places {
 		d.ranks[p] = k
@@ -38,6 +40,7 @@ func NewFunc(h, w int32, places []int, fn func(i, j int32) int) (*Func, error) {
 			if !ok {
 				return nil, fmt.Errorf("dist: func mapped (%d,%d) to unknown place %d", i, j, p)
 			}
+			d.digest = (d.digest ^ uint64(p)) * 1099511628211
 			d.offset[lin] = int32(len(d.cells[k]))
 			d.cells[k] = append(d.cells[k], lin)
 			lin++
@@ -52,12 +55,20 @@ func (d *Func) Places() []int          { return d.places }
 
 func (d *Func) Place(i, j int32) int { return d.fn(i, j) }
 
-func (d *Func) LocalCount(p int) int {
+// Digest identifies the ownership table by value: Name is the same for
+// every Func, so whoever memoizes by distribution keys on this as well.
+func (d *Func) Digest() uint64 { return d.digest }
+
+func (d *Func) LocalCount(p int) int { return d.LocalBox(p).Cols }
+
+// LocalBox is one row of the place's cells in scan order: a custom
+// ownership function promises no structure a taller box could describe.
+func (d *Func) LocalBox(p int) Box {
 	k, ok := d.ranks[p]
 	if !ok {
-		return 0
+		return Box{}
 	}
-	return len(d.cells[k])
+	return Box{Rows: 1, Cols: len(d.cells[k])}
 }
 
 func (d *Func) LocalOffset(i, j int32) int {

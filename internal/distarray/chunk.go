@@ -42,11 +42,10 @@ type Chunk[T any] struct {
 	active int64 // cells that participate (finished inactive ones pre-counted)
 
 	// Tile-granular scheduling state (tiles.go). The schedulable unit is a
-	// contiguous run of tileSize local offsets; readiness is tracked by
-	// per-tile counters derived from the per-vertex indegrees, which remain
-	// the recovery protocol's source of truth.
-	tileSize   int
-	numTiles   int
+	// rectangle of the local index box; readiness is tracked by per-tile
+	// counters derived from the per-vertex indegrees, which remain the
+	// recovery protocol's source of truth.
+	TileGrid
 	tileIndeg  []int32
 	tileQueued []uint32
 	tileRemote []bool      // tile has a dependency on another place; nil at tile size 1

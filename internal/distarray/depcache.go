@@ -54,10 +54,10 @@ func (c *Chunk[T]) DepCached() bool { return c.depLive }
 
 // DepMonotone reports whether every cached local dependency resolved to a
 // strictly smaller local offset than its dependent cell. When true,
-// ascending offset order is a valid topological order within any
-// contiguous offset range — wavefront DP patterns under the repo's dists
-// all have this shape — so a tile walk can skip its Kahn ordering pass
-// entirely. Only meaningful when DepCached() is true.
+// ascending offset order is a valid topological order within any set of
+// local cells, a tile's runs included — wavefront DP patterns under the
+// repo's dists all have this shape — so a tile walk can skip its Kahn
+// ordering pass entirely. Only meaningful when DepCached() is true.
 func (c *Chunk[T]) DepMonotone() bool { return c.depLive && c.depMono }
 
 // DepView returns the cached resolutions of the local cells in [lo, hi):

@@ -9,11 +9,11 @@ import (
 
 // Tile-granular readiness tracking.
 //
-// The engine coarsens its schedulable unit from one vertex to a tile of
-// tileSize contiguous local offsets: a tile is ready when every cross-tile
-// dependency of every unfinished cell it holds has finished, and one
-// worker then executes the whole tile in intra-tile dependency order.
-// Readiness is tracked by one atomic counter per tile.
+// The engine coarsens its schedulable unit from one vertex to a tile, a
+// rectangle of the place's local index box (TileGrid): a tile is ready
+// when every cross-tile dependency of every unfinished cell it holds has
+// finished, and one worker then executes the whole tile in intra-tile
+// dependency order. Readiness is tracked by one atomic counter per tile.
 //
 // The per-vertex indegrees stay authoritative for recovery: they are
 // rebuilt from scratch every epoch (InitIndegrees + decrement replay), and
@@ -34,52 +34,91 @@ import (
 // under tileMu and publishes tileLive before unlocking, so every edge is
 // counted exactly once — by the scan or by a tile decrement, never both.
 
-// ConfigureTiles sets the chunk's tile size and allocates the per-tile
+// TileGrid is one place's tile geometry: the place's local rows × cols
+// index box (offset r*cols + c, dist.Box) cut into bi × bj rectangles,
+// numbered row-major, ragged on the bottom and right edges. A run of
+// consecutive offsets is the one-row case — a 1 × n box cut into 1 × size
+// tiles — so there is no second geometry beside this one.
+type TileGrid struct {
+	rows, cols, bi, bj int
+	tcols              int // tiles per row of tiles
+}
+
+// NewTileGrid cuts a rows × cols box into bi × bj tiles, clamping the tile
+// to the box.
+func NewTileGrid(rows, cols, bi, bj int) TileGrid {
+	bi, bj = min(max(bi, 1), max(rows, 1)), min(max(bj, 1), max(cols, 1))
+	return TileGrid{rows: rows, cols: cols, bi: bi, bj: bj, tcols: (cols + bj - 1) / bj}
+}
+
+// String renders the grid as "box in tile", e.g. "700x1401 in 12x176".
+func (g TileGrid) String() string {
+	return fmt.Sprintf("%dx%d in %dx%d", g.rows, g.cols, g.bi, g.bj)
+}
+
+// Shape returns the tile height and width (1, 1 = per-vertex scheduling).
+func (g *TileGrid) Shape() (bi, bj int) { return g.bi, g.bj }
+
+// TileRows and TileCols return the grid's extent in tiles.
+func (g *TileGrid) TileRows() int { return (g.rows + g.bi - 1) / g.bi }
+func (g *TileGrid) TileCols() int { return g.tcols }
+
+// NumTiles returns the number of tiles covering the box.
+func (g *TileGrid) NumTiles() int { return g.TileRows() * g.tcols }
+
+// TileOf returns the tile holding local offset off.
+func (g *TileGrid) TileOf(off int) int {
+	r := uint32(off) / uint32(g.cols) // offsets fit 31 bits; 32-bit divides are the cheap ones
+	c := uint32(off) - r*uint32(g.cols)
+	return int(r/uint32(g.bi))*g.tcols + int(c/uint32(g.bj))
+}
+
+// TileBox is a tile's cells: Rows runs of W consecutive local offsets, the
+// first run starting at Lo and each next one Stride further on.
+type TileBox struct{ Lo, W, Rows, Stride int }
+
+// Span is the length of the offset range [Lo, Lo+Span) the runs lie in.
+func (b TileBox) Span() int { return (b.Rows-1)*b.Stride + b.W }
+
+// Holds reports whether local offset off is one of the tile's cells.
+func (b TileBox) Holds(off int) bool {
+	d := uint32(off - b.Lo)
+	return d < uint32(b.W) || d < uint32(b.Span()) && d%uint32(b.Stride) < uint32(b.W)
+}
+
+// boxAt returns the cells of the tile in tile row tr, tile column tc.
+func (g *TileGrid) boxAt(tr, tc int) TileBox {
+	top, left := tr*g.bi, tc*g.bj
+	return TileBox{Lo: top*g.cols + left, W: min(g.bj, g.cols-left), Rows: min(g.bi, g.rows-top), Stride: g.cols}
+}
+
+// TileBox returns the cells of tile t.
+func (g *TileGrid) TileBox(t int) TileBox { return g.boxAt(t/g.tcols, t%g.tcols) }
+
+// ConfigureTiles tiles the chunk with runs of size consecutive local
+// offsets: ConfigureGrid's one-row case.
+func (c *Chunk[T]) ConfigureTiles(size int) { c.ConfigureGrid(NewTileGrid(1, c.n, 1, size)) }
+
+// ConfigureGrid sets the chunk's tile geometry and allocates the per-tile
 // state, leaving the counters inactive (TileDecrement folds early
 // decrements into the per-vertex indegrees until ActivateTiles runs).
 // Call once per epoch, before any message handler can touch the chunk.
-func (c *Chunk[T]) ConfigureTiles(size int) {
-	if size < 1 {
-		size = 1
+func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
+	if g.rows*g.cols != c.n {
+		panic(fmt.Sprintf("distarray: a %dx%d tile grid over %d local cells", g.rows, g.cols, c.n))
 	}
-	if size > c.n && c.n > 0 {
-		size = c.n
-	}
-	c.tileSize = size
-	c.numTiles = 0
-	if c.n > 0 {
-		c.numTiles = (c.n + size - 1) / size
-	}
-	c.tileIndeg = make([]int32, c.numTiles)
-	c.tileQueued = make([]uint32, c.numTiles)
+	c.TileGrid = g
+	n := g.NumTiles()
+	c.tileIndeg = make([]int32, n)
+	c.tileQueued = make([]uint32, n)
 	c.tileRemote = nil
-	if size > 1 {
+	if g.bi*g.bj > 1 {
 		// A single-cell tile checks its own few dependencies faster than it
 		// could read a flag, and skipping the flag keeps the per-cell footprint.
-		c.tileRemote = make([]bool, c.numTiles)
+		c.tileRemote = make([]bool, n)
 	}
 	c.tileLive.Store(false)
 	c.depLive = false // resolutions are per-epoch; the next scan refills
-}
-
-// TileSize returns the configured tile size (1 = per-vertex scheduling).
-func (c *Chunk[T]) TileSize() int { return c.tileSize }
-
-// NumTiles returns the number of tiles covering the local cells.
-func (c *Chunk[T]) NumTiles() int { return c.numTiles }
-
-// TileOf returns the tile index owning local offset off. Only meaningful
-// after ConfigureTiles.
-func (c *Chunk[T]) TileOf(off int) int { return off / c.tileSize }
-
-// TileRange returns the half-open local-offset range [lo, hi) of tile t.
-func (c *Chunk[T]) TileRange(t int) (lo, hi int) {
-	lo = t * c.tileSize
-	hi = lo + c.tileSize
-	if hi > c.n {
-		hi = c.n
-	}
-	return lo, hi
 }
 
 // TileRemote reports whether any cell of tile t that was unfinished at the
@@ -98,78 +137,11 @@ func (c *Chunk[T]) TryMarkTileQueued(t int) bool {
 
 // ActivateTiles derives the per-tile readiness counters from the
 // per-vertex indegrees and switches the chunk into tile-tracking mode. It
-// must run after the epoch's indegrees are final (epoch 0: right after
-// InitIndegrees; recovery: in the resume phase, after the decrement
-// replay). It returns the tiles that are immediately schedulable — those
-// with at least one unfinished cell and no unfinished cross-tile inputs.
-func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
-	c.tileMu.Lock()
-	defer c.tileMu.Unlock()
-	var ready []int
-	var buf []dag.VertexID
-	if c.depOn {
-		c.depReset()
-	}
-	for t := 0; t < c.numTiles; t++ {
-		lo, hi := c.TileRange(t)
-		var indeg int32
-		pending, remote := false, false
-		for off := lo; off < hi; off++ {
-			if c.Finished(off) {
-				// Restored cells never execute, so the cache keeps an empty
-				// dependency list for them.
-				if c.depOn {
-					c.cdepAt[off+1] = int32(len(c.cdeps))
-				}
-				continue
-			}
-			pending = true
-			n := atomic.LoadInt32(&c.indeg[off])
-			i, j := c.d.CellAt(c.place, off)
-			buf = pat.Dependencies(i, j, buf[:0])
-			if c.depOn {
-				c.cids[off] = dag.VertexID{I: i, J: j}
-				c.cdeps = append(c.cdeps, buf...)
-			}
-			for _, dep := range buf {
-				owner, doff := c.d.PlaceOffset(dep.I, dep.J)
-				if c.depOn {
-					c.cres = append(c.cres, CellRef{Owner: int32(owner), Off: int32(doff)})
-				}
-				if owner != c.place {
-					remote = true
-					continue
-				}
-				if doff >= off {
-					c.depMono = false
-				}
-				if doff >= lo && doff < hi && !c.Finished(doff) {
-					n--
-				}
-			}
-			if c.depOn {
-				c.cdepAt[off+1] = int32(len(c.cdeps))
-				if len(c.cdeps) > depCacheMaxEntries {
-					c.depAbandon()
-				}
-			}
-			if n < 0 {
-				panic(fmt.Sprintf("distarray: vertex (%d,%d) has more unfinished same-tile deps than indegree", i, j))
-			}
-			indeg += n
-		}
-		atomic.StoreInt32(&c.tileIndeg[t], indeg)
-		if c.tileRemote != nil {
-			c.tileRemote[t] = remote
-		}
-		if pending && indeg == 0 {
-			ready = append(ready, t)
-		}
-	}
-	c.depLive = c.depOn
-	c.tileLive.Store(true)
-	return ready
-}
+// must run after the epoch's indegrees are final (recovery: in the resume
+// phase, after the decrement replay). It returns the tiles that are
+// immediately schedulable — those with at least one unfinished cell and no
+// unfinished cross-tile inputs.
+func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int { return c.activate(pat, false) }
 
 // InitActivateTiles fuses InitIndegrees and ActivateTiles into one scan
 // for epoch 0, where no cell is finished yet and no decrement can be in
@@ -178,86 +150,108 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 // the two-phase form — the decrement replay must run between them.
 // ConfigureTiles must have run; the chunk must be fresh (unpublished), so
 // plain stores suffice.
-func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int {
+func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int { return c.activate(pat, true) }
+
+// activate is the activation scan: one pass over the local cells in offset
+// order — the order the dependency cache is laid out in — accumulating into
+// each cell's tile. fresh selects the epoch-0 form (see InitActivateTiles).
+func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 	c.tileMu.Lock()
 	defer c.tileMu.Unlock()
-	var ready []int
 	var buf []dag.VertexID
 	if c.depOn {
 		c.depReset()
 	}
-	c.done.Store(0)
-	c.active = 0
-	t := 0
-	lo, hi := c.TileRange(0)
-	var tindeg int32
-	pending, remote := false, false
-	closeTile := func() {
-		c.tileIndeg[t] = tindeg //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see func doc)
-		if c.tileRemote != nil {
-			c.tileRemote[t] = remote
+	if fresh {
+		c.done.Store(0)
+		c.active = 0
+	}
+	clear(c.tileRemote)
+	indeg := make([]int32, len(c.tileIndeg)) // per tile: unfinished cross-tile edges into it
+	pending := make([]bool, len(c.tileIndeg))
+	// Offsets ascend run by run: row r of the box, one tile column at a time.
+	g := &c.TileGrid
+	for r := 0; r < g.rows; r++ {
+		for tc, tr := 0, r/g.bi; tc < g.tcols; tc++ {
+			t, box := tr*g.tcols+tc, g.boxAt(tr, tc)
+			lo := box.Lo + (r-tr*g.bi)*g.cols
+			for off := lo; off < lo+box.W; off++ {
+				i, j := c.d.CellAt(c.place, off)
+				if fresh && dag.IsActive(pat, i, j) {
+					c.flags[off] = 0 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
+				} else if fresh {
+					c.indeg[off] = 0 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
+					c.flags[off] = 1 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
+				}
+				if c.Finished(off) {
+					// Cells that never execute (inactive, or restored by a recovery)
+					// keep an empty dependency list in the cache.
+					if c.depOn {
+						c.cdepAt[off+1] = int32(len(c.cdeps))
+					}
+					continue
+				}
+				pending[t] = true
+				buf = pat.Dependencies(i, j, buf[:0])
+				n := int32(len(buf))
+				if fresh {
+					c.active++
+					c.indeg[off] = n //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
+				} else {
+					n = atomic.LoadInt32(&c.indeg[off])
+				}
+				if c.depOn {
+					c.cids[off] = dag.VertexID{I: i, J: j}
+					c.cdeps = append(c.cdeps, buf...)
+				}
+				// Cross-tile indegree: the cell's own minus its unfinished
+				// same-tile dependencies.
+				for _, dep := range buf {
+					owner, doff := c.d.PlaceOffset(dep.I, dep.J)
+					if c.depOn {
+						c.cres = append(c.cres, CellRef{Owner: int32(owner), Off: int32(doff)})
+					}
+					if owner != c.place {
+						if c.tileRemote != nil {
+							c.tileRemote[t] = true
+						}
+						continue
+					}
+					if doff >= off {
+						c.depMono = false
+					}
+					// Same tile? Nearly every dependency lies in this run or the
+					// one above it, which two compares settle; Holds divides.
+					x := doff - lo
+					if uint(x) >= uint(box.W) && (lo == box.Lo || uint(x+box.Stride) >= uint(box.W)) &&
+						(x >= -box.Stride && x < box.Stride || !box.Holds(doff)) {
+						continue
+					}
+					// A fresh scan has not set the flags of the cells past off yet,
+					// so there it asks the pattern whether the cell will ever run.
+					if fresh && doff > off && dag.IsActive(pat, dep.I, dep.J) || (!fresh || doff < off) && !c.Finished(doff) {
+						n--
+					}
+				}
+				if c.depOn {
+					c.cdepAt[off+1] = int32(len(c.cdeps))
+					if len(c.cdeps) > depCacheMaxEntries {
+						c.depAbandon()
+					}
+				}
+				if n < 0 {
+					panic(fmt.Sprintf("distarray: vertex (%d,%d) has more unfinished same-tile deps than indegree", i, j))
+				}
+				indeg[t] += n
+			}
 		}
-		if pending && tindeg == 0 {
+	}
+	var ready []int
+	for t, n := range indeg {
+		atomic.StoreInt32(&c.tileIndeg[t], n)
+		if pending[t] && n == 0 {
 			ready = append(ready, t)
 		}
-	}
-	for off := 0; off < c.n; off++ {
-		if off >= hi {
-			closeTile()
-			t++
-			lo, hi = c.TileRange(t)
-			tindeg, pending, remote = 0, false, false
-		}
-		i, j := c.d.CellAt(c.place, off)
-		if !dag.IsActive(pat, i, j) {
-			c.indeg[off] = 0 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see func doc)
-			c.flags[off] = 1 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see func doc)
-			if c.depOn {
-				c.cdepAt[off+1] = int32(len(c.cdeps))
-			}
-			continue
-		}
-		c.active++
-		pending = true
-		buf = pat.Dependencies(i, j, buf[:0])
-		c.indeg[off] = int32(len(buf)) //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see func doc)
-		c.flags[off] = 0               //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see func doc)
-		if c.depOn {
-			c.cids[off] = dag.VertexID{I: i, J: j}
-			c.cdeps = append(c.cdeps, buf...)
-		}
-		// Cross-tile indegree: total deps minus the active same-tile ones.
-		n := int32(len(buf))
-		for _, dep := range buf {
-			owner, doff := c.d.PlaceOffset(dep.I, dep.J)
-			if c.depOn {
-				c.cres = append(c.cres, CellRef{Owner: int32(owner), Off: int32(doff)})
-			}
-			if owner != c.place {
-				remote = true
-				continue
-			}
-			if doff >= off {
-				c.depMono = false
-			}
-			if doff < lo || doff >= hi {
-				continue
-			}
-			di, dj := dep.I, dep.J
-			if dag.IsActive(pat, di, dj) {
-				n--
-			}
-		}
-		if c.depOn {
-			c.cdepAt[off+1] = int32(len(c.cdeps))
-			if len(c.cdeps) > depCacheMaxEntries {
-				c.depAbandon()
-			}
-		}
-		tindeg += n
-	}
-	if c.numTiles > 0 {
-		closeTile()
 	}
 	c.depLive = c.depOn
 	c.tileLive.Store(true)
@@ -297,7 +291,7 @@ func (c *Chunk[T]) TileDecrement(off int) (tile int, ready bool) {
 // TileDecrement does not apply.
 func (c *Chunk[T]) VertexDecrement(off int) (tile int, counts bool) {
 	c.DecrementIndegree(off)
-	return off / c.tileSize, !c.Finished(off)
+	return c.TileOf(off), !c.Finished(off)
 }
 
 // TileAdd settles n deferred cross-tile decrements against tile t's
@@ -315,7 +309,7 @@ func (c *Chunk[T]) tileDecrementLive(off int) (int, bool) {
 	if c.Finished(off) {
 		return 0, false
 	}
-	t := off / c.tileSize
+	t := c.TileOf(off)
 	nv := atomic.AddInt32(&c.tileIndeg[t], -1)
 	if nv < 0 {
 		panic(fmt.Sprintf("distarray: tile %d counter went negative at place %d", t, c.place))

@@ -201,14 +201,15 @@ func CacheSize(entries int) UntypedOption {
 	return jobOpt("CacheSize", func(c *core.Common) { c.CacheSize = entries })
 }
 
-// WithTileSize sets the scheduling granularity: each place partitions its
-// chunk into tiles of this many consecutive cells, tracks readiness per
-// tile and executes a ready tile as one task in intra-tile dependency
-// order — removing per-vertex queueing and intra-tile decrement traffic.
-// 0 (the default) auto-sizes per place; 1 restores per-vertex scheduling.
-// Patterns whose tile quotient graph would be cyclic under the chosen size
-// fall back to per-vertex scheduling automatically (the run stays correct,
-// just untiled). Job-scoped.
+// WithTileSize sets the scheduling granularity: each place cuts its part of
+// the matrix into rectangular tiles of about this many cells — the engine
+// picks the shape from the distribution, and Stats.TileLayout reports it —
+// tracks readiness per tile and executes a ready tile as one task in
+// intra-tile dependency order — removing per-vertex queueing and intra-tile
+// decrement traffic. 0 (the default) auto-sizes per place; 1 restores
+// per-vertex scheduling. Patterns whose tile quotient graph would be cyclic
+// under the chosen tile fall back to per-vertex scheduling automatically
+// (the run stays correct, just untiled). Job-scoped.
 func WithTileSize(cells int) UntypedOption {
 	return jobOpt("WithTileSize", func(c *core.Common) { c.TileSize = cells })
 }

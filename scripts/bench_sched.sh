@@ -37,6 +37,9 @@ awk -v date="$(date -u +%Y-%m-%dT%H:%M:%SZ)" -v commit="$commit" -v bt="$benchti
 		else if (u == "allocs/op")     line = line sprintf(", \"allocs_per_op\": %s", v)
 		else if (u == "ns/vertex")     line = line sprintf(", \"ns_per_vertex\": %s", v)
 		else if (u == "allocs/vertex") line = line sprintf(", \"allocs_per_vertex\": %s", v)
+		else if (u == "tile-rows")     line = line sprintf(", \"tile_rows\": %s", v)
+		else if (u == "tile-cols")     line = line sprintf(", \"tile_cols\": %s", v)
+		else if (u == "tile-parallelism") line = line sprintf(", \"tile_parallelism\": %s", v)
 	}
 	lines[n++] = line "}"
 }

@@ -12,6 +12,11 @@ go vet ./...
 # The benchmark is its own module, so `go build ./...` above never compiles
 # it against the engine types it uses.
 go -C benchmark vet ./...
+# ... and nothing else executes the calls benchmark/layers.go makes into
+# distarray directly (ConfigureTiles, InitActivateTiles, one TileDecrement
+# per cross-tile edge, which panics if a counter goes negative): one quick
+# pass of every workload, traced, ~1 min.
+make bench-e2e >/dev/null
 # The repo's own analyzers, under a wall-clock budget: the suite shares
 # type-checked facts (CFGs, call graph) across analyzers in one process,
 # and 30s is the line past which that sharing has regressed. The budget
