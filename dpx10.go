@@ -75,13 +75,22 @@ type VertexID = dag.VertexID
 type Cell[T any] = core.Cell[T]
 
 // Pattern describes a DP algorithm's dependency structure; see the
-// built-in constructors or implement it (plus, optionally, Sparse) for a
-// custom algorithm such as 0/1 knapsack.
+// built-in constructors or implement it (plus, optionally, Sparse or
+// Stencil) for a custom algorithm such as 0/1 knapsack.
 type Pattern = dag.Pattern
 
 // Sparse marks patterns that use only part of the matrix; inactive cells
 // are treated as finished with the zero value.
 type Sparse = dag.Sparse
+
+// Stencil marks dense patterns whose dependencies are a few offsets per row
+// (PATTERNS.md, "Custom patterns"): the engine then enumerates edges by
+// arithmetic instead of calling the pattern per cell. CheckPattern checks
+// the contract.
+type Stencil = dag.Stencil
+
+// Offset is one dependency of a Stencil: (i, j) depends on (i+DI, j+DJ).
+type Offset = dag.Offset
 
 // Codec serializes vertex values for cross-place transfer. Int32Codec,
 // Int64Codec and Float64Codec cover the common scalar cases; any other

@@ -63,6 +63,18 @@ func (p unboundedPattern) AntiDependencies(i, j int32, buf []dpx10.VertexID) []d
 	return buf
 }
 
+// Offsets declares the pattern a stencil (dpx10.Stencil): row i's
+// dependencies are the offsets (-1, 0) and (0, -w_i), in Dependencies'
+// order, wherever they land in bounds. With it the engine counts and walks
+// the edges by arithmetic instead of calling the two methods above per
+// cell; CheckPattern holds the offsets to the methods.
+func (p unboundedPattern) Offsets(i int32) []dpx10.Offset {
+	if i == 0 {
+		return nil
+	}
+	return []dpx10.Offset{{DI: -1}, {DJ: -p.weights[i-1]}}
+}
+
 // unboundedApp computes the recurrence over the pattern.
 type unboundedApp struct {
 	unboundedPattern

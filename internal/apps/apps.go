@@ -45,6 +45,15 @@ func mustDep[T any](deps []dpx10.Cell[T], i, j int32) T {
 	return v
 }
 
+// depAt is mustDep for a stencil (dpx10.Stencil), whose deps[k] is the k-th
+// offset in bounds: it reads position k and checks that it holds (i, j).
+func depAt[T any](deps []dpx10.Cell[T], k int, i, j int32) T {
+	if k >= len(deps) || deps[k].ID != (dpx10.VertexID{I: i, J: j}) {
+		panic(fmt.Sprintf("apps: dependency (%d,%d) not provided at position %d", i, j, k))
+	}
+	return deps[k].Value
+}
+
 func max32(vs ...int32) int32 {
 	m := vs[0]
 	for _, v := range vs[1:] {

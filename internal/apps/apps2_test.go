@@ -179,6 +179,9 @@ func TestLCSubstrDistributedMatchesSerial(t *testing.T) {
 	if err := dpx10.CheckPattern(app.Pattern()); err != nil {
 		t.Fatalf("diag-only pattern inconsistent: %v", err)
 	}
+	if _, ok := app.Pattern().(dpx10.Stencil); !ok {
+		t.Fatal("diag-only pattern does not declare its offsets")
+	}
 	dag, err := dpx10.Run[int32](app, app.Pattern(),
 		dpx10.Places(4), dpx10.WithCodec[int32](dpx10.Int32Codec{}))
 	if err != nil {

@@ -350,3 +350,20 @@ func TestDepValue(t *testing.T) {
 		t.Fatal("depValue found a missing dependency")
 	}
 }
+
+func TestDepAtChecksThePosition(t *testing.T) {
+	deps := []dpx10.Cell[int32]{{ID: dpx10.VertexID{I: 1, J: 2}, Value: 7}, {ID: dpx10.VertexID{I: 2, J: 1}, Value: 9}}
+	if v := depAt(deps, 1, 2, 1); v != 9 {
+		t.Fatalf("depAt = %d, want 9", v)
+	}
+	for _, k := range []int{0, 2} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("depAt(%d) of (2,1) did not panic", k)
+				}
+			}()
+			depAt(deps, k, 2, 1)
+		}()
+	}
+}

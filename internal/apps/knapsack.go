@@ -52,9 +52,10 @@ func (k *Knapsack) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 	if i == 0 {
 		return 0
 	}
-	skip := mustDep(deps, i-1, j)
+	// The pattern's offsets: (i-1, j), then (i-1, j-w) where it is in bounds.
+	skip := depAt(deps, 0, i-1, j)
 	if w := k.Weights[i-1]; w <= j {
-		take := mustDep(deps, i-1, j-w) + int64(k.Values[i-1])
+		take := depAt(deps, 1, i-1, j-w) + int64(k.Values[i-1])
 		return max64(skip, take)
 	}
 	return skip

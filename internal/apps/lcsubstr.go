@@ -16,6 +16,8 @@ type diagOnlyPattern struct{ h, w int32 }
 
 func (p diagOnlyPattern) Bounds() (int32, int32) { return p.h, p.w }
 
+func (p diagOnlyPattern) Offsets(int32) []dpx10.Offset { return []dpx10.Offset{{DI: -1, DJ: -1}} }
+
 func (p diagOnlyPattern) Dependencies(i, j int32, buf []dpx10.VertexID) []dpx10.VertexID {
 	if i > 0 && j > 0 {
 		buf = append(buf, dpx10.VertexID{I: i - 1, J: j - 1})

@@ -109,9 +109,10 @@ func (s *SWLAG) Compute(i, j int32, deps []dpx10.Cell[AffineCell]) AffineCell {
 	if i == 0 || j == 0 {
 		return AffineCell{H: 0, E: negInf, F: negInf}
 	}
-	left := mustDep(deps, i, j-1)
-	top := mustDep(deps, i-1, j)
-	diag := mustDep(deps, i-1, j-1)
+	// Diagonal's offsets, all in bounds here: top, left, top-left.
+	top := depAt(deps, 0, i-1, j)
+	left := depAt(deps, 1, i, j-1)
+	diag := depAt(deps, 2, i-1, j-1)
 	e := max32(left.H+s.GapOpen, left.E+s.GapExtend)
 	f := max32(top.H+s.GapOpen, top.F+s.GapExtend)
 	h := max32(0, diag.H+s.score(i, j), e, f)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -281,6 +282,9 @@ func TestComputeSeesDepsInPatternOrder(t *testing.T) {
 	}
 	if bad.Load() != 0 {
 		t.Fatalf("%d compute calls saw out-of-order or missing deps", bad.Load())
+	}
+	if lay := cl.Stats().TileLayout; !strings.HasSuffix(lay, "stencil") {
+		t.Fatalf("layout %q: the stencil walk did not run", lay)
 	}
 }
 

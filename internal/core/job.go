@@ -364,7 +364,7 @@ func jobStats[T any](m *JobManager, jobs ...*JobRun[T]) Stats {
 	}
 	// Every place of every one of these jobs derived the same layout.
 	if st := jobs[0].engines[0].current(); st != nil {
-		s.TileLayout, s.TileParallelism = describeLayout(st.grids, st.lay), st.lay.parallelism()
+		s.TileLayout, s.TileParallelism = describeLayout(st.grids, st.lay, st.chunk.Stencil() != nil), st.lay.parallelism()
 	}
 	return s
 }

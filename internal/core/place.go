@@ -170,6 +170,7 @@ type scratch[T any] struct {
 	td      tileDesc       // the unit being described or walked (walk.go)
 	antiBuf []dag.VertexID // Pattern.AntiDependencies output
 	antiRes []resolvedAnti // completeVertex's resolutions
+	edge    []cellRef      // where a stencil tile's edge cells' dependencies are (walkStencil)
 
 	remote [][]dag.VertexID // by owning place: decrement targets (completeResolved) or ids to fetch (fillHalo)
 	owners []int            // owners with buffered ids, in first-use order
@@ -518,17 +519,27 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 		t0 := sp.Start()
 		defer func() { sp.Add(pe.spanTile, pe.self, sc.wkr, t0) }()
 	}
+	// One placement decision for the whole tile. Only MinComm weighs the tile's
+	// inputs, which describeTile lists; else a stencil tile staying here is walked.
+	exec := -1
+	if st.chunk.Stencil() != nil && pe.cfg.Strategy != sched.MinComm {
+		if exec = pk.PickTile(pe.self, 0, nil); exec == pe.self || !pe.isAlive(exec) {
+			pe.walkStencil(st, sc, tile)
+			return
+		}
+	}
 	td := pe.describeTile(st, sc, tile)
 	if len(td.order) == 0 {
 		return // every cell restored by a recovery; nothing to run
 	}
 	pe.countTile(sc)
-	// One placement decision for the whole tile.
-	var ext []dag.VertexID
-	if pe.cfg.Strategy == sched.MinComm {
-		ext = pe.tileExtDeps(sc, td)
+	if exec < 0 {
+		var ext []dag.VertexID
+		if pe.cfg.Strategy == sched.MinComm {
+			ext = pe.tileExtDeps(sc, td)
+		}
+		exec = pk.PickTile(pe.self, len(td.order), ext)
 	}
-	exec := pk.PickTile(pe.self, len(td.order), ext)
 	if !pe.isAlive(exec) {
 		exec = pe.self
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +65,7 @@ func TestAutoShapeExposesParallelism(t *testing.T) {
 		for _, places := range []int{2, 3, 4} {
 			d := bd.make(320, 320, places)
 			grids, lay := autoLayout(pat, d)
-			name := fmt.Sprintf("%s/%d places: %s", bd.name, places, describeLayout(grids, lay))
+			name := fmt.Sprintf("%s/%d places: %s", bd.name, places, describeLayout(grids, lay, true))
 			if !lay.ok || lay.span == 0 {
 				t.Fatalf("%s: auto shape not coarsened", name)
 			}
@@ -151,7 +152,7 @@ func TestBlockRowTilesKeepEdgesInside(t *testing.T) {
 		}
 	}
 	if ratio := float64(cross) / float64(cells); ratio > 0.2 {
-		t.Fatalf("%.3f cross-tile edges per cell (want <= 0.2) under %s", ratio, describeLayout(grids, lay))
+		t.Fatalf("%.3f cross-tile edges per cell (want <= 0.2) under %s", ratio, describeLayout(grids, lay, true))
 	}
 }
 
@@ -199,7 +200,7 @@ func TestShapeKillMidRunRecovers(t *testing.T) {
 				t.Fatalf("Run: %v", err)
 			}
 			s := cl.Stats()
-			if s.ComputedCells < 24*18 || s.Recoveries < 1 || s.TilesExecuted*2 > s.ComputedCells {
+			if s.ComputedCells < 24*18 || s.Recoveries < 1 || s.TilesExecuted*2 > s.ComputedCells || !strings.HasSuffix(s.TileLayout, "stencil") {
 				t.Fatalf("computed %d cells in %d tiles, %d recoveries (%s)", s.ComputedCells, s.TilesExecuted, s.Recoveries, s.TileLayout)
 			}
 			checkResult(t, cl, pat)

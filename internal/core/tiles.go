@@ -183,7 +183,11 @@ func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 			k := rank[p]
 			return base[k] + grids[k].TileOf(off)
 		}
-		span, ok := dag.QuotientSpan(c.Pattern, tileOf, base[len(places)], maxQuotientEdges)
+		pat := c.Pattern
+		if t := dag.TabulateStencil(pat); t != nil {
+			pat = t // the same edges, from the offsets
+		}
+		span, ok := dag.QuotientSpan(pat, tileOf, base[len(places)], maxQuotientEdges)
 		return tileLayout{ok: ok, tiles: base[len(places)], span: span}
 	})
 	if !lay.ok {
@@ -196,9 +200,9 @@ func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 }
 
 // describeLayout renders a layout for a human: each distinct (box, tile)
-// once with the number of places that have it, then the parallelism the
-// tile DAG exposes.
-func describeLayout(grids []distarray.TileGrid, lay tileLayout) string {
+// once with the number of places that have it, the parallelism the tile DAG
+// exposes, and the activation's arm, "stencil" or "generic".
+func describeLayout(grids []distarray.TileGrid, lay tileLayout, stencil bool) string {
 	var kinds []string
 	count := map[string]int{}
 	for k := range grids {
@@ -213,9 +217,14 @@ func describeLayout(grids []distarray.TileGrid, lay tileLayout) string {
 	}
 	switch {
 	case !lay.ok:
-		sb.WriteString("tile quotient cyclic, fell back to single cells")
+		sb.WriteString("tile quotient cyclic, fell back to single cells, ")
 	case lay.span > 0:
-		fmt.Fprintf(&sb, "%d tiles, longest chain %d, parallelism %.1f", lay.tiles, lay.span, lay.parallelism())
+		fmt.Fprintf(&sb, "%d tiles, longest chain %d, parallelism %.1f, ", lay.tiles, lay.span, lay.parallelism())
 	}
-	return strings.TrimSpace(sb.String())
+	if stencil {
+		sb.WriteString("stencil")
+	} else {
+		sb.WriteString("generic")
+	}
+	return sb.String()
 }

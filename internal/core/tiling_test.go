@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -39,11 +41,36 @@ type tileArm struct {
 // small fixed tiles, the auto pick and one tile per strip of the box.
 var sizeArms = []tileArm{{label: "tile=1", size: 1}, {label: "tile=4", size: 4}, {label: "tile=auto"}, {label: "tile=1048576", size: 1 << 20}}
 
+// hiddenStencil forwards only dag.Pattern: a stencil with its capability
+// hidden, which every place must run through the generic arm.
+type hiddenStencil struct{ dag.Pattern }
+
+// exposures are the faces of pat a parity run takes: the pattern itself and,
+// when it is a stencil, the same pattern with the capability hidden.
+func exposures(pat dag.Pattern) []dag.Pattern {
+	if _, ok := pat.(dag.Stencil); !ok {
+		return []dag.Pattern{pat}
+	}
+	return []dag.Pattern{pat, hiddenStencil{pat}}
+}
+
+// wantArm is the arm a run of pat under d must report (Stats.TileLayout's
+// last word): the stencil's wherever a place's box keeps the grid's shape,
+// which dist.Func's does not.
+func wantArm(pat dag.Pattern, d dist.Dist) string {
+	if _, ok := pat.(dag.Stencil); ok && d.LocalBox(d.Places()[0]).ColAxis != dist.Scattered {
+		return "stencil"
+	}
+	return "generic"
+}
+
 // tilingParity is the tiling acceptance matrix: every scheduling arm (the
 // four strategies, and stealing with lifelines), under every tile geometry
 // given, each with the dependency cache live and — spilled to disk, the one
 // configuration that runs without it — off, must compute every active cell
-// exactly once and produce a matrix identical to the serial reference.
+// exactly once and produce a matrix identical to the serial reference; a
+// stencil must do so with the capability exposed and hidden, and say which
+// arm it took.
 func tilingParity(t *testing.T, pat dag.Pattern, places int, newDist func(h, w int32, n int) dist.Dist, arms []tileArm) {
 	compute := orderedCompute(pat)
 	want := refValuesWith(pat, compute)
@@ -55,36 +82,42 @@ func tilingParity(t *testing.T, pat dag.Pattern, places int, newDist func(h, w i
 					label += "/nodepcache"
 				}
 				t.Run(label, func(t *testing.T) {
-					cfg := baseConfig(pat, places)
-					cfg.Compute = compute
-					cfg.NewDist = newDist
-					cfg.TileSize, cfg.TileShape = tile.size, tile.shape
-					if cfg.Lifelines = arm == "lifelines"; cfg.Lifelines {
-						cfg.Strategy = sched.Steal
-					} else {
-						cfg.Strategy, _ = sched.ParseStrategy(arm)
-					}
-					if spill {
-						cfg.Spill = &SpillConfig{Dir: t.TempDir()}
-					}
-					cl, err := NewCluster(cfg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := cl.Run(); err != nil {
-						t.Fatalf("Run: %v", err)
-					}
-					res, err := cl.Result()
-					if err != nil {
-						t.Fatal(err)
-					}
-					for id, wv := range want {
-						if got := res.Value(id.I, id.J); !res.Finished(id.I, id.J) || got != wv {
-							t.Fatalf("cell %v = %d, want %d", id, got, wv)
+					for _, face := range exposures(pat) {
+						cfg := baseConfig(face, places)
+						cfg.Compute = compute
+						cfg.NewDist = newDist
+						cfg.TileSize, cfg.TileShape = tile.size, tile.shape
+						if cfg.Lifelines = arm == "lifelines"; cfg.Lifelines {
+							cfg.Strategy = sched.Steal
+						} else {
+							cfg.Strategy, _ = sched.ParseStrategy(arm)
 						}
-					}
-					if got := cl.Stats().ComputedCells; got != int64(len(want)) {
-						t.Fatalf("ComputedCells = %d for %d active cells", got, len(want))
+						if spill {
+							cfg.Spill = &SpillConfig{Dir: t.TempDir()}
+						}
+						cl, err := NewCluster(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if err := cl.Run(); err != nil {
+							t.Fatalf("Run: %v", err)
+						}
+						res, err := cl.Result()
+						if err != nil {
+							t.Fatal(err)
+						}
+						for id, wv := range want {
+							if got := res.Value(id.I, id.J); !res.Finished(id.I, id.J) || got != wv {
+								t.Fatalf("%T: cell %v = %d, want %d", face, id, got, wv)
+							}
+						}
+						s := cl.Stats()
+						if s.ComputedCells != int64(len(want)) {
+							t.Fatalf("%T: ComputedCells = %d for %d active cells", face, s.ComputedCells, len(want))
+						}
+						if arm := wantArm(face, cl.jr.engines[0].current().d); !strings.HasSuffix(s.TileLayout, arm) {
+							t.Fatalf("%T: layout %q, want the %s arm", face, s.TileLayout, arm)
+						}
 					}
 				})
 			}
@@ -128,8 +161,8 @@ func TestTilingKillMidRunRecovers(t *testing.T) {
 			if err := <-done; err != nil {
 				t.Fatalf("Run: %v", err)
 			}
-			if cl.Stats().Recoveries < 1 {
-				t.Fatal("no recovery recorded")
+			if s := cl.Stats(); s.Recoveries < 1 || !strings.HasSuffix(s.TileLayout, "stencil") {
+				t.Fatalf("%d recoveries, layout %q: want one, on the stencil arm", s.Recoveries, s.TileLayout)
 			}
 			checkResult(t, cl, pat)
 		})
@@ -165,5 +198,74 @@ func TestTilingCoarseTasks(t *testing.T) {
 	s := cl.Stats()
 	if s.TilesExecuted >= s.ComputedCells/8 {
 		t.Fatalf("tiling not engaged: %d tile tasks for %d cells", s.TilesExecuted, s.ComputedCells)
+	}
+}
+
+// countingStencil is a stencil that counts every Dependencies and
+// AntiDependencies call made on it, forwarding Offsets.
+type countingStencil struct {
+	patterns.Diagonal
+	calls atomic.Int64
+}
+
+func (p *countingStencil) Dependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
+	p.calls.Add(1)
+	return p.Diagonal.Dependencies(i, j, buf)
+}
+
+func (p *countingStencil) AntiDependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
+	p.calls.Add(1)
+	return p.Diagonal.AntiDependencies(i, j, buf)
+}
+
+// TestStencilWalkMakesNoPatternCalls is the stencil arm's mechanism, counted,
+// on the swlag-local configuration (block rows, two places of one worker, no
+// cache, auto tiles) at side 201: the activation and the walk of every own
+// tile find every edge by arithmetic — not one Dependencies or
+// AntiDependencies call, no dependency cache — and the run's Stats are those
+// of the same run with the capability hidden, but for the arm's name and the
+// message traffic, whose batching is timing.
+func TestStencilWalkMakesNoPatternCalls(t *testing.T) {
+	diag := patterns.NewDiagonal(201, 201)
+	compute := orderedCompute(diag)
+	want := refValuesWith(diag, compute)
+	run := func(pat dag.Pattern) (Stats, *Cluster[int64]) {
+		cfg := baseConfig(pat, 2)
+		cfg.Threads = 1
+		cfg.Compute = compute
+		cfg.NewDist = func(h, w int32, n int) dist.Dist { return dist.NewBlockRow(h, w, n) }
+		cl, err := NewCluster(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Result()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, wv := range want {
+			if got := res.Value(id.I, id.J); got != wv {
+				t.Fatalf("%T: cell %v = %d, want %d", pat, id, got, wv)
+			}
+		}
+		s := cl.Stats()
+		s.MsgsSent, s.BytesSent, s.SendsOut, s.AggBatches, s.DecrsCoalesced = 0, 0, 0, 0, 0
+		return s, cl
+	}
+	counted := &countingStencil{Diagonal: diag}
+	exposed, cl := run(counted)
+	if n := counted.calls.Load(); n != 0 {
+		t.Fatalf("%d Dependencies/AntiDependencies calls in a stencil run", n)
+	}
+	for _, pe := range cl.jr.engines {
+		if ch := pe.current().chunk; ch.DepCached() || ch.Stencil() == nil {
+			t.Fatalf("place %d: DepCached %v, stencil arm %v", pe.self, ch.DepCached(), ch.Stencil() != nil)
+		}
+	}
+	hidden, _ := run(hiddenStencil{diag})
+	if exposed.TileLayout, hidden.TileLayout = strings.TrimSuffix(exposed.TileLayout, "stencil"), strings.TrimSuffix(hidden.TileLayout, "generic"); exposed != hidden {
+		t.Fatalf("Stats differ:\nexposed %+v\nhidden  %+v", exposed, hidden)
 	}
 }

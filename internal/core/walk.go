@@ -13,7 +13,8 @@ import (
 // compute, decrement. Every unit — one of this place's own tiles, a tile
 // stolen from or pushed by another place, a single cell shipped here by exec
 // migration — is described once (describeTile / describeCells: resolve, then
-// order) and executed by walk, which sources every remote value in fillHalo.
+// order) and executed by walk, which sources every remote value in fillHalo;
+// the one other arm is walkStencil, for an own tile of a stencil run.
 
 // tileDesc is the scratch-resident description of a unit about to execute:
 // its cells with their resolved dependencies, and the cells to run, in order,
@@ -348,6 +349,123 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc, 
 		done++
 	}
 	return done, nil
+}
+
+// walkStencil runs own tile t of a stencil run (distarray.Stencil) the way
+// native.RunStrip runs a strip: row-major, each cell reading its in-tile
+// dependencies from the chunk by offset arithmetic. Only cells within reach
+// of the top and left edges locate their dependencies (in sc.edge, the remote
+// ones in td for fillHalo), only those within reach of the bottom and right
+// edges resolve anti-dependencies: an edge inside the tile is neither.
+func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) {
+	ch, s, td := st.chunk, st.chunk.Stencil(), &sc.td
+	b := ch.TileBox(t)
+	top, left := b.Lo/b.Stride, b.Lo%b.Stride
+	bottom, right := top+b.Rows, left+b.W
+	// A cell at or past (inTop, inLeft) has all its dependencies in the tile;
+	// one before (outBottom, outRight) all its anti-dependencies.
+	inTop, inLeft := top+s.ReachRows, left+s.ReachCols
+	outBottom, outRight := bottom-s.ReachRows, right-s.ReachCols
+	td.owner, td.remote, td.deps, td.res, sc.edge = pe.self, ch.TileRemote(t), td.depBuf[:0], td.resBuf[:0], sc.edge[:0]
+	for r := top; r < bottom; r++ {
+		i := s.RowOf[r]
+		for c := left; c < right; c++ {
+			if r >= inTop && c >= inLeft || ch.Finished(r*b.Stride+c) {
+				continue
+			}
+			for _, o := range s.Offsets(i) {
+				ref, ok := s.Locate(r, c, i, s.ColOf[c], o.DI, o.DJ)
+				if !ok {
+					ref.Owner = -1 // outside the grid
+				} else if int(ref.Owner) != pe.self {
+					td.deps, td.res = append(td.deps, dag.VertexID{I: i + o.DI, J: s.ColOf[c] + o.DJ}), append(td.res, ref)
+				}
+				sc.edge = append(sc.edge, ref)
+			}
+		}
+	}
+	td.depBuf, td.resBuf, td.depAt = td.deps, td.res, append(td.depAtBuf[:0], 0, int32(len(td.deps)))
+	td.order, td.depAtBuf = append(td.order[:0], 0), td.depAt
+	if pe.fillHalo(st, sc, td) != nil {
+		return // a dead peer or superseded epoch: the recovery reschedules the tile
+	}
+
+	sc.deferOn = true
+	defer func() {
+		if sc.doneN > 0 {
+			pe.countTile(sc) // a tile task ran here, as describeTile's walk counts it
+		}
+		pe.flushTileWalk(st, sc)
+	}()
+	vals, e := ch.Values(), 0 // e: the next record of sc.edge
+	for r := top; r < bottom; r++ {
+		select {
+		case <-st.quit:
+			return // a pause: the epoch is superseded only once this walk is over
+		default:
+		}
+		i := s.RowOf[r]
+		offs := s.Offsets(i)
+		sc.cells = slices.Grow(sc.cells[:0], len(offs))
+		reads := 0
+		for c := left; c < right; c++ {
+			off := r*b.Stride + c
+			if ch.Finished(off) {
+				continue // restored by a recovery
+			}
+			j := s.ColOf[c]
+			var t0 time.Time
+			if pe.cfg.Trace != nil {
+				t0 = time.Now()
+			}
+			cells := sc.cells[:0]
+			if r < inTop || c < inLeft {
+				for _, o := range offs {
+					ref := sc.edge[e]
+					if e++; ref.Owner < 0 {
+						continue
+					}
+					cell, ok := Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}}, false
+					if int(ref.Owner) != pe.self {
+						cell.Value, ok = sc.halo.get(cell.ID)
+					} else if ok = ch.Finished(int(ref.Off)); ok {
+						cell.Value = ch.Value(int(ref.Off))
+						reads++
+					}
+					if !ok {
+						panic(fmt.Sprintf("core: place %d walked (%d,%d) before its dependency %v was finished here or in the halo", pe.self, i, j, cell.ID))
+					}
+					cells = append(cells, cell)
+				}
+			} else {
+				for _, o := range offs {
+					cell, d := Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}}, off+int(o.DI)*b.Stride+int(o.DJ)
+					if vals != nil {
+						cell.Value = vals[d]
+					} else {
+						cell.Value = ch.Value(d)
+					}
+					cells = append(cells, cell)
+				}
+				reads += len(offs)
+			}
+			v := pe.cfg.Compute(i, j, cells)
+			if pe.cfg.Trace != nil {
+				pe.cfg.Trace.RecordCompute(pe.self, i, j, t0, time.Since(t0))
+			}
+			anti := sc.antiRes[:0]
+			if r >= outBottom || c >= outRight {
+				sc.antiBuf = s.AntiDependencies(i, j, sc.antiBuf[:0])
+				for _, a := range sc.antiBuf {
+					ref, _ := s.Locate(r, c, i, j, a.I-i, a.J-j)
+					anti = append(anti, resolvedAnti{id: a, owner: ref.Owner, off: int(ref.Off)})
+				}
+				sc.antiRes = anti
+			}
+			pe.completeResolved(st, sc, off, b, i, j, v, anti)
+		}
+		pe.localReads.Add(int64(reads))
+	}
 }
 
 // fillHalo is the one place a walk's remote inputs come from, and the one

@@ -10,6 +10,7 @@ package dag
 
 import (
 	"fmt"
+	"slices"
 )
 
 // VertexID identifies one cell of the DP matrix. I is the row index and J
@@ -76,13 +77,17 @@ func ActiveCount(p Pattern) int64 {
 
 // Check validates a pattern exhaustively: all reported cells are in
 // bounds, active, and distinct from their owner; dependencies and
-// anti-dependencies are exact mirror images; and the dependency graph is
-// acyclic. It walks every cell, so it is meant for tests and for small
-// user-defined patterns, not for production-size matrices.
+// anti-dependencies are exact mirror images; the graph is acyclic; a Stencil
+// keeps its contract. It walks every cell, so it is meant for tests and for
+// small user-defined patterns, not for production-size matrices.
 func Check(p Pattern) error {
 	h, w := p.Bounds()
 	if h <= 0 || w <= 0 {
 		return fmt.Errorf("dag: non-positive bounds %dx%d", h, w)
+	}
+	sten := TabulateStencil(p)
+	if _, ok := p.(Stencil); ok && sten == nil {
+		return fmt.Errorf("dag: a stencil must be dense, but the pattern also implements Sparse")
 	}
 	inBounds := func(v VertexID) bool {
 		return v.I >= 0 && v.I < h && v.J >= 0 && v.J < w
@@ -90,14 +95,24 @@ func Check(p Pattern) error {
 	// deps[cell] as a set, for the mirror check.
 	type edge struct{ from, to VertexID } // from must finish before to
 	depSet := make(map[edge]bool)
-	var buf []VertexID
+	var buf, want []VertexID
 	for i := int32(0); i < h; i++ {
+		for k := 0; sten != nil && k < len(sten.rows[i]); k++ {
+			if o := sten.rows[i][k]; o.DI > 0 || o.DJ > 0 || o == (Offset{}) {
+				return fmt.Errorf("dag: row %d's stencil offset %+v is zero or leaves the lower-left quadrant", i, o)
+			}
+		}
 		for j := int32(0); j < w; j++ {
 			self := VertexID{i, j}
 			active := IsActive(p, i, j)
 			buf = p.Dependencies(i, j, buf[:0])
 			if !active && len(buf) > 0 {
 				return fmt.Errorf("dag: inactive cell %v has dependencies", self)
+			}
+			if sten != nil {
+				if want = sten.Dependencies(i, j, want[:0]); !slices.Equal(buf, want) {
+					return fmt.Errorf("dag: cell %v depends on %v, but its stencil offsets say %v", self, buf, want)
+				}
 			}
 			seen := make(map[VertexID]bool, len(buf))
 			for _, d := range buf {

@@ -40,6 +40,14 @@ func (p Knapsack) Bounds() (int32, int32) {
 	return int32(len(p.Weights)) + 1, p.Capacity + 1
 }
 
+// Offsets makes Knapsack a row-dependent stencil (dag.Stencil).
+func (p Knapsack) Offsets(i int32) []dag.Offset {
+	if i == 0 {
+		return nil
+	}
+	return []dag.Offset{{DI: -1}, {DI: -1, DJ: -p.Weights[i-1]}}
+}
+
 func (p Knapsack) Dependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
 	if i == 0 {
 		return buf

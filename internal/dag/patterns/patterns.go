@@ -16,6 +16,13 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 )
 
+// The offsets (dag.Stencil) of the stencils, in Dependencies' order.
+var (
+	gridOffsets     = []dag.Offset{{DI: -1}, {DJ: -1}}
+	diagonalOffsets = []dag.Offset{{DI: -1}, {DJ: -1}, {DI: -1, DJ: -1}}
+	chainOffsets    = []dag.Offset{{DJ: -1}}
+)
+
 // Grid is Figure 5 (a): cell (i,j) depends on its left and top neighbours.
 // This is the 2D/0D family of Algorithm 3.1 — Manhattan Tourists, edit
 // distance without substitution, and similar.
@@ -25,6 +32,8 @@ type Grid struct{ H, W int32 }
 func NewGrid(h, w int32) Grid { return Grid{H: h, W: w} }
 
 func (p Grid) Bounds() (int32, int32) { return p.H, p.W }
+
+func (p Grid) Offsets(int32) []dag.Offset { return gridOffsets }
 
 func (p Grid) Dependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
 	if i > 0 {
@@ -54,6 +63,8 @@ type Diagonal struct{ H, W int32 }
 func NewDiagonal(h, w int32) Diagonal { return Diagonal{H: h, W: w} }
 
 func (p Diagonal) Bounds() (int32, int32) { return p.H, p.W }
+
+func (p Diagonal) Offsets(int32) []dag.Offset { return diagonalOffsets }
 
 func (p Diagonal) Dependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
 	if i > 0 {
@@ -193,6 +204,8 @@ type Chain struct{ H, W int32 }
 func NewChain(h, w int32) Chain { return Chain{H: h, W: w} }
 
 func (p Chain) Bounds() (int32, int32) { return p.H, p.W }
+
+func (p Chain) Offsets(int32) []dag.Offset { return chainOffsets }
 
 func (p Chain) Dependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
 	if j > 0 {

@@ -3,6 +3,7 @@ package patterns
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -206,6 +207,69 @@ func TestCheckCatchesViolations(t *testing.T) {
 	}
 	if err := dag.Check(selfLoop{NewGrid(2, 2)}); err == nil {
 		t.Fatal("Check missed self-dependency")
+	}
+}
+
+// upRight depends on its upper-right neighbour: a sound pattern, but not a
+// stencil, whose offsets stay in the closed lower-left quadrant.
+type upRight struct{ H, W int32 }
+
+func (p upRight) Bounds() (int32, int32) { return p.H, p.W }
+func (p upRight) Offsets(int32) []dag.Offset {
+	return []dag.Offset{{DI: -1, DJ: 1}}
+}
+func (p upRight) Dependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
+	if i > 0 && j+1 < p.W {
+		buf = append(buf, dag.VertexID{I: i - 1, J: j + 1})
+	}
+	return buf
+}
+func (p upRight) AntiDependencies(i, j int32, buf []dag.VertexID) []dag.VertexID {
+	if i+1 < p.H && j > 0 {
+		buf = append(buf, dag.VertexID{I: i + 1, J: j - 1})
+	}
+	return buf
+}
+
+// leftFirst lists Diagonal's offsets in another order than its Dependencies.
+type leftFirst struct{ Diagonal }
+
+func (p leftFirst) Offsets(int32) []dag.Offset {
+	return []dag.Offset{{DJ: -1}, {DI: -1}, {DI: -1, DJ: -1}}
+}
+
+// sparseDiagonal claims to be a stencil and sparse at once.
+type sparseDiagonal struct{ Diagonal }
+
+func (p sparseDiagonal) Active(i, j int32) bool { return true }
+
+// TestStencilContract: dag.Check holds every stencil of the library to its
+// offsets — Knapsack with weights above the capacity, whose second offset
+// never lands — and rejects the three ways of breaking the contract. The
+// patterns whose dependencies are not a few offsets a row do not declare it.
+func TestStencilContract(t *testing.T) {
+	ks, err := NewKnapsack([]int32{3, 9, 1, 12}, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, p := range map[string]dag.Pattern{"grid": NewGrid(5, 7), "diagonal": NewDiagonal(6, 4), "chain": NewChain(3, 8), "knapsack": ks} {
+		if _, ok := p.(dag.Stencil); !ok {
+			t.Fatalf("%s does not declare its offsets", name)
+		}
+		if err := dag.Check(p); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+	}
+	for name, p := range map[string]dag.Pattern{"interval": NewInterval(5), "banded": NewBanded(5, 5, 1),
+		"rowwave": NewRowWave(4, 4), "colwave": NewColWave(4, 4), "triangle": NewTriangle(5), "transposed": Transpose(NewDiagonal(3, 4))} {
+		if _, ok := p.(dag.Stencil); ok {
+			t.Fatalf("%s declares offsets", name)
+		}
+	}
+	for name, p := range map[string]dag.Pattern{"offset with DJ > 0": upRight{4, 5}, "order mismatch": leftFirst{NewDiagonal(4, 5)}, "sparse stencil": sparseDiagonal{NewDiagonal(4, 5)}} {
+		if err := dag.Check(p); err == nil || !strings.Contains(err.Error(), "stencil") {
+			t.Fatalf("%s: Check = %v, want a stencil contract violation", name, err)
+		}
 	}
 }
 

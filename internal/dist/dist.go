@@ -65,11 +65,13 @@ const (
 	// Dealt: the axis is dealt out round-robin, so the global neighbour of
 	// a local index is on another place.
 	Dealt
+	// Scattered: the box lists cells with no grid shape (Func's one row).
+	Scattered
 )
 
 // Box is one place's dense local index box: Rows × Cols cells, the cell
 // in local row r and local column c at offset r*Cols + c. The engine cuts
-// its tiles out of it.
+// its tiles out of it. Along a Whole or Block axis it is a translation of the grid.
 type Box struct {
 	Rows, Cols       int
 	RowAxis, ColAxis Axis

@@ -68,7 +68,7 @@ func (d *Func) LocalBox(p int) Box {
 	if !ok {
 		return Box{}
 	}
-	return Box{Rows: 1, Cols: len(d.cells[k])}
+	return Box{Rows: 1, Cols: len(d.cells[k]), ColAxis: Scattered}
 }
 
 func (d *Func) LocalOffset(i, j int32) int {

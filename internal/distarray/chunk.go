@@ -52,6 +52,8 @@ type Chunk[T any] struct {
 	tileMu     sync.Mutex  // serializes ActivateTiles against early decrements
 	tileLive   atomic.Bool // true once the tile counters are authoritative
 
+	sten atomic.Pointer[Stencil] // non-nil when the activation took the stencil arm
+
 	// Dependency-resolution cache (depcache.go), filled by the activation
 	// scans so tile walks read resolutions instead of re-deriving them.
 	depOn   bool // cache enabled for this run
@@ -143,6 +145,9 @@ func (c *Chunk[T]) Len() int { return c.n }
 // immediately schedulable — active cells with zero indegree — which seed
 // the place's ready list.
 func (c *Chunk[T]) InitIndegrees(pat dag.Pattern) []int {
+	if t := dag.TabulateStencil(pat); t != nil {
+		pat = t
+	}
 	var ready []int
 	var buf []dag.VertexID
 	c.done.Store(0)
@@ -225,6 +230,9 @@ func (c *Chunk[T]) Finished(off int) bool {
 // Value returns the cell's value. Callers must have observed
 // Finished(off) == true for the value to be meaningful.
 func (c *Chunk[T]) Value(off int) T { return c.getValue(off) }
+
+// Values is the value storage by offset, under Value's rule; nil if backed.
+func (c *Chunk[T]) Values() []T { return c.values }
 
 // DecrementIndegree atomically lowers the cell's indegree by one and
 // returns the new count. The engine schedules the cell when it reaches 0.

@@ -22,7 +22,7 @@ import "github.com/dpx10/dpx10/internal/dag"
 // count). That is an order of magnitude above the value storage itself,
 // so a disk-backed chunk (NewChunkBacked) runs without it — a run that
 // cannot afford dense values in memory cannot afford dense dep lists
-// either.
+// either. Nor does a stencil's (Stencil), which needs no lists at all.
 //
 // Concurrency: the cache is written only inside the activation scans
 // (before the epoch state is published, or under tileMu during a
@@ -57,8 +57,9 @@ func (c *Chunk[T]) DepCached() bool { return c.depLive }
 // ascending offset order is a valid topological order within any set of
 // local cells, a tile's runs included — wavefront DP patterns under the
 // repo's dists all have this shape — so a tile walk can skip its Kahn
-// ordering pass entirely. Only meaningful when DepCached() is true.
-func (c *Chunk[T]) DepMonotone() bool { return c.depLive && c.depMono }
+// ordering pass entirely. Only meaningful when DepCached() is true, or
+// under a stencil (Stencil), whose offsets make it so.
+func (c *Chunk[T]) DepMonotone() bool { return c.depLive && c.depMono || c.Stencil() != nil }
 
 // DepView returns the cached resolutions of the local cells in [lo, hi):
 // cell lo+s has coordinates ids[s] and dependency list deps[at[s]:at[s+1]],

@@ -63,35 +63,57 @@ func TestTileGridPartitionsTheBox(t *testing.T) {
 	}
 }
 
-// crossTileEdges counts, per tile of place p, the dependency edges that enter
-// it from another tile or another place — what the activation scan must
-// derive — straight from the pattern.
-func crossTileEdges(pat dag.Pattern, d dist.Dist, p int, g *TileGrid) []int32 {
-	want := make([]int32, g.NumTiles())
+// hidden forwards only dag.Pattern: a stencil with its capability hidden,
+// which the activation scans must walk through the generic arm.
+type hidden struct{ dag.Pattern }
+
+// bruteForce derives, straight from the pattern, what an activation scan of
+// place p's chunk c (tile grid g) must find: per tile, the unfinished
+// cross-tile edges into its unfinished cells — those from another place, and
+// those from an unfinished cell of another of its tiles — and whether any of
+// them comes from another place; and per cell, its indegree once the
+// finished cells of this place have replayed their decrements.
+func bruteForce(pat dag.Pattern, d dist.Dist, p int, g *TileGrid, c *Chunk[int32]) (counters []int32, remote []bool, indeg []int32) {
+	counters, remote, indeg = make([]int32, g.NumTiles()), make([]bool, g.NumTiles()), make([]int32, c.Len())
 	var buf []dag.VertexID
-	for off := 0; off < d.LocalCount(p); off++ {
+	for off := range indeg {
 		i, j := d.CellAt(p, off)
-		if !dag.IsActive(pat, i, j) {
-			continue
-		}
 		buf = pat.Dependencies(i, j, buf[:0])
 		for _, dep := range buf {
-			if dp, doff := d.PlaceOffset(dep.I, dep.J); dp != p || g.TileOf(doff) != g.TileOf(off) {
-				want[g.TileOf(off)]++
+			dp, doff := d.PlaceOffset(dep.I, dep.J)
+			if dp != p || !c.Finished(doff) {
+				indeg[off]++
+			}
+			if c.Finished(off) {
+				continue
+			}
+			if dp != p {
+				remote[g.TileOf(off)] = true
+			}
+			if dp != p || g.TileOf(doff) != g.TileOf(off) && !c.Finished(doff) {
+				counters[g.TileOf(off)]++
 			}
 		}
 	}
-	return want
+	return counters, remote, indeg
 }
 
-// TestActivationCountsCrossTileEdges runs both activation scans on every box
-// dist and every shape, dependency cache on and off, and checks the counters,
-// the ready set and the remote flags against the brute-force count; then
-// that one TileDecrement per counted edge drains every counter to exactly
-// zero — the contract benchmark/layers.go drives the chunk by.
+// TestActivationCountsCrossTileEdges runs both activation scans, for two
+// stencils, on every box dist and dist.Func and every shape, in both arms — the stencil's, and the
+// generic one with the dependency cache on and off, the stencil hidden — and
+// checks the counters, the ready set, the remote flags and the per-vertex
+// indegrees against the brute-force count, fresh, resumed, and resumed with
+// half the chunk restored finished and replayed; then that one TileDecrement
+// per counted edge drains every counter to exactly zero — the contract
+// benchmark/layers.go drives the chunk by.
 func TestActivationCountsCrossTileEdges(t *testing.T) {
 	const h, w, places = 9, 11, 3
-	pat := patterns.NewDiagonal(h, w)
+	// Diagonal, and Knapsack's row-dependent offsets, some reaching past the
+	// grid (weights above the capacity) and some past a tile.
+	ks, err := patterns.NewKnapsack([]int32{3, 1, 12, 2, 5, 11, 4, 7}, w-1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dists := []dist.Dist{
 		dist.NewBlockRow(h, w, places), dist.NewBlockCol(h, w, places),
 		dist.NewCyclicRow(h, w, places), dist.NewCyclicCol(h, w, places),
@@ -102,74 +124,121 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	dists = append(dists, fn)
-	for _, d := range dists {
-		for p := 0; p < places; p++ {
-			box := d.LocalBox(p)
-			if box.Rows*box.Cols != d.LocalCount(p) {
-				t.Fatalf("%s: place %d box %+v, LocalCount %d", d.Name(), p, box, d.LocalCount(p))
-			}
-			for _, sh := range gridShapes(box.Rows, box.Cols) {
-				for _, fresh := range []bool{true, false} {
-					for _, cache := range []bool{true, false} {
-						g := NewTileGrid(box.Rows, box.Cols, sh[0], sh[1])
-						name := fmt.Sprintf("%s place %d %s fresh=%v cache=%v", d.Name(), p, g, fresh, cache)
-						c := NewChunk[int32](p, d)
-						c.SetDepCache(cache)
-						c.ConfigureGrid(g)
-						var ready []int
-						if fresh {
-							ready = c.InitActivateTiles(pat)
-						} else {
-							c.InitIndegrees(pat)
-							ready = c.ActivateTiles(pat)
-						}
-						want := crossTileEdges(pat, d, p, &g)
-						isReady := map[int]bool{}
-						for _, tl := range ready {
-							isReady[tl] = true
-						}
-						for tl, n := range want {
-							if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != n {
-								t.Fatalf("%s: tile %d counter %d, want %d", name, tl, got, n)
+	for _, pat := range []dag.Pattern{patterns.NewDiagonal(h, w), ks} {
+		arms := []struct {
+			name  string
+			pat   dag.Pattern
+			cache bool
+		}{{"stencil", pat, true}, {"generic", hidden{pat}, true}, {"generic/nocache", hidden{pat}, false}}
+		for _, d := range dists {
+			for p := 0; p < places; p++ {
+				box := d.LocalBox(p)
+				if box.Rows*box.Cols != d.LocalCount(p) {
+					t.Fatalf("%s: place %d box %+v, LocalCount %d", d.Name(), p, box, d.LocalCount(p))
+				}
+				for _, sh := range gridShapes(box.Rows, box.Cols) {
+					for _, phase := range []string{"fresh", "resumed", "half restored"} {
+						for _, arm := range arms {
+							g := NewTileGrid(box.Rows, box.Cols, sh[0], sh[1])
+							name := fmt.Sprintf("%T %s place %d %s %s %s", pat, d.Name(), p, g, phase, arm.name)
+							c := NewChunk[int32](p, d)
+							c.SetDepCache(arm.cache)
+							c.ConfigureGrid(g)
+							var ready []int
+							switch phase {
+							case "fresh":
+								ready = c.InitActivateTiles(arm.pat)
+							default:
+								c.InitIndegrees(arm.pat)
+								if phase == "half restored" {
+									for off := 0; off < c.Len()/2; off++ {
+										c.SetResult(off, 1)
+									}
+									ReplayDecrements(c, arm.pat, func(a dag.VertexID) {
+										if ap, aoff := d.PlaceOffset(a.I, a.J); ap == p {
+											c.DecrementIndegree(aoff)
+										}
+									})
+								}
+								ready = c.ActivateTiles(arm.pat)
 							}
-							if isReady[tl] != (n == 0) {
-								t.Fatalf("%s: tile %d ready=%v with %d cross-tile edges", name, tl, isReady[tl], n)
+							wantStencil := arm.name == "stencil" && d != dist.Dist(fn)
+							if (c.Stencil() != nil) != wantStencil || c.DepCached() != (arm.cache && !wantStencil) {
+								t.Fatalf("%s: stencil arm %v, DepCached %v", name, c.Stencil() != nil, c.DepCached())
 							}
-						}
-						if c.DepCached() != cache {
-							t.Fatalf("%s: DepCached = %v", name, c.DepCached())
-						}
-						var buf []dag.VertexID
-						flips := 0
-						for off := 0; off < c.Len(); off++ {
-							i, j := d.CellAt(p, off)
-							buf = pat.Dependencies(i, j, buf[:0])
-							remote := false
-							for _, dep := range buf {
-								dp, doff := d.PlaceOffset(dep.I, dep.J)
-								remote = remote || dp != p
-								if dp != p || g.TileOf(doff) != g.TileOf(off) {
-									if _, became := c.TileDecrement(off); became {
-										flips++
+							want, remote, indeg := bruteForce(pat, d, p, &g, c)
+							for off, n := range indeg {
+								if got := c.Indegree(off); got != n {
+									t.Fatalf("%s: cell %d indegree %d, want %d", name, off, got, n)
+								}
+							}
+							isReady := map[int]bool{}
+							for _, tl := range ready {
+								isReady[tl] = true
+							}
+							pending := 0
+							for tl, n := range want {
+								b, live := g.TileBox(tl), false
+								for off := b.Lo; off < b.Lo+b.Span(); off++ {
+									live = live || b.Holds(off) && !c.Finished(off)
+								}
+								if live {
+									pending++
+								}
+								if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != n {
+									t.Fatalf("%s: tile %d counter %d, want %d", name, tl, got, n)
+								}
+								if isReady[tl] != (live && n == 0) {
+									t.Fatalf("%s: tile %d ready=%v with %d cross-tile edges", name, tl, isReady[tl], n)
+								}
+								if c.TileRemote(tl) != (remote[tl] || g.bi*g.bj == 1) {
+									t.Fatalf("%s: tile %d remote flag %v, want %v", name, tl, c.TileRemote(tl), remote[tl])
+								}
+							}
+							var buf []dag.VertexID
+							flips := 0
+							for off := 0; off < c.Len(); off++ {
+								if c.Finished(off) {
+									continue
+								}
+								i, j := d.CellAt(p, off)
+								buf = pat.Dependencies(i, j, buf[:0])
+								for _, dep := range buf {
+									dp, doff := d.PlaceOffset(dep.I, dep.J)
+									if dp != p || g.TileOf(doff) != g.TileOf(off) && !c.Finished(doff) {
+										if _, became := c.TileDecrement(off); became {
+											flips++
+										}
 									}
 								}
 							}
-							if remote && !c.TileRemote(g.TileOf(off)) {
-								t.Fatalf("%s: tile %d has a remote dependency and no flag", name, g.TileOf(off))
+							for tl := range want {
+								if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != 0 {
+									t.Fatalf("%s: tile %d counter %d after every edge was applied", name, tl, got)
+								}
 							}
-						}
-						for tl := range want {
-							if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != 0 {
-								t.Fatalf("%s: tile %d counter %d after every edge was applied", name, tl, got)
+							if flips != pending-len(ready) {
+								t.Fatalf("%s: %d tiles became ready by decrement, want %d", name, flips, pending-len(ready))
 							}
-						}
-						if flips != g.NumTiles()-len(ready) {
-							t.Fatalf("%s: %d tiles became ready by decrement, want %d", name, flips, g.NumTiles()-len(ready))
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestStencilNeedsTheBox: the stencil arm counts by offset arithmetic inside
+// the dist's box, so a grid that is some other shape over the same cells —
+// ConfigureTiles' one row over a taller box, as benchmark/layers.go cuts it —
+// takes the generic arm and fills the dependency cache.
+func TestStencilNeedsTheBox(t *testing.T) {
+	d := dist.NewBlockRow(8, 6, 2)
+	c := NewChunk[int32](1, d)
+	c.ConfigureTiles(5)
+	c.InitActivateTiles(patterns.NewDiagonal(8, 6))
+	if c.Stencil() != nil || !c.DepCached() {
+		t.Fatalf("one-row grid over a %+v box: stencil arm %v, DepCached %v", d.LocalBox(1), c.Stencil() != nil, c.DepCached())
 	}
 }
 

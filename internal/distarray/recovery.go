@@ -68,9 +68,13 @@ func CarryOver[T any](old, nc *Chunk[T], pat dag.Pattern, restoreRemote bool) []
 // cell's indegree equals its count of unfinished dependencies; finished
 // cells must simply never be re-enqueued by the scheduler.
 func ReplayDecrements[T any](c *Chunk[T], pat dag.Pattern, emit func(target dag.VertexID)) {
+	edges := pat
+	if t := dag.TabulateStencil(pat); t != nil {
+		edges = t
+	}
 	var buf []dag.VertexID
 	c.ForEachFinished(pat, func(i, j int32, _ int, _ T) {
-		buf = pat.AntiDependencies(i, j, buf[:0])
+		buf = edges.AntiDependencies(i, j, buf[:0])
 		for _, a := range buf {
 			emit(a)
 		}

@@ -119,6 +119,7 @@ func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
 	}
 	c.tileLive.Store(false)
 	c.depLive = false // resolutions are per-epoch; the next scan refills
+	c.sten.Store(nil) // and so is its arm
 }
 
 // TileRemote reports whether any cell of tile t that was unfinished at the
@@ -152,16 +153,15 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int { return c.activate(pat,
 // plain stores suffice.
 func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int { return c.activate(pat, true) }
 
-// activate is the activation scan: one pass over the local cells in offset
-// order — the order the dependency cache is laid out in — accumulating into
-// each cell's tile. fresh selects the epoch-0 form (see InitActivateTiles).
+// activate is the activation scan: one pass over the local cells,
+// accumulating into each cell's tile. fresh selects the epoch-0 form (see
+// InitActivateTiles). The arm, kept for the epoch, is scanStencil where
+// newStencil applies, scanGeneric otherwise.
 func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 	c.tileMu.Lock()
 	defer c.tileMu.Unlock()
-	var buf []dag.VertexID
-	if c.depOn {
-		c.depReset()
-	}
+	s := newStencil(pat, c.d, c.place, &c.TileGrid)
+	c.sten.Store(s)
 	if fresh {
 		c.done.Store(0)
 		c.active = 0
@@ -169,7 +169,74 @@ func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 	clear(c.tileRemote)
 	indeg := make([]int32, len(c.tileIndeg)) // per tile: unfinished cross-tile edges into it
 	pending := make([]bool, len(c.tileIndeg))
-	// Offsets ascend run by run: row r of the box, one tile column at a time.
+	if s != nil {
+		c.scanStencil(s, fresh, indeg, pending)
+	} else {
+		c.scanGeneric(pat, fresh, indeg, pending)
+	}
+	var ready []int
+	for t, n := range indeg {
+		atomic.StoreInt32(&c.tileIndeg[t], n)
+		if pending[t] && n == 0 {
+			ready = append(ready, t)
+		}
+	}
+	c.depLive = s == nil && c.depOn
+	c.tileLive.Store(true)
+	return ready
+}
+
+// scanStencil counts tile by tile, with no Pattern call and no dependency
+// cache. Only a cell within reach of its tile's top or left edge locates its
+// dependencies; any other's are in the tile, by arithmetic.
+func (c *Chunk[T]) scanStencil(s *Stencil, fresh bool, indeg []int32, pending []bool) {
+	g := &c.TileGrid
+	for t := range indeg {
+		b := g.TileBox(t)
+		top, left := b.Lo/g.cols, b.Lo%g.cols
+		for r := top; r < top+b.Rows; r++ {
+			offs := s.Offsets(s.RowOf[r])
+			for col := left; col < left+b.W; col++ {
+				off := r*g.cols + col
+				if c.Finished(off) {
+					continue // restored by a recovery
+				}
+				edge := r-top < s.ReachRows || col-left < s.ReachCols
+				if !edge && fresh { // every dependency in the tile, and unfinished
+					c.addCell(off, t, int32(len(offs)), int32(len(offs)), true, indeg, pending)
+					continue
+				}
+				n, same := int32(0), int32(0)
+				for _, o := range offs {
+					ref, ok := CellRef{Owner: int32(c.place), Off: int32(off + int(o.DI)*g.cols + int(o.DJ))}, true
+					if edge {
+						ref, ok = s.Locate(r, col, s.RowOf[r], s.ColOf[col], o.DI, o.DJ)
+					}
+					if !ok {
+						continue
+					}
+					n++
+					if int(ref.Owner) != c.place {
+						if c.tileRemote != nil {
+							c.tileRemote[t] = true
+						}
+					} else if (!edge || b.Holds(int(ref.Off))) && !c.Finished(int(ref.Off)) {
+						same++
+					}
+				}
+				c.addCell(off, t, n, same, fresh, indeg, pending)
+			}
+		}
+	}
+}
+
+// scanGeneric asks the pattern, in offset order — the order the dependency
+// cache is laid out in: row r of the box, one tile column at a time.
+func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pending []bool) {
+	var buf []dag.VertexID
+	if c.depOn {
+		c.depReset()
+	}
 	g := &c.TileGrid
 	for r := 0; r < g.rows; r++ {
 		for tc, tr := 0, r/g.bi; tc < g.tcols; tc++ {
@@ -191,21 +258,12 @@ func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 					}
 					continue
 				}
-				pending[t] = true
 				buf = pat.Dependencies(i, j, buf[:0])
-				n := int32(len(buf))
-				if fresh {
-					c.active++
-					c.indeg[off] = n //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
-				} else {
-					n = atomic.LoadInt32(&c.indeg[off])
-				}
 				if c.depOn {
 					c.cids[off] = dag.VertexID{I: i, J: j}
 					c.cdeps = append(c.cdeps, buf...)
 				}
-				// Cross-tile indegree: the cell's own minus its unfinished
-				// same-tile dependencies.
+				same := int32(0)
 				for _, dep := range buf {
 					owner, doff := c.d.PlaceOffset(dep.I, dep.J)
 					if c.depOn {
@@ -230,7 +288,7 @@ func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 					// A fresh scan has not set the flags of the cells past off yet,
 					// so there it asks the pattern whether the cell will ever run.
 					if fresh && doff > off && dag.IsActive(pat, dep.I, dep.J) || (!fresh || doff < off) && !c.Finished(doff) {
-						n--
+						same++
 					}
 				}
 				if c.depOn {
@@ -239,23 +297,27 @@ func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 						c.depAbandon()
 					}
 				}
-				if n < 0 {
-					panic(fmt.Sprintf("distarray: vertex (%d,%d) has more unfinished same-tile deps than indegree", i, j))
-				}
-				indeg[t] += n
+				c.addCell(off, t, int32(len(buf)), same, fresh, indeg, pending)
 			}
 		}
 	}
-	var ready []int
-	for t, n := range indeg {
-		atomic.StoreInt32(&c.tileIndeg[t], n)
-		if pending[t] && n == 0 {
-			ready = append(ready, t)
-		}
+}
+
+// addCell folds an unfinished cell of tile t, with n dependencies of which
+// same are unfinished cells of t, into the scan.
+func (c *Chunk[T]) addCell(off, t int, n, same int32, fresh bool, indeg []int32, pending []bool) {
+	pending[t] = true
+	if fresh {
+		c.active++
+		c.indeg[off] = n //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
+	} else {
+		n = atomic.LoadInt32(&c.indeg[off])
 	}
-	c.depLive = c.depOn
-	c.tileLive.Store(true)
-	return ready
+	if n -= same; n < 0 {
+		i, j := c.d.CellAt(c.place, off)
+		panic(fmt.Sprintf("distarray: vertex (%d,%d) has more unfinished same-tile deps than indegree", i, j))
+	}
+	indeg[t] += n
 }
 
 // TileDecrement applies one cross-tile decrement to the cell at off: the

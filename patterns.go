@@ -46,6 +46,7 @@ func KnapsackPattern(weights []int32, capacity int32) (Pattern, error) {
 }
 
 // CheckPattern validates a (custom) pattern exhaustively: bounds,
-// dependency/anti-dependency symmetry and acyclicity. Run it in tests for
+// dependency/anti-dependency symmetry, acyclicity and, for a Stencil, that
+// its offsets are its dependencies. Run it in tests for
 // every custom pattern; it walks all cells, so keep the size small.
 func CheckPattern(p Pattern) error { return dag.Check(p) }

@@ -39,6 +39,11 @@ go test -race -timeout 10m ./...
 # Metrics-invariant suite again under the race detector: every snapshot
 # read races against live increments unless the registry is correct.
 go test -race -run 'TestMetrics' -count=1 ./internal/core/
+# The stencil arm against the generic one (the capability exposed and
+# hidden) and recovery under it, repeated under the race detector: the
+# stencil activation holds tileMu against early decrements, which is
+# exactly what a recovery races.
+go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$' -count=5 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
