@@ -83,8 +83,8 @@ type Common struct {
 	// an idle place makes LifelineProbes bounded random-victim steal
 	// attempts, then parks on its LifelineEdges lifeline buddies (a cyclic
 	// hypercube over the places); a buddy that later enqueues ready tiles
-	// pushes whole tiles, with the dependency values it can serve, to its
-	// parked thieves instead of waiting to be probed. Requires (and with
+	// pushes whole tiles to its parked thieves instead of waiting to be
+	// probed. Requires (and with
 	// WithLifelines, implies) Strategy == Steal.
 	Lifelines bool
 	// LifelineProbes is w: random steal probes an idle worker makes before
@@ -365,9 +365,10 @@ func (sc *SpillConfig) normalize() {
 // it, with at most one kindFetch call per owning place (per 4096 ids). With
 // the cache off RemoteFetches is therefore the sum over executed tiles of
 // their distinct remote dependencies, and FetchCalls is at most
-// tiles × (places − 1). A single-cell tile (TileSize 1) and an exec-migrated
-// cell are tiles of one, so there both are the paper's per-vertex counts:
-// one value per remote dependency edge, one call per owning place per cell.
+// tiles × (places − 1), each counted where it ran (a stolen or exec-migrated
+// tile at its executor). At TileSize 1 a tile is one cell, so there both are
+// the paper's per-vertex counts: one value per remote dependency edge, one
+// call per owning place per cell.
 type Stats struct {
 	Places         int
 	Epochs         int   // 1 + number of recoveries
@@ -378,7 +379,7 @@ type Stats struct {
 	LocalReads     int64 // dependency values served from the local chunk
 	CacheHits      int64
 	CacheMisses    int64
-	ExecMigrated   int64 // vertices executed away from their owner
+	ExecMigrated   int64 // vertices executed away from their owner (random / mincomm placement, whole tiles)
 	Stolen         int64 // vertices pulled by idle workers (steal strategy)
 	TilesExecuted  int64 // tile tasks run (tiles claimed with at least one cell executed)
 	MsgsSent       int64 // transport messages (sends + calls)

@@ -10,6 +10,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/dist"
+	"github.com/dpx10/dpx10/internal/metrics"
 	"github.com/dpx10/dpx10/internal/sched"
 	"github.com/dpx10/dpx10/internal/transport"
 )
@@ -144,6 +145,9 @@ func TestRunAcrossDistributions(t *testing.T) {
 	}
 }
 
+// TestRunAcrossStrategies runs each placement strategy, and checks that exec
+// placement moves tiles, not vertices: one push Call per migrated tile, each
+// run as one tile task at its target.
 func TestRunAcrossStrategies(t *testing.T) {
 	pat := patterns.NewDiagonal(14, 14)
 	for _, s := range []sched.Strategy{sched.Local, sched.Random, sched.MinComm} {
@@ -151,12 +155,18 @@ func TestRunAcrossStrategies(t *testing.T) {
 		t.Run(s.String(), func(t *testing.T) {
 			cfg := baseConfig(pat, 3)
 			cfg.Strategy = s
+			cfg.Metrics = true
 			cl := runAndCheck(t, cfg)
-			if s != sched.Local {
-				st := cl.Stats()
-				if st.ExecMigrated == 0 && s == sched.Random {
-					t.Error("random strategy never migrated a vertex")
-				}
+			st := cl.Stats()
+			pushes := metrics.MergeAll(cl.MetricsSnapshots()).Vecs[metrics.TransportMsgsOut][kindTransfer]
+			if pushes > st.TilesExecuted {
+				t.Errorf("%d push Calls for %d tile tasks: exec moved something smaller than a tile", pushes, st.TilesExecuted)
+			}
+			if s == sched.Random && (st.ExecMigrated == 0 || pushes == 0) {
+				t.Errorf("random strategy migrated %d cells in %d pushes", st.ExecMigrated, pushes)
+			}
+			if s == sched.Local && (st.ExecMigrated != 0 || pushes != 0) {
+				t.Errorf("local strategy migrated %d cells in %d pushes", st.ExecMigrated, pushes)
 			}
 		})
 	}
@@ -305,7 +315,10 @@ func (s *stealReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // payload an id outside the grid, a negative one and one another place owns.
 // The dist tables index unchecked, so each of these panicked (or touched a
 // neighbour's offset) before ownedOffset: a Call must answer with an error,
-// a one-way batch must skip the id, a steal reply must read as no work.
+// a one-way batch must skip the id, a steal reply must read as no work. A
+// tile in flight, pushed here or handed back as a steal reply, must also be
+// refused when its cells have mixed owners, when it is empty and when its
+// reason is unknown or belongs to the other direction.
 func TestWireIDsVetted(t *testing.T) {
 	cfg := stealConfig(patterns.NewDiagonal(9, 9), 3)
 	cfg.Lifelines = true
@@ -319,11 +332,9 @@ func TestWireIDsVetted(t *testing.T) {
 		payload func(dag.VertexID) []byte
 	}{
 		"fetch":     {pe.handleFetch, func(id dag.VertexID) []byte { return appendFetchReq(nil, st.epoch, []dag.VertexID{id}) }},
-		"exec":      {pe.handleExec, func(id dag.VertexID) []byte { return putID(putU64(nil, st.epoch), id) }},
 		"stealDone": {pe.handleStealDone, idVal},
 		"restoreTx": {pe.handleRestoreTx, idVal},
 		"replayTx":  {pe.handleReplayTx, func(id dag.VertexID) []byte { return encodeIDBatch(st.epoch, []dag.VertexID{id}) }},
-		"deliver":   {pe.handleLifelineDeliver, func(id dag.VertexID) []byte { return encodeIDBatch(st.epoch, []dag.VertexID{mine, id}) }},
 		"readVal":   {pe.handleReadVal, func(id dag.VertexID) []byte { return putID(nil, id) }},
 	}
 	bad := map[string]dag.VertexID{"out of range": {I: 1000, J: 1000}, "negative": {I: -5, J: -7}, "wrong owner": {I: 8, J: 8}}
@@ -337,9 +348,51 @@ func TestWireIDsVetted(t *testing.T) {
 		if _, err := pe.handleDecrBatch(0, batch); err != nil {
 			t.Errorf("decrBatch with an id that is %s: %v, want it skipped", what, err)
 		}
-		steal.reply = putID(putU32([]byte{1}, 1), id)
-		if pe.stealFrom(st, sc, 0, false) {
-			t.Errorf("a steal reply with an id that is %s was run", what)
+	}
+
+	// Tiles in flight from place 0, which owns rows 0..2: pushed here as
+	// exec and lifeline tiles, and handed back as steal replies.
+	zero, theirs := dag.VertexID{}, dag.VertexID{I: 8, J: 8} // owned by places 0 and 2
+	tiles := []struct {
+		what    string
+		ids     []dag.VertexID
+		unknown bool // the reason byte names no reason
+	}{
+		{"an out-of-range id", []dag.VertexID{{I: 1000, J: 1000}}, false},
+		{"a negative id", []dag.VertexID{{I: -5, J: -7}}, false},
+		{"a wrong owner", []dag.VertexID{theirs}, false},
+		{"mixed owners", []dag.VertexID{zero, theirs}, false},
+		{"an empty list", nil, false},
+		{"an unknown reason", []dag.VertexID{zero}, true},
+	}
+	body := func(reason uint8, unknown bool, ids []dag.VertexID) []byte {
+		if unknown {
+			reason = transferExec + 1
 		}
+		return encodeTransfer(nil, st.epoch, reason, ids)
+	}
+	for _, tc := range tiles {
+		for _, reason := range []uint8{transferExec, transferLifeline} {
+			if tc.what == "a wrong owner" && reason == transferLifeline {
+				continue // a lifeline tile may have diffused from any owner
+			}
+			if _, err := pe.handleTransfer(0, body(reason, tc.unknown, tc.ids)); err == nil {
+				t.Errorf("a push with reason %d and %s: no error", reason, tc.what)
+			}
+		}
+		steal.reply = body(transferSteal, tc.unknown, tc.ids)
+		if pe.stealFrom(st, sc, 0, false) {
+			t.Errorf("a steal reply with %s was run", tc.what)
+		}
+	}
+	if _, err := pe.handleTransfer(0, body(transferSteal, false, []dag.VertexID{zero})); err == nil {
+		t.Error("a steal reply pushed as a transfer: no error")
+	}
+	steal.reply = body(transferExec, false, []dag.VertexID{zero})
+	if pe.stealFrom(st, sc, 0, false) {
+		t.Error("an exec push in a steal reply was run")
+	}
+	if n := st.inbox.len(); n != 0 {
+		t.Errorf("%d refused tiles reached the inbox", n)
 	}
 }

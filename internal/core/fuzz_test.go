@@ -15,11 +15,11 @@ import (
 // constant block in proto.go: declaring a new kind without extending this
 // table (and wireProbes below) fails `make vet`.
 var fuzzedWireKinds = []uint8{
-	kindFetch, kindExec, kindPlaceDone, kindFault,
+	kindFetch, kindPlaceDone, kindFault,
 	kindPause, kindRebuild, kindRestore, kindRestoreTx, kindReplay,
 	kindReplayTx, kindResume, kindStop, kindReadVal, kindPing,
 	kindHello, kindBegin, kindSteal, kindStealDone, kindDecrBatch,
-	kindStats, kindLifelineDeliver,
+	kindStats, kindTransfer,
 }
 
 // wireProbes maps each kind to a decode of its payload grammar, mirroring
@@ -27,7 +27,6 @@ var fuzzedWireKinds = []uint8{
 // total: any input returns normally (possibly with an error) — no panics.
 var wireProbes = map[uint8]func(data []byte){
 	kindFetch:     func(b []byte) { _, _, _ = decodeFetchReq(b, nil) },
-	kindExec:      func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.id() },
 	kindPlaceDone: func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
 	kindFault:     func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
 	kindPause: func(b []byte) {
@@ -75,9 +74,9 @@ var wireProbes = map[uint8]func(data []byte){
 			r.off += used
 		}
 	},
-	kindDecrBatch:       func(b []byte) { _, _, _, _ = decodeDecrBatch[int64](b, codec.Int64{}, nil, nil) },
-	kindStats:           func(b []byte) {}, // request has no payload; the reply decoder is FuzzSnapshotWire's target
-	kindLifelineDeliver: func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
+	kindDecrBatch: func(b []byte) { _, _, _, _ = decodeDecrBatch[int64](b, codec.Int64{}, nil, nil) },
+	kindStats:     func(b []byte) {}, // request has no payload; the reply decoder is FuzzSnapshotWire's target
+	kindTransfer:  func(b []byte) { _, _, _, _ = decodeTransfer(b, nil) },
 }
 
 // TestWireKindsCovered pins the coverage table's shape: every listed kind
@@ -451,7 +450,7 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindFetch:     rtFetchReq,
 	kindReplayTx:  rtIDBatch,
 	kindDecrBatch: rtDecrBatch,
-	kindExec:      rtExec,
+	kindTransfer:  rtTransfer,
 	kindPlaceDone: rtU64U32,
 	kindFault:     rtU64U32,
 	kindPause:     rtPause,
@@ -463,13 +462,11 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindStop:      rtU64, // the stop Call stamps the epoch even though handleStop ignores it
 	kindRestoreTx: rtIDVals,
 	kindStealDone: rtIDVals,
-
-	kindLifelineDeliver: rtIDBatch,
-	kindReadVal:         rtID,
-	kindPing:            rtPing, // [seq u64][sendNanos u64] echoed verbatim
-	kindHello:           rtEmpty,
-	kindBegin:           rtEmpty,
-	kindStats:           rtEmpty,
+	kindReadVal:   rtID,
+	kindPing:      rtPing, // [seq u64][sendNanos u64] echoed verbatim
+	kindHello:     rtEmpty,
+	kindBegin:     rtEmpty,
+	kindStats:     rtEmpty,
 }
 
 func rtIDBatch(data []byte) ([]byte, bool) {
@@ -497,14 +494,12 @@ func rtDecrBatch(data []byte) ([]byte, bool) {
 	return encodeDecrBatch(epoch, cd, recs, tgts), true
 }
 
-func rtExec(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	epoch := r.u64()
-	id := r.id()
-	if r.err != nil {
+func rtTransfer(data []byte) ([]byte, bool) {
+	epoch, reason, ids, err := decodeTransfer(data, nil)
+	if err != nil {
 		return nil, false
 	}
-	return putID(putU64(nil, epoch), id), true
+	return encodeTransfer(nil, epoch, reason, ids), true
 }
 
 func rtU64(data []byte) ([]byte, bool) {
@@ -628,39 +623,78 @@ func wireSeeds() map[uint8][]byte {
 		kindDecrBatch: encodeDecrBatch(6, cd, []decrRecord[int64]{
 			{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
 		}, ids),
-		kindExec:            putID(putU64(nil, 1), ids[0]),
-		kindPlaceDone:       putU32(putU64(nil, 1), 2),
-		kindFault:           putU32(putU64(nil, 1), 3),
-		kindPause:           putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
-		kindRebuild:         putU64(nil, 1),
-		kindRestore:         putU64(nil, 2),
-		kindReplay:          putU64(nil, 3),
-		kindResume:          putU64(nil, 4),
-		kindSteal:           append(putU64(nil, 5), 1),
-		kindStop:            putU64(nil, 6),
-		kindRestoreTx:       idVals,
-		kindStealDone:       idVals,
-		kindLifelineDeliver: encodeIDBatch(8, []dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}}),
-		kindReadVal:         putID(nil, ids[1]),
-		kindPing:            putU64(putU64(nil, 11), 12),
-		kindHello:           {},
-		kindBegin:           {},
-		kindStats:           {},
+		kindPlaceDone: putU32(putU64(nil, 1), 2),
+		kindFault:     putU32(putU64(nil, 1), 3),
+		kindPause:     putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
+		kindRebuild:   putU64(nil, 1),
+		kindRestore:   putU64(nil, 2),
+		kindReplay:    putU64(nil, 3),
+		kindResume:    putU64(nil, 4),
+		kindSteal:     append(putU64(nil, 5), 1),
+		kindStop:      putU64(nil, 6),
+		kindRestoreTx: idVals,
+		kindStealDone: idVals,
+		kindTransfer:  encodeTransfer(nil, 8, transferLifeline, []dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}}),
+		kindReadVal:   putID(nil, ids[1]),
+		kindPing:      putU64(putU64(nil, 11), 12),
+		kindHello:     {},
+		kindBegin:     {},
+		kindStats:     {},
 	}
 }
 
-// retiredDeliver is a lifeline push in the retired layout, which followed the
-// cells with [nDeps u32][(id, value)...]: trailing bytes to today's decoder.
-func retiredDeliver() []byte {
-	b := putU32(encodeIDBatch(8, []dag.VertexID{{I: 4, J: 5}}), 1)
-	return codec.Int64{}.Encode(putID(b, dag.VertexID{I: 3, J: 5}), -7)
+// transferSeeds are the transfer body's edge cases: a tile for each reason,
+// one of a single cell (an exec at TileSize 1, the paper's per-vertex
+// migration), and the malformed bodies every receiver must refuse — an empty
+// list, an unknown reason, a count the payload does not hold, trailing bytes,
+// and the retired layouts (exec's [epoch][id], the lifeline push's
+// [epoch][n][ids], once followed by [nDeps][(id, value)...]).
+func transferSeeds() [][]byte {
+	ids := []dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}, {I: -3, J: 1 << 30}}
+	retired := encodeIDBatch(8, ids[:2])
+	return [][]byte{
+		encodeTransfer(nil, 1, transferSteal, ids),
+		encodeTransfer(nil, 2, transferLifeline, ids[:2]),
+		encodeTransfer(nil, 3, transferExec, ids[:1]),
+		encodeTransfer(nil, 4, transferExec, nil),
+		encodeTransfer(nil, 5, transferExec+1, ids[:1]),
+		append(putU32(append(putU64(nil, 6), transferSteal), 0xFFFFFFFF), 0),
+		append(encodeTransfer(nil, 7, transferLifeline, ids[:1]), 0),
+		putID(putU64(nil, 9), ids[0]),
+		retired,
+		codec.Int64{}.Encode(putID(putU32(retired, 1), dag.VertexID{I: 3, J: 5}), -7),
+		{},
+	}
+}
+
+// FuzzDecodeTransfer hardens the one decoder of a tile in flight: arbitrary
+// bytes must never panic, a decoded body is never empty and has a known
+// reason, and every body that decodes round-trips through encodeTransfer.
+func FuzzDecodeTransfer(f *testing.F) {
+	for _, seed := range transferSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		epoch, reason, ids, err := decodeTransfer(data, nil)
+		if err != nil {
+			return
+		}
+		if len(ids) == 0 || reason > transferExec {
+			t.Fatalf("decoded %d ids with reason %d", len(ids), reason)
+		}
+		if re := encodeTransfer(nil, epoch, reason, ids); !bytes.Equal(re, data) {
+			t.Fatalf("round trip changed the body: % x -> % x", data, re)
+		}
+	})
 }
 
 // TestWireRoundTripsCovered pins the round-trip table to the coverage
 // list and checks every seed payload is a canonical fixed point.
 func TestWireRoundTripsCovered(t *testing.T) {
-	if _, _, err := decodeIDBatch(retiredDeliver(), nil); err == nil {
-		t.Error("a lifeline push with the retired dependency section decoded; want it rejected as trailing bytes")
+	for k, seed := range transferSeeds() {
+		if _, _, _, err := decodeTransfer(seed, nil); (err == nil) != (k < 3) {
+			t.Errorf("transfer seed %d: err %v; want the three well-formed seeds to decode and the rest rejected", k, err)
+		}
 	}
 	seeds := wireSeeds()
 	seen := map[uint8]bool{}
@@ -713,7 +747,9 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	f.Add(uint8(0), []byte{})                            // not a protocol kind
 	f.Add(uint8(2), encodeIDBatch(4, nil))               // the retired per-vertex decrement: not one either
 	f.Add(kindPause, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
-	f.Add(kindLifelineDeliver, retiredDeliver())
+	for _, seed := range transferSeeds() {
+		f.Add(kindTransfer, seed)
+	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		rt, ok := wireRoundTrips[kind]
 		if !ok {

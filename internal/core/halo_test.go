@@ -30,7 +30,7 @@ func (f *fetchPerSteal) Call(to int, kind uint8, payload []byte) ([]byte, error)
 	defer f.mu.Unlock()
 	switch kind {
 	case kindSteal:
-		f.stolen = err == nil && len(reply) > 0 && reply[0] == 1
+		f.stolen = err == nil && len(reply) > 0 // an empty reply: nothing ready
 		if f.stolen {
 			clear(f.calls)
 		}

@@ -9,7 +9,6 @@ import (
 
 func (pe *placeEngine[T]) registerHandlers() {
 	pe.tr.Handle(kindFetch, pe.handleFetch)
-	pe.tr.Handle(kindExec, pe.handleExec)
 	pe.tr.Handle(kindPause, pe.handlePause)
 	pe.tr.Handle(kindRebuild, pe.handleRebuild)
 	pe.tr.Handle(kindRestore, pe.handleRestore)
@@ -24,7 +23,7 @@ func (pe *placeEngine[T]) registerHandlers() {
 	pe.tr.Handle(kindSteal, pe.handleSteal)
 	pe.tr.Handle(kindStealDone, pe.handleStealDone)
 	pe.tr.Handle(kindDecrBatch, pe.handleDecrBatch)
-	pe.tr.Handle(kindLifelineDeliver, pe.handleLifelineDeliver)
+	pe.tr.Handle(kindTransfer, pe.handleTransfer)
 }
 
 // handlePing echoes the failure detector's heartbeat payload ([seq u64]
@@ -94,8 +93,8 @@ func (pe *placeEngine[T]) errBadID(kind string, id dag.VertexID, from int) error
 }
 
 // handleFetch serves finished vertex values to a peer resolving its
-// dependencies — the halo of a tile, or of the one cell of a single-cell
-// tile or an exec request. Values are encoded in request order.
+// dependencies — the halo of a tile, wherever it runs. Values are encoded
+// in request order.
 func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
@@ -155,53 +154,26 @@ func (pe *placeEngine[T]) handleDecrBatch(from int, payload []byte) ([]byte, err
 	}
 	for _, rec := range recs {
 		for _, id := range targets[rec.t0:rec.t1] {
+			// The tile counter (and the per-vertex indegree backing recovery)
+			// drops; finished vertices restored by a recovery absorb it.
 			if off, ok := st.ownedOffset(id, pe.self); ok {
-				pe.applyDecrement(st, sc, off)
+				if t, ready := st.chunk.TileDecrement(off); ready {
+					pe.enqueueTile(st, t, sc.wkr)
+				}
 			}
 		}
 	}
 	return nil, nil
 }
 
-// handleExec runs compute() for a vertex owned by the calling place — the
-// execution half of the random and min-communication strategies: a one-cell
-// unit, described and walked like any other. The result is returned to the
-// owner, which stores it; this place's chunk is untouched.
-func (pe *placeEngine[T]) handleExec(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	id := r.id()
-	if r.err != nil {
-		return nil, r.err
-	}
-	st, err := pe.stateAt(epoch)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := st.ownedOffset(id, from); !ok {
-		return nil, pe.errBadID("exec", id, from)
-	}
-	sc := pe.getScratch()
-	defer pe.putScratch(sc)
-	sc.td.idBuf = append(sc.td.idBuf[:0], id)
-	if _, err := pe.walk(st, sc, pe.describeCells(st, sc, from, sc.td.idBuf), pe.self); err != nil {
-		return nil, err
-	}
-	v, _ := sc.halo.get(id)
-	return pe.cfg.Codec.Encode(nil, v), nil
-}
-
-// handleSteal hands one locally ready tile to an idle thief: reply
-// [1][count u32][ids...] listing the tile's unfinished cells in intra-tile
-// dependency order (the order the thief must compute them in), or [0] when
-// nothing is queued. The tile leaves the deques; its cells complete when
-// the thief's steal-done arrives. If the thief (or this place) dies first,
-// the cells are neither finished nor queued — exactly the state the
-// recovery's rebuilt tile counters cover.
-// The payload's trailing lifeline flag turns an unlucky probe into a
-// registration: when set and nothing is queued, the empty reply also
-// parks the thief as a lifeline buddy this place will push surplus
-// ready tiles to (kindLifelineDeliver) as they appear.
+// handleSteal hands one locally ready tile to an idle thief, as a transfer
+// body with reason steal, or replies empty when nothing is queued. The tile
+// leaves the deques; its cells complete when the thief's steal-done
+// arrives. If the thief (or this place) dies first, the cells are neither
+// finished nor queued — exactly the state the recovery's rebuilt tile
+// counters cover. The payload's trailing lifeline flag turns an unlucky
+// probe into a registration: the empty reply also parks the thief as a
+// lifeline buddy this place will push surplus ready tiles to.
 func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	epoch := r.u64()
@@ -220,106 +192,19 @@ func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) 
 		if !ok {
 			if lifeline == 1 && st.life != nil && from != pe.self {
 				st.life.addParked(from)
-				// Surplus may already sit in the forwarding inbox even
-				// though the deques are empty; let the pusher check.
+				// Surplus may already sit in the inbox even though the
+				// deques are empty; let the pusher check.
 				st.life.kickPush()
 			}
-			return []byte{0}, nil
+			return nil, nil
 		}
 		td := pe.describeTile(st, sc, t)
 		if len(td.order) == 0 {
 			continue // fully restored by a recovery; try the next tile
 		}
-		reply := putU32([]byte{1}, uint32(len(td.order)))
-		for _, s := range td.order {
-			reply = putID(reply, td.ids[s])
-		}
-		return reply, nil
+		sc.ids = td.appendOrder(sc.ids[:0])
+		return encodeTransfer(nil, st.epoch, transferSteal, sc.ids), nil
 	}
-}
-
-// handleStealDone receives a stolen tile's computed values from the thief
-// — [epoch][count u32][(id, value)...], in the order this place stated in
-// its steal reply — and completes them locally. A short batch (the thief
-// hit an error mid-tile) is fine: the unfinished suffix stays pending for
-// the recovery to reschedule.
-func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	n := r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	st, err := pe.stateAt(epoch)
-	if err != nil {
-		return nil, err
-	}
-	sc := pe.getScratch()
-	defer pe.putScratch(sc)
-	for k := uint32(0); k < n; k++ {
-		id := r.id()
-		if r.err != nil {
-			return nil, r.err
-		}
-		v, used, derr := pe.cfg.Codec.Decode(r.rest())
-		if derr != nil {
-			return nil, fmt.Errorf("core: steal-done decode: %w", derr)
-		}
-		r.off += used
-		off, ok := st.ownedOffset(id, pe.self)
-		if !ok {
-			return nil, pe.errBadID("steal-done", id, from)
-		}
-		pe.completeVertex(st, sc, off, id.I, id.J, v)
-	}
-	return nil, nil
-}
-
-// handleLifelineDeliver accepts a tile pushed along a lifeline — its cells
-// in execution order, all owned by one place — into the inbox, and wakes the
-// worker pool. Reply [1] is the acceptance the pusher's accounting keys on; a
-// stale epoch errors so the pusher keeps the tile runnable on its side. The
-// decode allocates a fresh slice (nil buffer): the tile outlives this
-// handler, so it must not alias the transport's payload.
-func (pe *placeEngine[T]) handleLifelineDeliver(from int, payload []byte) ([]byte, error) {
-	epoch, cells, err := decodeIDBatch(payload, nil)
-	if err != nil {
-		return nil, err
-	}
-	st, serr := pe.stateAt(epoch)
-	if serr != nil {
-		return nil, serr
-	}
-	if st.life == nil {
-		return nil, fmt.Errorf("core: place %d received a lifeline push with lifelines disabled", pe.self)
-	}
-	if len(cells) == 0 {
-		return nil, fmt.Errorf("core: place %d received an empty lifeline push from %d", pe.self, from)
-	}
-	owner := -1 // of the first cell, and so of all of them
-	if st.inGrid(cells[0]) {
-		owner = st.d.Place(cells[0].I, cells[0].J)
-	}
-	for _, id := range cells {
-		if _, ok := st.ownedOffset(id, owner); !ok {
-			return nil, pe.errBadID("lifeline push", id, from)
-		}
-	}
-	st.life.deposit(migratedTile{tile: -1, cells: cells})
-	// Note: a delivery does NOT clear the armed latch — our registrations
-	// with upstream victims persist, and only new *local* work (enqueueTile)
-	// re-arms probing. Pushed tiles drain through the inbox without a fresh
-	// probe/park round trip per batch.
-	// Diffusion: if buddies are parked on this place, let the pusher
-	// forward whatever lands beyond the local keep — a bulk push to one
-	// buddy cascades along the lifeline graph instead of pooling here.
-	if st.life.parkedCount() > 0 {
-		st.life.kickPush()
-	}
-	pe.migrRecv.Add(1)
-	pe.mTilesMigr.Inc(-1)
-	pe.host.notify()
-	return []byte{1}, nil
 }
 
 // --- recovery protocol (paper §VI-D) ----------------------------------
@@ -433,33 +318,9 @@ func (pe *placeEngine[T]) handleRestore(from int, payload []byte) ([]byte, error
 
 // handleRestoreTx installs restored finished values into the new chunk.
 func (pe *placeEngine[T]) handleRestoreTx(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	n := r.u32()
-	if r.err != nil {
-		return nil, r.err
-	}
-	st, serr := pe.stateAt(epoch)
-	if serr != nil {
-		return nil, serr
-	}
-	for k := uint32(0); k < n; k++ {
-		id := r.id()
-		if r.err != nil {
-			return nil, r.err
-		}
-		v, used, err := pe.cfg.Codec.Decode(r.rest())
-		if err != nil {
-			return nil, fmt.Errorf("core: restore decode: %w", err)
-		}
-		r.off += used
-		off, ok := st.ownedOffset(id, pe.self)
-		if !ok {
-			return nil, pe.errBadID("restore", id, from)
-		}
+	return nil, pe.eachOwnedValue(from, "restore", payload, func(st *epochState[T], off int, _ dag.VertexID, v T) {
 		st.chunk.SetResult(off, v)
-	}
-	return nil, r.err
+	})
 }
 
 // handleReplay re-derives indegrees: every finished local vertex emits its

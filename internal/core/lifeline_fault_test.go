@@ -66,7 +66,7 @@ type lateReply struct {
 
 func (l *lateReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 	reply, err := l.Transport.Call(to, kind, payload)
-	if kind == kindLifelineDeliver && err == nil {
+	if kind == kindTransfer && err == nil {
 		for !l.computed() {
 			time.Sleep(time.Millisecond)
 		}

@@ -136,13 +136,19 @@ func TestMetricsInvariants(t *testing.T) {
 
 			// Steal accounting: every successful steal ships exactly one
 			// kindStealDone call back to the victim and transfers >= 1
-			// vertex; failures only count as attempts. Migrated tiles that
-			// ran away from home return results over the same wire kind,
-			// one call per tile.
+			// vertex; failures only count as attempts. Tiles pushed away
+			// from home return results over the same wire kind, one call per
+			// tile: a lifeline tile as a migrated run, an exec tile as the
+			// run of a push no lifeline accounts for (a fault-free run
+			// accepts and runs every push).
 			stealOK := agg.Counters[metrics.SchedStealsSucceeded]
-			if got := agg.Vecs[metrics.TransportMsgsOut][kindStealDone]; got != stealOK+st.MigratedRuns {
-				t.Errorf("msgs_out[stealDone] = %d, steals_succeeded (%d) + migrated runs (%d) = %d",
-					got, stealOK, st.MigratedRuns, stealOK+st.MigratedRuns)
+			execRuns := agg.Vecs[metrics.TransportMsgsOut][kindTransfer] - agg.Counters[metrics.SchedLifelinePushes]
+			if got := agg.Vecs[metrics.TransportMsgsOut][kindStealDone]; got != stealOK+st.MigratedRuns+execRuns {
+				t.Errorf("msgs_out[stealDone] = %d, steals_succeeded (%d) + migrated runs (%d) + exec tiles run (%d) = %d",
+					got, stealOK, st.MigratedRuns, execRuns, stealOK+st.MigratedRuns+execRuns)
+			}
+			if (execRuns == 0) != (st.ExecMigrated == 0) || execRuns > st.ExecMigrated {
+				t.Errorf("%d exec tiles ran %d cells", execRuns, st.ExecMigrated)
 			}
 			if att := agg.Counters[metrics.SchedStealsAttempted]; stealOK > att {
 				t.Errorf("steals_succeeded %d > steals_attempted %d", stealOK, att)

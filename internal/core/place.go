@@ -40,6 +40,7 @@ type epochState[T any] struct {
 	cache *vcache.Cache[T]
 	agg   *aggregator[T]    // outbound decrement aggregator
 	life  *lifelineState[T] // lifeline balancing state; nil when disabled
+	inbox tileInbox         // tiles other places pushed here (transfer.go)
 
 	// runGate serializes tile execution against recovery pause. Workers
 	// hold it shared for the duration of one tile; the pause handler takes
@@ -119,7 +120,7 @@ type placeEngine[T any] struct {
 	folded   atomic.Bool
 
 	// scratchPool recycles per-worker hot-path buffers; protocol handlers
-	// (exec, steal-done, aggregated decrements) draw from the same pool.
+	// (steal, steal-done, aggregated decrements) draw from the same pool.
 	scratchPool sync.Pool
 
 	// reg is this place's metrics registry (nil when Config.Metrics is
@@ -169,14 +170,14 @@ type placeEngine[T any] struct {
 type scratch[T any] struct {
 	td      tileDesc       // the unit being described or walked (walk.go)
 	antiBuf []dag.VertexID // Pattern.AntiDependencies output
-	antiRes []resolvedAnti // completeVertex's resolutions
+	antiRes []resolvedAnti // a cell's resolved anti-dependencies (steal-done, walkStencil)
 	edge    []cellRef      // where a stencil tile's edge cells' dependencies are (walkStencil)
 
 	remote [][]dag.VertexID // by owning place: decrement targets (completeResolved) or ids to fetch (fillHalo)
 	owners []int            // owners with buffered ids, in first-use order
 
 	cells []Cell[T]      // deps passed to Compute; valid only during the call
-	ids   []dag.VertexID // handleFetch / handleDecrBatch decode state
+	ids   []dag.VertexID // handler decode state; a tile's cells in order, to send
 	enc   []byte         // wire encode buffer
 
 	recs    []decrRecord[T] // handleDecrBatch decode state
@@ -237,7 +238,7 @@ func (pe *placeEngine[T]) putScratch(sc *scratch[T]) { pe.scratchPool.Put(sc) }
 type cellRef = distarray.CellRef
 
 // resolvedAnti is one anti-dependency with its ownership pre-resolved, so
-// completeVertex can propagate decrements without re-querying the dist.
+// completeResolved can propagate decrements without re-querying the dist.
 type resolvedAnti struct {
 	id    dag.VertexID
 	owner int32
@@ -347,7 +348,7 @@ func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distar
 		agg:   newAggregator(pe, epoch),
 	}
 	go st.agg.loop(st.quit)
-	if pe.lifelinesOn() {
+	if pe.cfg.Lifelines && pe.cfg.Places > 1 { // one place has no one to balance with
 		st.life = newLifelineState[T](pe.lifelineEdges(d))
 		go pe.lifelineLoop(st)
 	}
@@ -398,10 +399,11 @@ func (pe *placeEngine[T]) workerFor(st *epochState[T], w int) *workerCtx[T] {
 	return wc
 }
 
-// tryRun executes at most one ready tile for host worker w, holding the
-// epoch's run gate shared so a recovery pause can drain in-flight tiles.
-// It reports whether any work was done (jobRunner contract).
-func (pe *placeEngine[T]) tryRun(w int) bool {
+// gated runs fn against the live epoch while holding its run gate shared,
+// so a recovery pause can drain it, and turns a panic in fn into an abort.
+// It reports fn's result: whether any work was done (jobRunner contract),
+// false with no live epoch or one being paused or torn down.
+func (pe *placeEngine[T]) gated(fn func(st *epochState[T]) bool) bool {
 	st := pe.st.Load()
 	if st == nil {
 		return false
@@ -416,85 +418,62 @@ func (pe *placeEngine[T]) tryRun(w int) bool {
 	if !st.runGate.TryRLock() {
 		return false // epoch is being paused
 	}
-	t, ok := st.sched.take(w)
-	if !ok {
-		if life := st.life; life != nil {
-			if mt, mok := life.popInbox(); mok {
-				defer st.runGate.RUnlock()
-				defer func() {
-					if r := recover(); r != nil {
-						pe.abort(fmt.Errorf("core: place %d worker panic: %v", pe.self, r))
-					}
-				}()
-				wc := pe.workerFor(st, w)
-				wc.probesLeft = pe.cfg.LifelineProbes
-				pe.runMigrated(st, wc.sc, mt)
-				return true
-			}
-		}
-		st.runGate.RUnlock()
-		return false
-	}
 	defer st.runGate.RUnlock()
 	defer func() {
 		if r := recover(); r != nil {
 			pe.abort(fmt.Errorf("core: place %d worker panic: %v", pe.self, r))
 		}
 	}()
-	wc := pe.workerFor(st, w)
-	wc.probesLeft = pe.cfg.LifelineProbes
-	pe.runTile(st, wc.pk, wc.sc, t)
-	return true
+	return fn(st)
+}
+
+// tryRun executes at most one ready tile for host worker w. A tile another
+// place pushed here goes first: its owner gave it away, and the successors
+// there wait on it.
+func (pe *placeEngine[T]) tryRun(w int) bool {
+	return pe.gated(func(st *epochState[T]) bool {
+		wc := pe.workerFor(st, w)
+		if mt, ok := st.inbox.take(0, false); ok {
+			wc.probesLeft = pe.cfg.LifelineProbes
+			pe.runForeign(st, wc.sc, mt.reason, mt.cells)
+			return true
+		}
+		t, ok := st.sched.take(w)
+		if ok {
+			wc.probesLeft = pe.cfg.LifelineProbes
+			pe.runTile(st, wc.pk, wc.sc, t)
+		}
+		return ok
+	})
 }
 
 // idlePull is the jobRunner idle path: one remote steal attempt for a
 // Steal-strategy job. The host paces retries (stealRetryDelay) so the
 // engine only attempts; it never parks.
 func (pe *placeEngine[T]) idlePull(w int) bool {
-	if pe.cfg.Strategy != sched.Steal {
-		return false
-	}
-	st := pe.st.Load()
-	if st == nil {
-		return false
-	}
-	select {
-	case <-st.quit:
-		return false
-	case <-pe.stopCh:
-		return false
-	default:
-	}
-	if !st.runGate.TryRLock() {
-		return false
-	}
-	defer st.runGate.RUnlock()
-	defer func() {
-		if r := recover(); r != nil {
-			pe.abort(fmt.Errorf("core: place %d worker panic: %v", pe.self, r))
+	return pe.usesSteal() && pe.gated(func(st *epochState[T]) bool {
+		wc := pe.workerFor(st, w)
+		if st.life == nil {
+			return pe.trySteal(st, wc.sc, wc.rng)
 		}
-	}()
-	wc := pe.workerFor(st, w)
-	if st.life == nil {
-		return pe.trySteal(st, wc.sc, wc.rng)
-	}
-	// Lifeline mode: a bounded budget of random probes per idle episode,
-	// then one registration pass that parks this place on its lifelines.
-	// Progress after that is message-driven (a push wakes the pool), so an
-	// armed place sends no further probes at all.
-	if wc.probesLeft <= 0 {
-		if pe.maybePark(st, wc.sc) {
+		// Lifeline mode: a bounded budget of random probes per idle episode,
+		// then one registration pass that parks this place on its lifelines.
+		// Progress after that is message-driven (a push wakes the pool), so
+		// an armed place sends no further probes at all.
+		if wc.probesLeft <= 0 {
+			if pe.maybePark(st, wc.sc) {
+				wc.probesLeft = pe.cfg.LifelineProbes
+				return true
+			}
+			return false
+		}
+		wc.probesLeft--
+		if pe.trySteal(st, wc.sc, wc.rng) {
 			wc.probesLeft = pe.cfg.LifelineProbes
 			return true
 		}
 		return false
-	}
-	wc.probesLeft--
-	if pe.trySteal(st, wc.sc, wc.rng) {
-		wc.probesLeft = pe.cfg.LifelineProbes
-		return true
-	}
-	return false
+	})
 }
 
 func (pe *placeEngine[T]) usesSteal() bool { return pe.cfg.Strategy == sched.Steal }
@@ -514,6 +493,8 @@ func (pe *placeEngine[T]) parkDelay(w int) time.Duration {
 // intra-tile dependency order, as one stack-local loop — no channel
 // operations, no readiness counters and no decrement traffic for edges
 // inside the tile. Cross-tile and cross-place edges propagate per cell.
+// A tile the strategy places elsewhere goes there whole (transfer.go); one
+// the target refuses, or a dead target's, runs here.
 func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scratch[T], tile int) {
 	if sp := pe.cfg.Spans; sp != nil {
 		t0 := sp.Start()
@@ -521,9 +502,9 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 	}
 	// One placement decision for the whole tile. Only MinComm weighs the tile's
 	// inputs, which describeTile lists; else a stencil tile staying here is walked.
-	exec := -1
-	if st.chunk.Stencil() != nil && pe.cfg.Strategy != sched.MinComm {
-		if exec = pk.PickTile(pe.self, 0, nil); exec == pe.self || !pe.isAlive(exec) {
+	exec := pe.self
+	if pe.cfg.Strategy != sched.MinComm {
+		if exec = pk.PickTile(pe.self, 0, nil); exec == pe.self && st.chunk.Stencil() != nil {
 			pe.walkStencil(st, sc, tile)
 			return
 		}
@@ -532,20 +513,18 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 	if len(td.order) == 0 {
 		return // every cell restored by a recovery; nothing to run
 	}
-	pe.countTile(sc)
-	if exec < 0 {
-		var ext []dag.VertexID
-		if pe.cfg.Strategy == sched.MinComm {
-			ext = pe.tileExtDeps(sc, td)
+	if pe.cfg.Strategy == sched.MinComm {
+		exec = pk.PickTile(pe.self, len(td.order), pe.tileExtDeps(sc, td))
+	}
+	if exec != pe.self {
+		if sc.ids = td.appendOrder(sc.ids[:0]); pe.pushTile(st, sc, exec, transferExec, sc.ids) {
+			return
 		}
-		exec = pk.PickTile(pe.self, len(td.order), ext)
 	}
-	if !pe.isAlive(exec) {
-		exec = pe.self
-	}
+	pe.countTile(sc)
 	// A dead peer or superseded epoch abandons the rest of the tile; the
 	// recovery's rebuilt tile counters reschedule it.
-	_, _ = pe.walk(st, sc, td, exec)
+	_, _ = pe.walk(st, sc, td)
 }
 
 // countTile records one tile task run here.
@@ -593,28 +572,11 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 		pe.peerError(victim, err)
 		return false
 	}
-	if len(reply) == 0 || reply[0] == 0 {
-		return false // victim had nothing ready
-	}
-	r := reader{b: reply[1:]}
-	n := int(r.u32())
-	if r.err != nil || n <= 0 || n > len(r.rest())/8 {
-		return false
-	}
-	cells := sc.td.idBuf[:0]
-	for k := 0; k < n; k++ {
-		id := r.id()
-		if _, ok := st.ownedOffset(id, victim); !ok {
-			return false // not a cell list the victim could have stated
-		}
-		cells = append(cells, id)
-	}
+	got, _, cells, err := pe.takeTransfer(victim, reply, sc.td.idBuf[:0], false)
 	sc.td.idBuf = cells
-	done, _ := pe.runForeign(st, sc, cells)
-	if done == 0 {
-		return false
+	if err != nil || got != st || pe.runForeign(st, sc, transferSteal, cells) == 0 {
+		return false // nothing ready, not a tile the victim could have handed over, or not run
 	}
-	pe.stolen.Add(int64(done))
 	pe.mStealOK.Inc(sc.wkr)
 	if sp != nil {
 		sp.Add(pe.spanSteal, pe.self, sc.wkr, spanStart)
@@ -686,21 +648,13 @@ func (pe *placeEngine[T]) current() *epochState[T] { return pe.st.Load() }
 // stale reports whether st has been superseded by a recovery.
 func (pe *placeEngine[T]) stale(st *epochState[T]) bool { return pe.st.Load() != st }
 
-// completeVertex publishes a computed value for a locally owned vertex:
+// completeResolved publishes a computed value for a locally owned vertex:
 // store it, propagate indegree decrements (same-tile edges are skipped —
 // the executing walk's order already satisfied them; other local tiles
 // directly; remote places through the aggregator) and report place
-// completion. Called from the steal-done handler; a walk of cells this place
-// owns calls completeResolved directly.
-func (pe *placeEngine[T]) completeVertex(st *epochState[T], sc *scratch[T], off int, i, j int32, value T) {
-	sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], dag.VertexID{I: i, J: j})
-	pe.completeResolved(st, sc, off, st.chunk.TileBox(st.chunk.TileOf(off)), i, j, value, sc.antiRes)
-}
-
-// completeResolved is completeVertex with the cell's tile and its
-// anti-dependency resolutions supplied by the caller — the tile walk knows
-// the one and resolves the others once, in orderTile, and replays them here
-// for every cell it executes.
+// completion. The caller supplies the cell's tile and its anti-dependency
+// resolutions — the tile walk knows the one and resolves the others once,
+// in orderTile, and replays them here for every cell it executes.
 func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], off int, tile distarray.TileBox, i, j int32, value T, anti []resolvedAnti) {
 	if sc.deferOn {
 		// Tile walk: the cell is exclusively owned, so publish with a
@@ -801,16 +755,6 @@ func (pe *placeEngine[T]) flushTileWalk(st *epochState[T], sc *scratch[T]) {
 	}
 }
 
-// applyDecrement lowers the tile-readiness counter (and the per-vertex
-// indegree backing recovery) for the locally owned vertex at off, scheduling
-// its tile when the last cross-tile input arrives. Finished vertices
-// (restored by a recovery) absorb decrements without being re-scheduled.
-func (pe *placeEngine[T]) applyDecrement(st *epochState[T], sc *scratch[T], off int) {
-	if t, ready := st.chunk.TileDecrement(off); ready {
-		pe.enqueueTile(st, t, sc.wkr)
-	}
-}
-
 // enqueueTile puts a ready tile on the place's work deques, exactly once
 // per epoch (the chunk's tileQueued flag arbitrates concurrent paths),
 // keyed by its priority so workers drain toward the place's boundary.
@@ -827,23 +771,6 @@ func (pe *placeEngine[T]) enqueueTile(st *epochState[T], t, wkr int) {
 			life.kickPush()
 		}
 	}
-}
-
-// execRemote ships the vertex to another place for execution
-// (random / min-communication scheduling) and returns the computed value.
-func (pe *placeEngine[T]) execRemote(st *epochState[T], sc *scratch[T], exec int, id dag.VertexID) (T, error) {
-	var zero T
-	sc.enc = putID(putU64(sc.enc[:0], st.epoch), id)
-	reply, err := pe.tr.Call(exec, kindExec, sc.enc)
-	if err != nil {
-		pe.peerError(exec, err)
-		return zero, err
-	}
-	v, _, derr := pe.cfg.Codec.Decode(reply)
-	if derr != nil {
-		return zero, fmt.Errorf("core: exec decode from place %d: %w", exec, derr)
-	}
-	return v, nil
 }
 
 // peerError classifies a transport error: dead peers are reported to the

@@ -32,8 +32,9 @@ import (
 const (
 	kindFetch uint8 = 1 // Call: fetch finished vertex values
 	// 2 is unassigned: it was the per-vertex decrement message that
-	// kindDecrBatch replaced. Do not reuse or renumber.
-	kindExec      uint8 = 3  // Call: execute a vertex here (random/mincomm)
+	// kindDecrBatch replaced. 3 and 22 are unassigned too: they were the
+	// per-vertex exec Call and the lifeline push, which kindTransfer
+	// replaced. Do not reuse or renumber any of them.
 	kindPlaceDone uint8 = 4  // Send: place finished all local vertices
 	kindFault     uint8 = 5  // Send: place observed a dead peer
 	kindPause     uint8 = 6  // Call: coordinator -> place, quiesce workers
@@ -48,17 +49,11 @@ const (
 	kindPing      uint8 = 15 // Call: failure-detector heartbeat
 	kindHello     uint8 = 16 // Call: place -> place 0, "my state is prepared"
 	kindBegin     uint8 = 17 // Call: place 0 -> place, "launch workers"
-	kindSteal     uint8 = 18 // Call: idle place asks a victim for one ready vertex
-	kindStealDone uint8 = 19 // Call: thief returns the stolen vertex's value
+	kindSteal     uint8 = 18 // Call: idle place asks a victim for a ready tile; the reply is a transfer body
+	kindStealDone uint8 = 19 // Call: a tile's executor returns its results to the owner
 	kindDecrBatch uint8 = 20 // Send: aggregated decrements, optionally carrying values
 	kindStats     uint8 = 21 // Call: place 0 -> place, read the metrics snapshot
-	// kindLifelineDeliver migrates one whole ready tile from a victim to a
-	// lifeline buddy that parked on it: an id batch ([epoch][n][ids...]) of
-	// the tile's unfinished cells in intra-tile dependency order, exactly
-	// the kindSteal reply's contract. The thief sources their inputs and
-	// returns results as for a stolen tile: one halo step, then the ordinary
-	// kindStealDone path, truncation semantics included.
-	kindLifelineDeliver uint8 = 22 // Call: victim -> parked thief, pushed ready tile
+	kindTransfer  uint8 = 23 // Call: push a tile to another place (lifeline or exec); reply [1] accepts
 )
 
 // errStaleEpoch is returned by handlers that receive a message from a
@@ -125,10 +120,10 @@ func placeDead(p int) error { return &PlaceDeadError{Place: p} }
 //     like kindReadVal (a lost reply just re-reads the snapshot).
 var reliableKind = func() (t [256]bool) {
 	for _, k := range []uint8{
-		kindFetch, kindExec, kindPlaceDone, kindFault,
+		kindFetch, kindPlaceDone, kindFault,
 		kindPause, kindRebuild, kindRestore, kindRestoreTx,
 		kindReplay, kindReplayTx, kindResume, kindStop,
-		kindSteal, kindStealDone, kindDecrBatch, kindLifelineDeliver,
+		kindSteal, kindStealDone, kindDecrBatch, kindTransfer,
 	} {
 		t[k] = true
 	}
@@ -166,10 +161,10 @@ func splitEnvelope(payload []byte) (seq uint64, body []byte, err error) {
 // jobScopedKind marks the kinds whose payloads carry the job envelope.
 var jobScopedKind = func() (t [256]bool) {
 	for _, k := range []uint8{
-		kindFetch, kindExec, kindPlaceDone, kindFault,
+		kindFetch, kindPlaceDone, kindFault,
 		kindPause, kindRebuild, kindRestore, kindRestoreTx,
 		kindReplay, kindReplayTx, kindResume, kindStop, kindReadVal,
-		kindSteal, kindStealDone, kindDecrBatch, kindLifelineDeliver,
+		kindSteal, kindStealDone, kindDecrBatch, kindTransfer,
 	} {
 		t[k] = true
 	}
@@ -265,8 +260,8 @@ func putID(dst []byte, id dag.VertexID) []byte {
 	return putU32(dst, uint32(id.J))
 }
 
-// encodeIDBatch builds [epoch][n][ids...], the layout of a replay batch and
-// of a lifeline push, in a fresh buffer.
+// encodeIDBatch builds [epoch][n][ids...], the layout of a replay batch, in
+// a fresh buffer.
 func encodeIDBatch(epoch uint64, ids []dag.VertexID) []byte {
 	dst := putU32(putU64(make([]byte, 0, 12+8*len(ids)), epoch), uint32(len(ids)))
 	for _, id := range ids {
@@ -291,6 +286,47 @@ func decodeIDBatch(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.
 		buf = append(buf, r.id())
 	}
 	return epoch, buf, r.err
+}
+
+// --- a tile in flight (kindTransfer, and kindSteal's reply) -----------
+//
+//	[epoch u64][reason u8][n u32][id...]
+//
+// A tile's unfinished cells in intra-tile dependency order, and why it moves
+// (transfer.go).
+const (
+	transferSteal uint8 = iota
+	transferLifeline
+	transferExec
+)
+
+// errTransfer is a sentinel for the same reason errBadVarint is.
+var errTransfer = errors.New("core: transfer body truncated, empty, of an unknown or misplaced reason, or its id count does not fill the payload")
+
+// encodeTransfer appends a transfer body for ids to dst.
+func encodeTransfer(dst []byte, epoch uint64, reason uint8, ids []dag.VertexID) []byte {
+	dst = putU32(append(putU64(dst, epoch), reason), uint32(len(ids)))
+	for _, id := range ids {
+		dst = putID(dst, id)
+	}
+	return dst
+}
+
+// decodeTransfer parses a transfer body, appending its ids to buf. A body
+// names at least one cell, a known reason, and ids that fill it exactly; the
+// grown buffer is returned even on error so callers keep the capacity.
+func decodeTransfer(payload []byte, buf []dag.VertexID) (epoch uint64, reason uint8, ids []dag.VertexID, err error) {
+	r := reader{b: payload}
+	epoch = r.u64()
+	reason = r.u8()
+	n := r.u32()
+	if r.err != nil || n == 0 || reason > transferExec || int64(n)*8 != int64(len(payload)-13) {
+		return 0, 0, buf, errTransfer
+	}
+	for k := uint32(0); k < n; k++ {
+		buf = append(buf, r.id())
+	}
+	return epoch, reason, buf, nil
 }
 
 // --- aggregated decrement batches (kindDecrBatch) ---------------------

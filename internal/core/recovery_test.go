@@ -4,10 +4,12 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/distarray"
+	"github.com/dpx10/dpx10/internal/sched"
 	"github.com/dpx10/dpx10/internal/transport"
 )
 
@@ -80,6 +82,70 @@ func TestKillMidRunRecovers(t *testing.T) {
 		}
 		checkResult(t, cl, pat)
 	}
+}
+
+// execSpy counts, per target place, the cells of the exec tiles it accepted.
+type execSpy struct {
+	transport.Transport
+	held []atomic.Int64
+}
+
+func (s *execSpy) Call(to int, kind uint8, payload []byte) ([]byte, error) {
+	reply, err := s.Transport.Call(to, kind, payload)
+	if kind == kindTransfer && err == nil {
+		if _, reason, ids, derr := decodeTransfer(payload, nil); derr == nil && reason == transferExec {
+			s.held[to].Add(int64(len(ids)))
+		}
+	}
+	return reply, err
+}
+
+// TestExecTargetKilled kills the target of exec placement while it holds
+// tiles pushed to it — waiting in its inbox or running on its workers, their
+// results not yet home. Their owners queue them nowhere, so only the
+// recovery's rebuilt counters bring them back: the run must recover once
+// and finish bit-exact.
+func TestExecTargetKilled(t *testing.T) {
+	pat := patterns.NewDiagonal(24, 24)
+	cfg, gate, release := gatedConfig(pat, 4, 120)
+	cfg.Strategy = sched.Random
+	cfg.TileSize = 4
+	cl, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]atomic.Int64, cfg.Places)
+	for _, pe := range cl.engines {
+		pe.tr = &execSpy{pe.tr, held}
+	}
+	done := make(chan error, 1)
+	go func() { done <- cl.Run() }()
+	<-gate
+	// Computes block from here on, so a target's accepted cells that have not
+	// all run are held by it until the kill.
+	target := -1
+	for deadline := time.Now().Add(10 * time.Second); target < 0 && time.Now().Before(deadline); time.Sleep(200 * time.Microsecond) {
+		for p := 1; p < cfg.Places; p++ {
+			if held[p].Load() > cl.engines[p].execMigrated.Load() {
+				target = p
+				break
+			}
+		}
+	}
+	if target < 0 {
+		release()
+		<-done
+		t.Fatal("no exec target held a pushed tile at the gate; scenario not exercised")
+	}
+	cl.Kill(target)
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if st := cl.Stats(); st.Recoveries != 1 || st.ExecMigrated == 0 {
+		t.Fatalf("%d recoveries, %d cells exec-migrated after killing exec target %d; want 1 and some", st.Recoveries, st.ExecMigrated, target)
+	}
+	checkResult(t, cl, pat)
 }
 
 func TestKillEarlyAndLate(t *testing.T) {

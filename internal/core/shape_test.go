@@ -108,6 +108,61 @@ func TestEveryPlaceDerivesTheSameLayout(t *testing.T) {
 	}
 }
 
+// TestThinShapeBeforeSingleCells is the table behind the Viterbi
+// regression: RowWave (Viterbi) and Triangle (matrix-chain, OBST, CYK) under
+// three dists at 2–4 places. Each candidate shape is cut and checked here on
+// its own, with no run; the engine must fall back to single cells only when
+// every candidate is cyclic, and otherwise take the first acyclic one. The
+// auto rectangle of RowWave under block rows is cyclic, its one-row cut is
+// not: that is the case the engine used to send to single cells.
+func TestThinShapeBeforeSingleCells(t *testing.T) {
+	apps := []struct {
+		name string
+		pat  dag.Pattern
+	}{
+		{"viterbi", patterns.NewRowWave(150, 150)},
+		{"matrixchain", patterns.NewTriangle(150)},
+		{"obst", patterns.NewTriangle(121)},
+		{"cyk", patterns.NewTriangle(40)},
+	}
+	thinned := 0
+	for _, app := range apps {
+		for _, bd := range boxDists[:3] { // blockrow, blockcol, cyclicrow
+			for _, places := range []int{2, 3, 4} {
+				h, w := app.pat.Bounds()
+				d := bd.make(h, w, places)
+				c := Common{Pattern: app.pat}
+				first := -1 // the first acyclic candidate
+				for cand := shapeRect; cand < shapeCell && first < 0; cand++ {
+					grids, base := c.cutGrids(d, cand)
+					tileOf := func(i, j int32) int {
+						p, off := d.PlaceOffset(i, j)
+						return base[p] + grids[p].TileOf(off)
+					}
+					tiles := base[len(base)-1]
+					if _, ok := dag.QuotientSpan(app.pat, tileOf, tiles, maxQuotientEdges); ok && tiles < int(h)*int(w) {
+						first = cand
+					}
+				}
+				grids, lay := autoLayout(app.pat, d)
+				name := fmt.Sprintf("%s/%s/%d places: %s", app.name, bd.name, places, describeLayout(grids, lay, false))
+				switch {
+				case first < 0 && lay.ok:
+					t.Errorf("%s: every candidate is cyclic, yet the engine coarsened", name)
+				case first >= 0 && (!lay.ok || lay.shape != first):
+					t.Errorf("%s: candidate %d is the first acyclic one, the engine took %+v", name, first, lay)
+				case first > shapeRect:
+					thinned++
+				}
+				t.Log(name)
+			}
+		}
+	}
+	if thinned == 0 {
+		t.Error("no configuration needed a thinner shape; the table does not exercise the chain")
+	}
+}
+
 // TestCyclicRowsCoarsen is the swlag-tcp-push configuration in process:
 // cyclic rows used to make every multi-cell tile cyclic and the run fall
 // back to one tile task per cell.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -37,14 +38,30 @@ func stripExtent(n int) int {
 	return (n + strips - 1) / strips
 }
 
+// The tile shapes tileGrids tries, in order, until one's quotient is
+// acyclic: the auto rectangle, then one row of it (a pattern whose cells
+// read whole rows, RowWave, cycles between two rectangles more than a row
+// high side by side), then one column as tall as the cell count allows
+// (ColWave reads whole columns), and finally single cells.
+const (
+	shapeRect = iota
+	shapeRow
+	shapeCol
+	shapeCell
+)
+
 // tileShape picks the tile of one place's box: the configured cell count,
-// as wide (along the contiguous axis) as the box allows. Two things bound
-// it. Across a dealt axis neighbouring local indexes are not neighbours in
-// the grid, and a tile spanning two of them makes the tile quotient cyclic:
-// the extent there is 1. And along an axis the dist leaves whole, a tile
-// stops at a strip (stripExtent) whenever the other axis is split.
-func (c *Common) tileShape(box dist.Box) (bi, bj int) {
-	if c.TileShape != [2]int{} {
+// as wide (along the contiguous axis) as the box allows — one row or one
+// column of it when cand asks for that. Two things bound it. Across a dealt
+// axis neighbouring local indexes are not neighbours in the grid, and a
+// tile spanning two of them makes the tile quotient cyclic: the extent
+// there is 1. And along an axis the dist leaves whole, a tile stops at a
+// strip (stripExtent) whenever the other axis is split.
+func (c *Common) tileShape(box dist.Box, cand int) (bi, bj int) {
+	switch {
+	case cand == shapeCell:
+		return 1, 1
+	case c.TileShape != [2]int{}:
 		return c.TileShape[0], c.TileShape[1]
 	}
 	maxBI, maxBJ := box.Rows, box.Cols
@@ -54,10 +71,10 @@ func (c *Common) tileShape(box dist.Box) (bi, bj int) {
 	if box.ColAxis != dist.Whole {
 		maxBI = stripExtent(box.Rows)
 	}
-	if box.RowAxis == dist.Dealt {
+	if box.RowAxis == dist.Dealt || cand == shapeRow {
 		maxBI = 1
 	}
-	if box.ColAxis == dist.Dealt {
+	if box.ColAxis == dist.Dealt || cand == shapeCol {
 		maxBJ = 1
 	}
 	cells := tileCells(c.TileSize, box.Rows*box.Cols)
@@ -90,10 +107,12 @@ func tilePriorities(g *distarray.TileGrid, box dist.Box) []int32 {
 }
 
 // tileLayout is what the tile-quotient check learned about a global tile
-// layout: whether coarsening to it is safe, and how much parallelism the
-// coarsened DAG exposes (tiles / span; dag.QuotientSpan).
+// layout: whether coarsening to some candidate shape is safe, which one, and
+// how much parallelism the coarsened DAG exposes (tiles / span;
+// dag.QuotientSpan).
 type tileLayout struct {
 	ok          bool
+	shape       int // the candidate that won; shapeCell when none did
 	tiles, span int // zero when nothing was coarsened, so nothing checked
 }
 
@@ -141,27 +160,38 @@ func (c *tileLayoutCache) check(key string, compute func() tileLayout) tileLayou
 // address is reused, so those verdicts stay in the per-cluster cache.
 var globalTileCheck tileLayoutCache
 
+// cutGrids cuts every place's box under d into the tiles of candidate shape
+// cand, indexed like d.Places(), and numbers the tiles globally: place k's
+// are [base[k], base[k+1]).
+func (c *Common) cutGrids(d dist.Dist, cand int) (grids []distarray.TileGrid, base []int) {
+	places := d.Places()
+	grids, base = make([]distarray.TileGrid, len(places)), make([]int, len(places)+1)
+	for k, p := range places {
+		box := d.LocalBox(p)
+		bi, bj := c.tileShape(box, cand)
+		grids[k] = distarray.NewTileGrid(box.Rows, box.Cols, bi, bj)
+		base[k+1] = base[k] + grids[k].NumTiles()
+	}
+	return grids, base
+}
+
 // tileGrids decides every place's tile grid under d, indexed like
-// d.Places(), and what the layout amounts to: the configured (or auto)
-// shape when coarsening the DAG to it provably cannot deadlock, single cells
-// otherwise. Every place evaluates the same global predicate from the same
-// inputs, so the fallback is uniform across the cluster without any
-// communication — required, because a single coarsened place can deadlock
-// the whole run (see dag.QuotientAcyclic).
+// d.Places(), and what the layout amounts to: the first candidate shape —
+// the configured (or auto) one, then, unless a shape is pinned, one row and
+// one column of it — that coarsens the DAG without a cycle, which could
+// deadlock it; single cells when none does. Every place evaluates the same
+// global predicate from the same inputs, so the choice is uniform across the
+// cluster without any communication — required, because a single coarsened
+// place can deadlock the whole run (see dag.QuotientAcyclic).
 func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 	places := d.Places()
-	grids := make([]distarray.TileGrid, len(places))
-	base := make([]int, len(places)+1)           // place k's tiles are [base[k], base[k+1]) globally
 	rank := make([]int, places[len(places)-1]+1) // place id -> index in places
 	cells := 0
 	for k, p := range places {
-		box := d.LocalBox(p)
-		bi, bj := c.tileShape(box)
-		grids[k] = distarray.NewTileGrid(box.Rows, box.Cols, bi, bj)
-		base[k+1] = base[k] + grids[k].NumTiles()
 		rank[p] = k
-		cells += box.Rows * box.Cols
+		cells += d.LocalCount(p)
 	}
+	grids, base := c.cutGrids(d, shapeRect)
 	if base[len(places)] == cells {
 		return grids, tileLayout{ok: true} // per-vertex everywhere: nothing coarsened
 	}
@@ -178,23 +208,35 @@ func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 		cache = &globalTileCheck
 	}
 	lay := cache.check(key, func() tileLayout {
-		tileOf := func(i, j int32) int {
-			p, off := d.PlaceOffset(i, j)
-			k := rank[p]
-			return base[k] + grids[k].TileOf(off)
-		}
 		pat := c.Pattern
 		if t := dag.TabulateStencil(pat); t != nil {
 			pat = t // the same edges, from the offsets
 		}
-		span, ok := dag.QuotientSpan(pat, tileOf, base[len(places)], maxQuotientEdges)
-		return tileLayout{ok: ok, tiles: base[len(places)], span: span}
-	})
-	if !lay.ok {
-		for k, p := range places {
-			box := d.LocalBox(p)
-			grids[k] = distarray.NewTileGrid(box.Rows, box.Cols, 1, 1)
+		last := shapeCell
+		if c.TileShape != [2]int{} {
+			last = shapeRow // a pinned shape is the only candidate
 		}
+		for cand := shapeRect; cand < last; cand++ {
+			// A thinner cut the boxes already had is the rectangle again (a
+			// row and a column cut coincide only as single cells).
+			g, b := c.cutGrids(d, cand)
+			tiles := b[len(places)]
+			if tiles == cells || cand != shapeRect && slices.Equal(g, grids) {
+				continue
+			}
+			tileOf := func(i, j int32) int {
+				p, off := d.PlaceOffset(i, j)
+				k := rank[p]
+				return b[k] + g[k].TileOf(off)
+			}
+			if span, ok := dag.QuotientSpan(pat, tileOf, tiles, maxQuotientEdges); ok {
+				return tileLayout{ok: true, shape: cand, tiles: tiles, span: span}
+			}
+		}
+		return tileLayout{shape: shapeCell}
+	})
+	if lay.shape != shapeRect {
+		grids, _ = c.cutGrids(d, lay.shape)
 	}
 	return grids, lay
 }

@@ -174,11 +174,13 @@ func TestTilingKillMidRunRecovers(t *testing.T) {
 // row-major offset order, so coarse tiles depend on each other both
 // ways). The engine must detect this and fall back to per-vertex
 // scheduling uniformly — observable as one tile task per computed cell —
-// rather than deadlock.
+// rather than deadlock. The shape is pinned: left to itself the engine
+// would cut one column instead (TestThinShapeBeforeSingleCells).
 func TestTilingCyclicQuotientFallback(t *testing.T) {
 	pat := patterns.NewColWave(12, 14)
 	cfg := baseConfig(pat, 3)
 	cfg.TileSize = 8
+	cfg.TileShape = [2]int{1, 8}
 	cl := runAndCheck(t, cfg)
 	s := cl.Stats()
 	if s.TilesExecuted != s.ComputedCells {

@@ -10,11 +10,12 @@ import (
 )
 
 // The tile walk (paper §VI-C): take a ready unit, gather its dependencies,
-// compute, decrement. Every unit — one of this place's own tiles, a tile
-// stolen from or pushed by another place, a single cell shipped here by exec
-// migration — is described once (describeTile / describeCells: resolve, then
-// order) and executed by walk, which sources every remote value in fillHalo;
-// the one other arm is walkStencil, for an own tile of a stencil run.
+// compute, decrement. Every unit — one of this place's own tiles, or a tile
+// another place handed over (transfer.go: stolen, pushed along a lifeline, or
+// sent by exec placement) — is described once (describeTile / describeCells:
+// resolve, then order) and executed by walk, which sources every remote value
+// in fillHalo; the one other arm is walkStencil, for an own tile of a stencil
+// run.
 
 // tileDesc is the scratch-resident description of a unit about to execute:
 // its cells with their resolved dependencies, and the cells to run, in order,
@@ -134,9 +135,8 @@ func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int)
 	return td
 }
 
-// describeCells resolves a cell list that arrived over the wire — a steal
-// reply, a lifeline push, an exec request — all owned by owner and already in
-// the order its owner stated.
+// describeCells resolves a tile that arrived over the wire, all owned by
+// owner and already in the order its owner stated.
 func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner int, cells []dag.VertexID) *tileDesc {
 	td := &sc.td
 	td.owner, td.remote = owner, true
@@ -286,18 +286,15 @@ func (pe *placeEngine[T]) tileExtDeps(sc *scratch[T], td *tileDesc) []dag.Vertex
 	return sc.extDeps
 }
 
-// walk executes a described unit: here, after one halo step, or — exec
-// migration of an own tile — by shipping its cells to exec one at a time, in
-// order, each completing (the owner stores it) before the next ships, so the
-// target's fetches of intra-tile dependencies find them finished. The only
-// other variation is where a result goes: into this place's chunk through
+// walk executes a described unit here, after one halo step. The only
+// variation is where a result goes: into this place's chunk through
 // completeResolved when it owns the cells, otherwise into sc.halo, where the
-// unit's later cells read it and from where the caller returns it to the
-// owner (steal-done batch, exec reply). walk reports how many cells of
-// td.order completed, a prefix. Anything short of all of them — a pause or
-// stop, a dead peer, a superseded epoch — leaves the remainder neither
-// finished nor queued, exactly the state a recovery's rebuilt counters cover.
-func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc, exec int) (done int, err error) {
+// unit's later cells read it and from where runForeign returns it to the
+// owner. walk reports how many cells of td.order completed, a prefix.
+// Anything short of all of them — a pause or stop, a dead peer, a superseded
+// epoch — leaves the remainder neither finished nor queued, exactly the state
+// a recovery's rebuilt counters cover.
+func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) (done int, err error) {
 	own := td.owner == pe.self
 	if own {
 		// The walk owns every cell it completes, so completions run in
@@ -307,11 +304,8 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc, 
 		sc.deferOn = true
 		defer pe.flushTileWalk(st, sc)
 	}
-	migrate := exec != pe.self
-	if !migrate {
-		if err := pe.fillHalo(st, sc, td); err != nil {
-			return 0, err
-		}
+	if err := pe.fillHalo(st, sc, td); err != nil {
+		return 0, err
 	}
 	for k, s := range td.order {
 		select {
@@ -320,15 +314,8 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc, 
 		default:
 		}
 		id := td.ids[s]
-		var v T
-		if migrate {
-			if v, err = pe.execRemote(st, sc, exec, id); err == nil {
-				pe.execMigrated.Add(1)
-			}
-		} else {
-			a, b := td.depAt[s], td.depAt[s+1]
-			v, err = pe.computeWith(st, sc, id, td.deps[a:b], td.res[a:b])
-		}
+		a, b := td.depAt[s], td.depAt[s+1]
+		v, err := pe.computeWith(st, sc, id, td.deps[a:b], td.res[a:b])
 		if err == nil && pe.stale(st) {
 			err = errStaleEpoch
 		}
@@ -628,36 +615,4 @@ func (pe *placeEngine[T]) gatherDeps(st *epochState[T], sc *scratch[T], deps []d
 		pe.localReads.Add(int64(localReads))
 	}
 	return cells, nil
-}
-
-// runForeign executes a tile another place handed over — stolen from it, or
-// pushed here along a lifeline — and reports how many cells it computed and
-// whether their results went back over the wire: a kindStealDone batch
-// [epoch][count][(id, value)...] to the owner, which stores them and
-// propagates decrements. A mid-tile error (the owner died, or a recovery
-// superseded the epoch) still returns the finished prefix — the owner can
-// keep restored work across a redistribution — and the recovery reschedules
-// the rest. A tile that diffused back to its own owner completes locally.
-// cells is the owner's stated order; the caller has checked that one place
-// owns them all.
-func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], cells []dag.VertexID) (done int, returned bool) {
-	owner := st.d.Place(cells[0].I, cells[0].J)
-	td := pe.describeCells(st, sc, owner, cells)
-	done, _ = pe.walk(st, sc, td, pe.self)
-	if done == 0 {
-		return 0, false
-	}
-	pe.countTile(sc)
-	if owner == pe.self {
-		return done, false
-	}
-	sc.enc = putU32(putU64(sc.enc[:0], st.epoch), uint32(done))
-	for _, s := range td.order[:done] {
-		v, _ := sc.halo.get(td.ids[s])
-		sc.enc = pe.cfg.Codec.Encode(putID(sc.enc, td.ids[s]), v)
-	}
-	if _, err := pe.tr.Call(owner, kindStealDone, sc.enc); err != nil {
-		pe.peerError(owner, err)
-	}
-	return done, true
 }

@@ -77,6 +77,11 @@ type Picker struct {
 	alive     func(p int) bool
 	valueSize int // modeled bytes to move one vertex value
 	rng       *rand.Rand
+
+	// MinComm's scratch: external dependencies per owning place, and the
+	// owning places in order of first appearance.
+	owned []int
+	cands []int
 }
 
 // NewPicker builds a Picker. valueSize is the encoded width of one vertex
@@ -117,36 +122,46 @@ func (pk *Picker) PickTile(owner, n int, extDeps []dag.VertexID) int {
 		}
 		return owner
 	case MinComm:
-		best, bestCost := owner, pk.tileCost(owner, owner, n, extDeps)
+		// One pass counts the dependencies each place owns; a candidate's
+		// cost is then arithmetic. The bytes moved when the tile runs at exec:
+		// one transfer per external dependency not resident there, plus —
+		// away from the owner — one result write-back per cell. Intra-tile
+		// values stay in the executing worker's hands either way.
+		pk.cands = pk.cands[:0]
 		for _, dep := range extDeps {
-			cand := pk.d.Place(dep.I, dep.J)
+			p := pk.d.Place(dep.I, dep.J)
+			if p >= len(pk.owned) {
+				pk.owned = append(pk.owned, make([]int, p+1-len(pk.owned))...)
+			}
+			if pk.owned[p]++; pk.owned[p] == 1 {
+				pk.cands = append(pk.cands, p)
+			}
+		}
+		cost := func(exec int) int {
+			c := len(extDeps) * pk.valueSize
+			if exec < len(pk.owned) {
+				c -= pk.owned[exec] * pk.valueSize
+			}
+			if exec != owner {
+				c += n * pk.valueSize
+			}
+			return c
+		}
+		best, bestCost := owner, cost(owner)
+		for _, cand := range pk.cands {
 			if cand == best || !pk.alive(cand) {
 				continue
 			}
-			cost := pk.tileCost(cand, owner, n, extDeps)
-			if cost < bestCost || (cost == bestCost && cand != owner && best != owner && cand < best) {
-				best, bestCost = cand, cost
+			c := cost(cand)
+			if c < bestCost || (c == bestCost && cand != owner && best != owner && cand < best) {
+				best, bestCost = cand, c
 			}
+		}
+		for _, p := range pk.cands {
+			pk.owned[p] = 0
 		}
 		return best
 	default:
 		return owner
 	}
-}
-
-// tileCost models the bytes moved when an n-cell tile owned by owner
-// executes at exec: one transfer per external dependency not resident at
-// exec, plus — away from the owner — one result write-back per cell.
-// Intra-tile values stay in the executing worker's hands either way.
-func (pk *Picker) tileCost(exec, owner, n int, extDeps []dag.VertexID) int {
-	cost := 0
-	for _, dep := range extDeps {
-		if pk.d.Place(dep.I, dep.J) != exec {
-			cost += pk.valueSize
-		}
-	}
-	if exec != owner {
-		cost += n * pk.valueSize
-	}
-	return cost
 }

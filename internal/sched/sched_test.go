@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math/rand"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -100,6 +101,72 @@ func TestMinCommSkipsDeadCandidates(t *testing.T) {
 	got := pk.PickTile(3, 1, deps([2]int32{0, 0}, [2]int32{1, 1}))
 	if got == 0 {
 		t.Fatal("MinComm picked the dead place")
+	}
+}
+
+// tileCost is the cost model as PickTile used to evaluate it, one dist
+// lookup per external dependency per candidate: the bytes moved when an
+// n-cell tile owned by owner executes at exec.
+func (pk *Picker) tileCost(exec, owner, n int, extDeps []dag.VertexID) int {
+	cost := 0
+	for _, dep := range extDeps {
+		if pk.d.Place(dep.I, dep.J) != exec {
+			cost += pk.valueSize
+		}
+	}
+	if exec != owner {
+		cost += n * pk.valueSize
+	}
+	return cost
+}
+
+// refMinComm is MinComm's choice as PickTile used to make it: every
+// dependency's owner a candidate, in dependency order, each costed in full.
+func (pk *Picker) refMinComm(owner, n int, extDeps []dag.VertexID) int {
+	best, bestCost := owner, pk.tileCost(owner, owner, n, extDeps)
+	for _, dep := range extDeps {
+		cand := pk.d.Place(dep.I, dep.J)
+		if cand == best || !pk.alive(cand) {
+			continue
+		}
+		cost := pk.tileCost(cand, owner, n, extDeps)
+		if cost < bestCost || (cost == bestCost && cand != owner && best != owner && cand < best) {
+			best, bestCost = cand, cost
+		}
+	}
+	return best
+}
+
+// TestMinCommMatchesReference: counting the dependencies per place once
+// picks exactly what costing every candidate over every dependency did, on
+// seeded random tiles over 1–8 places with some dead, duplicate
+// dependencies, and value sizes and tile sizes that force ties.
+func TestMinCommMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 4000; trial++ {
+		places := 1 + rng.Intn(8)
+		var d dist.Dist = dist.NewBlockRow(16, 16, places)
+		if trial%2 == 1 {
+			d = dist.NewCyclicCol(16, 16, places)
+		}
+		dead := rng.Intn(1 << places)
+		owner := rng.Intn(places)
+		dead &^= 1 << owner
+		alive := func(p int) bool { return dead&(1<<p) == 0 }
+		valueSize, n := 1+rng.Intn(3), rng.Intn(4)
+		if trial%3 == 0 {
+			n = 0 // no write-back: costs tie whenever two places own as many dependencies
+		}
+		ext := make([]dag.VertexID, rng.Intn(12))
+		for k := range ext {
+			ext[k] = dag.VertexID{I: int32(rng.Intn(16)), J: int32(rng.Intn(16))}
+		}
+		pk := NewPicker(MinComm, d, alive, valueSize, 1)
+		want := pk.refMinComm(owner, n, ext)
+		if got := pk.PickTile(owner, n, ext); got != want {
+			t.Fatalf("trial %d: %d places, dead %b, owner %d, n %d, value size %d, deps %v: picked %d, reference %d",
+				trial, places, dead, owner, n, valueSize, ext, got, want)
+		}
 	}
 }
 

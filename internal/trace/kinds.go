@@ -9,7 +9,6 @@ import "fmt"
 // constant block: a missing, misnamed or stale entry fails `make vet`.
 var kindNames = map[uint8]string{
 	1:  "fetch",
-	3:  "exec",
 	4:  "placeDone",
 	5:  "fault",
 	6:  "pause",
@@ -28,7 +27,7 @@ var kindNames = map[uint8]string{
 	19: "stealDone",
 	20: "decrBatch",
 	21: "stats",
-	22: "lifelineDeliver",
+	23: "transfer",
 }
 
 // KindName returns the human-readable name of a wire-protocol message

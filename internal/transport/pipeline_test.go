@@ -62,9 +62,9 @@ func FuzzFrameBatchRoundTrip(f *testing.F) {
 	f.Add([]byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa"), uint8(3))
 	f.Add(bytes.Repeat([]byte{0xAB, 0xCD}, 3000), uint8(5))
 	f.Add([]byte{}, uint8(2))
-	// A lifelineDeliver-shaped payload (kind 22 on the wire): epoch u64,
+	// A payload shaped like the retired lifeline push (kind 22): epoch u64,
 	// cell count u32, two 8-byte vertex ids, dep count u32, one (id, value)
-	// pair — the newest protocol kind must coalesce and decode like the rest.
+	// pair — frames of any layout must coalesce and decode like the rest.
 	f.Add([]byte{
 		7, 0, 0, 0, 0, 0, 0, 0, // epoch
 		2, 0, 0, 0, // nCells

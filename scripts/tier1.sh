@@ -44,6 +44,10 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # stencil activation holds tileMu against early decrements, which is
 # exactly what a recovery races.
 go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$' -count=5 ./internal/core/
+# Moving tiles, repeated under the race detector: a pushed tile waits in the
+# epoch's inbox, which lifeline and exec pushes both feed and the workers and
+# the lifeline pusher both drain, and a recovery races all of them.
+go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled' -count=3 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
