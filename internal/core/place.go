@@ -177,7 +177,7 @@ type scratch[T any] struct {
 	owners []int            // owners with buffered ids, in first-use order
 
 	cells []Cell[T]      // deps passed to Compute; valid only during the call
-	ids   []dag.VertexID // handler decode state; a tile's cells in order, to send
+	ids   []dag.VertexID // decode state (handlers, a steal reply); a tile's cells in order, to send
 	enc   []byte         // wire encode buffer
 
 	recs    []decrRecord[T] // handleDecrBatch decode state
@@ -232,9 +232,8 @@ func (pe *placeEngine[T]) getScratch() *scratch[T] {
 func (pe *placeEngine[T]) putScratch(sc *scratch[T]) { pe.scratchPool.Put(sc) }
 
 // cellRef is a dist.PlaceOffset resolution: the owning place and the dense
-// local offset of a cell within it. It aliases distarray's type so the
-// chunk's dependency-resolution cache feeds the tile walk without
-// conversion.
+// local offset of a cell within it: distarray's type, which Stencil.Locate
+// returns.
 type cellRef = distarray.CellRef
 
 // resolvedAnti is one anti-dependency with its ownership pre-resolved, so
@@ -572,8 +571,8 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 		pe.peerError(victim, err)
 		return false
 	}
-	got, _, cells, err := pe.takeTransfer(victim, reply, sc.td.idBuf[:0], false)
-	sc.td.idBuf = cells
+	got, _, cells, err := pe.takeTransfer(victim, reply, sc.ids[:0], false)
+	sc.ids = cells
 	if err != nil || got != st || pe.runForeign(st, sc, transferSteal, cells) == 0 {
 		return false // nothing ready, not a tile the victim could have handed over, or not run
 	}

@@ -66,11 +66,11 @@ func wantArm(pat dag.Pattern, d dist.Dist) string {
 
 // tilingParity is the tiling acceptance matrix: every scheduling arm (the
 // four strategies, and stealing with lifelines), under every tile geometry
-// given, each with the dependency cache live and — spilled to disk, the one
-// configuration that runs without it — off, must compute every active cell
-// exactly once and produce a matrix identical to the serial reference; a
+// given, with values in memory and spilled to disk, must compute every active
+// cell exactly once and produce a matrix identical to the serial reference; a
 // stencil must do so with the capability exposed and hidden, and say which
-// arm it took.
+// arm it took. The spilled runs are labelled "nodepcache", a name kept so
+// each subtest names the same run across the project's history.
 func tilingParity(t *testing.T, pat dag.Pattern, places int, newDist func(h, w int32, n int) dist.Dist, arms []tileArm) {
 	compute := orderedCompute(pat)
 	want := refValuesWith(pat, compute)
@@ -129,10 +129,10 @@ func TestTilingStrategyParity(t *testing.T) {
 	tilingParity(t, patterns.NewDiagonal(24, 18), 4, nil, sizeArms)
 }
 
-// TestTilingNoDepCacheParity runs the matrix on three places for a monotone
-// wavefront pattern (whose cached runs take the ascending-offset order) and
-// an interval pattern (whose same-tile deps point at larger offsets, forcing
-// the Kahn walk).
+// TestTilingNoDepCacheParity runs the matrix on three places, for a
+// wavefront pattern and for an interval pattern, whose same-tile dependencies
+// point at larger offsets, so only a Kahn walk orders its tiles. The name
+// predates the dependency cache's removal and is kept, as are its subtests'.
 func TestTilingNoDepCacheParity(t *testing.T) {
 	t.Run("diagonal", func(t *testing.T) { tilingParity(t, patterns.NewDiagonal(24, 18), 3, nil, sizeArms) })
 	t.Run("interval", func(t *testing.T) { tilingParity(t, patterns.NewInterval(12), 3, nil, sizeArms) })
@@ -224,7 +224,7 @@ func (p *countingStencil) AntiDependencies(i, j int32, buf []dag.VertexID) []dag
 // on the swlag-local configuration (block rows, two places of one worker, no
 // cache, auto tiles) at side 201: the activation and the walk of every own
 // tile find every edge by arithmetic — not one Dependencies or
-// AntiDependencies call, no dependency cache — and the run's Stats are those
+// AntiDependencies call — and the run's Stats are those
 // of the same run with the capability hidden, but for the arm's name and the
 // message traffic, whose batching is timing.
 func TestStencilWalkMakesNoPatternCalls(t *testing.T) {
@@ -262,8 +262,8 @@ func TestStencilWalkMakesNoPatternCalls(t *testing.T) {
 		t.Fatalf("%d Dependencies/AntiDependencies calls in a stencil run", n)
 	}
 	for _, pe := range cl.jr.engines {
-		if ch := pe.current().chunk; ch.DepCached() || ch.Stencil() == nil {
-			t.Fatalf("place %d: DepCached %v, stencil arm %v", pe.self, ch.DepCached(), ch.Stencil() != nil)
+		if pe.current().chunk.Stencil() == nil {
+			t.Fatalf("place %d did not take the stencil arm", pe.self)
 		}
 	}
 	hidden, _ := run(hiddenStencil{diag})

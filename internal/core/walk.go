@@ -36,15 +36,8 @@ type tileDesc struct {
 	order  []int32        // slots in execution order
 	antiAt []int32        // per order position, len(order)+1; filled only when owner is this place
 	anti   []resolvedAnti // what completeResolved propagates to
-
-	// Backing store of the filled form (ids, depAt, deps, res alias the
-	// chunk's dependency cache otherwise) and of the Kahn pass.
-	idBuf    []dag.VertexID
-	depAtBuf []int32
-	depBuf   []dag.VertexID
-	resBuf   []cellRef
-	rem      []int32 // unfinished same-tile deps per slot
-	stack    []int32
+	rem    []int32        // the Kahn pass: unfinished same-tile deps per slot
+	stack  []int32
 }
 
 // haloTable holds vertex values by id for the span of one walk: open
@@ -110,28 +103,22 @@ func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held bool) {
 	return &h.vals[i], held
 }
 
-// describeTile resolves and orders this place's own tile t: a view onto the
-// chunk's dependency cache when the activation scan left one, filled from
-// the pattern otherwise (spilled chunks, patterns over the cache's bound).
+// describeTile resolves and orders this place's own tile t, asking the
+// pattern and the distribution again for what the activation scan counted:
+// the chunk keeps no dependency lists.
 func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int) *tileDesc {
 	td := &sc.td
 	td.owner, td.box, td.remote = pe.self, st.chunk.TileBox(t), st.chunk.TileRemote(t)
-	lo, n := td.box.Lo, td.box.Span()
-	if st.chunk.DepCached() {
-		td.ids, td.depAt, td.deps, td.res = st.chunk.DepView(lo, lo+n)
-	} else {
-		td.idBuf = slices.Grow(td.idBuf[:0], n)[:n]
-		for base := 0; base < n; base += td.box.Stride {
-			for s := base; s < base+td.box.W; s++ {
-				i, j := st.d.CellAt(pe.self, lo+s)
-				td.idBuf[s] = dag.VertexID{I: i, J: j}
-			}
+	n := td.box.Span()
+	td.ids = slices.Grow(td.ids[:0], n)[:n]
+	for base := 0; base < n; base += td.box.Stride {
+		for s := base; s < base+td.box.W; s++ {
+			i, j := st.d.CellAt(pe.self, td.box.Lo+s)
+			td.ids[s] = dag.VertexID{I: i, J: j}
 		}
-		pe.fillDeps(st, td, td.idBuf)
 	}
-	// Ascending offsets are a topological order when the activation scan saw
-	// every same-place dependency at a smaller offset.
-	pe.orderTile(st, sc, td, !st.chunk.DepMonotone())
+	pe.fillDeps(st, td)
+	pe.orderTile(st, sc, td)
 	return td
 }
 
@@ -141,34 +128,34 @@ func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner
 	td := &sc.td
 	td.owner, td.remote = owner, true
 	td.box = distarray.TileBox{Lo: -1, W: len(cells), Rows: 1, Stride: len(cells)}
-	pe.fillDeps(st, td, cells)
-	pe.orderTile(st, sc, td, false)
+	td.ids = append(td.ids[:0], cells...)
+	pe.fillDeps(st, td)
+	pe.orderTile(st, sc, td)
 	return td
 }
 
-// fillDeps resolves the dependencies of td's cells, whose slots hold ids,
-// from the pattern and the distribution into td's own buffers. Slots
-// between the runs get an empty list.
-func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc, ids []dag.VertexID) {
-	n := len(ids)
-	td.depAtBuf, td.depBuf, td.resBuf = slices.Grow(td.depAtBuf[:0], n+1)[:n+1], td.depBuf[:0], td.resBuf[:0]
+// fillDeps resolves the dependencies of td's cells from the pattern and the
+// distribution. Slots between the runs, and an own tile's finished cells,
+// get an empty list.
+func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc) {
+	n := len(td.ids)
+	td.depAt, td.deps, td.res = slices.Grow(td.depAt[:0], n+1)[:n+1], td.deps[:0], td.res[:0]
 	s := 0
 	for base := 0; base < n; base += td.box.Stride {
 		for ; s < base+td.box.W; s++ {
-			at := len(td.depBuf)
-			td.depAtBuf[s] = int32(at)
+			at := len(td.deps)
+			td.depAt[s] = int32(at)
 			if s < base || td.box.Lo >= 0 && st.chunk.Finished(td.box.Lo+s) {
 				continue
 			}
-			td.depBuf = pe.cfg.Pattern.Dependencies(ids[s].I, ids[s].J, td.depBuf)
-			for _, dep := range td.depBuf[at:] {
+			td.deps = pe.cfg.Pattern.Dependencies(td.ids[s].I, td.ids[s].J, td.deps)
+			for _, dep := range td.deps[at:] {
 				owner, off := st.d.PlaceOffset(dep.I, dep.J)
-				td.resBuf = append(td.resBuf, cellRef{Owner: int32(owner), Off: int32(off)})
+				td.res = append(td.res, cellRef{Owner: int32(owner), Off: int32(off)})
 			}
 		}
 	}
-	td.depAtBuf[n] = int32(len(td.depBuf))
-	td.ids, td.depAt, td.deps, td.res = ids, td.depAtBuf, td.depBuf, td.resBuf
+	td.depAt[n] = int32(len(td.deps))
 }
 
 // appendAnti appends id's anti-dependencies to dst with their ownership
@@ -197,20 +184,16 @@ func (pe *placeEngine[T]) appendRun(st *epochState[T], sc *scratch[T], td *tileD
 
 // orderTile fills td.order with the unfinished slots in an order that honors
 // the dependencies among them, and — when this place owns the cells — td.anti
-// with each one's anti-dependencies. Cross-tile dependencies of a claimed
-// tile are finished already (that is what its counter tracked), so only edges
-// inside the tile constrain the order: slot order when kahn is false, a Kahn
-// walk over those edges otherwise (own tiles only).
-func (pe *placeEngine[T]) orderTile(st *epochState[T], sc *scratch[T], td *tileDesc, kahn bool) {
+// with each one's anti-dependencies. A cell list from the wire keeps the
+// order its owner stated. An own tile takes a Kahn walk over the edges inside
+// it: its cross-tile dependencies are finished already (that is what its
+// counter tracked), so only those constrain the order.
+func (pe *placeEngine[T]) orderTile(st *epochState[T], sc *scratch[T], td *tileDesc) {
 	td.order, td.antiAt, td.anti = td.order[:0], td.antiAt[:0], td.anti[:0]
 	n, lo, box := len(td.ids), td.box.Lo, td.box
-	if !kahn {
-		for base := 0; base < n; base += box.Stride {
-			for s := base; s < base+box.W; s++ {
-				if lo < 0 || !st.chunk.Finished(lo+s) {
-					pe.appendRun(st, sc, td, int32(s))
-				}
-			}
+	if lo < 0 {
+		for s := range n {
+			pe.appendRun(st, sc, td, int32(s))
 		}
 		td.antiAt = append(td.antiAt, int32(len(td.anti)))
 		return
@@ -353,7 +336,7 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 	// one before (outBottom, outRight) all its anti-dependencies.
 	inTop, inLeft := top+s.ReachRows, left+s.ReachCols
 	outBottom, outRight := bottom-s.ReachRows, right-s.ReachCols
-	td.owner, td.remote, td.deps, td.res, sc.edge = pe.self, ch.TileRemote(t), td.depBuf[:0], td.resBuf[:0], sc.edge[:0]
+	td.owner, td.remote, td.deps, td.res, sc.edge = pe.self, ch.TileRemote(t), td.deps[:0], td.res[:0], sc.edge[:0]
 	for r := top; r < bottom; r++ {
 		i := s.RowOf[r]
 		for c := left; c < right; c++ {
@@ -371,8 +354,7 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 			}
 		}
 	}
-	td.depBuf, td.resBuf, td.depAt = td.deps, td.res, append(td.depAtBuf[:0], 0, int32(len(td.deps)))
-	td.order, td.depAtBuf = append(td.order[:0], 0), td.depAt
+	td.depAt, td.order = append(td.depAt[:0], 0, int32(len(td.deps))), append(td.order[:0], 0)
 	if pe.fillHalo(st, sc, td) != nil {
 		return // a dead peer or superseded epoch: the recovery reschedules the tile
 	}

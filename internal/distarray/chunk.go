@@ -53,16 +53,6 @@ type Chunk[T any] struct {
 	tileLive   atomic.Bool // true once the tile counters are authoritative
 
 	sten atomic.Pointer[Stencil] // non-nil when the activation took the stencil arm
-
-	// Dependency-resolution cache (depcache.go), filled by the activation
-	// scans so tile walks read resolutions instead of re-deriving them.
-	depOn   bool // cache enabled for this run
-	depLive bool // cache holds the current epoch's resolutions
-	depMono bool // every local dep resolved to a smaller offset (DepMonotone)
-	cids    []dag.VertexID
-	cdeps   []dag.VertexID
-	cdepAt  []int32
-	cres    []CellRef
 }
 
 // ValueStore is pluggable storage for a chunk's vertex values — the hook
@@ -76,8 +66,8 @@ type ValueStore[T any] interface {
 	Close() error
 }
 
-// NewChunk allocates place p's chunk under d with all cells unfinished,
-// values held densely in memory, dependency-resolution cache on.
+// NewChunk allocates place p's chunk under d with all cells unfinished and
+// values held densely in memory.
 func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 	n := d.LocalCount(p)
 	return &Chunk[T]{
@@ -87,13 +77,11 @@ func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 		n:      n,
 		indeg:  make([]int32, n),
 		flags:  make([]uint32, n),
-		depOn:  true,
 	}
 }
 
 // NewChunkBacked is NewChunk with vertex values kept in vs instead of a
-// dense slice, and the dependency-resolution cache off (see depcache.go).
-// vs must cover d.LocalCount(p) values and start zeroed.
+// dense slice. vs must cover d.LocalCount(p) values and start zeroed.
 func NewChunkBacked[T any](p int, d dist.Dist, vs ValueStore[T]) *Chunk[T] {
 	n := d.LocalCount(p)
 	return &Chunk[T]{
@@ -105,6 +93,12 @@ func NewChunkBacked[T any](p int, d dist.Dist, vs ValueStore[T]) *Chunk[T] {
 		flags: make([]uint32, n),
 	}
 }
+
+// SetDepCache does nothing: a chunk keeps no dependency lists, and a tile
+// walk resolves its cells' dependencies itself.
+//
+// Deprecated: kept only so existing callers compile.
+func (c *Chunk[T]) SetDepCache(bool) {}
 
 func (c *Chunk[T]) getValue(off int) T {
 	if c.store != nil {

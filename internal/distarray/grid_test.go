@@ -99,9 +99,9 @@ func bruteForce(pat dag.Pattern, d dist.Dist, p int, g *TileGrid, c *Chunk[int32
 }
 
 // TestActivationCountsCrossTileEdges runs both activation scans, for two
-// stencils, on every box dist and dist.Func and every shape, in both arms — the stencil's, and the
-// generic one with the dependency cache on and off, the stencil hidden — and
-// checks the counters, the ready set, the remote flags and the per-vertex
+// stencils, on every box dist and dist.Func and every shape, in both arms —
+// the stencil's, and the generic one with the stencil hidden — and checks
+// the counters, the ready set, the remote flags and the per-vertex
 // indegrees against the brute-force count, fresh, resumed, and resumed with
 // half the chunk restored finished and replayed; then that one TileDecrement
 // per counted edge drains every counter to exactly zero — the contract
@@ -126,10 +126,9 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 	dists = append(dists, fn)
 	for _, pat := range []dag.Pattern{patterns.NewDiagonal(h, w), ks} {
 		arms := []struct {
-			name  string
-			pat   dag.Pattern
-			cache bool
-		}{{"stencil", pat, true}, {"generic", hidden{pat}, true}, {"generic/nocache", hidden{pat}, false}}
+			name string
+			pat  dag.Pattern
+		}{{"stencil", pat}, {"generic", hidden{pat}}}
 		for _, d := range dists {
 			for p := 0; p < places; p++ {
 				box := d.LocalBox(p)
@@ -142,7 +141,6 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 							g := NewTileGrid(box.Rows, box.Cols, sh[0], sh[1])
 							name := fmt.Sprintf("%T %s place %d %s %s %s", pat, d.Name(), p, g, phase, arm.name)
 							c := NewChunk[int32](p, d)
-							c.SetDepCache(arm.cache)
 							c.ConfigureGrid(g)
 							var ready []int
 							switch phase {
@@ -163,8 +161,8 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 								ready = c.ActivateTiles(arm.pat)
 							}
 							wantStencil := arm.name == "stencil" && d != dist.Dist(fn)
-							if (c.Stencil() != nil) != wantStencil || c.DepCached() != (arm.cache && !wantStencil) {
-								t.Fatalf("%s: stencil arm %v, DepCached %v", name, c.Stencil() != nil, c.DepCached())
+							if (c.Stencil() != nil) != wantStencil {
+								t.Fatalf("%s: stencil arm %v", name, c.Stencil() != nil)
 							}
 							want, remote, indeg := bruteForce(pat, d, p, &g, c)
 							for off, n := range indeg {
@@ -231,14 +229,14 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 // TestStencilNeedsTheBox: the stencil arm counts by offset arithmetic inside
 // the dist's box, so a grid that is some other shape over the same cells —
 // ConfigureTiles' one row over a taller box, as benchmark/layers.go cuts it —
-// takes the generic arm and fills the dependency cache.
+// takes the generic arm.
 func TestStencilNeedsTheBox(t *testing.T) {
 	d := dist.NewBlockRow(8, 6, 2)
 	c := NewChunk[int32](1, d)
 	c.ConfigureTiles(5)
 	c.InitActivateTiles(patterns.NewDiagonal(8, 6))
-	if c.Stencil() != nil || !c.DepCached() {
-		t.Fatalf("one-row grid over a %+v box: stencil arm %v, DepCached %v", d.LocalBox(1), c.Stencil() != nil, c.DepCached())
+	if c.Stencil() != nil {
+		t.Fatalf("one-row grid over a %+v box took the stencil arm", d.LocalBox(1))
 	}
 }
 

@@ -51,6 +51,13 @@ func newStencil(pat dag.Pattern, d dist.Dist, place int, g *TileGrid) *Stencil {
 	return s
 }
 
+// CellRef is a dist.PlaceOffset resolution: the owning place and the dense
+// local offset of a cell within it.
+type CellRef struct {
+	Owner int32
+	Off   int32
+}
+
 // Locate finds (i+di, j+dj), the neighbour of the cell in local row r and
 // column c, global (i, j); ok is false when it lies outside the grid.
 func (s *Stencil) Locate(r, c int, i, j, di, dj int32) (ref CellRef, ok bool) {

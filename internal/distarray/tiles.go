@@ -118,8 +118,7 @@ func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
 		c.tileRemote = make([]bool, n)
 	}
 	c.tileLive.Store(false)
-	c.depLive = false // resolutions are per-epoch; the next scan refills
-	c.sten.Store(nil) // and so is its arm
+	c.sten.Store(nil) // the arm is per-epoch; the next scan picks it
 }
 
 // TileRemote reports whether any cell of tile t that was unfinished at the
@@ -181,14 +180,13 @@ func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 			ready = append(ready, t)
 		}
 	}
-	c.depLive = s == nil && c.depOn
 	c.tileLive.Store(true)
 	return ready
 }
 
-// scanStencil counts tile by tile, with no Pattern call and no dependency
-// cache. Only a cell within reach of its tile's top or left edge locates its
-// dependencies; any other's are in the tile, by arithmetic.
+// scanStencil counts tile by tile, with no Pattern call. Only a cell within
+// reach of its tile's top or left edge locates its dependencies; any other's
+// are in the tile, by arithmetic.
 func (c *Chunk[T]) scanStencil(s *Stencil, fresh bool, indeg []int32, pending []bool) {
 	g := &c.TileGrid
 	for t := range indeg {
@@ -230,13 +228,12 @@ func (c *Chunk[T]) scanStencil(s *Stencil, fresh bool, indeg []int32, pending []
 	}
 }
 
-// scanGeneric asks the pattern, in offset order — the order the dependency
-// cache is laid out in: row r of the box, one tile column at a time.
+// scanGeneric asks the pattern: one Dependencies call, and one PlaceOffset
+// per dependency, for every unfinished cell. It keeps no answer; the walk
+// asks again (core's describeTile). It goes in offset order, row r of the
+// box one tile column at a time, which a fresh scan's flags rely on.
 func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pending []bool) {
 	var buf []dag.VertexID
-	if c.depOn {
-		c.depReset()
-	}
 	g := &c.TileGrid
 	for r := 0; r < g.rows; r++ {
 		for tc, tr := 0, r/g.bi; tc < g.tcols; tc++ {
@@ -251,32 +248,17 @@ func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pendi
 					c.flags[off] = 1 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
 				}
 				if c.Finished(off) {
-					// Cells that never execute (inactive, or restored by a recovery)
-					// keep an empty dependency list in the cache.
-					if c.depOn {
-						c.cdepAt[off+1] = int32(len(c.cdeps))
-					}
-					continue
+					continue // never executes: inactive, or restored by a recovery
 				}
 				buf = pat.Dependencies(i, j, buf[:0])
-				if c.depOn {
-					c.cids[off] = dag.VertexID{I: i, J: j}
-					c.cdeps = append(c.cdeps, buf...)
-				}
 				same := int32(0)
 				for _, dep := range buf {
 					owner, doff := c.d.PlaceOffset(dep.I, dep.J)
-					if c.depOn {
-						c.cres = append(c.cres, CellRef{Owner: int32(owner), Off: int32(doff)})
-					}
 					if owner != c.place {
 						if c.tileRemote != nil {
 							c.tileRemote[t] = true
 						}
 						continue
-					}
-					if doff >= off {
-						c.depMono = false
 					}
 					// Same tile? Nearly every dependency lies in this run or the
 					// one above it, which two compares settle; Holds divides.
@@ -289,12 +271,6 @@ func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pendi
 					// so there it asks the pattern whether the cell will ever run.
 					if fresh && doff > off && dag.IsActive(pat, dep.I, dep.J) || (!fresh || doff < off) && !c.Finished(doff) {
 						same++
-					}
-				}
-				if c.depOn {
-					c.cdepAt[off+1] = int32(len(c.cdeps))
-					if len(c.cdeps) > depCacheMaxEntries {
-						c.depAbandon()
 					}
 				}
 				c.addCell(off, t, int32(len(buf)), same, fresh, indeg, pending)

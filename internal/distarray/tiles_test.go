@@ -17,7 +17,6 @@ func tiledRowChunk(t *testing.T) (*Chunk[int32], dag.Pattern, dist.Dist) {
 	pat := patterns.NewGrid(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
-	c.SetDepCache(false) // the scans a disk-backed chunk runs
 	c.InitIndegrees(pat)
 	c.ConfigureTiles(6)
 	return c, pat, d
@@ -127,94 +126,58 @@ func TestConfigureTilesResetsPerEpoch(t *testing.T) {
 	}
 }
 
-// --- dependency-resolution cache (depcache.go) ---
-
-func TestDepCacheFilledByInitActivateTiles(t *testing.T) {
-	pat := patterns.NewGrid(6, 6)
-	d := dist.NewBlockRow(6, 6, 1)
-	c := NewChunk[int32](0, d)
-	c.ConfigureTiles(6)
-	if c.DepCached() {
-		t.Fatal("cache live before the activation scan ran")
-	}
-	c.InitActivateTiles(pat)
-	if !c.DepCached() {
-		t.Fatal("cache not live after InitActivateTiles")
-	}
-	if !c.DepMonotone() {
-		t.Fatal("Grid deps (up, left) all have smaller offsets; want monotone")
-	}
-	var buf []dag.VertexID
-	ids, at, allDeps, allRes := c.DepView(0, c.Len())
-	for off := 0; off < c.Len(); off++ {
-		i, j := d.CellAt(0, off)
-		if id := ids[off]; id.I != i || id.J != j {
-			t.Fatalf("ids[%d] = %v, want (%d,%d)", off, id, i, j)
-		}
-		buf = pat.Dependencies(i, j, buf[:0])
-		deps, res := allDeps[at[off]:at[off+1]], allRes[at[off]:at[off+1]]
-		if len(deps) != len(buf) || len(res) != len(buf) {
-			t.Fatalf("deps of cell %d: %d deps / %d res, want %d", off, len(deps), len(res), len(buf))
-		}
-		for k, dep := range buf {
-			if deps[k] != dep {
-				t.Fatalf("deps of cell %d[%d] = %v, want %v", off, k, deps[k], dep)
-			}
-			owner, doff := d.PlaceOffset(dep.I, dep.J)
-			if int(res[k].Owner) != owner || int(res[k].Off) != doff {
-				t.Fatalf("deps of cell %d res[%d] = %+v, want (%d,%d)", off, k, res[k], owner, doff)
-			}
-		}
-	}
-}
+// The two tests below keep the names they had when the activation scan
+// filled a dependency cache; they check what the scan counts in the same
+// two situations.
 
 func TestDepCacheColWaveNotMonotone(t *testing.T) {
 	// ColWave: (i,j) depends on all of column j-1, including rows below i —
-	// larger row-major offsets — so ascending order is not topological.
+	// larger row-major offsets — so ascending order is not topological. In
+	// one tile over the whole box every dependency is in the tile: the fresh
+	// scan must count the ones past the cell it is on as same-tile before it
+	// has reached them, and the two-phase form a recovery runs must agree.
 	pat := patterns.NewColWave(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
-	c := NewChunk[int32](0, d)
-	c.ConfigureTiles(6)
-	c.InitActivateTiles(pat)
-	if !c.DepCached() {
-		t.Fatal("cache not live after InitActivateTiles")
-	}
-	if c.DepMonotone() {
-		t.Fatal("ColWave has column deps below the dependent; want non-monotone")
+	for _, fresh := range []bool{true, false} {
+		c := NewChunk[int32](0, d)
+		c.ConfigureTiles(36)
+		var ready []int
+		if fresh {
+			ready = c.InitActivateTiles(pat)
+		} else {
+			c.InitIndegrees(pat)
+			ready = c.ActivateTiles(pat)
+		}
+		if got := atomic.LoadInt32(&c.tileIndeg[0]); len(ready) != 1 || ready[0] != 0 || got != 0 {
+			t.Fatalf("fresh=%v: ready %v, tileIndeg[0] = %d; want [0] and 0", fresh, ready, got)
+		}
+		if got := c.Indegree(d.LocalOffset(0, 1)); got != 6 {
+			t.Fatalf("fresh=%v: indegree of (0,1) = %d, want 6 (all of column 0)", fresh, got)
+		}
 	}
 }
 
 func TestDepCacheRecoveryRefillSkipsFinished(t *testing.T) {
-	pat := patterns.NewGrid(6, 6)
-	d := dist.NewBlockRow(6, 6, 1)
-	c := NewChunk[int32](0, d)
-	c.InitIndegrees(pat)
-	c.SetResult(0, 7) // (0,0) restored finished before the epoch activates
-	c.ConfigureTiles(6)
-	c.ActivateTiles(pat)
-	if !c.DepCached() || !c.DepMonotone() {
-		t.Fatalf("cache live=%v mono=%v after ActivateTiles, want true/true", c.DepCached(), c.DepMonotone())
+	// A recovery restores (1,0) finished and replays the decrements of its
+	// edges to (2,0) and (1,1) before the resume scan. The scan must leave
+	// the restored cell out: its own edge from (0,0) is not waited on, and
+	// (1,1) counts it neither as a cross-tile input nor as a same-tile one.
+	c, pat, d := tiledRowChunk(t)
+	c.SetResult(d.LocalOffset(1, 0), 7)
+	c.DecrementIndegree(d.LocalOffset(2, 0))
+	c.DecrementIndegree(d.LocalOffset(1, 1))
+	ready := c.ActivateTiles(pat)
+	if len(ready) != 1 || ready[0] != 0 {
+		t.Fatalf("ready tiles = %v, want [0]", ready)
 	}
-	_, at, _, _ := c.DepView(0, c.Len())
-	if n := at[1] - at[0]; n != 0 {
-		t.Fatalf("finished cell cached %d deps, want 0", n)
+	// Rows 1 and 2 each wait on 5 vertical edges: row 1 has 5 unfinished
+	// cells, and row 2's edge from (1,0) was replayed. Row 3 waits on all 6.
+	for tile, want := range []int32{0, 5, 5, 6} {
+		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
+			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
+		}
 	}
-	if n := at[8] - at[7]; n != 2 { // (1,1): up + left
-		t.Fatalf("cell (1,1) cached %d deps, want 2", n)
-	}
-}
-
-func TestConfigureTilesInvalidatesDepCache(t *testing.T) {
-	pat := patterns.NewGrid(6, 6)
-	d := dist.NewBlockRow(6, 6, 1)
-	c := NewChunk[int32](0, d)
-	c.ConfigureTiles(6)
-	c.InitActivateTiles(pat)
-	if !c.DepCached() {
-		t.Fatal("cache not live after scan")
-	}
-	c.ConfigureTiles(6) // next epoch assembly
-	if c.DepCached() || c.DepMonotone() {
-		t.Fatal("cache still live after ConfigureTiles; resolutions are per-epoch")
+	if got := c.Indegree(d.LocalOffset(1, 1)); got != 1 {
+		t.Fatalf("indegree of (1,1) = %d, want 1 (up only)", got)
 	}
 }
