@@ -8,7 +8,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 )
 
-// aggregator is the one path a finished vertex's cross-place indegree
+// aggregator is the one path a finished vertex's cross-place tile-counter
 // decrements take: it coalesces them into one kindDecrBatch message per
 // destination. With value push enabled, each record also carries the
 // finished source vertex's encoded value so the receiver can serve

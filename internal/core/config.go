@@ -104,7 +104,8 @@ type Common struct {
 	Trace *trace.Collector
 	// Spill, when non-nil, keeps each chunk's vertex values in a paged
 	// disk-backed store instead of RAM — the paper's §X future work for
-	// problems larger than memory. Indegrees and flags stay resident.
+	// problems larger than memory. Finished flags and tile counters stay
+	// resident.
 	Spill *SpillConfig
 	// ProbeInterval is the failure-detector heartbeat period. Place 0
 	// pings every place at this interval, mirroring the X10 runtime's own

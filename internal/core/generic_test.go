@@ -33,7 +33,7 @@ func TestDescribeTileOrder(t *testing.T) {
 				name := fmt.Sprintf("%T place %d %dx%d tiles", pat, p, sh[0], sh[1])
 				ch := distarray.NewChunk[int64](p, d)
 				ch.ConfigureGrid(distarray.NewTileGrid(box.Rows, box.Cols, sh[0], sh[1]))
-				ch.InitIndegrees(pat)
+				ch.InitFlags(pat)
 				for off := ch.Len() / 2; off < ch.Len(); off++ {
 					if !ch.Finished(off) {
 						ch.SetResult(off, 0)

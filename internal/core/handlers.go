@@ -154,8 +154,8 @@ func (pe *placeEngine[T]) handleDecrBatch(from int, payload []byte) ([]byte, err
 	}
 	for _, rec := range recs {
 		for _, id := range targets[rec.t0:rec.t1] {
-			// The tile counter (and the per-vertex indegree backing recovery)
-			// drops; finished vertices restored by a recovery absorb it.
+			// The tile counter drops; finished vertices restored by a
+			// recovery absorb it.
 			if off, ok := st.ownedOffset(id, pe.self); ok {
 				if t, ready := st.chunk.TileDecrement(off); ready {
 					pe.enqueueTile(st, t, sc.wkr)
@@ -264,7 +264,7 @@ func (pe *placeEngine[T]) handleRebuild(from int, payload []byte) ([]byte, error
 		return nil, err
 	}
 	chunk := pe.newChunk(newDist)
-	chunk.InitIndegrees(pe.cfg.Pattern)
+	chunk.InitFlags(pe.cfg.Pattern)
 	var transfers []distarray.Transfer[T]
 	switch pe.cfg.Recovery {
 	case RecoverSnapshot:
@@ -323,10 +323,10 @@ func (pe *placeEngine[T]) handleRestoreTx(from int, payload []byte) ([]byte, err
 	})
 }
 
-// handleReplay re-derives indegrees: every finished local vertex emits its
-// anti-dependency decrements, batched per owning place. Combined with the
-// full indegrees set at rebuild, this leaves each unfinished vertex's
-// indegree equal to its number of unfinished dependencies.
+// handleReplay re-sends what finished local vertices owe other places:
+// every anti-dependency edge that leaves this place becomes a decrement,
+// batched per owning place. An edge between two local cells sends nothing;
+// the resume scan reads its source's finished flag.
 func (pe *placeEngine[T]) handleReplay(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	epoch := r.u64()
@@ -339,12 +339,9 @@ func (pe *placeEngine[T]) handleReplay(from int, payload []byte) ([]byte, error)
 	}
 	remote := make(map[int][]dag.VertexID)
 	distarray.ReplayDecrements(st.chunk, pe.cfg.Pattern, func(target dag.VertexID) {
-		owner := st.d.Place(target.I, target.J)
-		if owner == pe.self {
-			st.chunk.DecrementIndegree(st.d.LocalOffset(target.I, target.J))
-			return
+		if owner := st.d.Place(target.I, target.J); owner != pe.self {
+			remote[owner] = append(remote[owner], target)
 		}
-		remote[owner] = append(remote[owner], target)
 	})
 	for owner, ids := range remote {
 		if _, err := pe.tr.Call(owner, kindReplayTx, encodeIDBatch(epoch, ids)); err != nil {
@@ -354,9 +351,9 @@ func (pe *placeEngine[T]) handleReplay(from int, payload []byte) ([]byte, error)
 	return nil, nil
 }
 
-// handleReplayTx applies replayed decrements. Unlike runtime decrements
-// these never schedule anything — ready lists are derived in the resume
-// phase, after all replays have completed.
+// handleReplayTx applies replayed decrements. They precede this place's
+// activation scan, so they only take tile counters below zero and never
+// schedule anything; the resume phase finds the ready tiles.
 func (pe *placeEngine[T]) handleReplayTx(from int, payload []byte) ([]byte, error) {
 	epoch, ids, err := decodeIDBatch(payload, nil)
 	if err != nil {
@@ -371,15 +368,15 @@ func (pe *placeEngine[T]) handleReplayTx(from int, payload []byte) ([]byte, erro
 		if !ok {
 			return nil, pe.errBadID("replay", id, from)
 		}
-		st.chunk.DecrementIndegree(off)
+		st.chunk.TileDecrement(off)
 	}
 	return nil, nil
 }
 
-// handleResume derives the tile readiness counters from the rebuilt
-// indegrees, seeds the work deques and wakes the shared worker pool onto
-// the new epoch. It replies 1 if this place already has no unfinished
-// work so the coordinator can count it done immediately.
+// handleResume runs the activation scan, which adds each tile's edge count
+// to the decrements already applied, seeds the work deques and wakes the
+// shared worker pool onto the new epoch. It replies 1 if this place already
+// has no unfinished work so the coordinator can count it done immediately.
 func (pe *placeEngine[T]) handleResume(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	epoch := r.u64()

@@ -312,9 +312,9 @@ func newPlaceEngine[T any](self int, cfg *Config[T], tr transport.Transport, abo
 func (pe *placeEngine[T]) prepare(d dist.Dist) {
 	chunk := pe.newChunk(d)
 	st := pe.newEpochState(0, d, chunk)
-	// Epoch 0 initializes indegrees and derives the tile counters in one
-	// fused scan (the chunk is unpublished, so nothing races it); recovery
-	// keeps the split InitIndegrees / replay / ActivateTiles sequence.
+	// Epoch 0 marks the inactive cells and counts the tile edges before the
+	// chunk is published; a recovery runs the same scan in its resume phase,
+	// after the replay.
 	for _, t := range chunk.InitActivateTiles(pe.cfg.Pattern) {
 		pe.enqueueTile(st, t, -1)
 	}
@@ -323,8 +323,9 @@ func (pe *placeEngine[T]) prepare(d dist.Dist) {
 
 // newEpochState assembles per-epoch state — shared by prepare (epoch 0)
 // and the recovery rebuild, in both the single-process and TCP
-// deployments. The chunk's tile layout is configured here (counters are
-// derived later, by ActivateTiles, once the epoch's indegrees are final).
+// deployments. The chunk's tile layout is configured here (the counters
+// start at zero; ActivateTiles adds their edge counts once the epoch's
+// finished flags are final).
 // The decrement aggregator is epoch-owned: its flusher goroutine exits
 // when this epoch's quit channel closes.
 func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distarray.Chunk[T]) *epochState[T] {
@@ -648,7 +649,7 @@ func (pe *placeEngine[T]) current() *epochState[T] { return pe.st.Load() }
 func (pe *placeEngine[T]) stale(st *epochState[T]) bool { return pe.st.Load() != st }
 
 // completeResolved publishes a computed value for a locally owned vertex:
-// store it, propagate indegree decrements (same-tile edges are skipped —
+// store it, propagate tile-counter decrements (same-tile edges are skipped —
 // the executing walk's order already satisfied them; other local tiles
 // directly; remote places through the aggregator) and report place
 // completion. The caller supplies the cell's tile and its anti-dependency
@@ -680,10 +681,10 @@ func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], of
 				continue
 			}
 			if sc.deferOn {
-				// Park the tile-counter half of the decrement; the vertex
-				// indegree (recovery's source of truth) drops immediately.
-				if t, counts := st.chunk.VertexDecrement(a.off); counts {
-					sc.noteTileDec(t)
+				// Park the decrement against the target's tile; a finished
+				// target (restored by a recovery) absorbs it.
+				if !st.chunk.Finished(a.off) {
+					sc.noteTileDec(st.chunk.TileOf(a.off))
 				}
 			} else if t, ready := st.chunk.TileDecrement(a.off); ready {
 				pe.enqueueTile(st, t, sc.wkr)
@@ -732,8 +733,8 @@ func (sc *scratch[T]) noteTileDec(t int) {
 // they complete) and the batched done count, then runs the completion
 // checks completeResolved skipped. Registered as a defer by walk so an
 // early exit (pause, stale epoch, peer error, panic) settles too —
-// harmless when the epoch is being torn down, since recovery rebuilds the
-// counters from the per-vertex indegrees.
+// harmless when the epoch is being torn down, since recovery derives the
+// counters afresh from the finished flags.
 func (pe *placeEngine[T]) flushTileWalk(st *epochState[T], sc *scratch[T]) {
 	sc.deferOn = false
 	for k, pt := range sc.pendTile {

@@ -14,7 +14,7 @@ import (
 // transport.Transport (tentpole #3): sequence-numbered envelopes, send-side
 // retry with exponential backoff + jitter on transient failures, and
 // receiver-side duplicate suppression, so dropped, duplicated or replayed
-// messages neither deadlock the run nor corrupt indegree counts.
+// messages neither deadlock the run nor corrupt tile counters.
 //
 // Tracked one-way sends are converted into acknowledged calls: a silently
 // lost decrement has no timeout-replay path in the engine, so loss must be

@@ -139,9 +139,9 @@ func TestTilingNoDepCacheParity(t *testing.T) {
 }
 
 // TestTilingKillMidRunRecovers kills a place mid-run under tiled
-// execution: the rebuilt epoch re-derives the per-vertex indegrees, the
-// resume scan re-activates tiles from them, and the result must still
-// match the reference bit-exactly.
+// execution: the rebuilt epoch keeps only finished flags, the resume scan
+// derives the tile counters from them and the replayed remote decrements,
+// and the result must still match the reference bit-exactly.
 func TestTilingKillMidRunRecovers(t *testing.T) {
 	for _, tile := range []int{4, 0} {
 		tile := tile

@@ -2,12 +2,12 @@
 // DPX10 computation (paper §VI-B) and the state transfer that implements
 // its recovery mechanism (§VI-D).
 //
-// The array is SPMD: each place holds one Chunk — the values, indegrees
-// and finished flags of the cells it owns under the current dist.Dist.
-// Cross-place reads and writes are the engine's job (they go through the
-// transport); this package is deliberately communication-free so that it
-// can be tested exhaustively in isolation and shared between the real
-// runtime and the cluster simulator.
+// The array is SPMD: each place holds one Chunk — the values and finished
+// flags of the cells it owns under the current dist.Dist, plus one
+// readiness counter per tile (tiles.go). Cross-place reads and writes are
+// the engine's job (they go through the transport); this package is
+// deliberately communication-free so that it can be tested exhaustively in
+// isolation.
 //
 // SnapshotArray implements the periodic-snapshot recovery baseline that
 // the paper argues against (X10's ResilientDistArray); it exists so the
@@ -16,7 +16,6 @@ package distarray
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -26,8 +25,8 @@ import (
 // Chunk is one place's partition of the distributed vertex array. Values
 // and flags are indexed by the dense local offset defined by the Dist.
 //
-// Concurrency: SetResult, Finished, Value and DecrementIndegree are safe
-// for concurrent use by a place's worker pool. A finished flag is set with
+// Concurrency: SetResult, Finished, Value and TileDecrement are safe for
+// concurrent use by a place's worker pool. A finished flag is set with
 // release ordering after the value write, so any goroutine that observes
 // Finished(off) == true also observes the value.
 type Chunk[T any] struct {
@@ -36,21 +35,18 @@ type Chunk[T any] struct {
 	values []T           // dense in-memory values (nil when store != nil)
 	store  ValueStore[T] // optional disk-backed value storage
 	n      int
-	indeg  []int32
 	flags  []uint32 // 0 unfinished, 1 finished
 	done   atomic.Int64
 	active int64 // cells that participate (finished inactive ones pre-counted)
 
 	// Tile-granular scheduling state (tiles.go). The schedulable unit is a
-	// rectangle of the local index box; readiness is tracked by per-tile
-	// counters derived from the per-vertex indegrees, which remain the
-	// recovery protocol's source of truth.
+	// rectangle of the local index box; its counter is the only readiness
+	// state, derived afresh each epoch from the finished flags.
 	TileGrid
 	tileIndeg  []int32
 	tileQueued []uint32
 	tileRemote []bool      // tile has a dependency on another place; nil at tile size 1
-	tileMu     sync.Mutex  // serializes ActivateTiles against early decrements
-	tileLive   atomic.Bool // true once the tile counters are authoritative
+	tileLive   atomic.Bool // true once the activation scan has added its counts
 
 	sten atomic.Pointer[Stencil] // non-nil when the activation took the stencil arm
 }
@@ -75,7 +71,6 @@ func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 		d:      d,
 		values: make([]T, n),
 		n:      n,
-		indeg:  make([]int32, n),
 		flags:  make([]uint32, n),
 	}
 }
@@ -89,7 +84,6 @@ func NewChunkBacked[T any](p int, d dist.Dist, vs ValueStore[T]) *Chunk[T] {
 		d:     d,
 		store: vs,
 		n:     n,
-		indeg: make([]int32, n),
 		flags: make([]uint32, n),
 	}
 }
@@ -132,38 +126,36 @@ func (c *Chunk[T]) Dist() dist.Dist { return c.d }
 // Len returns the number of local cells.
 func (c *Chunk[T]) Len() int { return c.n }
 
-// InitIndegrees walks the local cells of pattern pat, setting each active
-// cell's indegree to its full dependency count and marking inactive cells
-// finished with the zero value (paper §VI-E: unneeded vertices are set as
-// finished at initialization). It returns the local offsets that are
-// immediately schedulable — active cells with zero indegree — which seed
-// the place's ready list.
-func (c *Chunk[T]) InitIndegrees(pat dag.Pattern) []int {
-	if t := dag.TabulateStencil(pat); t != nil {
-		pat = t
+// InitFlags readies a fresh chunk for pattern pat: it marks the inactive
+// cells finished with the zero value their fresh storage already holds
+// (paper §VI-E: unneeded vertices are set as finished at initialization)
+// and counts the active ones.
+func (c *Chunk[T]) InitFlags(pat dag.Pattern) {
+	c.done.Store(0)
+	c.active = int64(c.n)
+	if _, sparse := pat.(dag.Sparse); !sparse {
+		return
 	}
+	for off := 0; off < c.n; off++ {
+		if i, j := c.d.CellAt(c.place, off); !dag.IsActive(pat, i, j) {
+			atomic.StoreUint32(&c.flags[off], 1)
+			c.active--
+		}
+	}
+}
+
+// InitIndegrees is InitFlags, returning the active cells with no
+// dependencies.
+//
+// Deprecated: a chunk keeps no per-vertex indegrees; readiness is per tile
+// (InitActivateTiles, ActivateTiles). Kept only so existing callers compile.
+func (c *Chunk[T]) InitIndegrees(pat dag.Pattern) []int {
+	c.InitFlags(pat)
 	var ready []int
 	var buf []dag.VertexID
-	c.done.Store(0)
-	c.active = 0
 	for off := 0; off < c.n; off++ {
 		i, j := c.d.CellAt(c.place, off)
-		if !dag.IsActive(pat, i, j) {
-			// Inactive cells keep the zero value their fresh storage
-			// already holds; writing it would needlessly page a spilled
-			// store.
-			atomic.StoreInt32(&c.indeg[off], 0)
-			atomic.StoreUint32(&c.flags[off], 1)
-			continue
-		}
-		c.active++
-		buf = pat.Dependencies(i, j, buf[:0])
-		// indeg and flags are under the atomic regime everywhere else
-		// (remote decrements race local reads); staying atomic here keeps
-		// initialization safe even if it ever overlaps a stale reader.
-		atomic.StoreInt32(&c.indeg[off], int32(len(buf)))
-		atomic.StoreUint32(&c.flags[off], 0)
-		if len(buf) == 0 {
+		if buf = pat.Dependencies(i, j, buf[:0]); len(buf) == 0 && !c.Finished(off) {
 			ready = append(ready, off)
 		}
 	}
@@ -227,22 +219,6 @@ func (c *Chunk[T]) Value(off int) T { return c.getValue(off) }
 
 // Values is the value storage by offset, under Value's rule; nil if backed.
 func (c *Chunk[T]) Values() []T { return c.values }
-
-// DecrementIndegree atomically lowers the cell's indegree by one and
-// returns the new count. The engine schedules the cell when it reaches 0.
-func (c *Chunk[T]) DecrementIndegree(off int) int32 {
-	nv := atomic.AddInt32(&c.indeg[off], -1)
-	if nv < 0 {
-		i, j := c.d.CellAt(c.place, off)
-		panic(fmt.Sprintf("distarray: vertex (%d,%d) indegree went negative", i, j))
-	}
-	return nv
-}
-
-// Indegree returns the cell's current indegree.
-func (c *Chunk[T]) Indegree(off int) int32 {
-	return atomic.LoadInt32(&c.indeg[off])
-}
 
 // ForEachFinished calls f for every finished active local cell. Intended
 // for quiesced phases (result collection, recovery); it does not lock.

@@ -1,6 +1,8 @@
 package distarray
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -24,9 +26,10 @@ func TestInitIndegrees(t *testing.T) {
 	if ready := c1.InitIndegrees(pat); len(ready) != 0 {
 		t.Fatalf("place 1 ready = %v, want none (all cells have deps)", ready)
 	}
-	// Indegree of (1,1) is 3 under the diagonal pattern.
-	if got := c0.Indegree(d.LocalOffset(1, 1)); got != 3 {
-		t.Fatalf("indegree(1,1) = %d, want 3", got)
+	// Beyond the sources it is InitFlags: a dense pattern leaves every cell
+	// active and unfinished.
+	if c0.ActiveCount() != int64(c0.Len()) || c0.FinishedCount() != 0 || c0.Finished(d.LocalOffset(1, 1)) {
+		t.Fatalf("active %d of %d, finished %d", c0.ActiveCount(), c0.Len(), c0.FinishedCount())
 	}
 }
 
@@ -34,10 +37,16 @@ func TestInactiveCellsPreFinished(t *testing.T) {
 	pat := patterns.NewInterval(4) // lower triangle inactive
 	d := dist.NewBlockRow(4, 4, 1)
 	c := NewChunk[int32](0, d)
-	ready := c.InitIndegrees(pat)
-	// Sources are the diagonal cells (i,i).
+	c.ConfigureTiles(1)
+	ready := c.InitActivateTiles(pat)
+	// Sources are the diagonal cells (i,i); a one-cell tile's index is its offset.
 	if len(ready) != 4 {
 		t.Fatalf("%d ready cells, want 4 diagonal sources", len(ready))
+	}
+	for _, off := range ready {
+		if i, j := d.CellAt(0, off); i != j {
+			t.Fatalf("ready cell (%d,%d) is not on the diagonal", i, j)
+		}
 	}
 	if !c.Finished(d.LocalOffset(2, 0)) {
 		t.Fatal("inactive cell (2,0) not pre-finished")
@@ -54,7 +63,7 @@ func TestSetResultLifecycle(t *testing.T) {
 	pat := patterns.NewGrid(2, 2)
 	d := dist.NewBlockRow(2, 2, 1)
 	c := NewChunk[int64](0, d)
-	c.InitIndegrees(pat)
+	c.InitFlags(pat)
 	off := d.LocalOffset(0, 0)
 	if c.Finished(off) {
 		t.Fatal("cell finished before SetResult")
@@ -78,24 +87,28 @@ func TestDecrementUnderflowPanics(t *testing.T) {
 	pat := patterns.NewGrid(2, 2)
 	d := dist.NewBlockRow(2, 2, 1)
 	c := NewChunk[int32](0, d)
-	c.InitIndegrees(pat)
-	off := d.LocalOffset(0, 1) // indegree 1
-	if nv := c.DecrementIndegree(off); nv != 0 {
-		t.Fatalf("decrement -> %d, want 0", nv)
+	c.ConfigureTiles(1)
+	c.InitActivateTiles(pat)
+	off := d.LocalOffset(0, 1) // one edge, from (0,0)
+	if got := atomic.LoadInt32(&c.tileIndeg[c.TileOf(off)]); got != 1 {
+		t.Fatalf("counter of (0,1) after activation = %d, want 1", got)
+	}
+	if _, ready := c.TileDecrement(off); !ready {
+		t.Fatal("the only edge's decrement did not make (0,1) ready")
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("indegree underflow did not panic")
+			t.Fatal("counter underflow after activation did not panic")
 		}
 	}()
-	c.DecrementIndegree(off)
+	c.TileDecrement(off)
 }
 
 func TestAllFinished(t *testing.T) {
 	pat := patterns.NewChain(2, 3)
 	d := dist.NewBlockRow(2, 3, 1)
 	c := NewChunk[int32](0, d)
-	c.InitIndegrees(pat)
+	c.InitFlags(pat)
 	for off := 0; off < c.Len(); off++ {
 		if c.AllFinished() {
 			t.Fatal("AllFinished true before completion")
@@ -111,7 +124,7 @@ func TestForEachFinishedSkipsInactive(t *testing.T) {
 	pat := patterns.NewInterval(3)
 	d := dist.NewBlockRow(3, 3, 1)
 	c := NewChunk[int32](0, d)
-	c.InitIndegrees(pat)
+	c.InitFlags(pat)
 	c.SetResult(d.LocalOffset(0, 0), 5)
 	var got []dag.VertexID
 	c.ForEachFinished(pat, func(i, j int32, _ int, v int32) {
@@ -120,4 +133,26 @@ func TestForEachFinishedSkipsInactive(t *testing.T) {
 	if len(got) != 1 || got[0] != (dag.VertexID{I: 0, J: 0}) {
 		t.Fatalf("ForEachFinished visited %v, want only (0,0)", got)
 	}
+}
+
+// TestChunkStateBytesPerCell bounds what a chunk keeps per cell: its value
+// and its finished flag, 8 B for int32 values, plus per-tile state that
+// amortizes to little at 32 × 32 tiles. A per-vertex counter would add 4 B.
+func TestChunkStateBytesPerCell(t *testing.T) {
+	const rows, cols = 512, 1024
+	pat := patterns.NewDiagonal(rows, cols)
+	d := dist.NewBlockRow(rows, cols, 1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewChunk[int32](0, d)
+	c.ConfigureGrid(NewTileGrid(rows, cols, 32, 32))
+	c.InitActivateTiles(pat)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	per := float64(after.TotalAlloc-before.TotalAlloc) / (rows * cols)
+	if per > 8.5 {
+		t.Fatalf("chunk state is %.2f B/cell, over the 8.5 B bound", per)
+	}
+	t.Logf("chunk state: %.2f B/cell", per)
 }

@@ -27,13 +27,14 @@ type Transfer[T any] struct {
 // they are returned as Transfers for the engine to deliver to their new
 // owners.
 //
-// The rebuilt chunk has full indegrees for every unfinished cell. The
-// engine then replays decrements from all finished vertices cluster-wide,
-// which leaves indegree = |unfinished dependencies| exactly — the "reset
-// the indegree" step of §VI-D.
+// The rebuilt chunk holds finished flags and nothing else about readiness.
+// The paper's "reset the indegree" step (§VI-D) is the new epoch's
+// activation scan: the engine replays the decrements of finished vertices
+// to their remote dependents, and ActivateTiles counts each tile's
+// remaining edges from the flags.
 func RebuildChunk[T any](old *Chunk[T], pat dag.Pattern, newDist dist.Dist, restoreRemote bool) (*Chunk[T], []Transfer[T]) {
 	nc := NewChunk[T](old.place, newDist)
-	nc.InitIndegrees(pat)
+	nc.InitFlags(pat)
 	return nc, CarryOver(old, nc, pat, restoreRemote)
 }
 
@@ -60,13 +61,12 @@ func CarryOver[T any](old, nc *Chunk[T], pat dag.Pattern, restoreRemote bool) []
 
 // ReplayDecrements walks the finished active cells of c and invokes emit
 // for every anti-dependency edge leaving them. The engine routes each edge
-// to the (possibly remote) owner of the target cell, whose chunk applies
-// DecrementIndegree — to finished targets as well, so that every
-// dependency edge contributes exactly one decrement per epoch (replayed
-// here for finished deps, at runtime for recomputed ones) and indegrees
-// can never underflow. After every place has replayed, each unfinished
-// cell's indegree equals its count of unfinished dependencies; finished
-// cells must simply never be re-enqueued by the scheduler.
+// whose target another place owns to that owner, whose chunk applies
+// TileDecrement — to finished targets as well, which absorb it — so every
+// remote dependency edge contributes exactly one decrement per epoch
+// (replayed here for finished dependencies, at runtime for recomputed
+// ones). An edge between two cells of one place needs no decrement: the
+// activation scan reads the source's finished flag itself.
 func ReplayDecrements[T any](c *Chunk[T], pat dag.Pattern, emit func(target dag.VertexID)) {
 	edges := pat
 	if t := dag.TabulateStencil(pat); t != nil {
@@ -79,20 +79,4 @@ func ReplayDecrements[T any](c *Chunk[T], pat dag.Pattern, emit func(target dag.
 			emit(a)
 		}
 	})
-}
-
-// ReadyOffsets returns the local offsets of unfinished active cells whose
-// indegree is zero — the ready-list seed after a recovery's decrement
-// replay has completed.
-func ReadyOffsets[T any](c *Chunk[T]) []int {
-	var ready []int
-	for off := 0; off < c.Len(); off++ {
-		if c.Finished(off) {
-			continue
-		}
-		if c.Indegree(off) == 0 {
-			ready = append(ready, off)
-		}
-	}
-	return ready
 }

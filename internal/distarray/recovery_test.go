@@ -11,8 +11,9 @@ import (
 
 // miniCluster drives chunks for every place of a distribution through the
 // DP execution protocol sequentially — the same bookkeeping the concurrent
-// engine performs, without goroutines or transports. It doubles as an
-// executable specification of the recovery algorithm.
+// engine performs, without goroutines or transports, on one-cell tiles (a
+// tile's index is its cell's offset). It doubles as an executable
+// specification of the recovery algorithm.
 type miniCluster struct {
 	pat    dag.Pattern
 	d      dist.Dist
@@ -43,13 +44,19 @@ func newMiniCluster(pat dag.Pattern, d dist.Dist) *miniCluster {
 	mc := &miniCluster{pat: pat, d: d, chunks: map[int]*Chunk[int64]{}}
 	for _, p := range d.Places() {
 		c := NewChunk[int64](p, d)
-		for _, off := range c.InitIndegrees(pat) {
-			i, j := d.CellAt(p, off)
-			mc.ready = append(mc.ready, dag.VertexID{I: i, J: j})
-		}
+		c.ConfigureTiles(1)
 		mc.chunks[p] = c
+		mc.seed(p, c.InitActivateTiles(pat))
 	}
 	return mc
+}
+
+// seed queues place p's cells at the ready offsets.
+func (mc *miniCluster) seed(p int, ready []int) {
+	for _, off := range ready {
+		i, j := mc.d.CellAt(p, off)
+		mc.ready = append(mc.ready, dag.VertexID{I: i, J: j})
+	}
 }
 
 // step executes one ready vertex; returns false when nothing is ready.
@@ -68,11 +75,10 @@ func (mc *miniCluster) step() bool {
 	for _, a := range buf {
 		ao := mc.d.Place(a.I, a.J)
 		ac := mc.chunks[ao]
-		aoff := mc.d.LocalOffset(a.I, a.J)
 		// After a recovery, a restored-finished vertex may still receive
-		// decrements from recomputed dependencies; it must never be
-		// re-scheduled (its value is already final).
-		if ac.DecrementIndegree(aoff) == 0 && !ac.Finished(aoff) {
+		// decrements from recomputed dependencies; it absorbs them and is
+		// never re-scheduled (its value is already final).
+		if _, ready := ac.TileDecrement(mc.d.LocalOffset(a.I, a.J)); ready {
 			mc.ready = append(mc.ready, a)
 		}
 	}
@@ -104,6 +110,7 @@ func (mc *miniCluster) recover(t *testing.T, dead int, restoreRemote bool) {
 			continue // its state is lost with the place
 		}
 		nc, tr := RebuildChunk(c, mc.pat, nd, restoreRemote)
+		nc.ConfigureTiles(1)
 		newChunks[p] = nc
 		transfers = append(transfers, tr...)
 	}
@@ -111,22 +118,23 @@ func (mc *miniCluster) recover(t *testing.T, dead int, restoreRemote bool) {
 		dst := newChunks[tr.To]
 		dst.SetResult(nd.LocalOffset(tr.ID.I, tr.ID.J), tr.Value)
 	}
-	for _, c := range newChunks {
+	for p, c := range newChunks {
 		ReplayDecrements(c, mc.pat, func(target dag.VertexID) {
-			owner := nd.Place(target.I, target.J)
-			// Decrements apply uniformly, finished targets included: every
-			// dependency contributes exactly one decrement (replayed here
-			// for finished deps, at runtime for recomputed ones), so the
-			// indegree can never underflow.
-			newChunks[owner].DecrementIndegree(nd.LocalOffset(target.I, target.J))
+			// Only edges that leave the place are replayed, finished targets
+			// included (they absorb it): every remote dependency contributes
+			// exactly one decrement (replayed here for finished deps, at
+			// runtime for recomputed ones). The activation scan reads a local
+			// source's flag itself.
+			if owner := nd.Place(target.I, target.J); owner != p {
+				if _, ready := newChunks[owner].TileDecrement(nd.LocalOffset(target.I, target.J)); ready {
+					t.Fatalf("replayed decrement into %v made it ready before activation", target)
+				}
+			}
 		})
 	}
 	mc.d, mc.chunks, mc.ready = nd, newChunks, nil
 	for p, c := range newChunks {
-		for _, off := range ReadyOffsets(c) {
-			i, j := nd.CellAt(p, off)
-			mc.ready = append(mc.ready, dag.VertexID{I: i, J: j})
-		}
+		mc.seed(p, c.ActivateTiles(mc.pat))
 	}
 }
 
@@ -352,7 +360,7 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 	restored := 0
 	for _, p := range d.Places() {
 		c := NewChunk[int64](p, d)
-		c.InitIndegrees(pat)
+		c.InitFlags(pat)
 		restored += store.RestoreInto(c, pat)
 	}
 	if restored != 12 {

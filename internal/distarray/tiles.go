@@ -13,26 +13,28 @@ import (
 // rectangle of the place's local index box (TileGrid): a tile is ready
 // when every cross-tile dependency of every unfinished cell it holds has
 // finished, and one worker then executes the whole tile in intra-tile
-// dependency order. Readiness is tracked by one atomic counter per tile.
+// dependency order. Readiness is tracked by one atomic counter per tile,
+// and nothing else: no per-vertex indegree exists. A tile's counter drains
+// to zero exactly when its external inputs are satisfied:
 //
-// The per-vertex indegrees stay authoritative for recovery: they are
-// rebuilt from scratch every epoch (InitIndegrees + decrement replay), and
-// the tile counters are *derived* from them at epoch activation:
+//	tileIndeg(t) = Σ over unfinished cells v in t, over dependencies u of v
+//	               outside t, of [u is remote, or local and unfinished]
+//	             − decrements received
 //
-//	tileIndeg(t) = Σ over unfinished cells v in t of
-//	               (indeg(v) − #unfinished same-tile dependencies of v)
+// A remote dependency is counted whether finished or not, because its
+// owner sends one decrement per edge either way: replayed by a recovery if
+// it was finished, at runtime when it completes. A local one counts only
+// while unfinished — the scan reads its flag instead of replaying it.
+// Decrements aimed at finished cells are absorbed: the scan counted no
+// edge of theirs.
 //
-// i.e. the number of unfinished cross-tile edges into the tile. Every
-// such edge later produces exactly one runtime decrement, so the counter
-// drains to zero exactly when the tile's external inputs are satisfied.
-//
-// Runtime decrements can arrive while an epoch is being rebuilt, before
-// the derivation scan has run. TileDecrement therefore has two regimes,
-// arbitrated by tileLive under tileMu: before activation it only lowers
-// the per-vertex indegree (the scan will fold the edge into the counter);
-// after activation it lowers the tile counter directly. The scan runs
-// under tileMu and publishes tileLive before unlocking, so every edge is
-// counted exactly once — by the scan or by a tile decrement, never both.
+// Counters start at zero each epoch (ConfigureGrid). Runtime and replayed
+// decrements may arrive before the activation scan, taking a counter below
+// zero; the scan then adds its count with one atomic add per tile, and
+// whichever add brings the counter to zero — the scan's or a decrement's —
+// reports the tile ready, exactly once. No lock is needed. A tile can thus
+// run, and decrement tiles the scan has not reached, while the scan is
+// still adding; a counter below zero is an underflow only once it is done.
 
 // TileGrid is one place's tile geometry: the place's local rows × cols
 // index box (offset r*cols + c, dist.Box) cut into bi × bj rectangles,
@@ -100,9 +102,8 @@ func (g *TileGrid) TileBox(t int) TileBox { return g.boxAt(t/g.tcols, t%g.tcols)
 func (c *Chunk[T]) ConfigureTiles(size int) { c.ConfigureGrid(NewTileGrid(1, c.n, 1, size)) }
 
 // ConfigureGrid sets the chunk's tile geometry and allocates the per-tile
-// state, leaving the counters inactive (TileDecrement folds early
-// decrements into the per-vertex indegrees until ActivateTiles runs).
-// Call once per epoch, before any message handler can touch the chunk.
+// state, with every counter at zero and no activation scan yet. Call once
+// per epoch, before any message handler can touch the chunk.
 func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
 	if g.rows*g.cols != c.n {
 		panic(fmt.Sprintf("distarray: a %dx%d tile grid over %d local cells", g.rows, g.cols, c.n))
@@ -135,48 +136,32 @@ func (c *Chunk[T]) TryMarkTileQueued(t int) bool {
 	return atomic.CompareAndSwapUint32(&c.tileQueued[t], 0, 1)
 }
 
-// ActivateTiles derives the per-tile readiness counters from the
-// per-vertex indegrees and switches the chunk into tile-tracking mode. It
-// must run after the epoch's indegrees are final (recovery: in the resume
-// phase, after the decrement replay). It returns the tiles that are
-// immediately schedulable — those with at least one unfinished cell and no
-// unfinished cross-tile inputs.
-func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int { return c.activate(pat, false) }
-
-// InitActivateTiles fuses InitIndegrees and ActivateTiles into one scan
-// for epoch 0, where no cell is finished yet and no decrement can be in
-// flight: each cell's dependency list is computed once and used for both
-// the per-vertex indegree and the tile counter derivation. Recovery keeps
-// the two-phase form — the decrement replay must run between them.
-// ConfigureTiles must have run; the chunk must be fresh (unpublished), so
-// plain stores suffice.
-func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int { return c.activate(pat, true) }
-
-// activate is the activation scan: one pass over the local cells,
-// accumulating into each cell's tile. fresh selects the epoch-0 form (see
-// InitActivateTiles). The arm, kept for the epoch, is scanStencil where
-// newStencil applies, scanGeneric otherwise.
-func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
-	c.tileMu.Lock()
-	defer c.tileMu.Unlock()
+// ActivateTiles is the activation scan: it adds to each tile's counter the
+// cross-tile edges into its unfinished cells that a decrement is still
+// owed for (see above), and returns the tiles that are immediately
+// schedulable — those with at least one unfinished cell whose counter the
+// add brought to zero. It must run once the epoch's finished flags are
+// final (recovery: in the resume phase, after the restore); it may race
+// decrements. It panics if a counter ends below zero: more decrements
+// arrived than the tile has edges.
+func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 	s := newStencil(pat, c.d, c.place, &c.TileGrid)
-	c.sten.Store(s)
-	if fresh {
-		c.done.Store(0)
-		c.active = 0
-	}
+	c.sten.Store(s) // the arm is kept for the epoch
 	clear(c.tileRemote)
-	indeg := make([]int32, len(c.tileIndeg)) // per tile: unfinished cross-tile edges into it
+	edges := make([]int32, len(c.tileIndeg))
 	pending := make([]bool, len(c.tileIndeg))
 	if s != nil {
-		c.scanStencil(s, fresh, indeg, pending)
+		c.scanStencil(s, edges, pending)
 	} else {
-		c.scanGeneric(pat, fresh, indeg, pending)
+		c.scanGeneric(pat, edges, pending)
 	}
 	var ready []int
-	for t, n := range indeg {
-		atomic.StoreInt32(&c.tileIndeg[t], n)
-		if pending[t] && n == 0 {
+	for t, n := range edges {
+		nv := atomic.AddInt32(&c.tileIndeg[t], n)
+		if nv < 0 {
+			panic(fmt.Sprintf("distarray: tile %d took %d more decrements than it has edges at place %d", t, -nv, c.place))
+		}
+		if pending[t] && nv == 0 {
 			ready = append(ready, t)
 		}
 	}
@@ -184,12 +169,19 @@ func (c *Chunk[T]) activate(pat dag.Pattern, fresh bool) []int {
 	return ready
 }
 
+// InitActivateTiles is epoch 0's InitFlags followed by ActivateTiles. The
+// chunk must be fresh and ConfigureGrid must have run.
+func (c *Chunk[T]) InitActivateTiles(pat dag.Pattern) []int {
+	c.InitFlags(pat)
+	return c.ActivateTiles(pat)
+}
+
 // scanStencil counts tile by tile, with no Pattern call. Only a cell within
 // reach of its tile's top or left edge locates its dependencies; any other's
-// are in the tile, by arithmetic.
-func (c *Chunk[T]) scanStencil(s *Stencil, fresh bool, indeg []int32, pending []bool) {
+// are in the tile, by arithmetic, so it has no cross-tile edge.
+func (c *Chunk[T]) scanStencil(s *Stencil, edges []int32, pending []bool) {
 	g := &c.TileGrid
-	for t := range indeg {
+	for t := range edges {
 		b := g.TileBox(t)
 		top, left := b.Lo/g.cols, b.Lo%g.cols
 		for r := top; r < top+b.Rows; r++ {
@@ -199,30 +191,24 @@ func (c *Chunk[T]) scanStencil(s *Stencil, fresh bool, indeg []int32, pending []
 				if c.Finished(off) {
 					continue // restored by a recovery
 				}
-				edge := r-top < s.ReachRows || col-left < s.ReachCols
-				if !edge && fresh { // every dependency in the tile, and unfinished
-					c.addCell(off, t, int32(len(offs)), int32(len(offs)), true, indeg, pending)
+				pending[t] = true
+				if r-top >= s.ReachRows && col-left >= s.ReachCols {
 					continue
 				}
-				n, same := int32(0), int32(0)
 				for _, o := range offs {
-					ref, ok := CellRef{Owner: int32(c.place), Off: int32(off + int(o.DI)*g.cols + int(o.DJ))}, true
-					if edge {
-						ref, ok = s.Locate(r, col, s.RowOf[r], s.ColOf[col], o.DI, o.DJ)
-					}
+					ref, ok := s.Locate(r, col, s.RowOf[r], s.ColOf[col], o.DI, o.DJ)
 					if !ok {
 						continue
 					}
-					n++
 					if int(ref.Owner) != c.place {
+						edges[t]++
 						if c.tileRemote != nil {
 							c.tileRemote[t] = true
 						}
-					} else if (!edge || b.Holds(int(ref.Off))) && !c.Finished(int(ref.Off)) {
-						same++
+					} else if !b.Holds(int(ref.Off)) && !c.Finished(int(ref.Off)) {
+						edges[t]++
 					}
 				}
-				c.addCell(off, t, n, same, fresh, indeg, pending)
 			}
 		}
 	}
@@ -230,9 +216,10 @@ func (c *Chunk[T]) scanStencil(s *Stencil, fresh bool, indeg []int32, pending []
 
 // scanGeneric asks the pattern: one Dependencies call, and one PlaceOffset
 // per dependency, for every unfinished cell. It keeps no answer; the walk
-// asks again (core's describeTile). It goes in offset order, row r of the
-// box one tile column at a time, which a fresh scan's flags rely on.
-func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pending []bool) {
+// asks again (core's describeTile). It goes row r of the box one tile
+// column at a time, so the run a cell is in, and the one above it, are at
+// hand for the same-tile test.
+func (c *Chunk[T]) scanGeneric(pat dag.Pattern, edges []int32, pending []bool) {
 	var buf []dag.VertexID
 	g := &c.TileGrid
 	for r := 0; r < g.rows; r++ {
@@ -240,21 +227,16 @@ func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pendi
 			t, box := tr*g.tcols+tc, g.boxAt(tr, tc)
 			lo := box.Lo + (r-tr*g.bi)*g.cols
 			for off := lo; off < lo+box.W; off++ {
-				i, j := c.d.CellAt(c.place, off)
-				if fresh && dag.IsActive(pat, i, j) {
-					c.flags[off] = 0 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
-				} else if fresh {
-					c.indeg[off] = 0 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
-					c.flags[off] = 1 //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
-				}
 				if c.Finished(off) {
 					continue // never executes: inactive, or restored by a recovery
 				}
+				pending[t] = true
+				i, j := c.d.CellAt(c.place, off)
 				buf = pat.Dependencies(i, j, buf[:0])
-				same := int32(0)
 				for _, dep := range buf {
 					owner, doff := c.d.PlaceOffset(dep.I, dep.J)
 					if owner != c.place {
+						edges[t]++
 						if c.tileRemote != nil {
 							c.tileRemote[t] = true
 						}
@@ -263,94 +245,42 @@ func (c *Chunk[T]) scanGeneric(pat dag.Pattern, fresh bool, indeg []int32, pendi
 					// Same tile? Nearly every dependency lies in this run or the
 					// one above it, which two compares settle; Holds divides.
 					x := doff - lo
-					if uint(x) >= uint(box.W) && (lo == box.Lo || uint(x+box.Stride) >= uint(box.W)) &&
-						(x >= -box.Stride && x < box.Stride || !box.Holds(doff)) {
+					if uint(x) < uint(box.W) || lo != box.Lo && uint(x+box.Stride) < uint(box.W) ||
+						(x < -box.Stride || x >= box.Stride) && box.Holds(doff) {
 						continue
 					}
-					// A fresh scan has not set the flags of the cells past off yet,
-					// so there it asks the pattern whether the cell will ever run.
-					if fresh && doff > off && dag.IsActive(pat, dep.I, dep.J) || (!fresh || doff < off) && !c.Finished(doff) {
-						same++
+					if !c.Finished(doff) {
+						edges[t]++
 					}
 				}
-				c.addCell(off, t, int32(len(buf)), same, fresh, indeg, pending)
 			}
 		}
 	}
 }
 
-// addCell folds an unfinished cell of tile t, with n dependencies of which
-// same are unfinished cells of t, into the scan.
-func (c *Chunk[T]) addCell(off, t int, n, same int32, fresh bool, indeg []int32, pending []bool) {
-	pending[t] = true
-	if fresh {
-		c.active++
-		c.indeg[off] = n //dpx10:allow atomicmix fresh unpublished chunk; no reader exists yet (see InitActivateTiles)
-	} else {
-		n = atomic.LoadInt32(&c.indeg[off])
-	}
-	if n -= same; n < 0 {
-		i, j := c.d.CellAt(c.place, off)
-		panic(fmt.Sprintf("distarray: vertex (%d,%d) has more unfinished same-tile deps than indegree", i, j))
-	}
-	indeg[t] += n
-}
-
-// TileDecrement applies one cross-tile decrement to the cell at off: the
-// per-vertex indegree always drops (keeping recovery's source of truth
-// exact), and the owning tile's counter drops once the counters are live.
-// It returns the tile index and whether the tile just became ready.
-// Decrements aimed at finished cells (restored by a recovery) are absorbed
-// without touching the tile counter — the activation scan never counted
-// their edges.
+// TileDecrement applies one cross-tile decrement to the cell at off and
+// returns the owning tile and whether this decrement made it ready. A
+// decrement aimed at a finished cell (restored by a recovery) is absorbed:
+// the activation scan counted no edge of its.
 func (c *Chunk[T]) TileDecrement(off int) (tile int, ready bool) {
-	if c.tileLive.Load() {
-		return c.tileDecrementLive(off)
-	}
-	c.tileMu.Lock()
-	defer c.tileMu.Unlock()
-	if !c.tileLive.Load() {
-		// Pre-activation: lower only the vertex indegree, under the mutex,
-		// so the activation scan (which also runs under it) folds this edge
-		// into the tile counters instead of losing or double-counting it.
-		c.DecrementIndegree(off)
-		return 0, false
-	}
-	return c.tileDecrementLive(off)
-}
-
-// VertexDecrement lowers only the per-vertex indegree for one cross-tile
-// edge and reports whether the edge counts toward the owning tile's
-// counter (it does unless the target was restored finished by a recovery).
-// It is the deferred half of TileDecrement: a tile walk calls it per edge,
-// accumulates the counts per target tile, and settles them in one TileAdd
-// each when the walk ends. Callers must know the counters are live
-// (walks only run after activation), so the pre-activation regime of
-// TileDecrement does not apply.
-func (c *Chunk[T]) VertexDecrement(off int) (tile int, counts bool) {
-	c.DecrementIndegree(off)
-	return c.TileOf(off), !c.Finished(off)
-}
-
-// TileAdd settles n deferred cross-tile decrements against tile t's
-// readiness counter and reports whether the tile just became ready.
-func (c *Chunk[T]) TileAdd(t int, n int32) bool {
-	nv := atomic.AddInt32(&c.tileIndeg[t], -n)
-	if nv < 0 {
-		panic(fmt.Sprintf("distarray: tile %d counter went negative at place %d", t, c.place))
-	}
-	return nv == 0
-}
-
-func (c *Chunk[T]) tileDecrementLive(off int) (int, bool) {
-	c.DecrementIndegree(off)
 	if c.Finished(off) {
 		return 0, false
 	}
 	t := c.TileOf(off)
-	nv := atomic.AddInt32(&c.tileIndeg[t], -1)
-	if nv < 0 {
+	return t, c.TileAdd(t, 1)
+}
+
+// TileAdd settles n cross-tile decrements against tile t's counter — a tile
+// walk parks its decrements per target tile and settles each in one add
+// when it ends — and reports whether they made the tile ready. Before the
+// activation scan has added t's count the counter can only go below zero,
+// so nothing becomes ready early; once the scan is done, going below zero
+// is an underflow and panics.
+func (c *Chunk[T]) TileAdd(t int, n int32) bool {
+	live := c.tileLive.Load() // before the add: a scan still to come would offset it
+	nv := atomic.AddInt32(&c.tileIndeg[t], -n)
+	if nv < 0 && live {
 		panic(fmt.Sprintf("distarray: tile %d counter went negative at place %d", t, c.place))
 	}
-	return t, nv == 0
+	return nv == 0
 }

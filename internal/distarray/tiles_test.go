@@ -1,6 +1,7 @@
 package distarray
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -17,7 +18,7 @@ func tiledRowChunk(t *testing.T) (*Chunk[int32], dag.Pattern, dist.Dist) {
 	pat := patterns.NewGrid(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
 	c := NewChunk[int32](0, d)
-	c.InitIndegrees(pat)
+	c.InitFlags(pat)
 	c.ConfigureTiles(6)
 	return c, pat, d
 }
@@ -40,23 +41,30 @@ func TestActivateTilesDerivesCrossTileIndegrees(t *testing.T) {
 
 func TestTileDecrementPreActivationFoldsIntoScan(t *testing.T) {
 	c, pat, d := tiledRowChunk(t)
-	// Before ActivateTiles: decrements must only lower the per-vertex
-	// indegree; the later scan folds them in.
+	// Before ActivateTiles a decrement can only take the counter below zero;
+	// the later scan adds its count on top.
 	off := d.LocalOffset(1, 0) // deps: (0,0) vertical only
 	if tile, ready := c.TileDecrement(off); ready {
 		t.Fatalf("tile %d reported ready before activation", tile)
 	}
-	if got := c.Indegree(off); got != 0 {
-		t.Fatalf("indegree after pre-activation decrement = %d, want 0", got)
+	if got := atomic.LoadInt32(&c.tileIndeg[1]); got != -1 {
+		t.Fatalf("tileIndeg[1] after a pre-activation decrement = %d, want -1", got)
+	}
+	// So can a walk's batched settle: a tile the scan has already made ready
+	// may run while it is still adding to the later ones.
+	if c.TileAdd(2, 2) {
+		t.Fatal("tile 2 reported ready before activation")
 	}
 	ready := c.ActivateTiles(pat)
 	if len(ready) != 1 || ready[0] != 0 {
 		t.Fatalf("ready tiles = %v, want [0]", ready)
 	}
-	// (1,0)'s only edge is already satisfied, so tile 1 now waits on one
-	// fewer cross-tile edge than its siblings.
-	if got := atomic.LoadInt32(&c.tileIndeg[1]); got != 5 {
-		t.Fatalf("tileIndeg[1] = %d, want 5 (6 cross-tile edges, 1 pre-satisfied)", got)
+	// Tiles 1 and 2 now wait on one and two fewer of their 6 cross-tile
+	// edges than their siblings.
+	for tile, want := range []int32{0, 5, 4, 6} {
+		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
+			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
+		}
 	}
 }
 
@@ -121,6 +129,9 @@ func TestConfigureTilesResetsPerEpoch(t *testing.T) {
 	if !c.TryMarkTileQueued(0) {
 		t.Fatal("queued flag survived ConfigureTiles")
 	}
+	if got := atomic.LoadInt32(&c.tileIndeg[1]); got != 0 {
+		t.Fatalf("tileIndeg[1] = %d after ConfigureTiles, want 0", got)
+	}
 	if c.tileLive.Load() {
 		t.Fatal("tile counters still live after ConfigureTiles")
 	}
@@ -133,51 +144,109 @@ func TestConfigureTilesResetsPerEpoch(t *testing.T) {
 func TestDepCacheColWaveNotMonotone(t *testing.T) {
 	// ColWave: (i,j) depends on all of column j-1, including rows below i —
 	// larger row-major offsets — so ascending order is not topological. In
-	// one tile over the whole box every dependency is in the tile: the fresh
-	// scan must count the ones past the cell it is on as same-tile before it
-	// has reached them, and the two-phase form a recovery runs must agree.
+	// one tile over the whole box every dependency is in the tile, the ones
+	// past the cell the scan is on included: none is a cross-tile edge.
 	pat := patterns.NewColWave(6, 6)
 	d := dist.NewBlockRow(6, 6, 1)
-	for _, fresh := range []bool{true, false} {
-		c := NewChunk[int32](0, d)
-		c.ConfigureTiles(36)
-		var ready []int
-		if fresh {
-			ready = c.InitActivateTiles(pat)
-		} else {
-			c.InitIndegrees(pat)
-			ready = c.ActivateTiles(pat)
-		}
-		if got := atomic.LoadInt32(&c.tileIndeg[0]); len(ready) != 1 || ready[0] != 0 || got != 0 {
-			t.Fatalf("fresh=%v: ready %v, tileIndeg[0] = %d; want [0] and 0", fresh, ready, got)
-		}
-		if got := c.Indegree(d.LocalOffset(0, 1)); got != 6 {
-			t.Fatalf("fresh=%v: indegree of (0,1) = %d, want 6 (all of column 0)", fresh, got)
-		}
+	c := NewChunk[int32](0, d)
+	c.ConfigureTiles(36)
+	ready := c.InitActivateTiles(pat)
+	if got := atomic.LoadInt32(&c.tileIndeg[0]); len(ready) != 1 || ready[0] != 0 || got != 0 {
+		t.Fatalf("ready %v, tileIndeg[0] = %d; want [0] and 0", ready, got)
 	}
 }
 
 func TestDepCacheRecoveryRefillSkipsFinished(t *testing.T) {
-	// A recovery restores (1,0) finished and replays the decrements of its
-	// edges to (2,0) and (1,1) before the resume scan. The scan must leave
-	// the restored cell out: its own edge from (0,0) is not waited on, and
-	// (1,1) counts it neither as a cross-tile input nor as a same-tile one.
+	// A recovery restores (1,0) finished before the resume scan. The scan
+	// must leave the restored cell out: its own edge from (0,0) is not
+	// waited on, and its edge to (2,0) is satisfied by its flag, with no
+	// decrement replayed.
 	c, pat, d := tiledRowChunk(t)
 	c.SetResult(d.LocalOffset(1, 0), 7)
-	c.DecrementIndegree(d.LocalOffset(2, 0))
-	c.DecrementIndegree(d.LocalOffset(1, 1))
 	ready := c.ActivateTiles(pat)
 	if len(ready) != 1 || ready[0] != 0 {
 		t.Fatalf("ready tiles = %v, want [0]", ready)
 	}
 	// Rows 1 and 2 each wait on 5 vertical edges: row 1 has 5 unfinished
-	// cells, and row 2's edge from (1,0) was replayed. Row 3 waits on all 6.
+	// cells, and row 2's edge from (1,0) is finished. Row 3 waits on all 6.
 	for tile, want := range []int32{0, 5, 5, 6} {
 		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
 			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
 		}
 	}
-	if got := c.Indegree(d.LocalOffset(1, 1)); got != 1 {
-		t.Fatalf("indegree of (1,1) = %d, want 1 (up only)", got)
+}
+
+// TestActivationRacesEarlyDecrements runs a recovery's resume scan against
+// the decrements that may beat it there: a recovered place's chunk, every
+// seventh cell restored, takes one decrement per edge from another place
+// on four goroutines while ActivateTiles runs, then the decrements of its
+// own cross-tile edges. Every tile with an unfinished cell must be reported
+// ready exactly once — by the scan or by a decrement — with no lock between
+// them and no counter going negative.
+func TestActivationRacesEarlyDecrements(t *testing.T) {
+	const h, w, places, self = 48, 40, 3, 1
+	diag := patterns.NewDiagonal(h, w)
+	d := dist.NewCyclicRow(h, w, places)
+	box := d.LocalBox(self)
+	for _, pat := range []dag.Pattern{diag, hidden{diag}} {
+		for _, sh := range [][2]int{{1, 1}, {1, 8}, {4, 8}, {box.Rows, box.Cols}} {
+			old := NewChunk[int32](self, d)
+			old.InitFlags(pat)
+			for off := 0; off < old.Len(); off += 7 {
+				old.SetResult(off, 1)
+			}
+			c, _ := RebuildChunk(old, pat, d, false)
+			g := NewTileGrid(box.Rows, box.Cols, sh[0], sh[1])
+			c.ConfigureGrid(g)
+			var remote, local []int // the target offset of each edge
+			var buf []dag.VertexID
+			for off := 0; off < c.Len(); off++ {
+				i, j := d.CellAt(self, off)
+				buf = pat.Dependencies(i, j, buf[:0])
+				for _, dep := range buf {
+					if dp, doff := d.PlaceOffset(dep.I, dep.J); dp != self {
+						remote = append(remote, off)
+					} else if !c.Finished(off) && !c.Finished(doff) && g.TileOf(doff) != g.TileOf(off) {
+						local = append(local, off)
+					}
+				}
+			}
+			readies := make([]atomic.Int32, g.NumTiles())
+			start := make(chan struct{})
+			var wg sync.WaitGroup
+			for k := 0; k < 4; k++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					<-start
+					for e := k; e < len(remote); e += 4 {
+						if tl, ready := c.TileDecrement(remote[e]); ready {
+							readies[tl].Add(1)
+						}
+					}
+				}()
+			}
+			close(start)
+			for _, tl := range c.ActivateTiles(pat) {
+				readies[tl].Add(1)
+			}
+			wg.Wait()
+			for _, off := range local {
+				if tl, ready := c.TileDecrement(off); ready {
+					readies[tl].Add(1)
+				}
+			}
+			for tl := range readies {
+				b, want := g.TileBox(tl), int32(0)
+				for off := b.Lo; off < b.Lo+b.Span(); off++ {
+					if b.Holds(off) && !c.Finished(off) {
+						want = 1
+					}
+				}
+				if got := readies[tl].Load(); got != want {
+					t.Fatalf("%T %s: tile %d reported ready %d times, want %d", pat, g, tl, got, want)
+				}
+			}
+		}
 	}
 }

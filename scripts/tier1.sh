@@ -40,10 +40,13 @@ go test -race -timeout 10m ./...
 # read races against live increments unless the registry is correct.
 go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # The stencil arm against the generic one (the capability exposed and
-# hidden) and recovery under it, repeated under the race detector: the
-# stencil activation holds tileMu against early decrements, which is
-# exactly what a recovery races.
+# hidden) and recovery under it, repeated under the race detector: a
+# recovery's activation scan adds to tile counters that early decrements
+# are already taking below zero, with no lock between them.
 go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$' -count=5 ./internal/core/
+# ... and that race in isolation, many times: every tile reported ready
+# exactly once, by the scan or by a decrement.
+go test -race -run 'TestActivationRacesEarlyDecrements$' -count=20 ./internal/distarray/
 # Moving tiles, repeated under the race detector: a pushed tile waits in the
 # epoch's inbox, which lifeline and exec pushes both feed and the workers and
 # the lifeline pusher both drain, and a recovery races all of them.
