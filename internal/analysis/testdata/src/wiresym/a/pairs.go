@@ -36,3 +36,23 @@ func decodeOpt(payload []byte, cd codec) (int64, error) {
 	}
 	return 0, r.err
 }
+
+// A codec held as an interface has no static callee; its Encode still
+// appends one value, so a pair that drifts around it is caught.
+
+type anyCodec interface {
+	Encode(dst []byte, v int64) []byte
+	Decode(b []byte) (int64, int, error)
+}
+
+func encodeIface(v int64, cd anyCodec) []byte { // want `encode/decode pair encodeIface/decodeIface disagree: encodeIface builds \[u64 codec\] but decodeIface reads \[u64 u32 codec\]`
+	return cd.Encode(putU64(nil, 1), v)
+}
+
+func decodeIface(payload []byte, cd anyCodec) (int64, error) {
+	r := reader{b: payload}
+	_ = r.u64()
+	_ = r.u32()
+	v, _, err := cd.Decode(r.rest())
+	return v, err
+}

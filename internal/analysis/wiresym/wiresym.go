@@ -894,6 +894,15 @@ func (w *encWalker) evalCall(c *ast.CallExpr) sum {
 	}
 	callee := framework.StaticCallee(info, c)
 	if callee == nil {
+		// A codec held as an interface (codec.Codec[T]) has no static
+		// callee, but its Encode still appends one value.
+		if sel, ok := ast.Unparen(c.Fun).(*ast.SelectorExpr); ok {
+			if s, ok := info.Selections[sel]; ok && s.Kind() == types.MethodVal {
+				if fn, ok := s.Obj().(*types.Func); ok && isCodecEncode(fn) {
+					return w.withBase(c, "codec")
+				}
+			}
+		}
 		return sum{}
 	}
 	if g := callee.Origin(); g != nil {
@@ -918,10 +927,7 @@ func (w *encWalker) evalCall(c *ast.CallExpr) sum {
 	case "putIDDelta": // two zig-zag varints relative to a base id
 		return w.withBase(c, "iddelta")
 	}
-	// Codec-shaped Encode: (dst []byte, v T) []byte appends one value.
-	if sig, ok := callee.Type().(*types.Signature); ok && callee.Name() == "Encode" &&
-		sig.Params().Len() == 2 && isByteSlice(sig.Params().At(0).Type()) &&
-		sig.Results().Len() == 1 && isByteSlice(sig.Results().At(0).Type()) {
+	if isCodecEncode(callee) {
 		return w.withBase(c, "codec")
 	}
 	// Local builder helper: splice its summary onto the base argument.
@@ -936,6 +942,15 @@ func (w *encWalker) evalCall(c *ast.CallExpr) sum {
 		return s
 	}
 	return sum{}
+}
+
+// isCodecEncode reports a Codec-shaped Encode: (dst []byte, v T) []byte
+// appends one value.
+func isCodecEncode(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	return ok && fn.Name() == "Encode" &&
+		sig.Params().Len() == 2 && isByteSlice(sig.Params().At(0).Type()) &&
+		sig.Results().Len() == 1 && isByteSlice(sig.Results().At(0).Type())
 }
 
 // withBase evaluates arg0 and appends one token.

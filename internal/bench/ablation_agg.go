@@ -20,6 +20,8 @@ type aggArm struct {
 // self-clocked flusher, with finished values piggybacked so consumers hit their
 // cache instead of issuing kindFetch round-trips. Every arm runs with the
 // same cache capacity so the push arms differ only in *how* values arrive.
+// The baseline arm also runs at tile size 1, so that each vertex settles
+// alone and "one message per vertex" holds literally.
 func AblationAgg(quick bool) ([]Report, error) {
 	side := 400
 	items, capacity := 160, int32(700)
@@ -38,7 +40,7 @@ func AblationAgg(quick bool) ([]Report, error) {
 	}
 	arms := []aggArm{
 		{"off (1 msg/vertex)", []dpx10.Option[apps.AffineCell]{
-			dpx10.WithoutAggregation()}},
+			dpx10.WithoutAggregation(), dpx10.WithTileSize(1)}},
 		{"agg only", []dpx10.Option[apps.AffineCell]{
 			dpx10.WithoutValuePush()}},
 		{"agg+push (default)", nil},
@@ -63,7 +65,7 @@ func AblationAgg(quick bool) ([]Report, error) {
 		swlag.Add(aggRow(arm.name, dag.Elapsed(), dag.Stats())...)
 	}
 	swlag.Notes = append(swlag.Notes,
-		"coalesce = decrement records per aggregated batch (higher = fewer messages)",
+		"coalesce = settlements per aggregated batch (higher = fewer messages); a settlement is what one unit owes one destination, one vertex at tile size 1",
 		"pushUsed = dependency reads served by a sender-pushed value (fetch round-trips avoided)",
 		"every arm runs with the same cache capacity; only the delivery mechanism differs")
 
@@ -76,7 +78,7 @@ func AblationAgg(quick bool) ([]Report, error) {
 		name string
 		opts []dpx10.Option[int64]
 	}{
-		{"off (1 msg/vertex)", []dpx10.Option[int64]{dpx10.WithoutAggregation()}},
+		{"off (1 msg/vertex)", []dpx10.Option[int64]{dpx10.WithoutAggregation(), dpx10.WithTileSize(1)}},
 		{"agg only", []dpx10.Option[int64]{dpx10.WithoutValuePush()}},
 		{"agg+push (default)", nil},
 	}

@@ -8,23 +8,23 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 )
 
-// aggregator is the one path a finished vertex's cross-place tile-counter
-// decrements take: it coalesces them into one kindDecrBatch message per
-// destination. With value push enabled, each record also carries the
-// finished source vertex's encoded value so the receiver can serve
-// downstream dependency reads from its cache instead of issuing a
-// kindFetch round-trip.
+// aggregator is the one path cross-place tile-counter decrements take: each
+// unit's settlement for a place (place.go: settle) becomes one record, and
+// the records coalesce into one kindDecrBatch message per destination. With
+// value push enabled, a record also carries the encoded values of the
+// unit's cells that the destination reads, so the receiver can serve those
+// dependency reads from its cache instead of issuing kindFetch round-trips.
 //
 // Flushing is self-clocked, and the producers are the only clock. Every
-// producer kicks the flusher goroutine at the end of its scheduling
-// quantum — a tile walk, a single-cell tile, a handler-origin completion —
-// and the flusher sends every open buffer, again and again, until nothing
-// is pending. A batch is therefore whatever accumulated while the previous
-// send was on the wire: one record when the link is idle, hundreds when it
-// is busy. Workers never send, except inline when one destination's buffer
-// reaches maxRecs records (the memory cap; at maxRecs = 1 that is every
-// record, one message per finished vertex per destination). There is no
-// timer behind the kicks: a producer path that forgot to kick would hang
+// unit kicks the flusher goroutine when it settles, at the end of its
+// scheduling quantum, and the flusher sends every open buffer, again and
+// again, until nothing is pending. A batch is therefore whatever
+// accumulated while the previous send was on the wire: one record when the
+// link is idle, hundreds when it is busy. Workers never send, except inline
+// when one destination's buffer reaches maxRecs records or aggMaxBytes
+// bytes (the memory cap; at maxRecs = 1 that is every record, one message
+// per unit per destination, and at tile size 1 a unit is one vertex). There
+// is no timer behind the kicks: a producer path that forgot to kick would hang
 // the run, which any test catches, instead of stalling it silently.
 //
 // One aggregator belongs to one epochState and inherits its lifecycle:
@@ -51,6 +51,12 @@ type aggregator[T any] struct {
 	freeBytes int      // total capacity retained in free
 }
 
+// aggMaxBytes is the size at which an open message leaves inline whatever
+// its record count: one record holds up to a whole tile's pushed values, so
+// the record cap alone would bound neither the buffer nor the receiver's
+// decode of it.
+const aggMaxBytes = 4 << 10
+
 // The free list is bounded in bytes, not just entries: one run with huge
 // pushed values (or a pathological pattern fanout) would otherwise leave
 // every retired buffer at its high-water capacity for the rest of the
@@ -62,35 +68,13 @@ const (
 )
 
 // aggBuf is one destination's open message: the incrementally built
-// kindDecrBatch payload, the record count backpatched at flush, and the
-// last record's source id, which the next record's delta is taken from.
-//
-// A record that carries no value needs its source only as the base its
-// targets are coded against, so a finished vertex's targets join the record
-// before them for as long as that keeps every delta in one byte (joins): the
-// last row of a tile, whose cells finish one after another, leaves as a
-// record per 63 cells rather than a head and a source for each — what keeps
-// a place boundary crossed strip by strip, some of it for a place that then
-// dies, no dearer in bytes than one crossed in a piece.
+// kindDecrBatch payload, its record count, backpatched at flush, and the
+// source of its last pushed value, which the next one's delta is taken
+// from.
 type aggBuf struct {
 	msg  []byte
-	adds uint32       // finished vertices folded in: what the flush cap and the stats count
-	recs uint32       // records in msg
-	prev dag.VertexID // source of the last record
-	head int          // index of the last record's head byte while targets may still join it, else 0
-}
-
-// joins reports whether targets can be appended to b's last record.
-func (b *aggBuf) joins(targets []dag.VertexID) bool {
-	if b.head == 0 || int(b.msg[b.head]>>decrCountShift)+len(targets) >= decrCountEsc {
-		return false
-	}
-	for _, t := range targets {
-		if di, dj := t.I-b.prev.I, t.J-b.prev.J; di < -64 || di > 63 || dj < -64 || dj > 63 {
-			return false
-		}
-	}
-	return true
+	recs uint32       // settlements folded in: what the flush cap and the stats count
+	prev dag.VertexID // source of the last value in msg
 }
 
 func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
@@ -105,9 +89,9 @@ func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
 	}
 }
 
-// add buffers one record: src finished, decrement targets at dest. Flushes
-// dest's buffer inline once it holds maxRecs records.
-func (ag *aggregator[T]) add(dest int, src dag.VertexID, value T, targets []dag.VertexID) {
+// add buffers one unit's settlement for dest as one record. Flushes dest's
+// buffer inline once it holds maxRecs records or aggMaxBytes bytes.
+func (ag *aggregator[T]) add(dest int, s *settlement[T]) {
 	ag.mu.Lock()
 	b := &ag.bufs[dest]
 	if len(b.msg) == 0 {
@@ -119,27 +103,15 @@ func (ag *aggregator[T]) add(dest int, src dag.VertexID, value T, targets []dag.
 		}
 		b.msg = putU32(putU64(b.msg, ag.epoch), 0) // count backpatched at flush
 	}
-	if b.joins(targets) {
-		for _, t := range targets {
-			b.msg = putIDDelta(b.msg, b.prev, t)
-		}
-		b.msg[b.head] += uint8(len(targets)) << decrCountShift
-	} else {
-		b.head = 0
-		if !ag.push && len(targets) < decrCountEsc {
-			b.head = len(b.msg)
-		}
-		b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.prev, src, value, ag.push, targets)
-		b.prev = src
-		b.recs++
+	b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.prev, s.tiles, s.ids, s.vals)
+	if n := len(s.ids); n > 0 {
+		b.prev = s.ids[n-1]
+		ag.pe.valuesPushed.Add(int64(n))
 	}
-	b.adds++
+	b.recs++
 	ag.pending.Add(1)
-	if ag.push {
-		ag.pe.valuesPushed.Add(1)
-	}
 	var msg []byte
-	if int(b.adds) >= ag.maxRecs {
+	if int(b.recs) >= ag.maxRecs || len(b.msg) >= aggMaxBytes {
 		msg = ag.takeLocked(dest)
 	}
 	ag.mu.Unlock()
@@ -151,16 +123,16 @@ func (ag *aggregator[T]) add(dest int, src dag.VertexID, value T, targets []dag.
 // takeLocked finalizes and detaches dest's open message. Caller holds mu.
 func (ag *aggregator[T]) takeLocked(dest int) []byte {
 	b := &ag.bufs[dest]
-	if b.adds == 0 {
+	if b.recs == 0 {
 		return nil
 	}
 	binary.LittleEndian.PutUint32(b.msg[8:12], b.recs)
 	msg := b.msg
-	ag.pending.Add(-int64(b.adds))
+	ag.pending.Add(-int64(b.recs))
 	ag.pe.aggBatches.Add(1)
-	ag.pe.decrsCoalesced.Add(int64(b.adds))
+	ag.pe.decrsCoalesced.Add(int64(b.recs))
 	if tc := ag.pe.cfg.Trace; tc != nil {
-		tc.AddAggFlush(ag.pe.self, int64(b.adds))
+		tc.AddAggFlush(ag.pe.self, int64(b.recs))
 	}
 	*b = aggBuf{}
 	return msg

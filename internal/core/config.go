@@ -119,11 +119,13 @@ type Common struct {
 	// chaos, link trouble — accumulate suspicion instead, so a lossy link
 	// is not mistaken for a crash on the first drop. Default 3.
 	SuspicionThreshold int
-	// AggMaxBatch is the record count at which a worker flushes a
+	// AggMaxBatch is the settlement count at which a worker flushes a
 	// destination's decrement batch inline instead of leaving it to the
-	// flusher — the cap on buffered memory. Default 256; 1 sends one
-	// message per finished vertex per destination, the paper's §VI-C
-	// behaviour and the aggregation ablation's baseline arm.
+	// flusher — the cap on buffered memory. A settlement is what one unit
+	// (a tile walk, or a tile handed back) owes one destination: one vertex
+	// at tile size 1. Default 256; 1 sends one message per settlement per
+	// destination — with TileSize 1, one per finished vertex, the paper's
+	// §VI-C behaviour and the aggregation ablation's baseline arm.
 	AggMaxBatch int
 	// PushDisabled stops piggybacking finished vertex values onto
 	// aggregated decrements. Push is on by default but only takes effect
@@ -388,7 +390,7 @@ type Stats struct {
 	SendsOut       int64 // one-way transport messages (decrements, notifications)
 	FetchCalls     int64 // kindFetch round-trips issued (see above)
 	AggBatches     int64 // aggregated decrement batches flushed
-	DecrsCoalesced int64 // decrement records carried by those batches
+	DecrsCoalesced int64 // settlements carried by those batches: one unit's records for one destination (one vertex at tile size 1)
 	ValuesPushed   int64 // vertex values piggybacked onto aggregated batches
 	PushDeposits   int64 // pushed values deposited into receiving caches
 	PushConsumed   int64 // dependency reads served by a pushed value (fetches avoided)

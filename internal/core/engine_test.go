@@ -315,8 +315,10 @@ func (s *stealReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // payload an id outside the grid, a negative one and one another place owns.
 // The dist tables index unchecked, so each of these panicked (or touched a
 // neighbour's offset) before ownedOffset: a Call must answer with an error,
-// a one-way batch must skip the id, a steal reply must read as no work. A
-// tile in flight, pushed here or handed back as a steal reply, must also be
+// a steal reply must read as no work. A decrement record, runtime or
+// replayed, names tiles instead: one past this place's grid, a zero count and
+// a count past int32 must each be refused before any counter moves. A tile
+// in flight, pushed here or handed back as a steal reply, must also be
 // refused when its cells have mixed owners, when it is empty and when its
 // reason is unknown or belongs to the other direction.
 func TestWireIDsVetted(t *testing.T) {
@@ -334,7 +336,6 @@ func TestWireIDsVetted(t *testing.T) {
 		"fetch":     {pe.handleFetch, func(id dag.VertexID) []byte { return appendFetchReq(nil, st.epoch, []dag.VertexID{id}) }},
 		"stealDone": {pe.handleStealDone, idVal},
 		"restoreTx": {pe.handleRestoreTx, idVal},
-		"replayTx":  {pe.handleReplayTx, func(id dag.VertexID) []byte { return encodeIDBatch(st.epoch, []dag.VertexID{id}) }},
 		"readVal":   {pe.handleReadVal, func(id dag.VertexID) []byte { return putID(nil, id) }},
 	}
 	bad := map[string]dag.VertexID{"out of range": {I: 1000, J: 1000}, "negative": {I: -5, J: -7}, "wrong owner": {I: 8, J: 8}}
@@ -344,10 +345,20 @@ func TestWireIDsVetted(t *testing.T) {
 				t.Errorf("%s with an id that is %s: no error", kind, what)
 			}
 		}
-		batch := encodeDecrBatch(st.epoch, cd, []decrRecord[int64]{{src: mine, t1: 1}}, []dag.VertexID{id})
-		if _, err := pe.handleDecrBatch(0, batch); err != nil {
-			t.Errorf("decrBatch with an id that is %s: %v, want it skipped", what, err)
+	}
+	// Each bad record follows a good one for tile 0, whose counter the
+	// finished run left at zero: applying it would take the counter below
+	// zero, which panics.
+	badTiles := map[string]tileCount{"a tile past the grid": {tile: uint32(st.chunk.NumTiles()), count: 1},
+		"a zero count": {count: 0}, "a count past int32": {count: 1 << 31}}
+	for what, bad := range badTiles {
+		b := decrBatch[int64]{epoch: st.epoch, ids: []dag.VertexID{mine}, vals: []int64{7},
+			tiles: []tileCount{{tile: 0, count: 1}, bad}, ends: []decrEnd{{tiles: 2, vals: 1}}}
+		payload := encodeDecrBatch(cd, &b)
+		if _, err := pe.handleReplayTx(1, payload); err == nil {
+			t.Errorf("replayTx with %s: no error", what)
 		}
+		_, _ = pe.handleDecrBatch(1, payload) // dropped whole: no panic is the check
 	}
 
 	// Tiles in flight from place 0, which owns rows 0..2: pushed here as

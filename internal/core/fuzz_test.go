@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"slices"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/codec"
@@ -53,7 +54,7 @@ var wireProbes = map[uint8]func(data []byte){
 		}
 	},
 	kindReplay:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
-	kindReplayTx: func(b []byte) { _, _, _ = decodeIDBatch(b, nil) },
+	kindReplayTx: func(b []byte) { _ = decodeDecrBatch(b, codec.Int64{}, &decrBatch[int64]{}) },
 	kindResume:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
 	kindStop:     func(b []byte) {}, // epoch payload unread; the empty reply is the ack
 	kindReadVal:  func(b []byte) { r := reader{b: b}; _ = r.id() },
@@ -74,7 +75,7 @@ var wireProbes = map[uint8]func(data []byte){
 			r.off += used
 		}
 	},
-	kindDecrBatch: func(b []byte) { _, _, _, _ = decodeDecrBatch[int64](b, codec.Int64{}, nil, nil) },
+	kindDecrBatch: func(b []byte) { _ = decodeDecrBatch(b, codec.Int64{}, &decrBatch[int64]{}) },
 	kindStats:     func(b []byte) {}, // request has no payload; the reply decoder is FuzzSnapshotWire's target
 	kindTransfer:  func(b []byte) { _, _, _, _ = decodeTransfer(b, nil) },
 }
@@ -112,34 +113,6 @@ func TestWireKindsCovered(t *testing.T) {
 			t.Errorf("wireProbes has entry for kind %d, which is not in fuzzedWireKinds", k)
 		}
 	}
-}
-
-// FuzzDecodeIDBatch hardens the replay batch decoder: arbitrary bytes must
-// never panic or allocate absurdly, and every valid encoding must
-// round-trip.
-func FuzzDecodeIDBatch(f *testing.F) {
-	f.Add(encodeIDBatch(0, nil))
-	f.Add(encodeIDBatch(7, []dag.VertexID{{I: 1, J: 2}, {I: -3, J: 1 << 30}}))
-	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3})
-	f.Add(putU32(putU64(nil, 1), 0xFFFFFFFF)) // huge claimed count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, ids, err := decodeIDBatch(data, nil)
-		if err != nil {
-			return
-		}
-		// A successful decode must re-encode to a prefix-compatible batch.
-		re := encodeIDBatch(epoch, ids)
-		epoch2, ids2, err2 := decodeIDBatch(re, nil)
-		if err2 != nil || epoch2 != epoch || len(ids2) != len(ids) {
-			t.Fatalf("round trip failed: %v / %d->%d ids", err2, len(ids), len(ids2))
-		}
-		for k := range ids {
-			if ids[k] != ids2[k] {
-				t.Fatalf("id %d changed: %v -> %v", k, ids[k], ids2[k])
-			}
-		}
-	})
 }
 
 // fetchReqSeeds are the delta-coded kindFetch request's edge cases: a halo
@@ -240,75 +213,63 @@ func TestFetchReqCompact(t *testing.T) {
 	}
 }
 
-// decrBatchSeeds are the compact-record edge cases shared by the two
-// decrBatch fuzz corpora: deltas that are negative or wider than 2³¹,
-// sources out of scan order, records with no targets and no value, a
-// target count past the one-byte escape, and malformed inputs — varints cut
-// short, a delta that leaves int32, absurd counts.
+// decrBatchSeeds are the record's edge cases shared by the two decrBatch
+// fuzz corpora: deltas that are negative or wider than 2³¹, sources out of
+// scan order, records with no tiles or no values, a replay's one record of
+// counts, and malformed inputs — varints cut short, a delta that leaves
+// int32, a zero count, a count or a tile past int32, absurd counts.
 func decrBatchSeeds() [][]byte {
 	cd := codec.Int64{}
 	const lo, hi = -1 << 31, 1<<31 - 1
-	targets := []dag.VertexID{{I: 1, J: 2}, {I: 3, J: 4}, {I: lo, J: hi}}
-	wide := encodeDecrBatch(3, cd, []decrRecord[int64]{
-		{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
-		{src: dag.VertexID{I: lo, J: hi}, t0: 2, t1: 3},                         // negative delta
-		{src: dag.VertexID{I: hi, J: lo}, t0: 0, t1: 0},                         // |delta| = 2³²-1, no targets, no value
-		{src: dag.VertexID{I: 5, J: 5}, hasValue: true, value: 7, t0: 0, t1: 1}, // out of scan order
-	}, targets)
-	many := make([]dag.VertexID, decrCountEsc+3)
-	for k := range many {
-		many[k] = dag.VertexID{I: int32(k), J: int32(-k)}
-	}
-	escaped := encodeDecrBatch(4, cd, []decrRecord[int64]{{src: dag.VertexID{I: 1, J: 1}, t0: 0, t1: len(many)}}, many)
-	// One-record batches built by hand, head byte first.
+	wide := encodeDecrBatch(cd, &decrBatch[int64]{epoch: 3,
+		tiles: []tileCount{{tile: 0, count: 2}, {tile: 16383, count: 1}, {tile: hi, count: hi}},
+		ids:   []dag.VertexID{{I: 9, J: 9}, {I: lo, J: hi}, {I: hi, J: lo}, {I: 5, J: 5}}, // negative delta, |delta| = 2³²-1, out of scan order
+		vals:  []int64{-42, 7, 0, 1},
+		ends:  []decrEnd{{tiles: 2, vals: 1}, {tiles: 2, vals: 3}, {tiles: 3, vals: 3}, {tiles: 3, vals: 4}},
+	})
+	replay := encodeDecrBatch(cd, &decrBatch[int64]{epoch: 4,
+		tiles: []tileCount{{tile: 1, count: 300}, {tile: 2, count: 1}}, ends: []decrEnd{{tiles: 2}}})
+	// One-record batches built by hand, the two counts first.
 	rec := func(body ...byte) []byte { return append(putU32(putU64(nil, 1), 1), body...) }
-	const esc = decrCountEsc << decrCountShift
 	return [][]byte{
-		encodeDecrBatch[int64](0, cd, nil, nil),
+		encodeDecrBatch(cd, &decrBatch[int64]{}),
 		wide,
-		escaped,
-		wide[:len(wide)-1], // last target's ΔJ cut off
-		rec(0, 0x80),       // source ΔI: continuation bit, then nothing
-		rec(binary.AppendVarint([]byte{0}, 1<<32)...),    // source I leaves int32
-		rec(binary.AppendUvarint([]byte{esc}, 1<<40)...), // huge escaped target count
-		rec(esc, 5, 0, 0),                  // escape used for a small count
-		putU32(putU64(nil, 1), 0xFFFFFFFF), // huge claimed record count
+		replay,
+		wide[:len(wide)-1], // last value cut short
+		rec(0, 1, 0x80),    // source ΔI: continuation bit, then nothing
+		rec(append([]byte{0, 1}, binary.AppendVarint(nil, 1<<32)...)...), // source I leaves int32
+		rec(binary.AppendUvarint(nil, 1<<40)...),                         // huge tile count
+		rec(1, 0, 5, 0),                                                  // a zero count
+		rec(1, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x08),                       // a count of 2³¹
+		putU32(putU64(nil, 1), 0xFFFFFFFF),                               // huge claimed record count
 		{},
 		{1, 2, 3},
 	}
 }
 
-// FuzzDecodeDecrBatch hardens the aggregated-decrement decoder: arbitrary
-// bytes — truncations, absurd record/target counts, deltas that overflow —
-// must never panic, and every payload that decodes must round-trip through
-// encodeDecrBatch unchanged.
+// FuzzDecodeDecrBatch hardens the decrement-record decoder: arbitrary bytes
+// — truncations, absurd counts, deltas that overflow — must never panic, a
+// decoded count is never zero and no count or tile leaves int32, and every
+// payload that decodes must round-trip through encodeDecrBatch unchanged.
 func FuzzDecodeDecrBatch(f *testing.F) {
 	cd := codec.Int64{}
 	for _, seed := range decrBatchSeeds() {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		epoch, recs, tgts, err := decodeDecrBatch[int64](data, cd, nil, nil)
-		if err != nil {
+		var b, b2 decrBatch[int64]
+		if decodeDecrBatch(data, cd, &b) != nil {
 			return
 		}
-		re := encodeDecrBatch(epoch, cd, recs, tgts)
-		epoch2, recs2, tgts2, err2 := decodeDecrBatch[int64](re, cd, nil, nil)
-		if err2 != nil || epoch2 != epoch || len(recs2) != len(recs) || len(tgts2) != len(tgts) {
-			t.Fatalf("round trip failed: %v / %d->%d recs, %d->%d targets",
-				err2, len(recs), len(recs2), len(tgts), len(tgts2))
-		}
-		for k := range recs {
-			a, b := recs[k], recs2[k]
-			if a.src != b.src || a.hasValue != b.hasValue || a.value != b.value ||
-				a.t1-a.t0 != b.t1-b.t0 {
-				t.Fatalf("record %d changed: %+v -> %+v", k, a, b)
+		for _, tc := range b.tiles {
+			if tc.count == 0 || tc.count > 1<<31-1 || tc.tile > 1<<31-1 {
+				t.Fatalf("decoded %+v", tc)
 			}
 		}
-		for k := range tgts {
-			if tgts[k] != tgts2[k] {
-				t.Fatalf("target %d changed: %v -> %v", k, tgts[k], tgts2[k])
-			}
+		if err := decodeDecrBatch(encodeDecrBatch(cd, &b), cd, &b2); err != nil || b2.epoch != b.epoch ||
+			!slices.Equal(b2.tiles, b.tiles) || !slices.Equal(b2.ids, b.ids) ||
+			!slices.Equal(b2.vals, b.vals) || !slices.Equal(b2.ends, b.ends) {
+			t.Fatalf("round trip failed: %v / %+v -> %+v", err, b, b2)
 		}
 	})
 }
@@ -448,7 +409,7 @@ func FuzzReader(f *testing.F) {
 // byte-identity before it breaks a cluster.
 var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindFetch:     rtFetchReq,
-	kindReplayTx:  rtIDBatch,
+	kindReplayTx:  rtDecrBatch,
 	kindDecrBatch: rtDecrBatch,
 	kindTransfer:  rtTransfer,
 	kindPlaceDone: rtU64U32,
@@ -469,14 +430,6 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindStats:     rtEmpty,
 }
 
-func rtIDBatch(data []byte) ([]byte, bool) {
-	epoch, ids, err := decodeIDBatch(data, nil)
-	if err != nil {
-		return nil, false
-	}
-	return encodeIDBatch(epoch, ids), true
-}
-
 func rtFetchReq(data []byte) ([]byte, bool) {
 	epoch, ids, err := decodeFetchReq(data, nil)
 	if err != nil {
@@ -487,11 +440,11 @@ func rtFetchReq(data []byte) ([]byte, bool) {
 
 func rtDecrBatch(data []byte) ([]byte, bool) {
 	cd := codec.Int64{}
-	epoch, recs, tgts, err := decodeDecrBatch[int64](data, cd, nil, nil)
-	if err != nil {
+	var b decrBatch[int64]
+	if decodeDecrBatch(data, cd, &b) != nil {
 		return nil, false
 	}
-	return encodeDecrBatch(epoch, cd, recs, tgts), true
+	return encodeDecrBatch(cd, &b), true
 }
 
 func rtTransfer(data []byte) ([]byte, bool) {
@@ -619,10 +572,10 @@ func wireSeeds() map[uint8][]byte {
 	}
 	return map[uint8][]byte{
 		kindFetch:    appendFetchReq(nil, 3, ids),
-		kindReplayTx: encodeIDBatch(5, ids),
-		kindDecrBatch: encodeDecrBatch(6, cd, []decrRecord[int64]{
-			{src: dag.VertexID{I: 9, J: 9}, hasValue: true, value: -42, t0: 0, t1: 2},
-		}, ids),
+		kindReplayTx: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 5, tiles: []tileCount{{tile: 3, count: 2}}, ends: []decrEnd{{tiles: 1}}}),
+		kindDecrBatch: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 6,
+			tiles: []tileCount{{tile: 0, count: 1}, {tile: 9, count: 4}}, ids: ids, vals: []int64{-42, 5},
+			ends: []decrEnd{{tiles: 2, vals: 2}}}),
 		kindPlaceDone: putU32(putU64(nil, 1), 2),
 		kindFault:     putU32(putU64(nil, 1), 3),
 		kindPause:     putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
@@ -651,7 +604,7 @@ func wireSeeds() map[uint8][]byte {
 // [epoch][n][ids], once followed by [nDeps][(id, value)...]).
 func transferSeeds() [][]byte {
 	ids := []dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}, {I: -3, J: 1 << 30}}
-	retired := encodeIDBatch(8, ids[:2])
+	retired := putID(putID(putU32(putU64(nil, 8), 2), ids[0]), ids[1]) // [epoch][n][ids]
 	return [][]byte{
 		encodeTransfer(nil, 1, transferSteal, ids),
 		encodeTransfer(nil, 2, transferLifeline, ids[:2]),
@@ -745,7 +698,7 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 		f.Add(kindFetch, seed)
 	}
 	f.Add(uint8(0), []byte{})                            // not a protocol kind
-	f.Add(uint8(2), encodeIDBatch(4, nil))               // the retired per-vertex decrement: not one either
+	f.Add(uint8(2), putU32(putU64(nil, 4), 0))           // the retired per-vertex decrement: not one either
 	f.Add(kindPause, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
 	for _, seed := range transferSeeds() {
 		f.Add(kindTransfer, seed)

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/dag"
@@ -260,34 +261,6 @@ func putID(dst []byte, id dag.VertexID) []byte {
 	return putU32(dst, uint32(id.J))
 }
 
-// encodeIDBatch builds [epoch][n][ids...], the layout of a replay batch, in
-// a fresh buffer.
-func encodeIDBatch(epoch uint64, ids []dag.VertexID) []byte {
-	dst := putU32(putU64(make([]byte, 0, 12+8*len(ids)), epoch), uint32(len(ids)))
-	for _, id := range ids {
-		dst = putID(dst, id)
-	}
-	return dst
-}
-
-// decodeIDBatch parses [epoch][n][ids...], appending ids to buf. The ids
-// must fill the payload exactly: trailing bytes are a protocol error.
-func decodeIDBatch(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag.VertexID, err error) {
-	r := reader{b: payload}
-	epoch = r.u64()
-	n := r.u32()
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	if int64(n)*8 != int64(len(payload)-12) {
-		return 0, nil, fmt.Errorf("core: id batch of %d ids in a %d-byte payload", n, len(payload))
-	}
-	for k := uint32(0); k < n; k++ {
-		buf = append(buf, r.id())
-	}
-	return epoch, buf, r.err
-}
-
 // --- a tile in flight (kindTransfer, and kindSteal's reply) -----------
 //
 //	[epoch u64][reason u8][n u32][id...]
@@ -329,29 +302,45 @@ func decodeTransfer(payload []byte, buf []dag.VertexID) (epoch uint64, reason ui
 	return epoch, reason, buf, nil
 }
 
-// --- aggregated decrement batches (kindDecrBatch) ---------------------
+// --- decrement records (kindDecrBatch, kindReplayTx) -------------------
 //
-// One batch carries the decrements many completed source vertices owe one
-// destination place, coalesced by the outbound aggregator:
+// One batch carries the settlements of many units for one destination
+// place, coalesced by the outbound aggregator; a recovery's replay sends one
+// record, with no values:
 //
 //	[epoch u64][nRecords u32]
-//	record:  [head u8][src Δid][value (codec) if head&1][target Δid...]
+//	record: [nTile uvarint][nVal uvarint]
+//	        ([tile uvarint][count uvarint])× ([src Δid][value (codec)])×
 //
-// Bit 0 of head marks a piggybacked source value (value push); the
-// receiver deposits it into the epoch's vertex cache before applying the
-// decrements, so the consumer's halo step hits the cache instead of issuing
-// a kindFetch round-trip. Bits 1-7 of head are the target count; 127 is
-// an escape: the count (>= 127) follows head as a uvarint. A Δid is two
-// zig-zag varints, (ΔI, ΔJ): a source is taken relative to the previous
-// record's source ((0,0) for the first), a target relative to its own
-// source. Sources finish in scan order and a vertex's dependents are its
-// grid neighbours, so nearly every Δ is one byte.
+// A record is what one unit (place.go: settle) owes the destination when it
+// ends: count decrements against each named tile of the destination's grid,
+// and, under value push, the values of the unit's cells that the
+// destination's cells read. The receiver deposits the values into the
+// epoch's vertex cache before it applies the counts, so the consumer's halo
+// step hits the cache instead of issuing a kindFetch round-trip. A Δid is two
+// zig-zag varints, (ΔI, ΔJ), relative to the previous value's source in the
+// batch ((0,0) for the first). Sources finish in scan order, so nearly every
+// Δ is one byte.
 
-const (
-	decrFlagValue  uint8 = 1
-	decrCountShift       = 1
-	decrCountEsc         = 0x7F // head count field: the real count follows as a uvarint
-)
+// tileCount is count decrements owed to one tile.
+type tileCount struct{ tile, count uint32 }
+
+// decrBatch is a decoded batch: every record's tile counts and every
+// record's values, each list flat in record order, and where each record's
+// share of the two lists ends.
+type decrBatch[T any] struct {
+	epoch uint64
+	tiles []tileCount
+	ids   []dag.VertexID // the values' sources
+	vals  []T
+	ends  []decrEnd
+}
+
+// decrEnd is len(tiles) and len(ids) at the end of one record.
+type decrEnd struct{ tiles, vals int }
+
+// errDecrRecord is a sentinel for the same reason errBadVarint is.
+var errDecrRecord = errors.New("core: decrement record count exceeds the payload, or names a tile past int32, or a count of zero or past int32")
 
 // errBadVarint is a sentinel, not a formatted error: a truncated batch is
 // rejected without allocating.
@@ -405,104 +394,95 @@ func (r *reader) idDelta(base dag.VertexID) dag.VertexID {
 	return dag.VertexID{I: int32(i), J: int32(j)}
 }
 
-// decrRecord is one decoded record of a kindDecrBatch payload. Targets
-// are held as a range into a shared buffer so scratch slices can grow
-// without invalidating earlier records.
-type decrRecord[T any] struct {
-	src      dag.VertexID
-	hasValue bool
-	value    T
-	t0, t1   int
-}
-
-// appendDecrRecord appends one aggregated-decrement record to dst; prev is
-// the source of the record before it in the same batch.
-func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], prev, src dag.VertexID, value T, hasValue bool, targets []dag.VertexID) []byte {
-	var head uint8
-	if hasValue {
-		head = decrFlagValue
+// appendDecrRecord appends one record to dst; prev is the source of the
+// batch's last value before it.
+func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], prev dag.VertexID, tiles []tileCount, ids []dag.VertexID, vals []T) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(tiles)))
+	dst = binary.AppendUvarint(dst, uint64(len(ids)))
+	for _, tc := range tiles {
+		dst = binary.AppendUvarint(dst, uint64(tc.tile))
+		dst = binary.AppendUvarint(dst, uint64(tc.count))
 	}
-	dst = append(dst, head|uint8(min(len(targets), decrCountEsc))<<decrCountShift)
-	if len(targets) >= decrCountEsc {
-		dst = binary.AppendUvarint(dst, uint64(len(targets)))
-	}
-	dst = putIDDelta(dst, prev, src)
-	if hasValue {
-		dst = cd.Encode(dst, value)
-	}
-	for _, id := range targets {
-		dst = putIDDelta(dst, src, id)
+	for k, id := range ids {
+		dst = putIDDelta(dst, prev, id)
+		dst = cd.Encode(dst, vals[k])
+		prev = id
 	}
 	return dst
 }
 
-// encodeDecrBatch builds a whole kindDecrBatch payload from decoded form.
-// The aggregator builds its messages incrementally; this form exists for
-// tests and the fuzzer's round trip.
-func encodeDecrBatch[T any](epoch uint64, cd codec.Codec[T], recs []decrRecord[T], targets []dag.VertexID) []byte {
-	dst := putU32(putU64(nil, epoch), uint32(len(recs)))
+// encodeDecrBatch builds a whole payload from decoded form in a fresh
+// buffer: a recovery's replay, and tests. The aggregator builds its
+// messages a record at a time.
+func encodeDecrBatch[T any](cd codec.Codec[T], b *decrBatch[T]) []byte {
+	dst := putU32(putU64(nil, b.epoch), uint32(len(b.ends)))
 	var prev dag.VertexID
-	for _, rec := range recs {
-		dst = appendDecrRecord(dst, cd, prev, rec.src, rec.value, rec.hasValue, targets[rec.t0:rec.t1])
-		prev = rec.src
+	var at decrEnd
+	for _, e := range b.ends {
+		dst = appendDecrRecord(dst, cd, prev, b.tiles[at.tiles:e.tiles], b.ids[at.vals:e.vals], b.vals[at.vals:e.vals])
+		if e.vals > at.vals {
+			prev = b.ids[e.vals-1]
+		}
+		at = e
 	}
 	return dst
 }
 
-// decodeDecrBatch parses a kindDecrBatch payload, appending records and
-// target ids to the caller's scratch buffers. The grown buffers are
-// returned even on error so callers keep the capacity; counts are bounds-
-// checked against the payload length before any allocation they imply.
-func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], recs []decrRecord[T], targets []dag.VertexID) (epoch uint64, outRecs []decrRecord[T], outTargets []dag.VertexID, err error) {
+// decodeDecrBatch parses a payload into b, reusing its buffers. Every count
+// is checked against the bytes left before anything it implies is
+// allocated, and a tile past int32, or a count of zero or past int32, is a
+// protocol error; a tile past the receiver's grid is the handler's to
+// refuse. On error b holds a prefix of the batch.
+func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) error {
 	r := reader{b: payload}
-	epoch = r.u64()
+	b.epoch = r.u64()
 	n := r.u32()
+	b.tiles, b.ids, b.vals, b.ends = b.tiles[:0], b.ids[:0], b.vals[:0], b.ends[:0]
 	if r.err != nil {
-		return 0, recs, targets, r.err
+		return r.err
 	}
-	// Every record costs at least 3 bytes: head + a two-varint source.
-	if int(n) > (len(payload)-12)/3 {
-		return 0, recs, targets, fmt.Errorf("core: decr batch record count %d exceeds payload", n)
+	// A record costs at least 2 bytes, its two counts, and each tile count
+	// and each value it holds at least 2 more.
+	if int(n) > (len(payload)-12)/2 {
+		return errDecrRecord
 	}
 	var prev dag.VertexID
 	for k := uint32(0); k < n; k++ {
-		var rec decrRecord[T]
-		head := r.u8()
-		nt := uint64(head >> decrCountShift)
-		if nt == decrCountEsc {
-			if nt = r.uvarint(); nt < decrCountEsc && r.err == nil {
-				return 0, recs, targets, fmt.Errorf("core: decr batch record %d: escaped target count %d", k, nt)
-			}
-		}
-		rec.src = r.idDelta(prev)
+		nt := r.uvarint()
+		nv := r.uvarint()
 		if r.err != nil {
-			return 0, recs, targets, r.err
+			return r.err
 		}
-		prev = rec.src
-		if head&decrFlagValue != 0 {
-			v, used, derr := cd.Decode(r.rest())
-			if derr != nil {
-				return 0, recs, targets, fmt.Errorf("core: decr batch value decode: %w", derr)
+		if left := uint64(len(payload)-r.off) / 2; nt > left || nv > left {
+			return errDecrRecord
+		}
+		for m := uint64(0); m < nt; m++ {
+			tile := r.uvarint()
+			count := r.uvarint()
+			if r.err != nil {
+				return r.err
+			}
+			if tile > math.MaxInt32 || count == 0 || count > math.MaxInt32 {
+				return errDecrRecord
+			}
+			b.tiles = append(b.tiles, tileCount{tile: uint32(tile), count: uint32(count)})
+		}
+		for m := uint64(0); m < nv; m++ {
+			prev = r.idDelta(prev)
+			if r.err != nil {
+				return r.err
+			}
+			v, used, err := cd.Decode(r.rest())
+			if err != nil {
+				return fmt.Errorf("core: decrement record value decode: %w", err)
 			}
 			r.off += used
-			rec.hasValue = true
-			rec.value = v
+			b.ids = append(b.ids, prev)
+			b.vals = append(b.vals, v)
 		}
-		// Every target costs at least 2 bytes.
-		if nt > uint64(len(payload)-r.off)/2 {
-			return 0, recs, targets, fmt.Errorf("core: decr batch target count %d exceeds payload", nt)
-		}
-		rec.t0 = len(targets)
-		for m := uint64(0); m < nt; m++ {
-			targets = append(targets, r.idDelta(rec.src))
-		}
-		rec.t1 = len(targets)
-		if r.err != nil {
-			return 0, recs, targets, r.err
-		}
-		recs = append(recs, rec)
+		b.ends = append(b.ends, decrEnd{tiles: len(b.tiles), vals: len(b.ids)})
 	}
-	return epoch, recs, targets, nil
+	return nil
 }
 
 // --- value fetch (kindFetch) ------------------------------------------

@@ -191,15 +191,23 @@ func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], reason u
 }
 
 // handleStealDone completes a handed-over tile's cells from the values the
-// place that ran it returned, in the order this place stated. A short batch
-// (the executor hit an error mid-tile) is fine: the unfinished suffix stays
-// pending for the recovery to reschedule.
+// place that ran it returned, in the order this place stated, as one unit
+// that settles when the batch ends. A short batch (the executor hit an error
+// mid-tile) is fine: the unfinished suffix stays pending for the recovery to
+// reschedule.
 func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, error) {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
+	var unit *epochState[T]
+	defer func() {
+		if unit != nil {
+			pe.settle(unit, sc)
+		}
+	}()
 	return nil, pe.eachOwnedValue(from, "steal-done", payload, func(st *epochState[T], off int, id dag.VertexID, v T) {
+		unit = st
 		sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], id)
-		pe.completeResolved(st, sc, off, st.chunk.TileBox(st.chunk.TileOf(off)), id.I, id.J, v, sc.antiRes)
+		pe.completeResolved(st, sc, off, st.chunk.TileBox(st.chunk.TileOf(off)), id, v, sc.antiRes)
 	})
 }
 

@@ -32,11 +32,11 @@ type tileDesc struct {
 	ids    []dag.VertexID    // per slot
 	depAt  []int32           // per slot, len(ids)+1: slot s depends on deps[depAt[s]:depAt[s+1]]
 	deps   []dag.VertexID
-	res    []cellRef      // dist.PlaceOffset of each entry of deps
-	order  []int32        // slots in execution order
-	antiAt []int32        // per order position, len(order)+1; filled only when owner is this place
-	anti   []resolvedAnti // what completeResolved propagates to
-	rem    []int32        // the Kahn pass: unfinished same-tile deps per slot
+	res    []cellRef // dist.PlaceOffset of each entry of deps
+	order  []int32   // slots in execution order
+	antiAt []int32   // per order position, len(order)+1; filled only when owner is this place
+	anti   []cellRef // what completeResolved parks decrements for
+	rem    []int32   // the Kahn pass: unfinished same-tile deps per slot
 	stack  []int32
 }
 
@@ -159,20 +159,20 @@ func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc) {
 }
 
 // appendAnti appends id's anti-dependencies to dst with their ownership
-// resolved, so completeResolved propagates decrements without querying the
+// resolved, so completeResolved parks decrements without querying the
 // distribution again.
-func (pe *placeEngine[T]) appendAnti(st *epochState[T], sc *scratch[T], dst []resolvedAnti, id dag.VertexID) []resolvedAnti {
+func (pe *placeEngine[T]) appendAnti(st *epochState[T], sc *scratch[T], dst []cellRef, id dag.VertexID) []cellRef {
 	sc.antiBuf = pe.cfg.Pattern.AntiDependencies(id.I, id.J, sc.antiBuf[:0])
 	for _, a := range sc.antiBuf {
 		owner, off := st.d.PlaceOffset(a.I, a.J)
-		dst = append(dst, resolvedAnti{id: a, owner: int32(owner), off: off})
+		dst = append(dst, cellRef{Owner: int32(owner), Off: int32(off)})
 	}
 	return dst
 }
 
 // appendRun makes slot s the next cell of td.order and, when this place owns
 // the cells, resolves its anti-dependencies into td.anti; it returns those.
-func (pe *placeEngine[T]) appendRun(st *epochState[T], sc *scratch[T], td *tileDesc, s int32) []resolvedAnti {
+func (pe *placeEngine[T]) appendRun(st *epochState[T], sc *scratch[T], td *tileDesc, s int32) []cellRef {
 	td.order = append(td.order, s)
 	at := len(td.anti)
 	td.antiAt = append(td.antiAt, int32(at))
@@ -224,13 +224,13 @@ func (pe *placeEngine[T]) orderTile(st *epochState[T], sc *scratch[T], td *tileD
 		s := td.stack[len(td.stack)-1]
 		td.stack = td.stack[:len(td.stack)-1]
 		for _, a := range pe.appendRun(st, sc, td, s) {
-			if int(a.owner) != pe.self || !box.Holds(a.off) {
+			if int(a.Owner) != pe.self || !box.Holds(int(a.Off)) {
 				continue
 			}
-			if r := rem[a.off-lo]; r > 0 {
-				rem[a.off-lo] = r - 1
+			if r := rem[int(a.Off)-lo]; r > 0 {
+				rem[int(a.Off)-lo] = r - 1
 				if r == 1 {
-					td.stack = append(td.stack, int32(a.off-lo))
+					td.stack = append(td.stack, a.Off-int32(lo))
 				}
 			}
 		}
@@ -280,12 +280,7 @@ func (pe *placeEngine[T]) tileExtDeps(sc *scratch[T], td *tileDesc) []dag.Vertex
 func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) (done int, err error) {
 	own := td.owner == pe.self
 	if own {
-		// The walk owns every cell it completes, so completions run in
-		// deferred mode: relaxed result stores, parked cross-tile counter
-		// decrements and one batched done-count add, settled by
-		// flushTileWalk on every exit.
-		sc.deferOn = true
-		defer pe.flushTileWalk(st, sc)
+		defer pe.settle(st, sc)
 	}
 	if err := pe.fillHalo(st, sc, td); err != nil {
 		return 0, err
@@ -311,7 +306,7 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 				off = st.d.LocalOffset(id.I, id.J)
 				tile = st.chunk.TileBox(st.chunk.TileOf(off))
 			}
-			pe.completeResolved(st, sc, off, tile, id.I, id.J, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
+			pe.completeResolved(st, sc, off, tile, id, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
 		} else {
 			p, _ := sc.halo.slot(id)
 			*p = v
@@ -359,12 +354,11 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 		return // a dead peer or superseded epoch: the recovery reschedules the tile
 	}
 
-	sc.deferOn = true
 	defer func() {
 		if sc.doneN > 0 {
 			pe.countTile(sc) // a tile task ran here, as describeTile's walk counts it
 		}
-		pe.flushTileWalk(st, sc)
+		pe.settle(st, sc)
 	}()
 	vals, e := ch.Values(), 0 // e: the next record of sc.edge
 	for r := top; r < bottom; r++ {
@@ -427,11 +421,11 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 				sc.antiBuf = s.AntiDependencies(i, j, sc.antiBuf[:0])
 				for _, a := range sc.antiBuf {
 					ref, _ := s.Locate(r, c, i, j, a.I-i, a.J-j)
-					anti = append(anti, resolvedAnti{id: a, owner: ref.Owner, off: int(ref.Off)})
+					anti = append(anti, ref)
 				}
 				sc.antiRes = anti
 			}
-			pe.completeResolved(st, sc, off, b, i, j, v, anti)
+			pe.completeResolved(st, sc, off, b, dag.VertexID{I: i, J: j}, v, anti)
 		}
 		pe.localReads.Add(int64(reads))
 	}

@@ -25,7 +25,7 @@ import (
 // Chunk is one place's partition of the distributed vertex array. Values
 // and flags are indexed by the dense local offset defined by the Dist.
 //
-// Concurrency: SetResult, Finished, Value and TileDecrement are safe for
+// Concurrency: SetResult, Finished, Value and TileAdd are safe for
 // concurrent use by a place's worker pool. A finished flag is set with
 // release ordering after the value write, so any goroutine that observes
 // Finished(off) == true also observes the value.

@@ -214,10 +214,12 @@ func WithTileSize(cells int) UntypedOption {
 	return jobOpt("WithTileSize", func(c *core.Common) { c.TileSize = cells })
 }
 
-// WithoutAggregation restores the paper's §VI-C behaviour — one message
-// per completed vertex per destination, no value push — as the baseline
-// arm of the agg ablation: the aggregator's batch cap drops to one record,
-// so every record leaves on its own the moment it is produced. Job-scoped.
+// WithoutAggregation is the baseline arm of the agg ablation: the
+// aggregator's batch cap drops to one settlement — what one unit owes one
+// destination — so every settlement leaves on its own the moment it is
+// produced, and no value is pushed. With WithTileSize(1), where a unit is
+// one vertex, that is the paper's §VI-C behaviour: one message per
+// completed vertex per destination. Job-scoped.
 func WithoutAggregation() UntypedOption {
 	return jobOpt("WithoutAggregation", func(c *core.Common) {
 		c.AggMaxBatch = 1

@@ -45,12 +45,14 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # are already taking below zero, with no lock between them.
 go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$' -count=5 ./internal/core/
 # ... and that race in isolation, many times: every tile reported ready
-# exactly once, by the scan or by a decrement.
+# exactly once, by the scan or by a decrement, with the decrements aimed at
+# restored cells applied, not absorbed.
 go test -race -run 'TestActivationRacesEarlyDecrements$' -count=20 ./internal/distarray/
 # Moving tiles, repeated under the race detector: a pushed tile waits in the
 # epoch's inbox, which lifeline and exec pushes both feed and the workers and
-# the lifeline pusher both drain, and a recovery races all of them.
-go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled' -count=3 ./internal/core/
+# the lifeline pusher both drain, and a recovery races all of them; a tile
+# handed back settles what it owes through the same path as a walk.
+go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit' -count=3 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
