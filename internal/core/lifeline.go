@@ -180,21 +180,17 @@ func (pe *placeEngine[T]) drainLifelines(st *epochState[T]) {
 
 // takeSurplus claims one surplus ready tile: pushed tiles beyond the local
 // keep first (forwarding), then the place's own queued tiles, packed as
-// their unfinished cells in intra-tile order. Own tiles that a recovery
-// fully restored are consumed and skipped.
+// their unfinished cells in intra-tile order.
 func (pe *placeEngine[T]) takeSurplus(st *epochState[T], sc *scratch[T], keep int) (migratedTile, bool) {
 	if mt, ok := st.inbox.take(keep, true); ok {
 		return mt, true
 	}
-	for {
-		t, ok := st.sched.stealIfOver(keep)
-		if !ok {
-			return migratedTile{}, false
-		}
-		if td := pe.describeTile(st, sc, t); len(td.order) > 0 {
-			return migratedTile{reason: transferLifeline, cells: td.appendOrder(make([]dag.VertexID, 0, len(td.order)))}, true
-		}
+	t, ok := st.sched.stealIfOver(keep)
+	if !ok {
+		return migratedTile{}, false
 	}
+	td := pe.describeTile(st, sc, t)
+	return migratedTile{reason: transferLifeline, cells: td.appendOrder(make([]dag.VertexID, 0, len(td.order)))}, true
 }
 
 // maybePark registers this place as a parked buddy on its alive lifeline
