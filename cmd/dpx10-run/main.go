@@ -41,7 +41,7 @@ func main() {
 	flag.BoolVar(&p.RestoreRemote, "restore-remote", false, "recovery copies moved results instead of recomputing")
 	flag.BoolVar(&p.Verify, "verify", false, "check the result against the serial reference")
 	flag.IntVar(&p.Kill, "kill", -1, "kill this place at ~50% progress (fault-tolerance demo)")
-	flag.BoolVar(&p.Trace, "trace", false, "print per-place utilization after the run")
+	flag.BoolVar(&p.Trace, "trace", false, "print per-place cells, busy time, utilization and fetch-wait after the run (turns the metrics registry on)")
 	flag.Int64Var(&p.ChaosSeed, "chaos-seed", 1, "seed of the fault-injection schedule (reproducible)")
 	flag.Float64Var(&p.ChaosDrop, "chaos-drop", 0, "chaos: per-message drop probability (0..1)")
 	flag.Float64Var(&p.ChaosDup, "chaos-dup", 0, "chaos: per-message duplication probability (0..1)")

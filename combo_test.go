@@ -7,6 +7,7 @@ import (
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
+	"github.com/dpx10/dpx10/internal/metrics"
 	"github.com/dpx10/dpx10/internal/workload"
 )
 
@@ -106,25 +107,20 @@ func TestDefaultGobCodecStructValues(t *testing.T) {
 
 func TestSpillStealTraceTogether(t *testing.T) {
 	app := apps.NewMTP(60, 60, 100, 9)
-	tr := dpx10.NewTrace(4, 100)
 	dag, err := dpx10.Run[int64](app, app.Pattern(),
 		dpx10.Places(4),
 		dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 		dpx10.WithStrategy(dpx10.StealScheduling),
 		dpx10.WithSpill(t.TempDir(), 64, 4),
-		dpx10.WithTrace(tr))
+		dpx10.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := app.Verify(dag); err != nil {
 		t.Fatal(err)
 	}
-	var total int64
-	for p := 0; p < 4; p++ {
-		total += tr.Vertices(p)
-	}
-	if total < 60*60 {
-		t.Fatalf("trace recorded %d executions, want >= %d", total, 60*60)
+	if total := dpx10.MergeMetrics(dag.Metrics()).Counters[metrics.SchedCellsExecuted]; total < 60*60 {
+		t.Fatalf("places counted %d executed cells, want >= %d", total, 60*60)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
+	"github.com/dpx10/dpx10/internal/metrics"
 	"github.com/dpx10/dpx10/internal/workload"
 )
 
@@ -36,13 +37,12 @@ func AblationSched(quick bool) (Report, error) {
 	}
 	for _, st := range strategies {
 		app := apps.NewSWLAG(a, b)
-		tr := dpx10.NewTrace(6, 0)
 		dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(),
 			append(extra[apps.AffineCell](),
 				dpx10.Places(6),
 				dpx10.WithCodec[apps.AffineCell](app.Codec()),
 				dpx10.WithStrategy(st),
-				dpx10.WithTrace(tr))...)
+				dpx10.WithMetrics())...)
 		if err != nil {
 			return rep, fmt.Errorf("sched ablation swlag %v: %w", st, err)
 		}
@@ -53,17 +53,16 @@ func AblationSched(quick bool) (Report, error) {
 		}
 		s := dag.Stats()
 		rep.Add("swlag (balanced)", st.String(), fmt.Sprintf("%.3f", dag.Elapsed().Seconds()),
-			d(s.ExecMigrated), d(s.Stolen), d(s.RemoteFetches), f2(tr.Imbalance()))
+			d(s.ExecMigrated), d(s.Stolen), d(s.RemoteFetches), f2(metrics.Imbalance(dag.Metrics())))
 	}
 	for _, st := range strategies {
 		app := apps.NewRandomMatrixChain(chain, 50, 7)
-		tr := dpx10.NewTrace(6, 0)
 		dag, err := dpx10.Run[int64](app, app.Pattern(),
 			append(extra[int64](),
 				dpx10.Places(6),
 				dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 				dpx10.WithStrategy(st),
-				dpx10.WithTrace(tr))...)
+				dpx10.WithMetrics())...)
 		if err != nil {
 			return rep, fmt.Errorf("sched ablation chain %v: %w", st, err)
 		}
@@ -74,10 +73,10 @@ func AblationSched(quick bool) (Report, error) {
 		}
 		s := dag.Stats()
 		rep.Add("matrixchain (imbalanced)", st.String(), fmt.Sprintf("%.3f", dag.Elapsed().Seconds()),
-			d(s.ExecMigrated), d(s.Stolen), d(s.RemoteFetches), f2(tr.Imbalance()))
+			d(s.ExecMigrated), d(s.Stolen), d(s.RemoteFetches), f2(metrics.Imbalance(dag.Metrics())))
 	}
 	rep.Notes = append(rep.Notes,
-		"imbalance = max/mean vertices executed per place (1.00 = perfectly balanced)")
+		"imbalance = max/mean cells executed per place, from sched.cells_executed (1.00 = perfectly balanced)")
 	rep.Notes = append(rep.Notes,
 		"steal is this repository's extension (the paper cites work-stealing schedulers as future work)")
 	return rep, nil

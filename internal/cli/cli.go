@@ -53,7 +53,7 @@ type Params struct {
 
 	Verify bool
 	Kill   int  // place to kill at ~50% progress; -1 disables
-	Trace  bool // print per-place utilization after the run
+	Trace  bool // print per-place cells, busy time, utilization and fetch-wait after the run
 
 	// Chaos arm: a seeded fault-injection plan over the place fabric, with
 	// the heartbeat detector and retry/backoff delivery absorbing it. Drop,
@@ -90,9 +90,10 @@ func (p *Params) chaotic() bool {
 	return p.ChaosDrop > 0 || p.ChaosDup > 0 || p.ChaosDelay > 0
 }
 
-// metricsOn reports whether any metrics output was requested.
+// metricsOn reports whether any metrics output was requested; the -trace
+// report is read from the registry too.
 func (p *Params) metricsOn() bool {
-	return p.Metrics || p.MetricsJSON || p.MetricsAddr != ""
+	return p.Metrics || p.MetricsJSON || p.MetricsAddr != "" || p.Trace
 }
 
 // AppNames lists the runnable applications.
@@ -353,11 +354,6 @@ func drive[T any](p Params, w io.Writer, app dpx10.App[T], pattern dpx10.Pattern
 		return driveMulti[T](p, w, app, pattern, cd, verify, summarize)
 	}
 	opts := append(options[T](p), dpx10.WithCodec[T](cd))
-	var tr *dpx10.Trace
-	if p.Trace {
-		tr = dpx10.NewTrace(p.Places, 0)
-		opts = append(opts, dpx10.WithTrace(tr))
-	}
 	var spans *dpx10.SpanLog
 	if p.TraceOut != "" {
 		spans = dpx10.NewSpanLog(0)
@@ -397,13 +393,12 @@ func drive[T any](p Params, w io.Writer, app dpx10.App[T], pattern dpx10.Pattern
 	}
 	fmt.Fprintln(w, summarize(d))
 	printStats(w, d.Stats(), d.Elapsed())
-	if tr != nil {
+	if p.Trace {
 		threads := p.Threads
 		if threads <= 0 {
 			threads = 2
 		}
-		fmt.Fprintf(w, "per-place utilization (imbalance %.2f):\n%s", tr.Imbalance(),
-			tr.Summary(d.Elapsed(), threads))
+		printUtilization(w, d.Metrics(), d.Elapsed(), threads)
 	}
 	if p.Metrics || p.MetricsJSON {
 		if err := DumpMetrics(w, d.Metrics(), p.MetricsJSON); err != nil {

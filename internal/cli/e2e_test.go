@@ -12,8 +12,8 @@ import (
 	"time"
 )
 
-// syncBuffer collects a subprocess's combined output; the process's I/O
-// copier goroutine writes while the test goroutine polls String.
+// syncBuffer collects output another goroutine writes — a subprocess's I/O
+// copier, or a run in flight — while the test goroutine polls String.
 type syncBuffer struct {
 	mu sync.Mutex
 	b  strings.Builder

@@ -131,9 +131,6 @@ func (ag *aggregator[T]) takeLocked(dest int) []byte {
 	ag.pending.Add(-int64(b.recs))
 	ag.pe.aggBatches.Add(1)
 	ag.pe.decrsCoalesced.Add(int64(b.recs))
-	if tc := ag.pe.cfg.Trace; tc != nil {
-		tc.AddAggFlush(ag.pe.self, int64(b.recs))
-	}
 	*b = aggBuf{}
 	return msg
 }

@@ -98,10 +98,6 @@ type Common struct {
 	RestoreRemote bool
 	// Recovery selects the recovery mechanism; default RecoverRedistribute.
 	Recovery RecoveryMode
-	// Trace, when non-nil, collects per-place telemetry (busy time,
-	// vertices executed, fetch-wait) at the cost of two clock reads per
-	// vertex.
-	Trace *trace.Collector
 	// Spill, when non-nil, keeps each chunk's vertex values in a paged
 	// disk-backed store instead of RAM — the paper's §X future work for
 	// problems larger than memory. Finished flags and tile counters stay

@@ -9,6 +9,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/metrics"
 	"github.com/dpx10/dpx10/internal/sched"
+	"github.com/dpx10/dpx10/internal/trace"
 )
 
 // vecTotal sums a Vec's slots in one snapshot.
@@ -24,7 +25,8 @@ func vecTotal(s *metrics.Snapshot, name string) int64 {
 // independent observers of the same run: the transport fabric's own Stats
 // counters (the meter sits directly above the endpoint, so its per-kind
 // counts must match number for number) and the engine's atomic Stats
-// counters (mirrored instrument sites must agree exactly). The detector
+// counters (mirrored instrument sites must agree exactly) — and against the
+// span log, which takes one tile span per unit a place runs. The detector
 // is disabled so the run is fully quiescent when the snapshots are read —
 // every divergence is a bug, not a race.
 func TestMetricsInvariants(t *testing.T) {
@@ -62,7 +64,14 @@ func TestMetricsInvariants(t *testing.T) {
 			cfg.CacheSize = tc.cache
 			cfg.Lifelines = tc.lifelines
 			cfg.ProbeInterval = -1 // no heartbeats: deterministic traffic
+			cfg.Spans = trace.NewSpanLog(0)
 			cl := runAndCheck(t, cfg)
+			tileSpans := make([]int64, cfg.Places)
+			for _, sp := range cfg.Spans.Spans() {
+				if sp.Name == "tile" {
+					tileSpans[sp.Place]++
+				}
+			}
 
 			snaps := cl.MetricsSnapshots()
 			if len(snaps) != cfg.Places {
@@ -93,6 +102,13 @@ func TestMetricsInvariants(t *testing.T) {
 				if got := s.Gauges[metrics.EngineEpoch]; got != 0 {
 					t.Errorf("place %d: engine.epoch = %d after fault-free run", p, got)
 				}
+				// One tile span per unit run here, wherever its cells live.
+				if got := s.Counters[metrics.SchedTilesExecuted]; got != tileSpans[p] {
+					t.Errorf("place %d: sched.tiles_executed = %d, tile spans = %d", p, got, tileSpans[p])
+				}
+				if busy, most := s.Counters[metrics.SchedBusyNs], int64(cl.Elapsed())*int64(cfg.Threads); busy > most {
+					t.Errorf("place %d: sched.busy_ns = %d > elapsed x threads = %d", p, busy, most)
+				}
 				// Wire round trip: what the coordinator would receive over
 				// kindStats is exactly what the place measured.
 				dec, err := metrics.DecodeSnapshot(metrics.EncodeSnapshot(nil, s))
@@ -115,6 +131,12 @@ func TestMetricsInvariants(t *testing.T) {
 			}
 			if got := vecTotal(agg, metrics.VCacheMisses); got != st.CacheMisses {
 				t.Errorf("vcache.misses total = %d, Stats.CacheMisses = %d", got, st.CacheMisses)
+			}
+			if got := agg.Counters[metrics.SchedCellsExecuted]; got != st.ComputedCells {
+				t.Errorf("sched.cells_executed = %d, Stats.ComputedCells = %d", got, st.ComputedCells)
+			}
+			if wait := agg.Counters[metrics.EngineFetchWaitNs]; (wait == 0) != (st.FetchCalls == 0) {
+				t.Errorf("engine.fetch_wait_ns = %d over %d fetch calls", wait, st.FetchCalls)
 			}
 
 			// A fault-free local fabric delivers everything: cluster-wide

@@ -130,9 +130,13 @@ type placeEngine[T any] struct {
 	// reg is this place's metrics registry (nil when Config.Metrics is
 	// off). The m* instrument handles are wired unconditionally: a nil
 	// registry hands out nil handles whose methods are inert no-ops, so
-	// the hot paths below never branch on whether metrics are enabled.
+	// the hot paths below never branch on whether metrics are enabled —
+	// except to skip a clock read (unitClock, fetchValues).
 	reg         *metrics.Registry
 	mTiles      *metrics.Counter
+	mCells      *metrics.Counter
+	mBusy       *metrics.Counter
+	mFetchWait  *metrics.Counter
 	mStealAtt   *metrics.Counter
 	mStealOK    *metrics.Counter
 	mParks      *metrics.Counter
@@ -279,6 +283,9 @@ func newPlaceEngine[T any](self int, cfg *Config[T], tr transport.Transport, abo
 		pe.workers[w].sc = newScratch[T](cfg.Places, w)
 	}
 	pe.mTiles = reg.Counter(metrics.SchedTilesExecuted)
+	pe.mCells = reg.Counter(metrics.SchedCellsExecuted)
+	pe.mBusy = reg.Counter(metrics.SchedBusyNs)
+	pe.mFetchWait = reg.Counter(metrics.EngineFetchWaitNs)
 	pe.mStealAtt = reg.Counter(metrics.SchedStealsAttempted)
 	pe.mStealOK = reg.Counter(metrics.SchedStealsSucceeded)
 	pe.mParks = reg.Counter(metrics.SchedDequeParks)
@@ -497,16 +504,13 @@ func (pe *placeEngine[T]) parkDelay(w int) time.Duration {
 // A tile the strategy places elsewhere goes there whole (transfer.go); one
 // the target refuses, or a dead target's, runs here.
 func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scratch[T], tile int) {
-	if sp := pe.cfg.Spans; sp != nil {
-		t0 := sp.Start()
-		defer func() { sp.Add(pe.spanTile, pe.self, sc.wkr, t0) }()
-	}
+	t0 := pe.unitClock()
 	// One placement decision for the whole tile. Only MinComm weighs the tile's
 	// inputs, which describeTile lists; else a stencil tile staying here is walked.
 	exec := pe.self
 	if pe.cfg.Strategy != sched.MinComm {
 		if exec = pk.PickTile(pe.self, 0, nil); exec == pe.self && st.chunk.Stencil() != nil {
-			pe.walkStencil(st, sc, tile)
+			pe.countTile(sc, pe.walkStencil(st, sc, tile), t0)
 			return
 		}
 	}
@@ -519,17 +523,39 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 			return
 		}
 	}
-	pe.countTile(sc)
 	// A dead peer or superseded epoch abandons the rest of the tile; the
 	// recovery's rebuilt tile counters reschedule it.
-	_, _ = pe.walk(st, sc, td)
+	done, _ := pe.walk(st, sc, td)
+	pe.countTile(sc, done, t0)
 }
 
-// countTile records one tile task run here.
-func (pe *placeEngine[T]) countTile(sc *scratch[T]) {
+// unitClock reads the clock when a unit starts here — runTile, or runForeign
+// for a tile from the inbox or a steal — and only when the registry or the
+// span log will record the unit; it is the zero time otherwise. No clock is
+// read per cell.
+func (pe *placeEngine[T]) unitClock() time.Time {
+	if pe.reg == nil && pe.cfg.Spans == nil {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// countTile records one unit run here that computed cells: one tile task,
+// its cells and — when unitClock read t0 — its busy time, which covers the
+// whole unit (halo fill, compute and settle), and its tile span. A unit that
+// computed nothing is not counted.
+func (pe *placeEngine[T]) countTile(sc *scratch[T], cells int, t0 time.Time) {
+	if cells == 0 {
+		return
+	}
 	pe.tilesRun.Add(1)
 	pe.mTiles.Inc(sc.wkr)
 	pe.mJobTiles.Add(pe.jobKey, 1)
+	pe.mCells.Add(sc.wkr, int64(cells))
+	if !t0.IsZero() {
+		pe.mBusy.Add(sc.wkr, int64(time.Since(t0)))
+		pe.cfg.Spans.Add(pe.spanTile, pe.self, sc.wkr, t0)
+	}
 }
 
 // trySteal asks one random alive peer for a ready tile and runs it here
@@ -558,7 +584,7 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 	sp := pe.cfg.Spans
 	var spanStart time.Time
 	if sp != nil {
-		spanStart = sp.Start()
+		spanStart = time.Now()
 	}
 	flag := byte(0)
 	if lifeline {
@@ -713,8 +739,8 @@ func (sc *scratch[T]) owe(p, t int) *settlement[T] {
 // advances by the unit's completions. Every such unit settles once on every
 // exit, an early one (pause, stale epoch, peer error, panic) included:
 // harmless when the epoch is being torn down, since the recovery derives the
-// counters afresh from the finished flags.
-func (pe *placeEngine[T]) settle(st *epochState[T], sc *scratch[T]) {
+// counters afresh from the finished flags. It returns the unit's completions.
+func (pe *placeEngine[T]) settle(st *epochState[T], sc *scratch[T]) (done int) {
 	for _, p := range sc.owing {
 		s := &sc.owed[p]
 		if p == pe.self {
@@ -726,12 +752,13 @@ func (pe *placeEngine[T]) settle(st *epochState[T], sc *scratch[T]) {
 	}
 	sc.owing = sc.owing[:0]
 	st.agg.kick()
-	if sc.doneN > 0 {
+	if done = int(sc.doneN); done > 0 {
 		st.chunk.AddDone(sc.doneN)
 		pe.computed.Add(sc.doneN)
 		sc.doneN = 0
 		pe.maybeReportDone(st)
 	}
+	return done
 }
 
 // applyTiles settles decrement counts against this place's tiles and

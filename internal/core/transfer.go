@@ -153,20 +153,21 @@ func (pe *placeEngine[T]) depositMigrated(st *epochState[T], mt migratedTile) {
 }
 
 // runForeign executes a tile handed over for reason, its cells vetted and in
-// the owner's order, counts it as the reason says (Stolen, ExecMigrated, or
-// a migrated run when a lifeline tile went home) and returns how many cells
-// it computed. Their results go home as one kindStealDone batch
-// [epoch][count][(id, value)...]. A mid-tile error (the owner died, or a
+// the owner's order, as one unit (countTile), counts it as the reason says
+// (Stolen, ExecMigrated, or a migrated run when a lifeline tile went home)
+// and returns how many cells it computed. Their results go home as one
+// kindStealDone batch [epoch][count][(id, value)...]. A mid-tile error (the owner died, or a
 // recovery superseded the epoch) still returns the finished prefix — the
 // owner can keep restored work across a redistribution — and the recovery
 // reschedules the rest. A tile back at its own owner completes locally.
 func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], reason uint8, cells []dag.VertexID) (done int) {
+	t0 := pe.unitClock()
+	defer func() { pe.countTile(sc, done, t0) }()
 	owner := st.d.Place(cells[0].I, cells[0].J)
 	td := pe.describeCells(st, sc, owner, cells)
 	if done, _ = pe.walk(st, sc, td); done == 0 {
 		return 0
 	}
-	pe.countTile(sc)
 	switch reason {
 	case transferSteal:
 		pe.stolen.Add(int64(done))

@@ -293,12 +293,13 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 		}
 		id := td.ids[s]
 		a, b := td.depAt[s], td.depAt[s+1]
-		v, err := pe.computeWith(st, sc, id, td.deps[a:b], td.res[a:b])
-		if err == nil && pe.stale(st) {
-			err = errStaleEpoch
-		}
+		cells, err := pe.gatherDeps(st, sc, td.deps[a:b], td.res[a:b])
 		if err != nil {
 			return done, err
+		}
+		v := pe.cfg.Compute(id.I, id.J, cells)
+		if pe.stale(st) {
+			return done, errStaleEpoch
 		}
 		if own {
 			off, tile := td.box.Lo+int(s), td.box
@@ -321,8 +322,9 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 // dependencies from the chunk by offset arithmetic. Only cells within reach
 // of the top and left edges locate their dependencies (in sc.edge, the remote
 // ones in td for fillHalo), only those within reach of the bottom and right
-// edges resolve anti-dependencies: an edge inside the tile is neither.
-func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) {
+// edges resolve anti-dependencies: an edge inside the tile is neither. It
+// reports how many cells it computed.
+func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) (done int) {
 	ch, s, td := st.chunk, st.chunk.Stencil(), &sc.td
 	b := ch.TileBox(t)
 	top, left := b.Lo/b.Stride, b.Lo%b.Stride
@@ -351,15 +353,10 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 	}
 	td.depAt, td.order = append(td.depAt[:0], 0, int32(len(td.deps))), append(td.order[:0], 0)
 	if pe.fillHalo(st, sc, td) != nil {
-		return // a dead peer or superseded epoch: the recovery reschedules the tile
+		return 0 // a dead peer or superseded epoch: the recovery reschedules the tile
 	}
 
-	defer func() {
-		if sc.doneN > 0 {
-			pe.countTile(sc) // a tile task ran here, as describeTile's walk counts it
-		}
-		pe.settle(st, sc)
-	}()
+	defer func() { done = pe.settle(st, sc) }()
 	vals, e := ch.Values(), 0 // e: the next record of sc.edge
 	for r := top; r < bottom; r++ {
 		select {
@@ -377,10 +374,6 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 				continue // restored by a recovery
 			}
 			j := s.ColOf[c]
-			var t0 time.Time
-			if pe.cfg.Trace != nil {
-				t0 = time.Now()
-			}
 			cells := sc.cells[:0]
 			if r < inTop || c < inLeft {
 				for _, o := range offs {
@@ -413,9 +406,6 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 				reads += len(offs)
 			}
 			v := pe.cfg.Compute(i, j, cells)
-			if pe.cfg.Trace != nil {
-				pe.cfg.Trace.RecordCompute(pe.self, i, j, t0, time.Since(t0))
-			}
 			anti := sc.antiRes[:0]
 			if r >= outBottom || c >= outRight {
 				sc.antiBuf = s.AntiDependencies(i, j, sc.antiBuf[:0])
@@ -429,6 +419,7 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 		}
 		pe.localReads.Add(int64(reads))
 	}
+	return // the deferred settle reports the count
 }
 
 // fillHalo is the one place a walk's remote inputs come from, and the one
@@ -468,9 +459,6 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 				hits++
 				if pushed {
 					pushHits++
-					if pe.cfg.Trace != nil {
-						pe.cfg.Trace.AddPushHit(pe.self)
-					}
 				}
 				continue
 			}
@@ -505,22 +493,23 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 }
 
 // fetchValues reads the finished values of ids, all owned by owner, into
-// sc.vals in id order: one kindFetch call per fetchMaxIDs ids. Every value
-// is offered to the vertex cache.
+// sc.vals in id order: one kindFetch call per fetchMaxIDs ids, each timed
+// into engine.fetch_wait_ns when the registry is on. Every value is offered
+// to the vertex cache.
 func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner int, ids []dag.VertexID) ([]T, error) {
 	sc.vals = sc.vals[:0]
 	for len(ids) > 0 {
 		req := ids[:min(len(ids), fetchMaxIDs)]
 		ids = ids[len(req):]
-		var f0 time.Time
-		if pe.cfg.Trace != nil {
-			f0 = time.Now()
-		}
 		sc.enc = appendFetchReq(sc.enc[:0], st.epoch, req)
 		pe.fetchCalls.Add(1)
+		var f0 time.Time
+		if pe.reg != nil {
+			f0 = time.Now()
+		}
 		reply, err := pe.tr.Call(owner, kindFetch, sc.enc)
-		if pe.cfg.Trace != nil {
-			pe.cfg.Trace.AddFetchWait(pe.self, time.Since(f0))
+		if pe.reg != nil {
+			pe.mFetchWait.Add(sc.wkr, int64(time.Since(f0)))
 		}
 		if err != nil {
 			pe.peerError(owner, err)
@@ -538,28 +527,6 @@ func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner i
 		pe.remoteFetches.Add(int64(len(req)))
 	}
 	return sc.vals, nil
-}
-
-// computeWith reads one cell's dependency values and invokes the user's
-// compute function on this place. It runs at the executing place — the owner
-// under local scheduling, the target under exec migration, the thief under
-// stealing — so telemetry recorded here attributes work to where it actually
-// ran.
-func (pe *placeEngine[T]) computeWith(st *epochState[T], sc *scratch[T], id dag.VertexID, deps []dag.VertexID, res []cellRef) (T, error) {
-	var t0 time.Time
-	if pe.cfg.Trace != nil {
-		t0 = time.Now()
-	}
-	cells, err := pe.gatherDeps(st, sc, deps, res)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	v := pe.cfg.Compute(id.I, id.J, cells)
-	if pe.cfg.Trace != nil {
-		pe.cfg.Trace.RecordCompute(pe.self, id.I, id.J, t0, time.Since(t0))
-	}
-	return v, nil
 }
 
 // gatherDeps reads dependency values in the pattern's order: from the local

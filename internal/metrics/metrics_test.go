@@ -202,6 +202,22 @@ func TestMerge(t *testing.T) {
 	}
 }
 
+func TestImbalance(t *testing.T) {
+	snaps := make([]*Snapshot, 4)
+	for p := range snaps {
+		snaps[p] = New(p).Snapshot()
+	}
+	if got := Imbalance(snaps); got != 1 {
+		t.Fatalf("imbalance of an empty run = %f, want 1", got)
+	}
+	// 6 cells on place 0, 2 on place 1, none elsewhere: mean 2, max 6.
+	snaps[0].Counters[SchedCellsExecuted] = 6
+	snaps[1].Counters[SchedCellsExecuted] = 2
+	if got := Imbalance(snaps); got != 3 {
+		t.Fatalf("imbalance = %f, want 3", got)
+	}
+}
+
 func TestRenderers(t *testing.T) {
 	s := buildSnapshot()
 	kn := func(vec string, k uint8) string {

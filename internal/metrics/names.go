@@ -16,13 +16,21 @@ const (
 // Instrument names. Every name the runtime records under is declared
 // here and registered in the instruments table below; Registry methods
 // reject anything else. Naming convention: <subsystem>.<metric>, with a
-// _ns suffix for nanosecond-valued histograms.
+// _ns suffix for nanosecond-valued instruments.
 const (
 	// Scheduler: tile execution and work stealing.
 	SchedTilesExecuted   = "sched.tiles_executed"
 	SchedStealsAttempted = "sched.steals_attempted"
 	SchedStealsSucceeded = "sched.steals_succeeded"
 	SchedDequeParks      = "sched.deque_parks"
+
+	// Per-place load, counted at the place that ran each unit (an own tile,
+	// a stencil tile, or a tile handed over): the cells it computed, and its
+	// wall time from description to settlement — halo fill, compute and
+	// settle. Busy time over elapsed × threads is the place's utilization;
+	// max over mean of the cells is the imbalance.
+	SchedCellsExecuted = "sched.cells_executed"
+	SchedBusyNs        = "sched.busy_ns"
 
 	// Lifeline load balancing: bounded random-victim steal probes made
 	// before parking, completed park episodes (all probes spent,
@@ -33,8 +41,10 @@ const (
 	SchedLifelinePushes = "sched.lifeline_pushes"
 	SchedTilesMigrated  = "sched.tiles_migrated"
 
-	// Engine-wide state.
-	EngineEpoch = "engine.epoch"
+	// Engine-wide state, and the time workers spent blocked in remote
+	// dependency fetches (kindFetch calls).
+	EngineEpoch       = "engine.epoch"
+	EngineFetchWaitNs = "engine.fetch_wait_ns"
 
 	// Remote-vertex cache, one Vec key per shard.
 	VCacheHits      = "vcache.hits"
@@ -90,12 +100,15 @@ var instruments = map[string]Kind{
 	SchedStealsAttempted: KindCounter,
 	SchedStealsSucceeded: KindCounter,
 	SchedDequeParks:      KindCounter,
+	SchedCellsExecuted:   KindCounter,
+	SchedBusyNs:          KindCounter,
 	SchedLifelineProbes:  KindCounter,
 	SchedLifelineParks:   KindCounter,
 	SchedLifelinePushes:  KindCounter,
 	SchedTilesMigrated:   KindCounter,
 
-	EngineEpoch: KindGauge,
+	EngineEpoch:       KindGauge,
+	EngineFetchWaitNs: KindCounter,
 
 	VCacheHits:      KindVec,
 	VCacheMisses:    KindVec,

@@ -144,6 +144,21 @@ func MergeAll(snaps []*Snapshot) *Snapshot {
 	return total
 }
 
+// Imbalance returns max over mean of sched.cells_executed across per-place
+// snapshots: 1 is perfectly balanced. A place that computed nothing still
+// counts toward the mean; a run that computed nothing reads 1.
+func Imbalance(snaps []*Snapshot) float64 {
+	var sum, most int64
+	for _, s := range snaps {
+		n := s.Counters[SchedCellsExecuted]
+		sum, most = sum+n, max(most, n)
+	}
+	if sum == 0 {
+		return 1
+	}
+	return float64(most) * float64(len(snaps)) / float64(sum)
+}
+
 // --- wire encoding ----------------------------------------------------
 //
 // Snapshots cross places inside a kindStats reply. The format is

@@ -618,7 +618,8 @@ func (s *Sim) Now() float64 { return s.now }
 
 // Utilization returns place p's cumulative core-busy time divided by its
 // total core capacity over the run so far (makespan × cores) — the
-// virtual-time analogue of trace.Collector.Utilization.
+// virtual-time analogue of the runtime's sched.busy_ns over elapsed ×
+// threads, as dpx10-run -trace reports it.
 func (s *Sim) Utilization(p int) float64 {
 	if s.res.Makespan <= 0 {
 		return 0

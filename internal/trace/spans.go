@@ -1,3 +1,5 @@
+// Package trace holds the span log behind -trace-out — epoch, tile, steal and
+// recovery spans, exported as Chrome trace events — and the wire-kind names.
 package trace
 
 import (
@@ -48,12 +50,6 @@ func NewSpanLog(max int) *SpanLog {
 		max = DefaultMaxSpans
 	}
 	return &SpanLog{t0: time.Now(), max: max}
-}
-
-// Start returns the current instant for a later Add call. It exists so
-// callers do not need to import time for the common pattern.
-func (l *SpanLog) Start() time.Time {
-	return time.Now()
 }
 
 // Add records one span that began at start and just ended. A nil log is

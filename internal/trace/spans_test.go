@@ -10,7 +10,7 @@ import (
 
 func TestSpanLogRecordsAndSorts(t *testing.T) {
 	l := NewSpanLog(10)
-	later := l.Start()
+	later := time.Now()
 	l.Add("tile", 1, 2, later)
 	l.Add("epoch 0", 0, LaneCoordinator, l.t0)
 	spans := l.Spans()
@@ -55,7 +55,7 @@ func TestSpanLogConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				l.Add("tile", w, i%4, l.Start())
+				l.Add("tile", w, i%4, time.Now())
 			}
 		}(w)
 	}
@@ -69,7 +69,7 @@ func TestSpanLogConcurrent(t *testing.T) {
 // array shape with the fields Perfetto needs.
 func TestSpanChromeTrace(t *testing.T) {
 	l := NewSpanLog(10)
-	start := l.Start()
+	start := time.Now()
 	time.Sleep(time.Millisecond)
 	l.Add("recovery:pause", 0, LaneCoordinator, start)
 	l.Add(`tile "x"`, 1, 3, start) // name quoting must survive

@@ -298,7 +298,10 @@ func WithEvents(fn func(Event)) UntypedOption {
 
 // WithMetrics turns on the per-place metrics registry: scheduler, cache,
 // transport, recovery and per-job instruments, readable after the run
-// through Dag.Metrics / Job.Metrics / Cluster.Metrics. Off by default;
+// through Dag.Metrics / Job.Metrics / Cluster.Metrics. Per-place load is
+// there too: sched.cells_executed (max over mean is the imbalance),
+// sched.busy_ns (over elapsed × threads, the utilization) and
+// engine.fetch_wait_ns. Off by default;
 // the disabled path costs nothing on the hot paths. Cluster-scoped: jobs
 // share the registries, isolated through the job.* vec instruments.
 func WithMetrics() UntypedOption {
@@ -427,19 +430,6 @@ func WithSnapshotRecovery[T any](store *SnapshotStore[T], every int64) Option[T]
 		c.Snapshot = store
 		c.SnapshotEvery = every
 	}}
-}
-
-// Trace collects per-place telemetry from a run: busy time, vertices
-// executed per place, fetch-wait time, utilization and load imbalance.
-type Trace = trace.Collector
-
-// NewTrace creates a collector for `places` places keeping up to
-// maxEvents timeline events.
-func NewTrace(places, maxEvents int) *Trace { return trace.New(places, maxEvents) }
-
-// WithTrace attaches a telemetry collector to the run. Job-scoped.
-func WithTrace(tr *Trace) UntypedOption {
-	return jobOpt("WithTrace", func(c *core.Common) { c.Trace = tr })
 }
 
 // WithSpill keeps vertex values in a paged disk-backed store instead of

@@ -62,3 +62,6 @@ go test -race -run 'TestMultiJob|TestManagerClose' -count=1 ./internal/core/
 # every time (~5 s; TestTCPNodeFaultRecovery takes 10 s a run and stays out).
 go test -race -run 'TestTCPNode(EndToEnd|MultiJob|CloseWaitsForStop|StopOutranksAbort)$' -count=25 ./internal/core/
 go test -race -run 'TestCluster|TestSubmit|TestNewCluster' -count=1 .
+# The CLI's live observability surfaces, repeated: the Prometheus endpoint
+# binds port 0 and is scraped mid-run, and the span file is written after it.
+go test -race -run 'TestRunLocal(MetricsAddr|TraceOut)$' -count=10 ./internal/cli/
