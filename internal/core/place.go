@@ -172,14 +172,18 @@ type placeEngine[T any] struct {
 
 // scratch bundles the reusable buffers of the vertex hot path — the tile
 // descriptor, anti-dependency lists, per-owner grouping, fetch id batches,
-// wire encode space and batch decode state — so steady-state vertex
-// execution allocates only what it must (the user-visible Cell slice, which
-// Compute may retain).
+// wire encode space, batch decode state and the stencil slab — so
+// steady-state vertex execution allocates nothing, not even the Cell slice
+// Compute is passed: it is reused between calls (the App contract).
 type scratch[T any] struct {
 	td      tileDesc       // the unit being described or walked (walk.go)
 	antiBuf []dag.VertexID // Pattern.AntiDependencies output
 	antiRes []cellRef      // a cell's resolved anti-dependencies (steal-done, walkStencil)
-	edge    []cellRef      // where a stencil tile's edge cells' dependencies are (walkStencil)
+
+	// The stencil tile being walked, ghost-framed (ghostFrame): cell (i, j) at
+	// slab[at(i, j)]. It grows to the largest tile plus reach and is reused.
+	slab             []T
+	gi0, gj0, stride int
 
 	remote [][]dag.VertexID // by owning place: ids to fetch (fillHalo)
 	owners []int            // owners with buffered ids, in first-use order
@@ -218,6 +222,8 @@ func newScratch[T any](places, wkr int) *scratch[T] {
 	return &scratch[T]{remote: make([][]dag.VertexID, places), owed: make([]settlement[T], places), wkr: wkr}
 }
 
+func (sc *scratch[T]) at(i, j int32) int { return (int(i)-sc.gi0)*sc.stride + int(j) - sc.gj0 }
+
 // resetGroups empties the per-owner grouping, which a previous,
 // error-aborted use may have left half-filled.
 func (sc *scratch[T]) resetGroups() {
@@ -239,8 +245,8 @@ func (pe *placeEngine[T]) putScratch(sc *scratch[T]) { pe.scratchPool.Put(sc) }
 
 // cellRef is a dist.PlaceOffset resolution: the owning place and the dense
 // local offset of a cell within it: distarray's type, which Stencil.Locate
-// returns. A walk resolves each anti-dependency into one once, so
-// completeResolved parks its decrement without asking the dist again.
+// returns. A walk resolves each anti-dependency into one once, so park
+// records its decrement without asking the dist again.
 type cellRef = distarray.CellRef
 
 // workerCtx is one host worker's persistent per-engine state. The picker
@@ -510,7 +516,7 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 	exec := pe.self
 	if pe.cfg.Strategy != sched.MinComm {
 		if exec = pk.PickTile(pe.self, 0, nil); exec == pe.self && st.chunk.Stencil() != nil {
-			pe.countTile(sc, pe.walkStencil(st, sc, tile), t0)
+			pe.countTile(st, sc, pe.walkStencil(st, sc, tile), t0)
 			return
 		}
 	}
@@ -526,7 +532,7 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 	// A dead peer or superseded epoch abandons the rest of the tile; the
 	// recovery's rebuilt tile counters reschedule it.
 	done, _ := pe.walk(st, sc, td)
-	pe.countTile(sc, done, t0)
+	pe.countTile(st, sc, done, t0)
 }
 
 // unitClock reads the clock when a unit starts here — runTile, or runForeign
@@ -543,8 +549,9 @@ func (pe *placeEngine[T]) unitClock() time.Time {
 // countTile records one unit run here that computed cells: one tile task,
 // its cells and — when unitClock read t0 — its busy time, which covers the
 // whole unit (halo fill, compute and settle), and its tile span. A unit that
-// computed nothing is not counted.
-func (pe *placeEngine[T]) countTile(sc *scratch[T], cells int, t0 time.Time) {
+// computed nothing is not counted. Then, with the unit's counts in for any
+// reader of the job's Stats, the place reports done if it is.
+func (pe *placeEngine[T]) countTile(st *epochState[T], sc *scratch[T], cells int, t0 time.Time) {
 	if cells == 0 {
 		return
 	}
@@ -556,6 +563,7 @@ func (pe *placeEngine[T]) countTile(sc *scratch[T], cells int, t0 time.Time) {
 		pe.mBusy.Add(sc.wkr, int64(time.Since(t0)))
 		pe.cfg.Spans.Add(pe.spanTile, pe.self, sc.wkr, t0)
 	}
+	pe.maybeReportDone(st)
 }
 
 // trySteal asks one random alive peer for a ready tile and runs it here
@@ -672,23 +680,26 @@ func (pe *placeEngine[T]) current() *epochState[T] { return pe.st.Load() }
 // stale reports whether st has been superseded by a recovery.
 func (pe *placeEngine[T]) stale(st *epochState[T]) bool { return pe.st.Load() != st }
 
-// completeResolved publishes a computed value for cell id, at local offset
-// off of tile, inside a unit that owns the cell exclusively: a walk of one of
-// this place's tiles, a stencil tile, or a tile another place ran and
-// returned (handleStealDone). It stores the value with a release store and
-// parks what the cell owes its anti-dependencies (anti) until the unit ends
-// and settles. An edge inside the tile owes nothing: the unit's order
-// satisfied it. A local edge owes its target's tile one decrement while the
-// target is unfinished; a restored target's edge was never counted. A remote
-// edge always owes one, to the target's tile at its owner, which counted it
-// whatever the target's state; under value push that owner also gets the
-// value, once.
-func (pe *placeEngine[T]) completeResolved(st *epochState[T], sc *scratch[T], off int, tile distarray.TileBox, id dag.VertexID, value T, anti []cellRef) {
-	st.chunk.SetResultOwned(off, value)
+// publish stores and publishes the value of cell off inside a unit that owns
+// the cell exclusively (walk, handleStealDone), which counts it done when it
+// settles. A stencil tile publishes its cells a row at a time instead.
+func (pe *placeEngine[T]) publish(st *epochState[T], sc *scratch[T], off int, value T) {
+	st.chunk.SetValue(off, value)
+	st.chunk.Publish(off, 1)
 	sc.doneN++
 	if pe.snapOn {
-		pe.maybeSnapshot(st)
+		pe.maybeSnapshot(st, 1)
 	}
+}
+
+// park records what cell id, of tile, owes its anti-dependencies (anti) until
+// the unit ends and settles. An edge inside the tile owes nothing: the unit's
+// order satisfied it. A local edge owes its target's tile one decrement while
+// the target is unfinished; a restored target's edge was never counted. A
+// remote edge always owes one, to the target's tile at its owner, which
+// counted it whatever the target's state; under value push that owner also
+// gets the value, once.
+func (pe *placeEngine[T]) park(st *epochState[T], sc *scratch[T], tile distarray.TileBox, id dag.VertexID, value T, anti []cellRef) {
 	for _, a := range anti {
 		owner, aoff := int(a.Owner), int(a.Off)
 		if owner == pe.self {
@@ -736,10 +747,11 @@ func (sc *scratch[T]) owe(p, t int) *settlement[T] {
 // place's tiles it owes takes its count in one TileAdd (scheduling the tiles
 // that makes ready), each other place gets its settlement as one aggregator
 // record, the flusher is woken — the quantum's end — and the done counter
-// advances by the unit's completions. Every such unit settles once on every
-// exit, an early one (pause, stale epoch, peer error, panic) included:
-// harmless when the epoch is being torn down, since the recovery derives the
-// counters afresh from the finished flags. It returns the unit's completions.
+// advances by the unit's completions (the caller reports the place done).
+// Every such unit settles once on every exit, an early one (pause, stale
+// epoch, peer error, panic) included: harmless when the epoch is being torn
+// down, since the recovery derives the counters afresh from the finished
+// bits. It returns the unit's completions.
 func (pe *placeEngine[T]) settle(st *epochState[T], sc *scratch[T]) (done int) {
 	for _, p := range sc.owing {
 		s := &sc.owed[p]
@@ -756,7 +768,6 @@ func (pe *placeEngine[T]) settle(st *epochState[T], sc *scratch[T]) (done int) {
 		st.chunk.AddDone(sc.doneN)
 		pe.computed.Add(sc.doneN)
 		sc.doneN = 0
-		pe.maybeReportDone(st)
 	}
 	return done
 }
@@ -844,12 +855,10 @@ func (pe *placeEngine[T]) maybeReportDone(st *epochState[T]) {
 	}
 }
 
-// maybeSnapshot feeds the periodic-snapshot baseline when configured.
-func (pe *placeEngine[T]) maybeSnapshot(st *epochState[T]) {
-	if pe.cfg.Snapshot == nil || pe.cfg.SnapshotEvery <= 0 {
-		return
-	}
-	if pe.snapSeq.Add(1)%pe.cfg.SnapshotEvery != 0 {
+// maybeSnapshot feeds the periodic-snapshot baseline (snapOn) n published
+// cells; it saves one each time the count passes a multiple of SnapshotEvery.
+func (pe *placeEngine[T]) maybeSnapshot(st *epochState[T], n int64) {
+	if after, every := pe.snapSeq.Add(n), pe.cfg.SnapshotEvery; after/every == (after-n)/every {
 		return
 	}
 	pe.cfg.Snapshot.Save(st.chunk, pe.cfg.Pattern)

@@ -9,6 +9,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/dist"
+	"github.com/dpx10/dpx10/internal/distarray"
 	"github.com/dpx10/dpx10/internal/sched"
 )
 
@@ -167,6 +168,93 @@ func TestTilingKillMidRunRecovers(t *testing.T) {
 			checkResult(t, cl, pat)
 		})
 	}
+}
+
+// TestStencilWalkPausesBetweenRows stops a stencil walk with quit after row k
+// of its tile — the pause a recovery sends — and checks that exactly rows
+// 0 … k-1 are finished and settled: the done count took them, and the
+// tiles to the right and below wait on exactly the edges from the tile's
+// unfinished cells. A recovery's walk of the rebuilt tile, its first k rows
+// restored, then computes the rest, and only the rest, bit-exact. (The kill
+// tests above pause walks too, but not at a row they can name.)
+func TestStencilWalkPausesBetweenRows(t *testing.T) {
+	const bi, bj = 6, 10
+	x := newSWLAGTile(t, bi, bj)
+	sc := x.pe.workers[0].sc
+	d := x.pe.current().d
+	for _, k := range []int{0, 1, 4, bi - 1} {
+		st, tl := x.epoch(1)
+		ch, computed := st.chunk, 0
+		before := ch.FinishedCount()
+		if k == 0 {
+			st.closeQuit()
+		}
+		x.hook = func(i, j int32) {
+			if computed++; i == int32(bi+k-1) && j == 2*bj-1 {
+				st.closeQuit() // the pause lands as row k-1 ends
+			}
+		}
+		if done := x.pe.walkStencil(st, sc, tl); done != k*bj || computed != done {
+			t.Fatalf("k=%d: walked %d cells, computed %d, want %d", k, done, computed, k*bj)
+		}
+		for i := bi; i < 2*bi; i++ {
+			for j := bj; j < 2*bj; j++ {
+				off := d.LocalOffset(int32(i), int32(j))
+				if fin := ch.Finished(off); fin != (i < bi+k) || fin && ch.Value(off) != x.ref[i][j] {
+					t.Fatalf("k=%d: cell (%d,%d) finished %v, value %v", k, i, j, fin, ch.Value(off))
+				}
+			}
+		}
+		if got := ch.FinishedCount() - before; got != int64(k*bj) {
+			t.Fatalf("k=%d: done count took %d cells, want %d", k, got, k*bj)
+		}
+		// Settled: each successor's counter is down to the edges still owed,
+		// so adding those back is what makes it ready, neither more nor less.
+		for _, cell := range []dag.VertexID{{I: bi, J: 2 * bj}, {I: 2 * bi, J: bj}} {
+			succ := ch.TileOf(d.LocalOffset(cell.I, cell.J))
+			if owed := owedEdges(ch, x.pat, succ); !ch.TileAdd(succ, owed) {
+				t.Fatalf("k=%d: tile %d not ready after the %d edges still owed", k, succ, owed)
+			}
+		}
+		st.closeQuit()
+
+		// The recovery: the finished cells survive, the tile runs again.
+		rebuilt, _ := distarray.RebuildChunk(ch, x.pat, d, false)
+		st2 := x.pe.newEpochState(2, d, rebuilt)
+		rebuilt.ActivateTiles(x.pat)
+		x.hook, computed = func(int32, int32) { computed++ }, 0
+		if done := x.pe.walkStencil(st2, sc, tl); done != (bi-k)*bj || computed != done {
+			t.Fatalf("k=%d: the recovery walked %d cells, computed %d, want %d", k, done, computed, (bi-k)*bj)
+		}
+		st2.closeQuit()
+		for i := bi; i < 2*bi; i++ {
+			for j := bj; j < 2*bj; j++ {
+				if off := d.LocalOffset(int32(i), int32(j)); !rebuilt.Finished(off) || rebuilt.Value(off) != x.ref[i][j] {
+					t.Fatalf("k=%d: after the recovery cell (%d,%d) = %v, want %v", k, i, j, rebuilt.Value(off), x.ref[i][j])
+				}
+			}
+		}
+	}
+	x.hook = nil
+}
+
+// owedEdges counts the edges into tile t's unfinished cells from unfinished
+// cells of other tiles: what t's counter holds on a place with no other.
+func owedEdges[T any](ch *distarray.Chunk[T], pat dag.Pattern, t int) (n int32) {
+	b, d := ch.TileBox(t), ch.Dist()
+	var buf []dag.VertexID
+	for off := b.Lo; off < b.Lo+b.Span(); off++ {
+		if !b.Holds(off) || ch.Finished(off) {
+			continue
+		}
+		i, j := d.CellAt(ch.Place(), off)
+		for _, dep := range pat.Dependencies(i, j, buf[:0]) {
+			if doff := d.LocalOffset(dep.I, dep.J); ch.TileOf(doff) != t && !ch.Finished(doff) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // TestTilingCyclicQuotientFallback runs a pattern whose tile quotient is

@@ -162,7 +162,7 @@ func (pe *placeEngine[T]) depositMigrated(st *epochState[T], mt migratedTile) {
 // reschedules the rest. A tile back at its own owner completes locally.
 func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], reason uint8, cells []dag.VertexID) (done int) {
 	t0 := pe.unitClock()
-	defer func() { pe.countTile(sc, done, t0) }()
+	defer func() { pe.countTile(st, sc, done, t0) }()
 	owner := st.d.Place(cells[0].I, cells[0].J)
 	td := pe.describeCells(st, sc, owner, cells)
 	if done, _ = pe.walk(st, sc, td); done == 0 {
@@ -203,12 +203,14 @@ func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, err
 	defer func() {
 		if unit != nil {
 			pe.settle(unit, sc)
+			pe.maybeReportDone(unit)
 		}
 	}()
 	return nil, pe.eachOwnedValue(from, "steal-done", payload, func(st *epochState[T], off int, id dag.VertexID, v T) {
 		unit = st
 		sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], id)
-		pe.completeResolved(st, sc, off, st.chunk.TileBox(st.chunk.TileOf(off)), id, v, sc.antiRes)
+		pe.publish(st, sc, off, v)
+		pe.park(st, sc, st.chunk.TileBox(st.chunk.TileOf(off)), id, v, sc.antiRes)
 	})
 }
 

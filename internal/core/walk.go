@@ -28,14 +28,14 @@ import (
 type tileDesc struct {
 	owner  int               // the place that owns the cells
 	box    distarray.TileBox // which slots are the unit's cells
-	remote bool              // a dependency may live on another place: the walk needs a halo
+	remote bool              // a dependency lives on another place: the walk needs a halo
 	ids    []dag.VertexID    // per slot
 	depAt  []int32           // per slot, len(ids)+1: slot s depends on deps[depAt[s]:depAt[s+1]]
 	deps   []dag.VertexID
 	res    []cellRef // dist.PlaceOffset of each entry of deps
 	order  []int32   // slots in execution order
 	antiAt []int32   // per order position, len(order)+1; filled only when owner is this place
-	anti   []cellRef // what completeResolved parks decrements for
+	anti   []cellRef // what park records decrements for
 	rem    []int32   // the Kahn pass: unfinished same-tile deps per slot
 	stack  []int32
 }
@@ -108,7 +108,7 @@ func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held bool) {
 // the chunk keeps no dependency lists.
 func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int) *tileDesc {
 	td := &sc.td
-	td.owner, td.box, td.remote = pe.self, st.chunk.TileBox(t), st.chunk.TileRemote(t)
+	td.owner, td.box = pe.self, st.chunk.TileBox(t)
 	n := td.box.Span()
 	td.ids = slices.Grow(td.ids[:0], n)[:n]
 	for base := 0; base < n; base += td.box.Stride {
@@ -126,7 +126,7 @@ func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int)
 // owner and already in the order its owner stated.
 func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner int, cells []dag.VertexID) *tileDesc {
 	td := &sc.td
-	td.owner, td.remote = owner, true
+	td.owner = owner
 	td.box = distarray.TileBox{Lo: -1, W: len(cells), Rows: 1, Stride: len(cells)}
 	td.ids = append(td.ids[:0], cells...)
 	pe.fillDeps(st, td)
@@ -135,11 +135,11 @@ func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner
 }
 
 // fillDeps resolves the dependencies of td's cells from the pattern and the
-// distribution. Slots between the runs, and an own tile's finished cells,
-// get an empty list.
+// distribution, noting whether any lives on another place. Slots between the
+// runs, and an own tile's finished cells, get an empty list.
 func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc) {
 	n := len(td.ids)
-	td.depAt, td.deps, td.res = slices.Grow(td.depAt[:0], n+1)[:n+1], td.deps[:0], td.res[:0]
+	td.depAt, td.deps, td.res, td.remote = slices.Grow(td.depAt[:0], n+1)[:n+1], td.deps[:0], td.res[:0], false
 	s := 0
 	for base := 0; base < n; base += td.box.Stride {
 		for ; s < base+td.box.W; s++ {
@@ -152,6 +152,7 @@ func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc) {
 			for _, dep := range td.deps[at:] {
 				owner, off := st.d.PlaceOffset(dep.I, dep.J)
 				td.res = append(td.res, cellRef{Owner: int32(owner), Off: int32(off)})
+				td.remote = td.remote || owner != pe.self
 			}
 		}
 	}
@@ -159,8 +160,8 @@ func (pe *placeEngine[T]) fillDeps(st *epochState[T], td *tileDesc) {
 }
 
 // appendAnti appends id's anti-dependencies to dst with their ownership
-// resolved, so completeResolved parks decrements without querying the
-// distribution again.
+// resolved, so park records decrements without querying the distribution
+// again.
 func (pe *placeEngine[T]) appendAnti(st *epochState[T], sc *scratch[T], dst []cellRef, id dag.VertexID) []cellRef {
 	sc.antiBuf = pe.cfg.Pattern.AntiDependencies(id.I, id.J, sc.antiBuf[:0])
 	for _, a := range sc.antiBuf {
@@ -270,8 +271,8 @@ func (pe *placeEngine[T]) tileExtDeps(sc *scratch[T], td *tileDesc) []dag.Vertex
 }
 
 // walk executes a described unit here, after one halo step. The only
-// variation is where a result goes: into this place's chunk through
-// completeResolved when it owns the cells, otherwise into sc.halo, where the
+// variation is where a result goes: into this place's chunk through publish
+// and park when it owns the cells, otherwise into sc.halo, where the
 // unit's later cells read it and from where runForeign returns it to the
 // owner. walk reports how many cells of td.order completed, a prefix.
 // Anything short of all of them — a pause or stop, a dead peer, a superseded
@@ -307,7 +308,8 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 				off = st.d.LocalOffset(id.I, id.J)
 				tile = st.chunk.TileBox(st.chunk.TileOf(off))
 			}
-			pe.completeResolved(st, sc, off, tile, id, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
+			pe.publish(st, sc, off, v)
+			pe.park(st, sc, tile, id, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
 		} else {
 			p, _ := sc.halo.slot(id)
 			*p = v
@@ -318,108 +320,115 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 }
 
 // walkStencil runs own tile t of a stencil run (distarray.Stencil) the way
-// native.RunStrip runs a strip: row-major, each cell reading its in-tile
-// dependencies from the chunk by offset arithmetic. Only cells within reach
-// of the top and left edges locate their dependencies (in sc.edge, the remote
-// ones in td for fillHalo), only those within reach of the bottom and right
-// edges resolve anti-dependencies: an edge inside the tile is neither. It
+// native.RunStrip runs a strip: row-major, in one loop over the tile's
+// ghost-framed slab. A cell reads each dependency at its own slab index plus
+// DI·stride + DJ and stores its value in the slab and the chunk; a row whose
+// one test of its finished bits found no restored cell is published whole.
+// Only cells within reach of the bottom and right edges park decrements. It
 // reports how many cells it computed.
 func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) (done int) {
 	ch, s, td := st.chunk, st.chunk.Stencil(), &sc.td
 	b := ch.TileBox(t)
 	top, left := b.Lo/b.Stride, b.Lo%b.Stride
-	bottom, right := top+b.Rows, left+b.W
-	// A cell at or past (inTop, inLeft) has all its dependencies in the tile;
-	// one before (outBottom, outRight) all its anti-dependencies.
-	inTop, inLeft := top+s.ReachRows, left+s.ReachCols
-	outBottom, outRight := bottom-s.ReachRows, right-s.ReachCols
-	td.owner, td.remote, td.deps, td.res, sc.edge = pe.self, ch.TileRemote(t), td.deps[:0], td.res[:0], sc.edge[:0]
-	for r := top; r < bottom; r++ {
-		i := s.RowOf[r]
-		for c := left; c < right; c++ {
-			if r >= inTop && c >= inLeft || ch.Finished(r*b.Stride+c) {
-				continue
-			}
-			for _, o := range s.Offsets(i) {
-				ref, ok := s.Locate(r, c, i, s.ColOf[c], o.DI, o.DJ)
-				if !ok {
-					ref.Owner = -1 // outside the grid
-				} else if int(ref.Owner) != pe.self {
-					td.deps, td.res = append(td.deps, dag.VertexID{I: i + o.DI, J: s.ColOf[c] + o.DJ}), append(td.res, ref)
-				}
-				sc.edge = append(sc.edge, ref)
-			}
-		}
-	}
-	td.depAt, td.order = append(td.depAt[:0], 0, int32(len(td.deps))), append(td.order[:0], 0)
-	if pe.fillHalo(st, sc, td) != nil {
+	if pe.ghostFrame(st, sc, s, b) != nil {
 		return 0 // a dead peer or superseded epoch: the recovery reschedules the tile
 	}
-
 	defer func() { done = pe.settle(st, sc) }()
-	vals, e := ch.Values(), 0 // e: the next record of sc.edge
-	for r := top; r < bottom; r++ {
+	// A cell before (outBottom, outRight) has all its anti-dependencies in the tile.
+	outBottom, outRight := top+b.Rows-s.ReachRows, left+b.W-s.ReachCols
+	for r := top; r < top+b.Rows; r++ {
 		select {
 		case <-st.quit:
 			return // a pause: the epoch is superseded only once this walk is over
 		default:
 		}
-		i := s.RowOf[r]
-		offs := s.Offsets(i)
-		sc.cells = slices.Grow(sc.cells[:0], len(offs))
-		reads := 0
-		for c := left; c < right; c++ {
-			off := r*b.Stride + c
-			if ch.Finished(off) {
-				continue // restored by a recovery
+		i, lo := s.RowOf[r], r*b.Stride+left
+		offs, fresh := s.Offsets(i), ch.FinishedRun(lo, b.W) == 0
+		cells := slices.Grow(sc.cells[:0], len(offs))[:len(offs)]
+		n, reads := 0, -int(td.depAt[r-top+1]-td.depAt[r-top]) // the halo served those
+		for c := left; c < left+b.W; c++ {
+			off, j := lo+c-left, s.ColOf[c]
+			x := sc.at(i, j)
+			if !fresh && ch.Finished(off) {
+				sc.slab[x] = ch.Value(off) // restored by a recovery; later cells read it
+				continue
 			}
-			j := s.ColOf[c]
-			cells := sc.cells[:0]
-			if r < inTop || c < inLeft {
-				for _, o := range offs {
-					ref := sc.edge[e]
-					if e++; ref.Owner < 0 {
-						continue
-					}
-					cell, ok := Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}}, false
-					if int(ref.Owner) != pe.self {
-						cell.Value, ok = sc.halo.get(cell.ID)
-					} else if ok = ch.Finished(int(ref.Off)); ok {
-						cell.Value = ch.Value(int(ref.Off))
-						reads++
-					}
-					if !ok {
-						panic(fmt.Sprintf("core: place %d walked (%d,%d) before its dependency %v was finished here or in the halo", pe.self, i, j, cell.ID))
-					}
-					cells = append(cells, cell)
+			k := 0
+			for _, o := range offs {
+				if i+o.DI >= 0 && j+o.DJ >= 0 { // inside the grid
+					cells[k] = Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}, Value: sc.slab[x+int(o.DI)*sc.stride+int(o.DJ)]}
+					k++
 				}
-			} else {
-				for _, o := range offs {
-					cell, d := Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}}, off+int(o.DI)*b.Stride+int(o.DJ)
-					if vals != nil {
-						cell.Value = vals[d]
-					} else {
-						cell.Value = ch.Value(d)
-					}
-					cells = append(cells, cell)
-				}
-				reads += len(offs)
 			}
-			v := pe.cfg.Compute(i, j, cells)
-			anti := sc.antiRes[:0]
+			v := pe.cfg.Compute(i, j, cells[:k])
+			sc.slab[x], n, reads = v, n+1, reads+k
+			ch.SetValue(off, v)
+			if !fresh {
+				ch.Publish(off, 1)
+			}
 			if r >= outBottom || c >= outRight {
-				sc.antiBuf = s.AntiDependencies(i, j, sc.antiBuf[:0])
+				sc.antiBuf, sc.antiRes = s.AntiDependencies(i, j, sc.antiBuf[:0]), sc.antiRes[:0]
 				for _, a := range sc.antiBuf {
 					ref, _ := s.Locate(r, c, i, j, a.I-i, a.J-j)
-					anti = append(anti, ref)
+					sc.antiRes = append(sc.antiRes, ref)
 				}
-				sc.antiRes = anti
+				pe.park(st, sc, b, dag.VertexID{I: i, J: j}, v, sc.antiRes)
 			}
-			pe.completeResolved(st, sc, off, b, dag.VertexID{I: i, J: j}, v, anti)
 		}
+		if fresh {
+			ch.Publish(lo, b.W)
+		}
+		sc.cells, sc.doneN = cells, sc.doneN+int64(n)
 		pe.localReads.Add(int64(reads))
+		if pe.snapOn {
+			pe.maybeSnapshot(st, int64(n))
+		}
 	}
 	return // the deferred settle reports the count
+}
+
+// ghostFrame readies sc.slab for a walk of own stencil tile b: it spans the
+// tile's global bounding box plus the stencil's reach, and gets what the
+// tile's unfinished cells read outside the tile, nothing else. Only cells
+// within reach of the top and left edges do, so only they locate their
+// dependencies: local ones are copied from the chunk, remote ones listed in
+// td per row and filled through fillHalo.
+func (pe *placeEngine[T]) ghostFrame(st *epochState[T], sc *scratch[T], s *distarray.Stencil, b distarray.TileBox) error {
+	ch, td := st.chunk, &sc.td
+	top, left := b.Lo/b.Stride, b.Lo%b.Stride
+	sc.gi0, sc.gj0 = int(s.RowOf[top]-s.ReachI), int(s.ColOf[left]-s.ReachJ)
+	sc.stride = int(s.ColOf[left+b.W-1]) - sc.gj0 + 1
+	n := (int(s.RowOf[top+b.Rows-1]) - sc.gi0 + 1) * sc.stride
+	sc.slab = slices.Grow(sc.slab[:0], n)[:n]
+	td.owner, td.deps, td.res, td.depAt, td.order = pe.self, td.deps[:0], td.res[:0], td.depAt[:0], td.order[:0]
+	for r := top; r < top+b.Rows; r++ {
+		td.depAt, td.order = append(td.depAt, int32(len(td.deps))), append(td.order, int32(r-top))
+		for c, i := left, s.RowOf[r]; c < left+b.W && (r-top < s.ReachRows || c-left < s.ReachCols); c++ {
+			if ch.Finished(r*b.Stride + c) {
+				continue
+			}
+			for _, o := range s.Offsets(i) {
+				dep := dag.VertexID{I: i + o.DI, J: s.ColOf[c] + o.DJ}
+				switch ref, ok := s.Locate(r, c, i, s.ColOf[c], o.DI, o.DJ); {
+				case !ok || int(ref.Owner) == pe.self && b.Holds(int(ref.Off)): // outside the grid, or the walk writes it
+				case int(ref.Owner) != pe.self:
+					td.deps, td.res = append(td.deps, dep), append(td.res, ref)
+				case ch.Finished(int(ref.Off)):
+					sc.slab[sc.at(dep.I, dep.J)] = ch.Value(int(ref.Off))
+				default:
+					panic(fmt.Sprintf("core: place %d walked (%d,%d) before its dependency %v was finished", pe.self, i, s.ColOf[c], dep))
+				}
+			}
+		}
+	}
+	td.remote, td.depAt = len(td.deps) > 0, append(td.depAt, int32(len(td.deps)))
+	if err := pe.fillHalo(st, sc, td); err != nil {
+		return err
+	}
+	for _, dep := range td.deps {
+		sc.slab[sc.at(dep.I, dep.J)], _ = sc.halo.get(dep)
+	}
+	return nil
 }
 
 // fillHalo is the one place a walk's remote inputs come from, and the one

@@ -3,7 +3,7 @@
 // its recovery mechanism (§VI-D).
 //
 // The array is SPMD: each place holds one Chunk — the values and finished
-// flags of the cells it owns under the current dist.Dist, plus one
+// bits of the cells it owns under the current dist.Dist, plus one
 // readiness counter per tile (tiles.go). Cross-place reads and writes are
 // the engine's job (they go through the transport); this package is
 // deliberately communication-free so that it can be tested exhaustively in
@@ -16,6 +16,7 @@ package distarray
 
 import (
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -23,29 +24,30 @@ import (
 )
 
 // Chunk is one place's partition of the distributed vertex array. Values
-// and flags are indexed by the dense local offset defined by the Dist.
+// and finished bits are indexed by the dense local offset defined by the Dist.
 //
-// Concurrency: SetResult, Finished, Value and TileAdd are safe for
-// concurrent use by a place's worker pool. A finished flag is set with
-// release ordering after the value write, so any goroutine that observes
-// Finished(off) == true also observes the value.
+// Concurrency: SetResult, Publish, Finished, FinishedRun, Value and TileAdd
+// are safe for concurrent use by a place's worker pool. The finished state is
+// one bit per cell, 32 to a word that tiles may share, and every access to a
+// word is atomic: the unit that owns a cell stores its value (SetValue), then
+// sets its bit with an atomic OR, one per word for a whole row (Publish), so
+// any goroutine that observes Finished(off) == true also observes the value.
 type Chunk[T any] struct {
 	place  int
 	d      dist.Dist
 	values []T           // dense in-memory values (nil when store != nil)
 	store  ValueStore[T] // optional disk-backed value storage
 	n      int
-	flags  []uint32 // 0 unfinished, 1 finished
+	fin    []uint32 // finished state: bit off&31 of word off>>5
 	done   atomic.Int64
 	active int64 // cells that participate (finished inactive ones pre-counted)
 
 	// Tile-granular scheduling state (tiles.go). The schedulable unit is a
 	// rectangle of the local index box; its counter is the only readiness
-	// state, derived afresh each epoch from the finished flags.
+	// state, derived afresh each epoch from the finished bits.
 	TileGrid
 	tileIndeg  []int32
 	tileQueued []uint32
-	tileRemote []bool      // tile has a dependency on another place; nil at tile size 1
 	tileLive   atomic.Bool // true once the activation scan has added its counts
 
 	sten atomic.Pointer[Stencil] // non-nil when the activation took the stencil arm
@@ -71,7 +73,7 @@ func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 		d:      d,
 		values: make([]T, n),
 		n:      n,
-		flags:  make([]uint32, n),
+		fin:    make([]uint32, (n+31)/32),
 	}
 }
 
@@ -84,7 +86,7 @@ func NewChunkBacked[T any](p int, d dist.Dist, vs ValueStore[T]) *Chunk[T] {
 		d:     d,
 		store: vs,
 		n:     n,
-		flags: make([]uint32, n),
+		fin:   make([]uint32, (n+31)/32),
 	}
 }
 
@@ -101,7 +103,8 @@ func (c *Chunk[T]) getValue(off int) T {
 	return c.values[off]
 }
 
-func (c *Chunk[T]) setValue(off int, v T) {
+// SetValue stores the value of the cell at off, which its caller owns.
+func (c *Chunk[T]) SetValue(off int, v T) {
 	if c.store != nil {
 		c.store.Set(off, v)
 		return
@@ -138,7 +141,7 @@ func (c *Chunk[T]) InitFlags(pat dag.Pattern) {
 	}
 	for off := 0; off < c.n; off++ {
 		if i, j := c.d.CellAt(c.place, off); !dag.IsActive(pat, i, j) {
-			atomic.StoreUint32(&c.flags[off], 1)
+			c.Publish(off, 1)
 			c.active--
 		}
 	}
@@ -172,32 +175,28 @@ func (c *Chunk[T]) FinishedCount() int64 { return c.done.Load() }
 // AllFinished reports whether every active local cell is finished.
 func (c *Chunk[T]) AllFinished() bool { return c.done.Load() == c.active }
 
-// SetResult stores the computed value of the cell at off and marks it
-// finished. It panics if the cell was already finished: a vertex must
-// complete exactly once per epoch, and a double completion indicates an
+// SetResult stores the computed value of the cell at off, marks it finished
+// and counts it done. It panics if the cell was already finished: a vertex
+// must complete exactly once per epoch, and a double completion indicates an
 // engine bug (e.g. a stale pre-recovery activity slipping through).
 func (c *Chunk[T]) SetResult(off int, v T) {
-	c.setValue(off, v)
-	if !atomic.CompareAndSwapUint32(&c.flags[off], 0, 1) {
-		i, j := c.d.CellAt(c.place, off)
-		panic(fmt.Sprintf("distarray: vertex (%d,%d) finished twice", i, j))
-	}
+	c.SetValue(off, v)
+	c.Publish(off, 1)
 	c.done.Add(1)
 }
 
-// SetResultOwned is SetResult for a caller that owns the cell exclusively
-// (a tile walk: the tile was claimed once and only its worker completes
-// its cells). The finished flag is published with a release store instead
-// of a compare-and-swap, and the done counter is NOT advanced — the walk
-// batches its completions into one AddDone at the end of the tile.
-func (c *Chunk[T]) SetResultOwned(off int, v T) {
-	//dpx10:allow atomicmix only the claiming worker writes this cell's flag; the plain load sees its own prior stores
-	if c.flags[off] == 1 {
-		i, j := c.d.CellAt(c.place, off)
-		panic(fmt.Sprintf("distarray: vertex (%d,%d) finished twice", i, j))
+// Publish marks the n cells from off finished, one atomic OR per word, after
+// their values were stored; a unit counts them done in one AddDone. It panics
+// if any of them was finished already, which the OR's old word tells.
+func (c *Chunk[T]) Publish(off, n int) {
+	for k, end := 0, off+n; off < end; off += k {
+		k = min(end-off, 32-off&31)
+		m := ^uint32(0) >> (32 - k) << (off & 31)
+		if old := atomic.OrUint32(&c.fin[off>>5], m); old&m != 0 {
+			i, j := c.d.CellAt(c.place, off&^31+bits.TrailingZeros32(old&m))
+			panic(fmt.Sprintf("distarray: vertex (%d,%d) finished twice", i, j))
+		}
 	}
-	c.setValue(off, v)
-	atomic.StoreUint32(&c.flags[off], 1)
 }
 
 // AddDone advances the finished-cell counter by n — the batched
@@ -210,27 +209,31 @@ func (c *Chunk[T]) AddDone(n int64) {
 
 // Finished reports whether the cell at off has completed.
 func (c *Chunk[T]) Finished(off int) bool {
-	return atomic.LoadUint32(&c.flags[off]) == 1
+	return atomic.LoadUint32(&c.fin[off>>5])&(1<<(off&31)) != 0
+}
+
+// FinishedRun counts the finished cells among the n from off, 32 per load.
+func (c *Chunk[T]) FinishedRun(off, n int) (finished int) {
+	for k, end := 0, off+n; off < end; off += k {
+		k = min(end-off, 32-off&31)
+		finished += bits.OnesCount32(atomic.LoadUint32(&c.fin[off>>5]) & (^uint32(0) >> (32 - k) << (off & 31)))
+	}
+	return finished
 }
 
 // Value returns the cell's value. Callers must have observed
 // Finished(off) == true for the value to be meaningful.
 func (c *Chunk[T]) Value(off int) T { return c.getValue(off) }
 
-// Values is the value storage by offset, under Value's rule; nil if backed.
-func (c *Chunk[T]) Values() []T { return c.values }
-
 // ForEachFinished calls f for every finished active local cell. Intended
 // for quiesced phases (result collection, recovery); it does not lock.
 func (c *Chunk[T]) ForEachFinished(pat dag.Pattern, f func(i, j int32, off int, v T)) {
-	for off := 0; off < c.n; off++ {
-		if atomic.LoadUint32(&c.flags[off]) != 1 {
-			continue
+	for w := range c.fin {
+		for word := atomic.LoadUint32(&c.fin[w]); word != 0; word &= word - 1 {
+			off := w<<5 + bits.TrailingZeros32(word)
+			if i, j := c.d.CellAt(c.place, off); dag.IsActive(pat, i, j) {
+				f(i, j, off, c.getValue(off))
+			}
 		}
-		i, j := c.d.CellAt(c.place, off)
-		if !dag.IsActive(pat, i, j) {
-			continue
-		}
-		f(i, j, off, c.getValue(off))
 	}
 }

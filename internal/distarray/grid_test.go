@@ -67,41 +67,115 @@ func TestTileGridPartitionsTheBox(t *testing.T) {
 // which the activation scans must walk through the generic arm.
 type hidden struct{ dag.Pattern }
 
-// bruteForce derives, straight from the pattern, what an activation scan of
-// place p's chunk c (tile grid g) must find: per tile, the cross-tile edges
-// into its cells that a decrement will still arrive for — every one from
-// another place, restored target or not, and those from an unfinished cell
-// of another of its tiles into an unfinished one — whether any unfinished
-// cell of it depends on another place, and whether it has an unfinished
-// cell at all. The scan's counter of a tile with none is retiredTile
-// instead. (Both patterns are dense.)
-func bruteForce(pat dag.Pattern, d dist.Dist, p int, g *TileGrid, c *Chunk[int32]) (edges []int32, remote, live []bool) {
-	edges, remote, live = make([]int32, g.NumTiles()), make([]bool, g.NumTiles()), make([]bool, g.NumTiles())
+// bruteForce derives, straight from the pattern and a per-cell model of the
+// finished state (fin, by local offset), what an activation scan of place p's
+// chunk (tile grid g) must find: per tile, the cross-tile edges into its cells
+// that a decrement will still arrive for — every one from another place,
+// restored target or not, and those from an unfinished cell of another of its
+// tiles into an unfinished one — and whether it has an unfinished cell at all.
+// The scan's counter of a tile with none is retiredTile instead. (Both
+// patterns are dense.)
+func bruteForce(pat dag.Pattern, d dist.Dist, p int, g *TileGrid, fin []bool) (edges []int32, live []bool) {
+	edges, live = make([]int32, g.NumTiles()), make([]bool, g.NumTiles())
 	var buf []dag.VertexID
-	for off := 0; off < c.Len(); off++ {
-		done := c.Finished(off)
+	for off, done := range fin {
 		live[g.TileOf(off)] = live[g.TileOf(off)] || !done
 		i, j := d.CellAt(p, off)
 		buf = pat.Dependencies(i, j, buf[:0])
 		for _, dep := range buf {
 			dp, doff := d.PlaceOffset(dep.I, dep.J)
-			if dp != p && !done {
-				remote[g.TileOf(off)] = true
-			}
-			if dp != p || !done && g.TileOf(doff) != g.TileOf(off) && !c.Finished(doff) {
+			if dp != p || !done && g.TileOf(doff) != g.TileOf(off) && !fin[doff] {
 				edges[g.TileOf(off)]++
 			}
 		}
 	}
-	return edges, remote, live
+	return edges, live
+}
+
+// restore finishes the cells of c that phase names, as a recovery's restore
+// would, and returns the per-cell model of what it finished: "fresh" none;
+// "half restored" the first half of the offsets, published as one run (it
+// ends mid-word and mid-tile, and tiles share its words); "scattered" every
+// seventh cell, so most tiles hold rows with restored cells beside unfinished
+// ones; "fully restored" every cell, which retires every tile.
+func restore(c *Chunk[int32], phase string) []bool {
+	fin := make([]bool, c.Len())
+	switch phase {
+	case "half restored":
+		for off := range c.Len() / 2 {
+			c.SetValue(off, 1)
+			fin[off] = true
+		}
+		c.Publish(0, c.Len()/2)
+		c.AddDone(int64(c.Len() / 2))
+	case "scattered":
+		for off := 0; off < c.Len(); off += 7 {
+			c.SetResult(off, 1)
+			fin[off] = true
+		}
+	case "fully restored":
+		for off := range fin {
+			c.SetResult(off, 1)
+			fin[off] = true
+		}
+	}
+	return fin
+}
+
+// checkFinished compares every reading of c's finished state with the
+// per-cell model fin: Finished, FinishedRun over every prefix of every tile
+// row and over the whole chunk, ForEachFinished (every cell of a dense
+// pattern is active), and pendingTiles against the model's live tiles.
+func checkFinished(t *testing.T, name string, c *Chunk[int32], pat dag.Pattern, fin, live []bool) {
+	t.Helper()
+	count := func(lo, n int) (k int) {
+		for _, f := range fin[lo : lo+n] {
+			if f {
+				k++
+			}
+		}
+		return k
+	}
+	for off, f := range fin {
+		if c.Finished(off) != f {
+			t.Fatalf("%s: Finished(%d) = %v, model %v", name, off, !f, f)
+		}
+	}
+	if got, want := c.FinishedRun(0, c.Len()), count(0, c.Len()); got != want {
+		t.Fatalf("%s: FinishedRun over the chunk = %d, model %d", name, got, want)
+	}
+	for tl := 0; tl < c.NumTiles(); tl++ {
+		b := c.TileBox(tl)
+		for lo := b.Lo; lo < b.Lo+b.Span(); lo += b.Stride {
+			for n := 1; n <= b.W; n++ {
+				if got, want := c.FinishedRun(lo, n), count(lo, n); got != want {
+					t.Fatalf("%s: FinishedRun(%d, %d) = %d, model %d", name, lo, n, got, want)
+				}
+			}
+		}
+	}
+	seen := make([]bool, len(fin))
+	c.ForEachFinished(pat, func(_, _ int32, off int, _ int32) { seen[off] = true })
+	for off := range fin {
+		if seen[off] != fin[off] {
+			t.Fatalf("%s: ForEachFinished visited %d: %v, model %v", name, off, seen[off], fin[off])
+		}
+	}
+	for tl, p := range c.pendingTiles() {
+		if p != live[tl] {
+			t.Fatalf("%s: pendingTiles[%d] = %v, model %v", name, tl, p, live[tl])
+		}
+	}
 }
 
 // TestActivationCountsCrossTileEdges runs the activation scan, for two
 // stencils, on every box dist and dist.Func, whole and restricted to the
 // survivors of a death, and every shape, in both arms —
 // the stencil's, and the generic one with the stencil hidden — and checks
-// the counters, the ready set and the remote flags against the brute-force
-// count, fresh and with half the chunk restored finished; then that one
+// the finished state (checkFinished), the counters and the ready set against
+// a brute-force count over a per-cell model, in each of
+// restore's phases (the boxes' rows are 1 to 11 cells long, so tiles share
+// words and rows cross them); then that one
 // TileDecrement per counted edge — every remote one, restored target or
 // not — drains the counter of every tile with an unfinished cell to exactly
 // zero, the contract benchmark/layers.go drives the chunk by, makes each of
@@ -145,28 +219,22 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 					t.Fatalf("%s: place %d box %+v, LocalCount %d", d.Name(), p, box, d.LocalCount(p))
 				}
 				for _, sh := range gridShapes(box.Rows, box.Cols) {
-					for _, phase := range []string{"fresh", "half restored"} {
+					for _, phase := range []string{"fresh", "half restored", "scattered", "fully restored"} {
 						for _, arm := range arms {
 							g := NewTileGrid(box.Rows, box.Cols, sh[0], sh[1])
 							name := fmt.Sprintf("%T %s place %d %s %s %s", pat, d.Name(), p, g, phase, arm.name)
 							c := NewChunk[int32](p, d)
 							c.ConfigureGrid(g)
-							var ready []int
-							if phase == "fresh" {
-								ready = c.InitActivateTiles(arm.pat)
-							} else {
-								c.InitFlags(arm.pat)
-								for off := 0; off < c.Len()/2; off++ {
-									c.SetResult(off, 1)
-								}
-								ready = c.ActivateTiles(arm.pat)
-							}
+							c.InitFlags(arm.pat)
+							fin := restore(c, phase)
+							ready := c.ActivateTiles(arm.pat)
 							_, custom := d.(*dist.Func)
 							wantStencil := arm.name == "stencil" && !custom
 							if (c.Stencil() != nil) != wantStencil {
 								t.Fatalf("%s: stencil arm %v", name, c.Stencil() != nil)
 							}
-							edges, remote, live := bruteForce(pat, d, p, &g, c)
+							edges, live := bruteForce(pat, d, p, &g, fin)
+							checkFinished(t, name, c, pat, fin, live)
 							isReady := map[int]bool{}
 							for _, tl := range ready {
 								isReady[tl] = true
@@ -181,9 +249,6 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 								}
 								if isReady[tl] != (live[tl] && n == 0) {
 									t.Fatalf("%s: tile %d ready=%v with %d cross-tile edges", name, tl, isReady[tl], n)
-								}
-								if c.TileRemote(tl) != (remote[tl] || g.bi*g.bj == 1) {
-									t.Fatalf("%s: tile %d remote flag %v, want %v", name, tl, c.TileRemote(tl), remote[tl])
 								}
 							}
 							var buf []dag.VertexID

@@ -118,21 +118,9 @@ func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
 	n := g.NumTiles()
 	c.tileIndeg = make([]int32, n)
 	c.tileQueued = make([]uint32, n)
-	c.tileRemote = nil
-	if g.bi*g.bj > 1 {
-		// A single-cell tile checks its own few dependencies faster than it
-		// could read a flag, and skipping the flag keeps the per-cell footprint.
-		c.tileRemote = make([]bool, n)
-	}
 	c.tileLive.Store(false)
 	c.sten.Store(nil) // the arm is per-epoch; the next scan picks it
 }
-
-// TileRemote reports whether any cell of tile t that was unfinished at the
-// epoch's activation scan has a dependency owned by another place — the
-// tiles whose walk has a halo to resolve. Single-cell tiles carry no flag
-// and always report true. Only meaningful after an activation scan.
-func (c *Chunk[T]) TileRemote(t int) bool { return c.tileRemote == nil || c.tileRemote[t] }
 
 // TryMarkTileQueued atomically claims the right to enqueue tile t on the
 // place's work deques, exactly once per epoch: a tile can reach readiness
@@ -156,7 +144,6 @@ const retiredTile = 1 << 30
 func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 	s := newStencil(pat, c.d, c.place, &c.TileGrid)
 	c.sten.Store(s) // the arm is kept for the epoch
-	clear(c.tileRemote)
 	edges := make([]int32, len(c.tileIndeg))
 	pending := c.pendingTiles()
 	if s != nil {
@@ -188,9 +175,7 @@ func (c *Chunk[T]) pendingTiles() []bool {
 	for t := range pending {
 		b := c.TileBox(t)
 		for lo := b.Lo; lo < b.Lo+b.Span() && !pending[t]; lo += b.Stride {
-			for off := lo; off < lo+b.W && !pending[t]; off++ {
-				pending[t] = !c.Finished(off)
-			}
+			pending[t] = c.FinishedRun(lo, b.W) < b.W
 		}
 	}
 	return pending
@@ -218,12 +203,9 @@ func (c *Chunk[T]) scanStencil(s *Stencil, edges []int32, pending []bool) {
 		top, left := b.Lo/g.cols, b.Lo%g.cols
 		for r := top; r < top+b.Rows; r++ {
 			offs := s.Offsets(s.RowOf[r])
-			for col := left; col < left+b.W; col++ {
+			for col := left; col < left+b.W && (r-top < s.ReachRows || col-left < s.ReachCols); col++ {
 				off := r*g.cols + col
 				done := c.Finished(off)
-				if r-top >= s.ReachRows && col-left >= s.ReachCols {
-					continue
-				}
 				for _, o := range offs {
 					ref, ok := s.Locate(r, col, s.RowOf[r], s.ColOf[col], o.DI, o.DJ)
 					if !ok {
@@ -231,9 +213,6 @@ func (c *Chunk[T]) scanStencil(s *Stencil, edges []int32, pending []bool) {
 					}
 					if int(ref.Owner) != c.place {
 						edges[t]++
-						if c.tileRemote != nil && !done {
-							c.tileRemote[t] = true
-						}
 					} else if !done && !b.Holds(int(ref.Off)) && !c.Finished(int(ref.Off)) {
 						edges[t]++
 					}
@@ -270,9 +249,6 @@ func (c *Chunk[T]) scanGeneric(pat dag.Pattern, edges []int32, pending []bool) {
 					owner, doff := c.d.PlaceOffset(dep.I, dep.J)
 					if owner != c.place {
 						edges[t]++
-						if c.tileRemote != nil && !done {
-							c.tileRemote[t] = true
-						}
 						continue
 					}
 					// Same tile? Nearly every dependency lies in this run or the

@@ -44,7 +44,9 @@ func DefaultScoring() Scoring {
 
 const negInf int32 = -(1 << 28)
 
-type cell struct{ h, e, f int32 }
+// Cell is one entry of the three Gotoh matrices: H the local-alignment score,
+// E and F the best scores ending in a gap in a and in b.
+type Cell struct{ H, E, F int32 }
 
 // Result reports what the native run computed.
 type Result struct {
@@ -72,7 +74,6 @@ func RunStrip(a, b string, places, stripW int, work int) (Result, error) {
 	if stripW < 1 {
 		stripW = 256
 	}
-	sc := DefaultScoring()
 	h := len(a) + 1 // rows
 	w := len(b) + 1 // columns
 	starts := blockStarts(h, places)
@@ -80,7 +81,7 @@ func RunStrip(a, b string, places, stripW int, work int) (Result, error) {
 	// boundary[p] carries finished strips of place p's last row to p+1.
 	type strip struct {
 		lo, hi int // column range [lo, hi)
-		cells  []cell
+		cells  []Cell
 	}
 	boundaries := make([]chan strip, places)
 	for p := range boundaries {
@@ -109,11 +110,11 @@ func RunStrip(a, b string, places, stripW int, work int) (Result, error) {
 				return
 			}
 			nRows := r1 - r0
-			rows := make([][]cell, nRows)
+			rows := make([][]Cell, nRows)
 			for i := range rows {
-				rows[i] = make([]cell, w)
+				rows[i] = make([]Cell, w)
 			}
-			ghost := make([]cell, w) // global row r0-1
+			ghost := make([]Cell, w) // global row r0-1
 			best := int32(0)
 			for lo := 0; lo < w; lo += stripW {
 				hi := lo + stripW
@@ -127,40 +128,12 @@ func RunStrip(a, b string, places, stripW int, work int) (Result, error) {
 					}
 					copy(ghost[lo:hi], sg.cells)
 				}
-				for li := 0; li < nRows; li++ {
-					gi := r0 + li
-					prev := ghost
-					if li > 0 {
-						prev = rows[li-1]
-					}
-					row := rows[li]
-					for j := lo; j < hi; j++ {
-						if work > 0 {
-							workSink.Store(workload.Spin(work))
-						}
-						if gi == 0 || j == 0 {
-							row[j] = cell{h: 0, e: negInf, f: negInf}
-							continue
-						}
-						left := row[j-1]
-						top := prev[j]
-						diag := prev[j-1]
-						e := max2(left.h+sc.GapOpen, left.e+sc.GapExtend)
-						f := max2(top.h+sc.GapOpen, top.f+sc.GapExtend)
-						s := sc.Mismatch
-						if a[gi-1] == b[j-1] {
-							s = sc.Match
-						}
-						hv := max2(0, max2(diag.h+s, max2(e, f)))
-						row[j] = cell{h: hv, e: e, f: f}
-						if hv > best {
-							best = hv
-						}
-					}
-					cells.Add(int64(hi - lo))
+				if hv := Strip(a, b, r0, lo, hi, ghost, rows, work); hv > best {
+					best = hv
 				}
+				cells.Add(int64(nRows * (hi - lo)))
 				if p < places-1 {
-					out := make([]cell, hi-lo)
+					out := make([]Cell, hi-lo)
 					copy(out, rows[nRows-1][lo:hi])
 					boundaries[p] <- strip{lo: lo, hi: hi, cells: out}
 				}
@@ -179,6 +152,45 @@ func RunStrip(a, b string, places, stripW int, work int) (Result, error) {
 	return res, nil
 }
 
+// Strip is RunStrip's loop over one box: it computes global rows r0 …
+// r0+len(rows)-1, columns [lo, hi), of the matrix of a and b into rows (row k
+// is global row r0+k, full width), reading global row r0-1 from ghost and
+// column lo-1 from rows, and returns the largest H it computed.
+func Strip(a, b string, r0, lo, hi int, ghost []Cell, rows [][]Cell, work int) (best int32) {
+	sc := DefaultScoring()
+	for li, row := range rows {
+		gi := r0 + li
+		prev := ghost
+		if li > 0 {
+			prev = rows[li-1]
+		}
+		for j := lo; j < hi; j++ {
+			if work > 0 {
+				workSink.Store(workload.Spin(work))
+			}
+			if gi == 0 || j == 0 {
+				row[j] = Cell{H: 0, E: negInf, F: negInf}
+				continue
+			}
+			left := row[j-1]
+			top := prev[j]
+			diag := prev[j-1]
+			e := max2(left.H+sc.GapOpen, left.E+sc.GapExtend)
+			f := max2(top.H+sc.GapOpen, top.F+sc.GapExtend)
+			s := sc.Mismatch
+			if a[gi-1] == b[j-1] {
+				s = sc.Match
+			}
+			hv := max2(0, max2(diag.H+s, max2(e, f)))
+			row[j] = Cell{H: hv, E: e, F: f}
+			if hv > best {
+				best = hv
+			}
+		}
+	}
+	return best
+}
+
 // RunVertex executes SWLAG cell by cell with `threads` workers per place,
 // tracking readiness with per-row progress counters — hand-specialized
 // code at the framework's scheduling granularity.
@@ -189,9 +201,9 @@ func RunVertex(a, b string, places, threads, work int) (Result, error) {
 	h := len(a) + 1
 	w := len(b) + 1
 	sc := DefaultScoring()
-	rows := make([][]cell, h)
+	rows := make([][]Cell, h)
 	for i := range rows {
-		rows[i] = make([]cell, w)
+		rows[i] = make([]Cell, w)
 	}
 	// progress[i] = number of finished cells at the start of row i.
 	progress := make([]atomic.Int32, h)
@@ -222,19 +234,19 @@ func RunVertex(a, b string, places, threads, work int) (Result, error) {
 							}
 						}
 						if gi == 0 || j == 0 {
-							row[j] = cell{h: 0, e: negInf, f: negInf}
+							row[j] = Cell{H: 0, E: negInf, F: negInf}
 						} else {
 							left := row[j-1]
 							top := rows[gi-1][j]
 							diag := rows[gi-1][j-1]
-							e := max2(left.h+sc.GapOpen, left.e+sc.GapExtend)
-							f := max2(top.h+sc.GapOpen, top.f+sc.GapExtend)
+							e := max2(left.H+sc.GapOpen, left.E+sc.GapExtend)
+							f := max2(top.H+sc.GapOpen, top.F+sc.GapExtend)
 							s := sc.Mismatch
 							if a[gi-1] == b[j-1] {
 								s = sc.Match
 							}
-							hv := max2(0, max2(diag.h+s, max2(e, f)))
-							row[j] = cell{h: hv, e: e, f: f}
+							hv := max2(0, max2(diag.H+s, max2(e, f)))
+							row[j] = Cell{H: hv, E: e, F: f}
 							if hv > localBest {
 								localBest = hv
 							}

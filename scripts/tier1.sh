@@ -35,6 +35,10 @@ fi
 # multi-job traffic gets the same quick chaos pass.
 go test -short -run TestChaosSoak -count=1 ./internal/core/
 go test ./...
+# The in-process benchmarks, once each: `go test ./...` compiles them but runs
+# none, and each checks its own results (BenchmarkStencilTile: the tile's
+# values against native.Strip's).
+go test -run '^$' -bench 'SchedulePerVertex|GenericArm|StencilTile' -benchtime 1x ./internal/core/
 go test -race -timeout 10m ./...
 # Metrics-invariant suite again under the race detector: every snapshot
 # read races against live increments unless the registry is correct.
@@ -42,12 +46,14 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # The stencil arm against the generic one (the capability exposed and
 # hidden) and recovery under it, repeated under the race detector: a
 # recovery's activation scan adds to tile counters that early decrements
-# are already taking below zero, with no lock between them.
-go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$' -count=5 ./internal/core/
+# are already taking below zero, with no lock between them; and a walk
+# paused between rows leaves exactly its published rows for the recovery.
+go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$' -count=5 ./internal/core/
 # ... and that race in isolation, many times: every tile reported ready
 # exactly once, by the scan or by a decrement, with the decrements aimed at
-# restored cells applied, not absorbed.
-go test -race -run 'TestActivationRacesEarlyDecrements$' -count=20 ./internal/distarray/
+# restored cells applied, not absorbed. With it, rows published from two
+# goroutines into shared words of finished bits.
+go test -race -run 'TestActivationRacesEarlyDecrements$|TestSetResultLifecycle$' -count=20 ./internal/distarray/
 # Moving tiles, repeated under the race detector: a pushed tile waits in the
 # epoch's inbox, which lifeline and exec pushes both feed and the workers and
 # the lifeline pusher both drain, and a recovery races all of them; a tile
