@@ -17,8 +17,8 @@ type aggArm struct {
 
 // AblationAgg measures cross-place decrement aggregation and value push on
 // the real runtime: outbound messages coalesced per destination by the
-// self-clocked flusher, with finished values piggybacked so consumers hit their
-// cache instead of issuing kindFetch round-trips. Every arm runs with the
+// self-clocked flusher, with finished values piggybacked into the boxes of the
+// tiles that read them instead of kindFetch round-trips. Every arm runs with the
 // same cache capacity so the push arms differ only in *how* values arrive.
 // The baseline arm also runs at tile size 1, so that each vertex settles
 // alone and "one message per vertex" holds literally.

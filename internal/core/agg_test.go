@@ -2,12 +2,18 @@ package core
 
 import (
 	"encoding/binary"
+	"math/rand"
+	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/dist"
+	"github.com/dpx10/dpx10/internal/distarray"
+	"github.com/dpx10/dpx10/internal/sched"
 )
 
 // aggOff is the ablation's baseline arm: tile size 1 and a batch cap of one
@@ -149,11 +155,15 @@ func TestAggregationReducesTraffic(t *testing.T) {
 	if on.PushConsumed == 0 || on.PushDeposits == 0 || on.ValuesPushed == 0 {
 		t.Fatalf("push enabled but unused: %+v", on)
 	}
+	// A box read is of a kept value, and a kept value was pushed.
+	if on.PushConsumed > on.PushDeposits || on.PushDeposits > on.ValuesPushed {
+		t.Fatalf("%d box reads, %d values kept, %d pushed; want each at most the next", on.PushConsumed, on.PushDeposits, on.ValuesPushed)
+	}
 }
 
 // TestAggregationWithoutCacheStaysPlain verifies push degrades safely when
-// there is no cache to deposit into: flags stay clear on the wire and the
-// run still matches the reference.
+// CacheSize is 0 and no value may be pinned: records carry counts and no
+// values, nothing is deposited, and the run still matches the reference.
 func TestAggregationWithoutCacheStaysPlain(t *testing.T) {
 	cfg := baseConfig(patterns.NewDiagonal(12, 12), 3)
 	cfg.CacheSize = 0
@@ -240,41 +250,211 @@ func TestSettlementPerUnit(t *testing.T) {
 	checkResult(t, cl, pat)
 }
 
+// boxState reads a place's live boxes under their lock: the most values
+// they ever pinned at once, those pinned now, and whether every storage made
+// is back on the free list.
+func boxState(pe *placeEngine[int64]) (peak, pinned int, allFree bool) {
+	bx := pe.current().boxes
+	bx.mu.Lock()
+	defer bx.mu.Unlock()
+	allFree = len(bx.free) == len(bx.store)
+	for _, b := range bx.box {
+		allFree = allFree && b <= 0
+	}
+	return bx.peak, bx.pinned, allFree
+}
+
+// TestPushedBoxesBounded pins the push boxes' promises. A place pins at most
+// CacheSize pushed values, drops the rest and fetches them, and the result
+// is bit-exact; every box is empty after the run and its storage is back on
+// the free list, also when tiles leave by exec (Random) or steal; after a
+// kill the live epoch's boxes are its own and drain too; and a deposit for a
+// tile the activation scan retired is dropped, or freed by the scan if it
+// landed first.
+func TestPushedBoxesBounded(t *testing.T) {
+	const limit = 16
+	pat := patterns.NewDiagonal(40, 60) // block rows over two places: rows 0..19 and 20..39
+	drained := func(cl *Cluster[int64], skip int) {
+		t.Helper()
+		for p, pe := range cl.engines {
+			if p == skip {
+				continue
+			}
+			peak, pinned, free := boxState(pe)
+			if peak > limit || pinned != 0 || !free {
+				t.Fatalf("place %d: peak %d pinned values (bound %d), %d pinned after the run, all storage free: %v", p, peak, limit, pinned, free)
+			}
+		}
+	}
+
+	// Place 1 computes nothing until place 0 has computed its whole block:
+	// place 0's bottom row, 60 values and one more per tile boundary, piles
+	// up in the boxes of place 1's top tiles.
+	cfg := baseConfig(pat, 2)
+	cfg.CacheSize = limit
+	hold := make(chan struct{})
+	var upper atomic.Int64
+	cfg.Compute = func(i, j int32, deps []Cell[int64]) int64 {
+		if i >= 20 {
+			<-hold
+		} else if upper.Add(1) == 20*60 {
+			close(hold)
+		}
+		return sumCompute(i, j, deps)
+	}
+	cl := runAndCheck(t, cfg)
+	s := cl.Stats()
+	if peak, _, _ := boxState(cl.engines[1]); peak != limit || s.PushDeposits >= s.ValuesPushed || s.CacheMisses == 0 {
+		t.Fatalf("peak %d pinned, %d of %d pushed values kept, %d fetched; want the bound %d reached, some dropped and fetched",
+			peak, s.PushDeposits, s.ValuesPushed, s.CacheMisses, limit)
+	}
+	// Every value pushed to a tile is a remote dependency it reads: kept
+	// ones from its box, dropped ones from the cache or a fetch.
+	if s.PushConsumed != s.PushDeposits || s.CacheHits+s.CacheMisses != s.ValuesPushed {
+		t.Fatalf("%d box reads of %d kept; %d hits + %d misses for %d pushed", s.PushConsumed, s.PushDeposits, s.CacheHits, s.CacheMisses, s.ValuesPushed)
+	}
+	drained(cl, -1)
+
+	for _, strat := range []sched.Strategy{sched.Random, sched.Steal} {
+		cfg := baseConfig(pat, 3)
+		cfg.CacheSize, cfg.Strategy = limit, strat
+		cl := runAndCheck(t, cfg)
+		if strat == sched.Random && cl.Stats().ExecMigrated == 0 {
+			t.Fatal("random placement handed no tile away")
+		}
+		drained(cl, -1)
+	}
+	// The wave of 32 two-cell tiles reads place 0's last chain cell; its
+	// place pushes most of them down its lifelines.
+	life := lifelineConfig(lastWave{h: 16, w: 32, hot: 14}, 4)
+	life.CacheSize = limit
+	life.Compute = skewCompute(func(i, j int32) bool { return i == 0 }, 300*time.Microsecond, 100*time.Microsecond)
+	if cl := runAndCheck(t, life); cl.Stats().TilesMigrated == 0 {
+		t.Fatal("no tile went down a lifeline")
+	} else {
+		drained(cl, -1)
+	}
+
+	kill, gate, release := gatedConfig(pat, 3, 900)
+	kill.CacheSize = limit
+	cl, err := NewCluster(kill)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- cl.Run() }()
+	<-gate
+	old := cl.engines[1].current()
+	cl.Kill(2)
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkResult(t, cl, pat)
+	if cl.Stats().Recoveries < 1 || cl.engines[1].current() == old {
+		t.Fatal("no recovery replaced the epoch")
+	}
+	drained(cl, 2)
+
+	// A one-place chunk of two 2x8 tiles, the first restored whole: the
+	// scan retires it.
+	small := patterns.NewDiagonal(4, 8)
+	ch := distarray.NewChunk[int64](0, dist.NewBlockRow(4, 8, 1))
+	ch.ConfigureGrid(distarray.NewTileGrid(4, 8, 2, 8))
+	ch.InitFlags(small)
+	for off := 0; off < 16; off++ {
+		ch.SetResult(off, 1)
+	}
+	bx := newPushBoxes[int64](ch.NumTiles(), limit)
+	b := &decrBatch[int64]{tiles: []tileCount{{tile: 0, count: 1}, {tile: 1, count: 1}},
+		vals: []tileVals[int64]{{runs: []valRun{{off: 0, n: 2}}, vals: []int64{1, 2}}, {runs: []valRun{{off: 2, n: 2}}, vals: []int64{3, 4}}}}
+	if kept := bx.deposit(ch, 1, b); kept != 4 {
+		t.Fatalf("before the scan %d values kept, want 4", kept)
+	}
+	ch.ActivateTiles(small)
+	bx.dropRetired(ch)
+	if !ch.TileRetired(0) || ch.TileRetired(1) || bx.pinned != 2 {
+		t.Fatalf("retired: %v, %v; %d values pinned, want tile 0 retired, its box freed and tile 1's 2 kept",
+			ch.TileRetired(0), ch.TileRetired(1), bx.pinned)
+	}
+	if kept := bx.deposit(ch, 1, b); kept != 2 || bx.pinned != 4 {
+		t.Fatalf("after the scan %d values kept, %d pinned; want the retired tile's 2 dropped", kept, bx.pinned)
+	}
+}
+
 // decrBatchFixture is a 64-record batch in scan order: each record two
-// tile counts and four pushed grid-neighbour values.
+// tile entries, the first carrying a run of four pushed values, the second
+// the run's last cell again, which that tile reads too.
 func decrBatchFixture() *decrBatch[int64] {
 	b := &decrBatch[int64]{epoch: 1}
 	for k := 0; k < 64; k++ {
+		off := uint32(4 * k)
 		b.tiles = append(b.tiles, tileCount{tile: uint32(k), count: 3}, tileCount{tile: uint32(k + 1), count: 1})
-		for m := 0; m < 4; m++ {
-			b.ids = append(b.ids, dag.VertexID{I: int32(k), J: int32(4*k + m)})
-			b.vals = append(b.vals, int64(k))
-		}
-		b.ends = append(b.ends, decrEnd{tiles: len(b.tiles), vals: len(b.ids)})
+		b.vals = append(b.vals,
+			tileVals[int64]{runs: []valRun{{off: off, n: 4}}, vals: []int64{int64(k), int64(k), int64(k), int64(k)}},
+			tileVals[int64]{runs: []valRun{{off: off + 3, n: 1}}, vals: []int64{int64(k)}})
+		b.ends = append(b.ends, len(b.tiles))
 	}
 	return b
 }
 
-// TestDecrRecordCompact pins the record's promises: a tile record costs at
-// most 3 bytes for a tile below 16 384, a pushed grid-neighbour value at most
-// 2 bytes beside the codec's, steady-state decode does not allocate, and a
-// batch cut off inside a varint is rejected without allocating either. So
-// does a count of zero or past int32, and a tile past int32.
+// sameBatch reports whether two decoded batches hold the same records: an
+// entry with no values equals one whose values are empty.
+func sameBatch(a, b *decrBatch[int64]) bool {
+	if a.epoch != b.epoch || !slices.Equal(a.tiles, b.tiles) || !slices.Equal(a.ends, b.ends) {
+		return false
+	}
+	for k := range a.tiles {
+		var va, vb tileVals[int64]
+		if k < len(a.vals) {
+			va = a.vals[k]
+		}
+		if k < len(b.vals) {
+			vb = b.vals[k]
+		}
+		if !slices.Equal(va.runs, vb.runs) || !slices.Equal(va.vals, vb.vals) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDecrRecordCompact pins the record's promises: a tile entry costs at
+// most 3 bytes for a tile below 16 384, a record without values costs its
+// two counts and its entries and nothing more, a pushed value costs the
+// codec's bytes when it extends a run and at most 2 more when it starts one,
+// steady-state decode does not allocate, and a batch cut off inside a varint
+// is rejected without allocating either. So are a count of zero or past
+// int32, a tile past int32, a push flag past 1, a run of zero, a run longer
+// than the bytes left, a run that leaves the int32 offsets, and more runs
+// than the bytes left could hold.
 func TestDecrRecordCompact(t *testing.T) {
 	cd := codec.Int64{}
-	head := len(appendDecrRecord[int64](nil, cd, dag.VertexID{}, nil, nil, nil))
-	if rec := appendDecrRecord[int64](nil, cd, dag.VertexID{}, []tileCount{{tile: 16383, count: 127}}, nil, nil); len(rec)-head > 3 {
-		t.Fatalf("a tile record is %d bytes, want <= 3", len(rec)-head)
+	size := func(tiles []tileCount, vals []tileVals[int64]) int {
+		rec, _ := appendDecrRecord(nil, cd, 0, tiles, vals)
+		return len(rec)
 	}
-	src, next := dag.VertexID{I: 7, J: 130}, dag.VertexID{I: 7, J: 131}
-	if rec := appendDecrRecord(nil, cd, src, nil, []dag.VertexID{next}, []int64{1}); len(rec)-head > 2+8 {
-		t.Fatalf("a pushed grid-neighbour value is %d bytes, want <= 2 + the codec's 8", len(rec)-head)
+	head := size(nil, nil)
+	entry := []tileCount{{tile: 16383, count: 127}}
+	if n := size(entry, nil) - head; n > 3 {
+		t.Fatalf("a tile entry is %d bytes, want <= 3", n)
+	}
+	replay := []tileCount{{tile: 1, count: 300}, {tile: 200, count: 1}, {tile: 70000, count: 5}}
+	if n, want := size(replay, nil), 2+2+1+2+1+3+1; n != want {
+		t.Fatalf("a record of three entries and no values is %d bytes, want %d", n, want)
+	}
+	one := size(entry, []tileVals[int64]{{runs: []valRun{{off: 130, n: 1}}, vals: []int64{1}}})
+	if n := size(entry, []tileVals[int64]{{runs: []valRun{{off: 130, n: 2}}, vals: []int64{1, 2}}}) - one; n != 8 {
+		t.Fatalf("a value extending a run is %d bytes, want the codec's 8", n)
+	}
+	if n := size(entry, []tileVals[int64]{{runs: []valRun{{off: 130, n: 1}, {off: 140, n: 1}}, vals: []int64{1, 2}}}) - one; n > 2+8 {
+		t.Fatalf("a value starting a run is %d bytes, want <= 2 + the codec's 8", n)
 	}
 
 	payload := encodeDecrBatch(cd, decrBatchFixture())
 	var b decrBatch[int64]
-	if err := decodeDecrBatch(payload, cd, &b); err != nil {
-		t.Fatal(err)
+	if err := decodeDecrBatch(payload, cd, &b); err != nil || !sameBatch(&b, decrBatchFixture()) {
+		t.Fatalf("fixture decodes to %+v, err %v", b, err)
 	}
 	var err error
 	if allocs := testing.AllocsPerRun(100, func() {
@@ -282,21 +462,60 @@ func TestDecrRecordCompact(t *testing.T) {
 	}); allocs != 0 || err != nil {
 		t.Fatalf("steady-state decode: %v allocs/op, err %v; want 0, nil", allocs, err)
 	}
-	// The payload ends in a value; cut the codec's 8 bytes and give the source
-	// ΔJ before them a continuation bit. Then cut a multi-byte source delta in
-	// half, and write the malformed tile counts.
-	cut := append([]byte(nil), payload[:len(payload)-8]...)
+	// One-record batches built by hand: the record's two counts, then its
+	// entries. The fixture's last run header is cut inside its Δoff.
+	rec := func(body ...byte) []byte { return append(putU32(putU64(nil, 1), 1), body...) }
+	cut := append([]byte(nil), payload[:len(payload)-8-1]...)
 	cut[len(cut)-1] |= 0x80
-	wide := encodeDecrBatch(cd, &decrBatch[int64]{ids: []dag.VertexID{{I: 1 << 20}}, vals: []int64{0}, ends: []decrEnd{{vals: 1}}})
-	one := func(tile, count uint64) []byte {
-		return binary.AppendUvarint(binary.AppendUvarint(append(putU32(putU64(nil, 1), 1), 1, 0), tile), count)
-	}
-	for name, bad := range map[string][]byte{"source ΔJ": cut, "source ΔI": wide[:len(wide)-10],
-		"zero count": one(1, 0), "count past int32": one(1, 1<<31), "tile past int32": one(1<<31, 1)} {
+	for name, bad := range map[string][]byte{
+		"run Δoff cut":          cut,
+		"zero count":            rec(1, 0, 5, 0),
+		"count past int32":      rec(binary.AppendUvarint([]byte{1, 0, 1}, 1<<31)...),
+		"tile past int32":       rec(append(binary.AppendUvarint([]byte{1, 0}, 1<<31), 1)...),
+		"push flag 2":           rec(1, 2, 5, 1, 0),
+		"zero run":              rec(1, 1, 5, 1, 1, 0, 0, 0, 0),
+		"run past the payload":  rec(1, 1, 5, 1, 1, 0, 9, 1, 2, 3, 4, 5, 6, 7, 8),
+		"Δoff past int32":       rec(append(append([]byte{1, 1, 5, 1, 1}, binary.AppendVarint(nil, 1<<31-1)...), 1, 1, 2, 3, 4, 5, 6, 7, 8)...),
+		"negative Δoff":         rec(1, 1, 5, 1, 1, 1, 1, 1, 2, 3, 4, 5, 6, 7, 8),
+		"runs past the payload": rec(1, 1, 5, 1, 9, 0, 1, 1, 2, 3, 4, 5, 6, 7, 8),
+	} {
 		if allocs := testing.AllocsPerRun(100, func() {
 			err = decodeDecrBatch(bad, cd, &b)
 		}); allocs != 0 || err == nil {
 			t.Fatalf("%s: %v allocs/op, err %v; want 0 and an error", name, allocs, err)
+		}
+	}
+}
+
+// TestDecrBatchRoundTrip is decode∘encode over random batches: records with
+// and without values, entries with several runs, none or one, offsets
+// jumping both ways and as far as int32 allows. Every batch decodes to
+// itself.
+func TestDecrBatchRoundTrip(t *testing.T) {
+	cd := codec.Int64{}
+	rng := rand.New(rand.NewSource(37))
+	var got decrBatch[int64]
+	for trial := 0; trial < 500; trial++ {
+		b := &decrBatch[int64]{epoch: rng.Uint64()}
+		for r := rng.Intn(4); r >= 0; r-- {
+			push := rng.Intn(2) == 0
+			for e := rng.Intn(4); e >= 0; e-- {
+				b.tiles = append(b.tiles, tileCount{tile: uint32(rng.Int31()), count: uint32(rng.Int31n(1<<31-1)) + 1})
+				var tv tileVals[int64]
+				for n := rng.Intn(3); push && n > 0; n-- {
+					run := valRun{n: uint32(rng.Intn(5)) + 1}
+					run.off = uint32(rng.Int31n(int32(1<<31 - 1 - run.n)))
+					tv.runs = append(tv.runs, run)
+					for k := uint32(0); k < run.n; k++ {
+						tv.vals = append(tv.vals, rng.Int63()-rng.Int63())
+					}
+				}
+				b.vals = append(b.vals, tv)
+			}
+			b.ends = append(b.ends, len(b.tiles))
+		}
+		if err := decodeDecrBatch(encodeDecrBatch(cd, b), cd, &got); err != nil || !sameBatch(&got, b) {
+			t.Fatalf("trial %d: %+v decodes to %+v, err %v", trial, b, got, err)
 		}
 	}
 }

@@ -4,16 +4,15 @@ import (
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
-
-	"github.com/dpx10/dpx10/internal/dag"
 )
 
 // aggregator is the one path cross-place tile-counter decrements take: each
 // unit's settlement for a place (place.go: settle) becomes one record, and
 // the records coalesce into one kindDecrBatch message per destination. With
-// value push enabled, a record also carries the encoded values of the
-// unit's cells that the destination reads, so the receiver can serve those
-// dependency reads from its cache instead of issuing kindFetch round-trips.
+// value push enabled, each tile entry of a record also carries the values of
+// the unit's cells that the tile reads, as runs of this place's local
+// offsets; the receiver deposits them in that tile's box (boxes.go), where
+// the tile's halo step finds them instead of issuing kindFetch round-trips.
 //
 // Flushing is self-clocked, and the producers are the only clock. Every
 // unit kicks the flusher goroutine when it settles, at the end of its
@@ -68,19 +67,18 @@ const (
 )
 
 // aggBuf is one destination's open message: the incrementally built
-// kindDecrBatch payload, its record count, backpatched at flush, and the
-// source of its last pushed value, which the next one's delta is taken
-// from.
+// kindDecrBatch payload, its record count, backpatched at flush, and where
+// its last pushed run ended, which the next run's Δoff is taken from.
 type aggBuf struct {
 	msg  []byte
-	recs uint32       // settlements folded in: what the flush cap and the stats count
-	prev dag.VertexID // source of the last value in msg
+	recs uint32 // settlements folded in: what the flush cap and the stats count
+	end  uint32 // off + n of the last run in msg
 }
 
 func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
 	return &aggregator[T]{
 		pe: pe, epoch: epoch,
-		// Pushing a value only helps if the receiver has a cache to hold it.
+		// CacheSize bounds the values a receiver pins (boxes.go): 0 pins none.
 		push:    !pe.cfg.PushDisabled && pe.cfg.CacheSize > 0,
 		maxRecs: pe.cfg.AggMaxBatch,
 		kicked:  make(chan struct{}, 1),
@@ -103,9 +101,12 @@ func (ag *aggregator[T]) add(dest int, s *settlement[T]) {
 		}
 		b.msg = putU32(putU64(b.msg, ag.epoch), 0) // count backpatched at flush
 	}
-	b.msg = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.prev, s.tiles, s.ids, s.vals)
-	if n := len(s.ids); n > 0 {
-		b.prev = s.ids[n-1]
+	b.msg, b.end = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.end, s.tiles, s.vals)
+	if ag.push {
+		n := 0
+		for k := range s.vals {
+			n += len(s.vals[k].vals)
+		}
 		ag.pe.valuesPushed.Add(int64(n))
 	}
 	b.recs++

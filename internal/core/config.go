@@ -60,8 +60,10 @@ type Common struct {
 	NewDist func(h, w int32, places int) dist.Dist
 	// Strategy selects the scheduling policy (paper §VI-C); default Local.
 	Strategy sched.Strategy
-	// CacheSize is the per-place remote-vertex cache capacity in entries
-	// (paper §VI-C); 0 disables the cache.
+	// CacheSize bounds, per place, two stores of remote values, each
+	// separately: the vertex cache of fetched values, in entries (paper
+	// §VI-C), and the values other places pushed that wait in the boxes of
+	// the tiles that read them. 0 disables both, and with them value push.
 	CacheSize int
 	// TileSize is the scheduling granularity: each place cuts its local
 	// index box into rectangular tiles of about this many cells — the engine
@@ -125,7 +127,7 @@ type Common struct {
 	AggMaxBatch int
 	// PushDisabled stops piggybacking finished vertex values onto
 	// aggregated decrements. Push is on by default but only takes effect
-	// when CacheSize > 0 — the receiver needs a cache to deposit into.
+	// when CacheSize > 0 — the bound on the values a receiver pins.
 	PushDisabled bool
 	// Reliable turns on sequence-numbered, retried, idempotent delivery:
 	// engine messages carry a [seq u64] envelope, tracked one-way sends
@@ -376,8 +378,8 @@ type Stats struct {
 	ComputedCells  int64 // compute() invocations that produced a result
 	RemoteFetches  int64 // dependency values fetched from other places (see above)
 	LocalReads     int64 // dependency values served from the local chunk
-	CacheHits      int64
-	CacheMisses    int64
+	CacheHits      int64 // distinct remote dependencies of a tile served without a fetch: by its box or the cache
+	CacheMisses    int64 // ... and fetched
 	ExecMigrated   int64 // vertices executed away from their owner (random / mincomm placement, whole tiles)
 	Stolen         int64 // vertices pulled by idle workers (steal strategy)
 	TilesExecuted  int64 // tile tasks run (tiles claimed with at least one cell executed)
@@ -387,9 +389,9 @@ type Stats struct {
 	FetchCalls     int64 // kindFetch round-trips issued (see above)
 	AggBatches     int64 // aggregated decrement batches flushed
 	DecrsCoalesced int64 // settlements carried by those batches: one unit's records for one destination (one vertex at tile size 1)
-	ValuesPushed   int64 // vertex values piggybacked onto aggregated batches
-	PushDeposits   int64 // pushed values deposited into receiving caches
-	PushConsumed   int64 // dependency reads served by a pushed value (fetches avoided)
+	ValuesPushed   int64 // vertex values piggybacked onto aggregated batches, once per reading tile
+	PushDeposits   int64 // pushed values kept in the receiving tiles' boxes (the rest were dropped at the bound)
+	PushConsumed   int64 // remote dependencies a tile's box served (fetches avoided); counted in CacheHits too
 	Retries        int64 // reliable-delivery resends after transient failures
 	DedupHits      int64 // duplicate deliveries suppressed by the receiver
 	LifelinePushes int64 // tiles pushed to parked lifeline buddies (accepted deliveries, per hop)

@@ -316,16 +316,17 @@ func (s *stealReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // The dist tables index unchecked, so each of these panicked (or touched a
 // neighbour's offset) before ownedOffset: a Call must answer with an error,
 // a steal reply must read as no work. A decrement record, runtime or
-// replayed, names tiles instead: one past this place's grid, a zero count and
-// a count past int32 must each be refused before any counter moves. A tile
+// replayed, names tiles and the sender's offsets instead: a tile past this
+// place's grid, a zero count, a count past int32 and a run of values past the
+// sender's cells must each be refused before any counter moves. A tile
 // in flight, pushed here or handed back as a steal reply, must also be
 // refused when its cells have mixed owners, when it is empty and when its
 // reason is unknown or belongs to the other direction.
 func TestWireIDsVetted(t *testing.T) {
 	cfg := stealConfig(patterns.NewDiagonal(9, 9), 3)
 	cfg.Lifelines = true
-	pe := runAndCheck(t, cfg).engines[1] // block rows: owns rows 3..5
-	st, cd, mine := pe.current(), codec.Int64{}, dag.VertexID{I: 3, J: 0}
+	pe := runAndCheck(t, cfg).engines[1]                   // block rows: owns rows 3..5
+	st, cd, mine := pe.current(), codec.Int64{}, uint32(0) // (3,0), place 1's first cell
 	sc, steal := pe.getScratch(), &stealReply{Transport: pe.tr}
 	pe.tr = steal
 	idVal := func(id dag.VertexID) []byte { return cd.Encode(putID(putU32(putU64(nil, st.epoch), 1), id), 7) }
@@ -346,14 +347,24 @@ func TestWireIDsVetted(t *testing.T) {
 			}
 		}
 	}
-	// Each bad record follows a good one for tile 0, whose counter the
+	// Each bad entry follows a good one for tile 0, whose counter the
 	// finished run left at zero: applying it would take the counter below
-	// zero, which panics.
-	badTiles := map[string]tileCount{"a tile past the grid": {tile: uint32(st.chunk.NumTiles()), count: 1},
-		"a zero count": {count: 0}, "a count past int32": {count: 1 << 31}}
+	// zero, which panics. The sender, place 1, owns 27 cells.
+	one := func(off, n uint32) tileVals[int64] {
+		return tileVals[int64]{runs: []valRun{{off: off, n: n}}, vals: make([]int64, n)}
+	}
+	badTiles := map[string]struct {
+		tc tileCount
+		tv tileVals[int64]
+	}{
+		"a tile past the grid":          {tileCount{tile: uint32(st.chunk.NumTiles()), count: 1}, one(0, 1)},
+		"a zero count":                  {tileCount{count: 0}, one(0, 1)},
+		"a count past int32":            {tileCount{count: 1 << 31}, one(0, 1)},
+		"a run past the sender's cells": {tileCount{count: 1}, one(26, 2)},
+	}
 	for what, bad := range badTiles {
-		b := decrBatch[int64]{epoch: st.epoch, ids: []dag.VertexID{mine}, vals: []int64{7},
-			tiles: []tileCount{{tile: 0, count: 1}, bad}, ends: []decrEnd{{tiles: 2, vals: 1}}}
+		b := decrBatch[int64]{epoch: st.epoch, tiles: []tileCount{{tile: 0, count: 1}, bad.tc},
+			vals: []tileVals[int64]{one(mine, 1), bad.tv}, ends: []int{2}}
 		payload := encodeDecrBatch(cd, &b)
 		if _, err := pe.handleReplayTx(1, payload); err == nil {
 			t.Errorf("replayTx with %s: no error", what)

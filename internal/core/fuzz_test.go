@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"slices"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/codec"
@@ -214,34 +213,56 @@ func TestFetchReqCompact(t *testing.T) {
 }
 
 // decrBatchSeeds are the record's edge cases shared by the two decrBatch
-// fuzz corpora: deltas that are negative or wider than 2³¹, sources out of
-// scan order, records with no tiles or no values, a replay's one record of
-// counts, and malformed inputs — varints cut short, a delta that leaves
-// int32, a zero count, a count or a tile past int32, absurd counts.
+// fuzz corpora: Δoffs that are negative or as wide as int32, runs out of
+// order, records with no entries, with no values, and with an entry that
+// has values beside one that has none, a replay's one record of counts, and
+// malformed inputs — varints cut short, a push flag past 1, a zero count, a
+// count or a tile past int32, absurd counts, a run of zero, a run past the
+// payload, a Δoff that leaves int32 and a run past the sender's cells, which
+// only the handler can see.
 func decrBatchSeeds() [][]byte {
 	cd := codec.Int64{}
-	const lo, hi = -1 << 31, 1<<31 - 1
+	const hi = 1<<31 - 1
+	run := func(off, n uint32, v int64) tileVals[int64] {
+		tv := tileVals[int64]{runs: []valRun{{off: off, n: n}}}
+		for k := uint32(0); k < n; k++ {
+			tv.vals = append(tv.vals, v+int64(k))
+		}
+		return tv
+	}
 	wide := encodeDecrBatch(cd, &decrBatch[int64]{epoch: 3,
-		tiles: []tileCount{{tile: 0, count: 2}, {tile: 16383, count: 1}, {tile: hi, count: hi}},
-		ids:   []dag.VertexID{{I: 9, J: 9}, {I: lo, J: hi}, {I: hi, J: lo}, {I: 5, J: 5}}, // negative delta, |delta| = 2³²-1, out of scan order
-		vals:  []int64{-42, 7, 0, 1},
-		ends:  []decrEnd{{tiles: 2, vals: 1}, {tiles: 2, vals: 3}, {tiles: 3, vals: 3}, {tiles: 3, vals: 4}},
+		tiles: []tileCount{{tile: 0, count: 2}, {tile: 16383, count: 1}, {tile: hi, count: hi}, {tile: 7, count: 1}},
+		vals: []tileVals[int64]{
+			{runs: []valRun{{off: 9, n: 1}, {off: 0, n: 2}}, vals: []int64{-42, 7, 0}}, // a negative Δoff
+			run(hi-1, 1, 1), // as far as int32 goes
+			{},              // an entry with no values beside ones with
+			run(5, 3, 2),    // back from the top
+		},
+		ends: []int{0, 2, 4}, // the first record has no entries
 	})
 	replay := encodeDecrBatch(cd, &decrBatch[int64]{epoch: 4,
-		tiles: []tileCount{{tile: 1, count: 300}, {tile: 2, count: 1}}, ends: []decrEnd{{tiles: 2}}})
+		tiles: []tileCount{{tile: 1, count: 300}, {tile: 2, count: 1}}, ends: []int{2}})
 	// One-record batches built by hand, the two counts first.
 	rec := func(body ...byte) []byte { return append(putU32(putU64(nil, 1), 1), body...) }
+	value := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	return [][]byte{
 		encodeDecrBatch(cd, &decrBatch[int64]{}),
 		wide,
 		replay,
-		wide[:len(wide)-1], // last value cut short
-		rec(0, 1, 0x80),    // source ΔI: continuation bit, then nothing
-		rec(append([]byte{0, 1}, binary.AppendVarint(nil, 1<<32)...)...), // source I leaves int32
-		rec(binary.AppendUvarint(nil, 1<<40)...),                         // huge tile count
-		rec(1, 0, 5, 0),                                                  // a zero count
-		rec(1, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x08),                       // a count of 2³¹
-		putU32(putU64(nil, 1), 0xFFFFFFFF),                               // huge claimed record count
+		wide[:len(wide)-1],                       // last value cut short
+		rec(1, 1, 5, 1, 1, 0x80),                 // Δoff: continuation bit, then nothing
+		rec(1, 2, 5, 1, 0),                       // a push flag of 2
+		rec(binary.AppendUvarint(nil, 1<<40)...), // huge entry count
+		rec(1, 0, 5, 0),                          // a zero count
+		rec(1, 0, 5, 0x80, 0x80, 0x80, 0x80, 0x08),                                                                        // a count of 2³¹
+		rec(append([]byte{1, 1, 5, 1, 1, 0, 0}, value...)...),                                                             // a run of zero
+		rec(append([]byte{1, 1, 5, 1, 1, 0, 9}, value...)...),                                                             // a run past the payload
+		rec(append(append([]byte{1, 1, 5, 1, 1}, binary.AppendVarint(nil, hi)...), append([]byte{1}, value...)...)...),    // off + n past int32
+		rec(append([]byte{1, 1, 5, 1, 1, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01, 1}, value...)...),    // a Δoff of 2⁶²
+		rec(append([]byte{1, 1, 5, 1, 1, 1, 1}, value...)...),                                                             // a negative offset
+		rec(append([]byte{1, 1, 5, 1, 9, 0, 1}, value...)...),                                                             // more runs than the bytes left
+		rec(append(append([]byte{1, 1, 5, 1, 1}, binary.AppendVarint(nil, 1<<20)...), append([]byte{1}, value...)...)...), // past most senders' cells
+		putU32(putU64(nil, 1), 0xFFFFFFFF),                                                                                // huge claimed record count
 		{},
 		{1, 2, 3},
 	}
@@ -249,8 +270,10 @@ func decrBatchSeeds() [][]byte {
 
 // FuzzDecodeDecrBatch hardens the decrement-record decoder: arbitrary bytes
 // — truncations, absurd counts, deltas that overflow — must never panic, a
-// decoded count is never zero and no count or tile leaves int32, and every
-// payload that decodes must round-trip through encodeDecrBatch unchanged.
+// decoded count is never zero, no count or tile leaves int32, no run is
+// empty or leaves the int32 offsets and its values match its length, and
+// every payload that decodes must round-trip through encodeDecrBatch
+// unchanged.
 func FuzzDecodeDecrBatch(f *testing.F) {
 	cd := codec.Int64{}
 	for _, seed := range decrBatchSeeds() {
@@ -261,14 +284,22 @@ func FuzzDecodeDecrBatch(f *testing.F) {
 		if decodeDecrBatch(data, cd, &b) != nil {
 			return
 		}
-		for _, tc := range b.tiles {
+		for k, tc := range b.tiles {
 			if tc.count == 0 || tc.count > 1<<31-1 || tc.tile > 1<<31-1 {
 				t.Fatalf("decoded %+v", tc)
 			}
+			n := 0
+			for _, r := range b.vals[k].runs {
+				if r.n == 0 || uint64(r.off)+uint64(r.n) > 1<<31-1 {
+					t.Fatalf("decoded run %+v", r)
+				}
+				n += int(r.n)
+			}
+			if n != len(b.vals[k].vals) {
+				t.Fatalf("entry %d: runs of %d values, %d decoded", k, n, len(b.vals[k].vals))
+			}
 		}
-		if err := decodeDecrBatch(encodeDecrBatch(cd, &b), cd, &b2); err != nil || b2.epoch != b.epoch ||
-			!slices.Equal(b2.tiles, b.tiles) || !slices.Equal(b2.ids, b.ids) ||
-			!slices.Equal(b2.vals, b.vals) || !slices.Equal(b2.ends, b.ends) {
+		if err := decodeDecrBatch(encodeDecrBatch(cd, &b), cd, &b2); err != nil || !sameBatch(&b, &b2) {
 			t.Fatalf("round trip failed: %v / %+v -> %+v", err, b, b2)
 		}
 	})
@@ -572,10 +603,11 @@ func wireSeeds() map[uint8][]byte {
 	}
 	return map[uint8][]byte{
 		kindFetch:    appendFetchReq(nil, 3, ids),
-		kindReplayTx: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 5, tiles: []tileCount{{tile: 3, count: 2}}, ends: []decrEnd{{tiles: 1}}}),
+		kindReplayTx: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 5, tiles: []tileCount{{tile: 3, count: 2}}, ends: []int{1}}),
 		kindDecrBatch: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 6,
-			tiles: []tileCount{{tile: 0, count: 1}, {tile: 9, count: 4}}, ids: ids, vals: []int64{-42, 5},
-			ends: []decrEnd{{tiles: 2, vals: 2}}}),
+			tiles: []tileCount{{tile: 0, count: 1}, {tile: 9, count: 4}},
+			vals:  []tileVals[int64]{{runs: []valRun{{off: 4, n: 2}}, vals: []int64{-42, 5}}, {runs: []valRun{{off: 5, n: 1}}, vals: []int64{5}}},
+			ends:  []int{2}}),
 		kindPlaceDone: putU32(putU64(nil, 1), 2),
 		kindFault:     putU32(putU64(nil, 1), 3),
 		kindPause:     putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),

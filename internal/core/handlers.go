@@ -132,11 +132,12 @@ func (pe *placeEngine[T]) handleDecrBatch(from int, payload []byte) ([]byte, err
 }
 
 // applyDecrs is the one apply body of a decrement batch, runtime or
-// replayed: pushed values are bulk-deposited into the epoch's cache first,
-// so that by the time a count makes a consumer tile ready, the value it will
-// want is already cached; then the counts settle against this place's tiles.
-// A batch naming a tile this place does not have is refused whole, before
-// any counter moves.
+// replayed: pushed values are deposited into the boxes of the tiles that
+// read them first (boxes.go), so that by the time a count makes a consumer
+// tile ready, the values it will want are in its box; then the counts settle
+// against this place's tiles. A batch naming a tile this place does not
+// have, or a run past the sender's cells, is refused whole, before any
+// counter moves.
 func (pe *placeEngine[T]) applyDecrs(from int, payload []byte) error {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
@@ -148,14 +149,20 @@ func (pe *placeEngine[T]) applyDecrs(from int, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	n := st.chunk.NumTiles()
-	for _, tc := range b.tiles {
+	n, cells, pushed := st.chunk.NumTiles(), uint32(st.d.LocalCount(from)), false
+	for k, tc := range b.tiles {
 		if int(tc.tile) >= n {
 			return fmt.Errorf("core: place %d: decrements from place %d name tile %d of %d", pe.self, from, tc.tile, n)
 		}
+		for _, r := range b.vals[k].runs {
+			if r.off+r.n > cells {
+				return fmt.Errorf("core: place %d: values from place %d name its offsets %d..%d of %d", pe.self, from, r.off, r.off+r.n, cells)
+			}
+			pushed = true
+		}
 	}
-	if pe.cfg.CacheSize > 0 && len(b.ids) > 0 {
-		pe.pushDeposits.Add(int64(st.cache.PutPushed(b.ids, b.vals)))
+	if pushed && st.boxes != nil {
+		pe.pushDeposits.Add(int64(st.boxes.deposit(st.chunk, from, b)))
 	}
 	pe.applyTiles(st, sc, b.tiles)
 	return nil
@@ -163,12 +170,13 @@ func (pe *placeEngine[T]) applyDecrs(from int, payload []byte) error {
 
 // handleSteal hands one locally ready tile to an idle thief, as a transfer
 // body with reason steal, or replies empty when nothing is queued. The tile
-// leaves the deques; its cells complete when the thief's steal-done
-// arrives. If the thief (or this place) dies first, the cells are neither
-// finished nor queued — exactly the state the recovery's rebuilt tile
-// counters cover. The payload's trailing lifeline flag turns an unlucky
-// probe into a registration: the empty reply also parks the thief as a
-// lifeline buddy this place will push surplus ready tiles to.
+// leaves the deques and its box is freed (the thief fetches what it held);
+// its cells complete when the thief's steal-done arrives. If the thief (or
+// this place) dies first, the cells are neither finished nor queued —
+// exactly the state the recovery's rebuilt tile counters cover. The
+// payload's trailing lifeline flag turns an unlucky probe into a
+// registration: the empty reply also parks the thief as a lifeline buddy
+// this place will push surplus ready tiles to.
 func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	epoch := r.u64()
@@ -192,6 +200,7 @@ func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) 
 		}
 		return nil, nil
 	}
+	st.boxes.drop(t)
 	sc.ids = pe.describeTile(st, sc, t).appendOrder(sc.ids[:0])
 	return encodeTransfer(nil, st.epoch, transferSteal, sc.ids), nil
 }
@@ -348,7 +357,7 @@ func (pe *placeEngine[T]) handleReplay(from int, payload []byte) ([]byte, error)
 		if len(b.tiles) == 0 {
 			continue
 		}
-		b.ends = []decrEnd{{tiles: len(b.tiles)}}
+		b.ends = []int{len(b.tiles)}
 		if _, err := pe.tr.Call(owner, kindReplayTx, encodeDecrBatch(pe.cfg.Codec, &b)); err != nil {
 			return nil, err
 		}
@@ -380,6 +389,7 @@ func (pe *placeEngine[T]) handleResume(from int, payload []byte) ([]byte, error)
 	for _, t := range st.chunk.ActivateTiles(pe.cfg.Pattern) {
 		pe.enqueueTile(st, t, -1)
 	}
+	st.boxes.dropRetired(st.chunk)
 	pe.host.wakeAll()
 	if st.chunk.AllFinished() {
 		st.doneReported.Store(true)

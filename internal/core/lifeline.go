@@ -189,6 +189,7 @@ func (pe *placeEngine[T]) takeSurplus(st *epochState[T], sc *scratch[T], keep in
 	if !ok {
 		return migratedTile{}, false
 	}
+	st.boxes.drop(t) // it runs as a cell list wherever it lands, here included
 	td := pe.describeTile(st, sc, t)
 	return migratedTile{reason: transferLifeline, cells: td.appendOrder(make([]dag.VertexID, 0, len(td.order)))}, true
 }

@@ -38,7 +38,8 @@ type epochState[T any] struct {
 	rank  []int                // place id -> its index in d.Places() and grids
 	lay   tileLayout           // what the tile-quotient check made of grids
 	quit  chan struct{}
-	cache *vcache.Cache[T]
+	cache *vcache.Cache[T]  // fetched values
+	boxes *pushBoxes[T]     // pushed values, per local tile, until it runs (boxes.go); nil without push
 	agg   *aggregator[T]    // outbound decrement aggregator
 	life  *lifelineState[T] // lifeline balancing state; nil when disabled
 	inbox tileInbox         // tiles other places pushed here (transfer.go)
@@ -360,6 +361,9 @@ func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distar
 		cache: pe.newCache(),
 		agg:   newAggregator(pe, epoch),
 	}
+	if st.agg.push {
+		st.boxes = newPushBoxes[T](chunk.NumTiles(), pe.cfg.CacheSize)
+	}
 	go st.agg.loop(st.quit)
 	if pe.cfg.Lifelines && pe.cfg.Places > 1 { // one place has no one to balance with
 		st.life = newLifelineState[T](pe.lifelineEdges(d))
@@ -526,6 +530,7 @@ func (pe *placeEngine[T]) runTile(st *epochState[T], pk *sched.Picker, sc *scrat
 	}
 	if exec != pe.self {
 		if sc.ids = td.appendOrder(sc.ids[:0]); pe.pushTile(st, sc, exec, transferExec, sc.ids) {
+			st.boxes.drop(tile)
 			return
 		}
 	}
@@ -692,14 +697,14 @@ func (pe *placeEngine[T]) publish(st *epochState[T], sc *scratch[T], off int, va
 	}
 }
 
-// park records what cell id, of tile, owes its anti-dependencies (anti) until
-// the unit ends and settles. An edge inside the tile owes nothing: the unit's
-// order satisfied it. A local edge owes its target's tile one decrement while
-// the target is unfinished; a restored target's edge was never counted. A
-// remote edge always owes one, to the target's tile at its owner, which
-// counted it whatever the target's state; under value push that owner also
-// gets the value, once.
-func (pe *placeEngine[T]) park(st *epochState[T], sc *scratch[T], tile distarray.TileBox, id dag.VertexID, value T, anti []cellRef) {
+// park records what cell off, of tile, owes its anti-dependencies (anti)
+// until the unit ends and settles. An edge inside the tile owes nothing: the
+// unit's order satisfied it. A local edge owes its target's tile one
+// decrement while the target is unfinished; a restored target's edge was
+// never counted. A remote edge always owes one, to the target's tile at its
+// owner, which counted it whatever the target's state; under value push that
+// tile also gets the value, once.
+func (pe *placeEngine[T]) park(st *epochState[T], sc *scratch[T], tile distarray.TileBox, off int, value T, anti []cellRef) {
 	for _, a := range anti {
 		owner, aoff := int(a.Owner), int(a.Off)
 		if owner == pe.self {
@@ -708,39 +713,47 @@ func (pe *placeEngine[T]) park(st *epochState[T], sc *scratch[T], tile distarray
 			}
 			continue
 		}
-		s := sc.owe(owner, st.tileOf(owner, aoff))
-		if st.agg.push && (len(s.ids) == 0 || s.ids[len(s.ids)-1] != id) {
-			s.ids, s.vals = append(s.ids, id), append(s.vals, value)
+		s, k := sc.owe(owner, st.tileOf(owner, aoff))
+		if st.agg.push {
+			s.valsAt(k).add(uint32(off), value)
 		}
 	}
 }
 
 // settlement is what a unit owes one place when it ends: decrements per
-// tile of that place's grid and, under value push, the values of the unit's
-// cells that the place's cells read.
+// tile of that place's grid and, under value push, what each of those tiles
+// reads of the unit's cells — one decrement record (proto.go).
 type settlement[T any] struct {
 	tiles []tileCount
-	ids   []dag.VertexID
-	vals  []T
+	vals  []tileVals[T] // vals[k] is what tiles[k] reads; only under push
+}
+
+// valsAt returns what tile entry k carries, lining vals up with tiles as far
+// as k.
+func (s *settlement[T]) valsAt(k int) *tileVals[T] {
+	for len(s.vals) <= k {
+		s.vals = nextVals(s.vals)
+	}
+	return &s.vals[k]
 }
 
 // owe parks one decrement against tile t of place p and returns p's
-// settlement. A unit's edges reach few tiles, nearly always one of the last
-// few they reached, so a short backward scan finds it; a miss appends, and a
-// tile listed twice is only a second add.
-func (sc *scratch[T]) owe(p, t int) *settlement[T] {
+// settlement and the tile's entry in it. A unit's edges reach few tiles,
+// nearly always one of the last few they reached, so a short backward scan
+// finds it; a miss appends, and a tile listed twice is only a second add.
+func (sc *scratch[T]) owe(p, t int) (*settlement[T], int) {
 	s := &sc.owed[p]
 	for k := len(s.tiles) - 1; k >= 0 && k >= len(s.tiles)-4; k-- {
 		if s.tiles[k].tile == uint32(t) {
 			s.tiles[k].count++
-			return s
+			return s, k
 		}
 	}
 	if len(s.tiles) == 0 {
 		sc.owing = append(sc.owing, p)
 	}
 	s.tiles = append(s.tiles, tileCount{tile: uint32(t), count: 1})
-	return s
+	return s, len(s.tiles) - 1
 }
 
 // settle ends a unit that completed cells of this place: each of this
@@ -760,7 +773,7 @@ func (pe *placeEngine[T]) settle(st *epochState[T], sc *scratch[T]) (done int) {
 		} else {
 			st.agg.add(p, s)
 		}
-		s.tiles, s.ids, s.vals = s.tiles[:0], s.ids[:0], s.vals[:0]
+		s.tiles, s.vals = s.tiles[:0], s.vals[:0]
 	}
 	sc.owing = sc.owing[:0]
 	st.agg.kick()

@@ -309,38 +309,80 @@ func decodeTransfer(payload []byte, buf []dag.VertexID) (epoch uint64, reason ui
 // record, with no values:
 //
 //	[epoch u64][nRecords u32]
-//	record: [nTile uvarint][nVal uvarint]
-//	        ([tile uvarint][count uvarint])× ([src Δid][value (codec)])×
+//	record: [nTile uvarint][push uvarint: 0 or 1] entry×nTile
+//	entry:  [tile uvarint][count uvarint], and when push is 1:
+//	        [nRun uvarint] ([Δoff varint][n uvarint][value (codec)]×n)×nRun
 //
 // A record is what one unit (place.go: settle) owes the destination when it
 // ends: count decrements against each named tile of the destination's grid,
-// and, under value push, the values of the unit's cells that the
-// destination's cells read. The receiver deposits the values into the
-// epoch's vertex cache before it applies the counts, so the consumer's halo
-// step hits the cache instead of issuing a kindFetch round-trip. A Δid is two
-// zig-zag varints, (ΔI, ΔJ), relative to the previous value's source in the
-// batch ((0,0) for the first). Sources finish in scan order, so nearly every
-// Δ is one byte.
+// and, under value push, each tile's values: those of the unit's cells that
+// the tile's cells read, once per tile. A value read by two tiles travels
+// twice. The values are runs of the sender's local offsets (off names the
+// sender's cell dist.CellAt(sender, off)), so a row segment is one run under
+// every distribution, and a value costs its codec bytes and nothing more.
+// Δoff is a zig-zag varint relative to the end (off + n) of the batch's
+// previous run, 0 for the first. The receiver deposits a tile's runs into
+// that tile's box (boxes.go) before it applies the counts, so the tile's
+// halo step finds them there instead of issuing a kindFetch round-trip.
+// Every codec spends at least one byte on a value, which bounds a run's
+// length by the bytes left before anything is allocated for it.
 
 // tileCount is count decrements owed to one tile.
 type tileCount struct{ tile, count uint32 }
 
-// decrBatch is a decoded batch: every record's tile counts and every
-// record's values, each list flat in record order, and where each record's
-// share of the two lists ends.
+// valRun is n consecutive local offsets of the sending place, from off.
+type valRun struct{ off, n uint32 }
+
+// tileVals is what one tile entry carries under value push: runs of the
+// sender's local offsets, and their values in run order.
+type tileVals[T any] struct {
+	runs []valRun
+	vals []T
+}
+
+// add appends the value of the sender's cell off: it extends the last run
+// when off follows it, and is skipped when off ends it already — a cell
+// with two edges into the tile sends its value there once.
+func (tv *tileVals[T]) add(off uint32, v T) {
+	if k := len(tv.runs) - 1; k >= 0 {
+		switch r := &tv.runs[k]; off {
+		case r.off + r.n - 1:
+			return
+		case r.off + r.n:
+			r.n++
+			tv.vals = append(tv.vals, v)
+			return
+		}
+	}
+	tv.runs, tv.vals = append(tv.runs, valRun{off: off, n: 1}), append(tv.vals, v)
+}
+
+// nextVals extends vs by one empty entry, reusing the storage an earlier use
+// left in that slot.
+func nextVals[T any](vs []tileVals[T]) []tileVals[T] {
+	n := len(vs)
+	if n == cap(vs) {
+		return append(vs, tileVals[T]{})
+	}
+	vs = vs[:n+1]
+	vs[n].runs, vs[n].vals = vs[n].runs[:0], vs[n].vals[:0]
+	return vs
+}
+
+// decrBatch is a decoded batch: every record's tile entries and what each
+// carries, flat in record order, and where each record's entries end.
 type decrBatch[T any] struct {
 	epoch uint64
 	tiles []tileCount
-	ids   []dag.VertexID // the values' sources
-	vals  []T
-	ends  []decrEnd
+	vals  []tileVals[T] // vals[k] is what tiles[k] carries; as long as tiles
+	ends  []int         // len(tiles) at the end of each record
 }
 
-// decrEnd is len(tiles) and len(ids) at the end of one record.
-type decrEnd struct{ tiles, vals int }
-
 // errDecrRecord is a sentinel for the same reason errBadVarint is.
-var errDecrRecord = errors.New("core: decrement record count exceeds the payload, or names a tile past int32, or a count of zero or past int32")
+var errDecrRecord = errors.New("core: decrement record count exceeds the payload, or a push flag past 1, or names a tile past int32, or a count of zero or past int32")
+
+// errDecrRun is a sentinel for the same reason errBadVarint is.
+var errDecrRun = errors.New("core: pushed run count or length exceeds the payload, or a run of zero, or one that leaves the int32 offsets")
 
 // errBadVarint is a sentinel, not a formatted error: a truncated batch is
 // rejected without allocating.
@@ -394,21 +436,41 @@ func (r *reader) idDelta(base dag.VertexID) dag.VertexID {
 	return dag.VertexID{I: int32(i), J: int32(j)}
 }
 
-// appendDecrRecord appends one record to dst; prev is the source of the
-// batch's last value before it.
-func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], prev dag.VertexID, tiles []tileCount, ids []dag.VertexID, vals []T) []byte {
+// appendDecrRecord appends one record to dst: tiles, and vals[k] with
+// tiles[k] (vals may be shorter, or nil: no values). end is where the batch's
+// previous run ended; the returned end is where the record's last one does.
+func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], end uint32, tiles []tileCount, vals []tileVals[T]) ([]byte, uint32) {
+	push := uint64(0)
+	for k := range vals {
+		if len(vals[k].runs) > 0 {
+			push = 1
+			break
+		}
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(tiles)))
-	dst = binary.AppendUvarint(dst, uint64(len(ids)))
-	for _, tc := range tiles {
+	dst = binary.AppendUvarint(dst, push)
+	for k, tc := range tiles {
 		dst = binary.AppendUvarint(dst, uint64(tc.tile))
 		dst = binary.AppendUvarint(dst, uint64(tc.count))
+		if push == 0 {
+			continue
+		}
+		var tv tileVals[T]
+		if k < len(vals) {
+			tv = vals[k]
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(tv.runs)))
+		at := 0
+		for _, run := range tv.runs {
+			dst = binary.AppendVarint(dst, int64(run.off)-int64(end))
+			dst = binary.AppendUvarint(dst, uint64(run.n))
+			for _, v := range tv.vals[at : at+int(run.n)] {
+				dst = cd.Encode(dst, v)
+			}
+			at, end = at+int(run.n), run.off+run.n
+		}
 	}
-	for k, id := range ids {
-		dst = putIDDelta(dst, prev, id)
-		dst = cd.Encode(dst, vals[k])
-		prev = id
-	}
-	return dst
+	return dst, end
 }
 
 // encodeDecrBatch builds a whole payload from decoded form in a fresh
@@ -416,13 +478,9 @@ func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], prev dag.VertexID, t
 // messages a record at a time.
 func encodeDecrBatch[T any](cd codec.Codec[T], b *decrBatch[T]) []byte {
 	dst := putU32(putU64(nil, b.epoch), uint32(len(b.ends)))
-	var prev dag.VertexID
-	var at decrEnd
+	at, end := 0, uint32(0)
 	for _, e := range b.ends {
-		dst = appendDecrRecord(dst, cd, prev, b.tiles[at.tiles:e.tiles], b.ids[at.vals:e.vals], b.vals[at.vals:e.vals])
-		if e.vals > at.vals {
-			prev = b.ids[e.vals-1]
-		}
+		dst, end = appendDecrRecord(dst, cd, end, b.tiles[at:e], b.vals[at:min(e, len(b.vals))])
 		at = e
 	}
 	return dst
@@ -430,30 +488,31 @@ func encodeDecrBatch[T any](cd codec.Codec[T], b *decrBatch[T]) []byte {
 
 // decodeDecrBatch parses a payload into b, reusing its buffers. Every count
 // is checked against the bytes left before anything it implies is
-// allocated, and a tile past int32, or a count of zero or past int32, is a
-// protocol error; a tile past the receiver's grid is the handler's to
+// allocated, and a tile past int32, a count of zero or past int32, a run of
+// zero or one that leaves the int32 offsets is a protocol error; a tile past
+// the receiver's grid, or a run past the sender's cells, is the handler's to
 // refuse. On error b holds a prefix of the batch.
 func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) error {
 	r := reader{b: payload}
 	b.epoch = r.u64()
 	n := r.u32()
-	b.tiles, b.ids, b.vals, b.ends = b.tiles[:0], b.ids[:0], b.vals[:0], b.ends[:0]
+	b.tiles, b.vals, b.ends = b.tiles[:0], b.vals[:0], b.ends[:0]
 	if r.err != nil {
 		return r.err
 	}
-	// A record costs at least 2 bytes, its two counts, and each tile count
-	// and each value it holds at least 2 more.
+	// A record costs at least 2 bytes, its two counts, and each tile entry
+	// it holds at least 2 more; a run at least 3, its two varints and a value.
 	if int(n) > (len(payload)-12)/2 {
 		return errDecrRecord
 	}
-	var prev dag.VertexID
+	end := int64(0)
 	for k := uint32(0); k < n; k++ {
 		nt := r.uvarint()
-		nv := r.uvarint()
+		push := r.uvarint()
 		if r.err != nil {
 			return r.err
 		}
-		if left := uint64(len(payload)-r.off) / 2; nt > left || nv > left {
+		if push > 1 || nt > uint64(len(payload)-r.off)/2 {
 			return errDecrRecord
 		}
 		for m := uint64(0); m < nt; m++ {
@@ -466,21 +525,40 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 				return errDecrRecord
 			}
 			b.tiles = append(b.tiles, tileCount{tile: uint32(tile), count: uint32(count)})
-		}
-		for m := uint64(0); m < nv; m++ {
-			prev = r.idDelta(prev)
+			b.vals = nextVals(b.vals)
+			if push == 0 {
+				continue
+			}
+			tv := &b.vals[len(b.vals)-1]
+			nr := r.uvarint()
 			if r.err != nil {
 				return r.err
 			}
-			v, used, err := cd.Decode(r.rest())
-			if err != nil {
-				return fmt.Errorf("core: decrement record value decode: %w", err)
+			if nr > uint64(len(payload)-r.off)/3 {
+				return errDecrRun
 			}
-			r.off += used
-			b.ids = append(b.ids, prev)
-			b.vals = append(b.vals, v)
+			for q := uint64(0); q < nr; q++ {
+				off := end + r.varint()
+				cnt := r.uvarint()
+				if r.err != nil {
+					return r.err
+				}
+				if off < 0 || cnt == 0 || cnt > uint64(len(payload)-r.off) || off+int64(cnt) > math.MaxInt32 {
+					return errDecrRun
+				}
+				tv.runs = append(tv.runs, valRun{off: uint32(off), n: uint32(cnt)})
+				for c := uint64(0); c < cnt; c++ {
+					v, used, err := cd.Decode(r.rest())
+					if err != nil {
+						return fmt.Errorf("core: decrement record value decode: %w", err)
+					}
+					r.off += used
+					tv.vals = append(tv.vals, v)
+				}
+				end = off + int64(cnt)
+			}
 		}
-		b.ends = append(b.ends, decrEnd{tiles: len(b.tiles), vals: len(b.ids)})
+		b.ends = append(b.ends, len(b.tiles))
 	}
 	return nil
 }
@@ -489,8 +567,8 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 //
 //	request: [epoch u64][n u32][Δid...]    reply: [value (codec)...]
 //
-// The ids are the decrBatch Δid chain: each relative to the one before it,
-// (0,0) for the first. A tile's halo arrives in walk order and a cell's
+// The ids are a Δid chain: each is two zig-zag varints, (ΔI, ΔJ), relative
+// to the one before it, (0,0) for the first. A tile's halo arrives in walk order and a cell's
 // remote dependencies are grid neighbours, so an id costs about two bytes.
 // The reply carries the values in request order.
 

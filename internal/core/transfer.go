@@ -210,7 +210,7 @@ func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, err
 		unit = st
 		sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], id)
 		pe.publish(st, sc, off, v)
-		pe.park(st, sc, st.chunk.TileBox(st.chunk.TileOf(off)), id, v, sc.antiRes)
+		pe.park(st, sc, st.chunk.TileBox(st.chunk.TileOf(off)), off, v, sc.antiRes)
 	})
 }
 

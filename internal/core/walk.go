@@ -7,6 +7,7 @@ import (
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/distarray"
+	"github.com/dpx10/dpx10/internal/metrics"
 )
 
 // The tile walk (paper §VI-C): take a ready unit, gather its dependencies,
@@ -27,6 +28,7 @@ import (
 // and box.Lo is -1.
 type tileDesc struct {
 	owner  int               // the place that owns the cells
+	tile   int               // which of this place's tiles the unit is, or -1: a cell list from the wire
 	box    distarray.TileBox // which slots are the unit's cells
 	remote bool              // a dependency lives on another place: the walk needs a halo
 	ids    []dag.VertexID    // per slot
@@ -44,20 +46,22 @@ type tileDesc struct {
 // addressing over power-of-two arrays, emptied in O(1) by moving on to the
 // next generation stamp. A walk at tile size 1 fills and empties it once per
 // cell, which is where a built-in map's clear() and hashing showed up as the
-// hottest lines of the whole engine.
+// hottest lines of the whole engine. A value a push box poured in (pour)
+// carries the stamp below the generation's until a dependency first claims
+// it (slot), which is how fillHalo counts what the box served.
 type haloTable[T any] struct {
 	keys []dag.VertexID
 	vals []T
-	gen  []uint32 // slot i is live iff gen[i] == cur
-	cur  uint32
+	gen  []uint32 // slot i is live iff gen[i]|1 == cur: cur once claimed, cur-1 while only poured
+	cur  uint32   // odd, from 3
 	n    int
 }
 
 func (h *haloTable[T]) reset() {
 	h.n = 0
-	if h.cur++; h.cur == 0 { // wrapped: stale stamps would read as live
+	if h.cur += 2; h.cur < 3 { // wrapped, or never set: stale stamps would read as live
 		clear(h.gen)
-		h.cur = 1
+		h.cur = 3
 	}
 }
 
@@ -65,7 +69,7 @@ func (h *haloTable[T]) reset() {
 func (h *haloTable[T]) find(id dag.VertexID) (i int, ok bool) {
 	mask := len(h.keys) - 1
 	key := uint64(uint32(id.I))<<32 | uint64(uint32(id.J))
-	for i = int(key*0x9E3779B97F4A7C15>>33) & mask; h.gen[i] == h.cur; i = (i + 1) & mask {
+	for i = int(key*0x9E3779B97F4A7C15>>33) & mask; h.gen[i]|1 == h.cur; i = (i + 1) & mask {
 		if h.keys[i] == id {
 			return i, true
 		}
@@ -81,26 +85,44 @@ func (h *haloTable[T]) get(id dag.VertexID) (v T, ok bool) {
 	return h.vals[i], ok
 }
 
-// slot returns where id's value lives, making room for it if it is new, and
-// reports whether it was held already. The pointer is good until the next slot.
-func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held bool) {
+// insert returns the index of id's slot, making room for it if it is new
+// (stamped claimed), and reports whether it was held already.
+func (h *haloTable[T]) insert(id dag.VertexID) (i int, held bool) {
 	if 2*(h.n+1) > len(h.keys) {
 		old := *h
 		size := max(16, 2*len(old.keys))
-		*h = haloTable[T]{keys: make([]dag.VertexID, size), vals: make([]T, size), gen: make([]uint32, size), cur: 1}
-		for i, g := range old.gen {
-			if g == old.cur {
-				p, _ := h.slot(old.keys[i])
-				*p = old.vals[i]
+		*h = haloTable[T]{keys: make([]dag.VertexID, size), vals: make([]T, size), gen: make([]uint32, size), cur: 3}
+		for k, g := range old.gen {
+			if g|1 == old.cur {
+				i, _ := h.insert(old.keys[k])
+				h.vals[i], h.gen[i] = old.vals[k], g-old.cur+h.cur
 			}
 		}
 	}
-	i, held := h.find(id)
+	i, held = h.find(id)
 	if !held {
 		h.keys[i], h.gen[i] = id, h.cur
 		h.n++
 	}
-	return &h.vals[i], held
+	return i, held
+}
+
+// slot returns where id's value lives, making room for it if it is new, and
+// reports whether it was held already and whether this is the first claim of
+// a value a box poured. The pointer is good until the next insert.
+func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held, poured bool) {
+	i, held := h.insert(id)
+	if poured = h.gen[i] != h.cur; poured {
+		h.gen[i] = h.cur
+	}
+	return &h.vals[i], held, poured
+}
+
+// pour holds v for id, unclaimed, unless id is held already.
+func (h *haloTable[T]) pour(id dag.VertexID, v T) {
+	if i, held := h.insert(id); !held {
+		h.vals[i], h.gen[i] = v, h.cur-1
+	}
 }
 
 // describeTile resolves and orders this place's own tile t, asking the
@@ -108,7 +130,7 @@ func (h *haloTable[T]) slot(id dag.VertexID) (v *T, held bool) {
 // the chunk keeps no dependency lists.
 func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int) *tileDesc {
 	td := &sc.td
-	td.owner, td.box = pe.self, st.chunk.TileBox(t)
+	td.owner, td.tile, td.box = pe.self, t, st.chunk.TileBox(t)
 	n := td.box.Span()
 	td.ids = slices.Grow(td.ids[:0], n)[:n]
 	for base := 0; base < n; base += td.box.Stride {
@@ -126,7 +148,7 @@ func (pe *placeEngine[T]) describeTile(st *epochState[T], sc *scratch[T], t int)
 // owner and already in the order its owner stated.
 func (pe *placeEngine[T]) describeCells(st *epochState[T], sc *scratch[T], owner int, cells []dag.VertexID) *tileDesc {
 	td := &sc.td
-	td.owner = owner
+	td.owner, td.tile = owner, -1
 	td.box = distarray.TileBox{Lo: -1, W: len(cells), Rows: 1, Stride: len(cells)}
 	td.ids = append(td.ids[:0], cells...)
 	pe.fillDeps(st, td)
@@ -309,9 +331,9 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 				tile = st.chunk.TileBox(st.chunk.TileOf(off))
 			}
 			pe.publish(st, sc, off, v)
-			pe.park(st, sc, tile, id, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
+			pe.park(st, sc, tile, off, v, td.anti[td.antiAt[k]:td.antiAt[k+1]])
 		} else {
-			p, _ := sc.halo.slot(id)
+			p, _, _ := sc.halo.slot(id)
 			*p = v
 		}
 		done++
@@ -330,7 +352,7 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 	ch, s, td := st.chunk, st.chunk.Stencil(), &sc.td
 	b := ch.TileBox(t)
 	top, left := b.Lo/b.Stride, b.Lo%b.Stride
-	if pe.ghostFrame(st, sc, s, b) != nil {
+	if pe.ghostFrame(st, sc, s, t) != nil {
 		return 0 // a dead peer or superseded epoch: the recovery reschedules the tile
 	}
 	defer func() { done = pe.settle(st, sc) }()
@@ -372,7 +394,7 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 					ref, _ := s.Locate(r, c, i, j, a.I-i, a.J-j)
 					sc.antiRes = append(sc.antiRes, ref)
 				}
-				pe.park(st, sc, b, dag.VertexID{I: i, J: j}, v, sc.antiRes)
+				pe.park(st, sc, b, off, v, sc.antiRes)
 			}
 		}
 		if fresh {
@@ -387,20 +409,20 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 	return // the deferred settle reports the count
 }
 
-// ghostFrame readies sc.slab for a walk of own stencil tile b: it spans the
+// ghostFrame readies sc.slab for a walk of own stencil tile t: it spans the
 // tile's global bounding box plus the stencil's reach, and gets what the
 // tile's unfinished cells read outside the tile, nothing else. Only cells
 // within reach of the top and left edges do, so only they locate their
 // dependencies: local ones are copied from the chunk, remote ones listed in
 // td per row and filled through fillHalo.
-func (pe *placeEngine[T]) ghostFrame(st *epochState[T], sc *scratch[T], s *distarray.Stencil, b distarray.TileBox) error {
-	ch, td := st.chunk, &sc.td
+func (pe *placeEngine[T]) ghostFrame(st *epochState[T], sc *scratch[T], s *distarray.Stencil, t int) error {
+	ch, td, b := st.chunk, &sc.td, st.chunk.TileBox(t)
 	top, left := b.Lo/b.Stride, b.Lo%b.Stride
 	sc.gi0, sc.gj0 = int(s.RowOf[top]-s.ReachI), int(s.ColOf[left]-s.ReachJ)
 	sc.stride = int(s.ColOf[left+b.W-1]) - sc.gj0 + 1
 	n := (int(s.RowOf[top+b.Rows-1]) - sc.gi0 + 1) * sc.stride
 	sc.slab = slices.Grow(sc.slab[:0], n)[:n]
-	td.owner, td.deps, td.res, td.depAt, td.order = pe.self, td.deps[:0], td.res[:0], td.depAt[:0], td.order[:0]
+	td.owner, td.tile, td.deps, td.res, td.depAt, td.order = pe.self, t, td.deps[:0], td.res[:0], td.depAt[:0], td.order[:0]
 	for r := top; r < top+b.Rows; r++ {
 		td.depAt, td.order = append(td.depAt, int32(len(td.deps))), append(td.order, int32(r-top))
 		for c, i := left, s.RowOf[r]; c < left+b.W && (r-top < s.ReachRows || c-left < s.ReachCols); c++ {
@@ -432,16 +454,22 @@ func (pe *placeEngine[T]) ghostFrame(st *epochState[T], sc *scratch[T], s *dista
 }
 
 // fillHalo is the one place a walk's remote inputs come from, and the one
-// place their cache accounting happens. Every distinct dependency of the
-// cells about to run that another place owns is copied out of the vertex
-// cache (a pushed value counts as consumed) or, failing that, fetched — one
-// fetchValues per owning place — into sc.halo, which holds nothing else. The
-// cells themselves, when another place owns them, are held as placeholders:
-// their values exist only here until walk stores them, so they are never
-// fetched. So is a value still to be fetched, which also keeps a second edge
-// to it from listing it twice. On an error the caller abandons the walk.
+// place their cache accounting happens. An own tile's box goes first: the
+// values other places pushed for it (boxes.go) are poured into sc.halo, and
+// the box's storage is released. Then every distinct dependency of the cells
+// about to run that another place owns, and the box did not hold, is copied
+// out of the vertex cache or, failing that, fetched — one fetchValues per
+// owning place — into sc.halo, which holds nothing else. A dependency the box
+// served counts as a cache hit and a pushed value consumed. The cells
+// themselves, when another place owns them, are held as placeholders: their
+// values exist only here until walk stores them, so they are never fetched.
+// So is a value still to be fetched, which also keeps a second edge to it
+// from listing it twice. On an error the caller abandons the walk.
 func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDesc) error {
 	sc.halo.reset()
+	if td.tile >= 0 {
+		pe.pourBox(st, sc, td.tile)
+	}
 	if !td.remote {
 		return nil
 	}
@@ -459,16 +487,16 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 				continue
 			}
 			dep := td.deps[k]
-			p, held := sc.halo.slot(dep)
+			p, held, poured := sc.halo.slot(dep)
+			if poured {
+				pushHits++
+			}
 			if held {
 				continue
 			}
-			var ok, pushed bool
-			if *p, ok, pushed = st.cache.GetTagged(dep); ok {
+			var ok bool
+			if *p, ok = st.cache.Get(dep); ok {
 				hits++
-				if pushed {
-					pushHits++
-				}
 				continue
 			}
 			misses++
@@ -479,12 +507,15 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 			sc.remote[owner] = append(lst, dep)
 		}
 	}
-	if hits+misses == 0 {
+	if hits+misses+pushHits == 0 {
 		return nil
 	}
-	pe.cacheHits.Add(hits)
+	pe.cacheHits.Add(hits + pushHits)
 	pe.cacheMisses.Add(misses)
-	pe.pushConsumed.Add(pushHits)
+	if pushHits > 0 {
+		pe.pushConsumed.Add(pushHits)
+		pe.mVCHits.Add(metrics.VCacheBoxKey, pushHits)
+	}
 	for _, owner := range sc.owners {
 		ids := sc.remote[owner]
 		sc.remote[owner] = ids[:0]
@@ -493,12 +524,30 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 			return err
 		}
 		for k, id := range ids {
-			p, _ := sc.halo.slot(id)
+			p, _, _ := sc.halo.slot(id)
 			*p = vals[k]
 		}
 	}
 	sc.owners = sc.owners[:0]
 	return nil
+}
+
+// pourBox takes own tile t's box, pours its values into sc.halo, unclaimed,
+// and releases the box's storage: the tile runs now, here.
+func (pe *placeEngine[T]) pourBox(st *epochState[T], sc *scratch[T], t int) {
+	k, bs := st.boxes.take(t)
+	if k < 0 {
+		return
+	}
+	at := 0
+	for _, r := range bs.runs {
+		for off := int(r.off); off < int(r.off+r.n); off++ {
+			i, j := st.d.CellAt(int(r.from), off)
+			sc.halo.pour(dag.VertexID{I: i, J: j}, bs.vals[at])
+			at++
+		}
+	}
+	st.boxes.release(k)
 }
 
 // fetchValues reads the finished values of ids, all owned by owner, into

@@ -168,6 +168,13 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 	return ready
 }
 
+// TileRetired reports whether the activation scan retired tile t: it holds
+// no unfinished cell, so it will not run this epoch. Before the scan it
+// reports false.
+func (c *Chunk[T]) TileRetired(t int) bool {
+	return c.tileLive.Load() && atomic.LoadInt32(&c.tileIndeg[t]) > retiredTile/2
+}
+
 // pendingTiles reports, per tile, whether it holds an unfinished cell: the
 // tiles that will run, and the only ones the scans count edges for.
 func (c *Chunk[T]) pendingTiles() []bool {

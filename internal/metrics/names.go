@@ -13,6 +13,11 @@ const (
 	KindVec
 )
 
+// VCacheBoxKey is the vcache.hits key of the remote dependencies a tile's
+// push box served: hits without a fetch, like the shards', that never touched
+// the cache.
+const VCacheBoxKey uint8 = 255
+
 // Instrument names. Every name the runtime records under is declared
 // here and registered in the instruments table below; Registry methods
 // reject anything else. Naming convention: <subsystem>.<metric>, with a
@@ -46,7 +51,8 @@ const (
 	EngineEpoch       = "engine.epoch"
 	EngineFetchWaitNs = "engine.fetch_wait_ns"
 
-	// Remote-vertex cache, one Vec key per shard.
+	// Remote-vertex cache, one Vec key per shard; vcache.hits also counts
+	// the dependencies push boxes served, under VCacheBoxKey.
 	VCacheHits      = "vcache.hits"
 	VCacheMisses    = "vcache.misses"
 	VCacheEvictions = "vcache.evictions"

@@ -1,5 +1,6 @@
 // Package vcache implements the per-worker cache of remotely fetched
-// vertices (paper §VI-C).
+// vertices (paper §VI-C). It holds fetched values only: values a sender
+// pushes wait in the box of the tile that reads them (internal/core).
 //
 // To cut data-transmission overhead, each DPX10 worker keeps a cache of
 // recently transferred vertex values. Following the paper, the cache is a
@@ -51,10 +52,9 @@ type shard[T any] struct {
 }
 
 type entry[T any] struct {
-	id     dag.VertexID
-	value  T
-	used   bool
-	pushed bool // deposited by a sender's value push, not an explicit fetch
+	id    dag.VertexID
+	value T
+	used  bool
 }
 
 // New creates a cache holding up to capacity entries, sharded when the
@@ -124,25 +124,16 @@ func (c *Cache[T]) shardFor(id dag.VertexID) *shard[T] {
 func (c *Cache[T]) Cap() int { return c.cap }
 
 // Get returns the cached value for id, if present.
-func (c *Cache[T]) Get(id dag.VertexID) (T, bool) {
-	v, ok, _ := c.GetTagged(id)
-	return v, ok
-}
-
-// GetTagged is Get plus provenance: pushed reports whether the hit was
-// deposited by the sender's value push rather than an explicit fetch,
-// letting the engine count avoided fetch round-trips.
-func (c *Cache[T]) GetTagged(id dag.VertexID) (v T, ok, pushed bool) {
+func (c *Cache[T]) Get(id dag.VertexID) (v T, ok bool) {
 	s := c.shardFor(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if slot, hit := s.index[id]; hit {
 		s.hits++
-		return s.slots[slot].value, true, s.slots[slot].pushed
+		return s.slots[slot].value, true
 	}
 	s.misses++
-	var zero T
-	return zero, false, false
+	return v, false
 }
 
 // Put inserts a value, evicting the shard's oldest entry when full.
@@ -158,18 +149,15 @@ func (c *Cache[T]) Put(id dag.VertexID, v T) {
 	if len(s.slots) == 0 {
 		return
 	}
-	if slot, ok := s.index[id]; ok {
-		s.slots[slot].value = v
-		s.slots[slot].pushed = false
-		return
-	}
-	s.insertLocked(id, v, false)
+	s.putLocked(id, v)
 }
 
-// PutPushed bulk-deposits sender-pushed values, acquiring each touched
-// shard's lock once per contiguous run, and returns how many entries were
-// written (0 when the cache is disabled). ids and vals must have equal
-// length.
+// PutPushed puts each of ids with its value, acquiring each touched shard's
+// lock once per contiguous run, and returns how many entries were written (0
+// when the cache is disabled). ids and vals must have equal length.
+//
+// Deprecated: pushed values no longer enter the cache; kept only so existing
+// callers compile.
 func (c *Cache[T]) PutPushed(ids []dag.VertexID, vals []T) int {
 	if c.cap == 0 || len(ids) == 0 {
 		return 0
@@ -184,15 +172,9 @@ func (c *Cache[T]) PutPushed(ids []dag.VertexID, vals []T) int {
 			cur = s
 			cur.mu.Lock()
 		}
-		if len(s.slots) == 0 {
-			continue
+		if len(s.slots) > 0 {
+			s.putLocked(id, vals[k])
 		}
-		if slot, ok := s.index[id]; ok {
-			s.slots[slot].value = vals[k]
-			s.slots[slot].pushed = true
-			continue
-		}
-		s.insertLocked(id, vals[k], true)
 	}
 	if cur != nil {
 		cur.mu.Unlock()
@@ -200,15 +182,19 @@ func (c *Cache[T]) PutPushed(ids []dag.VertexID, vals []T) int {
 	return len(ids)
 }
 
-// insertLocked writes a fresh entry at the shard's FIFO hand. Caller
-// holds mu and has ruled out a refresh.
-func (s *shard[T]) insertLocked(id dag.VertexID, v T, pushed bool) {
+// putLocked refreshes id's entry in place or writes a fresh one at the
+// shard's FIFO hand. Caller holds mu; the shard has slots.
+func (s *shard[T]) putLocked(id dag.VertexID, v T) {
+	if slot, ok := s.index[id]; ok {
+		s.slots[slot].value = v
+		return
+	}
 	e := &s.slots[s.next]
 	if e.used {
 		delete(s.index, e.id)
 		s.evicted++
 	}
-	*e = entry[T]{id: id, value: v, used: true, pushed: pushed}
+	*e = entry[T]{id: id, value: v, used: true}
 	s.index[id] = s.next
 	s.next = (s.next + 1) % len(s.slots)
 }

@@ -140,3 +140,24 @@ func TestConcurrentAccess(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestPutPushedIsPut pins the deprecated shim: it writes each value as Put
+// would — a refresh in place, a FIFO eviction when full, nothing when the
+// cache is off — and returns how many it was handed.
+func TestPutPushedIsPut(t *testing.T) {
+	c := New[int32](3)
+	c.Put(id(0, 0), 1)
+	if n := c.PutPushed([]dag.VertexID{id(0, 0), id(0, 1), id(0, 2)}, []int32{10, 11, 12}); n != 3 {
+		t.Fatalf("PutPushed returned %d, want 3", n)
+	}
+	if v, ok := c.Get(id(0, 0)); !ok || v != 10 || c.Len() != 3 {
+		t.Fatalf("refresh: got (%d,%v) with %d entries, want (10,true) and 3", v, ok, c.Len())
+	}
+	c.PutPushed([]dag.VertexID{id(0, 3)}, []int32{13}) // evicts (0,0), the oldest
+	if _, ok := c.Get(id(0, 0)); ok {
+		t.Fatal("oldest entry survived a full PutPushed: not FIFO")
+	}
+	if n := New[int32](0).PutPushed([]dag.VertexID{id(0, 0)}, []int32{1}); n != 0 {
+		t.Fatalf("zero-capacity PutPushed returned %d, want 0", n)
+	}
+}

@@ -194,9 +194,10 @@ func WithLifelines(w, z int) UntypedOption {
 	})
 }
 
-// CacheSize sets the per-place remote-vertex cache capacity in entries;
-// 0 disables the cache (paper §VI-E "Cache size"). Job-scoped: every job
-// has its own cache.
+// CacheSize sets the per-place remote-vertex cache capacity in entries
+// (paper §VI-E "Cache size") and, separately, the most values other places'
+// value push may pin at a place until the tiles that read them run; 0
+// disables both. Job-scoped: every job has its own cache and bound.
 func CacheSize(entries int) UntypedOption {
 	return jobOpt("CacheSize", func(c *core.Common) { c.CacheSize = entries })
 }

@@ -57,8 +57,9 @@ go test -race -run 'TestActivationRacesEarlyDecrements$|TestSetResultLifecycle$'
 # Moving tiles, repeated under the race detector: a pushed tile waits in the
 # epoch's inbox, which lifeline and exec pushes both feed and the workers and
 # the lifeline pusher both drain, and a recovery races all of them; a tile
-# handed back settles what it owes through the same path as a walk.
-go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit' -count=3 ./internal/core/
+# handed back settles what it owes through the same path as a walk. A tile
+# that leaves frees its push box, which handlers fill and workers empty.
+go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit|TestPushedBoxesBounded' -count=3 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
