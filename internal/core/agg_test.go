@@ -257,9 +257,9 @@ func boxState(pe *placeEngine[int64]) (peak, pinned int, allFree bool) {
 	bx := pe.current().boxes
 	bx.mu.Lock()
 	defer bx.mu.Unlock()
-	allFree = len(bx.free) == len(bx.store)
-	for _, b := range bx.box {
-		allFree = allFree && b <= 0
+	allFree = len(bx.free) == bx.made
+	for _, s := range bx.box {
+		allFree = allFree && (s == nil || s == &bx.closed)
 	}
 	return bx.peak, bx.pinned, allFree
 }
@@ -356,29 +356,36 @@ func TestPushedBoxesBounded(t *testing.T) {
 	}
 	drained(cl, 2)
 
-	// A one-place chunk of two 2x8 tiles, the first restored whole: the
-	// scan retires it.
+	// A one-place chunk of four one-row tiles, the first two restored whole:
+	// the scan retires them. Each deposit gives two tiles two values each.
 	small := patterns.NewDiagonal(4, 8)
 	ch := distarray.NewChunk[int64](0, dist.NewBlockRow(4, 8, 1))
-	ch.ConfigureGrid(distarray.NewTileGrid(4, 8, 2, 8))
+	ch.ConfigureGrid(distarray.NewTileGrid(4, 8, 1, 8))
 	ch.InitFlags(small)
 	for off := 0; off < 16; off++ {
 		ch.SetResult(off, 1)
 	}
 	bx := newPushBoxes[int64](ch.NumTiles(), limit)
-	b := &decrBatch[int64]{tiles: []tileCount{{tile: 0, count: 1}, {tile: 1, count: 1}},
-		vals: []tileVals[int64]{{runs: []valRun{{off: 0, n: 2}}, vals: []int64{1, 2}}, {runs: []valRun{{off: 2, n: 2}}, vals: []int64{3, 4}}}}
-	if kept := bx.deposit(ch, 1, b); kept != 4 {
+	deposit := func(t1, t2 uint32) int {
+		two := tileVals[int64]{runs: []valRun{{off: 0, n: 2}}, vals: []int64{1, 2}}
+		return bx.deposit(ch, 1, &decrBatch[int64]{tiles: []tileCount{{tile: t1, count: 1}, {tile: t2, count: 1}}, vals: []tileVals[int64]{two, two}})
+	}
+	if kept := deposit(0, 2); kept != 4 {
 		t.Fatalf("before the scan %d values kept, want 4", kept)
 	}
 	ch.ActivateTiles(small)
 	bx.dropRetired(ch)
-	if !ch.TileRetired(0) || ch.TileRetired(1) || bx.pinned != 2 {
-		t.Fatalf("retired: %v, %v; %d values pinned, want tile 0 retired, its box freed and tile 1's 2 kept",
-			ch.TileRetired(0), ch.TileRetired(1), bx.pinned)
+	if !ch.TileRetired(0) || !ch.TileRetired(1) || ch.TileRetired(2) || bx.pinned != 2 {
+		t.Fatalf("%d values pinned after the scan; want tiles 0 and 1 retired, tile 0's box freed and tile 2's kept", bx.pinned)
 	}
-	if kept := bx.deposit(ch, 1, b); kept != 2 || bx.pinned != 4 {
-		t.Fatalf("after the scan %d values kept, %d pinned; want the retired tile's 2 dropped", kept, bx.pinned)
+	if kept := deposit(1, 3); kept != 2 || bx.pinned != 4 {
+		t.Fatalf("%d values kept, %d pinned; want the retired tile's dropped", kept, bx.pinned)
+	}
+	// Tile 2 runs, tile 3 leaves: neither takes a deposit after.
+	bx.release(bx.take(2))
+	bx.drop(3)
+	if kept := deposit(2, 3); kept != 0 || bx.pinned != 0 || len(bx.free) != bx.made {
+		t.Fatalf("%d values kept, %d pinned, %d of %d storages free; want none kept or pinned, all free", kept, bx.pinned, len(bx.free), bx.made)
 	}
 }
 

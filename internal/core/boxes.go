@@ -21,19 +21,17 @@ import (
 // keeps the oldest, and the tile fetches the rest. The boxes belong to one
 // epoch and are discarded with it.
 
-// boxClosed marks the box of a tile that will not run here this epoch.
-const boxClosed = -1
-
 // pushBoxes is one epoch's boxes. Without value push there are none: a nil
 // *pushBoxes takes, drops and sweeps nothing, and no deposit reaches it.
 type pushBoxes[T any] struct {
 	mu     sync.Mutex
-	box    []int32       // per local tile: 0 empty, boxClosed, or k+1 when store[k] holds its values
-	store  []boxStore[T] // every storage made this epoch, in a box or free
-	free   []int32       // indices of the free storage in store
-	pinned int           // values held across the boxes
-	limit  int           // Config.CacheSize
-	peak   int           // the most values ever pinned at once
+	box    []*boxStore[T] // per local tile: nil while empty, &closed once it will not run here, else its values
+	closed boxStore[T]    // the mark of a closed box; holds nothing
+	free   []*boxStore[T] // storage no box holds
+	made   int            // storage allocated this epoch, in a box or free
+	pinned int            // values held across the boxes
+	limit  int            // Config.CacheSize
+	peak   int            // the most values ever pinned at once
 }
 
 // boxStore is one box's values: runs of their senders' local offsets, and
@@ -50,7 +48,7 @@ type boxRun struct {
 }
 
 func newPushBoxes[T any](tiles, limit int) *pushBoxes[T] {
-	return &pushBoxes[T]{box: make([]int32, tiles), limit: limit}
+	return &pushBoxes[T]{box: make([]*boxStore[T], tiles), limit: limit}
 }
 
 // deposit puts the values a decrement batch from place from carries into the
@@ -62,7 +60,7 @@ func (bx *pushBoxes[T]) deposit(ch *distarray.Chunk[T], from int, b *decrBatch[T
 	defer bx.mu.Unlock()
 	for k, tc := range b.tiles {
 		tv := &b.vals[k]
-		if len(tv.runs) == 0 || bx.box[tc.tile] == boxClosed || ch.TileRetired(int(tc.tile)) {
+		if len(tv.runs) == 0 || bx.box[tc.tile] == &bx.closed || ch.TileRetired(int(tc.tile)) {
 			continue
 		}
 		at := 0
@@ -83,55 +81,54 @@ func (bx *pushBoxes[T]) deposit(ch *distarray.Chunk[T], from int, b *decrBatch[T
 	return kept
 }
 
-// storeOf returns tile t's storage, giving its box one — free or new — if it
-// has none. Caller holds mu.
+// storeOf returns tile t's storage, giving its open box one — free or new —
+// if it has none. Caller holds mu.
 func (bx *pushBoxes[T]) storeOf(t int) *boxStore[T] {
-	if bx.box[t] == 0 {
+	if bx.box[t] == nil {
 		if n := len(bx.free); n > 0 {
-			bx.box[t], bx.free = bx.free[n-1]+1, bx.free[:n-1]
+			bx.box[t], bx.free = bx.free[n-1], bx.free[:n-1]
 		} else {
-			bx.store = append(bx.store, boxStore[T]{})
-			bx.box[t] = int32(len(bx.store))
+			bx.box[t] = &boxStore[T]{}
+			bx.made++
 		}
 	}
-	return &bx.store[bx.box[t]-1]
+	return bx.box[t]
 }
 
-// take closes tile t's box, which is about to run, and returns its storage
-// and the storage's index for release, or k < 0 when it holds nothing. The
-// values stay put until release: no deposit reaches a closed box.
-func (bx *pushBoxes[T]) take(t int) (k int, s boxStore[T]) {
+// take closes tile t's box, which is about to run, and returns its storage,
+// or nil when it holds nothing. The values stay put until release: no
+// deposit reaches a closed box.
+func (bx *pushBoxes[T]) take(t int) *boxStore[T] {
 	if bx == nil {
-		return -1, s
+		return nil
 	}
 	bx.mu.Lock()
 	defer bx.mu.Unlock()
-	k, bx.box[t] = int(bx.box[t])-1, boxClosed
-	if k < 0 {
-		return -1, s
+	s := bx.box[t]
+	bx.box[t] = &bx.closed
+	if s == &bx.closed {
+		return nil
 	}
-	return k, bx.store[k]
+	return s
 }
 
-// release unpins what take returned and puts its storage back on the free
-// list.
-func (bx *pushBoxes[T]) release(k int) {
+// release unpins storage take returned and puts it back on the free list.
+func (bx *pushBoxes[T]) release(s *boxStore[T]) {
 	bx.mu.Lock()
-	bx.releaseLocked(k)
+	bx.releaseLocked(s)
 	bx.mu.Unlock()
 }
 
-func (bx *pushBoxes[T]) releaseLocked(k int) {
-	s := &bx.store[k]
+func (bx *pushBoxes[T]) releaseLocked(s *boxStore[T]) {
 	bx.pinned -= len(s.vals)
 	s.runs, s.vals = s.runs[:0], s.vals[:0]
-	bx.free = append(bx.free, int32(k))
+	bx.free = append(bx.free, s)
 }
 
 // drop closes tile t's box and frees it: the tile left this place.
 func (bx *pushBoxes[T]) drop(t int) {
-	if k, _ := bx.take(t); k >= 0 {
-		bx.release(k)
+	if s := bx.take(t); s != nil {
+		bx.release(s)
 	}
 }
 
@@ -143,10 +140,10 @@ func (bx *pushBoxes[T]) dropRetired(ch *distarray.Chunk[T]) {
 	}
 	bx.mu.Lock()
 	defer bx.mu.Unlock()
-	for t, b := range bx.box {
-		if b > 0 && ch.TileRetired(t) {
-			bx.box[t] = boxClosed
-			bx.releaseLocked(int(b) - 1)
+	for t, s := range bx.box {
+		if s != nil && s != &bx.closed && ch.TileRetired(t) {
+			bx.box[t] = &bx.closed
+			bx.releaseLocked(s)
 		}
 	}
 }

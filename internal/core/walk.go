@@ -535,8 +535,8 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 // pourBox takes own tile t's box, pours its values into sc.halo, unclaimed,
 // and releases the box's storage: the tile runs now, here.
 func (pe *placeEngine[T]) pourBox(st *epochState[T], sc *scratch[T], t int) {
-	k, bs := st.boxes.take(t)
-	if k < 0 {
+	bs := st.boxes.take(t)
+	if bs == nil {
 		return
 	}
 	at := 0
@@ -547,7 +547,7 @@ func (pe *placeEngine[T]) pourBox(st *epochState[T], sc *scratch[T], t int) {
 			at++
 		}
 	}
-	st.boxes.release(k)
+	st.boxes.release(bs)
 }
 
 // fetchValues reads the finished values of ids, all owned by owner, into
