@@ -209,9 +209,10 @@ type scratch[T any] struct {
 	// filled by fillHalo before the cells run and — when another place owns
 	// the cells — extended with each result, which the owner has not stored
 	// yet. It is the only place gatherDeps finds a remote value, so a walk's
-	// inputs do not depend on surviving the LRU. Bounded by the distinct
-	// remote dependencies of one tile (plus the tile's own cells on a
-	// thief); emptied by the next walk's fillHalo, never shrunk.
+	// inputs do not depend on surviving the cache's FIFO. Bounded by the
+	// distinct remote dependencies of one tile (plus the tile's own cells on
+	// a thief, and its push box's values); emptied by the next walk's
+	// fillHalo, never shrunk.
 	halo haloTable[T]
 
 	// wkr is the owning worker's deque index, or -1 when the scratch is

@@ -459,7 +459,7 @@ func (pe *placeEngine[T]) ghostFrame(st *epochState[T], sc *scratch[T], s *dista
 // the box's storage is released. Then every distinct dependency of the cells
 // about to run that another place owns, and the box did not hold, is copied
 // out of the vertex cache or, failing that, fetched — one fetchValues per
-// owning place — into sc.halo, which holds nothing else. A dependency the box
+// owning place — into sc.halo beside the box's values. A dependency the box
 // served counts as a cache hit and a pushed value consumed. The cells
 // themselves, when another place owns them, are held as placeholders: their
 // values exist only here until walk stores them, so they are never fetched.
