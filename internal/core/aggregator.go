@@ -139,8 +139,8 @@ func (ag *aggregator[T]) takeLocked(dest int) []byte {
 // send puts one finalized message on the wire and recycles its buffer.
 // Recycling is safe because Send does not return until the payload is off
 // this side: the local fabric copies it into a pooled buffer up front, and
-// the TCP pipeline parks the sender until the writer has flushed the frame
-// to the socket (group commit) — either way the buffer is ours again here.
+// a TCP send writes the frame to the socket itself, under the connection's
+// write lock — either way the buffer is ours again here.
 func (ag *aggregator[T]) send(dest int, msg []byte) {
 	if err := ag.pe.tr.Send(dest, kindDecrBatch, msg); err != nil {
 		ag.pe.peerError(dest, err)

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkNetPerVertex measures the wire cost of a cross-place run over
-// real TCP sockets: time, bytes, frames and vectored writes per vertex. The
+// real TCP sockets: time, bytes and vectored writes per vertex. The
 // workload is the SWLAG dependency shape — a dense grid whose every row
 // crosses the cyclic distribution — so the traffic is the decrement/fetch
 // mix the aggregator exists for.
@@ -23,7 +23,7 @@ func BenchmarkNetPerVertex(b *testing.B) {
 	pat := patterns.NewGrid(side, side)
 	cells := float64(side) * float64(side)
 
-	var wireBytes, writeCalls, frames int64
+	var wireBytes, writeCalls int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cfg := Config[int64]{
@@ -58,7 +58,6 @@ func BenchmarkNetPerVertex(b *testing.B) {
 			st := n.tr.Stats()
 			wireBytes += st.WireBytesOut.Load()
 			writeCalls += st.WriteCalls.Load()
-			frames += st.FramesOut.Load()
 		}
 		for _, n := range nodes {
 			n.Close()
@@ -70,7 +69,6 @@ func BenchmarkNetPerVertex(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/n, "ns/vertex")
 	b.ReportMetric(float64(wireBytes)/n, "wireB/vertex")
 	b.ReportMetric(float64(writeCalls)/n, "writes/vertex")
-	b.ReportMetric(float64(frames)/n, "frames/vertex")
 }
 
 // startBenchTCPNodes is startTCPNodes without t.Cleanup: benchmark

@@ -52,13 +52,9 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 	common.MaxActiveJobs = -1
 	n := &TCPNode[T]{cfg: cfg, tr: tr, m: newJobManager(common, []transport.Transport{tr})}
 	if reg := n.m.stacks[0].reg; reg != nil {
-		batchFrames := reg.Histogram(metrics.TransportBatchFrames)
 		batchBytes := reg.Histogram(metrics.TransportBatchBytes)
 		tr.SetPipeObserver(transport.PipeObserver{
-			Flush: func(frames, wireBytes int) {
-				batchFrames.Observe(int64(frames))
-				batchBytes.Observe(int64(wireBytes))
-			},
+			Flush: func(wireBytes int) { batchBytes.Observe(int64(wireBytes)) },
 		})
 	}
 	for j := 0; j < cfg.Jobs; j++ {

@@ -67,16 +67,17 @@ const (
 	TransportDedupDrops      = "transport.dedup_drops"
 	TransportHeartbeatMisses = "transport.heartbeat_misses"
 
-	// Data-plane pipeline: per-writev batch shape.
-	TransportBatchFrames = "transport.batch_frames"
-	TransportBatchBytes  = "transport.batch_bytes"
+	// Data plane: wire bytes per vectored write (one frame each).
+	TransportBatchBytes = "transport.batch_bytes"
 
-	// Deprecated: payload compression left the data plane. No instrument
-	// is registered under these names, so every snapshot reads 0 for them;
-	// the constants stay only because the benchmark module reads them and
-	// go with the next benchmark revision.
+	// Deprecated: payload compression and the per-connection writer's
+	// coalescing left the data plane. No instrument is registered under
+	// these names, so every snapshot reads 0 for them; the constants stay
+	// only because the benchmark module reads them and go with the next
+	// benchmark revision.
 	TransportCompressRaw  = "transport.compress_raw_bytes"
 	TransportCompressWire = "transport.compress_wire_bytes"
+	TransportBatchFrames  = "transport.batch_frames"
 
 	// Recovery phase durations (nanoseconds), one histogram per phase.
 	RecoveryPauseNs   = "recovery.pause_ns"
@@ -129,8 +130,7 @@ var instruments = map[string]Kind{
 	TransportDedupDrops:      KindCounter,
 	TransportHeartbeatMisses: KindCounter,
 
-	TransportBatchFrames: KindHistogram,
-	TransportBatchBytes:  KindHistogram,
+	TransportBatchBytes: KindHistogram,
 
 	RecoveryPauseNs:   KindHistogram,
 	RecoveryRebuildNs: KindHistogram,
@@ -151,8 +151,6 @@ var DurationBounds = []int64{1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 // histBounds overrides the bucket bounds for histograms that are not
 // nanosecond durations; names absent here get DurationBounds.
 var histBounds = map[string][]int64{
-	// Frames per writev: 1 = no coalescing happened, powers of two up.
-	TransportBatchFrames: {1, 2, 4, 8, 16, 32, 64, 128, 256},
 	// Wire bytes per writev.
 	TransportBatchBytes: {256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20},
 }

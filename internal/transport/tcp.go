@@ -16,10 +16,11 @@ import (
 // place). Connections are dialed lazily and kept open; a connection error
 // marks the peer dead and surfaces ErrDeadPlace to the engine.
 //
-// The data plane is pipelined (see pipeline.go): each connection has a
-// single writer goroutine that puts queued frames on the wire in vectored
-// writes, and the read side parses frames out of pooled, reference-counted
-// buffers that handlers borrow. See wire.go for the frame layout.
+// A sender writes its own frame: the goroutine that calls Send or Call
+// takes the connection's write lock and puts header and payload on the
+// wire in one vectored write. The read side parses frames out of pooled,
+// reference-counted buffers that handlers borrow. See wire.go for the
+// frame layout.
 type TCP struct {
 	self  int
 	addrs []string
@@ -58,6 +59,62 @@ type TCP struct {
 type tcpReply struct {
 	payload []byte
 	err     error
+}
+
+// TCPOptions is empty: the data plane has one implementation and nothing
+// selects it.
+//
+// Deprecated: kept only because the benchmark module names it; goes with
+// the next benchmark revision.
+type TCPOptions struct{}
+
+// PipeObserver receives data-plane events from a TCP endpoint; the node
+// layer uses it to feed metrics histograms without the transport importing
+// the metrics package. Set it before any traffic. Callbacks run on the
+// sending goroutine and must not block.
+type PipeObserver struct {
+	// Flush observes one vectored write: the frame's wire size.
+	Flush func(wireBytes int)
+}
+
+// tcpConn is one established outbound connection.
+//
+// Exactly one endpoint writes any given connection (each dials its own
+// conn for outbound traffic, replies included), and it writes under mu, so
+// per-peer FIFO order is the lock's order. The header and iovec buffers
+// live here, so a write allocates nothing.
+type tcpConn struct {
+	c    net.Conn
+	down atomic.Bool // set before c is closed: a sender waiting on mu fails fast
+
+	mu   sync.Mutex
+	hdr  [frameHeaderLen]byte
+	vec  [2][]byte   // header, payload
+	bufs net.Buffers // vec, consumed by WriteTo
+}
+
+// write puts one frame on the wire: header and payload in one vectored
+// write, the payload referenced in place. On return the transport no
+// longer references the payload.
+func (tc *tcpConn) write(from int, kind, flags uint8, seq uint64, payload []byte) error {
+	crc := crc32.ChecksumIEEE(payload)
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	if tc.down.Load() {
+		return net.ErrClosed
+	}
+	tc.vec = [2][]byte{putFrameHeader(tc.hdr[:0], kind, flags, from, seq, len(payload), crc), payload}
+	tc.bufs = tc.vec[:]
+	_, err := tc.bufs.WriteTo(tc.c)
+	tc.vec[1] = nil
+	return err
+}
+
+// close marks the connection down and closes its socket, which fails a
+// write in progress. It never waits on mu.
+func (tc *tcpConn) close() {
+	tc.down.Store(true)
+	tc.c.Close()
 }
 
 var _ Transport = (*TCP)(nil)
@@ -193,10 +250,11 @@ func (t *TCP) accept() {
 func (t *TCP) conn(p int) (*tcpConn, error) {
 	var gate chan struct{}
 	for {
-		if !t.Alive(p) {
+		t.cmu.Lock()
+		if !t.Alive(p) { // under cmu: see dropConn
+			t.cmu.Unlock()
 			return nil, ErrDeadPlace
 		}
-		t.cmu.Lock()
 		if tc := t.conns[p]; tc != nil {
 			t.cmu.Unlock()
 			return tc, nil
@@ -228,9 +286,8 @@ func (t *TCP) conn(p int) (*tcpConn, error) {
 			c.Close()
 			err = ErrClosed
 		default:
-			tc = newTCPConn(c)
+			tc = &tcpConn{c: c}
 			t.conns[p] = tc
-			go t.writeLoop(tc)
 			go t.readLoop(c, p)
 		}
 	}
@@ -281,29 +338,28 @@ func (t *TCP) dial(p int) (net.Conn, error) {
 	}
 }
 
+// dropConn marks p dead before it takes p's connection out of the table,
+// and conn checks liveness under the same lock, so no Send re-dials p in
+// between. Then it closes the connection.
 func (t *TCP) dropConn(p int) {
+	t.dead[p].Store(true)
 	t.cmu.Lock()
 	tc := t.conns[p]
-	if tc != nil {
-		t.conns[p] = nil
-	}
+	t.conns[p] = nil
 	t.cmu.Unlock()
 	if tc != nil {
-		tc.shutdown(ErrDeadPlace)
-		tc.c.Close()
+		tc.close()
 	}
-	t.dead[p].Store(true)
 }
 
-// send delivers one frame to peer p through its pipeline and returns once
-// the frame is on the wire — the payload buffer is the caller's again when
-// send returns.
+// send writes one frame to peer p and returns once it is on the wire — the
+// payload buffer is the caller's again when send returns.
 func (t *TCP) send(p int, kind, flags uint8, seq uint64, payload []byte) error {
 	tc, err := t.conn(p)
 	if err != nil {
 		return err
 	}
-	if err := tc.enqueue(kind, flags, seq, payload); err != nil {
+	if err := tc.write(t.self, kind, flags, seq, payload); err != nil {
 		select {
 		case <-t.closed:
 			return ErrClosed
@@ -311,6 +367,12 @@ func (t *TCP) send(p int, kind, flags uint8, seq uint64, payload []byte) error {
 		}
 		t.dropConn(p)
 		return ErrDeadPlace
+	}
+	wire := frameHeaderLen + len(payload)
+	t.stats.WriteCalls.Add(1)
+	t.stats.WireBytesOut.Add(int64(wire))
+	if f := t.obs.Flush; f != nil {
+		f(wire)
 	}
 	return nil
 }
@@ -382,8 +444,9 @@ func (t *TCP) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // Frames are read through a buffered reader into pooled recvBufs; handler
 // goroutines borrow sub-slices under the recvBuf's refcount, and response
 // payloads are copied out (Call callers retain them). A malformed frame —
-// bad CRC, oversized length, a reserved flag bit — kills the connection
-// rather than risking misframed traffic.
+// bad CRC, oversized length, a reserved flag bit, a sender id that is no
+// place or not the one this connection's first frame named — kills the
+// connection rather than risking misframed traffic.
 //
 // Places are fail-stop (the paper's model, like X10's socket runtime), so
 // an established connection breaking means the peer died — unless this
@@ -392,7 +455,13 @@ func (t *TCP) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // ever fail them if no new message happens to target that peer.
 func (t *TCP) readLoop(c net.Conn, peer int) {
 	defer func() {
-		c.Close()
+		select {
+		case <-t.closed: // our own shutdown, not the peer's death
+		default:
+			if peer >= 0 {
+				t.dead[peer].Store(true) // first, as in dropConn
+			}
+		}
 		t.cmu.Lock()
 		delete(t.accepted, c)
 		var tc *tcpConn
@@ -404,15 +473,9 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 		}
 		t.cmu.Unlock()
 		if tc != nil {
-			tc.shutdown(ErrDeadPlace) // stop the writer; fail parked senders
+			tc.down.Store(true)
 		}
-		select {
-		case <-t.closed: // our own shutdown, not the peer's death
-		default:
-			if peer >= 0 {
-				t.dead[peer].Store(true)
-			}
-		}
+		c.Close()
 	}()
 	br := bufio.NewReaderSize(c, 64<<10)
 	for {
@@ -421,12 +484,10 @@ func (t *TCP) readLoop(c net.Conn, peer int) {
 			return
 		}
 		h, err := parseFrameHeader(&hdr)
-		if err != nil {
+		if err != nil || uint(h.from) >= uint(len(t.addrs)) || (peer >= 0 && h.from != peer) {
 			return
 		}
-		if peer < 0 {
-			peer = h.from
-		}
+		peer = h.from
 		t.noteContact(h.from)
 		rb := getRecvBuf(int(h.n))
 		buf := rb.b[:h.n]
@@ -521,8 +582,7 @@ func (t *TCP) Close() error {
 		t.accepted = make(map[net.Conn]struct{})
 		t.cmu.Unlock()
 		for _, tc := range conns {
-			tc.shutdown(ErrClosed)
-			tc.c.Close()
+			tc.close()
 		}
 	})
 	return nil

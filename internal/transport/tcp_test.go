@@ -1,10 +1,15 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -210,5 +215,300 @@ func TestTCPFrameChecksum(t *testing.T) {
 	kind, _, from, seq, payload, err := readFrame(bytes.NewReader(raw))
 	if err != nil || kind != 5 || from != 1 || seq != 9 || string(payload) != "payload" {
 		t.Fatalf("round trip failed: %v", err)
+	}
+}
+
+// TestPipelinedSendPerPeerFIFO hammers one peer from concurrent senders
+// and asserts the wire preserves each sender's order — the per-peer FIFO
+// invariant the connection's write lock keeps. The receiver is a raw
+// listener parsing frames straight off the socket, so the check covers
+// exactly what was written, write boundaries included. Senders reuse one
+// payload buffer across sends, which also exercises the buffer-reuse
+// contract: the buffer must be free for reuse the moment Send returns.
+func TestPipelinedSendPerPeerFIFO(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+
+	ep, err := NewTCP(0, []string{"127.0.0.1:0", ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+
+	type rec struct{ sender, i uint32 }
+	recsCh := make(chan []rec, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			errCh <- err
+			recsCh <- nil
+			return
+		}
+		defer c.Close()
+		var recs []rec
+		br := bufio.NewReaderSize(c, 64<<10)
+		for {
+			_, _, _, _, p, err := readFrame(br)
+			if err != nil { // EOF: sender closed after the last Send returned
+				recsCh <- recs
+				return
+			}
+			if len(p) != 8 {
+				errCh <- io.ErrUnexpectedEOF
+				recsCh <- recs
+				return
+			}
+			recs = append(recs, rec{binary.LittleEndian.Uint32(p[0:4]), binary.LittleEndian.Uint32(p[4:8])})
+		}
+	}()
+
+	const G, N = 8, 300
+	var wg sync.WaitGroup
+	for g := 0; g < G; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var buf [8]byte // reused: Send must not retain it
+			for i := 0; i < N; i++ {
+				binary.LittleEndian.PutUint32(buf[0:4], uint32(g))
+				binary.LittleEndian.PutUint32(buf[4:8], uint32(i))
+				if err := ep.Send(1, 7, buf[:]); err != nil {
+					t.Errorf("sender %d send %d: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	ep.Close() // EOF tells the reader the stream is complete
+
+	recs := <-recsCh
+	select {
+	case err := <-errCh:
+		t.Fatalf("reader: %v", err)
+	default:
+	}
+	if len(recs) != G*N {
+		t.Fatalf("received %d messages, sent %d", len(recs), G*N)
+	}
+	next := make([]uint32, G)
+	for k, r := range recs {
+		if r.sender >= G {
+			t.Fatalf("record %d: bogus sender %d", k, r.sender)
+		}
+		if r.i != next[r.sender] {
+			t.Fatalf("record %d: sender %d sent out of order: got message %d, want %d",
+				k, r.sender, r.i, next[r.sender])
+		}
+		next[r.sender]++
+	}
+}
+
+// TestRetiredCompressionBitsRejected pins the reserved flag bits. Each case
+// is named for the retired frame form that owned the bit: 8 marked a batch
+// envelope, 16 a compressed payload on a classic frame, 32 a connection
+// preamble. A frame carrying any of them — first on its connection or after
+// good traffic — is a protocol error: the endpoint closes the connection
+// and runs no handler for it.
+func TestRetiredCompressionBitsRejected(t *testing.T) {
+	bits := []struct {
+		name string
+		bit  uint8
+	}{{"batched frame", 1 << 3}, {"classic frame", 1 << 4}, {"preamble", 1 << 5}}
+	for _, tc := range bits {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("first", func(t *testing.T) { rejectReserved(t, tc.bit, false) })
+			t.Run("mid-stream", func(t *testing.T) { rejectReserved(t, tc.bit, true) })
+		})
+	}
+}
+
+func rejectReserved(t *testing.T, bit uint8, midStream bool) {
+	ep, err := NewTCP(0, []string{"127.0.0.1:0", "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	ep.Handle(7, func(int, []byte) ([]byte, error) {
+		t.Errorf("handler ran for a frame with reserved bit %d set", bit)
+		return nil, nil
+	})
+	good := make(chan struct{})
+	ep.Handle(9, func(int, []byte) ([]byte, error) {
+		close(good)
+		return nil, nil
+	})
+	c, err := net.Dial("tcp", ep.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wire []byte
+	if midStream {
+		wire = appendFrame(wire, 9, 0, 1, 0, []byte("ok"))
+	}
+	wire = appendFrame(wire, 7, bit, 1, 0, []byte("hi"))
+	if _, err := c.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test socket
+	if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("endpoint kept the connection open: read err = %v, want EOF", err)
+	}
+	if midStream {
+		<-good // the frame ahead of the bad one was still delivered
+	}
+}
+
+// TestTCPRejectsBadSender sends well-formed frames whose sender id the
+// endpoint must not believe: one naming no place, and one naming a place
+// other than the connection's first frame did. Either kills the
+// connection without running a handler for it, and the endpoint goes on
+// answering legitimate Calls.
+func TestTCPRejectsBadSender(t *testing.T) {
+	cases := []struct {
+		name string
+		from []int // sender ids of the frames, in order; only the last is bad
+	}{
+		{"no such place", []int{99}},
+		{"sender changed", []int{2, 1}},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			eps := newTCPCluster(t, 3)
+			eps[0].Handle(7, func(from int, _ []byte) ([]byte, error) {
+				t.Errorf("handler ran for a frame claiming sender %d", from)
+				return nil, nil
+			})
+			good := make(chan struct{}, len(tc.from))
+			eps[0].Handle(9, func(int, []byte) ([]byte, error) {
+				good <- struct{}{}
+				return nil, nil
+			})
+			eps[0].Handle(5, func(_ int, p []byte) ([]byte, error) {
+				return append([]byte("re:"), p...), nil
+			})
+
+			c, err := net.Dial("tcp", eps[0].Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			var wire []byte
+			last := len(tc.from) - 1
+			for i, from := range tc.from {
+				kind := uint8(9)
+				if i == last {
+					kind = 7
+				}
+				wire = appendFrame(wire, kind, 0, from, 0, []byte("hi"))
+			}
+			if _, err := c.Write(wire); err != nil {
+				t.Fatal(err)
+			}
+			c.SetReadDeadline(time.Now().Add(5 * time.Second)) //nolint:errcheck // test socket
+			if _, err := c.Read(make([]byte, 1)); err != io.EOF {
+				t.Fatalf("endpoint kept the connection open: read err = %v, want EOF", err)
+			}
+			for range tc.from[:last] {
+				<-good // the frames ahead of the bad one were still delivered
+			}
+
+			reply, err := eps[1].Call(0, 5, []byte("ping"))
+			if err != nil || string(reply) != "re:ping" {
+				t.Fatalf("Call after the rejected connection: reply %q, err %v", reply, err)
+			}
+		})
+	}
+}
+
+// TestTCPCloseReleasesBlockedSenders fills a connection whose peer never
+// reads until every sender blocks — one inside its write, the others on
+// the connection's write lock — and then takes the connection away. An
+// endpoint Close must fail every sender with ErrClosed, and the peer
+// closing its end must fail every sender with some error, within 2 s.
+func TestTCPCloseReleasesBlockedSenders(t *testing.T) {
+	t.Run("endpoint closed", func(t *testing.T) { releaseBlockedSenders(t, true) })
+	t.Run("peer closed", func(t *testing.T) { releaseBlockedSenders(t, false) })
+}
+
+func releaseBlockedSenders(t *testing.T, closeEndpoint bool) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ep, err := NewTCP(0, []string{"127.0.0.1:0", ln.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ep.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			close(accepted)
+			return
+		}
+		accepted <- c // never read
+	}()
+
+	const senders = 3
+	payload := make([]byte, 4<<20)
+	var sent atomic.Int64
+	errs := make(chan error, senders)
+	for g := 0; g < senders; g++ {
+		go func() {
+			for {
+				if err := ep.Send(1, 7, payload); err != nil {
+					errs <- err
+					return
+				}
+				sent.Add(1)
+			}
+		}()
+	}
+	peer, ok := <-accepted
+	if !ok {
+		t.Fatal("accept failed")
+	}
+	defer peer.Close()
+	// The socket buffers hold a few payloads at most; once no Send has
+	// returned for 200 ms, every sender is blocked.
+	for n, still := sent.Load(), 0; still < 4; {
+		time.Sleep(50 * time.Millisecond)
+		if m := sent.Load(); m != n {
+			n, still = m, 0
+		} else {
+			still++
+		}
+	}
+	select {
+	case err := <-errs:
+		t.Fatalf("a sender failed before the connection was taken away: %v", err)
+	default:
+	}
+
+	if closeEndpoint {
+		ep.Close()
+	} else {
+		peer.Close()
+	}
+	deadline := time.After(2 * time.Second)
+	for g := 0; g < senders; g++ {
+		select {
+		case err := <-errs:
+			if closeEndpoint && !errors.Is(err, ErrClosed) {
+				t.Errorf("sender returned %v, want ErrClosed", err)
+			}
+		case <-deadline:
+			t.Fatalf("%d of %d senders still blocked 2 s after the connection went", senders-g, senders)
+		}
 	}
 }

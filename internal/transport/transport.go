@@ -78,10 +78,8 @@ type Stats struct {
 
 	// Data-plane counters (TCP endpoints only): actual socket activity,
 	// as opposed to the logical message counters above. WireBytesOut vs
-	// BytesOut is the framing overhead; FramesOut/WriteCalls is the mean
-	// number of frames one vectored write carried.
-	WriteCalls   atomic.Int64 // vectored writes issued
-	FramesOut    atomic.Int64 // frames put on the wire
+	// BytesOut is the framing overhead.
+	WriteCalls   atomic.Int64 // vectored writes issued, one per frame
 	WireBytesOut atomic.Int64 // total bytes written, headers included
 }
 
@@ -96,7 +94,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 		RepliesIn: s.RepliesIn.Load(),
 
 		WriteCalls:   s.WriteCalls.Load(),
-		FramesOut:    s.FramesOut.Load(),
 		WireBytesOut: s.WireBytesOut.Load(),
 	}
 }
@@ -111,7 +108,6 @@ type StatsSnapshot struct {
 	RepliesIn int64
 
 	WriteCalls   int64
-	FramesOut    int64
 	WireBytesOut int64
 }
 
@@ -124,7 +120,6 @@ func (s *StatsSnapshot) Add(o StatsSnapshot) {
 	s.BytesIn += o.BytesIn
 	s.RepliesIn += o.RepliesIn
 	s.WriteCalls += o.WriteCalls
-	s.FramesOut += o.FramesOut
 	s.WireBytesOut += o.WireBytesOut
 }
 

@@ -22,9 +22,9 @@ import (
 // framing bugs and partial writes — a corrupted frame kills the
 // connection rather than delivering garbage to a handler.
 //
-// Frames are self-delimiting, so a writer coalesces by putting several
-// back to back in one vectored write (pipeline.go); the stream needs no
-// envelope, preamble or negotiation for that.
+// Frames are self-delimiting: a sender writes header and payload in one
+// vectored write (tcpConn.write), and the stream needs no envelope,
+// preamble or negotiation around them.
 //
 // Flag bits 8, 16 and 32 belonged to retired frame forms (a multi-frame
 // batch envelope, a compressed payload, a connection preamble). All three

@@ -3,7 +3,7 @@
 # JSON file, default results/BENCH_net.json:
 #
 #   - BenchmarkNetPerVertex: a SWLAG-shaped run over real TCP sockets —
-#     time, wire bytes, frames and vectored writes per vertex.
+#     time, wire bytes and vectored writes per vertex.
 #   - BenchmarkSchedulePerVertex/tile=auto against
 #     BenchmarkFig12_NativeVertex: per-vertex engine overhead as a ratio to
 #     the hand-written per-vertex loop, the two alternated round by round
@@ -34,8 +34,7 @@
 # 25 % a gate would need, and max x 1.15 = 14.9 would pass anything. Read
 # the recorded ratio and its per-round series against that baseline.
 #
-# Syscalls (writes/vertex) and frames/vertex are recorded for the
-# trajectory: frames/writes is how much the per-peer writer coalesces.
+# Syscalls (writes/vertex) are recorded for the trajectory.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -74,8 +73,8 @@ function minset(arr, key, v) { if (!(key in arr) || v + 0 < arr[key] + 0) arr[ke
 END {
 	printf "{\n  \"generated\": \"%s\",\n  \"commit\": \"%s\",\n  \"benchtime\": \"%s\",\n  \"count\": %s,\n", date, commit, bt, cnt
 	printf "  \"aggregation\": \"min of %s runs per metric\",\n", cnt
-	printf "  \"net\": {\"ns_per_vertex\": %s, \"wire_bytes_per_vertex\": %s, \"writes_per_vertex\": %s, \"frames_per_vertex\": %s},\n", \
-		net["ns/vertex"], net["wireB/vertex"], net["writes/vertex"], net["frames/vertex"]
+	printf "  \"net\": {\"ns_per_vertex\": %s, \"wire_bytes_per_vertex\": %s, \"writes_per_vertex\": %s},\n", \
+		net["ns/vertex"], net["wireB/vertex"], net["writes/vertex"]
 	printf "  \"sched_tile_auto_ns_per_vertex\": %s,\n  \"native_vertex_ns_per_cell\": %s,\n", m["sched"], m["native"]
 	printf "  \"sched_native_ratio\": %.2f,\n  \"sched_native_ratio_rounds\": [", (m["native"] + 0 > 0) ? m["sched"] / m["native"] : 0
 	for (i = 0; i < ns && i < nn; i++) printf "%s%.2f", (i ? ", " : ""), sched[i] / native[i]

@@ -69,6 +69,11 @@ go test -race -run 'TestMultiJob|TestManagerClose' -count=1 ./internal/core/
 # every time (~5 s; TestTCPNodeFaultRecovery takes 10 s a run and stays out).
 go test -race -run 'TestTCPNode(EndToEnd|MultiJob|CloseWaitsForStop|StopOutranksAbort)$' -count=25 ./internal/core/
 go test -race -run 'TestCluster|TestSubmit|TestNewCluster' -count=1 .
+# Concurrent TCP senders, repeated under the race detector: each send writes
+# its own frame under the connection's write lock, so per-peer order, the
+# release of senders blocked on that lock when the connection goes, and the
+# reader's checks on the sender id all hang on one mutex.
+go test -race -count=10 -run 'TestPipelinedSendPerPeerFIFO|TestTCPCloseReleasesBlockedSenders|TestTCPRejectsBadSender|TestTCPConcurrentCalls' ./internal/transport/
 # The CLI's live observability surfaces, repeated: the Prometheus endpoint
 # binds port 0 and is scraped mid-run, and the span file is written after it.
 go test -race -run 'TestRunLocal(MetricsAddr|TraceOut)$' -count=10 ./internal/cli/
