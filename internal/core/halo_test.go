@@ -7,7 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"github.com/dpx10/dpx10/internal/codec"
+	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
+	"github.com/dpx10/dpx10/internal/dist"
+	"github.com/dpx10/dpx10/internal/distarray"
 	"github.com/dpx10/dpx10/internal/transport"
 )
 
@@ -205,4 +209,95 @@ func TestChaosSoakStaleHalo(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestStencilBoxRunOutsideSlabDropped pours into a stencil tile's ghost frame
+// a box holding runs the decoder and the handler accept — cells of the
+// sender — that the tile's slab does not hold: the row below the tile, and
+// columns past its right edge, which a missing column bound would wrap onto
+// the tile's own row. They are dropped: no slab index of the tile's cells is
+// marked, nothing outside the slab is written (that would panic), and the
+// tile's values are bit-exact. The box is also cut at the CacheSize bound, so
+// the rest of the row above comes from a fetch into the slab.
+func TestStencilBoxRunOutsideSlabDropped(t *testing.T) {
+	const h, bj, kept = 6, 16, 10 // place 1 walks row 3, columns [bj, 2bj): it reads row 2 of place 0
+	pat := patterns.NewDiagonal(h, 3*bj)
+	cfg := baseConfig(pat, 2)
+	cfg.Threads, cfg.TileShape, cfg.CacheSize = 1, [2]int{1, bj}, bj+5+kept
+	cfg.NewDist = func(h, w int32, n int) dist.Dist { return dist.NewCyclicRow(h, w, n) }
+	cl, err := NewCluster(cfg) // not run: place 0 answers fetches from the epoch below
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.m.Close()
+	ref, pe, d := refValues(pat), cl.engines[1], dist.NewCyclicRow(h, 3*bj, 2)
+	st0 := cl.engines[0].newEpochState(0, d, distarray.NewChunk[int64](0, d))
+	defer st0.closeQuit()
+	cl.engines[0].st.Store(st0)
+	for id, v := range ref {
+		if p, off := d.PlaceOffset(id.I, id.J); p == 0 {
+			st0.chunk.SetResult(off, v)
+		}
+	}
+
+	// An epoch of place 1's in step with place 0's, in which everything
+	// before the tile is finished.
+	ch := distarray.NewChunk[int64](1, d)
+	grids := []distarray.TileGrid{distarray.NewTileGrid(h/2, 3*bj, 1, bj), distarray.NewTileGrid(h/2, 3*bj, 1, bj)}
+	ch.ConfigureGrid(grids[1])
+	ch.InitFlags(pat)
+	for id, v := range ref {
+		if p, off := d.PlaceOffset(id.I, id.J); p == 1 && (id.I < 3 || id.I == 3 && id.J < bj) {
+			ch.SetResult(off, v)
+		}
+	}
+	ch.ActivateTiles(pat)
+	st := &epochState[int64]{epoch: st0.epoch, d: d, chunk: ch, grids: grids, rank: []int{0, 1},
+		quit: make(chan struct{}), cache: pe.newCache(), boxes: newPushBoxes[int64](ch.NumTiles(), cfg.CacheSize),
+		agg: newAggregator(pe, 0)} // no flusher: what the walk owes place 0 stays buffered
+	tile := ch.TileOf(d.LocalOffset(3, bj))
+
+	// One tile entry, as place 0 would send it: two runs the slab does not
+	// hold, of a value no cell has, then the row above the tile from column
+	// bj-1, which the bound cuts after kept values.
+	var tv tileVals[int64]
+	vals := func(i, j0, n int32, v func(j int32) int64) {
+		for j := j0; j < j0+n; j++ {
+			tv.add(uint32(d.LocalOffset(i, j)), v(j))
+		}
+	}
+	bogus := func(int32) int64 { return -1 << 40 }
+	vals(4, bj, bj, bogus)  // the row below the tile
+	vals(2, 2*bj, 5, bogus) // past its right edge
+	vals(2, bj-1, bj+1, func(j int32) int64 { return ref[dag.VertexID{I: 2, J: j}] })
+	var got decrBatch[int64]
+	payload := encodeDecrBatch(codec.Int64{}, &decrBatch[int64]{epoch: st.epoch, tiles: []tileCount{{tile: uint32(tile), count: 1}}, vals: []tileVals[int64]{tv}, ends: []int{1}})
+	if err := decodeDecrBatch(payload, codec.Int64{}, &got); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range got.vals[0].runs {
+		if int(r.off+r.n) > d.LocalCount(0) {
+			t.Fatalf("run %+v names no cell of place 0: the handler would refuse it", r)
+		}
+	}
+	if n := st.boxes.deposit(ch, 0, &got); n != cfg.CacheSize {
+		t.Fatalf("the box kept %d values, want the bound %d", n, cfg.CacheSize)
+	}
+
+	sc := newScratch[int64](2, 0)
+	if done := pe.walkStencil(st, sc, tile); done != bj {
+		t.Fatalf("walked %d cells, want %d", done, bj)
+	}
+	for j := int32(bj); j < 2*bj; j++ {
+		if v := ch.Value(d.LocalOffset(3, j)); v != ref[dag.VertexID{I: 3, J: j}] {
+			t.Errorf("cell (3,%d) = %d, want %d", j, v, ref[dag.VertexID{I: 3, J: j}])
+		}
+		if m := sc.mark[sc.at(3, j)] - sc.gen; m <= markRemote {
+			t.Errorf("the tile's cell (3,%d) is marked %d in the slab", j, m)
+		}
+	}
+	if hits, consumed, fetched := pe.cacheHits.Load(), pe.pushConsumed.Load(), pe.remoteFetches.Load(); consumed != kept || hits != kept || fetched != bj+1-kept {
+		t.Fatalf("%d cache hits, %d box reads, %d fetched; want %d, %d, %d", hits, consumed, fetched, kept, kept, bj+1-kept)
+	}
+	st.closeQuit()
 }

@@ -179,14 +179,18 @@ type placeEngine[T any] struct {
 type scratch[T any] struct {
 	td      tileDesc       // the unit being described or walked (walk.go)
 	antiBuf []dag.VertexID // Pattern.AntiDependencies output
-	antiRes []cellRef      // a cell's resolved anti-dependencies (steal-done, walkStencil)
+	antiRes []cellRef      // a cell's resolved anti-dependencies (steal-done)
 
 	// The stencil tile being walked, ghost-framed (ghostFrame): cell (i, j) at
 	// slab[at(i, j)]. It grows to the largest tile plus reach and is reused.
 	slab             []T
 	gi0, gj0, stride int
+	mark             []uint32   // what the frame put at each index, as mark[x]-gen (markPoured …)
+	gen              uint32     // moves on every walk, so mark is never cleared
+	ghostReads       []int32    // per tile row: the reads of other places' values
+	pushed           []pushSpan // what remote tiles read of the walk's cells (settleRow)
 
-	remote [][]dag.VertexID // by owning place: ids to fetch (fillHalo)
+	remote [][]dag.VertexID // by owning place: ids to fetch (cachedOrQueued)
 	owners []int            // owners with buffered ids, in first-use order
 
 	cells []Cell[T]      // deps passed to Compute; valid only during the call
@@ -710,11 +714,11 @@ func (pe *placeEngine[T]) park(st *epochState[T], sc *scratch[T], tile distarray
 		owner, aoff := int(a.Owner), int(a.Off)
 		if owner == pe.self {
 			if !tile.Holds(aoff) && !st.chunk.Finished(aoff) {
-				sc.owe(owner, st.chunk.TileOf(aoff))
+				sc.owe(owner, st.chunk.TileOf(aoff), 1)
 			}
 			continue
 		}
-		s, k := sc.owe(owner, st.tileOf(owner, aoff))
+		s, k := sc.owe(owner, st.tileOf(owner, aoff), 1)
 		if st.agg.push {
 			s.valsAt(k).add(uint32(off), value)
 		}
@@ -738,22 +742,22 @@ func (s *settlement[T]) valsAt(k int) *tileVals[T] {
 	return &s.vals[k]
 }
 
-// owe parks one decrement against tile t of place p and returns p's
+// owe parks n decrements against tile t of place p and returns p's
 // settlement and the tile's entry in it. A unit's edges reach few tiles,
 // nearly always one of the last few they reached, so a short backward scan
 // finds it; a miss appends, and a tile listed twice is only a second add.
-func (sc *scratch[T]) owe(p, t int) (*settlement[T], int) {
+func (sc *scratch[T]) owe(p, t, n int) (*settlement[T], int) {
 	s := &sc.owed[p]
 	for k := len(s.tiles) - 1; k >= 0 && k >= len(s.tiles)-4; k-- {
 		if s.tiles[k].tile == uint32(t) {
-			s.tiles[k].count++
+			s.tiles[k].count += uint32(n)
 			return s, k
 		}
 	}
 	if len(s.tiles) == 0 {
 		sc.owing = append(sc.owing, p)
 	}
-	s.tiles = append(s.tiles, tileCount{tile: uint32(t), count: 1})
+	s.tiles = append(s.tiles, tileCount{tile: uint32(t), count: uint32(n)})
 	return s, len(s.tiles) - 1
 }
 

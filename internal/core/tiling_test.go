@@ -309,53 +309,78 @@ func (p *countingStencil) AntiDependencies(i, j int32, buf []dag.VertexID) []dag
 }
 
 // TestStencilWalkMakesNoPatternCalls is the stencil arm's mechanism, counted,
-// on the swlag-local configuration (block rows, two places of one worker, no
-// cache, auto tiles) at side 201: the activation and the walk of every own
-// tile find every edge by arithmetic — not one Dependencies or
-// AntiDependencies call — and the run's Stats are those
-// of the same run with the capability hidden, but for the arm's name and the
-// message traffic, whose batching is timing.
+// at side 201 on two configurations: swlag-local's (block rows, two places of
+// one worker, no cache, auto tiles) and swlag-tcp-push's (cyclic rows, so
+// every row reads the one above from the other place, and a cache, so
+// values are pushed). The activation and the walk of every own tile find
+// every edge by arithmetic — not one Dependencies or AntiDependencies call —
+// and the run's Stats are those of the same run with the capability hidden,
+// but for the arm's name and the message traffic, whose batching is timing.
+// That pins the ghost frame's pour of a tile's box into its slab to
+// fillHalo's accounting; the push row's counts also pin that the run-wise
+// settlement pushes each value to each tile that reads it once.
 func TestStencilWalkMakesNoPatternCalls(t *testing.T) {
 	diag := patterns.NewDiagonal(201, 201)
 	compute := orderedCompute(diag)
 	want := refValuesWith(diag, compute)
-	run := func(pat dag.Pattern) (Stats, *Cluster[int64]) {
-		cfg := baseConfig(pat, 2)
-		cfg.Threads = 1
-		cfg.Compute = compute
-		cfg.NewDist = func(h, w int32, n int) dist.Dist { return dist.NewBlockRow(h, w, n) }
-		cl, err := NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Run(); err != nil {
-			t.Fatal(err)
-		}
-		res, err := cl.Result()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for id, wv := range want {
-			if got := res.Value(id.I, id.J); got != wv {
-				t.Fatalf("%T: cell %v = %d, want %d", pat, id, got, wv)
+	for _, tc := range []struct {
+		name    string
+		newDist func(h, w int32, n int) dist.Dist
+		cache   int
+		want    func(Stats) bool // the counts, beside the arms' agreement
+	}{
+		{"swlag-local", func(h, w int32, n int) dist.Dist { return dist.NewBlockRow(h, w, n) }, 0,
+			func(s Stats) bool { return s.ValuesPushed == 0 && s.CacheHits == 0 }},
+		{"swlag-tcp-push", func(h, w int32, n int) dist.Dist { return dist.NewCyclicRow(h, w, n) }, 4096,
+			func(s Stats) bool {
+				return s.LocalReads == 40200 && s.RemoteFetches == 0 && s.CacheHits == 40600 && s.ValuesPushed == 40600 &&
+					s.PushDeposits == 40600 && s.PushConsumed == 40600
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(pat dag.Pattern) (Stats, *Cluster[int64]) {
+				cfg := baseConfig(pat, 2)
+				cfg.Threads = 1
+				cfg.Compute = compute
+				cfg.NewDist = tc.newDist
+				cfg.CacheSize = tc.cache
+				cl, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := cl.Run(); err != nil {
+					t.Fatal(err)
+				}
+				res, err := cl.Result()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for id, wv := range want {
+					if got := res.Value(id.I, id.J); got != wv {
+						t.Fatalf("%T: cell %v = %d, want %d", pat, id, got, wv)
+					}
+				}
+				s := cl.Stats()
+				s.MsgsSent, s.BytesSent, s.SendsOut, s.AggBatches, s.DecrsCoalesced = 0, 0, 0, 0, 0
+				return s, cl
 			}
-		}
-		s := cl.Stats()
-		s.MsgsSent, s.BytesSent, s.SendsOut, s.AggBatches, s.DecrsCoalesced = 0, 0, 0, 0, 0
-		return s, cl
-	}
-	counted := &countingStencil{Diagonal: diag}
-	exposed, cl := run(counted)
-	if n := counted.calls.Load(); n != 0 {
-		t.Fatalf("%d Dependencies/AntiDependencies calls in a stencil run", n)
-	}
-	for _, pe := range cl.jr.engines {
-		if pe.current().chunk.Stencil() == nil {
-			t.Fatalf("place %d did not take the stencil arm", pe.self)
-		}
-	}
-	hidden, _ := run(hiddenStencil{diag})
-	if exposed.TileLayout, hidden.TileLayout = strings.TrimSuffix(exposed.TileLayout, "stencil"), strings.TrimSuffix(hidden.TileLayout, "generic"); exposed != hidden {
-		t.Fatalf("Stats differ:\nexposed %+v\nhidden  %+v", exposed, hidden)
+			counted := &countingStencil{Diagonal: diag}
+			exposed, cl := run(counted)
+			if n := counted.calls.Load(); n != 0 {
+				t.Fatalf("%d Dependencies/AntiDependencies calls in a stencil run", n)
+			}
+			for _, pe := range cl.jr.engines {
+				if pe.current().chunk.Stencil() == nil {
+					t.Fatalf("place %d did not take the stencil arm", pe.self)
+				}
+			}
+			hidden, _ := run(hiddenStencil{diag})
+			if exposed.TileLayout, hidden.TileLayout = strings.TrimSuffix(exposed.TileLayout, "stencil"), strings.TrimSuffix(hidden.TileLayout, "generic"); exposed != hidden {
+				t.Fatalf("Stats differ:\nexposed %+v\nhidden  %+v", exposed, hidden)
+			}
+			if !tc.want(exposed) {
+				t.Fatalf("Stats %+v", exposed)
+			}
+		})
 	}
 }

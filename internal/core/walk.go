@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
@@ -346,18 +347,16 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 // ghost-framed slab. A cell reads each dependency at its own slab index plus
 // DI·stride + DJ and stores its value in the slab and the chunk; a row whose
 // one test of its finished bits found no restored cell is published whole.
-// Only cells within reach of the bottom and right edges park decrements. It
-// reports how many cells it computed.
+// What a row's cells owe other tiles is parked a run at a time (settleRow).
+// It reports how many cells it computed.
 func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) (done int) {
-	ch, s, td := st.chunk, st.chunk.Stencil(), &sc.td
+	ch, s := st.chunk, st.chunk.Stencil()
 	b := ch.TileBox(t)
 	top, left := b.Lo/b.Stride, b.Lo%b.Stride
 	if pe.ghostFrame(st, sc, s, t) != nil {
 		return 0 // a dead peer or superseded epoch: the recovery reschedules the tile
 	}
-	defer func() { done = pe.settle(st, sc) }()
-	// A cell before (outBottom, outRight) has all its anti-dependencies in the tile.
-	outBottom, outRight := top+b.Rows-s.ReachRows, left+b.W-s.ReachCols
+	defer func() { pe.pushSettled(st, sc); done = pe.settle(st, sc) }()
 	for r := top; r < top+b.Rows; r++ {
 		select {
 		case <-st.quit:
@@ -367,7 +366,8 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 		i, lo := s.RowOf[r], r*b.Stride+left
 		offs, fresh := s.Offsets(i), ch.FinishedRun(lo, b.W) == 0
 		cells := slices.Grow(sc.cells[:0], len(offs))[:len(offs)]
-		n, reads := 0, -int(td.depAt[r-top+1]-td.depAt[r-top]) // the halo served those
+		pe.settleRow(st, sc, s, b, r)             // before the row runs, which it then does whole
+		n, reads := 0, -int(sc.ghostReads[r-top]) // the ghost frame counted those
 		for c := left; c < left+b.W; c++ {
 			off, j := lo+c-left, s.ColOf[c]
 			x := sc.at(i, j)
@@ -388,14 +388,6 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 			if !fresh {
 				ch.Publish(off, 1)
 			}
-			if r >= outBottom || c >= outRight {
-				sc.antiBuf, sc.antiRes = s.AntiDependencies(i, j, sc.antiBuf[:0]), sc.antiRes[:0]
-				for _, a := range sc.antiBuf {
-					ref, _ := s.Locate(r, c, i, j, a.I-i, a.J-j)
-					sc.antiRes = append(sc.antiRes, ref)
-				}
-				pe.park(st, sc, b, off, v, sc.antiRes)
-			}
 		}
 		if fresh {
 			ch.Publish(lo, b.W)
@@ -409,66 +401,171 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 	return // the deferred settle reports the count
 }
 
+// settleRow parks, by park's rules, what the unfinished cells of local row r
+// of own stencil tile b within reach of its bottom, or else of its right
+// edge, owe, a run of them at a time. For each successor row the offsets that
+// land on row r map a run to one interval of target columns, gone through
+// one (owner, tile) run at a time — one Locate, one owe — which ends with the
+// owner's tile in that row, or box, or, along a dealt column axis, at once.
+// A remote target run also gets the cells that map into it (pushSettled).
+func (pe *placeEngine[T]) settleRow(st *epochState[T], sc *scratch[T], s *distarray.Stencil, b distarray.TileBox, r int) {
+	h, w := s.Bounds()
+	i, left, right := s.RowOf[r], b.Lo%b.Stride, b.Lo%b.Stride+b.W
+	c := left
+	if r < b.Lo/b.Stride+b.Rows-s.ReachRows {
+		c = max(left, right-s.ReachCols)
+	}
+	for c0 := c; c0 < right; c0 = c {
+		if c++; st.chunk.Finished(r*b.Stride + c0) {
+			continue // restored: it owes nothing
+		}
+		for c < right && !st.chunk.Finished(r*b.Stride+c) && s.ColOf[c] == s.ColOf[c-1]+1 {
+			c++
+		}
+		src, j0 := r*b.Stride+c0, s.ColOf[c0]
+		j1 := j0 + int32(c-c0)
+		for i2 := i; i2 <= min(i+s.ReachI, h-1); i2++ {
+			offs := s.Offsets(i2)
+			lo, end := w, int32(0)
+			for _, o := range offs {
+				if i2+o.DI == i {
+					lo, end = min(lo, j0-o.DJ), max(end, min(j1-o.DJ, w))
+				}
+			}
+			for J, n := lo, 0; J < end; J += int32(n) {
+				ref, _ := s.Locate(r, c0, i, j0, i2-i, J-j0)
+				p, off, g := int(ref.Owner), int(ref.Off), &st.grids[st.rank[ref.Owner]]
+				if n = 1; !s.DealtCols() {
+					n = min(int(end-J), g.RunEnd(off)-off)
+				}
+				if p == pe.self && b.Holds(off) {
+					continue // the walk's order satisfies it
+				}
+				owed := 0
+				for _, o := range offs {
+					a, z := max(J, j0-o.DJ), min(J+int32(n), j1-o.DJ) // the targets o maps into the run
+					switch {
+					case i2+o.DI != i || a >= z:
+					case p == pe.self:
+						owed += int(z-a) - st.chunk.FinishedRun(off+int(a-J), int(z-a))
+					default:
+						owed += int(z - a)
+						if st.agg.push {
+							sc.pushed = append(sc.pushed, pushSpan{p: p, tile: g.TileOf(off), lo: src + int(a+o.DJ-j0), hi: src + int(z+o.DJ-j0)})
+						}
+					}
+				}
+				if owed > 0 {
+					sc.owe(p, g.TileOf(off), owed)
+				}
+			}
+		}
+	}
+}
+
+// pushSpan is a run of a walk's cells, offsets [lo, hi), that tile of p reads.
+type pushSpan struct{ p, tile, lo, hi int }
+
+// pushSettled adds the values of the cells settleRow found each remote tile
+// reads to the tile's entry, in offset order and each once — however many
+// offsets and rows brought it — and empties the list.
+func (pe *placeEngine[T]) pushSettled(st *epochState[T], sc *scratch[T]) {
+	slices.SortFunc(sc.pushed, func(x, y pushSpan) int { return cmp.Or(x.p-y.p, x.tile-y.tile, x.lo-y.lo) })
+	next := 0
+	for k, x := range sc.pushed {
+		if k == 0 || x.p != sc.pushed[k-1].p || x.tile != sc.pushed[k-1].tile || next < x.lo {
+			next = x.lo
+		}
+		so := &sc.owed[x.p]
+		e := slices.IndexFunc(so.tiles, func(tc tileCount) bool { return tc.tile == uint32(x.tile) })
+		for tv := so.valsAt(e); next < x.hi; next++ {
+			tv.add(uint32(next), st.chunk.Value(next))
+		}
+	}
+	sc.pushed = sc.pushed[:0]
+}
+
+// What ghostFrame put at a slab index this walk, as mark[x]-gen: a value of
+// the tile's box not read yet; another place's value, from the box, the
+// cache or a fetch.
+const markPoured, markRemote = 0, 1
+
 // ghostFrame readies sc.slab for a walk of own stencil tile t: it spans the
 // tile's global bounding box plus the stencil's reach, and gets what the
-// tile's unfinished cells read outside the tile, nothing else. Only cells
-// within reach of the top and left edges do, so only they locate their
-// dependencies: local ones are copied from the chunk, remote ones listed in
-// td per row and filled through fillHalo.
+// tile's unfinished cells read outside the tile, nothing else. The tile's box
+// is poured straight into it (a value outside it is dropped). Then the cells
+// within reach of the top and left edges, which alone read outside the tile,
+// go through their dependencies: one the box filled is a push hit when first
+// read and is never located; a local one is copied from the chunk, a remote
+// one comes from the cache or a fetch. Reads of remote values are counted
+// per row into sc.ghostReads, which walkStencil keeps out of LocalReads.
 func (pe *placeEngine[T]) ghostFrame(st *epochState[T], sc *scratch[T], s *distarray.Stencil, t int) error {
-	ch, td, b := st.chunk, &sc.td, st.chunk.TileBox(t)
+	ch, b := st.chunk, st.chunk.TileBox(t)
 	top, left := b.Lo/b.Stride, b.Lo%b.Stride
 	sc.gi0, sc.gj0 = int(s.RowOf[top]-s.ReachI), int(s.ColOf[left]-s.ReachJ)
 	sc.stride = int(s.ColOf[left+b.W-1]) - sc.gj0 + 1
-	n := (int(s.RowOf[top+b.Rows-1]) - sc.gi0 + 1) * sc.stride
-	sc.slab = slices.Grow(sc.slab[:0], n)[:n]
-	td.owner, td.tile, td.deps, td.res, td.depAt, td.order = pe.self, t, td.deps[:0], td.res[:0], td.depAt[:0], td.order[:0]
+	rows := int(s.RowOf[top+b.Rows-1]) - sc.gi0 + 1
+	sc.slab, sc.mark = slices.Grow(sc.slab[:0], rows*sc.stride)[:rows*sc.stride], slices.Grow(sc.mark[:0], rows*sc.stride)[:rows*sc.stride]
+	if sc.gen += 4; sc.gen < 4 { // wrapped: stale marks would read as this walk's
+		clear(sc.mark[:cap(sc.mark)])
+		sc.gen = 4
+	}
+	pe.drainBox(st, t, func(i, j int32, v T) {
+		if di, dj := int(i)-sc.gi0, int(j)-sc.gj0; uint(di) < uint(rows) && uint(dj) < uint(sc.stride) {
+			sc.slab[di*sc.stride+dj], sc.mark[di*sc.stride+dj] = v, sc.gen+markPoured
+		}
+	})
+	sc.resetGroups()
+	var n haloCounts
+	sc.ghostReads = sc.ghostReads[:0]
 	for r := top; r < top+b.Rows; r++ {
-		td.depAt, td.order = append(td.depAt, int32(len(td.deps))), append(td.order, int32(r-top))
+		reads := int32(0)
 		for c, i := left, s.RowOf[r]; c < left+b.W && (r-top < s.ReachRows || c-left < s.ReachCols); c++ {
 			if ch.Finished(r*b.Stride + c) {
 				continue
 			}
 			for _, o := range s.Offsets(i) {
 				dep := dag.VertexID{I: i + o.DI, J: s.ColOf[c] + o.DJ}
+				x := sc.at(dep.I, dep.J) // no box fills a place outside the grid
+				if m := sc.mark[x] - sc.gen; m <= markRemote {
+					if m == markPoured { // a push hit, the first time it is read
+						sc.mark[x], n.pushHits = sc.gen+markRemote, n.pushHits+1
+					}
+					reads++
+					continue
+				}
 				switch ref, ok := s.Locate(r, c, i, s.ColOf[c], o.DI, o.DJ); {
 				case !ok || int(ref.Owner) == pe.self && b.Holds(int(ref.Off)): // outside the grid, or the walk writes it
 				case int(ref.Owner) != pe.self:
-					td.deps, td.res = append(td.deps, dep), append(td.res, ref)
+					sc.mark[x], reads = sc.gen+markRemote, reads+1
+					pe.cachedOrQueued(st, sc, int(ref.Owner), dep, &sc.slab[x], &n)
 				case ch.Finished(int(ref.Off)):
-					sc.slab[sc.at(dep.I, dep.J)] = ch.Value(int(ref.Off))
+					sc.slab[x] = ch.Value(int(ref.Off))
 				default:
 					panic(fmt.Sprintf("core: place %d walked (%d,%d) before its dependency %v was finished", pe.self, i, s.ColOf[c], dep))
 				}
 			}
 		}
+		sc.ghostReads = append(sc.ghostReads, reads)
 	}
-	td.remote, td.depAt = len(td.deps) > 0, append(td.depAt, int32(len(td.deps)))
-	if err := pe.fillHalo(st, sc, td); err != nil {
-		return err
-	}
-	for _, dep := range td.deps {
-		sc.slab[sc.at(dep.I, dep.J)], _ = sc.halo.get(dep)
-	}
-	return nil
+	return pe.fetchQueued(st, sc, n, func(id dag.VertexID, v T) { sc.slab[sc.at(id.I, id.J)] = v })
 }
 
-// fillHalo is the one place a walk's remote inputs come from, and the one
-// place their cache accounting happens. An own tile's box goes first: the
-// values other places pushed for it (boxes.go) are poured into sc.halo, and
-// the box's storage is released. Then every distinct dependency of the cells
-// about to run that another place owns, and the box did not hold, is copied
-// out of the vertex cache or, failing that, fetched — one fetchValues per
-// owning place — into sc.halo beside the box's values. A dependency the box
-// served counts as a cache hit and a pushed value consumed. The cells
-// themselves, when another place owns them, are held as placeholders: their
-// values exist only here until walk stores them, so they are never fetched.
-// So is a value still to be fetched, which also keeps a second edge to it
-// from listing it twice. On an error the caller abandons the walk.
+// fillHalo sources a generic walk's remote inputs into sc.halo. An own
+// tile's box goes first: the values other places pushed for it (boxes.go)
+// are poured into sc.halo, unclaimed. Then every distinct dependency of the
+// cells about to run that another place owns, and the box did not hold, is
+// copied out of the vertex cache or, failing that, fetched — one fetchValues
+// per owning place — into sc.halo beside the box's values, through the steps
+// ghostFrame shares (cachedOrQueued, fetchQueued). The cells themselves, when
+// another place owns them, are held as placeholders: their values exist only
+// here until walk stores them, so they are never fetched. So is a value
+// still to be fetched, which also keeps a second edge to it from listing it
+// twice. On an error the caller abandons the walk.
 func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDesc) error {
 	sc.halo.reset()
 	if td.tile >= 0 {
-		pe.pourBox(st, sc, td.tile)
+		pe.drainBox(st, td.tile, func(i, j int32, v T) { sc.halo.pour(dag.VertexID{I: i, J: j}, v) })
 	}
 	if !td.remote {
 		return nil
@@ -479,7 +576,7 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 		}
 	}
 	sc.resetGroups()
-	var hits, misses, pushHits int64
+	var n haloCounts
 	for _, s := range td.order {
 		for k := td.depAt[s]; k < td.depAt[s+1]; k++ {
 			owner := int(td.res[k].Owner)
@@ -489,32 +586,42 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 			dep := td.deps[k]
 			p, held, poured := sc.halo.slot(dep)
 			if poured {
-				pushHits++
+				n.pushHits++
 			}
-			if held {
-				continue
+			if !held {
+				pe.cachedOrQueued(st, sc, owner, dep, p, &n)
 			}
-			var ok bool
-			if *p, ok = st.cache.Get(dep); ok {
-				hits++
-				continue
-			}
-			misses++
-			lst := sc.remote[owner]
-			if len(lst) == 0 {
-				sc.owners = append(sc.owners, owner)
-			}
-			sc.remote[owner] = append(lst, dep)
 		}
 	}
-	if hits+misses+pushHits == 0 {
-		return nil
+	return pe.fetchQueued(st, sc, n, func(id dag.VertexID, v T) { p, _, _ := sc.halo.slot(id); *p = v })
+}
+
+// haloCounts is what one halo step's distinct remote dependencies came from.
+type haloCounts struct{ hits, misses, pushHits int64 }
+
+// cachedOrQueued copies dep, which owner holds, out of the vertex cache into
+// *v, or queues it for fetchQueued.
+func (pe *placeEngine[T]) cachedOrQueued(st *epochState[T], sc *scratch[T], owner int, dep dag.VertexID, v *T, n *haloCounts) {
+	var ok bool
+	if *v, ok = st.cache.Get(dep); ok {
+		n.hits++
+		return
 	}
-	pe.cacheHits.Add(hits + pushHits)
-	pe.cacheMisses.Add(misses)
-	if pushHits > 0 {
-		pe.pushConsumed.Add(pushHits)
-		pe.mVCHits.Add(metrics.VCacheBoxKey, pushHits)
+	if n.misses++; len(sc.remote[owner]) == 0 {
+		sc.owners = append(sc.owners, owner)
+	}
+	sc.remote[owner] = append(sc.remote[owner], dep)
+}
+
+// fetchQueued books a halo step's counts — a value a box held is a cache hit
+// and a pushed value consumed — then fetches what cachedOrQueued queued, one
+// fetchValues per owning place, and hands each value to put.
+func (pe *placeEngine[T]) fetchQueued(st *epochState[T], sc *scratch[T], n haloCounts, put func(dag.VertexID, T)) error {
+	pe.cacheHits.Add(n.hits + n.pushHits)
+	pe.cacheMisses.Add(n.misses)
+	if n.pushHits > 0 {
+		pe.pushConsumed.Add(n.pushHits)
+		pe.mVCHits.Add(metrics.VCacheBoxKey, n.pushHits)
 	}
 	for _, owner := range sc.owners {
 		ids := sc.remote[owner]
@@ -524,17 +631,16 @@ func (pe *placeEngine[T]) fillHalo(st *epochState[T], sc *scratch[T], td *tileDe
 			return err
 		}
 		for k, id := range ids {
-			p, _, _ := sc.halo.slot(id)
-			*p = vals[k]
+			put(id, vals[k])
 		}
 	}
 	sc.owners = sc.owners[:0]
 	return nil
 }
 
-// pourBox takes own tile t's box, pours its values into sc.halo, unclaimed,
-// and releases the box's storage: the tile runs now, here.
-func (pe *placeEngine[T]) pourBox(st *epochState[T], sc *scratch[T], t int) {
+// drainBox takes own tile t's box, hands put each value it holds with its
+// cell, and releases the box's storage: the tile runs now, here.
+func (pe *placeEngine[T]) drainBox(st *epochState[T], t int, put func(i, j int32, v T)) {
 	bs := st.boxes.take(t)
 	if bs == nil {
 		return
@@ -543,7 +649,7 @@ func (pe *placeEngine[T]) pourBox(st *epochState[T], sc *scratch[T], t int) {
 	for _, r := range bs.runs {
 		for off := int(r.off); off < int(r.off+r.n); off++ {
 			i, j := st.d.CellAt(int(r.from), off)
-			sc.halo.pour(dag.VertexID{I: i, J: j}, bs.vals[at])
+			put(i, j, bs.vals[at])
 			at++
 		}
 	}

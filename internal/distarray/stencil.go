@@ -74,5 +74,8 @@ func (s *Stencil) Locate(r, c int, i, j, di, dj int32) (ref CellRef, ok bool) {
 	return CellRef{Owner: int32(p), Off: int32(off)}, true
 }
 
+// DealtCols reports whether every place's column axis is dist.Dealt.
+func (s *Stencil) DealtCols() bool { return s.dealtJ }
+
 // Stencil is the last activation scan's stencil view, nil on the generic arm.
 func (c *Chunk[T]) Stencil() *Stencil { return c.sten.Load() }

@@ -81,6 +81,12 @@ func (g *TileGrid) TileOf(off int) int {
 	return int(r/uint32(g.bi))*g.tcols + int(c/uint32(g.bj))
 }
 
+// RunEnd returns the offset just past off's tile in off's row.
+func (g *TileGrid) RunEnd(off int) int {
+	c := off % g.cols
+	return off - c + min((c/g.bj+1)*g.bj, g.cols)
+}
+
 // TileBox is a tile's cells: Rows runs of W consecutive local offsets, the
 // first run starting at Lo and each next one Stride further on.
 type TileBox struct{ Lo, W, Rows, Stride int }

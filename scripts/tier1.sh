@@ -58,8 +58,10 @@ go test -race -run 'TestActivationRacesEarlyDecrements$|TestSetResultLifecycle$'
 # epoch's inbox, which lifeline and exec pushes both feed and the workers and
 # the lifeline pusher both drain, and a recovery races all of them; a tile
 # handed back settles what it owes through the same path as a walk. A tile
-# that leaves frees its push box, which handlers fill and workers empty.
-go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit|TestPushedBoxesBounded' -count=3 ./internal/core/
+# that leaves frees its push box, which handlers fill and workers empty; a
+# stencil tile pours its box straight into its ghost slab, dropping what
+# falls outside it, while handlers deposit into other boxes.
+go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit|TestPushedBoxesBounded|TestStencilBoxRunOutsideSlabDropped' -count=3 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
