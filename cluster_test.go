@@ -69,6 +69,44 @@ func TestSubmitRejectsClusterOptions(t *testing.T) {
 	checkSWApp(t, app, dag)
 }
 
+// TestBadDistributionFailsAtSubmit gives distribution options their
+// constructors reject — a zero block, a zero grid side, a mapping past the
+// last place — and a grid that does not cover the cluster's places. Each is
+// an error from Run, and from Submit on a persistent cluster, which then still
+// runs a valid job; none panics on a job's goroutine.
+func TestBadDistributionFailsAtSubmit(t *testing.T) {
+	bad := map[string]dpx10.UntypedOption{
+		"blockcyclic(0)": dpx10.WithBlockCyclicDist(0),
+		"block2d(0x4)":   dpx10.WithBlock2DDist(0, 4),
+		"block2d(3x3)":   dpx10.WithBlock2DDist(3, 3),
+		"custom(n)":      dpx10.WithCustomDist(func(_, _ int32, n int) int { return n }),
+	}
+	c, err := dpx10.NewCluster(dpx10.Places(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, opt := range bad {
+		app, pat := newSWPair()
+		if _, err := dpx10.Run[int32](app, pat, dpx10.Places(4), opt); err == nil {
+			t.Errorf("%s: Run succeeded", name)
+		}
+		if _, err := dpx10.Submit[int32](context.Background(), c, app, pat, opt); err == nil {
+			t.Errorf("%s: Submit succeeded", name)
+		}
+	}
+	app, pat := newSWPair()
+	job, err := dpx10.Submit[int32](context.Background(), c, app, pat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dag, err := job.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSWApp(t, app, dag)
+}
+
 func TestClusterTwoConcurrentJobs(t *testing.T) {
 	c, err := dpx10.NewCluster(dpx10.Places(4), dpx10.Threads(2), dpx10.WithMetrics())
 	if err != nil {

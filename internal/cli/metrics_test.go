@@ -29,7 +29,7 @@ func TestRunLocalMetricsDump(t *testing.T) {
 		"metrics [place 0]", "metrics [place 1]", "metrics [place 2]",
 		"metrics [total]",
 		metrics.SchedTilesExecuted, metrics.TransportMsgsOut, metrics.VCacheHits,
-		metrics.RecoveryPauseNs,
+		metrics.RecoveryRebuildNs,
 	} {
 		if !strings.Contains(got, want) {
 			t.Fatalf("metrics dump missing %q:\n%s", want, got)

@@ -28,10 +28,10 @@ import (
 //
 // One aggregator belongs to one epochState and inherits its lifecycle:
 // its buffered records are stamped with the epoch at creation, its flusher
-// goroutine exits when the epoch's quit channel closes, and handlePause
-// drains it after the workers quiesce. Records still buffered when an
-// epoch is torn down are equivalent to in-flight messages that would be
-// dropped as stale — the recovery's decrement replay regenerates them.
+// goroutine exits when the epoch's quit channel closes. Records still
+// buffered when an epoch is torn down are equivalent to in-flight messages
+// that would be dropped as stale — the recovery's decrement replay
+// regenerates them.
 type aggregator[T any] struct {
 	pe      *placeEngine[T]
 	epoch   uint64
@@ -174,26 +174,9 @@ func (ag *aggregator[T]) kick() {
 	}
 }
 
-// flushAll sends every open buffer, one destination at a time. Called by
-// the flusher and by handlePause, which drains the epoch before recovery
-// rebuilds state.
-func (ag *aggregator[T]) flushAll() {
-	for d := range ag.bufs {
-		if ag.pending.Load() == 0 {
-			return
-		}
-		ag.mu.Lock()
-		msg := ag.takeLocked(d)
-		ag.mu.Unlock()
-		if msg != nil {
-			ag.send(d, msg)
-		}
-	}
-}
-
-// loop is the flusher: each kick drains the buffers until nothing is
-// pending, so records that arrive while a send is on the wire leave with
-// the next one.
+// loop is the flusher: each kick drains the buffers, one destination at a
+// time, until nothing is pending, so records that arrive while a send is on
+// the wire leave with the next one.
 func (ag *aggregator[T]) loop(quit <-chan struct{}) {
 	defer close(ag.done)
 	for {
@@ -205,7 +188,14 @@ func (ag *aggregator[T]) loop(quit <-chan struct{}) {
 		case <-ag.kicked:
 		}
 		for ag.pending.Load() > 0 {
-			ag.flushAll()
+			for d := 0; d < len(ag.bufs) && ag.pending.Load() > 0; d++ {
+				ag.mu.Lock()
+				msg := ag.takeLocked(d)
+				ag.mu.Unlock()
+				if msg != nil {
+					ag.send(d, msg)
+				}
+			}
 		}
 	}
 }

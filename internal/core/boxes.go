@@ -9,9 +9,11 @@ import (
 // Pushed values wait for the tile that reads them. Under value push a
 // decrement record's tile entry carries the sender's cells that the named
 // tile reads (proto.go); the receiver deposits them in that tile's box
-// before it applies the entry's count, and the tile's halo step (walk.go:
-// fillHalo) pours the box into its halo and fetches only what the box did
-// not hold. The vertex cache never sees a pushed value.
+// before it applies the entry's count, and the tile's halo step pours the
+// box (walk.go: drainBox) into what the walk reads — the halo of a generic
+// tile (fillHalo), the ghost slab of a stencil tile (ghostFrame), which drops
+// a value outside the slab — and fetches only what the box did not hold. The
+// vertex cache never sees a pushed value.
 //
 // A box is pinned until its tile runs here or leaves (steal, exec,
 // lifeline); its storage then goes back to the epoch's free list. A deposit

@@ -6,6 +6,7 @@ import (
 	"log"
 	"os"
 	"sort"
+	"sync"
 	"time"
 
 	"github.com/dpx10/dpx10/internal/metrics"
@@ -32,7 +33,7 @@ type coEvent struct {
 // coordinator runs on place 0 (paper §VI-A: execution starts at Place 0).
 // It detects global termination — every alive place has reported that all
 // of its local vertices finished — and serializes recovery when a place
-// dies. All phase transitions are synchronous Calls, so a phase only
+// dies. Every round is a fan-out of synchronous Calls, so a round only
 // begins after every survivor completed the previous one.
 type coordinator[T any] struct {
 	pe       *placeEngine[T]
@@ -70,31 +71,19 @@ func newCoordinator[T any](pe *placeEngine[T], abort <-chan struct{}, abortErr f
 		co.alive[p] = true
 	}
 	co.phaseHists = map[uint8]*metrics.Histogram{
-		kindPause:   pe.reg.Histogram(metrics.RecoveryPauseNs),
-		kindRebuild: pe.reg.Histogram(metrics.RecoveryRebuildNs),
-		kindRestore: pe.reg.Histogram(metrics.RecoveryRestoreNs),
-		kindReplay:  pe.reg.Histogram(metrics.RecoveryReplayNs),
-		kindResume:  pe.reg.Histogram(metrics.RecoveryResumeNs),
+		kindRebuild:  pe.reg.Histogram(metrics.RecoveryRebuildNs),
+		kindExchange: pe.reg.Histogram(metrics.RecoveryReplayNs),
+		kindResume:   pe.reg.Histogram(metrics.RecoveryResumeNs),
 	}
 	return co
 }
 
-// alivePlaces returns the alive place ids in ascending order.
-func (co *coordinator[T]) alivePlaces() []int {
+// places returns the ids of the places whose liveness is alive, in
+// ascending order: the survivors, or the dead set.
+func (co *coordinator[T]) places(alive bool) []int {
 	out := make([]int, 0, len(co.alive))
 	for p, ok := range co.alive {
-		if ok {
-			out = append(out, p)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func (co *coordinator[T]) deadPlaces() []int {
-	out := make([]int, 0, 4)
-	for p, ok := range co.alive {
-		if !ok {
+		if ok == alive {
 			out = append(out, p)
 		}
 	}
@@ -141,7 +130,7 @@ func (co *coordinator[T]) run() error {
 }
 
 func (co *coordinator[T]) allDone() bool {
-	for _, p := range co.alivePlaces() {
+	for _, p := range co.places(true) {
 		if !co.done[p] {
 			return false
 		}
@@ -155,7 +144,7 @@ func (co *coordinator[T]) allDone() bool {
 // cannot overtake it. A place that died (or a fabric torn down) during
 // shutdown no longer matters; stop is the last thing place 0 has to say.
 func (co *coordinator[T]) broadcastStop() {
-	phase(co.pe.tr, co.alivePlaces(), kindStop, putU64(nil, co.epoch), nil, true)
+	phase(co.pe.tr, co.places(true), kindStop, putU64(nil, co.epoch), nil, true)
 }
 
 // recoverFrom executes the recovery protocol of §VI-D after the death of
@@ -180,7 +169,7 @@ func (co *coordinator[T]) recoverFrom(dead int) error {
 	co.sink.emit(RunEvent{Kind: EventPlaceDead, Place: dead, Epoch: co.epoch})
 	co.sink.emit(RunEvent{Kind: EventRecoveryStarted, Place: dead, Epoch: co.epoch})
 	for {
-		survivors := co.alivePlaces()
+		survivors := co.places(true)
 		if len(survivors) == 0 || !co.alive[0] {
 			return placeDead(0)
 		}
@@ -200,38 +189,30 @@ func (co *coordinator[T]) recoverFrom(dead int) error {
 	}
 }
 
-// attemptRecovery drives one pass of the five phases over the survivors.
+// attemptRecovery drives one pass of the three rounds over the survivors.
 // On a dead-place error it returns that place's id (>= 0) so the caller
 // can restart; on any other error it returns -1 and the error.
 func (co *coordinator[T]) attemptRecovery(survivors []int) (int, error) {
-	// Phase 1: pause. Payload carries the new epoch and full dead set so
-	// every survivor derives the identical restricted distribution.
-	pause := putU64(nil, co.epoch)
-	deads := co.deadPlaces()
-	pause = putU32(pause, uint32(len(deads)))
-	for _, p := range deads {
-		pause = putU32(pause, uint32(p))
+	// The rebuild payload carries the new epoch and the full dead set, so
+	// every survivor derives the identical restricted distribution; the
+	// other rounds carry the epoch alone. The resume replies seed the done
+	// set for the new epoch: [1] from a place with no work left.
+	dead := co.places(false)
+	rebuild := putU32(putU64(nil, co.epoch), uint32(len(dead)))
+	for _, p := range dead {
+		rebuild = putU32(rebuild, uint32(p))
 	}
-	if p, err := co.timedPhase(survivors, kindPause, pause, nil); err != nil {
-		return p, err
-	}
-
-	epochOnly := putU64(nil, co.epoch)
-	for _, kind := range []uint8{kindRebuild, kindRestore, kindReplay} {
-		if p, err := co.timedPhase(survivors, kind, epochOnly, nil); err != nil {
+	co.done = make(map[int]bool)
+	for _, kind := range []uint8{kindRebuild, kindExchange, kindResume} {
+		payload := rebuild[:8]
+		if kind == kindRebuild {
+			payload = rebuild
+		}
+		if p, err := co.timedPhase(survivors, kind, payload, func(p int, reply []byte) {
+			co.done[p] = len(reply) == 1 && reply[0] == 1
+		}); err != nil {
 			return p, err
 		}
-	}
-
-	// Phase 5: resume. Replies seed the done set for the new epoch.
-	co.done = make(map[int]bool)
-	onReply := func(p int, reply []byte) {
-		if len(reply) == 1 && reply[0] == 1 {
-			co.done[p] = true
-		}
-	}
-	if p, err := co.timedPhase(survivors, kindResume, epochOnly, onReply); err != nil {
-		return p, err
 	}
 	return 0, nil
 }
@@ -258,21 +239,31 @@ func (co *coordinator[T]) endEpochSpan() {
 	}
 }
 
-// phase issues one synchronous Call per place, in order: the fan-out behind
-// every broadcast place 0 makes — begin, the five recovery phases, stop and
-// the stats gather. It ends at the first failure and returns the failing
-// place id when that place died, or -1 with the error otherwise; with
-// skipFailed (the shutdown broadcasts, where a lost place no longer matters)
-// a failing place is passed over instead.
+// phase issues one synchronous Call per place, all at once, and returns when
+// every one has: the fan-out behind every broadcast place 0 makes — begin,
+// the three recovery rounds, stop and the stats gather — each a barrier. The
+// replies are then taken in place order, up to the first failure: it returns
+// the failing place id when that place died, or -1 with the error otherwise;
+// with skipFailed (the shutdown broadcasts, where a lost place no longer
+// matters) a failing place is passed over instead.
 func phase(tr transport.Transport, places []int, kind uint8, payload []byte, onReply func(p int, reply []byte), skipFailed bool) (int, error) {
-	for _, p := range places {
-		debugf("phase %s -> place %d", trace.KindName(kind), p)
-		reply, err := tr.Call(p, kind, payload)
-		debugf("phase %s <- place %d (err=%v)", trace.KindName(kind), p, err)
-		switch {
+	replies := make([][]byte, len(places))
+	errs := make([]error, len(places))
+	var wg sync.WaitGroup
+	for k, p := range places {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			replies[k], errs[k] = tr.Call(p, kind, payload)
+			debugf("phase %s <- place %d (err=%v)", trace.KindName(kind), p, errs[k])
+		}()
+	}
+	wg.Wait()
+	for k, p := range places {
+		switch err := errs[k]; {
 		case err == nil:
 			if onReply != nil {
-				onReply(p, reply)
+				onReply(p, replies[k])
 			}
 		case skipFailed:
 		case errors.Is(err, transport.ErrDeadPlace):

@@ -18,7 +18,7 @@ const (
 	// EventPlaceDead: a place was declared dead (by the detector, a
 	// transport verdict, or an injected Kill) and recovery will exclude it.
 	EventPlaceDead
-	// EventRecoveryStarted: the coordinator began the pause→resume
+	// EventRecoveryStarted: the coordinator began the rebuild→exchange→resume
 	// protocol for a new epoch.
 	EventRecoveryStarted
 	// EventRecoveryFinished: the recovery completed; Duration is its wall

@@ -16,7 +16,7 @@ import (
 // table (and wireProbes below) fails `make vet`.
 var fuzzedWireKinds = []uint8{
 	kindFetch, kindPlaceDone, kindFault,
-	kindPause, kindRebuild, kindRestore, kindRestoreTx, kindReplay,
+	kindRebuild, kindExchange, kindRestoreTx,
 	kindReplayTx, kindResume, kindStop, kindReadVal, kindPing,
 	kindHello, kindBegin, kindSteal, kindStealDone, kindDecrBatch,
 	kindStats, kindTransfer,
@@ -29,7 +29,7 @@ var wireProbes = map[uint8]func(data []byte){
 	kindFetch:     func(b []byte) { _, _, _ = decodeFetchReq(b, nil) },
 	kindPlaceDone: func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
 	kindFault:     func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
-	kindPause: func(b []byte) {
+	kindRebuild: func(b []byte) {
 		r := reader{b: b}
 		_ = r.u64()
 		n := r.u32()
@@ -37,8 +37,7 @@ var wireProbes = map[uint8]func(data []byte){
 			_ = r.u32()
 		}
 	},
-	kindRebuild: func(b []byte) { r := reader{b: b}; _ = r.u64() },
-	kindRestore: func(b []byte) { r := reader{b: b}; _ = r.u64() },
+	kindExchange: func(b []byte) { r := reader{b: b}; _ = r.u64() },
 	kindRestoreTx: func(b []byte) {
 		r := reader{b: b}
 		_ = r.u64()
@@ -52,7 +51,6 @@ var wireProbes = map[uint8]func(data []byte){
 			r.off += used
 		}
 	},
-	kindReplay:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
 	kindReplayTx: func(b []byte) { _ = decodeDecrBatch(b, codec.Int64{}, &decrBatch[int64]{}) },
 	kindResume:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
 	kindStop:     func(b []byte) {}, // epoch payload unread; the empty reply is the ack
@@ -445,10 +443,8 @@ var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
 	kindTransfer:  rtTransfer,
 	kindPlaceDone: rtU64U32,
 	kindFault:     rtU64U32,
-	kindPause:     rtPause,
-	kindRebuild:   rtU64,
-	kindRestore:   rtU64,
-	kindReplay:    rtU64,
+	kindRebuild:   rtRebuild,
+	kindExchange:  rtU64,
 	kindResume:    rtU64,
 	kindSteal:     rtSteal,
 	kindStop:      rtU64, // the stop Call stamps the epoch even though handleStop ignores it
@@ -505,20 +501,20 @@ func rtU64U32(data []byte) ([]byte, bool) {
 	return putU32(putU64(nil, a), b), true
 }
 
-func rtPause(data []byte) ([]byte, bool) {
+func rtRebuild(data []byte) ([]byte, bool) {
 	r := reader{b: data}
 	epoch := r.u64()
 	n := r.u32()
-	var tiles []uint32
+	var dead []uint32
 	for k := uint32(0); k < n && r.err == nil; k++ {
-		tiles = append(tiles, r.u32())
+		dead = append(dead, r.u32())
 	}
 	if r.err != nil {
 		return nil, false
 	}
-	out := putU32(putU64(nil, epoch), uint32(len(tiles)))
-	for _, t := range tiles {
-		out = putU32(out, t)
+	out := putU32(putU64(nil, epoch), uint32(len(dead)))
+	for _, p := range dead {
+		out = putU32(out, p)
 	}
 	return out, true
 }
@@ -610,10 +606,8 @@ func wireSeeds() map[uint8][]byte {
 			ends:  []int{2}}),
 		kindPlaceDone: putU32(putU64(nil, 1), 2),
 		kindFault:     putU32(putU64(nil, 1), 3),
-		kindPause:     putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
-		kindRebuild:   putU64(nil, 1),
-		kindRestore:   putU64(nil, 2),
-		kindReplay:    putU64(nil, 3),
+		kindRebuild:   putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
+		kindExchange:  putU64(nil, 2),
 		kindResume:    putU64(nil, 4),
 		kindSteal:     append(putU64(nil, 5), 1),
 		kindStop:      putU64(nil, 6),
@@ -729,9 +723,9 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	for _, seed := range fetchReqSeeds() {
 		f.Add(kindFetch, seed)
 	}
-	f.Add(uint8(0), []byte{})                            // not a protocol kind
-	f.Add(uint8(2), putU32(putU64(nil, 4), 0))           // the retired per-vertex decrement: not one either
-	f.Add(kindPause, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
+	f.Add(uint8(0), []byte{})                              // not a protocol kind
+	f.Add(uint8(2), putU32(putU64(nil, 4), 0))             // the retired per-vertex decrement: not one either
+	f.Add(kindRebuild, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
 	for _, seed := range transferSeeds() {
 		f.Add(kindTransfer, seed)
 	}

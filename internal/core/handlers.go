@@ -6,15 +6,14 @@ import (
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/distarray"
+	"github.com/dpx10/dpx10/internal/transport"
 )
 
 func (pe *placeEngine[T]) registerHandlers() {
 	pe.tr.Handle(kindFetch, pe.handleFetch)
-	pe.tr.Handle(kindPause, pe.handlePause)
 	pe.tr.Handle(kindRebuild, pe.handleRebuild)
-	pe.tr.Handle(kindRestore, pe.handleRestore)
+	pe.tr.Handle(kindExchange, pe.handleExchange)
 	pe.tr.Handle(kindRestoreTx, pe.handleRestoreTx)
-	pe.tr.Handle(kindReplay, pe.handleReplay)
 	pe.tr.Handle(kindReplayTx, pe.handleReplayTx)
 	pe.tr.Handle(kindResume, pe.handleResume)
 	pe.tr.Handle(kindStop, pe.handleStop)
@@ -207,49 +206,26 @@ func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) 
 
 // --- recovery protocol (paper §VI-D) ----------------------------------
 //
-// The coordinator drives five synchronous phases across the survivors:
-// pause → rebuild → restore → replay → resume. Each phase only starts
-// after every place acknowledged the previous one, so a place handler can
-// rely on cluster-wide phase ordering.
+// The coordinator drives three rounds across the survivors: rebuild →
+// exchange → resume. Each round is one concurrent fan-out and a barrier: it
+// only starts after every place acknowledged the previous one, so a place
+// handler can rely on cluster-wide round ordering.
 
-// handlePause quiesces the worker pool and records the authoritative dead
-// set. After it returns, no activity of this place mutates pre-recovery
-// state and no new epoch-stamped messages leave it.
-func (pe *placeEngine[T]) handlePause(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	_ = r.u64() // new epoch; installed at rebuild
-	nDead := r.u32()
-	for k := uint32(0); k < nDead; k++ {
-		p := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
-		}
-		if p >= 0 && p < len(pe.alive) {
-			pe.alive[p].Store(false)
-		}
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if st := pe.current(); st != nil {
-		st.closeQuit()
-		st.drainWorkers()
-		// Quiesce flush: with the workers stopped, drain the buffered
-		// decrements so they become ordinary in-flight messages — applied
-		// if they land before the receiver rebuilds, dropped as stale
-		// after. Either way the decrement replay re-derives them.
-		st.agg.flushAll()
-	}
-	return nil, nil
-}
-
-// handleRebuild creates this place's chunk under the restricted
-// distribution, carrying over surviving results per the configured
-// recovery mode, and installs the new epoch state (workers not yet
-// running).
+// handleRebuild is the first round. It pauses this place (records the dead
+// set, stops the old epoch's workers and waits out their tiles), creates the
+// chunk under the restricted distribution, carrying over surviving results
+// per the recovery mode, works out what it owes the new epoch (planHandover)
+// and installs the new epoch state with no workers running. Decrements the
+// old aggregator still buffers die with it: the replay re-derives them.
 func (pe *placeEngine[T]) handleRebuild(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	newEpoch := r.u64()
+	nDead := r.u32()
+	for k := uint32(0); k < nDead && r.err == nil; k++ {
+		if p := int(r.u32()); p >= 0 && p < len(pe.alive) && r.err == nil {
+			pe.alive[p].Store(false)
+		}
+	}
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -257,57 +233,122 @@ func (pe *placeEngine[T]) handleRebuild(from int, payload []byte) ([]byte, error
 	if old == nil {
 		return nil, errStaleEpoch
 	}
+	old.closeQuit()
+	old.drainWorkers()
 	newDist, err := old.d.Restrict(pe.isAlive)
 	if err != nil {
 		return nil, err
 	}
 	chunk := pe.newChunk(newDist)
 	chunk.InitFlags(pe.cfg.Pattern)
-	var transfers []distarray.Transfer[T]
-	switch pe.cfg.Recovery {
-	case RecoverSnapshot:
+	var out []distarray.Transfer[T]
+	if pe.cfg.Recovery == RecoverSnapshot {
 		pe.cfg.Snapshot.RestoreInto(chunk, pe.cfg.Pattern)
-	default:
-		transfers = distarray.CarryOver(old.chunk, chunk, pe.cfg.Pattern, pe.cfg.RestoreRemote)
+	} else {
+		out = distarray.CarryOver(old.chunk, chunk, pe.cfg.Pattern, pe.cfg.RestoreRemote)
 	}
-	// The superseded chunk's storage (spill scratch file, if any) is no
-	// longer reachable once the new state is installed.
-	defer old.chunk.Close()
 	// The old epoch's cache is about to be discarded with it; bank its
 	// shard counters in the registry so cumulative totals survive.
 	pe.foldCacheStats(old.cache)
-	pe.transferMu.Lock()
-	pe.pendingTransfers = transfers
-	pe.transferMu.Unlock()
-	pe.st.Store(pe.newEpochState(newEpoch, newDist, chunk))
+	// A restart supersedes an epoch whose exchange never ran.
+	if h := old.out.Swap(nil); h != nil {
+		h.prev.Close()
+	}
+	st := pe.newEpochState(newEpoch, newDist, chunk)
+	st.out.Store(pe.planHandover(st, out, old.chunk))
+	pe.st.Store(st)
 	return nil, nil
 }
 
-// handleRestore ships this place's outbound transfers (finished vertices
-// whose owner changed, restore-remote mode only) to their new owners.
-func (pe *placeEngine[T]) handleRestore(from int, payload []byte) ([]byte, error) {
+// handover is what a rebuild leaves the exchange round: the Calls it owes,
+// and the superseded chunk, which old-epoch traffic may read until every
+// survivor has rebuilt.
+type handover[T any] struct {
+	msgs []outMsg
+	prev *distarray.Chunk[T]
+}
+
+// outMsg is one Call of the exchange round.
+type outMsg struct {
+	to      int
+	kind    uint8
+	payload []byte
+}
+
+// planHandover works out what this place owes the new epoch from the new
+// chunk and the cells it hands over (out), never from the old chunk: each
+// handed-over value goes to its new owner, and each anti-dependency edge of a
+// finished cell is one decrement of the target's tile — none when both ends
+// have one new owner (its resume scan reads the source's flag), a TileAdd
+// here when a handed-over cell's edge comes back into this place, which can
+// only take the counter below zero before the scan, and otherwise one in the
+// target owner's replay record.
+func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transfer[T], prev *distarray.Chunk[T]) *handover[T] {
+	counts := make([][]uint32, pe.cfg.Places) // by owner, by tile of its grid
+	distarray.ReplayDecrements(st.chunk, out, pe.cfg.Pattern, func(from int, target dag.VertexID) {
+		owner, off := st.d.PlaceOffset(target.I, target.J)
+		switch {
+		case owner == from:
+		case owner == pe.self:
+			st.chunk.TileAdd(st.chunk.TileOf(off), 1)
+		default:
+			if counts[owner] == nil {
+				counts[owner] = make([]uint32, st.grids[st.rank[owner]].NumTiles())
+			}
+			counts[owner][st.tileOf(owner, off)]++
+		}
+	})
+	h := &handover[T]{prev: prev}
+	byDest := make(map[int][]distarray.Transfer[T])
+	for _, tr := range out {
+		byDest[tr.To] = append(byDest[tr.To], tr)
+	}
+	for dest, trs := range byDest {
+		msg := putU32(putU64(make([]byte, 0, 12+len(trs)*12), st.epoch), uint32(len(trs)))
+		for _, tr := range trs {
+			msg = pe.cfg.Codec.Encode(putID(msg, tr.ID), tr.Value)
+		}
+		h.msgs = append(h.msgs, outMsg{to: dest, kind: kindRestoreTx, payload: msg})
+	}
+	for owner, per := range counts {
+		b := decrBatch[T]{epoch: st.epoch}
+		for t, n := range per {
+			if n > 0 {
+				b.tiles = append(b.tiles, tileCount{tile: uint32(t), count: n})
+			}
+		}
+		if len(b.tiles) > 0 {
+			b.ends = []int{len(b.tiles)}
+			h.msgs = append(h.msgs, outMsg{to: owner, kind: kindReplayTx, payload: encodeDecrBatch(pe.cfg.Codec, &b)})
+		}
+	}
+	return h
+}
+
+// handleExchange is the second round: it sends what this place's rebuild
+// worked out it owes — the values it hands over, then the decrements it
+// replays — and releases the superseded chunk, which no survivor's traffic
+// reads any more. A destination that died is reported to the coordinator,
+// which restarts the recovery without it; the death is not this place's.
+func (pe *placeEngine[T]) handleExchange(from int, payload []byte) ([]byte, error) {
 	r := reader{b: payload}
 	epoch := r.u64()
 	if r.err != nil {
 		return nil, r.err
 	}
-	pe.transferMu.Lock()
-	pending := pe.pendingTransfers
-	pe.pendingTransfers = nil
-	pe.transferMu.Unlock()
-	byDest := make(map[int][]distarray.Transfer[T])
-	for _, tr := range pending {
-		byDest[tr.To] = append(byDest[tr.To], tr)
+	st, err := pe.stateAt(epoch)
+	if err != nil {
+		return nil, err
 	}
-	for dest, trs := range byDest {
-		msg := make([]byte, 0, 12+len(trs)*12)
-		msg = putU64(msg, epoch)
-		msg = putU32(msg, uint32(len(trs)))
-		for _, tr := range trs {
-			msg = putID(msg, tr.ID)
-			msg = pe.cfg.Codec.Encode(msg, tr.Value)
-		}
-		if _, err := pe.tr.Call(dest, kindRestoreTx, msg); err != nil {
+	h := st.out.Swap(nil)
+	if h == nil {
+		return nil, nil
+	}
+	h.prev.Close()
+	for _, m := range h.msgs {
+		if _, err := pe.tr.Call(m.to, m.kind, m.payload); errors.Is(err, transport.ErrDeadPlace) {
+			pe.peerError(m.to, err)
+		} else if err != nil {
 			return nil, err
 		}
 	}
@@ -321,53 +362,9 @@ func (pe *placeEngine[T]) handleRestoreTx(from int, payload []byte) ([]byte, err
 	})
 }
 
-// handleReplay re-sends what finished local vertices owe other places:
-// every anti-dependency edge that leaves this place becomes a decrement of
-// the target's tile, counted per tile and sent to each owner as one record
-// with no values. An edge between two local cells sends nothing; the resume
-// scan reads its source's finished flag.
-func (pe *placeEngine[T]) handleReplay(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	if r.err != nil {
-		return nil, r.err
-	}
-	st, err := pe.stateAt(epoch)
-	if err != nil {
-		return nil, err
-	}
-	counts := make([][]uint32, pe.cfg.Places) // by owner, by tile of its grid
-	distarray.ReplayDecrements(st.chunk, pe.cfg.Pattern, func(target dag.VertexID) {
-		owner, off := st.d.PlaceOffset(target.I, target.J)
-		if owner == pe.self {
-			return
-		}
-		if counts[owner] == nil {
-			counts[owner] = make([]uint32, st.grids[st.rank[owner]].NumTiles())
-		}
-		counts[owner][st.tileOf(owner, off)]++
-	})
-	for owner, per := range counts {
-		b := decrBatch[T]{epoch: epoch}
-		for t, n := range per {
-			if n > 0 {
-				b.tiles = append(b.tiles, tileCount{tile: uint32(t), count: n})
-			}
-		}
-		if len(b.tiles) == 0 {
-			continue
-		}
-		b.ends = []int{len(b.tiles)}
-		if _, err := pe.tr.Call(owner, kindReplayTx, encodeDecrBatch(pe.cfg.Codec, &b)); err != nil {
-			return nil, err
-		}
-	}
-	return nil, nil
-}
-
 // handleReplayTx applies replayed decrements (applyDecrs). They precede this
 // place's activation scan, so they only take tile counters below zero and
-// never schedule anything; the resume phase finds the ready tiles.
+// never schedule anything; the resume round finds the ready tiles.
 func (pe *placeEngine[T]) handleReplayTx(from int, payload []byte) ([]byte, error) {
 	return nil, pe.applyDecrs(from, payload)
 }

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/metrics"
 )
 
@@ -16,6 +17,7 @@ type JobRun[T any] struct {
 	jobID uint32
 	m     *JobManager
 	cfg   Config[T]
+	d     dist.Dist // the epoch-0 distribution, built at submission
 
 	// engines parallels m.stacks: one per local place, so on an in-process
 	// cluster the index is the place id.
@@ -71,6 +73,10 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	d, err := initialDist(&cfg.Common)
+	if err != nil {
+		return nil, err
+	}
 	id, err := m.newJobID()
 	if err != nil {
 		return nil, err
@@ -79,6 +85,7 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 		jobID:   id,
 		m:       m,
 		cfg:     cfg,
+		d:       d,
 		abortCh: make(chan struct{}),
 		done:    make(chan struct{}),
 		engines: make([]*placeEngine[T], len(m.stacks)),
@@ -97,6 +104,22 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 		pe.events = jr.co.events
 	}
 	return jr, nil
+}
+
+// initialDist builds a job's epoch-0 distribution, covering every place. A
+// constructor's panic (a bad option) is Submit's error, not the job's crash.
+func initialDist(c *Common) (d dist.Dist, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			d, err = nil, fmt.Errorf("core: distribution: %v", r)
+		}
+	}()
+	h, w := c.Pattern.Bounds()
+	d = c.NewDist(h, w, c.Places)
+	if got := len(d.Places()); got != c.Places {
+		return nil, fmt.Errorf("core: distribution covers %d places, cluster has %d", got, c.Places)
+	}
+	return d, nil
 }
 
 // start enters the admission queue and runs the job asynchronously.
@@ -139,12 +162,6 @@ func (jr *JobRun[T]) run(submitted time.Time) {
 // place 0, where it is local, additionally coordinates. A process without
 // place 0 serves until the coordinator's stop.
 func (jr *JobRun[T]) execute() error {
-	cfg := &jr.cfg
-	h, w := cfg.Pattern.Bounds()
-	d := cfg.NewDist(h, w, cfg.Places)
-	if got := len(d.Places()); got != cfg.Places {
-		return fmt.Errorf("core: distribution covers %d places, cluster has %d", got, cfg.Places)
-	}
 	// Two-phase start: every place installs its epoch-0 state before any
 	// worker runs, so no early message finds a place without state.
 	var wg sync.WaitGroup
@@ -152,7 +169,7 @@ func (jr *JobRun[T]) execute() error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pe.prepare(d)
+			pe.prepare(jr.d)
 		}()
 	}
 	wg.Wait()
@@ -165,7 +182,7 @@ func (jr *JobRun[T]) execute() error {
 	// Only now may the shared workers see this job: the slot scan starts
 	// after epoch-0 state is installed everywhere.
 	for k, pe := range jr.engines {
-		jr.m.stacks[k].host.attach(pe, cfg.Weight)
+		jr.m.stacks[k].host.attach(pe, jr.cfg.Weight)
 	}
 	// A job submitted after a place died never hears the original death;
 	// replay the known dead set so its first epoch recovers immediately.

@@ -103,8 +103,8 @@ func (l *lifelineState[T]) parkedCount() int { return int(l.nParked.Load()) }
 
 // lifelineLoop is the epoch's pusher goroutine: woken by kickPush when
 // ready tiles appear while buddies are parked, it drains the surplus to
-// them. Epoch-owned: it exits when the epoch's quit channel closes (pause
-// or stop), like the decrement aggregator's flusher.
+// them. Epoch-owned: it exits when the epoch's quit channel closes (a
+// recovery's pause or stop), like the decrement aggregator's flusher.
 func (pe *placeEngine[T]) lifelineLoop(st *epochState[T]) {
 	defer close(st.life.done)
 	for {

@@ -311,8 +311,8 @@ func (m *JobManager) handles() []jobHandle {
 }
 
 // placeDead records a place death and delivers it to every live job's
-// coordinator; each job recovers independently (its own pause→rebuild→
-// restore→replay→resume over its own epoch state). Jobs submitted later
+// coordinator; each job recovers independently (its own rebuild→exchange→
+// resume over its own epoch state). Jobs submitted later
 // learn the dead set at launch (deadPlaces). Losing place 0 aborts them all.
 func (m *JobManager) placeDead(p int) {
 	if p == 0 {

@@ -9,18 +9,16 @@ import (
 	"github.com/dpx10/dpx10/internal/metrics"
 )
 
-// recoveryPhaseHists are the five phase-duration histograms, in protocol
-// order.
+// recoveryPhaseHists are the three round-duration histograms, in protocol
+// order: rebuild, exchange (reported as the replay) and resume.
 var recoveryPhaseHists = []string{
-	metrics.RecoveryPauseNs,
 	metrics.RecoveryRebuildNs,
-	metrics.RecoveryRestoreNs,
 	metrics.RecoveryReplayNs,
 	metrics.RecoveryResumeNs,
 }
 
 // TestMetricsRecoveryPhases kills a place mid-run and checks the recovery
-// instruments against the event stream: the five phase histograms hold one
+// instruments against the event stream: the three round histograms hold one
 // sample per recovery, their summed durations account for (almost) all of
 // the recovery wall time reported by EventRecoveryFinished, every counter
 // is monotone across the recovery, and the epoch gauge lands on the final

@@ -44,8 +44,12 @@ type epochState[T any] struct {
 	life  *lifelineState[T] // lifeline balancing state; nil when disabled
 	inbox tileInbox         // tiles other places pushed here (transfer.go)
 
-	// runGate serializes tile execution against recovery pause. Workers
-	// hold it shared for the duration of one tile; the pause handler takes
+	// out is what the recovery that made this epoch sends in its exchange
+	// round (handleExchange); nil once sent.
+	out atomic.Pointer[handover[T]]
+
+	// runGate serializes tile execution against a recovery's pause. Workers
+	// hold it shared for the duration of one tile; the rebuild handler takes
 	// it exclusively — once, forever, the epoch is dead after a pause — to
 	// wait out in-flight tiles without joining worker goroutines, which
 	// the place host owns and which outlive every epoch and every job.
@@ -107,14 +111,6 @@ type placeEngine[T any] struct {
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
-
-	// pendingTransfers buffers outbound restore-remote values between the
-	// rebuild and restore recovery phases. The recovery protocol serializes
-	// the two phases in time, but their handlers run on distinct dispatch
-	// goroutines, so the mutex supplies the happens-before edge the wire
-	// ordering alone cannot.
-	transferMu       sync.Mutex
-	pendingTransfers []distarray.Transfer[T]
 
 	snapSeq atomic.Int64 // local completions since the last snapshot
 	snapOn  bool         // snapshotting configured; hoists maybeSnapshot's check out of the per-vertex path
@@ -327,7 +323,7 @@ func (pe *placeEngine[T]) prepare(d dist.Dist) {
 	chunk := pe.newChunk(d)
 	st := pe.newEpochState(0, d, chunk)
 	// Epoch 0 marks the inactive cells and counts the tile edges before the
-	// chunk is published; a recovery runs the same scan in its resume phase,
+	// chunk is published; a recovery runs the same scan in its resume round,
 	// after the replay.
 	for _, t := range chunk.InitActivateTiles(pe.cfg.Pattern) {
 		pe.enqueueTile(st, t, -1)

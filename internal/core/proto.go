@@ -35,14 +35,14 @@ const (
 	// 2 is unassigned: it was the per-vertex decrement message that
 	// kindDecrBatch replaced. 3 and 22 are unassigned too: they were the
 	// per-vertex exec Call and the lifeline push, which kindTransfer
-	// replaced. Do not reuse or renumber any of them.
+	// replaced. 6 and 10 were the recovery's pause and replay rounds, which
+	// kindRebuild and kindExchange absorbed. Do not reuse or renumber any
+	// of them.
 	kindPlaceDone uint8 = 4  // Send: place finished all local vertices
 	kindFault     uint8 = 5  // Send: place observed a dead peer
-	kindPause     uint8 = 6  // Call: coordinator -> place, quiesce workers
-	kindRebuild   uint8 = 7  // Call: coordinator -> place, rebuild chunk
-	kindRestore   uint8 = 8  // Call: coordinator -> place, send transfers
+	kindRebuild   uint8 = 7  // Call: coordinator -> place, pause, rebuild and work out the exchange
+	kindExchange  uint8 = 8  // Call: coordinator -> place, send what the rebuild worked out
 	kindRestoreTx uint8 = 9  // Call: place -> place, restored values
-	kindReplay    uint8 = 10 // Call: coordinator -> place, replay decrements
 	kindReplayTx  uint8 = 11 // Call: place -> place, replayed decrements
 	kindResume    uint8 = 12 // Call: coordinator -> place, restart workers
 	kindStop      uint8 = 13 // Call: coordinator -> place, run finished; the reply is the ack
@@ -122,8 +122,8 @@ func placeDead(p int) error { return &PlaceDeadError{Place: p} }
 var reliableKind = func() (t [256]bool) {
 	for _, k := range []uint8{
 		kindFetch, kindPlaceDone, kindFault,
-		kindPause, kindRebuild, kindRestore, kindRestoreTx,
-		kindReplay, kindReplayTx, kindResume, kindStop,
+		kindRebuild, kindExchange, kindRestoreTx, kindReplayTx,
+		kindResume, kindStop,
 		kindSteal, kindStealDone, kindDecrBatch, kindTransfer,
 	} {
 		t[k] = true
@@ -163,8 +163,8 @@ func splitEnvelope(payload []byte) (seq uint64, body []byte, err error) {
 var jobScopedKind = func() (t [256]bool) {
 	for _, k := range []uint8{
 		kindFetch, kindPlaceDone, kindFault,
-		kindPause, kindRebuild, kindRestore, kindRestoreTx,
-		kindReplay, kindReplayTx, kindResume, kindStop, kindReadVal,
+		kindRebuild, kindExchange, kindRestoreTx, kindReplayTx,
+		kindResume, kindStop, kindReadVal,
 		kindSteal, kindStealDone, kindDecrBatch, kindTransfer,
 	} {
 		t[k] = true

@@ -2,6 +2,8 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/distarray"
 	"github.com/dpx10/dpx10/internal/sched"
+	"github.com/dpx10/dpx10/internal/trace"
 	"github.com/dpx10/dpx10/internal/transport"
 )
 
@@ -81,6 +84,61 @@ func TestKillMidRunRecovers(t *testing.T) {
 			t.Fatalf("recovery time not measured")
 		}
 		checkResult(t, cl, pat)
+	}
+}
+
+// TestRecoveryRestartsWhenPlaceDiesMidRecovery kills place 3 mid-run and
+// then place 2 from inside one round of the recovery that follows: place 1's
+// first call of that round kills it before serving, and place 2's waits for
+// the kill, so place 2 never completes the round whatever order the
+// concurrent fan-out serves the places in. The coordinator restarts the
+// recovery without place 2, so the run takes at least three epochs, and must
+// finish bit-exact from every round, with the handed-over values restored or
+// recomputed.
+func TestRecoveryRestartsWhenPlaceDiesMidRecovery(t *testing.T) {
+	for _, round := range []uint8{kindRebuild, kindExchange, kindResume} {
+		for _, restoreRemote := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/restoreRemote=%v", trace.KindName(round), restoreRemote), func(t *testing.T) {
+				pat := patterns.NewDiagonal(30, 24)
+				cfg, gate, release := gatedConfig(pat, 4, 300)
+				cfg.RestoreRemote = restoreRemote
+				cl, err := NewCluster(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				serve := func(p int) transport.Handler {
+					pe := cl.engines[p]
+					return map[uint8]transport.Handler{
+						kindRebuild:  pe.handleRebuild,
+						kindExchange: pe.handleExchange,
+						kindResume:   pe.handleResume,
+					}[round]
+				}
+				var kill sync.Once
+				killed := make(chan struct{})
+				serve1, serve2 := serve(1), serve(2)
+				cl.engines[1].tr.Handle(round, func(from int, payload []byte) ([]byte, error) {
+					kill.Do(func() { cl.Kill(2); close(killed) })
+					return serve1(from, payload)
+				})
+				cl.engines[2].tr.Handle(round, func(from int, payload []byte) ([]byte, error) {
+					<-killed
+					return serve2(from, payload)
+				})
+				done := make(chan error, 1)
+				go func() { done <- cl.Run() }()
+				<-gate
+				cl.Kill(3)
+				release()
+				if err := <-done; err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				if st := cl.Stats(); st.Epochs < 3 {
+					t.Fatalf("%d epochs, %d recoveries; want place 2's death mid-recovery to take a third epoch", st.Epochs, st.Recoveries)
+				}
+				checkResult(t, cl, pat)
+			})
+		}
 	}
 }
 

@@ -65,7 +65,7 @@ type senderWindow struct {
 
 // deliveryEntry records one (sender, seq) execution. Concurrent duplicates
 // arriving while the first execution is still running wait on done and
-// return the cached outcome, so a replayed pause or decrement batch never
+// return the cached outcome, so a replayed rebuild or decrement batch never
 // executes twice — not even overlapped with itself.
 type deliveryEntry struct {
 	done  chan struct{}

@@ -174,7 +174,7 @@ func TestReliableDedupConcurrentDuplicates(t *testing.T) {
 	var execs atomic.Int64
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	receiver.Handle(kindPause, func(int, []byte) ([]byte, error) {
+	receiver.Handle(kindRebuild, func(int, []byte) ([]byte, error) {
 		execs.Add(1)
 		close(entered)
 		<-release
@@ -188,7 +188,7 @@ func TestReliableDedupConcurrentDuplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			replies[i], _ = raw.Call(1, kindPause, env)
+			replies[i], _ = raw.Call(1, kindRebuild, env)
 		}(i)
 	}
 	// The duplicate that lost the claim race must block on the first

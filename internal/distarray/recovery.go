@@ -59,25 +59,30 @@ func CarryOver[T any](old, nc *Chunk[T], pat dag.Pattern, restoreRemote bool) []
 	return out
 }
 
-// ReplayDecrements walks the finished active cells of c and invokes emit
-// for every anti-dependency edge leaving them. The engine counts each edge
-// whose target another place owns against the target's tile there, finished
+// ReplayDecrements walks the finished cells a rebuilt place holds for the new
+// epoch — the finished active cells of its new chunk c and those it hands
+// over (out) — and invokes emit for every anti-dependency edge leaving them,
+// with the source's new owner. The engine turns each edge whose target
+// another place owns into one decrement of the target's tile there, finished
 // target or not — the owner's activation scan counted every remote edge into
-// a tile with work left, and retired the others — so every remote dependency
-// edge contributes exactly one decrement per epoch (replayed here for
-// finished dependencies, at runtime for recomputed ones). An edge between
-// two cells of one place needs no decrement: the activation scan reads the
-// source's finished flag itself.
-func ReplayDecrements[T any](c *Chunk[T], pat dag.Pattern, emit func(target dag.VertexID)) {
+// a tile with work left, and retired the others — so every remote edge
+// contributes exactly one decrement per epoch (replayed for finished sources,
+// at runtime for recomputed ones). An edge within one place needs none: the
+// activation scan reads the source's finished flag itself.
+func ReplayDecrements[T any](c *Chunk[T], out []Transfer[T], pat dag.Pattern, emit func(from int, target dag.VertexID)) {
 	edges := pat
 	if t := dag.TabulateStencil(pat); t != nil {
 		edges = t
 	}
 	var buf []dag.VertexID
-	c.ForEachFinished(pat, func(i, j int32, _ int, _ T) {
+	replay := func(from int, i, j int32) {
 		buf = edges.AntiDependencies(i, j, buf[:0])
 		for _, a := range buf {
-			emit(a)
+			emit(from, a)
 		}
-	})
+	}
+	c.ForEachFinished(pat, func(i, j int32, _ int, _ T) { replay(c.place, i, j) })
+	for _, tr := range out {
+		replay(tr.To, tr.ID.I, tr.ID.J)
+	}
 }

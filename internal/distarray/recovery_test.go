@@ -111,33 +111,34 @@ func (mc *miniCluster) recover(t *testing.T, dead int, restoreRemote bool) {
 		t.Fatalf("Restrict: %v", err)
 	}
 	newChunks := map[int]*Chunk[int64]{}
-	var transfers []Transfer[int64]
+	outs := map[int][]Transfer[int64]{}
 	for p, c := range mc.chunks {
 		if p == dead {
 			continue // its state is lost with the place
 		}
-		nc, tr := RebuildChunk(c, mc.pat, nd, restoreRemote)
+		nc, out := RebuildChunk(c, mc.pat, nd, restoreRemote)
 		nc.ConfigureTiles(1)
-		newChunks[p] = nc
-		transfers = append(transfers, tr...)
+		newChunks[p], outs[p] = nc, out
 	}
-	for _, tr := range transfers {
-		dst := newChunks[tr.To]
-		dst.SetResult(nd.LocalOffset(tr.ID.I, tr.ID.J), tr.Value)
-	}
+	// Each place counts its replay from its new chunk and what it hands over,
+	// before any value moves: an edge whose ends have one new owner sends
+	// nothing (the activation scan reads the source's flag), and every other
+	// one is one decrement of the target's tile, finished target included
+	// (its owner's scan counted it) — whether it leaves this place or comes
+	// back from a handed-over cell.
 	for p, c := range newChunks {
-		ReplayDecrements(c, mc.pat, func(target dag.VertexID) {
-			// Only edges that leave the place are replayed, finished targets
-			// included (their owner's scan counted them): every remote
-			// dependency contributes exactly one decrement (replayed here for
-			// finished deps, at runtime for recomputed ones). The activation
-			// scan reads a local source's flag itself.
-			if owner := nd.Place(target.I, target.J); owner != p {
+		ReplayDecrements(c, outs[p], mc.pat, func(from int, target dag.VertexID) {
+			if owner := nd.Place(target.I, target.J); owner != from {
 				if _, ready := newChunks[owner].TileDecrement(nd.LocalOffset(target.I, target.J)); ready {
 					t.Fatalf("replayed decrement into %v made it ready before activation", target)
 				}
 			}
 		})
+	}
+	for _, out := range outs {
+		for _, tr := range out {
+			newChunks[tr.To].SetResult(nd.LocalOffset(tr.ID.I, tr.ID.J), tr.Value)
+		}
 	}
 	mc.d, mc.chunks, mc.ready = nd, newChunks, nil
 	for p, c := range newChunks {

@@ -144,7 +144,7 @@ const retiredTile = 1 << 30
 // decrement is still owed for, retires every other tile (see above), and
 // returns the tiles that are immediately schedulable — those whose counter
 // the add brought to zero. It must run once the epoch's finished flags are
-// final (recovery: in the resume phase, after the restore); it may race
+// final (recovery: in the resume round, after the exchange); it may race
 // decrements. It panics if a counter ends below zero: more decrements
 // arrived than the tile has edges.
 func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {

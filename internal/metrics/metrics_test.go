@@ -35,7 +35,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBucketsAndSum(t *testing.T) {
 	r := New(0)
-	h := r.Histogram(RecoveryPauseNs)
+	h := r.Histogram(RecoveryRebuildNs)
 	samples := []int64{5, 1e4, 1e4 + 1, 5e6, 2e10, 0}
 	var want int64
 	for _, v := range samples {
@@ -48,7 +48,7 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 	if got := h.Count(); got != int64(len(samples)) {
 		t.Fatalf("Count = %d, want %d", got, len(samples))
 	}
-	hs := r.Snapshot().Hists[RecoveryPauseNs]
+	hs := r.Snapshot().Hists[RecoveryRebuildNs]
 	// 5, 1e4 and 0 land in bucket 0 (<=1e4); 1e4+1 in bucket 1; 5e6 in
 	// the <=1e7 bucket; 2e10 overflows past the last bound.
 	if hs.Counts[0] != 3 || hs.Counts[1] != 1 || hs.Counts[3] != 1 || hs.Counts[len(hs.Counts)-1] != 1 {
@@ -80,7 +80,7 @@ func TestNilRegistryIsFree(t *testing.T) {
 	}
 	c := r.Counter(SchedTilesExecuted)
 	g := r.Gauge(EngineEpoch)
-	h := r.Histogram(RecoveryPauseNs)
+	h := r.Histogram(RecoveryRebuildNs)
 	v := r.Vec(VCacheHits)
 	if c != nil || g != nil || h != nil || v != nil {
 		t.Fatal("nil registry returned non-nil handles")
@@ -110,7 +110,7 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	r := New(0)
 	c := r.Counter(SchedTilesExecuted)
 	g := r.Gauge(EngineEpoch)
-	h := r.Histogram(RecoveryPauseNs)
+	h := r.Histogram(RecoveryRebuildNs)
 	v := r.Vec(TransportMsgsOut)
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Add(2, 1)
@@ -153,7 +153,7 @@ func buildSnapshot() *Snapshot {
 	r.Counter(SchedTilesExecuted).Add(0, 41)
 	r.Counter(TransportRetries).Add(1, 3)
 	r.Gauge(EngineEpoch).Set(1)
-	h := r.Histogram(RecoveryPauseNs)
+	h := r.Histogram(RecoveryRebuildNs)
 	h.Observe(1500)
 	h.Observe(3e6)
 	v := r.Vec(TransportMsgsOut)
@@ -196,7 +196,7 @@ func TestMerge(t *testing.T) {
 	if got := total.Vecs[TransportMsgsOut][20]; got != 14 {
 		t.Fatalf("merged vec = %d, want 14", got)
 	}
-	h := total.Hists[RecoveryPauseNs]
+	h := total.Hists[RecoveryRebuildNs]
 	if h.Count() != 4 || h.Sum != 2*(1500+3e6) {
 		t.Fatalf("merged hist count=%d sum=%d", h.Count(), h.Sum)
 	}
@@ -255,7 +255,7 @@ func TestRenderers(t *testing.T) {
 	for _, want := range []string{
 		`dpx10_sched_tiles_executed{place="2"} 41`,
 		`dpx10_transport_msgs_out{place="2",key="kind1"} 12`,
-		`dpx10_recovery_pause_ns_count{place="2"} 2`,
+		`dpx10_recovery_rebuild_ns_count{place="2"} 2`,
 	} {
 		if !strings.Contains(prom.String(), want) {
 			t.Fatalf("prometheus output missing %q:\n%s", want, prom.String())

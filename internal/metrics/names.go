@@ -71,18 +71,21 @@ const (
 	TransportBatchBytes = "transport.batch_bytes"
 
 	// Deprecated: payload compression and the per-connection writer's
-	// coalescing left the data plane. No instrument is registered under
-	// these names, so every snapshot reads 0 for them; the constants stay
-	// only because the benchmark module reads them and go with the next
-	// benchmark revision.
+	// coalescing left the data plane, and the recovery's pause and restore
+	// rounds went into its rebuild and exchange rounds. No instrument is
+	// registered under these names, so every snapshot reads 0 for them; the
+	// constants stay only because the benchmark module reads them and go
+	// with the next benchmark revision.
 	TransportCompressRaw  = "transport.compress_raw_bytes"
 	TransportCompressWire = "transport.compress_wire_bytes"
 	TransportBatchFrames  = "transport.batch_frames"
+	RecoveryPauseNs       = "recovery.pause_ns"
+	RecoveryRestoreNs     = "recovery.restore_ns"
 
-	// Recovery phase durations (nanoseconds), one histogram per phase.
-	RecoveryPauseNs   = "recovery.pause_ns"
+	// Recovery round durations (nanoseconds), one histogram per round:
+	// rebuild, exchange (under the replay name it had when replay was a
+	// round of its own) and resume.
 	RecoveryRebuildNs = "recovery.rebuild_ns"
-	RecoveryRestoreNs = "recovery.restore_ns"
 	RecoveryReplayNs  = "recovery.replay_ns"
 	RecoveryResumeNs  = "recovery.resume_ns"
 
@@ -132,9 +135,7 @@ var instruments = map[string]Kind{
 
 	TransportBatchBytes: KindHistogram,
 
-	RecoveryPauseNs:   KindHistogram,
 	RecoveryRebuildNs: KindHistogram,
-	RecoveryRestoreNs: KindHistogram,
 	RecoveryReplayNs:  KindHistogram,
 	RecoveryResumeNs:  KindHistogram,
 

@@ -22,7 +22,7 @@ func TestRegistryConcurrentStress(t *testing.T) {
 	// does at wiring time; the writers only touch handles.
 	c := r.Counter(SchedTilesExecuted)
 	g := r.Gauge(EngineEpoch)
-	h := r.Histogram(RecoveryPauseNs)
+	h := r.Histogram(RecoveryRebuildNs)
 	v := r.Vec(TransportMsgsOut)
 
 	stop := make(chan struct{})

@@ -11,11 +11,9 @@ var kindNames = map[uint8]string{
 	1:  "fetch",
 	4:  "placeDone",
 	5:  "fault",
-	6:  "pause",
 	7:  "rebuild",
-	8:  "restore",
+	8:  "exchange",
 	9:  "restoreTx",
-	10: "replay",
 	11: "replayTx",
 	12: "resume",
 	13: "stop",

@@ -71,7 +71,7 @@ func TestSpanChromeTrace(t *testing.T) {
 	l := NewSpanLog(10)
 	start := time.Now()
 	time.Sleep(time.Millisecond)
-	l.Add("recovery:pause", 0, LaneCoordinator, start)
+	l.Add("recovery:rebuild", 0, LaneCoordinator, start)
 	l.Add(`tile "x"`, 1, 3, start) // name quoting must survive
 	var sb strings.Builder
 	if err := l.WriteChromeTrace(&sb); err != nil {

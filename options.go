@@ -404,7 +404,7 @@ func WithCustomDist(fn func(i, j int32, places int) int) UntypedOption {
 			}
 			d, err := dist.NewFunc(h, w, ps, func(i, j int32) int { return fn(i, j, n) })
 			if err != nil {
-				panic(err) // surfaced as a cluster construction failure in tests
+				panic(err) // Submit turns it into its error
 			}
 			return d
 		}

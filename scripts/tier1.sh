@@ -48,7 +48,11 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # recovery's activation scan adds to tile counters that early decrements
 # are already taking below zero, with no lock between them; and a walk
 # paused between rows leaves exactly its published rows for the recovery.
-go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$' -count=5 ./internal/core/
+# The recovery rounds fan out concurrently, so survivors rebuild while others
+# still run the old epoch, and a place that dies inside a round restarts the
+# recovery: the recovery tests (kept, restored, snapshot, spilled) and the
+# restart matrix repeat here too.
+go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$|TestKillMidRunRecovers$|TestSnapshotRecovery$|TestSpilledRestoreRemoteRecovery$|TestRecoveryRestartsWhenPlaceDiesMidRecovery$' -count=5 ./internal/core/
 # ... and that race in isolation, many times: every tile reported ready
 # exactly once, by the scan or by a decrement, with the decrements aimed at
 # restored cells applied, not absorbed. With it, rows published from two
