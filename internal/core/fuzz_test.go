@@ -725,6 +725,8 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	}
 	f.Add(uint8(0), []byte{})                              // not a protocol kind
 	f.Add(uint8(2), putU32(putU64(nil, 4), 0))             // the retired per-vertex decrement: not one either
+	f.Add(uint8(6), putU32(putU32(putU64(nil, 1), 1), 8))  // the retired pause round, absorbed by kindRebuild
+	f.Add(uint8(10), putU64(nil, 3))                       // the retired replay round, absorbed by kindExchange
 	f.Add(kindRebuild, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
 	for _, seed := range transferSeeds() {
 		f.Add(kindTransfer, seed)
