@@ -78,9 +78,9 @@ type Common struct {
 	// every place, overriding the engine's pick. For tests and
 	// internal/bench; no public option sets it.
 	TileShape [2]int
-	// tileCheck memoizes the tile-quotient check; shared by every place of
-	// an in-process cluster through the common Config.
-	tileCheck *tileLayoutCache
+	// layout is the tile layout of a job's latest epoch, shared by the job's
+	// in-process places; newJobRun gives every job its own.
+	layout *epochLayout
 	// Lifelines enables GLB-style lifeline load balancing for Steal jobs:
 	// an idle place makes LifelineProbes bounded random-victim steal
 	// attempts, then parks on its LifelineEdges lifeline buddies (a cyclic
@@ -262,9 +262,6 @@ func (c *Common) normalize() error {
 		if c.LifelineEdges < 0 {
 			return fmt.Errorf("core: LifelineEdges = %d, need >= 0 (0 = auto)", c.LifelineEdges)
 		}
-	}
-	if c.tileCheck == nil {
-		c.tileCheck = &tileLayoutCache{}
 	}
 	if c.Spill != nil {
 		c.Spill.normalize()

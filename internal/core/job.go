@@ -66,7 +66,7 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 	cfg.Metrics = m.common.Metrics
 	cfg.MetricsObserver = nil
 	cfg.Events = nil
-	cfg.tileCheck = m.common.tileCheck
+	cfg.layout = new(epochLayout)
 	if cfg.Weight == 0 {
 		cfg.Weight = m.common.Weight
 	}

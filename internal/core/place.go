@@ -339,7 +339,7 @@ func (pe *placeEngine[T]) prepare(d dist.Dist) {
 // The decrement aggregator is epoch-owned: its flusher goroutine exits
 // when this epoch's quit channel closes.
 func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distarray.Chunk[T]) *epochState[T] {
-	grids, lay := pe.cfg.tileGrids(d)
+	grids, lay := pe.cfg.layout.get(&pe.cfg.Common, epoch, d)
 	rank := make([]int, pe.cfg.Places)
 	for k, p := range d.Places() {
 		rank[p] = k

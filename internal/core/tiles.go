@@ -108,8 +108,7 @@ func tilePriorities(g *distarray.TileGrid, box dist.Box) []int32 {
 
 // tileLayout is what the tile-quotient check learned about a global tile
 // layout: whether coarsening to some candidate shape is safe, which one, and
-// how much parallelism the coarsened DAG exposes (tiles / span;
-// dag.QuotientSpan).
+// how much parallelism the coarsened DAG exposes (tiles / span; dag.Span).
 type tileLayout struct {
 	ok          bool
 	shape       int // the candidate that won; shapeCell when none did
@@ -124,41 +123,26 @@ func (l tileLayout) parallelism() float64 {
 	return float64(l.tiles) / float64(l.span)
 }
 
-// tileLayoutCache memoizes tileLayouts per (pattern, distribution,
-// configured tile). All places of a single-process cluster share one cache
-// through the shared Config, so the O(cells) check runs once per epoch, not
-// once per place.
-type tileLayoutCache struct {
-	mu sync.Mutex
-	m  map[string]tileLayout
+// epochLayout is a job's tile layout for one epoch, derived by the first of
+// the job's in-process places to install the epoch while the others wait,
+// so a generic scan runs once per epoch, not once per place. Every recovery
+// attempt numbers a new epoch, so it derives afresh.
+type epochLayout struct {
+	mu    sync.Mutex
+	next  uint64 // the epoch held, plus one; 0 holds none
+	grids []distarray.TileGrid
+	lay   tileLayout
 }
 
-// check returns the memoized layout for key, running compute under the
-// cache lock on a miss. Holding the lock across compute keeps the check
-// single-flight: the P-1 sibling places block briefly instead of each
-// redoing the O(cells) scan.
-func (c *tileLayoutCache) check(key string, compute func() tileLayout) tileLayout {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if lay, hit := c.m[key]; hit {
-		return lay
+func (s *epochLayout) get(c *Common, epoch uint64, d dist.Dist) ([]distarray.TileGrid, tileLayout) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.next != epoch+1 {
+		s.grids, s.lay = c.tileGrids(d)
+		s.next = epoch + 1
 	}
-	lay := compute()
-	if c.m == nil {
-		c.m = make(map[string]tileLayout, 4)
-	} else if len(c.m) >= 64 {
-		clear(c.m) // bound a long-lived process cycling through configs
-	}
-	c.m[key] = lay
-	return lay
+	return s.grids, s.lay
 }
-
-// globalTileCheck memoizes layouts across cluster lifetimes. Only keys
-// that capture the pattern and the distribution entirely by value may use
-// it: a key containing a memory address (closure or pointer field in a
-// custom pattern) could alias a semantically different pattern once the
-// address is reused, so those verdicts stay in the per-cluster cache.
-var globalTileCheck tileLayoutCache
 
 // cutGrids cuts every place's box under d into the tiles of candidate shape
 // cand, indexed like d.Places(), and numbers the tiles globally: place k's
@@ -182,7 +166,9 @@ func (c *Common) cutGrids(d dist.Dist, cand int) (grids []distarray.TileGrid, ba
 // deadlock it; single cells when none does. Every place evaluates the same
 // global predicate from the same inputs, so the choice is uniform across the
 // cluster without any communication — required, because a single coarsened
-// place can deadlock the whole run (see dag.QuotientAcyclic).
+// place can deadlock the whole run (see dag.QuotientAcyclic). A declared
+// stencil on rectangle tiles has its quotient read off the tiles
+// (coverEdges); any other candidate is scanned cell by cell.
 func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 	places := d.Places()
 	rank := make([]int, places[len(places)-1]+1) // place id -> index in places
@@ -195,50 +181,106 @@ func (c *Common) tileGrids(d dist.Dist) ([]distarray.TileGrid, tileLayout) {
 	if base[len(places)] == cells {
 		return grids, tileLayout{ok: true} // per-vertex everywhere: nothing coarsened
 	}
-	// The pattern's %v covers its parameters (sizes, weights); function
-	// fields print as addresses, which distinguishes distinct closures. A
-	// distribution with an ownership table says so by its digest.
-	name := d.Name()
-	if t, ok := d.(interface{ Digest() uint64 }); ok {
-		name = fmt.Sprintf("%s#%x", name, t.Digest())
+	last := shapeCell
+	if c.TileShape != [2]int{} {
+		last = shapeRow // a pinned shape is the only candidate
 	}
-	key := fmt.Sprintf("%T|%v|%s|%v|%d|%v", c.Pattern, c.Pattern, name, places, c.TileSize, c.TileShape)
-	cache := c.tileCheck
-	if !strings.Contains(key, "0x") {
-		cache = &globalTileCheck
-	}
-	lay := cache.check(key, func() tileLayout {
-		pat := c.Pattern
-		if t := dag.TabulateStencil(pat); t != nil {
-			pat = t // the same edges, from the offsets
-		}
-		last := shapeCell
-		if c.TileShape != [2]int{} {
-			last = shapeRow // a pinned shape is the only candidate
-		}
-		for cand := shapeRect; cand < last; cand++ {
+	for cand := shapeRect; cand < last; cand++ {
+		g, b := grids, base
+		if cand != shapeRect {
 			// A thinner cut the boxes already had is the rectangle again (a
 			// row and a column cut coincide only as single cells).
-			g, b := c.cutGrids(d, cand)
-			tiles := b[len(places)]
-			if tiles == cells || cand != shapeRect && slices.Equal(g, grids) {
+			if g, b = c.cutGrids(d, cand); slices.Equal(g, grids) {
 				continue
 			}
-			tileOf := func(i, j int32) int {
+		}
+		tiles := b[len(places)]
+		if tiles == cells {
+			continue
+		}
+		edges, ok := coverEdges(c.Pattern, d, g, b, rank, maxQuotientEdges)
+		if !ok {
+			edges, ok = dag.QuotientEdges(c.Pattern, func(i, j int32) int {
 				p, off := d.PlaceOffset(i, j)
 				k := rank[p]
 				return b[k] + g[k].TileOf(off)
-			}
-			if span, ok := dag.QuotientSpan(pat, tileOf, tiles, maxQuotientEdges); ok {
-				return tileLayout{ok: true, shape: cand, tiles: tiles, span: span}
+			}, maxQuotientEdges)
+		}
+		if !ok {
+			continue
+		}
+		if span, ok := dag.Span(edges, tiles); ok {
+			return g, tileLayout{ok: true, shape: cand, tiles: tiles, span: span}
+		}
+	}
+	grids, _ = c.cutGrids(d, shapeCell)
+	return grids, tileLayout{shape: shapeCell}
+}
+
+// coverEdges collects the tile quotient's edges of a declared stencil from the
+// tiles, with no work per cell, when every tile is a rectangle of the global grid:
+// no box is Scattered, and no tile spans two local rows or columns along an
+// axis d deals out (tileShape keeps the extent there at 1 unless a TileShape
+// is pinned). For each tile and each run of its rows sharing their offsets,
+// the cells an offset reads are the run's rectangle shifted by it and
+// clipped to the grid; every tile that rectangle meets, bar the tile itself,
+// has an edge into it. The rectangle is covered band by band and tile by
+// tile, one PlaceOffset a tile, so the work is O(tiles × offsets). ok is
+// false when pat is no dense stencil (dag.TabulateStencil), a tile is no
+// rectangle or the edges pass maxEdges.
+func coverEdges(pat dag.Pattern, d dist.Dist, grids []distarray.TileGrid, base, rank []int, maxEdges int) (edges []uint64, ok bool) {
+	sten, ok := pat.(dag.Stencil)
+	if _, sparse := pat.(dag.Sparse); !ok || sparse {
+		return nil, false
+	}
+	for k, p := range d.Places() {
+		box := d.LocalBox(p)
+		bi, bj := grids[k].Shape()
+		if box.RowAxis == dist.Scattered || box.ColAxis == dist.Scattered ||
+			box.RowAxis == dist.Dealt && bi > 1 || box.ColAxis == dist.Dealt && bj > 1 {
+			return nil, false
+		}
+	}
+	h, _ := pat.Bounds()
+	// About one predecessor a tile per offset: room for them up front, not
+	// by repeated growth.
+	edges = make([]uint64, 0, base[len(base)-1]*len(sten.Offsets(h-1)))
+	for k, p := range d.Places() {
+		for t := range grids[k].NumTiles() {
+			b := grids[k].TileBox(t)
+			i0, j0 := d.CellAt(p, b.Lo)
+			iEnd, to, first := i0+int32(b.Rows), uint64(base[k]+t), len(edges)
+			for i := i0; i < iEnd; {
+				offs, next := sten.Offsets(i), i+1
+				for next < iEnd && slices.Equal(sten.Offsets(next), offs) {
+					next++
+				}
+				for _, o := range offs {
+					r1, c1 := next+o.DI, j0+int32(b.W)+o.DJ
+					for r := max(i+o.DI, 0); r < r1; {
+						band := r1 - r
+						for c := max(j0+o.DJ, 0); c < c1; {
+							p, off := d.PlaceOffset(r, c)
+							q := rank[p]
+							from, rows, cols := grids[q].TileAt(off)
+							band, c = min(band, int32(rows)), c+int32(cols)
+							// A tile has a few predecessors, each met under
+							// several offsets: keep it once.
+							if e := uint64(base[q]+from)<<32 | to; e>>32 != to && !slices.Contains(edges[first:], e) {
+								edges = append(edges, e)
+							}
+						}
+						r += band
+					}
+				}
+				if len(edges) > maxEdges {
+					return nil, false
+				}
+				i = next
 			}
 		}
-		return tileLayout{shape: shapeCell}
-	})
-	if lay.shape != shapeRect {
-		grids, _ = c.cutGrids(d, lay.shape)
 	}
-	return grids, lay
+	return edges, true
 }
 
 // describeLayout renders a layout for a human: each distinct (box, tile)

@@ -10,6 +10,7 @@ package dag
 
 import (
 	"fmt"
+	"math"
 	"slices"
 )
 
@@ -159,50 +160,11 @@ func Check(p Pattern) error {
 	if antiCount != len(depSet) {
 		return fmt.Errorf("dag: %d dependency edges but %d anti-dependency edges", len(depSet), antiCount)
 	}
-	return checkAcyclic(p)
-}
-
-// checkAcyclic runs Kahn's algorithm over the active cells.
-func checkAcyclic(p Pattern) error {
-	h, w := p.Bounds()
-	n := int64(h) * int64(w)
-	indeg := make([]int32, n)
-	var active int64
-	var buf []VertexID
-	for i := int32(0); i < h; i++ {
-		for j := int32(0); j < w; j++ {
-			if !IsActive(p, i, j) {
-				continue
-			}
-			active++
-			buf = p.Dependencies(i, j, buf[:0])
-			indeg[VertexID{i, j}.Linear(w)] = int32(len(buf))
-		}
-	}
-	queue := make([]VertexID, 0, 64)
-	for i := int32(0); i < h; i++ {
-		for j := int32(0); j < w; j++ {
-			if IsActive(p, i, j) && indeg[VertexID{i, j}.Linear(w)] == 0 {
-				queue = append(queue, VertexID{i, j})
-			}
-		}
-	}
-	var done int64
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		done++
-		buf = p.AntiDependencies(v.I, v.J, buf[:0])
-		for _, a := range buf {
-			lin := a.Linear(w)
-			indeg[lin]--
-			if indeg[lin] == 0 {
-				queue = append(queue, a)
-			}
-		}
-	}
-	if done != active {
-		return fmt.Errorf("dag: cycle detected — %d of %d active cells schedulable", done, active)
+	// The cell graph is its own quotient, one cell a tile: the Kahn pass that
+	// checks a tiling checks it.
+	edges, _ := QuotientEdges(p, func(i, j int32) int { return int(VertexID{i, j}.Linear(w)) }, math.MaxInt)
+	if _, ok := Span(edges, int(h)*int(w)); !ok {
+		return fmt.Errorf("dag: cycle detected among the dependency edges")
 	}
 	return nil
 }

@@ -28,13 +28,17 @@ func QuotientAcyclic(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges 
 // parallelism the tiling exposes — 1 when the tiles form a chain, whatever
 // the places and threads. span is meaningless when ok is false.
 func QuotientSpan(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges int) (span int, ok bool) {
-	if numTiles <= 1 {
-		// Everything in one tile (or nothing at all): the tile's internal
-		// topological order is the whole schedule.
-		return numTiles, true
+	edges, ok := QuotientEdges(p, tileOf, maxEdges)
+	if !ok {
+		return 0, false
 	}
+	return Span(edges, numTiles)
+}
+
+// QuotientEdges collects the quotient's edges cell by cell, each as
+// from<<32 | to; ok is false once they pass maxEdges.
+func QuotientEdges(p Pattern, tileOf func(i, j int32) int, maxEdges int) (edges []uint64, ok bool) {
 	h, w := p.Bounds()
-	var edges []uint64 // from<<32 | to
 	// Adjacent cells of a regular pattern repeat the same few tile pairs;
 	// a tiny recent-pair filter removes the bulk of the duplicates before
 	// the sort. Zero is safe as the empty sentinel: a 0->0 edge would be a
@@ -62,32 +66,38 @@ func QuotientSpan(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges int
 				ri = (ri + 1) & 3
 				edges = append(edges, e)
 				if len(edges) > maxEdges {
-					return 0, false
+					return nil, false
 				}
 			}
 		}
 	}
+	return edges, true
+}
+
+// Span is the Kahn pass over a quotient of n tiles given by its edges
+// (from<<32 | to, in any order, repeats allowed; sorted in place): ok
+// reports the quotient acyclic, and span is then its longest chain in tiles.
+func Span(edges []uint64, n int) (span int, ok bool) {
 	slices.Sort(edges)
 	edges = slices.Compact(edges)
-
-	// Kahn over the quotient graph. The sorted edge list is already grouped
-	// by source tile, so counting-sort offsets give CSR adjacency for free.
-	indeg := make([]int32, numTiles)
-	start := make([]int, numTiles+1)
+	// The sorted edge list is grouped by source tile, so counting-sort
+	// offsets give CSR adjacency for free.
+	indeg := make([]int32, n)
+	start := make([]int32, n+1)
 	for _, e := range edges {
 		start[int(e>>32)+1]++
 		indeg[uint32(e)]++
 	}
-	for t := 0; t < numTiles; t++ {
+	for t := 0; t < n; t++ {
 		start[t+1] += start[t]
 	}
-	queue := make([]int, 0, numTiles)
-	for t := 0; t < numTiles; t++ {
+	queue := make([]int32, 0, n)
+	for t := range int32(n) {
 		if indeg[t] == 0 {
 			queue = append(queue, t)
 		}
 	}
-	depth := make([]int32, numTiles) // tiles on the longest chain ending at t, less one
+	depth := make([]int32, n) // tiles on the longest chain ending at t, less one
 	processed := 0
 	for len(queue) > 0 {
 		t := queue[len(queue)-1]
@@ -95,12 +105,12 @@ func QuotientSpan(p Pattern, tileOf func(i, j int32) int, numTiles, maxEdges int
 		processed++
 		span = max(span, int(depth[t])+1)
 		for _, e := range edges[start[t]:start[t+1]] {
-			to := int(uint32(e))
+			to := int32(e)
 			depth[to] = max(depth[to], depth[t]+1)
 			if indeg[to]--; indeg[to] == 0 {
 				queue = append(queue, to)
 			}
 		}
 	}
-	return span, processed == numTiles
+	return span, processed == n
 }

@@ -87,23 +87,9 @@ func blockStarts(total int32, n int) []int32 {
 	return starts
 }
 
-// blockIndex returns k such that starts[k] <= x < starts[k+1] for
-// boundaries produced by blockStarts(total, n).
-func blockIndex(x, total int32, n int) int {
-	k := int((int64(x)*int64(n) + int64(n) - 1) / int64(total))
-	// Integer rounding can land one off; correct against the exact bounds.
-	for k > 0 && int32(int64(k)*int64(total)/int64(n)) > x {
-		k--
-	}
-	for k < n-1 && int32(int64(k+1)*int64(total)/int64(n)) <= x {
-		k++
-	}
-	return k
-}
-
 // blockLookup resolves an index to its block with one float multiply and a
-// boundary fixup against the precomputed starts, instead of blockIndex's
-// 64-bit divisions. Place/LocalOffset sit on the per-edge hot path of the
+// boundary fixup against the precomputed starts, instead of 64-bit
+// divisions. Place/LocalOffset sit on the per-edge hot path of the
 // tile walk (profiled at ~39% of BenchmarkSchedulePerVertex before this),
 // so the block distributions embed one of these per axis.
 type blockLookup struct {

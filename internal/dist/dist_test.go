@@ -242,16 +242,17 @@ func TestFuncDistRejectsUnknownPlace(t *testing.T) {
 }
 
 func TestBlockIndexExact(t *testing.T) {
-	// blockIndex must invert blockStarts for many (total, n) combinations.
+	// blockLookup.index must invert blockStarts for many (total, n) combinations.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		total := int32(rng.Intn(1000) + 1)
 		n := rng.Intn(16) + 1
-		starts := blockStarts(total, n)
+		look := newBlockLookup(total, n)
+		starts := look.starts
 		for x := int32(0); x < total; x++ {
-			k := blockIndex(x, total, n)
+			k := look.index(x)
 			if x < starts[k] || x >= starts[k+1] {
-				t.Fatalf("blockIndex(%d, %d, %d) = %d, bounds [%d,%d)", x, total, n, k, starts[k], starts[k+1])
+				t.Fatalf("index(%d) over (%d, %d) = %d, bounds [%d,%d)", x, total, n, k, starts[k], starts[k+1])
 			}
 		}
 	}

@@ -15,7 +15,6 @@ type Func struct {
 	offset []int32   // linear cell index -> offset within owner chunk
 	cells  [][]int64 // place rank -> owned linear cell indexes, scan order
 	ranks  map[int]int
-	digest uint64 // FNV-1a over the owner of every cell, scan order
 }
 
 // NewFunc builds a custom distribution from fn, which must return a valid
@@ -27,7 +26,6 @@ func NewFunc(h, w int32, places []int, fn func(i, j int32) int) (*Func, error) {
 		offset: make([]int32, int64(h)*int64(w)),
 		cells:  make([][]int64, len(places)),
 		ranks:  make(map[int]int, len(places)),
-		digest: 14695981039346656037,
 	}
 	for k, p := range places {
 		d.ranks[p] = k
@@ -40,7 +38,6 @@ func NewFunc(h, w int32, places []int, fn func(i, j int32) int) (*Func, error) {
 			if !ok {
 				return nil, fmt.Errorf("dist: func mapped (%d,%d) to unknown place %d", i, j, p)
 			}
-			d.digest = (d.digest ^ uint64(p)) * 1099511628211
 			d.offset[lin] = int32(len(d.cells[k]))
 			d.cells[k] = append(d.cells[k], lin)
 			lin++
@@ -54,10 +51,6 @@ func (d *Func) Bounds() (int32, int32) { return d.h, d.w }
 func (d *Func) Places() []int          { return d.places }
 
 func (d *Func) Place(i, j int32) int { return d.fn(i, j) }
-
-// Digest identifies the ownership table by value: Name is the same for
-// every Func, so whoever memoizes by distribution keys on this as well.
-func (d *Func) Digest() uint64 { return d.digest }
 
 func (d *Func) LocalCount(p int) int { return d.LocalBox(p).Cols }
 

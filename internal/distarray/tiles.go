@@ -81,6 +81,15 @@ func (g *TileGrid) TileOf(off int) int {
 	return int(r/uint32(g.bi))*g.tcols + int(c/uint32(g.bj))
 }
 
+// TileAt returns the tile holding local offset off, and how many of that
+// tile's rows and columns lie at and after off's.
+func (g *TileGrid) TileAt(off int) (t, rows, cols int) {
+	r := uint32(off) / uint32(g.cols) // 32-bit divides, as in TileOf
+	c := uint32(off) - r*uint32(g.cols)
+	tr, tc := int(r/uint32(g.bi)), int(c/uint32(g.bj))
+	return tr*g.tcols + tc, min((tr+1)*g.bi, g.rows) - int(r), min((tc+1)*g.bj, g.cols) - int(c)
+}
+
 // RunEnd returns the offset just past off's tile in off's row.
 func (g *TileGrid) RunEnd(off int) int {
 	c := off % g.cols

@@ -43,6 +43,8 @@ type Store[T any] struct {
 
 	file    *os.File
 	fileEnd int64
+	buf     []byte // page image scratch, reused by every write
+	spare   []T    // the values of the last page evicted, for the next fault
 
 	// stats
 	spillsOut int64
@@ -154,7 +156,14 @@ func (s *Store[T]) pageFor(off int) *page[T] {
 	if len(s.resident) >= s.maxRes {
 		s.evictOne()
 	}
-	pg := &page[T]{vals: make([]T, s.pageSizeOf(idx))}
+	pg := &page[T]{vals: s.spare}
+	s.spare = nil
+	if size := s.pageSizeOf(idx); cap(pg.vals) < size {
+		pg.vals = make([]T, size)
+	} else {
+		pg.vals = pg.vals[:size]
+		clear(pg.vals)
+	}
 	if s.offsets[idx] >= 0 {
 		s.readPage(idx, pg)
 		s.spillsIn++
@@ -193,7 +202,7 @@ func (s *Store[T]) evictOne() {
 			s.writePage(idx, pg)
 			s.spillsOut++
 		}
-		s.pages[idx] = nil
+		s.pages[idx], s.spare = nil, pg.vals
 		s.resident = append(s.resident[:s.hand], s.resident[s.hand+1:]...)
 		return
 	}
@@ -202,7 +211,7 @@ func (s *Store[T]) evictOne() {
 // writePage encodes and persists one page. Fixed-width images reuse their
 // slot; size changes append at the end of the file. Caller holds s.mu.
 func (s *Store[T]) writePage(idx int, pg *page[T]) {
-	buf := make([]byte, 0, len(pg.vals)*8)
+	buf := s.buf[:0]
 	for _, v := range pg.vals {
 		buf = s.codec.Encode(buf, v)
 	}
@@ -214,6 +223,7 @@ func (s *Store[T]) writePage(idx int, pg *page[T]) {
 	if _, err := s.file.WriteAt(buf, off); err != nil {
 		panic(fmt.Sprintf("spill: write page %d: %v", idx, err))
 	}
+	s.buf = buf
 	s.offsets[idx] = off
 	s.lengths[idx] = int32(len(buf))
 	s.bytesOut += int64(len(buf))
@@ -221,7 +231,7 @@ func (s *Store[T]) writePage(idx int, pg *page[T]) {
 
 // readPage loads a previously spilled page image. Caller holds s.mu.
 func (s *Store[T]) readPage(idx int, pg *page[T]) {
-	buf := make([]byte, s.lengths[idx])
+	buf := make([]byte, s.lengths[idx]) // fresh: a decoded value may alias it
 	if _, err := s.file.ReadAt(buf, s.offsets[idx]); err != nil {
 		panic(fmt.Sprintf("spill: read page %d: %v", idx, err))
 	}
