@@ -61,6 +61,7 @@ fuzz:
 	go test ./internal/core/ -run xxx -fuzz FuzzDecodeDecrBatch -fuzztime 30s
 	go test ./internal/core/ -run xxx -fuzz FuzzStencilSettlement -fuzztime 30s
 	go test ./internal/core/ -run xxx -fuzz FuzzStencilLayout -fuzztime 30s
+	go test ./internal/dist/ -run xxx -fuzz FuzzGrid -fuzztime 30s
 
 # Chaos soak: seeded fault-injection plans x fault profiles x mid-run
 # kills, every run verified bit-exact against the fault-free reference.

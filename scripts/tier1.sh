@@ -37,8 +37,10 @@ go test -short -run TestChaosSoak -count=1 ./internal/core/
 go test ./...
 # The in-process benchmarks, once each: `go test ./...` compiles them but runs
 # none, and each checks its own results (BenchmarkStencilTile: the tile's
-# values against native.Strip's).
+# values against native.Strip's). BenchmarkDistLookup times the layouts'
+# per-edge lookups.
 go test -run '^$' -bench 'SchedulePerVertex|GenericArm|StencilTile' -benchtime 1x ./internal/core/
+go test -run '^$' -bench 'DistLookup' -benchtime 1x ./internal/dist/
 go test -race -timeout 10m ./...
 # Metrics-invariant suite again under the race detector: every snapshot
 # read races against live increments unless the registry is correct.
