@@ -45,8 +45,10 @@ func mustDep[T any](deps []dpx10.Cell[T], i, j int32) T {
 	return v
 }
 
-// depAt is mustDep for a stencil (dpx10.Stencil), whose deps[k] is the k-th
-// offset in bounds: it reads position k and checks that it holds (i, j).
+// depAt is mustDep for a pattern whose Dependencies order fixes each
+// dependency's position, such as a stencil (dpx10.Stencil), whose deps[k]
+// is the k-th offset in bounds, or Triangle's row then column segment: it
+// reads position k and checks that it holds (i, j).
 func depAt[T any](deps []dpx10.Cell[T], k int, i, j int32) T {
 	if k >= len(deps) || deps[k].ID != (dpx10.VertexID{I: i, J: j}) {
 		panic(fmt.Sprintf("apps: dependency (%d,%d) not provided at position %d", i, j, k))

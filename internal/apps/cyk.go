@@ -86,16 +86,16 @@ func (g *CYK) combine(left, right uint64) uint64 {
 }
 
 // Compute implements the CYK recurrence; deps carry the row segment
-// (i, i..j-1) then the column segment (i+1..j, j), so the split at k
-// pairs deps (i,k) with (k+1, j).
+// (i, i..j-1) then the column segment (i+1..j, j), in Triangle's order, so
+// the split at k pairs deps[k-i] = (i,k) with deps[(j-i)+(k-i)] = (k+1, j).
 func (g *CYK) Compute(i, j int32, deps []dpx10.Cell[uint64]) uint64 {
 	if i == j {
 		return g.Terminals[g.Input[i]]
 	}
 	var mask uint64
 	for k := i; k < j; k++ {
-		left := mustDep(deps, i, k)
-		right := mustDep(deps, k+1, j)
+		left := depAt(deps, int(k-i), i, k)
+		right := depAt(deps, int(j-i+k-i), k+1, j)
 		mask |= g.combine(left, right)
 	}
 	return mask

@@ -56,15 +56,16 @@ func (m *MatrixChain) Pattern() dpx10.Pattern {
 }
 
 // Compute implements the recurrence; deps carry the row segment
-// (i,i..j-1) followed by the column segment (i+1..j, j).
+// (i,i..j-1) followed by the column segment (i+1..j, j), in Triangle's
+// order, so (i,k) sits at k-i and (k+1,j) at (j-i)+(k-i).
 func (m *MatrixChain) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 	if i == j {
 		return 0
 	}
 	best := int64(1) << 62
 	for k := i; k < j; k++ {
-		left := mustDep(deps, i, k)
-		right := mustDep(deps, k+1, j)
+		left := depAt(deps, int(k-i), i, k)
+		right := depAt(deps, int(j-i+k-i), k+1, j)
 		cost := left + right + m.Dims[i]*m.Dims[k+1]*m.Dims[j+1]
 		if cost < best {
 			best = cost

@@ -64,9 +64,9 @@ func (o *OBST) weight(i, j int32) int64 { return o.prefix[j+1] - o.prefix[i] }
 func (o *OBST) Pattern() dpx10.Pattern { return dpx10.TrianglePattern(int32(o.N())) }
 
 // Compute implements the recurrence. The Triangle pattern supplies the
-// row segment (i, i..j-1) and column segment (i+1..j, j); the split at
-// root r pairs e(i,r-1) (or 0 when r == i) with e(r+1,j) (or 0 when
-// r == j).
+// row segment (i, i..j-1) and column segment (i+1..j, j), in that order;
+// the split at root r pairs e(i,r-1) at r-1-i (or 0 when r == i) with
+// e(r+1,j) at (j-i)+(r-i) (or 0 when r == j).
 func (o *OBST) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 	if i == j {
 		return o.Freq[i]
@@ -75,10 +75,10 @@ func (o *OBST) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 	for r := i; r <= j; r++ {
 		var left, right int64
 		if r > i {
-			left = mustDep(deps, i, r-1)
+			left = depAt(deps, int(r-1-i), i, r-1)
 		}
 		if r < j {
-			right = mustDep(deps, r+1, j)
+			right = depAt(deps, int(j-i+r-i), r+1, j)
 		}
 		if cost := left + right; cost < best {
 			best = cost

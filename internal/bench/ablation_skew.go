@@ -12,7 +12,7 @@ import (
 )
 
 // benchWave is the lifeline ablation's skewed workload: a sequential gate
-// chain along row 0 (place 0 under BlockRow) whose last cell releases a
+// chain along row 0 (place 0 under block rows) whose last cell releases a
 // fat wave of independent cells confined to the last place's band. While
 // the chain runs every other place is idle; at release one place suddenly
 // owns all remaining work — the exact shape random-victim stealing

@@ -242,17 +242,17 @@ func TestFuncDistRejectsUnknownPlace(t *testing.T) {
 }
 
 func TestBlockIndexExact(t *testing.T) {
-	// blockLookup.index must invert blockStarts for many (total, n) combinations.
+	// A Block cut's split must invert its boundaries, and join invert
+	// split, for many (total, n) combinations.
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
 		total := int32(rng.Intn(1000) + 1)
 		n := rng.Intn(16) + 1
-		look := newBlockLookup(total, n)
-		starts := look.starts
+		c := newCut(Block, total, n, 1)
 		for x := int32(0); x < total; x++ {
-			k := look.index(x)
-			if x < starts[k] || x >= starts[k+1] {
-				t.Fatalf("index(%d) over (%d, %d) = %d, bounds [%d,%d)", x, total, n, k, starts[k], starts[k+1])
+			k, local := c.split(x)
+			if x < c.starts[k] || x >= c.starts[k+1] || c.join(k, local) != x {
+				t.Fatalf("split(%d) over (%d, %d) = (%d, %d), bounds [%d,%d)", x, total, n, k, local, c.starts[k], c.starts[k+1])
 			}
 		}
 	}

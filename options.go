@@ -370,7 +370,7 @@ func WithDist(kind DistKind) UntypedOption {
 }
 
 // WithBlockCyclicDist deals fixed-size row blocks round-robin — the HPC
-// compromise between BlockRow's locality and CyclicRow's wavefront
+// compromise between block rows' locality and cyclic rows' wavefront
 // balance. Job-scoped.
 func WithBlockCyclicDist(blockRows int32) UntypedOption {
 	return jobOpt("WithBlockCyclicDist", func(c *core.Common) {
