@@ -18,8 +18,6 @@
 // Analyzers (severity in parentheses):
 //
 //	placeleak   (error)    handlers/decoders must not retain payload aliases
-//	protokind   (error)    every kind* constant registered, named, fuzz-covered
-//	wiresym     (error)    encoder and handler agree on every wire kind's shape
 //	lockorder   (error)    whole-program lock acquisition order is acyclic
 //	lockheld    (error)    no blocking ops on any path holding a sync.Mutex/RWMutex
 //	atomicmix   (error)    no mixed atomic and plain access to the same variable
@@ -53,15 +51,11 @@ import (
 	"github.com/dpx10/dpx10/internal/analysis/lockorder"
 	"github.com/dpx10/dpx10/internal/analysis/metricname"
 	"github.com/dpx10/dpx10/internal/analysis/placeleak"
-	"github.com/dpx10/dpx10/internal/analysis/protokind"
-	"github.com/dpx10/dpx10/internal/analysis/wiresym"
 )
 
 func analyzers() []*framework.Analyzer {
 	as := []*framework.Analyzer{
 		placeleak.Analyzer,
-		protokind.Analyzer,
-		wiresym.Analyzer,
 		lockorder.Analyzer,
 		lockheld.Analyzer,
 		atomicmix.Analyzer,

@@ -8,7 +8,7 @@ import (
 )
 
 // Each corpus declares its own Registry + instruments table, so each gets
-// its own global pass, like the protokind corpora.
+// its own global pass.
 func TestMetricnameClean(t *testing.T) {
 	analysistest.RunGlobal(t, analysistest.TestData(), metricname.Analyzer, "metricname/good")
 }

@@ -4,6 +4,6 @@ package a
 // files of the package, not just the first.
 
 func crossFile(g *guarded) {
-	/* want `//dpx10:allow for wiresym lacks a rationale` */ //dpx10:allow wiresym
+	/* want `//dpx10:allow for goroleak lacks a rationale` */ //dpx10:allow goroleak
 	g.ch <- 7
 }

@@ -14,6 +14,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/dpx10/dpx10/internal/core"
 	"github.com/dpx10/dpx10/internal/metrics"
 	"github.com/dpx10/dpx10/internal/trace"
 )
@@ -25,7 +26,7 @@ import (
 func MetricsKeyNamer(vec string, key uint8) string {
 	switch {
 	case strings.HasPrefix(vec, "transport."):
-		return trace.KindName(key)
+		return core.KindName(key)
 	case strings.HasPrefix(vec, "vcache."):
 		if key == metrics.VCacheBoxKey {
 			return "boxes"

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"sync"
 	"sync/atomic"
 )
@@ -99,7 +98,7 @@ func (ag *aggregator[T]) add(dest int, s *settlement[T]) {
 			ag.free = ag.free[:n-1]
 			ag.freeBytes -= cap(b.msg)
 		}
-		b.msg = putU32(putU64(b.msg, ag.epoch), 0) // count backpatched at flush
+		b.msg = beginDecrBatch(b.msg, ag.epoch)
 	}
 	b.msg, b.end = appendDecrRecord(b.msg, ag.pe.cfg.Codec, b.end, s.tiles, s.vals)
 	if ag.push {
@@ -127,7 +126,7 @@ func (ag *aggregator[T]) takeLocked(dest int) []byte {
 	if b.recs == 0 {
 		return nil
 	}
-	binary.LittleEndian.PutUint32(b.msg[8:12], b.recs)
+	finishDecrBatch(b.msg, b.recs)
 	msg := b.msg
 	ag.pending.Add(-int64(b.recs))
 	ag.pe.aggBatches.Add(1)

@@ -48,10 +48,10 @@ type coordinator[T any] struct {
 	recoveries    int
 	recoveryNanos int64
 
-	// phaseHists maps each recovery-phase kind to its duration histogram
-	// (nil handles when metrics are off). epochT0 marks when the current
-	// epoch began, for the per-epoch trace spans.
-	phaseHists map[uint8]*metrics.Histogram
+	// phaseHists holds each recovery round's duration histogram, by its
+	// place in recoveryRounds (nil handles when metrics are off). epochT0
+	// marks when the current epoch began, for the per-epoch trace spans.
+	phaseHists []*metrics.Histogram
 	epochT0    time.Time
 
 	// sink receives structured run events (may be nil; emit is nil-safe).
@@ -70,10 +70,10 @@ func newCoordinator[T any](pe *placeEngine[T], abort <-chan struct{}, abortErr f
 	for p := 0; p < pe.cfg.Places; p++ {
 		co.alive[p] = true
 	}
-	co.phaseHists = map[uint8]*metrics.Histogram{
-		kindRebuild:  pe.reg.Histogram(metrics.RecoveryRebuildNs),
-		kindExchange: pe.reg.Histogram(metrics.RecoveryReplayNs),
-		kindResume:   pe.reg.Histogram(metrics.RecoveryResumeNs),
+	co.phaseHists = []*metrics.Histogram{ // in recoveryRounds order
+		pe.reg.Histogram(metrics.RecoveryRebuildNs),
+		pe.reg.Histogram(metrics.RecoveryReplayNs),
+		pe.reg.Histogram(metrics.RecoveryResumeNs),
 	}
 	return co
 }
@@ -144,7 +144,7 @@ func (co *coordinator[T]) allDone() bool {
 // cannot overtake it. A place that died (or a fabric torn down) during
 // shutdown no longer matters; stop is the last thing place 0 has to say.
 func (co *coordinator[T]) broadcastStop() {
-	phase(co.pe.tr, co.places(true), kindStop, putU64(nil, co.epoch), nil, true)
+	phase(co.pe.tr, co.places(true), kindStop, encodeEpoch(nil, co.epoch), nil, true)
 }
 
 // recoverFrom executes the recovery protocol of §VI-D after the death of
@@ -197,19 +197,15 @@ func (co *coordinator[T]) attemptRecovery(survivors []int) (int, error) {
 	// every survivor derives the identical restricted distribution; the
 	// other rounds carry the epoch alone. The resume replies seed the done
 	// set for the new epoch: [1] from a place with no work left.
-	dead := co.places(false)
-	rebuild := putU32(putU64(nil, co.epoch), uint32(len(dead)))
-	for _, p := range dead {
-		rebuild = putU32(rebuild, uint32(p))
-	}
+	rebuild, epoch := encodeRebuild(nil, co.epoch, co.places(false)), encodeEpoch(nil, co.epoch)
 	co.done = make(map[int]bool)
-	for _, kind := range []uint8{kindRebuild, kindExchange, kindResume} {
-		payload := rebuild[:8]
+	for n, kind := range recoveryRounds {
+		payload := epoch
 		if kind == kindRebuild {
 			payload = rebuild
 		}
-		if p, err := co.timedPhase(survivors, kind, payload, func(p int, reply []byte) {
-			co.done[p] = len(reply) == 1 && reply[0] == 1
+		if p, err := co.timedPhase(survivors, kind, co.phaseHists[n], payload, func(p int, reply []byte) {
+			co.done[p] = decodeFlag(reply)
 		}); err != nil {
 			return p, err
 		}
@@ -221,12 +217,12 @@ func (co *coordinator[T]) attemptRecovery(survivors []int) (int, error) {
 // histogram and, when span tracing is on, the coordinator's span lane. The
 // time of a phase that fails mid-way still counts — it was spent — which
 // keeps the histogram sums comparable to the total recovery wall time.
-func (co *coordinator[T]) timedPhase(survivors []int, kind uint8, payload []byte, onReply func(p int, reply []byte)) (int, error) {
+func (co *coordinator[T]) timedPhase(survivors []int, kind uint8, hist *metrics.Histogram, payload []byte, onReply func(p int, reply []byte)) (int, error) {
 	t0 := time.Now()
 	p, err := phase(co.pe.tr, survivors, kind, payload, onReply, false)
-	co.phaseHists[kind].Observe(time.Since(t0).Nanoseconds())
+	hist.Observe(time.Since(t0).Nanoseconds())
 	if sp := co.pe.cfg.Spans; sp != nil {
-		sp.Add("recovery:"+trace.KindName(kind), 0, trace.LaneCoordinator, t0)
+		sp.Add("recovery:"+KindName(kind), 0, trace.LaneCoordinator, t0)
 	}
 	return p, err
 }
@@ -255,7 +251,7 @@ func phase(tr transport.Transport, places []int, kind uint8, payload []byte, onR
 		go func() {
 			defer wg.Done()
 			replies[k], errs[k] = tr.Call(p, kind, payload)
-			debugf("phase %s <- place %d (err=%v)", trace.KindName(kind), p, errs[k])
+			debugf("phase %s <- place %d (err=%v)", KindName(kind), p, errs[k])
 		}()
 	}
 	wg.Wait()
@@ -269,7 +265,7 @@ func phase(tr transport.Transport, places []int, kind uint8, payload []byte, onR
 		case errors.Is(err, transport.ErrDeadPlace):
 			return p, err
 		default:
-			return -1, fmt.Errorf("core: phase %s at place %d: %w", trace.KindName(kind), p, err)
+			return -1, fmt.Errorf("core: phase %s at place %d: %w", KindName(kind), p, err)
 		}
 	}
 	return 0, nil

@@ -43,18 +43,13 @@ type detector struct {
 	stopCh <-chan struct{}
 }
 
-// heartbeat payload: [seq u64][send-time unix nanos u64], echoed verbatim
-// by the receiver. The echo requirement catches a place that is reachable
-// but no longer running its handler loop correctly.
-const pingPayloadLen = 16
-
 func (d *detector) run() {
 	tick := time.NewTicker(d.interval)
 	defer tick.Stop()
 	misses := make(map[int]int, len(d.targets))
 	declared := make(map[int]bool, len(d.targets))
 	var seq uint64
-	buf := make([]byte, 0, pingPayloadLen)
+	buf := make([]byte, 0, pingLen)
 	for {
 		select {
 		case <-d.stopCh:
@@ -66,11 +61,13 @@ func (d *detector) run() {
 				continue
 			}
 			seq++
-			buf = putU64(buf[:0], seq)
-			buf = putU64(buf, uint64(time.Now().UnixNano()))
+			buf = encodePing(buf[:0], seq, uint64(time.Now().UnixNano()))
 			reply, err := d.tr.Call(p, kindPing, buf)
+			if err == nil {
+				_, _, err = decodePing(reply)
+			}
 			switch {
-			case err == nil && len(reply) == pingPayloadLen:
+			case err == nil:
 				misses[p] = 0
 			case errors.Is(err, transport.ErrClosed):
 				return // endpoint torn down; the run is over

@@ -3,83 +3,69 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/dag"
 )
 
-// fuzzedWireKinds lists every wire-protocol kind whose payload grammar is
-// exercised by the decoder probes and fuzz targets in this file. The
-// protokind analyzer in dpx10-vet cross-checks it against the kind*
-// constant block in proto.go: declaring a new kind without extending this
-// table (and wireProbes below) fails `make vet`.
-var fuzzedWireKinds = []uint8{
-	kindFetch, kindPlaceDone, kindFault,
-	kindRebuild, kindExchange, kindRestoreTx,
-	kindReplayTx, kindResume, kindStop, kindReadVal, kindPing,
-	kindHello, kindBegin, kindSteal, kindStealDone, kindDecrBatch,
-	kindStats, kindTransfer,
+// wireGolden freezes the wire format. For every live kind of wireKinds it
+// holds a request payload, in hex, as the hand-built encoders that the
+// codecs in proto.go replaced wrote it, and the kind's round trip through
+// the runtime's own decoder and encoder: decode, and when that succeeds,
+// encode what was decoded. hello, begin and stats carry no request payload,
+// and have no round trip.
+var wireGolden = map[uint8]struct {
+	seed string
+	rt   func([]byte) ([]byte, bool)
+}{
+	kindFetch:     {"030000000000000002000000020407fcffffff07", rtFetchReq},
+	kindPlaceDone: {"010000000000000002000000", rtPlaceEvent},
+	kindFault:     {"010000000000000003000000", rtPlaceEvent},
+	kindRebuild:   {"0100000000000000020000000800000009000000", rtRebuild},
+	kindExchange:  {"0200000000000000", rtEpoch},
+	kindRestoreTx: {"07000000000000000200000001000000020000006400000000000000fdffffff000000406500000000000000", rtIDVals},
+	kindReplayTx:  {"05000000000000000100000001000302", rtDecrBatch},
+	kindResume:    {"0400000000000000", rtEpoch},
+	kindStop:      {"0600000000000000", rtEpoch}, // the stop Call stamps the epoch even though handleStop ignores it
+	kindReadVal:   {"fdffffff00000040", rtReadVal},
+	kindPing:      {"0b000000000000000c00000000000000", rtPing},
+	kindHello:     {"", nil},
+	kindBegin:     {"", nil},
+	kindSteal:     {"050000000000000001", rtSteal},
+	kindStealDone: {"07000000000000000200000001000000020000006400000000000000fdffffff000000406500000000000000", rtIDVals},
+	kindDecrBatch: {"06000000000000000100000002010001010802d6ffffffffffffff050000000000000009040101010500000000000000", rtDecrBatch},
+	kindStats:     {"", nil},
+	kindTransfer:  {"0800000000000000010200000004000000050000000400000006000000", rtTransfer},
 }
 
-// wireProbes maps each kind to a decode of its payload grammar, mirroring
-// what the kind's handler does with an incoming payload. A probe must be
-// total: any input returns normally (possibly with an error) — no panics.
-var wireProbes = map[uint8]func(data []byte){
-	kindFetch:     func(b []byte) { _, _, _ = decodeFetchReq(b, nil) },
-	kindPlaceDone: func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
-	kindFault:     func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u32() },
-	kindRebuild: func(b []byte) {
-		r := reader{b: b}
-		_ = r.u64()
-		n := r.u32()
-		for k := uint32(0); k < n && r.err == nil; k++ {
-			_ = r.u32()
-		}
-	},
-	kindExchange: func(b []byte) { r := reader{b: b}; _ = r.u64() },
-	kindRestoreTx: func(b []byte) {
-		r := reader{b: b}
-		_ = r.u64()
-		n := r.u32()
-		for k := uint32(0); k < n && r.err == nil; k++ {
-			_ = r.id()
-			_, used, err := codec.Int64{}.Decode(r.rest())
-			if err != nil {
-				return
-			}
-			r.off += used
-		}
-	},
-	kindReplayTx: func(b []byte) { _ = decodeDecrBatch(b, codec.Int64{}, &decrBatch[int64]{}) },
-	kindResume:   func(b []byte) { r := reader{b: b}; _ = r.u64() },
-	kindStop:     func(b []byte) {}, // epoch payload unread; the empty reply is the ack
-	kindReadVal:  func(b []byte) { r := reader{b: b}; _ = r.id() },
-	kindPing:     func(b []byte) { _, _ = handlePing(0, b) }, // heartbeat echo, total for any input
-	kindHello:    func(b []byte) {},                          // no payload
-	kindBegin:    func(b []byte) {},                          // no payload
-	kindSteal:    func(b []byte) { r := reader{b: b}; _ = r.u64(); _ = r.u8() },
-	kindStealDone: func(b []byte) {
-		r := reader{b: b}
-		_ = r.u64()
-		n := r.u32()
-		for k := uint32(0); k < n && r.err == nil; k++ {
-			_ = r.id()
-			_, used, err := codec.Int64{}.Decode(r.rest())
-			if err != nil {
-				return
-			}
-			r.off += used
-		}
-	},
-	kindDecrBatch: func(b []byte) { _ = decodeDecrBatch(b, codec.Int64{}, &decrBatch[int64]{}) },
-	kindStats:     func(b []byte) {}, // request has no payload; the reply decoder is FuzzSnapshotWire's target
-	kindTransfer:  func(b []byte) { _, _, _, _ = decodeTransfer(b, nil) },
+// roundTrip re-encodes data as kind's request payload; false when kind is
+// not live or data does not decode. A kind without a request payload takes
+// only the empty one.
+func roundTrip(kind uint8, data []byte) ([]byte, bool) {
+	g, ok := wireGolden[kind]
+	switch {
+	case !ok:
+		return nil, false
+	case g.rt == nil:
+		return []byte{}, len(data) == 0
+	}
+	return g.rt(data)
 }
 
-// TestWireKindsCovered pins the coverage table's shape: every listed kind
-// is distinct and has a probe, and every probe survives adversarial
-// payloads (empty, truncated, absurd counts).
+// goldenSeed is kind's frozen request payload.
+func goldenSeed(t testing.TB, kind uint8) []byte {
+	b, err := hex.DecodeString(wireGolden[kind].seed)
+	if err != nil {
+		t.Fatalf("kind %d: golden seed: %v", kind, err)
+	}
+	return b
+}
+
+// TestWireKindsCovered pins the golden table to the protocol table: it has
+// an entry for every live kind and for nothing else, and every round trip
+// survives adversarial payloads (empty, truncated, absurd counts).
 func TestWireKindsCovered(t *testing.T) {
 	junk := [][]byte{
 		nil,
@@ -90,24 +76,14 @@ func TestWireKindsCovered(t *testing.T) {
 		putU64(putU64(nil, 0), 0xFFFFFFFFFFFFFFFF),
 		make([]byte, 64),
 	}
-	seen := map[uint8]bool{}
-	for _, k := range fuzzedWireKinds {
-		if seen[k] {
-			t.Errorf("fuzzedWireKinds lists kind %d twice", k)
-		}
-		seen[k] = true
-		probe, ok := wireProbes[k]
-		if !ok {
-			t.Errorf("kind %d has no wire probe", k)
-			continue
-		}
-		for _, b := range junk {
-			probe(b)
+	for k := range 256 {
+		if _, ok := wireGolden[uint8(k)]; ok != live(k) {
+			t.Errorf("kind %d (%s): live=%v, golden entry=%v", k, KindName(uint8(k)), live(k), ok)
 		}
 	}
-	for k := range wireProbes {
-		if !seen[k] {
-			t.Errorf("wireProbes has entry for kind %d, which is not in fuzzedWireKinds", k)
+	for k := range wireGolden {
+		for _, b := range junk {
+			roundTrip(k, b)
 		}
 	}
 }
@@ -304,29 +280,16 @@ func FuzzDecodeDecrBatch(f *testing.F) {
 }
 
 // TestReliableKindTable pins the reliable-delivery envelope policy to the
-// wire kinds: every protocol kind is tracked (sequence-numbered, retried,
-// deduplicated) except the five whose loss is harmless by construction —
-// heartbeats, the startup barrier pair, and the post-run reads (values
-// and metrics snapshots).
+// table: exactly the live tracked kinds are sequence-numbered, retried and
+// deduplicated, and every exempt kind is a Call, so that its loss fails
+// whoever issued it instead of vanishing.
 func TestReliableKindTable(t *testing.T) {
-	exempt := map[uint8]bool{kindPing: true, kindHello: true, kindBegin: true, kindReadVal: true, kindStats: true}
-	for _, k := range fuzzedWireKinds {
-		if reliableKind[k] == exempt[k] {
-			t.Errorf("kind %d: reliable=%v, exempt=%v", k, reliableKind[k], exempt[k])
+	for k := range reliableKind {
+		if want := live(k) && !wireKinds[k].exempt; reliableKind[k] != want {
+			t.Errorf("kind %d (%s): reliable=%v, want %v", k, KindName(uint8(k)), reliableKind[k], want)
 		}
-	}
-	for k := 0; k < len(reliableKind); k++ {
-		if !reliableKind[k] {
-			continue
-		}
-		found := false
-		for _, fk := range fuzzedWireKinds {
-			if fk == uint8(k) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("reliableKind tracks %d, which is not a protocol kind", k)
+		if live(k) && wireKinds[k].exempt && !wireKinds[k].call {
+			t.Errorf("kind %d (%s) is exempt from reliable delivery but not a Call", k, KindName(uint8(k)))
 		}
 	}
 }
@@ -383,29 +346,17 @@ func FuzzSplitJobEnvelope(f *testing.F) {
 	})
 }
 
-// TestJobScopedKindTable pins the job-router split: every protocol kind is
-// either job-scoped (multiplexed behind the jobID envelope) or
-// place-scoped (cluster infrastructure: heartbeats, the startup barrier,
-// metrics reads), and the table tracks no unknown kinds.
+// TestJobScopedKindTable pins the job-router split to the table: exactly
+// the live job-scoped kinds carry the job envelope, and the place-scoped ones
+// — heartbeats, the startup barrier, metrics reads, which raw-transport
+// callers issue — are all exempt from reliable delivery.
 func TestJobScopedKindTable(t *testing.T) {
-	placeScoped := map[uint8]bool{kindPing: true, kindHello: true, kindBegin: true, kindStats: true}
-	for _, k := range fuzzedWireKinds {
-		if jobScopedKind[k] == placeScoped[k] {
-			t.Errorf("kind %d: jobScoped=%v, placeScoped=%v", k, jobScopedKind[k], placeScoped[k])
+	for k := range jobScopedKind {
+		if want := live(k) && !wireKinds[k].place; jobScopedKind[k] != want {
+			t.Errorf("kind %d (%s): jobScoped=%v, want %v", k, KindName(uint8(k)), jobScopedKind[k], want)
 		}
-	}
-	for k := 0; k < len(jobScopedKind); k++ {
-		if !jobScopedKind[k] {
-			continue
-		}
-		found := false
-		for _, fk := range fuzzedWireKinds {
-			if fk == uint8(k) {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("jobScopedKind tracks %d, which is not a protocol kind", k)
+		if live(k) && wireKinds[k].place && !wireKinds[k].exempt {
+			t.Errorf("kind %d (%s) is place-scoped but tracked", k, KindName(uint8(k)))
 		}
 	}
 }
@@ -427,35 +378,12 @@ func FuzzReader(f *testing.F) {
 }
 
 // --- encode→decode→encode byte-identity ------------------------------
-
-// wireRoundTrips maps each protocol kind to a canonicalizing round-trip:
-// parse data as the kind's payload grammar and, when it parses, re-encode
-// it with the same helpers the runtime uses. FuzzWireKindRoundTrip then
-// asserts the canonical form is a fixed point — decoding an encoder's
-// output and re-encoding it reproduces the bytes exactly, for every kind
-// in fuzzedWireKinds. A kind whose encoder and decoder drift (a field
-// added on one side only, a count written but not read back) breaks
-// byte-identity before it breaks a cluster.
-var wireRoundTrips = map[uint8]func(data []byte) ([]byte, bool){
-	kindFetch:     rtFetchReq,
-	kindReplayTx:  rtDecrBatch,
-	kindDecrBatch: rtDecrBatch,
-	kindTransfer:  rtTransfer,
-	kindPlaceDone: rtU64U32,
-	kindFault:     rtU64U32,
-	kindRebuild:   rtRebuild,
-	kindExchange:  rtU64,
-	kindResume:    rtU64,
-	kindSteal:     rtSteal,
-	kindStop:      rtU64, // the stop Call stamps the epoch even though handleStop ignores it
-	kindRestoreTx: rtIDVals,
-	kindStealDone: rtIDVals,
-	kindReadVal:   rtID,
-	kindPing:      rtPing, // [seq u64][sendNanos u64] echoed verbatim
-	kindHello:     rtEmpty,
-	kindBegin:     rtEmpty,
-	kindStats:     rtEmpty,
-}
+//
+// FuzzWireKindRoundTrip asserts every kind's canonical form is a fixed
+// point: decoding an encoder's output and re-encoding it reproduces the
+// bytes exactly. A kind whose encoder and decoder drift (a field added on
+// one side only, a count written but not read back) breaks byte-identity
+// before it breaks a cluster.
 
 func rtFetchReq(data []byte) ([]byte, bool) {
 	epoch, ids, err := decodeFetchReq(data, nil)
@@ -482,143 +410,54 @@ func rtTransfer(data []byte) ([]byte, bool) {
 	return encodeTransfer(nil, epoch, reason, ids), true
 }
 
-func rtU64(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	v := r.u64()
-	if r.err != nil {
-		return nil, false
-	}
-	return putU64(nil, v), true
+func rtEpoch(b []byte) ([]byte, bool) {
+	epoch, err := decodeEpoch(b)
+	return encodeEpoch(nil, epoch), err == nil
 }
 
-func rtU64U32(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	a := r.u64()
-	b := r.u32()
-	if r.err != nil {
-		return nil, false
-	}
-	return putU32(putU64(nil, a), b), true
+func rtPlaceEvent(b []byte) ([]byte, bool) {
+	epoch, place, err := decodePlaceEvent(b)
+	return encodePlaceEvent(nil, epoch, place), err == nil
 }
 
-func rtRebuild(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	epoch := r.u64()
-	n := r.u32()
-	var dead []uint32
-	for k := uint32(0); k < n && r.err == nil; k++ {
-		dead = append(dead, r.u32())
-	}
-	if r.err != nil {
-		return nil, false
-	}
-	out := putU32(putU64(nil, epoch), uint32(len(dead)))
-	for _, p := range dead {
-		out = putU32(out, p)
-	}
-	return out, true
+func rtRebuild(b []byte) ([]byte, bool) {
+	epoch, dead, err := decodeRebuild(b)
+	return encodeRebuild(nil, epoch, dead), err == nil
 }
 
-func rtIDVals(data []byte) ([]byte, bool) {
+func rtSteal(b []byte) ([]byte, bool) {
+	epoch, lifeline, err := decodeSteal(b)
+	return encodeSteal(nil, epoch, lifeline), err == nil
+}
+
+func rtIDVals(b []byte) ([]byte, bool) {
 	cd := codec.Int64{}
-	r := reader{b: data}
-	epoch := r.u64()
-	n := r.u32()
-	type entry struct {
-		id dag.VertexID
-		v  int64
-	}
-	var entries []entry
-	for k := uint32(0); k < n && r.err == nil; k++ {
-		id := r.id()
-		v, used, err := cd.Decode(r.rest())
-		if err != nil {
-			return nil, false
-		}
-		r.off += used
-		entries = append(entries, entry{id, v})
-	}
-	if r.err != nil {
+	epoch, ids, vals, err := decodeIDVals(b, cd, nil, nil)
+	if err != nil {
 		return nil, false
 	}
-	out := putU32(putU64(nil, epoch), uint32(len(entries)))
-	for _, e := range entries {
-		out = putID(out, e.id)
-		out = cd.Encode(out, e.v)
-	}
-	return out, true
+	return encodeIDVals(nil, cd, epoch, len(ids), func(k int) (dag.VertexID, int64) { return ids[k], vals[k] }), true
 }
 
-// rtSteal is the steal probe's [epoch u64][lifeline u8] payload; the flag
-// must be 0 or 1 on the wire.
-func rtSteal(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	epoch := r.u64()
-	flag := r.u8()
-	if r.err != nil || flag > 1 {
-		return nil, false
-	}
-	return append(putU64(nil, epoch), flag), true
+func rtReadVal(b []byte) ([]byte, bool) {
+	id, err := decodeReadVal(b)
+	return encodeReadVal(nil, id), err == nil
 }
 
-func rtID(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	id := r.id()
-	if r.err != nil {
-		return nil, false
-	}
-	return putID(nil, id), true
+func rtPing(b []byte) ([]byte, bool) {
+	seq, sent, err := decodePing(b)
+	return encodePing(nil, seq, sent), err == nil
 }
 
-func rtPing(data []byte) ([]byte, bool) {
-	r := reader{b: data}
-	seq := r.u64()
-	ns := r.u64()
-	if r.err != nil {
-		return nil, false
-	}
-	return putU64(putU64(nil, seq), ns), true
-}
-
-func rtEmpty(data []byte) ([]byte, bool) {
-	if len(data) != 0 {
-		return nil, false
-	}
-	return []byte{}, true
-}
-
-// wireSeeds provides one valid payload per kind for the round-trip fuzz
-// corpus and the coverage test.
-func wireSeeds() map[uint8][]byte {
-	cd := codec.Int64{}
-	ids := []dag.VertexID{{I: 1, J: 2}, {I: -3, J: 1 << 30}}
-	idVals := putU32(putU64(nil, 7), 2)
-	for k, id := range ids {
-		idVals = putID(idVals, id)
-		idVals = cd.Encode(idVals, int64(100+k))
-	}
-	return map[uint8][]byte{
-		kindFetch:    appendFetchReq(nil, 3, ids),
-		kindReplayTx: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 5, tiles: []tileCount{{tile: 3, count: 2}}, ends: []int{1}}),
-		kindDecrBatch: encodeDecrBatch(cd, &decrBatch[int64]{epoch: 6,
-			tiles: []tileCount{{tile: 0, count: 1}, {tile: 9, count: 4}},
-			vals:  []tileVals[int64]{{runs: []valRun{{off: 4, n: 2}}, vals: []int64{-42, 5}}, {runs: []valRun{{off: 5, n: 1}}, vals: []int64{5}}},
-			ends:  []int{2}}),
-		kindPlaceDone: putU32(putU64(nil, 1), 2),
-		kindFault:     putU32(putU64(nil, 1), 3),
-		kindRebuild:   putU32(putU32(putU32(putU64(nil, 1), 2), 8), 9),
-		kindExchange:  putU64(nil, 2),
-		kindResume:    putU64(nil, 4),
-		kindSteal:     append(putU64(nil, 5), 1),
-		kindStop:      putU64(nil, 6),
-		kindRestoreTx: idVals,
-		kindStealDone: idVals,
-		kindTransfer:  encodeTransfer(nil, 8, transferLifeline, []dag.VertexID{{I: 4, J: 5}, {I: 4, J: 6}}),
-		kindReadVal:   putID(nil, ids[1]),
-		kindPing:      putU64(putU64(nil, 11), 12),
-		kindHello:     {},
-		kindBegin:     {},
-		kindStats:     {},
+// strayWireSeeds are payloads that no round trip may accept: a value that
+// is not a kind, the retired values, and a rebuild whose count is absurd.
+func strayWireSeeds() (kinds []uint8, seeds [][]byte) {
+	return []uint8{0, 2, 6, 10, kindRebuild}, [][]byte{
+		{},
+		putU32(putU64(nil, 4), 0),            // the retired per-vertex decrement
+		putU32(putU32(putU64(nil, 1), 1), 8), // the retired pause round, absorbed by kindRebuild
+		putU64(nil, 3),                       // the retired replay round, absorbed by kindExchange
+		putU32(putU64(nil, 1), 0xFFFFFFFF),   // absurd count
 	}
 }
 
@@ -667,45 +506,25 @@ func FuzzDecodeTransfer(f *testing.F) {
 	})
 }
 
-// TestWireRoundTripsCovered pins the round-trip table to the coverage
-// list and checks every seed payload is a canonical fixed point.
+// TestWireRoundTripsCovered checks the wire format is unchanged: every
+// golden seed comes back byte-identical through its kind's round trip, and
+// the stray seeds — retired values among them — are rejected.
 func TestWireRoundTripsCovered(t *testing.T) {
 	for k, seed := range transferSeeds() {
 		if _, _, _, err := decodeTransfer(seed, nil); (err == nil) != (k < 3) {
 			t.Errorf("transfer seed %d: err %v; want the three well-formed seeds to decode and the rest rejected", k, err)
 		}
 	}
-	seeds := wireSeeds()
-	seen := map[uint8]bool{}
-	for _, k := range fuzzedWireKinds {
-		seen[k] = true
-		rt, ok := wireRoundTrips[k]
-		if !ok {
-			t.Errorf("kind %d has no round-trip entry", k)
-			continue
-		}
-		seed, ok := seeds[k]
-		if !ok {
-			t.Errorf("kind %d has no seed payload", k)
-			continue
-		}
-		enc, ok := rt(seed)
-		if !ok {
-			t.Errorf("kind %d: seed payload does not parse", k)
-			continue
-		}
-		if !bytes.Equal(enc, seed) {
-			t.Errorf("kind %d: seed is not canonical: % x -> % x", k, seed, enc)
+	for k := range wireGolden {
+		seed := goldenSeed(t, k)
+		if enc, ok := roundTrip(k, seed); !ok || !bytes.Equal(enc, seed) {
+			t.Errorf("kind %d (%s): golden seed % x -> % x, ok %v", k, KindName(k), seed, enc, ok)
 		}
 	}
-	for k := range wireRoundTrips {
-		if !seen[k] {
-			t.Errorf("wireRoundTrips has entry for kind %d, which is not in fuzzedWireKinds", k)
-		}
-	}
-	for k := range seeds {
-		if !seen[k] {
-			t.Errorf("wireSeeds has entry for kind %d, which is not in fuzzedWireKinds", k)
+	kinds, seeds := strayWireSeeds()
+	for n, k := range kinds {
+		if _, ok := roundTrip(k, seeds[n]); ok {
+			t.Errorf("kind %d (%s): stray seed % x accepted", k, KindName(k), seeds[n])
 		}
 	}
 }
@@ -714,8 +533,8 @@ func TestWireRoundTripsCovered(t *testing.T) {
 // every wire kind: any payload that parses re-encodes to a canonical
 // form, and that form is a fixed point of decode∘encode.
 func FuzzWireKindRoundTrip(f *testing.F) {
-	for k, seed := range wireSeeds() {
-		f.Add(k, seed)
+	for k := range wireGolden {
+		f.Add(k, goldenSeed(f, k))
 	}
 	for _, seed := range decrBatchSeeds() {
 		f.Add(kindDecrBatch, seed)
@@ -723,24 +542,19 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	for _, seed := range fetchReqSeeds() {
 		f.Add(kindFetch, seed)
 	}
-	f.Add(uint8(0), []byte{})                              // not a protocol kind
-	f.Add(uint8(2), putU32(putU64(nil, 4), 0))             // the retired per-vertex decrement: not one either
-	f.Add(uint8(6), putU32(putU32(putU64(nil, 1), 1), 8))  // the retired pause round, absorbed by kindRebuild
-	f.Add(uint8(10), putU64(nil, 3))                       // the retired replay round, absorbed by kindExchange
-	f.Add(kindRebuild, putU32(putU64(nil, 1), 0xFFFFFFFF)) // absurd count
+	kinds, seeds := strayWireSeeds()
+	for n, k := range kinds {
+		f.Add(k, seeds[n])
+	}
 	for _, seed := range transferSeeds() {
 		f.Add(kindTransfer, seed)
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
-		rt, ok := wireRoundTrips[kind]
+		enc, ok := roundTrip(kind, data)
 		if !ok {
-			return // byte values that are not protocol kinds
+			return // not a live kind, or not a payload of it
 		}
-		enc, ok := rt(data)
-		if !ok {
-			return
-		}
-		enc2, ok := rt(enc)
+		enc2, ok := roundTrip(kind, enc)
 		if !ok {
 			t.Fatalf("kind %d: canonical encoding of % x does not re-decode", kind, data)
 		}

@@ -26,13 +26,11 @@ func (pe *placeEngine[T]) registerHandlers() {
 	pe.tr.Handle(kindTransfer, pe.handleTransfer)
 }
 
-// handlePing echoes the failure detector's heartbeat payload ([seq u64]
-// [send-nanos u64]) so the detector can verify liveness end to end. The
-// payload is copied — handlers must not let the transport buffer escape.
+// handlePing echoes the failure detector's heartbeat so the detector can
+// verify liveness end to end.
 func handlePing(_ int, payload []byte) ([]byte, error) {
-	echo := make([]byte, len(payload))
-	copy(echo, payload)
-	return echo, nil
+	seq, sent, err := decodePing(payload)
+	return encodePing(nil, seq, sent), err
 }
 
 // handleCoordinatorEvent adapts placeDone/fault notifications into
@@ -43,11 +41,9 @@ func (pe *placeEngine[T]) handleCoordinatorEvent(fault bool) func(int, []byte) (
 		if pe.events == nil {
 			return nil, nil
 		}
-		r := reader{b: payload}
-		epoch := r.u64()
-		place := int(r.u32())
-		if r.err != nil {
-			return nil, r.err
+		epoch, place, err := decodePlaceEvent(payload)
+		if err != nil {
+			return nil, err
 		}
 		select {
 		case pe.events <- coEvent{fault: fault, place: place, epoch: epoch}:
@@ -88,8 +84,8 @@ func (st *epochState[T]) inGrid(id dag.VertexID) bool {
 }
 
 // errBadID is what a Call carrying such an id is answered with.
-func (pe *placeEngine[T]) errBadID(kind string, id dag.VertexID, from int) error {
-	return fmt.Errorf("core: place %d: %s from place %d names %v, which is outside the grid or owned elsewhere", pe.self, kind, from, id)
+func (pe *placeEngine[T]) errBadID(kind uint8, id dag.VertexID, from int) error {
+	return fmt.Errorf("core: place %d: %s from place %d names %v, which is outside the grid or owned elsewhere", pe.self, KindName(kind), from, id)
 }
 
 // handleFetch serves finished vertex values to a peer resolving its
@@ -111,7 +107,7 @@ func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) 
 	for _, id := range ids {
 		off, ok := st.ownedOffset(id, pe.self)
 		if !ok {
-			return nil, pe.errBadID("fetch", id, from)
+			return nil, pe.errBadID(kindFetch, id, from)
 		}
 		if !st.chunk.Finished(off) {
 			return nil, fmt.Errorf("core: fetch of unfinished vertex %v from place %d", id, from)
@@ -177,11 +173,9 @@ func (pe *placeEngine[T]) applyDecrs(from int, payload []byte) error {
 // registration: the empty reply also parks the thief as a lifeline buddy
 // this place will push surplus ready tiles to.
 func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	lifeline := r.u8()
-	if r.err != nil {
-		return nil, r.err
+	epoch, lifeline, err := decodeSteal(payload)
+	if err != nil {
+		return nil, err
 	}
 	st, err := pe.stateAt(epoch)
 	if err != nil {
@@ -191,7 +185,7 @@ func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) 
 	defer pe.putScratch(sc)
 	t, ok := st.sched.steal()
 	if !ok {
-		if lifeline == 1 && st.life != nil && from != pe.self {
+		if lifeline && st.life != nil && from != pe.self {
 			st.life.addParked(from)
 			// Surplus may already sit in the inbox even though the
 			// deques are empty; let the pusher check.
@@ -218,16 +212,14 @@ func (pe *placeEngine[T]) handleSteal(from int, payload []byte) ([]byte, error) 
 // and installs the new epoch state with no workers running. Decrements the
 // old aggregator still buffers die with it: the replay re-derives them.
 func (pe *placeEngine[T]) handleRebuild(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	newEpoch := r.u64()
-	nDead := r.u32()
-	for k := uint32(0); k < nDead && r.err == nil; k++ {
-		if p := int(r.u32()); p >= 0 && p < len(pe.alive) && r.err == nil {
+	newEpoch, dead, err := decodeRebuild(payload)
+	if err != nil {
+		return nil, err
+	}
+	for _, p := range dead {
+		if p >= 0 && p < len(pe.alive) {
 			pe.alive[p].Store(false)
 		}
-	}
-	if r.err != nil {
-		return nil, r.err
 	}
 	old := pe.current()
 	if old == nil {
@@ -304,10 +296,9 @@ func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transf
 		byDest[tr.To] = append(byDest[tr.To], tr)
 	}
 	for dest, trs := range byDest {
-		msg := putU32(putU64(make([]byte, 0, 12+len(trs)*12), st.epoch), uint32(len(trs)))
-		for _, tr := range trs {
-			msg = pe.cfg.Codec.Encode(putID(msg, tr.ID), tr.Value)
-		}
+		msg := encodeIDVals(make([]byte, 0, 12+len(trs)*12), pe.cfg.Codec, st.epoch, len(trs), func(k int) (dag.VertexID, T) {
+			return trs[k].ID, trs[k].Value
+		})
 		h.msgs = append(h.msgs, outMsg{to: dest, kind: kindRestoreTx, payload: msg})
 	}
 	for owner, per := range counts {
@@ -331,10 +322,9 @@ func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transf
 // reads any more. A destination that died is reported to the coordinator,
 // which restarts the recovery without it; the death is not this place's.
 func (pe *placeEngine[T]) handleExchange(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	epoch, err := decodeEpoch(payload)
+	if err != nil {
+		return nil, err
 	}
 	st, err := pe.stateAt(epoch)
 	if err != nil {
@@ -357,7 +347,9 @@ func (pe *placeEngine[T]) handleExchange(from int, payload []byte) ([]byte, erro
 
 // handleRestoreTx installs restored finished values into the new chunk.
 func (pe *placeEngine[T]) handleRestoreTx(from int, payload []byte) ([]byte, error) {
-	return nil, pe.eachOwnedValue(from, "restore", payload, func(st *epochState[T], off int, _ dag.VertexID, v T) {
+	sc := pe.getScratch()
+	defer pe.putScratch(sc)
+	return nil, pe.eachOwnedValue(from, kindRestoreTx, payload, sc, func(st *epochState[T], off int, _ dag.VertexID, v T) {
 		st.chunk.SetResult(off, v)
 	})
 }
@@ -374,10 +366,9 @@ func (pe *placeEngine[T]) handleReplayTx(from int, payload []byte) ([]byte, erro
 // shared worker pool onto the new epoch. It replies 1 if this place already
 // has no unfinished work so the coordinator can count it done immediately.
 func (pe *placeEngine[T]) handleResume(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	epoch := r.u64()
-	if r.err != nil {
-		return nil, r.err
+	epoch, err := decodeEpoch(payload)
+	if err != nil {
+		return nil, err
 	}
 	st, err := pe.stateAt(epoch)
 	if err != nil {
@@ -388,11 +379,11 @@ func (pe *placeEngine[T]) handleResume(from int, payload []byte) ([]byte, error)
 	}
 	st.boxes.dropRetired(st.chunk)
 	pe.host.wakeAll()
-	if st.chunk.AllFinished() {
+	done := st.chunk.AllFinished()
+	if done {
 		st.doneReported.Store(true)
-		return []byte{1}, nil
 	}
-	return []byte{0}, nil
+	return encodeFlag(done), nil
 }
 
 // handleStop ends the run for this place.
@@ -404,10 +395,9 @@ func (pe *placeEngine[T]) handleStop(from int, payload []byte) ([]byte, error) {
 // handleReadVal serves post-run result access for multi-process
 // deployments: [id] -> [finished u8][value?].
 func (pe *placeEngine[T]) handleReadVal(from int, payload []byte) ([]byte, error) {
-	r := reader{b: payload}
-	id := r.id()
-	if r.err != nil {
-		return nil, r.err
+	id, err := decodeReadVal(payload)
+	if err != nil {
+		return nil, err
 	}
 	st := pe.current()
 	if st == nil {
@@ -415,10 +405,11 @@ func (pe *placeEngine[T]) handleReadVal(from int, payload []byte) ([]byte, error
 	}
 	off, ok := st.ownedOffset(id, pe.self)
 	if !ok {
-		return nil, pe.errBadID("readval", id, from)
+		return nil, pe.errBadID(kindReadVal, id, from)
 	}
 	if !st.chunk.Finished(off) {
-		return []byte{0}, nil
+		var unfinished T
+		return encodeReadValReply(pe.cfg.Codec, unfinished, false), nil
 	}
-	return pe.cfg.Codec.Encode([]byte{1}, st.chunk.Value(off)), nil
+	return encodeReadValReply(pe.cfg.Codec, st.chunk.Value(off), true), nil
 }

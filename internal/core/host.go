@@ -106,9 +106,9 @@ type placeStack struct {
 // newPlaceStack builds place p's stack over endpoint ep and installs the
 // place-scoped handlers on it: the failure detector's heartbeat echo and
 // the post-run metrics read. These kinds describe the place, not a job, so
-// they bypass the job router (and the protokind analyzer sees their
-// constant registration here). abortCh ends the reliable layer's retries
-// and any detector built on the stack.
+// they bypass the job router (TestEveryKindHasOneHandler checks each kind's
+// handler is where its scope says). abortCh ends the reliable layer's
+// retries and any detector built on the stack.
 func newPlaceStack(p int, ep transport.Transport, c *Common, sink *eventSink, abortCh <-chan struct{}, overlay func(*metrics.Snapshot)) *placeStack {
 	ps := &placeStack{common: c, sink: sink, abortCh: abortCh, ep: ep, overlay: overlay}
 	if c.Metrics {

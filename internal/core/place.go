@@ -600,11 +600,7 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 	if sp != nil {
 		spanStart = time.Now()
 	}
-	flag := byte(0)
-	if lifeline {
-		flag = 1
-	}
-	sc.enc = append(putU64(sc.enc[:0], st.epoch), flag)
+	sc.enc = encodeSteal(sc.enc[:0], st.epoch, lifeline)
 	reply, err := pe.tr.Call(victim, kindSteal, sc.enc)
 	if err != nil {
 		pe.peerError(victim, err)
@@ -830,10 +826,7 @@ func (pe *placeEngine[T]) reportFault(peer int) {
 		return
 	}
 	st := pe.current()
-	payload := make([]byte, 0, 12)
-	payload = putU64(payload, st.epoch)
-	payload = putU32(payload, uint32(peer))
-	if err := pe.tr.Send(0, kindFault, payload); pe.coordinatorLost(err) {
+	if err := pe.tr.Send(0, kindFault, encodePlaceEvent(make([]byte, 0, 12), st.epoch, peer)); pe.coordinatorLost(err) {
 		pe.abort(placeDead(0))
 	}
 }
@@ -856,10 +849,7 @@ func (pe *placeEngine[T]) maybeReportDone(st *epochState[T]) {
 	if !st.chunk.AllFinished() || st.doneReported.Swap(true) {
 		return
 	}
-	payload := make([]byte, 0, 12)
-	payload = putU64(payload, st.epoch)
-	payload = putU32(payload, uint32(pe.self))
-	if err := pe.tr.Send(0, kindPlaceDone, payload); pe.coordinatorLost(err) {
+	if err := pe.tr.Send(0, kindPlaceDone, encodePlaceEvent(make([]byte, 0, 12), st.epoch, pe.self)); pe.coordinatorLost(err) {
 		pe.abort(placeDead(0))
 	}
 }

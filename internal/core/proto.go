@@ -28,34 +28,93 @@ import (
 	"github.com/dpx10/dpx10/internal/dag"
 )
 
-// Message kinds on the transport. Kind 0 is reserved by the TCP framing
-// for responses.
+// Message kinds on the transport: the live rows of wireKinds, by name.
 const (
-	kindFetch uint8 = 1 // Call: fetch finished vertex values
-	// 2 is unassigned: it was the per-vertex decrement message that
-	// kindDecrBatch replaced. 3 and 22 are unassigned too: they were the
-	// per-vertex exec Call and the lifeline push, which kindTransfer
-	// replaced. 6 and 10 were the recovery's pause and replay rounds, which
-	// kindRebuild and kindExchange absorbed. Do not reuse or renumber any
-	// of them.
-	kindPlaceDone uint8 = 4  // Send: place finished all local vertices
-	kindFault     uint8 = 5  // Send: place observed a dead peer
-	kindRebuild   uint8 = 7  // Call: coordinator -> place, pause, rebuild and work out the exchange
-	kindExchange  uint8 = 8  // Call: coordinator -> place, send what the rebuild worked out
-	kindRestoreTx uint8 = 9  // Call: place -> place, restored values
-	kindReplayTx  uint8 = 11 // Call: place -> place, replayed decrements
-	kindResume    uint8 = 12 // Call: coordinator -> place, restart workers
-	kindStop      uint8 = 13 // Call: coordinator -> place, run finished; the reply is the ack
-	kindReadVal   uint8 = 14 // Call: post-run result access
-	kindPing      uint8 = 15 // Call: failure-detector heartbeat
-	kindHello     uint8 = 16 // Call: place -> place 0, "my state is prepared"
-	kindBegin     uint8 = 17 // Call: place 0 -> place, "launch workers"
-	kindSteal     uint8 = 18 // Call: idle place asks a victim for a ready tile; the reply is a transfer body
-	kindStealDone uint8 = 19 // Call: a tile's executor returns its results to the owner
-	kindDecrBatch uint8 = 20 // Send: aggregated decrements, optionally carrying values
-	kindStats     uint8 = 21 // Call: place 0 -> place, read the metrics snapshot
-	kindTransfer  uint8 = 23 // Call: push a tile to another place (lifeline or exec); reply [1] accepts
+	kindFetch     uint8 = 1
+	kindPlaceDone uint8 = 4
+	kindFault     uint8 = 5
+	kindRebuild   uint8 = 7
+	kindExchange  uint8 = 8
+	kindRestoreTx uint8 = 9
+	kindReplayTx  uint8 = 11
+	kindResume    uint8 = 12
+	kindStop      uint8 = 13
+	kindReadVal   uint8 = 14
+	kindPing      uint8 = 15
+	kindHello     uint8 = 16
+	kindBegin     uint8 = 17
+	kindSteal     uint8 = 18
+	kindStealDone uint8 = 19
+	kindDecrBatch uint8 = 20
+	kindStats     uint8 = 21
+	kindTransfer  uint8 = 23
 )
+
+// kindRow is what the protocol says of one kind value. A kind is a one-way
+// Send, tracked by reliable delivery and job-scoped, unless it is a call
+// (request and reply), exempt from reliable delivery (reliable.go; only
+// raw-transport callers send it) or place-scoped (a bare payload about the
+// place, for no one job). The coordinator runs the recovery's rounds in value
+// order. A retired value is no longer sent, so a stray frame of it finds no
+// handler; it is never reused or renumbered.
+type kindRow struct {
+	name                                string
+	call, exempt, place, round, retired bool
+}
+
+// wireKinds is the protocol table: every kind value the protocol has used.
+// A value cannot appear twice (the array literal would not compile).
+var wireKinds = [...]kindRow{
+	kindFetch:     {name: "fetch", call: true},                            // fetch finished vertex values
+	2:             {name: "decrement", retired: true},                     // per-vertex; kindDecrBatch replaced it
+	3:             {name: "exec", retired: true},                          // per-vertex; kindTransfer replaced it
+	kindPlaceDone: {name: "placeDone"},                                    // place finished all local vertices
+	kindFault:     {name: "fault"},                                        // place observed a dead peer
+	6:             {name: "pause", retired: true},                         // recovery round; kindRebuild absorbed it
+	kindRebuild:   {name: "rebuild", call: true, round: true},             // pause, rebuild, work out the exchange
+	kindExchange:  {name: "exchange", call: true, round: true},            // send what the rebuild worked out
+	kindRestoreTx: {name: "restoreTx", call: true},                        // place -> place, restored values
+	10:            {name: "replay", retired: true},                        // recovery round; kindExchange absorbed it
+	kindReplayTx:  {name: "replayTx", call: true},                         // place -> place, replayed decrements
+	kindResume:    {name: "resume", call: true, round: true},              // restart workers; the reply says done
+	kindStop:      {name: "stop", call: true},                             // run finished; the reply is the ack
+	kindReadVal:   {name: "readVal", call: true, exempt: true},            // post-run result access
+	kindPing:      {name: "ping", call: true, exempt: true, place: true},  // failure-detector heartbeat
+	kindHello:     {name: "hello", call: true, exempt: true, place: true}, // place -> place 0, "my state is prepared"
+	kindBegin:     {name: "begin", call: true, exempt: true, place: true}, // place 0 -> place, "launch workers"
+	kindSteal:     {name: "steal", call: true},                            // ask a victim for a ready tile
+	kindStealDone: {name: "stealDone", call: true},                        // a tile's results, back to its owner
+	kindDecrBatch: {name: "decrBatch"},                                    // aggregated decrements and values
+	kindStats:     {name: "stats", call: true, exempt: true, place: true}, // read the metrics snapshot
+	22:            {name: "lifelineDeliver", retired: true},               // the lifeline push; kindTransfer replaced it
+	kindTransfer:  {name: "transfer", call: true},                         // push a tile; reply [1] accepts
+}
+
+// live reports whether kind k is in use.
+func live(k int) bool { return k < len(wireKinds) && wireKinds[k].name != "" && !wireKinds[k].retired }
+
+// The table by kind byte, for the transports' per-message lookups:
+// reliableKind marks the kinds that travel the reliable envelope, retry and
+// dedup protocol; jobScopedKind the kinds whose payloads carry the job
+// envelope. recoveryRounds are the recovery's rounds, in order.
+var reliableKind, jobScopedKind, recoveryRounds = func() (rel, job [256]bool, rounds []uint8) {
+	for k, r := range wireKinds {
+		rel[k], job[k] = live(k) && !r.exempt, live(k) && !r.place
+		if r.round {
+			rounds = append(rounds, uint8(k))
+		}
+	}
+	return rel, job, rounds
+}()
+
+// KindName returns a wire kind's name, for trace output, metrics keys and
+// debug logs, or "kind<N>" for values outside the protocol.
+func KindName(k uint8) string {
+	if int(k) < len(wireKinds) && wireKinds[k].name != "" {
+		return wireKinds[k].name
+	}
+	return fmt.Sprintf("kind%d", k)
+}
 
 // errStaleEpoch is returned by handlers that receive a message from a
 // previous epoch; the sender abandons the operation.
@@ -103,38 +162,14 @@ func placeDead(p int) error { return &PlaceDeadError{Place: p} }
 // --- reliable delivery envelope ---------------------------------------
 //
 // With Config.Reliable on, tracked kinds travel wrapped in a [seq u64]
-// envelope ahead of their ordinary payload. The sequence number is drawn
-// from one per-sender counter; receivers remember recently seen (sender,
-// seq) pairs and suppress re-execution of duplicates, replying with the
-// cached response instead — see reliable.go. Untracked kinds keep the bare
-// wire format so raw-transport callers (startup barrier, post-run reads,
-// the failure detector) interoperate.
-
-// reliableKind marks the kinds that participate in the envelope, retry and
-// duplicate-suppression protocol. Exempt:
-//   - kindPing: the failure detector must observe raw link state, not a
-//     retried view of it;
-//   - kindHello, kindBegin: the cluster-formed barrier registers and calls
-//     these on the raw endpoint, below chaos injection;
-//   - kindReadVal: idempotent post-run read, also issued raw (TCPNode.Value);
-//   - kindStats: idempotent post-run metrics read, issued raw after the run
-//     like kindReadVal (a lost reply just re-reads the snapshot).
-var reliableKind = func() (t [256]bool) {
-	for _, k := range []uint8{
-		kindFetch, kindPlaceDone, kindFault,
-		kindRebuild, kindExchange, kindRestoreTx, kindReplayTx,
-		kindResume, kindStop,
-		kindSteal, kindStealDone, kindDecrBatch, kindTransfer,
-	} {
-		t[k] = true
-	}
-	return t
-}()
+// envelope ahead of their ordinary payload, drawn from one per-sender
+// counter, by which the receiver suppresses duplicates (reliable.go).
+// Exempt kinds keep the bare wire format, so raw-transport callers
+// interoperate.
 
 // appendEnvelope prefixes payload with its delivery sequence number.
 func appendEnvelope(dst []byte, seq uint64, payload []byte) []byte {
-	dst = putU64(dst, seq)
-	return append(dst, payload...)
+	return append(putU64(dst, seq), payload...)
 }
 
 // splitEnvelope separates the sequence number from the wrapped payload.
@@ -147,30 +182,11 @@ func splitEnvelope(payload []byte) (seq uint64, body []byte, err error) {
 
 // --- job envelope -----------------------------------------------------
 //
-// A multi-job cluster multiplexes every job-scoped kind over one shared
-// per-place delivery stack. Job-scoped payloads travel wrapped in a
-// [jobID u32] envelope ahead of their ordinary payload, added by the
-// sending jobPort and stripped by the receiving jobRouter. The envelope
-// sits *inside* the reliable-delivery envelope, so a tracked kind's wire
-// form is [seq u64][jobID u32][payload]; untracked job-scoped kinds
-// (kindReadVal) travel as [jobID u32][payload]. Place-scoped kinds
-// (ping, hello, begin, stats) keep the bare wire format — they describe
-// the place, not any one job, and raw-transport callers (the failure
-// detector, the TCP startup barrier, post-run stats reads) must
-// interoperate without a router.
-
-// jobScopedKind marks the kinds whose payloads carry the job envelope.
-var jobScopedKind = func() (t [256]bool) {
-	for _, k := range []uint8{
-		kindFetch, kindPlaceDone, kindFault,
-		kindRebuild, kindExchange, kindRestoreTx, kindReplayTx,
-		kindResume, kindStop, kindReadVal,
-		kindSteal, kindStealDone, kindDecrBatch, kindTransfer,
-	} {
-		t[k] = true
-	}
-	return t
-}()
+// Job-scoped payloads travel wrapped in a [jobID u32] envelope, added by
+// the sending jobPort and stripped by the receiving jobRouter (router.go),
+// *inside* the reliable-delivery envelope: a tracked kind's wire form is
+// [seq u64][jobID u32][payload]. Place-scoped kinds keep the bare wire
+// format, so raw-transport callers interoperate without a router.
 
 // errUnknownJob is returned when a job envelope names a job the receiving
 // place has no port for — the job finished and was torn down, or the
@@ -179,8 +195,7 @@ var errUnknownJob = errors.New("core: unknown job")
 
 // appendJobEnvelope prefixes payload with the owning job's id.
 func appendJobEnvelope(dst []byte, job uint32, payload []byte) []byte {
-	dst = putU32(dst, job)
-	return append(dst, payload...)
+	return append(putU32(dst, job), payload...)
 }
 
 // splitJobEnvelope separates the job id from the wrapped payload.
@@ -204,43 +219,37 @@ type reader struct {
 	err error
 }
 
-func (r *reader) u8() uint8 {
-	if r.err != nil {
-		return 0
-	}
-	if r.off+1 > len(r.b) {
+// take returns the next n bytes, or nil once the message is short of them.
+func (r *reader) take(n int) []byte {
+	if r.err == nil && r.off+n > len(r.b) {
 		r.err = fmt.Errorf("core: truncated message at offset %d", r.off)
-		return 0
 	}
-	v := r.b[r.off]
-	r.off++
-	return v
+	if r.err != nil {
+		return nil
+	}
+	r.off += n
+	return r.b[r.off-n : r.off]
+}
+
+func (r *reader) u8() uint8 {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (r *reader) u32() uint32 {
-	if r.err != nil {
-		return 0
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	if r.off+4 > len(r.b) {
-		r.err = fmt.Errorf("core: truncated message at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(r.b[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 
 func (r *reader) u64() uint64 {
-	if r.err != nil {
-		return 0
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	if r.off+8 > len(r.b) {
-		r.err = fmt.Errorf("core: truncated message at offset %d", r.off)
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 
 func (r *reader) id() dag.VertexID {
@@ -473,16 +482,22 @@ func appendDecrRecord[T any](dst []byte, cd codec.Codec[T], end uint32, tiles []
 	return dst, end
 }
 
+// beginDecrBatch appends a batch header to dst, appendDecrRecord the
+// records, and finishDecrBatch writes their count into the header.
+func beginDecrBatch(dst []byte, epoch uint64) []byte { return putU32(putU64(dst, epoch), 0) }
+func finishDecrBatch(msg []byte, n uint32)           { binary.LittleEndian.PutUint32(msg[8:12], n) }
+
 // encodeDecrBatch builds a whole payload from decoded form in a fresh
 // buffer: a recovery's replay, and tests. The aggregator builds its
 // messages a record at a time.
 func encodeDecrBatch[T any](cd codec.Codec[T], b *decrBatch[T]) []byte {
-	dst := putU32(putU64(nil, b.epoch), uint32(len(b.ends)))
+	dst := beginDecrBatch(nil, b.epoch)
 	at, end := 0, uint32(0)
 	for _, e := range b.ends {
 		dst, end = appendDecrRecord(dst, cd, end, b.tiles[at:e], b.vals[at:min(e, len(b.vals))])
 		at = e
 	}
+	finishDecrBatch(dst, uint32(len(b.ends)))
 	return dst
 }
 
@@ -610,4 +625,140 @@ func decodeFetchReq(payload []byte, buf []dag.VertexID) (epoch uint64, ids []dag
 		buf = append(buf, prev)
 	}
 	return epoch, buf, r.err
+}
+
+// --- the other kinds' payloads ----------------------------------------
+//
+// One encoder and one decoder per layout; a decoder reads its layout from
+// the front of the payload.
+
+// encodeEpoch is exchange, resume and stop: [epoch u64].
+func encodeEpoch(dst []byte, epoch uint64) []byte { return putU64(dst, epoch) }
+
+func decodeEpoch(payload []byte) (epoch uint64, err error) {
+	r := reader{b: payload}
+	epoch = r.u64()
+	return epoch, r.err
+}
+
+// encodePlaceEvent is placeDone and fault: [epoch u64][place u32].
+func encodePlaceEvent(dst []byte, epoch uint64, place int) []byte {
+	return putU32(putU64(dst, epoch), uint32(place))
+}
+
+func decodePlaceEvent(payload []byte) (epoch uint64, place int, err error) {
+	r := reader{b: payload}
+	epoch, place = r.u64(), int(r.u32())
+	return epoch, place, r.err
+}
+
+// encodeRebuild is rebuild: [epoch u64][n u32][dead place u32 × n].
+func encodeRebuild(dst []byte, epoch uint64, dead []int) []byte {
+	dst = putU32(putU64(dst, epoch), uint32(len(dead)))
+	for _, p := range dead {
+		dst = putU32(dst, uint32(p))
+	}
+	return dst
+}
+
+func decodeRebuild(payload []byte) (epoch uint64, dead []int, err error) {
+	r := reader{b: payload}
+	epoch, n := r.u64(), r.u32()
+	for k := uint32(0); k < n && r.err == nil; k++ {
+		dead = append(dead, int(r.u32()))
+	}
+	return epoch, dead, r.err
+}
+
+// encodeSteal is steal: [epoch u64][lifeline u8, 0 or 1].
+func encodeSteal(dst []byte, epoch uint64, lifeline bool) []byte {
+	return append(putU64(dst, epoch), encodeFlag(lifeline)[0])
+}
+
+func decodeSteal(payload []byte) (epoch uint64, lifeline bool, err error) {
+	r := reader{b: payload}
+	epoch, flag := r.u64(), r.u8()
+	if r.err == nil && flag > 1 {
+		r.err = fmt.Errorf("core: steal lifeline flag %d", flag)
+	}
+	return epoch, flag == 1, r.err
+}
+
+// encodeIDVals is restoreTx and stealDone: [epoch u64][n u32] then n
+// (id, value (codec)) entries, entry k being at(k).
+func encodeIDVals[T any](dst []byte, cd codec.Codec[T], epoch uint64, n int, at func(k int) (dag.VertexID, T)) []byte {
+	dst = putU32(putU64(dst, epoch), uint32(n))
+	for k := 0; k < n; k++ {
+		id, v := at(k)
+		dst = cd.Encode(putID(dst, id), v)
+	}
+	return dst
+}
+
+// decodeIDVals appends the entries to ids and vals, returning the grown
+// buffers even on error.
+func decodeIDVals[T any](payload []byte, cd codec.Codec[T], ids []dag.VertexID, vals []T) (uint64, []dag.VertexID, []T, error) {
+	r := reader{b: payload}
+	epoch, n := r.u64(), r.u32()
+	for k := uint32(0); k < n && r.err == nil; k++ {
+		ids = append(ids, r.id())
+		v, used, err := cd.Decode(r.rest())
+		if err != nil {
+			return 0, ids, vals, fmt.Errorf("core: value decode: %w", err)
+		}
+		r.off += used
+		vals = append(vals, v)
+	}
+	return epoch, ids, vals, r.err
+}
+
+// encodeReadVal is readVal: [id], and its reply [finished u8][value
+// (codec), when finished].
+func encodeReadVal(dst []byte, id dag.VertexID) []byte { return putID(dst, id) }
+
+func decodeReadVal(payload []byte) (dag.VertexID, error) {
+	r := reader{b: payload}
+	id := r.id()
+	return id, r.err
+}
+
+func encodeReadValReply[T any](cd codec.Codec[T], v T, finished bool) []byte {
+	if !finished {
+		return encodeFlag(false)
+	}
+	return cd.Encode(encodeFlag(true), v)
+}
+
+func decodeReadValReply[T any](reply []byte, cd codec.Codec[T]) (v T, finished bool, err error) {
+	if len(reply) == 0 || reply[0] != 1 {
+		return v, false, nil
+	}
+	v, _, err = cd.Decode(reply[1:])
+	return v, true, err
+}
+
+// encodeFlag is the reply of resume (1: nothing left to run) and transfer
+// (1: accepted).
+func encodeFlag(ok bool) []byte {
+	if ok {
+		return []byte{1}
+	}
+	return []byte{0}
+}
+
+func decodeFlag(reply []byte) bool { return len(reply) == 1 && reply[0] == 1 }
+
+// encodePing is ping: [seq u64][send time, unix nanos u64], pingLen bytes
+// the receiver echoes, which catches a place that is reachable but no longer
+// running its handler loop correctly.
+func encodePing(dst []byte, seq, sent uint64) []byte { return putU64(putU64(dst, seq), sent) }
+
+const pingLen = 16
+
+func decodePing(payload []byte) (seq, sent uint64, err error) {
+	if len(payload) != pingLen {
+		return 0, 0, fmt.Errorf("core: ping of %d bytes, want %d", len(payload), pingLen)
+	}
+	r := reader{b: payload}
+	return r.u64(), r.u64(), nil
 }

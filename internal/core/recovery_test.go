@@ -12,7 +12,6 @@ import (
 	"github.com/dpx10/dpx10/internal/dag/patterns"
 	"github.com/dpx10/dpx10/internal/distarray"
 	"github.com/dpx10/dpx10/internal/sched"
-	"github.com/dpx10/dpx10/internal/trace"
 	"github.com/dpx10/dpx10/internal/transport"
 )
 
@@ -96,9 +95,9 @@ func TestKillMidRunRecovers(t *testing.T) {
 // finish bit-exact from every round, with the handed-over values restored or
 // recomputed.
 func TestRecoveryRestartsWhenPlaceDiesMidRecovery(t *testing.T) {
-	for _, round := range []uint8{kindRebuild, kindExchange, kindResume} {
+	for _, round := range recoveryRounds {
 		for _, restoreRemote := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/restoreRemote=%v", trace.KindName(round), restoreRemote), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/restoreRemote=%v", KindName(round), restoreRemote), func(t *testing.T) {
 				pat := patterns.NewDiagonal(30, 24)
 				cfg, gate, release := gatedConfig(pat, 4, 300)
 				cfg.RestoreRemote = restoreRemote
@@ -106,14 +105,8 @@ func TestRecoveryRestartsWhenPlaceDiesMidRecovery(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				serve := func(p int) transport.Handler {
-					pe := cl.engines[p]
-					return map[uint8]transport.Handler{
-						kindRebuild:  pe.handleRebuild,
-						kindExchange: pe.handleExchange,
-						kindResume:   pe.handleResume,
-					}[round]
-				}
+				// The round's own handler, which the engine registered on its job port.
+				serve := func(p int) transport.Handler { return cl.engines[p].tr.(*jobPort).handlers[round] }
 				var kill sync.Once
 				killed := make(chan struct{})
 				serve1, serve2 := serve(1), serve(2)

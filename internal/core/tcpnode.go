@@ -151,15 +151,15 @@ func (n *TCPNode[T]) JobValue(jb int, i, j int32) (T, error) {
 	// kindReadVal is job-scoped: the raw-transport call carries the job
 	// envelope explicitly (the engine's port would add it on the stacked
 	// path).
-	payload := appendJobEnvelope(make([]byte, 0, 12), uint32(jb), putID(nil, dag.VertexID{I: i, J: j}))
+	payload := appendJobEnvelope(make([]byte, 0, 12), uint32(jb), encodeReadVal(nil, dag.VertexID{I: i, J: j}))
 	reply, err := n.tr.Call(owner, kindReadVal, payload)
 	if err != nil {
 		return zero, err
 	}
-	if len(reply) == 0 || reply[0] == 0 {
-		return zero, fmt.Errorf("core: vertex (%d,%d) not finished at place %d", i, j, owner)
+	v, finished, err := decodeReadValReply(reply, n.cfg.Codec)
+	if err == nil && !finished {
+		err = fmt.Errorf("core: vertex (%d,%d) not finished at place %d", i, j, owner)
 	}
-	v, _, err := n.cfg.Codec.Decode(reply[1:])
 	return v, err
 }
 

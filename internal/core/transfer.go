@@ -83,7 +83,7 @@ func (pe *placeEngine[T]) pushTile(st *epochState[T], sc *scratch[T], to int, re
 		pe.peerError(to, err)
 		return false
 	}
-	return len(reply) == 1 && reply[0] == 1
+	return decodeFlag(reply)
 }
 
 // takeTransfer decodes a tile in flight — pushed here, or a steal reply —
@@ -109,7 +109,7 @@ func (pe *placeEngine[T]) takeTransfer(from int, payload []byte, buf []dag.Verte
 	}
 	for _, id := range cells {
 		if _, ok := st.ownedOffset(id, owner); !ok {
-			return nil, 0, cells, pe.errBadID("transfer", id, from)
+			return nil, 0, cells, pe.errBadID(kindTransfer, id, from)
 		}
 	}
 	return st, reason, cells, nil
@@ -138,7 +138,7 @@ func (pe *placeEngine[T]) handleTransfer(from int, payload []byte) ([]byte, erro
 		pe.migrRecv.Add(1)
 		pe.mTilesMigr.Inc(-1)
 	}
-	return []byte{1}, nil
+	return encodeFlag(true), nil
 }
 
 // depositMigrated makes a tile runnable on this place from its inbox: one
@@ -180,11 +180,11 @@ func (pe *placeEngine[T]) runForeign(st *epochState[T], sc *scratch[T], reason u
 	if reason == transferLifeline {
 		pe.migrRun.Add(1)
 	}
-	sc.enc = putU32(putU64(sc.enc[:0], st.epoch), uint32(done))
-	for _, s := range td.order[:done] {
-		v, _ := sc.halo.get(td.ids[s])
-		sc.enc = pe.cfg.Codec.Encode(putID(sc.enc, td.ids[s]), v)
-	}
+	sc.enc = encodeIDVals(sc.enc[:0], pe.cfg.Codec, st.epoch, done, func(k int) (dag.VertexID, T) {
+		id := td.ids[td.order[k]]
+		v, _ := sc.halo.get(id)
+		return id, v
+	})
 	if _, err := pe.tr.Call(owner, kindStealDone, sc.enc); err != nil {
 		pe.peerError(owner, err)
 	}
@@ -206,7 +206,7 @@ func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, err
 			pe.maybeReportDone(unit)
 		}
 	}()
-	return nil, pe.eachOwnedValue(from, "steal-done", payload, func(st *epochState[T], off int, id dag.VertexID, v T) {
+	return nil, pe.eachOwnedValue(from, kindStealDone, payload, sc, func(st *epochState[T], off int, id dag.VertexID, v T) {
 		unit = st
 		sc.antiRes = pe.appendAnti(st, sc, sc.antiRes[:0], id)
 		pe.publish(st, sc, off, v)
@@ -217,32 +217,22 @@ func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, err
 // eachOwnedValue walks an [epoch][n][(id, value)...] payload — a steal-done
 // batch, or values restored by a recovery — calling fn for each cell, whose
 // id must be this place's under the epoch the payload names.
-func (pe *placeEngine[T]) eachOwnedValue(from int, kind string, payload []byte, fn func(st *epochState[T], off int, id dag.VertexID, v T)) error {
-	r := reader{b: payload}
-	epoch := r.u64()
-	n := r.u32()
-	if r.err != nil {
-		return r.err
+func (pe *placeEngine[T]) eachOwnedValue(from int, kind uint8, payload []byte, sc *scratch[T], fn func(st *epochState[T], off int, id dag.VertexID, v T)) error {
+	epoch, ids, vals, err := decodeIDVals(payload, pe.cfg.Codec, sc.ids[:0], sc.vals[:0])
+	sc.ids, sc.vals = ids, vals // keep grown capacity in the pool
+	if err != nil {
+		return err
 	}
 	st, err := pe.stateAt(epoch)
 	if err != nil {
 		return err
 	}
-	for k := uint32(0); k < n; k++ {
-		id := r.id()
-		if r.err != nil {
-			return r.err
-		}
-		v, used, err := pe.cfg.Codec.Decode(r.rest())
-		if err != nil {
-			return fmt.Errorf("core: %s decode: %w", kind, err)
-		}
-		r.off += used
+	for k, id := range ids {
 		off, ok := st.ownedOffset(id, pe.self)
 		if !ok {
 			return pe.errBadID(kind, id, from)
 		}
-		fn(st, off, id, v)
+		fn(st, off, id, vals[k])
 	}
 	return nil
 }

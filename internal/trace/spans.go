@@ -1,5 +1,5 @@
-// Package trace holds the span log behind -trace-out — epoch, tile, steal and
-// recovery spans, exported as Chrome trace events — and the wire-kind names.
+// Package trace holds the span log behind -trace-out: epoch, tile, steal and
+// recovery spans, exported as Chrome trace events.
 package trace
 
 import (

@@ -29,10 +29,6 @@ import (
 // both in one list; the session API enforces the split — NewCluster
 // rejects job-scoped options and Submit rejects cluster-scoped ones, each
 // with an *OptionScopeError.
-//
-// Earlier releases required a type argument on every option
-// (dpx10.Places[int32](8)); those forms remain available as deprecated
-// aliases with a T suffix (PlacesT, ThreadsT, ...).
 type Option[T any] interface {
 	// applyTo receives a *core.Config[T]; implementations either use the
 	// type-independent core.Common via the CommonConfig accessor or assert
