@@ -55,23 +55,3 @@ func depAt[T any](deps []dpx10.Cell[T], k int, i, j int32) T {
 	}
 	return deps[k].Value
 }
-
-func max32(vs ...int32) int32 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-func max64(vs ...int64) int64 {
-	m := vs[0]
-	for _, v := range vs[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}

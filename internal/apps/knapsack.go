@@ -56,7 +56,7 @@ func (k *Knapsack) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 	skip := depAt(deps, 0, i-1, j)
 	if w := k.Weights[i-1]; w <= j {
 		take := depAt(deps, 1, i-1, j-w) + int64(k.Values[i-1])
-		return max64(skip, take)
+		return max(skip, take)
 	}
 	return skip
 }

@@ -33,7 +33,7 @@ func (l *LCS) Compute(i, j int32, deps []dpx10.Cell[int32]) int32 {
 	if l.A[i-1] == l.B[j-1] {
 		return mustDep(deps, i-1, j-1) + 1
 	}
-	return max32(mustDep(deps, i-1, j), mustDep(deps, i, j-1))
+	return max(mustDep(deps, i-1, j), mustDep(deps, i, j-1))
 }
 
 // AppFinished is a no-op; results are pulled via Length and Backtrack.
@@ -77,7 +77,7 @@ func (l *LCS) Serial() [][]int32 {
 			if l.A[i-1] == l.B[j-1] {
 				f[i][j] = f[i-1][j-1] + 1
 			} else {
-				f[i][j] = max32(f[i-1][j], f[i][j-1])
+				f[i][j] = max(f[i-1][j], f[i][j-1])
 			}
 		}
 	}

@@ -37,7 +37,7 @@ func (l *LPS) Compute(i, j int32, deps []dpx10.Cell[int32]) int32 {
 	case l.S[i] == l.S[j]:
 		return mustDep(deps, i+1, j-1) + 2
 	default:
-		return max32(mustDep(deps, i+1, j), mustDep(deps, i, j-1))
+		return max(mustDep(deps, i+1, j), mustDep(deps, i, j-1))
 	}
 }
 
@@ -89,7 +89,7 @@ func (l *LPS) Serial() [][]int32 {
 			case l.S[i] == l.S[j]:
 				d[i][j] = d[i+1][j-1] + 2
 			default:
-				d[i][j] = max32(d[i+1][j], d[i][j-1])
+				d[i][j] = max(d[i+1][j], d[i][j-1])
 			}
 		}
 	}

@@ -44,10 +44,10 @@ func (m *MTP) Compute(i, j int32, deps []dpx10.Cell[int64]) int64 {
 	}
 	best := int64(-1 << 62)
 	if i > 0 {
-		best = max64(best, mustDep(deps, i-1, j)+m.Weight(i-1, j, i, j))
+		best = max(best, mustDep(deps, i-1, j)+m.Weight(i-1, j, i, j))
 	}
 	if j > 0 {
-		best = max64(best, mustDep(deps, i, j-1)+m.Weight(i, j-1, i, j))
+		best = max(best, mustDep(deps, i, j-1)+m.Weight(i, j-1, i, j))
 	}
 	return best
 }
@@ -96,10 +96,10 @@ func (m *MTP) Serial() [][]int64 {
 			}
 			best := int64(-1 << 62)
 			if i > 0 {
-				best = max64(best, d[i-1][j]+m.Weight(i-1, j, i, j))
+				best = max(best, d[i-1][j]+m.Weight(i-1, j, i, j))
 			}
 			if j > 0 {
-				best = max64(best, d[i][j-1]+m.Weight(i, j-1, i, j))
+				best = max(best, d[i][j-1]+m.Weight(i, j-1, i, j))
 			}
 			d[i][j] = best
 		}

@@ -42,7 +42,7 @@ func (s *NW) Compute(i, j int32, deps []dpx10.Cell[int32]) int32 {
 	if j == 0 {
 		return i * s.Gap
 	}
-	return max32(
+	return max(
 		mustDep(deps, i-1, j-1)+s.score(i, j),
 		mustDep(deps, i-1, j)+s.Gap,
 		mustDep(deps, i, j-1)+s.Gap,
@@ -95,7 +95,7 @@ func (s *NW) Serial() [][]int32 {
 	}
 	for i := 1; i <= len(s.A); i++ {
 		for j := 1; j <= len(s.B); j++ {
-			d[i][j] = max32(
+			d[i][j] = max(
 				d[i-1][j-1]+s.score(int32(i), int32(j)),
 				d[i-1][j]+s.Gap,
 				d[i][j-1]+s.Gap,

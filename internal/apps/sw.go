@@ -59,7 +59,7 @@ func (s *SW) Compute(i, j int32, deps []dpx10.Cell[int32]) int32 {
 			left = v.Value + s.Gap
 		}
 	}
-	return max32(0, lefttop, left, top)
+	return max(0, lefttop, left, top)
 }
 
 // AppFinished is a no-op, as in Figure 7.
@@ -118,7 +118,7 @@ func (s *SW) Serial() [][]int32 {
 	}
 	for i := 1; i <= len(s.A); i++ {
 		for j := 1; j <= len(s.B); j++ {
-			h[i][j] = max32(0,
+			h[i][j] = max(0,
 				h[i-1][j-1]+s.score(int32(i), int32(j)),
 				h[i-1][j]+s.Gap,
 				h[i][j-1]+s.Gap)

@@ -113,9 +113,9 @@ func (s *SWLAG) Compute(i, j int32, deps []dpx10.Cell[AffineCell]) AffineCell {
 	top := depAt(deps, 0, i-1, j)
 	left := depAt(deps, 1, i, j-1)
 	diag := depAt(deps, 2, i-1, j-1)
-	e := max32(left.H+s.GapOpen, left.E+s.GapExtend)
-	f := max32(top.H+s.GapOpen, top.F+s.GapExtend)
-	h := max32(0, diag.H+s.score(i, j), e, f)
+	e := max(left.H+s.GapOpen, left.E+s.GapExtend)
+	f := max(top.H+s.GapOpen, top.F+s.GapExtend)
+	h := max(0, diag.H+s.score(i, j), e, f)
 	return AffineCell{H: h, E: e, F: f}
 }
 
@@ -146,9 +146,9 @@ func (s *SWLAG) Serial() [][]AffineCell {
 	}
 	for i := 1; i <= len(s.A); i++ {
 		for j := 1; j <= len(s.B); j++ {
-			e := max32(m[i][j-1].H+s.GapOpen, m[i][j-1].E+s.GapExtend)
-			f := max32(m[i-1][j].H+s.GapOpen, m[i-1][j].F+s.GapExtend)
-			h := max32(0, m[i-1][j-1].H+s.score(int32(i), int32(j)), e, f)
+			e := max(m[i][j-1].H+s.GapOpen, m[i][j-1].E+s.GapExtend)
+			f := max(m[i-1][j].H+s.GapOpen, m[i-1][j].F+s.GapExtend)
+			h := max(0, m[i-1][j-1].H+s.score(int32(i), int32(j)), e, f)
 			m[i][j] = AffineCell{H: h, E: e, F: f}
 		}
 	}
