@@ -3,7 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -410,7 +410,9 @@ func (pe *placeEngine[T]) workerFor(st *epochState[T], w int) *workerCtx[T] {
 	if wc.pkSt != st {
 		seed := int64(pe.self)<<32 | int64(w)<<8 | int64(st.epoch&0xff)
 		wc.pk = sched.NewPicker(pe.cfg.Strategy, st.d, pe.isAlive, pe.valueSize(), seed)
-		wc.rng = rand.New(rand.NewSource(seed ^ 0x5bd1e995))
+		if pe.usesSteal() { // only trySteal draws from it
+			wc.rng = rand.New(rand.NewPCG(uint64(seed^0x5bd1e995), 0))
+		}
 		wc.pkSt = st
 		wc.probesLeft = pe.cfg.LifelineProbes
 	}
@@ -576,7 +578,7 @@ func (pe *placeEngine[T]) countTile(st *epochState[T], sc *scratch[T], cells int
 // (runForeign). Returns whether any work was done.
 func (pe *placeEngine[T]) trySteal(st *epochState[T], sc *scratch[T], rng *rand.Rand) bool {
 	places := st.d.Places()
-	victim := places[rng.Intn(len(places))]
+	victim := places[rng.IntN(len(places))]
 	if victim == pe.self || !pe.isAlive(victim) {
 		return false
 	}

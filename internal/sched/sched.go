@@ -17,7 +17,7 @@ package sched
 
 import (
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dist"
@@ -75,8 +75,8 @@ type Picker struct {
 	strategy  Strategy
 	d         dist.Dist
 	alive     func(p int) bool
-	valueSize int // modeled bytes to move one vertex value
-	rng       *rand.Rand
+	valueSize int        // modeled bytes to move one vertex value
+	rng       *rand.Rand // Random only
 
 	// MinComm's scratch: external dependencies per owning place, and the
 	// owning places in order of first appearance.
@@ -85,18 +85,17 @@ type Picker struct {
 }
 
 // NewPicker builds a Picker. valueSize is the encoded width of one vertex
-// value; seed makes Random reproducible per worker.
+// value; seed makes Random reproducible per worker. Only Random draws, so
+// only Random gets a source.
 func NewPicker(s Strategy, d dist.Dist, alive func(p int) bool, valueSize int, seed int64) *Picker {
 	if valueSize <= 0 {
 		valueSize = 1
 	}
-	return &Picker{
-		strategy:  s,
-		d:         d,
-		alive:     alive,
-		valueSize: valueSize,
-		rng:       rand.New(rand.NewSource(seed)),
+	pk := &Picker{strategy: s, d: d, alive: alive, valueSize: valueSize}
+	if s == Random {
+		pk.rng = rand.New(rand.NewPCG(uint64(seed), 0))
 	}
+	return pk
 }
 
 // Rebind points the picker at a new distribution (after recovery).
@@ -115,7 +114,7 @@ func (pk *Picker) PickTile(owner, n int, extDeps []dag.VertexID) int {
 		places := pk.d.Places()
 		// Try a few times to land on an alive place; fall back to owner.
 		for t := 0; t < 4; t++ {
-			p := places[pk.rng.Intn(len(places))]
+			p := places[pk.rng.IntN(len(places))]
 			if pk.alive(p) {
 				return p
 			}
