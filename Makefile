@@ -66,6 +66,8 @@ fuzz:
 	go test ./internal/core/ -run xxx -fuzz FuzzDecodeDecrBatch -fuzztime 30s
 	go test ./internal/core/ -run xxx -fuzz FuzzStencilSettlement -fuzztime 30s
 	go test ./internal/core/ -run xxx -fuzz FuzzStencilLayout -fuzztime 30s
+	go test ./internal/core/ -run xxx -fuzz FuzzGhostFrame -fuzztime 30s
+	go test ./internal/distarray/ -run xxx -fuzz FuzzStencilActivation -fuzztime 30s
 	go test ./internal/dist/ -run xxx -fuzz FuzzGrid -fuzztime 30s
 
 # Chaos soak: seeded fault-injection plans x fault profiles x mid-run

@@ -21,6 +21,7 @@ type Stencil struct {
 	place          int
 	rows, cols     int
 	dealtI, dealtJ bool
+	boxCols        []int // place id -> the width of its box
 }
 
 func newStencil(pat dag.Pattern, d dist.Dist, place int, g *TileGrid) *Stencil {
@@ -32,10 +33,15 @@ func newStencil(pat dag.Pattern, d dist.Dist, place int, g *TileGrid) *Stencil {
 	if t == nil {
 		return nil
 	}
+	// An axis dealt over one place is whole: the box is the grid.
+	ps := d.Places()
 	s := &Stencil{StencilTable: t, d: d, place: place, rows: box.Rows, cols: box.Cols,
 		RowOf: make([]int32, box.Rows), ColOf: make([]int32, box.Cols),
-		dealtI: box.RowAxis == dist.Dealt, dealtJ: box.ColAxis == dist.Dealt,
-		ReachRows: int(t.ReachI), ReachCols: int(t.ReachJ)}
+		dealtI: box.RowAxis == dist.Dealt && len(ps) > 1, dealtJ: box.ColAxis == dist.Dealt && len(ps) > 1,
+		ReachRows: int(t.ReachI), ReachCols: int(t.ReachJ), boxCols: make([]int, ps[len(ps)-1]+1)}
+	for _, p := range ps {
+		s.boxCols[p] = d.LocalBox(p).Cols
+	}
 	for r := range s.RowOf {
 		s.RowOf[r], _ = d.CellAt(place, r*box.Cols)
 	}
