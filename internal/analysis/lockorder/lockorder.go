@@ -6,7 +6,7 @@
 // Locks are identified by their declared object (the struct field or
 // package variable), so every instance of `shard.mu` is one node —
 // the instance-abstracted order is what the runtime's fine-grained
-// mutexes (aggregator, deques, connection tables, vcache shards) must
+// mutexes (aggregator, deques, connection tables, vertex cache) must
 // agree on. Held sets are propagated flow-sensitively over each
 // function's CFG (may-held union join, the same discipline as
 // lockheld), and acquisition summaries propagate through static calls
@@ -254,7 +254,7 @@ type heldMap map[types.Object]token.Pos
 // edges between distinct locks. must is the intersection ("held on every
 // path in") and gates self-edges: re-acquisition is a deadlock only when
 // the lock is definitely still held, so loops that release-and-retake an
-// instance-abstracted lock (vcache's shard hopping) do not trip it. A
+// instance-abstracted lock (hopping from shard to shard) do not trip it. A
 // nil must map means the block is not yet reached — the identity of the
 // intersection join — and is distinct from an empty (reached, nothing
 // definitely held) map.

@@ -59,6 +59,6 @@ func AblationSpill(quick bool) (Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"512 vertex values per page; residentPages bounds RAM per place",
-		"the wavefront touches pages in sweep order, so CLOCK keeps the live frontier resident")
+		"each place's values are laid out tile by tile, so a tile's walk touches a few consecutive pages")
 	return rep, nil
 }

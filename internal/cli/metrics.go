@@ -20,18 +20,20 @@ import (
 )
 
 // MetricsKeyNamer labels Vec keys for human-readable output: transport
-// vectors are keyed by wire-protocol kind, cache vectors by shard (and the
-// push boxes' hits), and
-// the per-job vectors by job id.
+// vectors are keyed by wire-protocol kind, cache vectors split the vertex
+// cache's counts from the push boxes' hits, and the per-job vectors are
+// keyed by job id.
 func MetricsKeyNamer(vec string, key uint8) string {
 	switch {
 	case strings.HasPrefix(vec, "transport."):
 		return core.KindName(key)
 	case strings.HasPrefix(vec, "vcache."):
-		if key == metrics.VCacheBoxKey {
+		switch key {
+		case metrics.VCacheKey:
+			return "cache"
+		case metrics.VCacheBoxKey:
 			return "boxes"
 		}
-		return fmt.Sprintf("shard%d", key)
 	case strings.HasPrefix(vec, "job."):
 		return fmt.Sprintf("job%d", key)
 	}

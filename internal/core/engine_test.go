@@ -336,8 +336,10 @@ func TestWireIDsVetted(t *testing.T) {
 	}{
 		"fetch":     {pe.handleFetch, func(id dag.VertexID) []byte { return appendFetchReq(nil, st.epoch, []dag.VertexID{id}) }},
 		"stealDone": {pe.handleStealDone, idVal},
-		"restoreTx": {pe.handleRestoreTx, idVal},
-		"readVal":   {pe.handleReadVal, func(id dag.VertexID) []byte { return putID(nil, id) }},
+		"handover": {pe.handleHandover, func(id dag.VertexID) []byte {
+			return encodeHandover(cd, &decrBatch[int64]{epoch: st.epoch}, 1, func(int) (dag.VertexID, int64) { return id, 7 })
+		}},
+		"readVal": {pe.handleReadVal, func(id dag.VertexID) []byte { return putID(nil, id) }},
 	}
 	bad := map[string]dag.VertexID{"out of range": {I: 1000, J: 1000}, "negative": {I: -5, J: -7}, "wrong owner": {I: 8, J: 8}}
 	for what, id := range bad {
@@ -366,8 +368,8 @@ func TestWireIDsVetted(t *testing.T) {
 		b := decrBatch[int64]{epoch: st.epoch, tiles: []tileCount{{tile: 0, count: 1}, bad.tc},
 			vals: []tileVals[int64]{one(mine, 1), bad.tv}, ends: []int{2}}
 		payload := encodeDecrBatch(cd, &b)
-		if _, err := pe.handleReplayTx(1, payload); err == nil {
-			t.Errorf("replayTx with %s: no error", what)
+		if _, err := pe.handleHandover(1, encodeHandover(cd, &b, 0, nil)); err == nil {
+			t.Errorf("handover with %s: no error", what)
 		}
 		_, _ = pe.handleDecrBatch(1, payload) // dropped whole: no panic is the check
 	}

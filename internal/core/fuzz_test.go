@@ -25,8 +25,7 @@ var wireGolden = map[uint8]struct {
 	kindFault:     {"010000000000000003000000", rtPlaceEvent},
 	kindRebuild:   {"0100000000000000020000000800000009000000", rtRebuild},
 	kindExchange:  {"0200000000000000", rtEpoch},
-	kindRestoreTx: {"07000000000000000200000001000000020000006400000000000000fdffffff000000406500000000000000", rtIDVals},
-	kindReplayTx:  {"05000000000000000100000001000302", rtDecrBatch},
+	kindHandover:  {"07000000000000000200000001000000020000006400000000000000fdffffff00000040650000000000000001000000020003020501", rtHandover},
 	kindResume:    {"0400000000000000", rtEpoch},
 	kindStop:      {"0600000000000000", rtEpoch}, // the stop Call stamps the epoch even though handleStop ignores it
 	kindReadVal:   {"fdffffff00000040", rtReadVal},
@@ -439,6 +438,16 @@ func rtIDVals(b []byte) ([]byte, bool) {
 	return encodeIDVals(nil, cd, epoch, len(ids), func(k int) (dag.VertexID, int64) { return ids[k], vals[k] }), true
 }
 
+func rtHandover(b []byte) ([]byte, bool) {
+	cd := codec.Int64{}
+	var batch decrBatch[int64]
+	ids, vals, err := decodeHandover(b, cd, nil, nil, &batch)
+	if err != nil {
+		return nil, false
+	}
+	return encodeHandover(cd, &batch, len(ids), func(k int) (dag.VertexID, int64) { return ids[k], vals[k] }), true
+}
+
 func rtReadVal(b []byte) ([]byte, bool) {
 	id, err := decodeReadVal(b)
 	return encodeReadVal(nil, id), err == nil
@@ -450,14 +459,18 @@ func rtPing(b []byte) ([]byte, bool) {
 }
 
 // strayWireSeeds are payloads that no round trip may accept: a value that
-// is not a kind, the retired values, and a rebuild whose count is absurd.
+// is not a kind, the retired values, a rebuild whose count is absurd, and a
+// handover cut short of its replay records — the retired restoreTx layout.
 func strayWireSeeds() (kinds []uint8, seeds [][]byte) {
-	return []uint8{0, 2, 6, 10, kindRebuild}, [][]byte{
+	restored := codec.Int64{}.Encode(putID(putU32(putU64(nil, 7), 1), dag.VertexID{I: 3, J: 5}), 100)
+	return []uint8{0, 2, 6, 10, 11, kindRebuild, kindHandover}, [][]byte{
 		{},
 		putU32(putU64(nil, 4), 0),            // the retired per-vertex decrement
 		putU32(putU32(putU64(nil, 1), 1), 8), // the retired pause round, absorbed by kindRebuild
 		putU64(nil, 3),                       // the retired replay round, absorbed by kindExchange
-		putU32(putU64(nil, 1), 0xFFFFFFFF),   // absurd count
+		encodeDecrBatch(codec.Int64{}, &decrBatch[int64]{epoch: 5, tiles: []tileCount{{tile: 3, count: 2}}, ends: []int{1}}), // the retired replayTx, absorbed by kindHandover
+		putU32(putU64(nil, 1), 0xFFFFFFFF), // absurd count
+		restored,
 	}
 }
 
@@ -549,6 +562,10 @@ func FuzzWireKindRoundTrip(f *testing.F) {
 	for _, seed := range transferSeeds() {
 		f.Add(kindTransfer, seed)
 	}
+	// A handover of values only, and one of a replay record only.
+	cd, v := codec.Int64{}, func(int) (dag.VertexID, int64) { return dag.VertexID{I: 2, J: -1}, 5 }
+	f.Add(kindHandover, encodeHandover(cd, &decrBatch[int64]{epoch: 3}, 1, v))
+	f.Add(kindHandover, encodeHandover(cd, &decrBatch[int64]{epoch: 4, tiles: []tileCount{{tile: 0, count: 9}}, ends: []int{1}}, 0, v))
 	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
 		enc, ok := roundTrip(kind, data)
 		if !ok {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,4 +302,51 @@ func TestStencilBoxRunOutsideSlabDropped(t *testing.T) {
 		t.Fatalf("%d cache hits, %d box reads, %d fetched; want %d, %d, %d", hits, consumed, fetched, kept, kept, bj+1-kept)
 	}
 	st.closeQuit()
+}
+
+// sortedFetches checks every kindFetch request a place sends against the
+// encoding of its ids in ascending (I, J) order, the order that makes each
+// delta smallest.
+type sortedFetches struct {
+	transport.Transport
+	t        *testing.T
+	requests atomic.Int64
+}
+
+func (s *sortedFetches) Call(to int, kind uint8, payload []byte) ([]byte, error) {
+	if kind == kindFetch {
+		s.requests.Add(1)
+		epoch, ids, err := decodeFetchReq(payload, nil)
+		if err != nil {
+			s.t.Errorf("fetch to place %d: %v", to, err)
+		}
+		slices.SortFunc(ids, cmpID)
+		if want := appendFetchReq(nil, epoch, ids); !bytes.Equal(payload, want) {
+			s.t.Errorf("fetch to place %d is %d bytes, its sorted encoding %d", to, len(payload), len(want))
+		}
+	}
+	return s.Transport.Call(to, kind, payload)
+}
+
+// TestFetchRequestsListIDsAscending runs a Diagonal table on two places of
+// block rows, where the stencil frame queues a tile's remote reads offset by
+// offset: the row above is queued after the cell above-left, out of order.
+// Every fetch request must still list its ids in ascending order.
+func TestFetchRequestsListIDsAscending(t *testing.T) {
+	pat := patterns.NewDiagonal(1401, 1401)
+	cl, err := NewCluster(baseConfig(pat, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var watch []*sortedFetches
+	for _, pe := range cl.engines {
+		w := &sortedFetches{Transport: pe.tr, t: t}
+		pe.tr, watch = w, append(watch, w)
+	}
+	if err := cl.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if watch[1].requests.Load() == 0 {
+		t.Fatal("place 1 sent no fetch request")
+	}
 }

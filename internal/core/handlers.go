@@ -13,8 +13,7 @@ func (pe *placeEngine[T]) registerHandlers() {
 	pe.tr.Handle(kindFetch, pe.handleFetch)
 	pe.tr.Handle(kindRebuild, pe.handleRebuild)
 	pe.tr.Handle(kindExchange, pe.handleExchange)
-	pe.tr.Handle(kindRestoreTx, pe.handleRestoreTx)
-	pe.tr.Handle(kindReplayTx, pe.handleReplayTx)
+	pe.tr.Handle(kindHandover, pe.handleHandover)
 	pe.tr.Handle(kindResume, pe.handleResume)
 	pe.tr.Handle(kindStop, pe.handleStop)
 	pe.tr.Handle(kindReadVal, pe.handleReadVal)
@@ -117,33 +116,29 @@ func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) 
 	return reply, nil
 }
 
-// handleDecrBatch applies one batch of decrement records (applyDecrs). A
+// handleDecrBatch applies one batch of decrement records (applyBatch). A
 // stale-epoch batch is dropped: the recovery replay covers it.
 func (pe *placeEngine[T]) handleDecrBatch(from int, payload []byte) ([]byte, error) {
-	if err := pe.applyDecrs(from, payload); !errors.Is(err, errStaleEpoch) {
-		return nil, err
-	}
-	return nil, nil
-}
-
-// applyDecrs is the one apply body of a decrement batch, runtime or
-// replayed: pushed values are deposited into the boxes of the tiles that
-// read them first (boxes.go), so that by the time a count makes a consumer
-// tile ready, the values it will want are in its box; then the counts settle
-// against this place's tiles. A batch naming a tile this place does not
-// have, or a run past the sender's cells, is refused whole, before any
-// counter moves.
-func (pe *placeEngine[T]) applyDecrs(from int, payload []byte) error {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
-	b := &sc.batch
-	if err := decodeDecrBatch(payload, pe.cfg.Codec, b); err != nil {
-		return err
+	if err := decodeDecrBatch(payload, pe.cfg.Codec, &sc.batch); err != nil {
+		return nil, err
 	}
-	st, err := pe.stateAt(b.epoch)
+	st, err := pe.stateAt(sc.batch.epoch)
 	if err != nil {
-		return err
+		return nil, nil // stale: errStaleEpoch is stateAt's only error
 	}
+	return nil, pe.applyBatch(st, sc, from, &sc.batch)
+}
+
+// applyBatch is the one apply body of a decoded decrement batch b from
+// place from, runtime or replayed: pushed values are deposited into the
+// boxes of the tiles that read them first (boxes.go), so that by the time a
+// count makes a consumer tile ready, the values it will want are in its box;
+// then the counts settle against this place's tiles. A batch naming a tile
+// this place does not have, or a run past the sender's cells, is refused
+// whole, before any counter moves.
+func (pe *placeEngine[T]) applyBatch(st *epochState[T], sc *scratch[T], from int, b *decrBatch[T]) error {
 	n, cells, pushed := st.chunk.NumTiles(), uint32(st.d.LocalCount(from)), false
 	for k, tc := range b.tiles {
 		if int(tc.tile) >= n {
@@ -231,7 +226,7 @@ func (pe *placeEngine[T]) handleRebuild(from int, payload []byte) ([]byte, error
 	if err != nil {
 		return nil, err
 	}
-	chunk := pe.newChunk(newDist)
+	chunk := pe.newChunk(newEpoch, newDist)
 	chunk.InitFlags(pe.cfg.Pattern)
 	var out []distarray.Transfer[T]
 	if pe.cfg.Recovery == RecoverSnapshot {
@@ -239,9 +234,6 @@ func (pe *placeEngine[T]) handleRebuild(from int, payload []byte) ([]byte, error
 	} else {
 		out = distarray.CarryOver(old.chunk, chunk, pe.cfg.Pattern, pe.cfg.RestoreRemote)
 	}
-	// The old epoch's cache is about to be discarded with it; bank its
-	// shard counters in the registry so cumulative totals survive.
-	pe.foldCacheStats(old.cache)
 	// A restart supersedes an epoch whose exchange never ran.
 	if h := old.out.Swap(nil); h != nil {
 		h.prev.Close()
@@ -260,10 +252,9 @@ type handover[T any] struct {
 	prev *distarray.Chunk[T]
 }
 
-// outMsg is one Call of the exchange round.
+// outMsg is one handover Call of the exchange round.
 type outMsg struct {
 	to      int
-	kind    uint8
 	payload []byte
 }
 
@@ -274,7 +265,8 @@ type outMsg struct {
 // have one new owner (its resume scan reads the source's flag), a TileAdd
 // here when a handed-over cell's edge comes back into this place, which can
 // only take the counter below zero before the scan, and otherwise one in the
-// target owner's replay record.
+// target owner's replay record. Each destination gets one handover: its
+// values, then its replay record.
 func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transfer[T], prev *distarray.Chunk[T]) *handover[T] {
 	counts := make([][]uint32, pe.cfg.Places) // by owner, by tile of its grid
 	distarray.ReplayDecrements(st.chunk, out, pe.cfg.Pattern, func(from int, target dag.VertexID) {
@@ -291,35 +283,32 @@ func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transf
 		}
 	})
 	h := &handover[T]{prev: prev}
-	byDest := make(map[int][]distarray.Transfer[T])
+	byDest := make([][]distarray.Transfer[T], pe.cfg.Places)
 	for _, tr := range out {
 		byDest[tr.To] = append(byDest[tr.To], tr)
 	}
 	for dest, trs := range byDest {
-		msg := encodeIDVals(make([]byte, 0, 12+len(trs)*12), pe.cfg.Codec, st.epoch, len(trs), func(k int) (dag.VertexID, T) {
-			return trs[k].ID, trs[k].Value
-		})
-		h.msgs = append(h.msgs, outMsg{to: dest, kind: kindRestoreTx, payload: msg})
-	}
-	for owner, per := range counts {
 		b := decrBatch[T]{epoch: st.epoch}
-		for t, n := range per {
+		for t, n := range counts[dest] {
 			if n > 0 {
 				b.tiles = append(b.tiles, tileCount{tile: uint32(t), count: n})
 			}
 		}
 		if len(b.tiles) > 0 {
 			b.ends = []int{len(b.tiles)}
-			h.msgs = append(h.msgs, outMsg{to: owner, kind: kindReplayTx, payload: encodeDecrBatch(pe.cfg.Codec, &b)})
+		} else if len(trs) == 0 {
+			continue
 		}
+		h.msgs = append(h.msgs, outMsg{to: dest, payload: encodeHandover(pe.cfg.Codec, &b, len(trs), func(k int) (dag.VertexID, T) {
+			return trs[k].ID, trs[k].Value
+		})})
 	}
 	return h
 }
 
 // handleExchange is the second round: it sends what this place's rebuild
-// worked out it owes — the values it hands over, then the decrements it
-// replays — and releases the superseded chunk, which no survivor's traffic
-// reads any more. A destination that died is reported to the coordinator,
+// worked out it owes — one handover per destination — and releases the
+// superseded chunk, which no survivor's traffic reads any more. A destination that died is reported to the coordinator,
 // which restarts the recovery without it; the death is not this place's.
 func (pe *placeEngine[T]) handleExchange(from int, payload []byte) ([]byte, error) {
 	epoch, err := decodeEpoch(payload)
@@ -336,7 +325,7 @@ func (pe *placeEngine[T]) handleExchange(from int, payload []byte) ([]byte, erro
 	}
 	h.prev.Close()
 	for _, m := range h.msgs {
-		if _, err := pe.tr.Call(m.to, m.kind, m.payload); errors.Is(err, transport.ErrDeadPlace) {
+		if _, err := pe.tr.Call(m.to, kindHandover, m.payload); errors.Is(err, transport.ErrDeadPlace) {
 			pe.peerError(m.to, err)
 		} else if err != nil {
 			return nil, err
@@ -345,20 +334,31 @@ func (pe *placeEngine[T]) handleExchange(from int, payload []byte) ([]byte, erro
 	return nil, nil
 }
 
-// handleRestoreTx installs restored finished values into the new chunk.
-func (pe *placeEngine[T]) handleRestoreTx(from int, payload []byte) ([]byte, error) {
+// handleHandover installs the finished values another survivor hands this
+// place into the new chunk, then applies the decrements it replays here
+// (applyBatch). These precede this place's activation scan, so they only take
+// tile counters below zero and never schedule anything; the resume round
+// finds the ready tiles.
+func (pe *placeEngine[T]) handleHandover(from int, payload []byte) ([]byte, error) {
 	sc := pe.getScratch()
 	defer pe.putScratch(sc)
-	return nil, pe.eachOwnedValue(from, kindRestoreTx, payload, sc, func(st *epochState[T], off int, _ dag.VertexID, v T) {
-		st.chunk.SetResult(off, v)
-	})
-}
-
-// handleReplayTx applies replayed decrements (applyDecrs). They precede this
-// place's activation scan, so they only take tile counters below zero and
-// never schedule anything; the resume round finds the ready tiles.
-func (pe *placeEngine[T]) handleReplayTx(from int, payload []byte) ([]byte, error) {
-	return nil, pe.applyDecrs(from, payload)
+	ids, vals, err := decodeHandover(payload, pe.cfg.Codec, sc.ids[:0], sc.vals[:0], &sc.batch)
+	sc.ids, sc.vals = ids, vals // keep grown capacity in the pool
+	if err != nil {
+		return nil, err
+	}
+	st, err := pe.stateAt(sc.batch.epoch)
+	if err != nil {
+		return nil, err
+	}
+	for k, id := range ids {
+		off, ok := st.ownedOffset(id, pe.self)
+		if !ok {
+			return nil, pe.errBadID(kindHandover, id, from)
+		}
+		st.chunk.SetResult(off, vals[k])
+	}
+	return nil, pe.applyBatch(st, sc, from, &sc.batch)
 }
 
 // handleResume runs the activation scan, which adds each tile's edge count

@@ -97,10 +97,6 @@ type placeStack struct {
 	top    transport.Transport    // what place-scoped traffic and the detector use
 	router *jobRouter
 	host   *placeHost
-
-	// overlay adds the live cache counters of the jobs running on this
-	// place to a snapshot of reg (finished jobs folded theirs in already).
-	overlay func(*metrics.Snapshot)
 }
 
 // newPlaceStack builds place p's stack over endpoint ep and installs the
@@ -109,8 +105,8 @@ type placeStack struct {
 // they bypass the job router (TestEveryKindHasOneHandler checks each kind's
 // handler is where its scope says). abortCh ends the reliable layer's
 // retries and any detector built on the stack.
-func newPlaceStack(p int, ep transport.Transport, c *Common, sink *eventSink, abortCh <-chan struct{}, overlay func(*metrics.Snapshot)) *placeStack {
-	ps := &placeStack{common: c, sink: sink, abortCh: abortCh, ep: ep, overlay: overlay}
+func newPlaceStack(p int, ep transport.Transport, c *Common, sink *eventSink, abortCh <-chan struct{}) *placeStack {
+	ps := &placeStack{common: c, sink: sink, abortCh: abortCh, ep: ep}
 	if c.Metrics {
 		ps.reg = metrics.New(p)
 	}
@@ -127,18 +123,9 @@ func newPlaceStack(p int, ep transport.Transport, c *Common, sink *eventSink, ab
 	ps.host = newPlaceHost(c.Threads, ps.reg)
 	ps.top.Handle(kindPing, handlePing)
 	ps.top.Handle(kindStats, func(int, []byte) ([]byte, error) {
-		return metrics.EncodeSnapshot(nil, ps.snapshot()), nil
+		return metrics.EncodeSnapshot(nil, ps.reg.Snapshot()), nil
 	})
 	return ps
-}
-
-// snapshot reads the place's registry with the running jobs overlaid.
-func (ps *placeStack) snapshot() *metrics.Snapshot {
-	s := ps.reg.Snapshot()
-	if ps.reg.Enabled() {
-		ps.overlay(s)
-	}
-	return s
 }
 
 // addReliableStats adds the reliable layer's delivery counters, if the

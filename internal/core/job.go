@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/dpx10/dpx10/internal/dist"
-	"github.com/dpx10/dpx10/internal/metrics"
 )
 
 // JobRun is one job on a JobManager's places, in every deployment the only
@@ -244,7 +243,6 @@ func (jr *JobRun[T]) release() {
 		}
 		for k, pe := range jr.engines {
 			jr.m.stacks[k].host.detach(pe)
-			pe.foldFinalCache()
 			jr.m.stacks[k].router.remove(jr.jobID)
 		}
 		jr.m.retire(jr.jobID, jr.admitted)
@@ -305,10 +303,6 @@ func (jr *JobRun[T]) placeKilled(p int) { jr.engines[p].stop() }
 // Cancel aborts the job with ErrCanceled. Safe at any time; a finished
 // job is unaffected.
 func (jr *JobRun[T]) Cancel() { jr.abortWith(ErrCanceled) }
-
-func (jr *JobRun[T]) overlayCache(k int, s *metrics.Snapshot) {
-	jr.engines[k].overlayCacheStats(s)
-}
 
 // --- results & introspection ------------------------------------------
 

@@ -52,7 +52,6 @@ type jobHandle interface {
 	abortWith(err error)
 	Done() <-chan struct{}
 	release()
-	overlayCache(stack int, s *metrics.Snapshot)
 }
 
 // admitTicket is one queued submission waiting for an admission slot.
@@ -103,11 +102,7 @@ func newJobManager(common Common, eps []transport.Transport) *JobManager {
 		}
 	}
 	for k, ep := range eps {
-		m.stacks[k] = newPlaceStack(ep.Self(), ep, &m.common, m.sink, m.closeCh, func(s *metrics.Snapshot) {
-			for _, h := range m.handles() {
-				h.overlayCache(k, s)
-			}
-		})
+		m.stacks[k] = newPlaceStack(ep.Self(), ep, &m.common, m.sink, m.closeCh)
 	}
 	m.mQueueWait = m.stacks[0].reg.Vec(metrics.JobQueueWaitNs)
 	if m.allLocal() {
@@ -456,7 +451,7 @@ func (m *JobManager) snapshots() ([]*metrics.Snapshot, error) {
 	}
 	out := make([]*metrics.Snapshot, 0, m.common.Places)
 	for _, ps := range m.stacks {
-		out = append(out, ps.snapshot())
+		out = append(out, ps.reg.Snapshot())
 	}
 	ep := m.stacks[0].ep
 	if m.allLocal() || ep.Self() != 0 {

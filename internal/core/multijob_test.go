@@ -388,7 +388,7 @@ func TestManagerCloseCancelsJobs(t *testing.T) {
 // metrics-on cluster: each submits, waits and snapshots, so one client's
 // snapshot fan-out keeps landing while the other's submission is mid-
 // registration. A job must not be visible to the fan-out before its
-// engines exist (nil deref in overlayCacheStats; a slice race under -race).
+// engines exist (a nil engine dereferenced; a slice race under -race).
 func TestMetricsSnapshotRacesSubmit(t *testing.T) {
 	m, err := NewJobManager(Common{Places: 2, Threads: 1, Metrics: true, ProbeInterval: -1})
 	if err != nil {

@@ -115,11 +115,6 @@ type placeEngine[T any] struct {
 	snapSeq atomic.Int64 // local completions since the last snapshot
 	snapOn  bool         // snapshotting configured; hoists maybeSnapshot's check out of the per-vertex path
 
-	// foldOnce/folded guard the one-time fold of the final epoch's cache
-	// counters into the registry when the job ends (see foldFinalCache).
-	foldOnce sync.Once
-	folded   atomic.Bool
-
 	// scratchPool recycles per-worker hot-path buffers; protocol handlers
 	// (steal, steal-done, aggregated decrements) draw from the same pool.
 	scratchPool sync.Pool
@@ -193,7 +188,7 @@ type scratch[T any] struct {
 	ids   []dag.VertexID // decode state (handlers, a steal reply); a tile's cells in order, to send
 	enc   []byte         // wire encode buffer
 	vals  []T            // fetched values (fetchValues)
-	batch decrBatch[T]   // decrement record decode state (applyDecrs)
+	batch decrBatch[T]   // decrement record decode state (applyBatch)
 
 	// What the unit completing cells of this place owes, parked until it
 	// ends (settle): by place, decrements per target tile and the values
@@ -320,7 +315,7 @@ func newPlaceEngine[T any](self int, cfg *Config[T], tr transport.Transport, abo
 // place launches — otherwise an early decrement could reach a place with
 // no state to receive it and be lost with nothing to replay it.
 func (pe *placeEngine[T]) prepare(d dist.Dist) {
-	chunk := pe.newChunk(d)
+	chunk := pe.newChunk(0, d)
 	st := pe.newEpochState(0, d, chunk)
 	// Epoch 0 marks the inactive cells and counts the tile edges before the
 	// chunk is published; a recovery runs the same scan in its resume round,
@@ -629,12 +624,18 @@ func (pe *placeEngine[T]) isAlive(p int) bool {
 func (pe *placeEngine[T]) valueSize() int { return pe.cfg.valueWidth }
 
 // newChunk allocates this place's chunk under d, disk-backed when the
-// run is configured to spill vertex values (paper §X future work).
-func (pe *placeEngine[T]) newChunk(d dist.Dist) *distarray.Chunk[T] {
+// run is configured to spill vertex values (paper §X future work). A
+// spilled chunk stores its cells tile by tile under epoch's tile grid, so
+// the walk of one tile touches a few consecutive pages (TileGrid.TileMajor).
+func (pe *placeEngine[T]) newChunk(epoch uint64, d dist.Dist) *distarray.Chunk[T] {
 	if sc := pe.cfg.Spill; sc != nil {
-		n := d.LocalCount(pe.self)
-		store, err := spill.NewMapped[T](n, sc.PageVals, sc.ResidentPages,
-			pe.cfg.Codec, sc.Dir, spillRemap(d, pe.self))
+		var remap func(int) int
+		if k := slices.Index(d.Places(), pe.self); k >= 0 {
+			grids, _ := pe.cfg.layout.get(&pe.cfg.Common, epoch, d)
+			remap = grids[k].TileMajor
+		}
+		store, err := spill.NewMapped[T](d.LocalCount(pe.self), sc.PageVals, sc.ResidentPages,
+			pe.cfg.Codec, sc.Dir, remap)
 		if err != nil {
 			// Spilling is an explicit opt-in; failing to set it up is an
 			// unrecoverable configuration/environment error.
@@ -644,26 +645,6 @@ func (pe *placeEngine[T]) newChunk(d dist.Dist) *distarray.Chunk[T] {
 		return distarray.NewChunkBacked[T](pe.self, d, store)
 	}
 	return distarray.NewChunk[T](pe.self, d)
-}
-
-// spillRemap picks the spill store's page-locality permutation. When the
-// rows are split and the columns whole, boundary values arrive from the
-// upstream place in column bursts, so a place works through its box in
-// column bands spanning all local rows; with row-major local offsets every
-// band touches one page per row, while a column-major permutation packs a
-// band into a handful of pages (measured ~5x faster on spilled SWLAG).
-// Column-split boxes are already band-friendly; other layouts keep
-// identity.
-func spillRemap(d dist.Dist, self int) func(int) int {
-	b := d.LocalBox(self)
-	if b.RowAxis == dist.Whole || b.ColAxis != dist.Whole {
-		return nil
-	}
-	rows, w := b.Rows, b.Cols
-	return func(off int) int {
-		r, c := off/w, off%w
-		return c*rows + r
-	}
 }
 
 // newCache builds a fresh per-epoch remote-vertex cache. Recovery must not
@@ -864,62 +845,6 @@ func (pe *placeEngine[T]) maybeSnapshot(st *epochState[T], n int64) {
 	}
 	pe.cfg.Snapshot.Save(st.chunk, pe.cfg.Pattern)
 	pe.cfg.Snapshot.Commit()
-}
-
-// foldCacheStats adds the cache's per-shard counters into the registry
-// vecs. Called on the outgoing epoch's cache at rebuild — a recovery
-// replaces the cache wholesale, and without the fold its counts would be
-// lost — and never on the live cache, which metricsSnapshot reads
-// directly so the counts are never double-counted.
-func (pe *placeEngine[T]) foldCacheStats(c *vcache.Cache[T]) {
-	if !pe.reg.Enabled() || c == nil {
-		return
-	}
-	for i, sh := range c.ShardStats() {
-		pe.mVCHits.Add(uint8(i), sh.Hits)
-		pe.mVCMiss.Add(uint8(i), sh.Misses)
-		pe.mVCEvict.Add(uint8(i), sh.Evicted)
-	}
-}
-
-// foldFinalCache folds the live epoch's cache counters into the
-// registry, once, when the job ends. The registry outlives the job (it
-// belongs to the place), so without this fold a finished job's final
-// epoch would vanish from the vcache vecs; the folded flag stops
-// metricsSnapshot from overlaying the same counters a second time.
-func (pe *placeEngine[T]) foldFinalCache() {
-	pe.foldOnce.Do(func() {
-		if st := pe.current(); st != nil {
-			pe.foldCacheStats(st.cache)
-		}
-		pe.folded.Store(true)
-	})
-}
-
-// overlayCacheStats adds this engine's live cache shard counters onto a
-// snapshot of the shared registry (no-op once the final fold ran). Many
-// engines can share one place registry, so the snapshot is taken by the
-// caller and each active engine overlays in turn.
-func (pe *placeEngine[T]) overlayCacheStats(s *metrics.Snapshot) {
-	if pe.folded.Load() {
-		return
-	}
-	st := pe.current()
-	if st == nil || st.cache == nil {
-		return
-	}
-	for i, sh := range st.cache.ShardStats() {
-		k := uint8(i)
-		if sh.Hits != 0 {
-			s.Vecs[metrics.VCacheHits][k] += sh.Hits
-		}
-		if sh.Misses != 0 {
-			s.Vecs[metrics.VCacheMisses][k] += sh.Misses
-		}
-		if sh.Evicted != 0 {
-			s.Vecs[metrics.VCacheEvictions][k] += sh.Evicted
-		}
-	}
 }
 
 // addStats adds this engine's counters, and its job port's transport

@@ -35,8 +35,7 @@ const (
 	kindFault     uint8 = 5
 	kindRebuild   uint8 = 7
 	kindExchange  uint8 = 8
-	kindRestoreTx uint8 = 9
-	kindReplayTx  uint8 = 11
+	kindHandover  uint8 = 9
 	kindResume    uint8 = 12
 	kindStop      uint8 = 13
 	kindReadVal   uint8 = 14
@@ -73,9 +72,9 @@ var wireKinds = [...]kindRow{
 	6:             {name: "pause", retired: true},                         // recovery round; kindRebuild absorbed it
 	kindRebuild:   {name: "rebuild", call: true, round: true},             // pause, rebuild, work out the exchange
 	kindExchange:  {name: "exchange", call: true, round: true},            // send what the rebuild worked out
-	kindRestoreTx: {name: "restoreTx", call: true},                        // place -> place, restored values
+	kindHandover:  {name: "handover", call: true},                         // place -> place, restored values and replayed decrements
 	10:            {name: "replay", retired: true},                        // recovery round; kindExchange absorbed it
-	kindReplayTx:  {name: "replayTx", call: true},                         // place -> place, replayed decrements
+	11:            {name: "replayTx", retired: true},                      // replayed decrements; kindHandover absorbed it
 	kindResume:    {name: "resume", call: true, round: true},              // restart workers; the reply says done
 	kindStop:      {name: "stop", call: true},                             // run finished; the reply is the ack
 	kindReadVal:   {name: "readVal", call: true, exempt: true},            // post-run result access
@@ -311,11 +310,12 @@ func decodeTransfer(payload []byte, buf []dag.VertexID) (epoch uint64, reason ui
 	return epoch, reason, buf, nil
 }
 
-// --- decrement records (kindDecrBatch, kindReplayTx) -------------------
+// --- decrement records (kindDecrBatch, kindHandover) ------------------
 //
 // One batch carries the settlements of many units for one destination
-// place, coalesced by the outbound aggregator; a recovery's replay sends one
-// record, with no values:
+// place, coalesced by the outbound aggregator; a recovery's handover ends
+// with the records of one, without its epoch: one record, with no values,
+// or none:
 //
 //	[epoch u64][nRecords u32]
 //	record: [nTile uvarint][push uvarint: 0 or 1] entry×nTile
@@ -488,16 +488,20 @@ func beginDecrBatch(dst []byte, epoch uint64) []byte { return putU32(putU64(dst,
 func finishDecrBatch(msg []byte, n uint32)           { binary.LittleEndian.PutUint32(msg[8:12], n) }
 
 // encodeDecrBatch builds a whole payload from decoded form in a fresh
-// buffer: a recovery's replay, and tests. The aggregator builds its
-// messages a record at a time.
+// buffer, for the round-trip tests; the aggregator builds its messages a
+// record at a time, and a handover appends its records (appendDecrRecords).
 func encodeDecrBatch[T any](cd codec.Codec[T], b *decrBatch[T]) []byte {
-	dst := beginDecrBatch(nil, b.epoch)
+	return appendDecrRecords(putU64(nil, b.epoch), cd, b)
+}
+
+// appendDecrRecords appends b's records, after their count, to dst.
+func appendDecrRecords[T any](dst []byte, cd codec.Codec[T], b *decrBatch[T]) []byte {
+	dst = putU32(dst, uint32(len(b.ends)))
 	at, end := 0, uint32(0)
 	for _, e := range b.ends {
 		dst, end = appendDecrRecord(dst, cd, end, b.tiles[at:e], b.vals[at:min(e, len(b.vals))])
 		at = e
 	}
-	finishDecrBatch(dst, uint32(len(b.ends)))
 	return dst
 }
 
@@ -510,6 +514,12 @@ func encodeDecrBatch[T any](cd codec.Codec[T], b *decrBatch[T]) []byte {
 func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) error {
 	r := reader{b: payload}
 	b.epoch = r.u64()
+	return readDecrRecords(&r, cd, b)
+}
+
+// readDecrRecords reads a record count and the records into b, as
+// decodeDecrBatch describes; b.epoch is the caller's.
+func readDecrRecords[T any](r *reader, cd codec.Codec[T], b *decrBatch[T]) error {
 	n := r.u32()
 	b.tiles, b.vals, b.ends = b.tiles[:0], b.vals[:0], b.ends[:0]
 	if r.err != nil {
@@ -517,7 +527,7 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 	}
 	// A record costs at least 2 bytes, its two counts, and each tile entry
 	// it holds at least 2 more; a run at least 3, its two varints and a value.
-	if int(n) > (len(payload)-12)/2 {
+	if int(n) > (len(r.b)-r.off)/2 {
 		return errDecrRecord
 	}
 	end := int64(0)
@@ -527,7 +537,7 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 		if r.err != nil {
 			return r.err
 		}
-		if push > 1 || nt > uint64(len(payload)-r.off)/2 {
+		if push > 1 || nt > uint64(len(r.b)-r.off)/2 {
 			return errDecrRecord
 		}
 		for m := uint64(0); m < nt; m++ {
@@ -549,7 +559,7 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 			if r.err != nil {
 				return r.err
 			}
-			if nr > uint64(len(payload)-r.off)/3 {
+			if nr > uint64(len(r.b)-r.off)/3 {
 				return errDecrRun
 			}
 			for q := uint64(0); q < nr; q++ {
@@ -558,7 +568,7 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 				if r.err != nil {
 					return r.err
 				}
-				if off < 0 || cnt == 0 || cnt > uint64(len(payload)-r.off) || off+int64(cnt) > math.MaxInt32 {
+				if off < 0 || cnt == 0 || cnt > uint64(len(r.b)-r.off) || off+int64(cnt) > math.MaxInt32 {
 					return errDecrRun
 				}
 				tv.runs = append(tv.runs, valRun{off: uint32(off), n: uint32(cnt)})
@@ -583,8 +593,9 @@ func decodeDecrBatch[T any](payload []byte, cd codec.Codec[T], b *decrBatch[T]) 
 //	request: [epoch u64][n u32][Δid...]    reply: [value (codec)...]
 //
 // The ids are a Δid chain: each is two zig-zag varints, (ΔI, ΔJ), relative
-// to the one before it, (0,0) for the first. A tile's halo arrives in walk order and a cell's
-// remote dependencies are grid neighbours, so an id costs about two bytes.
+// to the one before it, (0,0) for the first. The sender lists them in
+// ascending order (fetchQueued) and a cell's remote dependencies are grid
+// neighbours, so an id costs about two bytes.
 // The reply carries the values in request order.
 
 // fetchMaxIDs bounds one request, and through it the reply: at most
@@ -684,8 +695,8 @@ func decodeSteal(payload []byte) (epoch uint64, lifeline bool, err error) {
 	return epoch, flag == 1, r.err
 }
 
-// encodeIDVals is restoreTx and stealDone: [epoch u64][n u32] then n
-// (id, value (codec)) entries, entry k being at(k).
+// encodeIDVals is stealDone, and the front of handover: [epoch u64][n u32]
+// then n (id, value (codec)) entries, entry k being at(k).
 func encodeIDVals[T any](dst []byte, cd codec.Codec[T], epoch uint64, n int, at func(k int) (dag.VertexID, T)) []byte {
 	dst = putU32(putU64(dst, epoch), uint32(n))
 	for k := 0; k < n; k++ {
@@ -699,17 +710,44 @@ func encodeIDVals[T any](dst []byte, cd codec.Codec[T], epoch uint64, n int, at 
 // buffers even on error.
 func decodeIDVals[T any](payload []byte, cd codec.Codec[T], ids []dag.VertexID, vals []T) (uint64, []dag.VertexID, []T, error) {
 	r := reader{b: payload}
-	epoch, n := r.u64(), r.u32()
+	epoch := r.u64()
+	ids, vals = readIDVals(&r, cd, ids, vals)
+	return epoch, ids, vals, r.err
+}
+
+// readIDVals reads an entry count and the entries, as decodeIDVals.
+func readIDVals[T any](r *reader, cd codec.Codec[T], ids []dag.VertexID, vals []T) ([]dag.VertexID, []T) {
+	n := r.u32()
 	for k := uint32(0); k < n && r.err == nil; k++ {
 		ids = append(ids, r.id())
 		v, used, err := cd.Decode(r.rest())
 		if err != nil {
-			return 0, ids, vals, fmt.Errorf("core: value decode: %w", err)
+			r.err = fmt.Errorf("core: value decode: %w", err)
+			break
 		}
 		r.off += used
 		vals = append(vals, v)
 	}
-	return epoch, ids, vals, r.err
+	return ids, vals
+}
+
+// encodeHandover is handover, what one survivor owes another in a
+// recovery's exchange round: the values it hands over, as encodeIDVals lays
+// them out, then the records of b, the decrements it replays there.
+func encodeHandover[T any](cd codec.Codec[T], b *decrBatch[T], n int, at func(k int) (dag.VertexID, T)) []byte {
+	return appendDecrRecords(encodeIDVals(nil, cd, b.epoch, n, at), cd, b)
+}
+
+// decodeHandover appends the handed-over entries to ids and vals and reads
+// the replayed decrements into b, returning the grown buffers even on error.
+func decodeHandover[T any](payload []byte, cd codec.Codec[T], ids []dag.VertexID, vals []T, b *decrBatch[T]) ([]dag.VertexID, []T, error) {
+	r := reader{b: payload}
+	b.epoch = r.u64()
+	ids, vals = readIDVals(&r, cd, ids, vals)
+	if r.err != nil {
+		return ids, vals, r.err
+	}
+	return ids, vals, readDecrRecords(&r, cd, b)
 }
 
 // encodeReadVal is readVal: [id], and its reply [finished u8][value

@@ -214,9 +214,9 @@ func (pe *placeEngine[T]) handleStealDone(from int, payload []byte) ([]byte, err
 	})
 }
 
-// eachOwnedValue walks an [epoch][n][(id, value)...] payload — a steal-done
-// batch, or values restored by a recovery — calling fn for each cell, whose
-// id must be this place's under the epoch the payload names.
+// eachOwnedValue walks a steal-done batch, [epoch][n][(id, value)...],
+// calling fn for each cell, whose id must be this place's under the epoch the
+// payload names.
 func (pe *placeEngine[T]) eachOwnedValue(from int, kind uint8, payload []byte, sc *scratch[T], fn func(st *epochState[T], off int, id dag.VertexID, v T)) error {
 	epoch, ids, vals, err := decodeIDVals(payload, pe.cfg.Codec, sc.ids[:0], sc.vals[:0])
 	sc.ids, sc.vals = ids, vals // keep grown capacity in the pool

@@ -617,12 +617,21 @@ func (pe *placeEngine[T]) cachedOrQueued(st *epochState[T], sc *scratch[T], owne
 	sc.remote[owner] = append(sc.remote[owner], dep)
 }
 
-// fetchQueued books a halo step's counts — a value a box held is a cache hit
-// and a pushed value consumed — then fetches what cachedOrQueued queued, one
-// fetchValues per owning place, and hands each value to put.
+// fetchQueued books a halo step's counts, in Stats and the vcache vecs
+// alike — a value a box held is a cache hit and a pushed value consumed —
+// then fetches what cachedOrQueued queued, one fetchValues per owning place,
+// and hands each value to put. Each place's ids go in ascending order,
+// whatever order the walk queued them in, so every delta in the request is
+// as short as it can be.
 func (pe *placeEngine[T]) fetchQueued(st *epochState[T], sc *scratch[T], n haloCounts, put func(dag.VertexID, T)) error {
 	pe.cacheHits.Add(n.hits + n.pushHits)
 	pe.cacheMisses.Add(n.misses)
+	if n.hits > 0 {
+		pe.mVCHits.Add(metrics.VCacheKey, n.hits)
+	}
+	if n.misses > 0 {
+		pe.mVCMiss.Add(metrics.VCacheKey, n.misses)
+	}
 	if n.pushHits > 0 {
 		pe.pushConsumed.Add(n.pushHits)
 		pe.mVCHits.Add(metrics.VCacheBoxKey, n.pushHits)
@@ -630,6 +639,7 @@ func (pe *placeEngine[T]) fetchQueued(st *epochState[T], sc *scratch[T], n haloC
 	for _, owner := range sc.owners {
 		ids := sc.remote[owner]
 		sc.remote[owner] = ids[:0]
+		slices.SortFunc(ids, cmpID)
 		vals, err := pe.fetchValues(st, sc, owner, ids)
 		if err != nil {
 			return err
@@ -641,6 +651,9 @@ func (pe *placeEngine[T]) fetchQueued(st *epochState[T], sc *scratch[T], n haloC
 	sc.owners = sc.owners[:0]
 	return nil
 }
+
+// cmpID orders vertex ids by row, then column.
+func cmpID(a, b dag.VertexID) int { return cmp.Or(cmp.Compare(a.I, b.I), cmp.Compare(a.J, b.J)) }
 
 // drainBox takes own tile t's box, hands put each value it holds with its
 // cell, and releases the box's storage: the tile runs now, here.
@@ -663,7 +676,7 @@ func (pe *placeEngine[T]) drainBox(st *epochState[T], t int, put func(i, j int32
 // fetchValues reads the finished values of ids, all owned by owner, into
 // sc.vals in id order: one kindFetch call per fetchMaxIDs ids, each timed
 // into engine.fetch_wait_ns when the registry is on. Every value is offered
-// to the vertex cache.
+// to the vertex cache, and the entries that evicts are counted.
 func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner int, ids []dag.VertexID) ([]T, error) {
 	sc.vals = sc.vals[:0]
 	for len(ids) > 0 {
@@ -683,6 +696,7 @@ func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner i
 			pe.peerError(owner, err)
 			return nil, err
 		}
+		var evicted int64
 		for _, id := range req {
 			v, n, derr := pe.cfg.Codec.Decode(reply)
 			if derr != nil {
@@ -690,9 +704,14 @@ func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner i
 			}
 			reply = reply[n:]
 			sc.vals = append(sc.vals, v)
-			st.cache.Put(id, v)
+			if st.cache.Put(id, v) {
+				evicted++
+			}
 		}
 		pe.remoteFetches.Add(int64(len(req)))
+		if evicted > 0 {
+			pe.mVCEvict.Add(metrics.VCacheKey, evicted)
+		}
 	}
 	return sc.vals, nil
 }

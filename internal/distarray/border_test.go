@@ -3,7 +3,6 @@ package distarray
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -114,7 +113,7 @@ func FuzzStencilActivation(f *testing.F) {
 				} else if n == 0 {
 					want = append(want, tl)
 				}
-				if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != n {
+				if got := c.tileIndeg[tl].Load(); got != n {
 					t.Fatalf("%s: tile %d counter %d, brute force %d", name, tl, got, n)
 				}
 			}

@@ -38,7 +38,7 @@ type Chunk[T any] struct {
 	values []T           // dense in-memory values (nil when store != nil)
 	store  ValueStore[T] // optional disk-backed value storage
 	n      int
-	fin    []uint32 // finished state: bit off&31 of word off>>5
+	fin    []atomic.Uint32 // finished state: bit off&31 of word off>>5
 	done   atomic.Int64
 	active int64 // cells that participate (finished inactive ones pre-counted)
 
@@ -46,8 +46,8 @@ type Chunk[T any] struct {
 	// rectangle of the local index box; its counter is the only readiness
 	// state, derived afresh each epoch from the finished bits.
 	TileGrid
-	tileIndeg  []int32
-	tileQueued []uint32
+	tileIndeg  []atomic.Int32
+	tileQueued []atomic.Uint32
 	tileLive   atomic.Bool // true once the activation scan has added its counts
 
 	sten atomic.Pointer[Stencil] // non-nil when the activation took the stencil arm
@@ -73,7 +73,7 @@ func NewChunk[T any](p int, d dist.Dist) *Chunk[T] {
 		d:      d,
 		values: make([]T, n),
 		n:      n,
-		fin:    make([]uint32, (n+31)/32),
+		fin:    make([]atomic.Uint32, (n+31)/32),
 	}
 }
 
@@ -86,7 +86,7 @@ func NewChunkBacked[T any](p int, d dist.Dist, vs ValueStore[T]) *Chunk[T] {
 		d:     d,
 		store: vs,
 		n:     n,
-		fin:   make([]uint32, (n+31)/32),
+		fin:   make([]atomic.Uint32, (n+31)/32),
 	}
 }
 
@@ -192,7 +192,7 @@ func (c *Chunk[T]) Publish(off, n int) {
 	for k, end := 0, off+n; off < end; off += k {
 		k = min(end-off, 32-off&31)
 		m := ^uint32(0) >> (32 - k) << (off & 31)
-		if old := atomic.OrUint32(&c.fin[off>>5], m); old&m != 0 {
+		if old := c.fin[off>>5].Or(m); old&m != 0 {
 			i, j := c.d.CellAt(c.place, off&^31+bits.TrailingZeros32(old&m))
 			panic(fmt.Sprintf("distarray: vertex (%d,%d) finished twice", i, j))
 		}
@@ -209,14 +209,14 @@ func (c *Chunk[T]) AddDone(n int64) {
 
 // Finished reports whether the cell at off has completed.
 func (c *Chunk[T]) Finished(off int) bool {
-	return atomic.LoadUint32(&c.fin[off>>5])&(1<<(off&31)) != 0
+	return c.fin[off>>5].Load()&(1<<(off&31)) != 0
 }
 
 // FinishedRun counts the finished cells among the n from off, 32 per load.
 func (c *Chunk[T]) FinishedRun(off, n int) (finished int) {
 	for k, end := 0, off+n; off < end; off += k {
 		k = min(end-off, 32-off&31)
-		finished += bits.OnesCount32(atomic.LoadUint32(&c.fin[off>>5]) & (^uint32(0) >> (32 - k) << (off & 31)))
+		finished += bits.OnesCount32(c.fin[off>>5].Load() & (^uint32(0) >> (32 - k) << (off & 31)))
 	}
 	return finished
 }
@@ -225,7 +225,7 @@ func (c *Chunk[T]) FinishedRun(off, n int) (finished int) {
 // state is not done, or end: a word at a time.
 func (c *Chunk[T]) stateEnd(off, end int, done bool) int {
 	for off < end {
-		w := atomic.LoadUint32(&c.fin[off>>5])
+		w := c.fin[off>>5].Load()
 		if done {
 			w = ^w
 		}
@@ -257,7 +257,7 @@ func (c *Chunk[T]) Values(dst []T, off int) {
 // for quiesced phases (result collection, recovery); it does not lock.
 func (c *Chunk[T]) ForEachFinished(pat dag.Pattern, f func(i, j int32, off int, v T)) {
 	for w := range c.fin {
-		for word := atomic.LoadUint32(&c.fin[w]); word != 0; word &= word - 1 {
+		for word := c.fin[w].Load(); word != 0; word &= word - 1 {
 			off := w<<5 + bits.TrailingZeros32(word)
 			if i, j := c.d.CellAt(c.place, off); dag.IsActive(pat, i, j) {
 				f(i, j, off, c.getValue(off))

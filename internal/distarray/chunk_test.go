@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -155,7 +154,7 @@ func TestDecrementUnderflowPanics(t *testing.T) {
 	c.ConfigureTiles(1)
 	c.InitActivateTiles(pat)
 	off := d.LocalOffset(0, 1) // one edge, from (0,0)
-	if got := atomic.LoadInt32(&c.tileIndeg[c.TileOf(off)]); got != 1 {
+	if got := c.tileIndeg[c.TileOf(off)].Load(); got != 1 {
 		t.Fatalf("counter of (0,1) after activation = %d, want 1", got)
 	}
 	if _, ready := c.TileDecrement(off); !ready {

@@ -2,7 +2,6 @@ package distarray
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"github.com/dpx10/dpx10/internal/dag"
@@ -20,8 +19,8 @@ func gridShapes(rows, cols int) [][2]int {
 }
 
 // TestTileGridPartitionsTheBox checks the one geometry against itself: every
-// offset lies in exactly one tile, TileOf and TileBox agree and Holds is
-// membership.
+// offset lies in exactly one tile, TileOf and TileBox agree, Holds is
+// membership and TileMajor numbers the cells tile by tile, row by row.
 func TestTileGridPartitionsTheBox(t *testing.T) {
 	for _, box := range [][2]int{{7, 10}, {1, 9}, {9, 1}, {4, 4}} {
 		rows, cols := box[0], box[1]
@@ -32,6 +31,7 @@ func TestTileGridPartitionsTheBox(t *testing.T) {
 			for i := range owner {
 				owner[i] = -1
 			}
+			pos := 0
 			for tl := 0; tl < g.NumTiles(); tl++ {
 				b := g.TileBox(tl)
 				if b.Rows < 1 || b.W < 1 || b.Stride != cols {
@@ -43,6 +43,10 @@ func TestTileGridPartitionsTheBox(t *testing.T) {
 							t.Fatalf("%s: offset %d in tiles %d and %d", name, off, owner[off], tl)
 						}
 						owner[off] = tl
+						if g.TileMajor(off) != pos {
+							t.Fatalf("%s: TileMajor(%d) = %d, want %d", name, off, g.TileMajor(off), pos)
+						}
+						pos++
 					}
 				}
 			}
@@ -244,7 +248,7 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 								if want[tl] = n; !live[tl] {
 									want[tl] = retiredTile
 								}
-								if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != want[tl] {
+								if got := c.tileIndeg[tl].Load(); got != want[tl] {
 									t.Fatalf("%s: tile %d counter %d, want %d", name, tl, got, want[tl])
 								}
 								if isReady[tl] != (live[tl] && n == 0) {
@@ -271,7 +275,7 @@ func TestActivationCountsCrossTileEdges(t *testing.T) {
 								}
 							}
 							for tl := range want {
-								if got := atomic.LoadInt32(&c.tileIndeg[tl]); got != want[tl]-edges[tl] || live[tl] && got != 0 {
+								if got := c.tileIndeg[tl].Load(); got != want[tl]-edges[tl] || live[tl] && got != 0 {
 									t.Fatalf("%s: tile %d counter %d after every edge was applied", name, tl, got)
 								}
 							}

@@ -103,6 +103,16 @@ func (g *TileGrid) RunEnd(off int) int {
 	return off - c + min((c/g.bj+1)*g.bj, g.cols)
 }
 
+// TileMajor returns local offset off's position when the box's cells are
+// laid out tile by tile in tile order, each tile's cells row by row: a
+// permutation of the offsets under which every tile's cells are consecutive.
+func (g *TileGrid) TileMajor(off int) int {
+	r, c := off/g.cols, off%g.cols
+	tr, tc := r/g.bi, c/g.bj
+	h, w := min(g.bi, g.rows-tr*g.bi), min(g.bj, g.cols-tc*g.bj)
+	return tr*g.bi*g.cols + tc*g.bj*h + (r-tr*g.bi)*w + c - tc*g.bj
+}
+
 // TileBox is a tile's cells: Rows runs of W consecutive local offsets, the
 // first run starting at Lo and each next one Stride further on.
 type TileBox struct{ Lo, W, Rows, Stride int }
@@ -138,8 +148,8 @@ func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
 	}
 	c.TileGrid = g
 	n := g.NumTiles()
-	c.tileIndeg = make([]int32, n)
-	c.tileQueued = make([]uint32, n)
+	c.tileIndeg = make([]atomic.Int32, n)
+	c.tileQueued = make([]atomic.Uint32, n)
 	c.tileLive.Store(false)
 	c.sten.Store(nil) // the arm is per-epoch; the next scan picks it
 }
@@ -149,7 +159,7 @@ func (c *Chunk[T]) ConfigureGrid(g TileGrid) {
 // through two concurrent paths during recovery (an early remote decrement
 // and the activation scan), and this flag arbitrates.
 func (c *Chunk[T]) TryMarkTileQueued(t int) bool {
-	return atomic.CompareAndSwapUint32(&c.tileQueued[t], 0, 1)
+	return c.tileQueued[t].CompareAndSwap(0, 1)
 }
 
 // retiredTile is a retired tile's count: more than any tile has edges.
@@ -178,7 +188,7 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 		if !pending[t] {
 			n = retiredTile
 		}
-		nv := atomic.AddInt32(&c.tileIndeg[t], n)
+		nv := c.tileIndeg[t].Add(n)
 		if nv < 0 {
 			panic(fmt.Sprintf("distarray: tile %d took %d more decrements than it has edges at place %d", t, -nv, c.place))
 		}
@@ -194,7 +204,7 @@ func (c *Chunk[T]) ActivateTiles(pat dag.Pattern) []int {
 // no unfinished cell, so it will not run this epoch. Before the scan it
 // reports false.
 func (c *Chunk[T]) TileRetired(t int) bool {
-	return c.tileLive.Load() && atomic.LoadInt32(&c.tileIndeg[t]) > retiredTile/2
+	return c.tileLive.Load() && c.tileIndeg[t].Load() > retiredTile/2
 }
 
 // pendingTiles reports, per tile, whether it holds an unfinished cell: the
@@ -356,7 +366,7 @@ func (c *Chunk[T]) TileDecrement(off int) (tile int, ready bool) {
 // is an underflow and panics.
 func (c *Chunk[T]) TileAdd(t int, n int32) bool {
 	live := c.tileLive.Load() // before the add: a scan still to come would offset it
-	nv := atomic.AddInt32(&c.tileIndeg[t], -n)
+	nv := c.tileIndeg[t].Add(-n)
 	if nv < 0 && live {
 		panic(fmt.Sprintf("distarray: tile %d counter went negative at place %d", t, c.place))
 	}

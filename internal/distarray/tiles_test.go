@@ -33,7 +33,7 @@ func TestActivateTilesDerivesCrossTileIndegrees(t *testing.T) {
 	// (Grid deps are up and left; left edges are intra-tile).
 	for tile := 1; tile < c.NumTiles(); tile++ {
 		want := int32(6)
-		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
+		if got := c.tileIndeg[tile].Load(); got != want {
 			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
 		}
 	}
@@ -47,7 +47,7 @@ func TestTileDecrementPreActivationFoldsIntoScan(t *testing.T) {
 	if tile, ready := c.TileDecrement(off); ready {
 		t.Fatalf("tile %d reported ready before activation", tile)
 	}
-	if got := atomic.LoadInt32(&c.tileIndeg[1]); got != -1 {
+	if got := c.tileIndeg[1].Load(); got != -1 {
 		t.Fatalf("tileIndeg[1] after a pre-activation decrement = %d, want -1", got)
 	}
 	// So can a walk's batched settle: a tile the scan has already made ready
@@ -62,7 +62,7 @@ func TestTileDecrementPreActivationFoldsIntoScan(t *testing.T) {
 	// Tiles 1 and 2 now wait on one and two fewer of their 6 cross-tile
 	// edges than their siblings.
 	for tile, want := range []int32{0, 5, 4, 6} {
-		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
+		if got := c.tileIndeg[tile].Load(); got != want {
 			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
 		}
 	}
@@ -85,7 +85,7 @@ func TestTileDecrementDrainsToReady(t *testing.T) {
 	if flips != 1 {
 		t.Fatalf("tile 1 became ready %d times, want exactly once", flips)
 	}
-	if got := atomic.LoadInt32(&c.tileIndeg[1]); got != 0 {
+	if got := c.tileIndeg[1].Load(); got != 0 {
 		t.Fatalf("tileIndeg[1] = %d after draining, want 0", got)
 	}
 }
@@ -106,7 +106,7 @@ func TestTileDecrementFinishedCellCounted(t *testing.T) {
 		t.Fatalf("ready tiles = %v, want none", ready)
 	}
 	for tile, want := range []int32{3, 2} {
-		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
+		if got := c.tileIndeg[tile].Load(); got != want {
 			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
 		}
 	}
@@ -117,7 +117,7 @@ func TestTileDecrementFinishedCellCounted(t *testing.T) {
 			flips++
 		}
 	}
-	if got := atomic.LoadInt32(&c.tileIndeg[0]); flips != 1 || got != 0 {
+	if got := c.tileIndeg[0].Load(); flips != 1 || got != 0 {
 		t.Fatalf("tile 0 became ready %d times, counter %d; want once and 0", flips, got)
 	}
 }
@@ -145,7 +145,7 @@ func TestConfigureTilesResetsPerEpoch(t *testing.T) {
 	if !c.TryMarkTileQueued(0) {
 		t.Fatal("queued flag survived ConfigureTiles")
 	}
-	if got := atomic.LoadInt32(&c.tileIndeg[1]); got != 0 {
+	if got := c.tileIndeg[1].Load(); got != 0 {
 		t.Fatalf("tileIndeg[1] = %d after ConfigureTiles, want 0", got)
 	}
 	if c.tileLive.Load() {
@@ -167,7 +167,7 @@ func TestDepCacheColWaveNotMonotone(t *testing.T) {
 	c := NewChunk[int32](0, d)
 	c.ConfigureTiles(36)
 	ready := c.InitActivateTiles(pat)
-	if got := atomic.LoadInt32(&c.tileIndeg[0]); len(ready) != 1 || ready[0] != 0 || got != 0 {
+	if got := c.tileIndeg[0].Load(); len(ready) != 1 || ready[0] != 0 || got != 0 {
 		t.Fatalf("ready %v, tileIndeg[0] = %d; want [0] and 0", ready, got)
 	}
 }
@@ -186,7 +186,7 @@ func TestDepCacheRecoveryRefillSkipsFinished(t *testing.T) {
 	// Rows 1 and 2 each wait on 5 vertical edges: row 1 has 5 unfinished
 	// cells, and row 2's edge from (1,0) is finished. Row 3 waits on all 6.
 	for tile, want := range []int32{0, 5, 5, 6} {
-		if got := atomic.LoadInt32(&c.tileIndeg[tile]); got != want {
+		if got := c.tileIndeg[tile].Load(); got != want {
 			t.Fatalf("tileIndeg[%d] = %d, want %d", tile, got, want)
 		}
 	}

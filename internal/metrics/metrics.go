@@ -5,7 +5,7 @@
 //
 // The package depends only on the standard library and holds no
 // references into the rest of the runtime; renderers that need to name
-// vector keys (wire kinds, cache shards) take a KeyNamer callback.
+// vector keys (wire kinds, job ids) take a KeyNamer callback.
 //
 // Disabled runs cost nothing: a nil *Registry hands out nil instrument
 // handles, and every instrument method is a nil-receiver no-op, so the
@@ -132,8 +132,8 @@ func (h *Histogram) Count() int64 {
 	return n
 }
 
-// Vec is a small vector of counters keyed by a uint8 — a wire kind or a
-// cache shard index. All 256 slots exist up front so Add is a single
+// Vec is a small vector of counters keyed by a uint8 — a wire kind, a job
+// id or what a cache count came from. All 256 slots exist up front so Add is a single
 // indexed atomic.
 type Vec struct {
 	slots [256]atomic.Int64

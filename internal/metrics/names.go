@@ -13,10 +13,14 @@ const (
 	KindVec
 )
 
-// VCacheBoxKey is the vcache.hits key of the remote dependencies a tile's
-// push box served: hits without a fetch, like the shards', that never touched
-// the cache.
-const VCacheBoxKey uint8 = 255
+// The vcache vectors' keys: VCacheKey counts the vertex cache's lookups and
+// evictions, VCacheBoxKey (vcache.hits only) the remote dependencies a
+// tile's push box served — hits without a fetch that never touched the
+// cache.
+const (
+	VCacheKey    uint8 = 0
+	VCacheBoxKey uint8 = 255
+)
 
 // Instrument names. Every name the runtime records under is declared
 // here and registered in the instruments table below; Registry methods
@@ -51,8 +55,8 @@ const (
 	EngineEpoch       = "engine.epoch"
 	EngineFetchWaitNs = "engine.fetch_wait_ns"
 
-	// Remote-vertex cache, one Vec key per shard; vcache.hits also counts
-	// the dependencies push boxes served, under VCacheBoxKey.
+	// Remote-vertex cache, under VCacheKey; vcache.hits also counts the
+	// dependencies push boxes served, under VCacheBoxKey.
 	VCacheHits      = "vcache.hits"
 	VCacheMisses    = "vcache.misses"
 	VCacheEvictions = "vcache.evictions"

@@ -10,8 +10,8 @@ import (
 )
 
 // KeyNamer maps a Vec key to a human-readable label — e.g. the wire-kind
-// name for transport vectors, "shard3" for cache vectors. A nil namer
-// falls back to the decimal key.
+// name for transport vectors, "boxes" for the push boxes' cache hits. A nil
+// namer falls back to the decimal key.
 type KeyNamer func(vecName string, key uint8) string
 
 func keyLabel(kn KeyNamer, vec string, key uint8) string {

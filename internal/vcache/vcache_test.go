@@ -21,26 +21,35 @@ func TestPutGet(t *testing.T) {
 	}
 }
 
+// TestFIFOEviction fills a cache and overfills it by half: exactly the
+// oldest half of the overflow's worth of entries goes, in insertion order,
+// each Put past capacity reporting its eviction — at every capacity, a
+// large one included, since one FIFO hand serves the whole cache.
 func TestFIFOEviction(t *testing.T) {
-	c := New[int32](3)
-	for k := int32(0); k < 3; k++ {
-		c.Put(id(0, k), k)
-	}
-	c.Put(id(0, 3), 3) // evicts (0,0), the oldest
-	if _, ok := c.Get(id(0, 0)); ok {
-		t.Fatal("oldest entry survived a full insert: not FIFO")
-	}
-	for k := int32(1); k <= 3; k++ {
-		if v, ok := c.Get(id(0, k)); !ok || v != k {
-			t.Fatalf("entry (0,%d) lost after eviction of (0,0)", k)
+	for _, capacity := range []int32{3, 256, 1000} {
+		c := New[int32](int(capacity))
+		extra := capacity/2 + 1
+		for k := int32(0); k < capacity+extra; k++ {
+			if evicted := c.Put(id(0, k), k); evicted != (k >= capacity) {
+				t.Fatalf("cap %d: Put #%d reported eviction %v", capacity, k, evicted)
+			}
 		}
-	}
-	// A FIFO cache evicts insertion order regardless of access recency:
-	// touching (0,1) must not save it.
-	c.Get(id(0, 1))
-	c.Put(id(0, 4), 4)
-	if _, ok := c.Get(id(0, 1)); ok {
-		t.Fatal("recently read entry survived: replacement is not FIFO")
+		for k := int32(0); k < capacity+extra; k++ {
+			v, ok := c.Get(id(0, k))
+			if want := k >= extra; ok != want || (ok && v != k) {
+				t.Fatalf("cap %d: entry (0,%d) = (%d,%v), want present %v: not FIFO", capacity, k, v, ok, want)
+			}
+		}
+		// A FIFO cache evicts insertion order regardless of access recency:
+		// touching the oldest entry must not save it.
+		c.Get(id(0, extra))
+		c.Put(id(0, -1), -1)
+		if _, ok := c.Get(id(0, extra)); ok {
+			t.Fatalf("cap %d: recently read entry survived: replacement is not FIFO", capacity)
+		}
+		if c.Len() != int(capacity) {
+			t.Fatalf("cap %d: Len = %d", capacity, c.Len())
+		}
 	}
 }
 
@@ -65,36 +74,6 @@ func TestZeroCapacityDisabled(t *testing.T) {
 	}
 	if c.Len() != 0 || c.Cap() != 0 {
 		t.Fatalf("Len=%d Cap=%d, want 0,0", c.Len(), c.Cap())
-	}
-}
-
-func TestClear(t *testing.T) {
-	c := New[int32](4)
-	c.Put(id(0, 0), 1)
-	c.Put(id(0, 1), 2)
-	c.Clear()
-	if c.Len() != 0 {
-		t.Fatalf("Len after Clear = %d", c.Len())
-	}
-	if _, ok := c.Get(id(0, 0)); ok {
-		t.Fatal("entry survived Clear")
-	}
-	c.Put(id(5, 5), 9)
-	if v, ok := c.Get(id(5, 5)); !ok || v != 9 {
-		t.Fatal("cache unusable after Clear")
-	}
-}
-
-func TestStats(t *testing.T) {
-	c := New[int32](2)
-	c.Put(id(0, 0), 1)
-	c.Get(id(0, 0)) // hit
-	c.Get(id(1, 1)) // miss
-	c.Put(id(0, 1), 2)
-	c.Put(id(0, 2), 3) // evicts
-	h, m, e := c.Stats()
-	if h != 1 || m != 1 || e != 1 {
-		t.Fatalf("stats = (%d,%d,%d), want (1,1,1)", h, m, e)
 	}
 }
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Runs the scheduling-cost microbenchmarks (per-vertex engine overhead
-# across tile sizes, sharded value-cache contention) and summarizes them
+# across tile sizes, value-cache contention) and summarizes them
 # into a JSON file, default results/BENCH_sched.json — the perf
 # trajectory seed referenced by EXPERIMENTS.md.
 #
