@@ -67,9 +67,10 @@ func TestWorkerProcessCrashE2E(t *testing.T) {
 			"-place", fmt.Sprint(place), "-addrs", addrList,
 			// Sized so the run outlasts the post-formation kill delay below
 			// several times over even on an unloaded machine: the four block
-			// rows compute one after another, ~400 ms from formation here now
-			// that each boundary costs one halo fetch instead of 1 801.
-			"-app", "swlag", "-m", "1800", "-threads", "2",
+			// rows compute one after another, 0.3–1 s from formation here
+			// (at side 1800 a fast run took 0.1 s and finished before the
+			// kill).
+			"-app", "swlag", "-m", "3000", "-threads", "2",
 		}
 	}
 	procs := make([]*exec.Cmd, places)
