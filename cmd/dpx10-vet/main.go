@@ -1,7 +1,6 @@
 // Command dpx10-vet runs the DPX10 static-analysis suite — the APGAS
-// place-isolation, concurrency and wire-protocol invariants X10's
-// compiler would have enforced for us — over the packages matching the
-// given patterns.
+// place-isolation and concurrency invariants X10's compiler would have
+// enforced for us — over the packages matching the given patterns.
 //
 // Usage:
 //
@@ -20,11 +19,14 @@
 //	placeleak   (error)    handlers/decoders must not retain payload aliases
 //	lockorder   (error)    whole-program lock acquisition order is acyclic
 //	lockheld    (error)    no blocking ops on any path holding a sync.Mutex/RWMutex
-//	atomicmix   (error)    no mixed atomic and plain access to the same variable
 //	goroleak    (warning)  spawned goroutines must be tied to a shutdown signal
 //	errdrop     (warning)  transport Send/Call errors must be consumed
-//	metricname  (warning)  every metrics Registry lookup constant, registered, kind-matched
 //	allowlint   (info)     //dpx10:allow suppressions name analyzers and a rationale
+//
+// Metric lookups and atomics need no analyzer: the metrics Registry takes
+// only typed instrument handles, every shared word is a typed sync/atomic
+// value, and this package's TestNoFunctionStyleAtomics fails on any
+// function-style atomic call (atomic.AddInt64 and the like) in the module.
 //
 // Suppressions. A finding is silenced by a comment on the flagged line or
 // the line directly above it:
@@ -43,13 +45,11 @@ import (
 	"sort"
 
 	"github.com/dpx10/dpx10/internal/analysis/allowlint"
-	"github.com/dpx10/dpx10/internal/analysis/atomicmix"
 	"github.com/dpx10/dpx10/internal/analysis/errdrop"
 	"github.com/dpx10/dpx10/internal/analysis/framework"
 	"github.com/dpx10/dpx10/internal/analysis/goroleak"
 	"github.com/dpx10/dpx10/internal/analysis/lockheld"
 	"github.com/dpx10/dpx10/internal/analysis/lockorder"
-	"github.com/dpx10/dpx10/internal/analysis/metricname"
 	"github.com/dpx10/dpx10/internal/analysis/placeleak"
 )
 
@@ -58,10 +58,8 @@ func analyzers() []*framework.Analyzer {
 		placeleak.Analyzer,
 		lockorder.Analyzer,
 		lockheld.Analyzer,
-		atomicmix.Analyzer,
 		goroleak.Analyzer,
 		errdrop.Analyzer,
-		metricname.Analyzer,
 	}
 	// allowlint validates suppression comments against the registry, so it
 	// must know every name above plus its own.

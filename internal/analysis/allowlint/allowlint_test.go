@@ -8,6 +8,6 @@ import (
 )
 
 func TestAllowlint(t *testing.T) {
-	a := allowlint.New([]string{"lockheld", "atomicmix", "goroleak"})
+	a := allowlint.New([]string{"lockheld", "lockorder", "goroleak"})
 	analysistest.Run(t, analysistest.TestData(), a, "allowlint/a")
 }

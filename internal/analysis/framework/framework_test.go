@@ -14,7 +14,7 @@ func TestParseAllow(t *testing.T) {
 	}{
 		{"//dpx10:allow placeleak", []string{"placeleak"}},
 		{"//dpx10:allow placeleak intentional echo for benchmarks", []string{"placeleak"}},
-		{"//dpx10:allow lockheld,atomicmix startup only", []string{"lockheld", "atomicmix"}},
+		{"//dpx10:allow lockheld,lockorder startup only", []string{"lockheld", "lockorder"}},
 		{"//dpx10:allowance placeleak", nil},
 		{"//dpx10:allow", nil},
 		{"// dpx10:allow placeleak", nil},

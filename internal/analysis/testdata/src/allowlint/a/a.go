@@ -17,7 +17,7 @@ func fine(g *guarded) {
 
 // Several names, one rationale: fine.
 func alsoFine(g *guarded) {
-	//dpx10:allow lockheld,atomicmix intentional teardown ordering
+	//dpx10:allow lockheld,lockorder intentional teardown ordering
 	g.ch <- 2
 }
 

@@ -71,9 +71,9 @@ func newCoordinator[T any](pe *placeEngine[T], abort <-chan struct{}, abortErr f
 		co.alive[p] = true
 	}
 	co.phaseHists = []*metrics.Histogram{ // in recoveryRounds order
-		pe.reg.Histogram(metrics.RecoveryRebuildNs),
-		pe.reg.Histogram(metrics.RecoveryReplayNs),
-		pe.reg.Histogram(metrics.RecoveryResumeNs),
+		pe.reg.Histogram(metrics.RecoveryRebuildNsID),
+		pe.reg.Histogram(metrics.RecoveryReplayNsID),
+		pe.reg.Histogram(metrics.RecoveryResumeNsID),
 	}
 	return co
 }

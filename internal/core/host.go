@@ -65,7 +65,7 @@ func newPlaceHost(threads int, reg *metrics.Registry) *placeHost {
 		threads: threads,
 		wake:    make(chan struct{}, threads),
 		stopCh:  make(chan struct{}),
-		mParks:  reg.Counter(metrics.SchedDequeParks),
+		mParks:  reg.Counter(metrics.SchedDequeParksID),
 	}
 	empty := []hostSlot{}
 	h.slots.Store(&empty)
@@ -149,7 +149,7 @@ func (ps *placeStack) newDetector(targets []int, onDead func(int)) *detector {
 			ps.sink.emit(RunEvent{Kind: EventPlaceSuspected, Place: p, Misses: misses})
 		},
 		onDead:  onDead,
-		mMisses: ps.reg.Counter(metrics.TransportHeartbeatMisses),
+		mMisses: ps.reg.Counter(metrics.TransportHeartbeatMissesID),
 		stopCh:  ps.abortCh,
 	}
 }

@@ -104,7 +104,7 @@ func newJobManager(common Common, eps []transport.Transport) *JobManager {
 	for k, ep := range eps {
 		m.stacks[k] = newPlaceStack(ep.Self(), ep, &m.common, m.sink, m.closeCh)
 	}
-	m.mQueueWait = m.stacks[0].reg.Vec(metrics.JobQueueWaitNs)
+	m.mQueueWait = m.stacks[0].reg.Vec(metrics.JobQueueWaitNsID)
 	if m.allLocal() {
 		m.watch()
 	} else {
@@ -148,8 +148,8 @@ func (m *JobManager) newJobID() (uint32, error) {
 		// The per-job metric slots are keyed by the id's low byte; a reused
 		// slot starts over, so it reads as this job's counts alone.
 		for _, ps := range m.stacks {
-			for _, name := range [...]string{metrics.JobTilesExecuted, metrics.JobMsgsOut, metrics.JobBytesOut, metrics.JobQueueWaitNs} {
-				ps.reg.Vec(name).Reset(uint8(id))
+			for _, vec := range [...]metrics.VecID{metrics.JobTilesExecutedID, metrics.JobMsgsOutID, metrics.JobBytesOutID, metrics.JobQueueWaitNsID} {
+				ps.reg.Vec(vec).Reset(uint8(id))
 			}
 		}
 	}

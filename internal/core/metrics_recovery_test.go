@@ -119,8 +119,9 @@ func TestMetricsRecoveryPhases(t *testing.T) {
 		}
 	}
 
-	// Mirrored instruments stay exact across fold-at-rebuild: the old
-	// epoch's cache stats are folded once, the live cache overlaid once.
+	// Mirrored instruments stay exact across the recovery: the cache's hits
+	// and misses are booked in fetchQueued, beside the Stats counts, and its
+	// evictions in fetchValues, so a rebuild neither drops nor repeats them.
 	if got := agg.Counters[metrics.SchedTilesExecuted]; got != st.TilesExecuted {
 		t.Errorf("sched.tiles_executed = %d, Stats.TilesExecuted = %d", got, st.TilesExecuted)
 	}

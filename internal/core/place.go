@@ -285,22 +285,22 @@ func newPlaceEngine[T any](self int, cfg *Config[T], tr transport.Transport, abo
 	for w := range pe.workers {
 		pe.workers[w].sc = newScratch[T](cfg.Places, w)
 	}
-	pe.mTiles = reg.Counter(metrics.SchedTilesExecuted)
-	pe.mCells = reg.Counter(metrics.SchedCellsExecuted)
-	pe.mBusy = reg.Counter(metrics.SchedBusyNs)
-	pe.mFetchWait = reg.Counter(metrics.EngineFetchWaitNs)
-	pe.mStealAtt = reg.Counter(metrics.SchedStealsAttempted)
-	pe.mStealOK = reg.Counter(metrics.SchedStealsSucceeded)
-	pe.mParks = reg.Counter(metrics.SchedDequeParks)
-	pe.mLifeProbes = reg.Counter(metrics.SchedLifelineProbes)
-	pe.mLifeParks = reg.Counter(metrics.SchedLifelineParks)
-	pe.mLifePush = reg.Counter(metrics.SchedLifelinePushes)
-	pe.mTilesMigr = reg.Counter(metrics.SchedTilesMigrated)
-	pe.mVCHits = reg.Vec(metrics.VCacheHits)
-	pe.mVCMiss = reg.Vec(metrics.VCacheMisses)
-	pe.mVCEvict = reg.Vec(metrics.VCacheEvictions)
-	pe.mEpoch = reg.Gauge(metrics.EngineEpoch)
-	pe.mJobTiles = reg.Vec(metrics.JobTilesExecuted)
+	pe.mTiles = reg.Counter(metrics.SchedTilesExecutedID)
+	pe.mCells = reg.Counter(metrics.SchedCellsExecutedID)
+	pe.mBusy = reg.Counter(metrics.SchedBusyNsID)
+	pe.mFetchWait = reg.Counter(metrics.EngineFetchWaitNsID)
+	pe.mStealAtt = reg.Counter(metrics.SchedStealsAttemptedID)
+	pe.mStealOK = reg.Counter(metrics.SchedStealsSucceededID)
+	pe.mParks = reg.Counter(metrics.SchedDequeParksID)
+	pe.mLifeProbes = reg.Counter(metrics.SchedLifelineProbesID)
+	pe.mLifeParks = reg.Counter(metrics.SchedLifelineParksID)
+	pe.mLifePush = reg.Counter(metrics.SchedLifelinePushesID)
+	pe.mTilesMigr = reg.Counter(metrics.SchedTilesMigratedID)
+	pe.mVCHits = reg.Vec(metrics.VCacheHitsID)
+	pe.mVCMiss = reg.Vec(metrics.VCacheMissesID)
+	pe.mVCEvict = reg.Vec(metrics.VCacheEvictionsID)
+	pe.mEpoch = reg.Gauge(metrics.EngineEpochID)
+	pe.mJobTiles = reg.Vec(metrics.JobTilesExecutedID)
 	for p := 0; p < cfg.Places; p++ {
 		pe.alive[p].Store(true)
 	}

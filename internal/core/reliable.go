@@ -81,8 +81,8 @@ func newReliableTransport(inner transport.Transport, cfg *Common, abortCh <-chan
 		retryMaxDelay: cfg.RetryMaxDelay,
 		abortCh:       abortCh,
 		recv:          make(map[int]*senderWindow),
-		mRetries:      reg.Counter(metrics.TransportRetries),
-		mDedup:        reg.Counter(metrics.TransportDedupDrops),
+		mRetries:      reg.Counter(metrics.TransportRetriesID),
+		mDedup:        reg.Counter(metrics.TransportDedupDropsID),
 	}
 }
 

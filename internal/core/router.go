@@ -34,8 +34,8 @@ func newJobRouter(tr transport.Transport, reg *metrics.Registry) *jobRouter {
 	r := &jobRouter{
 		tr:        tr,
 		ports:     make(map[uint32]*jobPort),
-		mJobMsgs:  reg.Vec(metrics.JobMsgsOut),
-		mJobBytes: reg.Vec(metrics.JobBytesOut),
+		mJobMsgs:  reg.Vec(metrics.JobMsgsOutID),
+		mJobBytes: reg.Vec(metrics.JobBytesOutID),
 	}
 	for k := 0; k < 256; k++ {
 		if jobScopedKind[uint8(k)] {

@@ -52,7 +52,7 @@ func StartTCPNode[T any](cfg Config[T], self int, addrs []string) (*TCPNode[T], 
 	common.MaxActiveJobs = -1
 	n := &TCPNode[T]{cfg: cfg, tr: tr, m: newJobManager(common, []transport.Transport{tr})}
 	if reg := n.m.stacks[0].reg; reg != nil {
-		batchBytes := reg.Histogram(metrics.TransportBatchBytes)
+		batchBytes := reg.Histogram(metrics.TransportBatchBytesID)
 		tr.SetPipeObserver(transport.PipeObserver{
 			Flush: func(wireBytes int) { batchBytes.Observe(int64(wireBytes)) },
 		})

@@ -14,7 +14,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -176,12 +175,12 @@ func (v *Vec) Total() int64 {
 }
 
 // Registry holds one place's instruments. Instruments are created (or
-// fetched) by name at wiring time — never on the hot path — and the
-// returned handles are then updated without any lookup or lock.
+// fetched) through their handles (names.go) at wiring time — never on the
+// hot path — and the returned instruments are then updated without any
+// lookup or lock.
 //
 // A nil *Registry is the disabled registry: every method returns a nil
-// handle after validating the name, so misuse is caught even when
-// metrics are off.
+// instrument.
 type Registry struct {
 	place int
 
@@ -214,83 +213,63 @@ func (r *Registry) Place() int {
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
 
-func check(name string, k Kind) {
-	got, ok := instruments[name]
-	if !ok {
-		panic(fmt.Sprintf("metrics: unregistered instrument %q", name))
-	}
-	if got != k {
-		panic(fmt.Sprintf("metrics: instrument %q has kind %d, asked for %d", name, got, k))
-	}
-}
-
-// Counter returns the named counter, creating it on first use. The name
-// must be registered with KindCounter.
-func (r *Registry) Counter(name string) *Counter {
-	check(name, KindCounter)
+// Counter returns id's counter, creating it on first use.
+func (r *Registry) Counter(id CounterID) *Counter {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c := r.counters[name]
+	c := r.counters[id.name]
 	if c == nil {
 		c = &Counter{}
-		r.counters[name] = c
+		r.counters[id.name] = c
 	}
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	check(name, KindGauge)
+// Gauge returns id's gauge, creating it on first use.
+func (r *Registry) Gauge(id GaugeID) *Gauge {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g := r.gauges[name]
+	g := r.gauges[id.name]
 	if g == nil {
 		g = &Gauge{}
-		r.gauges[name] = g
+		r.gauges[id.name] = g
 	}
 	return g
 }
 
-// Histogram returns the named histogram, creating it on first use with the
-// name's registered bucket bounds (DurationBounds unless histBounds says
-// otherwise).
-func (r *Registry) Histogram(name string) *Histogram {
-	check(name, KindHistogram)
+// Histogram returns id's histogram, creating it on first use with id's
+// bucket bounds.
+func (r *Registry) Histogram(id HistogramID) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := r.hists[name]
+	h := r.hists[id.name]
 	if h == nil {
-		bounds := DurationBounds
-		if b, ok := histBounds[name]; ok {
-			bounds = b
-		}
-		h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-		r.hists[name] = h
+		h = &Histogram{bounds: id.bounds, counts: make([]atomic.Int64, len(id.bounds)+1)}
+		r.hists[id.name] = h
 	}
 	return h
 }
 
-// Vec returns the named vector, creating it on first use.
-func (r *Registry) Vec(name string) *Vec {
-	check(name, KindVec)
+// Vec returns id's vector, creating it on first use.
+func (r *Registry) Vec(id VecID) *Vec {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	v := r.vecs[name]
+	v := r.vecs[id.name]
 	if v == nil {
 		v = &Vec{}
-		r.vecs[name] = v
+		r.vecs[id.name] = v
 	}
 	return v
 }

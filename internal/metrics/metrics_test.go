@@ -10,7 +10,7 @@ import (
 
 func TestCounterShardsAndValue(t *testing.T) {
 	r := New(0)
-	c := r.Counter(SchedTilesExecuted)
+	c := r.Counter(SchedTilesExecutedID)
 	for w := -1; w < 17; w++ {
 		c.Add(w, 2)
 	}
@@ -18,14 +18,14 @@ func TestCounterShardsAndValue(t *testing.T) {
 	if got := c.Value(); got != 37 {
 		t.Fatalf("Value = %d, want 37", got)
 	}
-	if again := r.Counter(SchedTilesExecuted); again != c {
+	if again := r.Counter(SchedTilesExecutedID); again != c {
 		t.Fatalf("second Counter lookup returned a different handle")
 	}
 }
 
 func TestGauge(t *testing.T) {
 	r := New(0)
-	g := r.Gauge(EngineEpoch)
+	g := r.Gauge(EngineEpochID)
 	g.Set(4)
 	g.Add(-1)
 	if got := g.Value(); got != 3 {
@@ -35,7 +35,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBucketsAndSum(t *testing.T) {
 	r := New(0)
-	h := r.Histogram(RecoveryRebuildNs)
+	h := r.Histogram(RecoveryRebuildNsID)
 	samples := []int64{5, 1e4, 1e4 + 1, 5e6, 2e10, 0}
 	var want int64
 	for _, v := range samples {
@@ -58,7 +58,7 @@ func TestHistogramBucketsAndSum(t *testing.T) {
 
 func TestVec(t *testing.T) {
 	r := New(0)
-	v := r.Vec(TransportMsgsOut)
+	v := r.Vec(TransportMsgsOutID)
 	v.Add(3, 10)
 	v.Add(255, 1)
 	v.Add(3, 5)
@@ -78,10 +78,10 @@ func TestNilRegistryIsFree(t *testing.T) {
 	if r.Enabled() {
 		t.Fatal("nil registry reports enabled")
 	}
-	c := r.Counter(SchedTilesExecuted)
-	g := r.Gauge(EngineEpoch)
-	h := r.Histogram(RecoveryRebuildNs)
-	v := r.Vec(VCacheHits)
+	c := r.Counter(SchedTilesExecutedID)
+	g := r.Gauge(EngineEpochID)
+	h := r.Histogram(RecoveryRebuildNsID)
+	v := r.Vec(VCacheHitsID)
 	if c != nil || g != nil || h != nil || v != nil {
 		t.Fatal("nil registry returned non-nil handles")
 	}
@@ -108,10 +108,10 @@ func TestNilRegistryIsFree(t *testing.T) {
 // allocs/op.
 func TestHotPathDoesNotAllocate(t *testing.T) {
 	r := New(0)
-	c := r.Counter(SchedTilesExecuted)
-	g := r.Gauge(EngineEpoch)
-	h := r.Histogram(RecoveryRebuildNs)
-	v := r.Vec(TransportMsgsOut)
+	c := r.Counter(SchedTilesExecutedID)
+	g := r.Gauge(EngineEpochID)
+	h := r.Histogram(RecoveryRebuildNsID)
+	v := r.Vec(TransportMsgsOutID)
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Add(2, 1)
 		g.Set(7)
@@ -123,43 +123,28 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	}
 }
 
-func TestUnknownNamePanics(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		fn   func(r *Registry)
-	}{
-		{"unregistered", func(r *Registry) { r.Counter("sched.tiles_exceuted") }}, //dpx10:allow metricname deliberate typo under test
-		{"wrong kind", func(r *Registry) { r.Gauge(SchedTilesExecuted) }},         //dpx10:allow metricname deliberate kind mismatch under test
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			mustPanic := func(what string, fn func(*Registry), r *Registry) {
-				t.Helper()
-				defer func() {
-					if recover() == nil {
-						t.Fatalf("no panic (%s)", what)
-					}
-				}()
-				fn(r)
-			}
-			mustPanic("enabled registry", tc.fn, New(0))
-			// A nil (disabled) registry must validate names too.
-			mustPanic("nil registry", tc.fn, nil)
-		})
+// The deprecated names stay constants for the benchmark module's sake, but
+// nothing records under them: no handle is minted from one.
+func TestDeprecatedNamesHaveNoHandle(t *testing.T) {
+	for _, name := range []string{TransportCompressRaw, TransportCompressWire, TransportBatchFrames, RecoveryPauseNs, RecoveryRestoreNs} {
+		if minted[name] {
+			t.Errorf("%s has a handle", name)
+		}
 	}
 }
 
 func buildSnapshot() *Snapshot {
 	r := New(2)
-	r.Counter(SchedTilesExecuted).Add(0, 41)
-	r.Counter(TransportRetries).Add(1, 3)
-	r.Gauge(EngineEpoch).Set(1)
-	h := r.Histogram(RecoveryRebuildNs)
+	r.Counter(SchedTilesExecutedID).Add(0, 41)
+	r.Counter(TransportRetriesID).Add(1, 3)
+	r.Gauge(EngineEpochID).Set(1)
+	h := r.Histogram(RecoveryRebuildNsID)
 	h.Observe(1500)
 	h.Observe(3e6)
-	v := r.Vec(TransportMsgsOut)
+	v := r.Vec(TransportMsgsOutID)
 	v.Add(1, 12)
 	v.Add(20, 7)
-	r.Vec(VCacheHits).Add(0, 99)
+	r.Vec(VCacheHitsID).Add(0, 99)
 	return r.Snapshot()
 }
 

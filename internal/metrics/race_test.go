@@ -20,10 +20,10 @@ func TestRegistryConcurrentStress(t *testing.T) {
 	r := New(0)
 	// Pre-create the handles on the main goroutine the way the engine
 	// does at wiring time; the writers only touch handles.
-	c := r.Counter(SchedTilesExecuted)
-	g := r.Gauge(EngineEpoch)
-	h := r.Histogram(RecoveryRebuildNs)
-	v := r.Vec(TransportMsgsOut)
+	c := r.Counter(SchedTilesExecutedID)
+	g := r.Gauge(EngineEpochID)
+	h := r.Histogram(RecoveryRebuildNsID)
+	v := r.Vec(TransportMsgsOutID)
 
 	stop := make(chan struct{})
 	var readerWG sync.WaitGroup
@@ -62,7 +62,7 @@ func TestRegistryConcurrentStress(t *testing.T) {
 				v.Add(uint8(w%7), 1)
 				// Concurrent handle lookups must also be safe.
 				if i%512 == 0 {
-					r.Counter(SchedStealsAttempted).Inc(w)
+					r.Counter(SchedStealsAttemptedID).Inc(w)
 				}
 			}
 		}(w)

@@ -32,11 +32,11 @@ func NewMetered(inner Transport, reg *metrics.Registry) Transport {
 	}
 	return &Metered{
 		inner:    inner,
-		msgsOut:  reg.Vec(metrics.TransportMsgsOut),
-		bytesOut: reg.Vec(metrics.TransportBytesOut),
-		msgsIn:   reg.Vec(metrics.TransportMsgsIn),
-		bytesIn:  reg.Vec(metrics.TransportBytesIn),
-		sendErrs: reg.Counter(metrics.TransportSendErrors),
+		msgsOut:  reg.Vec(metrics.TransportMsgsOutID),
+		bytesOut: reg.Vec(metrics.TransportBytesOutID),
+		msgsIn:   reg.Vec(metrics.TransportMsgsInID),
+		bytesIn:  reg.Vec(metrics.TransportBytesInID),
+		sendErrs: reg.Counter(metrics.TransportSendErrorsID),
 	}
 }
 
