@@ -293,7 +293,7 @@ func BenchmarkStragglerSim(b *testing.B) {
 		pat, tile := spec.Build(3_000_000, 240)
 		h, w := pat.Bounds()
 		model := tile.Model(6)
-		model.PlaceSpeed = map[int]float64{6: 4}
+		model.PlaceSpeed = []float64{6: 4}
 		model.Steal = true
 		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, 12), model)
 		if err != nil {

@@ -7,7 +7,7 @@
 // Examples:
 //
 //	dpx10-sim -pattern diagonal -h 240 -w 240 -nodes 2,4,6,8,10,12
-//	dpx10-sim -pattern grid -h 200 -w 200 -nodes 8 -cache 64
+//	dpx10-sim -pattern grid -h 200 -w 200 -nodes 8 -latency-us 200
 //	dpx10-sim -pattern diagonal -h 240 -w 240 -nodes 8 -fault 0.5 -kill 7
 //	dpx10-sim -pattern triangle -h 96 -w 96 -nodes 6 -steal
 package main
@@ -32,15 +32,10 @@ func main() {
 	nodeList := flag.String("nodes", "2,4,6,8,10,12", "comma-separated node counts (places = 2x nodes)")
 	cores := flag.Int("cores", 6, "worker threads per place")
 	computeUs := flag.Float64("compute-us", 1000, "per-vertex compute cost, microseconds")
-	schedUs := flag.Float64("sched-us", 0, "per-vertex scheduling overhead, microseconds (amortized over -tile)")
-	tile := flag.Int("tile", 1, "scheduling granularity in cells for the -sched-us amortization")
 	latencyUs := flag.Float64("latency-us", 20, "per-message latency, microseconds")
 	bandwidth := flag.Float64("bandwidth", 1e9, "link bandwidth, bytes/second")
 	fetchBytes := flag.Int64("fetch-bytes", 864, "payload of one dependency transfer")
-	cache := flag.Int("cache", 0, "per-place vertex cache entries")
 	steal := flag.Bool("steal", false, "enable the work-stealing execution model")
-	aggUs := flag.Float64("agg-us", 0, "decrement aggregation window, microseconds (0 = per-vertex messages)")
-	push := flag.Bool("push", false, "piggyback finished values onto aggregated decrements (needs -agg-us and -cache)")
 	faultAt := flag.Float64("fault", -1, "inject one fault at this progress fraction (0..1)")
 	kill := flag.Int("kill", -1, "place to kill at -fault (default: last place)")
 	restore := flag.Bool("restore-remote", false, "recovery copies moved results instead of recomputing")
@@ -83,13 +78,8 @@ func main() {
 			NetBandwidth:     *bandwidth,
 			FetchBytes:       *fetchBytes,
 			DecrBytes:        16,
-			CacheSize:        *cache,
 			RecoveryCellCost: *computeUs * 1e-6 / 5,
-			SchedCost:        *schedUs * 1e-6,
-			TileSize:         *tile,
 			Steal:            *steal,
-			AggWindow:        *aggUs * 1e-6,
-			ValuePush:        *push,
 			ChaosDropProb:    *chaosDrop,
 			ChaosDupProb:     *chaosDup,
 			ChaosDelayMean:   *chaosDelayUs * 1e-6,

@@ -6,7 +6,6 @@ import (
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
-	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/simcluster"
 	"github.com/dpx10/dpx10/internal/workload"
 )
@@ -117,10 +116,8 @@ func chaosSimSweep(quick bool) (Report, error) {
 	if quick {
 		totalCells = 3 * million
 	}
-	g := gridFor(quick)
 	spec := Specs()[0] // SWLAG
 	const nodes = 8
-	places := nodesToPlaces(nodes)
 
 	rep := Report{
 		Title:  fmt.Sprintf("Extension — chaos cost model (SWLAG, %d M vertices, %d nodes, simulated)", totalCells/million, nodes),
@@ -135,16 +132,10 @@ func chaosSimSweep(quick bool) (Report, error) {
 	}
 	var base float64
 	for _, pt := range sweep {
-		pat, tile := spec.Build(totalCells, g)
-		h, w := pat.Bounds()
-		model := tile.Model(threadsPerPlace)
-		model.ChaosDropProb = pt.drop
-		model.ChaosDelayMean = pt.delay * model.NetLatency
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, places), model)
-		if err != nil {
-			return rep, err
-		}
-		res, err := sim.Run()
+		res, err := simApp(spec, totalCells, nodes, func(m *simcluster.Model) {
+			m.ChaosDropProb = pt.drop
+			m.ChaosDelayMean = pt.delay * m.NetLatency
+		})
 		if err != nil {
 			return rep, fmt.Errorf("drop=%g delay=%g: %w", pt.drop, pt.delay, err)
 		}

@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"github.com/dpx10/dpx10/internal/dist"
-	"github.com/dpx10/dpx10/internal/simcluster"
-)
+import "fmt"
 
 // AblationFaults extends Figure 13 to multiple failures: SWLAG on 8 nodes
 // with k faults injected at evenly spaced progress points. Each recovery
@@ -18,7 +13,6 @@ func AblationFaults(quick bool) (Report, error) {
 	if quick {
 		totalCells = 3 * million
 	}
-	g := gridFor(quick)
 	spec := Specs()[0] // SWLAG
 	const nodes = 8
 	places := nodesToPlaces(nodes)
@@ -28,31 +22,19 @@ func AblationFaults(quick bool) (Report, error) {
 		Header: []string{"faults", "survivors", "time(s)", "normalized", "recovery(s)", "recomputed(tiles)"},
 	}
 	var base float64
+	var active int64 // tiles computed by the fault-free run
 	for faults := 0; faults <= 4; faults++ {
-		pat, tile := spec.Build(totalCells, g)
-		h, w := pat.Bounds()
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, places), tile.Model(threadsPerPlace))
-		if err != nil {
-			return rep, err
-		}
-		active := sim.Active()
+		// Each fault kills the highest surviving place.
+		var kills []int
 		for k := 1; k <= faults; k++ {
-			// Faults at k/(faults+1) of the total work, like the paper's
-			// single mid-run fault generalized.
-			target := active * int64(k) / int64(faults+1)
-			if sim.Done() < target {
-				sim.RunUntil(target)
-			}
-			if _, err := sim.Fault(places-k, false); err != nil {
-				return rep, fmt.Errorf("fault %d: %w", k, err)
-			}
+			kills = append(kills, places-k)
 		}
-		res, err := sim.Run()
+		res, err := simApp(spec, totalCells, nodes, nil, kills...)
 		if err != nil {
 			return rep, fmt.Errorf("faults=%d: %w", faults, err)
 		}
 		if faults == 0 {
-			base = res.Makespan
+			base, active = res.Makespan, res.ComputedCells
 		}
 		rep.Add(d(int64(faults)), d(int64(places-faults)), f3(res.Makespan),
 			f2(res.Makespan/base), f3(res.RecoveryTime), d(res.ComputedCells-active))

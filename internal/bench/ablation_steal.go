@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/simcluster"
 )
 
@@ -20,7 +19,6 @@ func AblationSteal(quick bool) (Report, error) {
 	if quick {
 		totalCells = 3 * million
 	}
-	g := gridFor(quick)
 	spec := Specs()[3] // 0/1KP
 	rep := Report{
 		Title:  "Ablation — work stealing vs the 0/1KP scaling gap (simulated cluster)",
@@ -28,34 +26,18 @@ func AblationSteal(quick bool) (Report, error) {
 	}
 	var baseLocal, baseSteal float64
 	for _, nodes := range fig10Nodes {
-		pat, tile := spec.Build(totalCells, g)
-		h, w := pat.Bounds()
-		d := dist.NewBlockRow(h, w, nodesToPlaces(nodes))
-
-		model := tile.Model(threadsPerPlace)
-		simLocal, err := simcluster.New(pat, d, model)
+		local, err := simApp(spec, totalCells, nodes, nil)
 		if err != nil {
 			return rep, fmt.Errorf("steal ablation nodes=%d: %w", nodes, err)
 		}
-		local, err := simLocal.Run()
+		steal, err := simApp(spec, totalCells, nodes, func(m *simcluster.Model) { m.Steal = true })
 		if err != nil {
-			return rep, err
+			return rep, fmt.Errorf("steal ablation nodes=%d: %w", nodes, err)
 		}
-
-		model.Steal = true
-		simSteal, err := simcluster.New(pat, d, model)
-		if err != nil {
-			return rep, err
-		}
-		steal, err := simSteal.Run()
-		if err != nil {
-			return rep, err
-		}
-
 		if nodes == fig10Nodes[0] {
 			baseLocal, baseSteal = local.Makespan, steal.Makespan
 		}
-		rep.Add(d2(nodes), f3(local.Makespan), f2(baseLocal/local.Makespan),
+		rep.Add(d(int64(nodes)), f3(local.Makespan), f2(baseLocal/local.Makespan),
 			f3(steal.Makespan), f2(baseSteal/steal.Makespan),
 			fmt.Sprintf("%.0f%%", 100*(1-steal.Makespan/local.Makespan)))
 	}
@@ -64,5 +46,3 @@ func AblationSteal(quick bool) (Report, error) {
 		"steal = idle places pull ready vertices, paying full dependency fetches + result write-back")
 	return rep, nil
 }
-
-func d2(v int) string { return fmt.Sprintf("%d", v) }

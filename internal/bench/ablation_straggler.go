@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 
-	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/simcluster"
 )
 
@@ -18,7 +17,6 @@ func AblationStraggler(quick bool) (Report, error) {
 	if quick {
 		totalCells = 3 * million
 	}
-	g := gridFor(quick)
 	spec := Specs()[0] // SWLAG
 	const nodes = 6
 	places := nodesToPlaces(nodes)
@@ -28,22 +26,12 @@ func AblationStraggler(quick bool) (Report, error) {
 		Header: []string{"slowdown", "local(s)", "vs healthy", "steal(s)", "vs healthy", "steal gain"},
 	}
 	run := func(slow float64, steal bool) (float64, error) {
-		pat, tile := spec.Build(totalCells, g)
-		h, w := pat.Bounds()
-		model := tile.Model(threadsPerPlace)
-		model.Steal = steal
-		if slow > 1 {
-			model.PlaceSpeed = map[int]float64{places / 2: slow}
-		}
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, places), model)
-		if err != nil {
-			return 0, err
-		}
-		res, err := sim.Run()
-		if err != nil {
-			return 0, err
-		}
-		return res.Makespan, nil
+		res, err := simApp(spec, totalCells, nodes, func(m *simcluster.Model) {
+			m.Steal = steal
+			m.PlaceSpeed = make([]float64, places)
+			m.PlaceSpeed[places/2] = slow
+		})
+		return res.Makespan, err
 	}
 
 	healthyLocal, err := run(1, false)

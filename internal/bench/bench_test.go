@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -497,6 +498,37 @@ func TestAblationChaosShape(t *testing.T) {
 	for _, row := range sim.Rows[1:] {
 		if cellFloat(t, row[4]) != msgs {
 			t.Errorf("drop=%s delay=%s: message count changed under chaos", row[0], row[1])
+		}
+	}
+}
+
+// TestSimulatedTablesMatchResults regenerates every simulated table that
+// results/ holds at paper scale and compares its CSV byte for byte with the
+// committed file: the simulator is deterministic, so any change to its
+// model or to the table builders shows here, and the committed tables stay
+// reproducible from the tree.
+func TestSimulatedTablesMatchResults(t *testing.T) {
+	if raceEnabled {
+		t.Skip("paper-scale simulation is slow under the race detector")
+	}
+	for _, fig := range []string{"10", "11", "13", "faults", "steal", "straggler"} {
+		reports, err := Figures[fig](false)
+		if err != nil {
+			t.Fatalf("fig %s: %v", fig, err)
+		}
+		for _, rep := range reports {
+			name := slug(rep.Title) + ".csv"
+			want, err := os.ReadFile(filepath.Join("..", "..", "results", name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got bytes.Buffer
+			if err := rep.WriteCSV(&got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want) {
+				t.Errorf("fig %s: regenerated CSV differs from results/%s\ngot:\n%swant:\n%s", fig, name, got.Bytes(), want)
+			}
 		}
 	}
 }

@@ -1,11 +1,6 @@
 package bench
 
-import (
-	"fmt"
-
-	"github.com/dpx10/dpx10/internal/dist"
-	"github.com/dpx10/dpx10/internal/simcluster"
-)
+import "fmt"
 
 // fig10Nodes are the x-axis points of Figure 10.
 var fig10Nodes = []int{2, 4, 6, 8, 10, 12}
@@ -20,7 +15,6 @@ func Fig10(quick bool) ([]Report, error) {
 	if quick {
 		totalCells = 3 * million
 	}
-	g := gridFor(quick)
 	var reports []Report
 	for _, spec := range Specs() {
 		rep := Report{
@@ -29,7 +23,7 @@ func Fig10(quick bool) ([]Report, error) {
 		}
 		var base float64
 		for _, nodes := range fig10Nodes {
-			res, err := simApp(spec, totalCells, g, nodes, -1, false)
+			res, err := simApp(spec, totalCells, nodes, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s nodes=%d: %w", spec.Name, nodes, err)
 			}
@@ -45,26 +39,4 @@ func Fig10(quick bool) ([]Report, error) {
 		reports = append(reports, rep)
 	}
 	return reports, nil
-}
-
-// simApp runs one simulated configuration of an evaluation app. If
-// faultAtHalf >= 0 it kills that place when half the tiles have finished
-// (restoreRemote selects the recovery's restore manner) and returns the
-// completed result.
-func simApp(spec AppSpec, totalCells int64, g int32, nodes int, faultPlace int, restoreRemote bool) (simcluster.Result, error) {
-	pat, tile := spec.Build(totalCells, g)
-	h, w := pat.Bounds()
-	places := nodesToPlaces(nodes)
-	d := dist.NewBlockRow(h, w, places)
-	sim, err := simcluster.New(pat, d, tile.Model(threadsPerPlace))
-	if err != nil {
-		return simcluster.Result{}, err
-	}
-	if faultPlace >= 0 {
-		sim.RunUntil(sim.Active() / 2)
-		if _, err := sim.Fault(faultPlace, restoreRemote); err != nil {
-			return simcluster.Result{}, err
-		}
-	}
-	return sim.Run()
 }

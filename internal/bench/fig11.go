@@ -14,7 +14,6 @@ func Fig11(quick bool) (Report, error) {
 	if quick {
 		unit = million / 100 // 1M .. 10M cells
 	}
-	g := gridFor(quick)
 	rep := Report{
 		Title:  "Figure 11 — execution time on 10 nodes (120 cores), 100M..1B vertices",
 		Header: []string{"vertices(M)"},
@@ -26,7 +25,7 @@ func Fig11(quick bool) (Report, error) {
 		total := size * unit
 		row := []string{d(size * unit / million)}
 		for _, spec := range Specs() {
-			res, err := simApp(spec, total, g, nodes, -1, false)
+			res, err := simApp(spec, total, nodes, nil)
 			if err != nil {
 				return rep, fmt.Errorf("fig11 %s size=%dM: %w", spec.Name, size, err)
 			}

@@ -2,9 +2,12 @@
 // evaluation (§VIII) plus the ablations DESIGN.md calls out.
 //
 // Figures 10, 11 and 13 ran on up to 12 Tianhe-1A nodes with 100M–1B
-// vertices; those are reproduced on the discrete-event cluster simulator
-// (internal/simcluster) at tile granularity, with the mapping and cost
-// calibration documented in spec.go and EXPERIMENTS.md. Figure 12
+// vertices; those, and the steal, multi-fault, straggler and chaos-cost
+// extensions, are reproduced on the discrete-event cluster simulator
+// (internal/simcluster) at tile granularity, each through simApp, with
+// the mapping and cost calibration documented in spec.go and
+// EXPERIMENTS.md. The simulator is deterministic, so those tables are
+// reproducible byte for byte and a test pins them to results/. Figure 12
 // (framework overhead vs hand-written code) is a single-machine ratio in
 // the paper and is reproduced on the real runtime with wall clocks.
 package bench

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
+	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/simcluster"
 	"github.com/dpx10/dpx10/internal/workload"
 )
@@ -129,15 +130,37 @@ func Specs() []AppSpec {
 	}
 }
 
-// gridFor picks the tile-grid resolution. The grid must stay much wider
+// simGrid is the tile-grid resolution. The grid must stay much wider
 // than the core count (the paper's matrices are ~17000 cells wide against
 // 144 cores), so quick mode shrinks the cell count per tile, not the
 // grid: 240 tiles per dimension keeps the simulated DAG's parallelism
 // structurally equivalent at every node count while staying cheap to
 // simulate (~58k tiles).
-func gridFor(quick bool) int32 {
-	_ = quick
-	return 240
+const simGrid = 240
+
+// simApp runs spec at totalCells DP cells on nodes×2 block-row places
+// under the calibrated tile model, adjusted by tune when it is non-nil.
+// Every simulated table is built through it. The places in kills die one
+// after another, the k-th of n once k/(n+1) of the tiles have finished:
+// the paper's single mid-run fault, generalized.
+func simApp(spec AppSpec, totalCells int64, nodes int, tune func(*simcluster.Model), kills ...int) (simcluster.Result, error) {
+	pat, tile := spec.Build(totalCells, simGrid)
+	h, w := pat.Bounds()
+	model := tile.Model(threadsPerPlace)
+	if tune != nil {
+		tune(&model)
+	}
+	sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, nodesToPlaces(nodes)), model)
+	if err != nil {
+		return simcluster.Result{}, err
+	}
+	for k, p := range kills {
+		sim.RunUntil(sim.Active() * int64(k+1) / int64(len(kills)+1))
+		if _, err := sim.Fault(p, false); err != nil {
+			return simcluster.Result{}, fmt.Errorf("fault %d: %w", k+1, err)
+		}
+	}
+	return sim.Run()
 }
 
 func nodesToPlaces(nodes int) int { return nodes * placesPerNode }

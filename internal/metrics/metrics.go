@@ -213,8 +213,19 @@ func (r *Registry) Place() int {
 // Enabled reports whether the registry records anything.
 func (r *Registry) Enabled() bool { return r != nil }
 
+// mustBeNamed panics on a handle's zero value, which has no name: looked
+// up, it would create an instrument named "" that shows in every snapshot.
+// Like a name minted twice, this is a programming error, so it fails loudly
+// on any registry, nil included.
+func mustBeNamed(name string) {
+	if name == "" {
+		panic("metrics: lookup through a zero-value handle; declare handles in names.go")
+	}
+}
+
 // Counter returns id's counter, creating it on first use.
 func (r *Registry) Counter(id CounterID) *Counter {
+	mustBeNamed(id.name)
 	if r == nil {
 		return nil
 	}
@@ -230,6 +241,7 @@ func (r *Registry) Counter(id CounterID) *Counter {
 
 // Gauge returns id's gauge, creating it on first use.
 func (r *Registry) Gauge(id GaugeID) *Gauge {
+	mustBeNamed(id.name)
 	if r == nil {
 		return nil
 	}
@@ -246,6 +258,7 @@ func (r *Registry) Gauge(id GaugeID) *Gauge {
 // Histogram returns id's histogram, creating it on first use with id's
 // bucket bounds.
 func (r *Registry) Histogram(id HistogramID) *Histogram {
+	mustBeNamed(id.name)
 	if r == nil {
 		return nil
 	}
@@ -261,6 +274,7 @@ func (r *Registry) Histogram(id HistogramID) *Histogram {
 
 // Vec returns id's vector, creating it on first use.
 func (r *Registry) Vec(id VecID) *Vec {
+	mustBeNamed(id.name)
 	if r == nil {
 		return nil
 	}

@@ -133,6 +133,32 @@ func TestDeprecatedNamesHaveNoHandle(t *testing.T) {
 	}
 }
 
+// TestZeroHandlePanics: a handle's zero value compiles, so every lookup
+// checks for it, on an enabled registry and on a nil one.
+func TestZeroHandlePanics(t *testing.T) {
+	lookups := map[string]func(r *Registry){
+		"counter":   func(r *Registry) { r.Counter(CounterID{}) },
+		"gauge":     func(r *Registry) { r.Gauge(GaugeID{}) },
+		"histogram": func(r *Registry) { r.Histogram(HistogramID{}) },
+		"vec":       func(r *Registry) { r.Vec(VecID{}) },
+	}
+	for kind, lookup := range lookups {
+		for _, r := range []*Registry{New(0), nil} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: zero handle accepted (registry enabled: %v)", kind, r.Enabled())
+					}
+				}()
+				lookup(r)
+			}()
+			if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Hists)+len(s.Vecs) != 0 {
+				t.Errorf("%s: zero handle left an instrument behind", kind)
+			}
+		}
+	}
+}
+
 func buildSnapshot() *Snapshot {
 	r := New(2)
 	r.Counter(SchedTilesExecutedID).Add(0, 41)

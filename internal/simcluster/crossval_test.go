@@ -90,51 +90,3 @@ func TestSimMatchesEngineTraffic(t *testing.T) {
 		})
 	}
 }
-
-// TestSimCacheUpperBound: with a cache the engine's fetch count is
-// schedule-dependent, but it can never exceed the cache-off count, and
-// the simulator's cached count is a valid point in the same range. The
-// engine runs per vertex, the model the simulator implements: left to
-// itself it would cut ColWave into column tiles, whose halos already fetch
-// each value once per tile.
-func TestSimCacheUpperBound(t *testing.T) {
-	pat := patterns.NewColWave(10, 20)
-	nd := func(h, w int32, n int) dist.Dist { return dist.NewBlockRow(h, w, n) }
-	run := func(cache int) int64 {
-		cfg := core.Config[int64]{
-			Common: core.Common{Places: 3, Pattern: pat, NewDist: nd, CacheSize: cache, TileSize: 1},
-			Codec:  codec.Int64{},
-			Compute: func(i, j int32, deps []core.Cell[int64]) int64 {
-				return int64(len(deps))
-			},
-		}
-		cl, err := core.NewCluster(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return cl.Stats().RemoteFetches
-	}
-	uncached := run(0)
-	cached := run(128)
-	m := DefaultModel(2)
-	m.CacheSize = 128
-	h, w := pat.Bounds()
-	sim, err := New(pat, nd(h, w, 3), m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached > uncached || res.RemoteFetches > uncached {
-		t.Fatalf("cached fetch counts exceed the cache-off bound: engine %d, sim %d, bound %d",
-			cached, res.RemoteFetches, uncached)
-	}
-	if res.RemoteFetches == uncached {
-		t.Fatal("simulated cache had no effect")
-	}
-}

@@ -2,9 +2,9 @@ package simcluster
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/dpx10/dpx10/internal/dag"
-	"github.com/dpx10/dpx10/internal/vcache"
 )
 
 // Fault kills place dead at the current virtual time and performs the
@@ -25,7 +25,7 @@ func (s *Sim) Fault(dead int, restoreRemote bool) (float64, error) {
 	if dead == 0 {
 		return 0, fmt.Errorf("simcluster: place 0 cannot be recovered (Resilient X10 limitation)")
 	}
-	if _, ok := s.cores[dead]; !ok {
+	if !s.alive(dead) {
 		return 0, fmt.Errorf("simcluster: place %d not in the cluster (already dead?)", dead)
 	}
 	oldDist := s.d
@@ -34,16 +34,13 @@ func (s *Sim) Fault(dead int, restoreRemote bool) (float64, error) {
 		return 0, err
 	}
 
-	// Drop in-flight events and open aggregation buffers: paused
-	// activities are recomputed, stale messages (flushed or still
-	// buffered) are rejected by the engine's epoch check.
+	// Drop in-flight events: paused activities are recomputed, stale
+	// messages are rejected by the engine's epoch check.
 	s.events = s.events[:0]
-	s.open = nil
 
 	// Apply the keep/drop rule and account for restore traffic.
 	var restoreBytes int64
-	var maxCells int64
-	perPlaceCells := make(map[int]int64)
+	perPlaceCells := make([]int64, len(s.cores))
 	for i := int32(0); i < s.h; i++ {
 		for j := int32(0); j < s.w; j++ {
 			if !dag.IsActive(s.pat, i, j) {
@@ -70,12 +67,7 @@ func (s *Sim) Fault(dead int, restoreRemote bool) (float64, error) {
 			}
 		}
 	}
-	for _, c := range perPlaceCells {
-		if c > maxCells {
-			maxCells = c
-		}
-	}
-	recovery := float64(maxCells) * s.m.RecoveryCellCost
+	recovery := float64(slices.Max(perPlaceCells)) * s.m.RecoveryCellCost
 	if restoreBytes > 0 {
 		recovery += s.msgCost(restoreBytes)
 		s.res.Messages++
@@ -84,14 +76,12 @@ func (s *Sim) Fault(dead int, restoreRemote bool) (float64, error) {
 
 	// Install the restricted distribution and fresh per-epoch state.
 	s.d = newDist
-	delete(s.cores, dead)
-	delete(s.caches, dead)
+	s.cores[dead] = nil
 	resumeAt := s.now + recovery
-	for p := range s.cores {
-		for k := range s.cores[p] {
-			s.cores[p][k] = resumeAt
+	for _, cs := range s.cores {
+		for k := range cs {
+			cs[k] = resumeAt
 		}
-		s.caches[p] = vcache.New[struct{}](s.m.CacheSize)
 	}
 	s.now = resumeAt
 	s.res.RecoveryTime += recovery

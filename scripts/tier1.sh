@@ -41,6 +41,9 @@ go test ./...
 # per-edge lookups.
 go test -run '^$' -bench 'SchedulePerVertex|GenericArm|StencilTile' -benchtime 1x ./internal/core/
 go test -run '^$' -bench 'DistLookup' -benchtime 1x ./internal/dist/
+# cmd/dpx10-sim has no test of its own: one smoke run of the simulator CLI
+# over two cluster sizes with stealing on and a fault at half progress.
+go run ./cmd/dpx10-sim -pattern triangle -h 48 -w 48 -nodes 2,4 -steal -fault 0.5 >/dev/null
 go test -race -timeout 10m ./...
 # Metrics-invariant suite again under the race detector: every snapshot
 # read races against live increments unless the registry is correct.
