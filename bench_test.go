@@ -25,23 +25,22 @@ import (
 
 // --- Figure 10: scaling with nodes (simulated cluster) ------------------
 
-func benchmarkFig10(b *testing.B, specIdx, nodes int) {
-	spec := bench.Specs()[specIdx]
+// simBench runs one simulated table entry per iteration through the harness's
+// own SimApp (the figures' configuration: 240×240 tiles, 6 cores and 2 places
+// per node, block rows) and reports its virtual makespan.
+func simBench(b *testing.B, spec bench.AppSpec, cells int64, nodes int, tune func(*simcluster.Model)) {
 	b.ReportAllocs()
 	for n := 0; n < b.N; n++ {
-		pat, tile := spec.Build(3_000_000, 240)
-		h, w := pat.Bounds()
-		d := dist.NewBlockRow(h, w, nodes*2)
-		sim, err := simcluster.New(pat, d, tile.Model(6))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
+		res, err := bench.SimApp(spec, cells, nodes, tune)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.ReportMetric(res.Makespan, "virtual-s")
 	}
+}
+
+func benchmarkFig10(b *testing.B, specIdx, nodes int) {
+	simBench(b, bench.Specs()[specIdx], 3_000_000, nodes, nil)
 }
 
 func BenchmarkFig10_SWLAG_2nodes(b *testing.B)  { benchmarkFig10(b, 0, 2) }
@@ -53,20 +52,7 @@ func BenchmarkFig10_KP_12nodes(b *testing.B)    { benchmarkFig10(b, 3, 12) }
 // --- Figure 11: scaling with size (simulated cluster) -------------------
 
 func BenchmarkFig11_SWLAG_10nodes(b *testing.B) {
-	spec := bench.Specs()[0]
-	for n := 0; n < b.N; n++ {
-		pat, tile := spec.Build(10_000_000, 240)
-		h, w := pat.Bounds()
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, 20), tile.Model(6))
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Makespan, "virtual-s")
-	}
+	simBench(b, bench.Specs()[0], 10_000_000, 10, nil)
 }
 
 // --- Figure 12: framework overhead (real runtime) -----------------------
@@ -112,23 +98,12 @@ func BenchmarkFig12_NativeStrip(b *testing.B) {
 // --- Figure 13: recovery (simulated cluster) ----------------------------
 
 func BenchmarkFig13_Recovery_4nodes(b *testing.B) {
-	spec := bench.Specs()[0]
 	for n := 0; n < b.N; n++ {
-		pat, tile := spec.Build(3_000_000, 240)
-		h, w := pat.Bounds()
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, 8), tile.Model(6))
+		res, err := bench.SimApp(bench.Specs()[0], 3_000_000, 4, nil, 7) // the last place dies at half
 		if err != nil {
 			b.Fatal(err)
 		}
-		sim.RunUntil(sim.Active() / 2)
-		rec, err := sim.Fault(7, false)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(rec, "virtual-recovery-s")
+		b.ReportMetric(res.RecoveryTime, "virtual-recovery-s")
 	}
 }
 
@@ -257,22 +232,7 @@ func BenchmarkSimulatorEvents(b *testing.B) {
 // --- extension experiments ----------------------------------------------
 
 func BenchmarkStealAblation_KP12nodes(b *testing.B) {
-	spec := bench.Specs()[3] // 0/1KP
-	for n := 0; n < b.N; n++ {
-		pat, tile := spec.Build(3_000_000, 240)
-		h, w := pat.Bounds()
-		model := tile.Model(6)
-		model.Steal = true
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, 24), model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sim.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.Makespan, "virtual-s")
-	}
+	simBench(b, bench.Specs()[3], 3_000_000, 12, func(m *simcluster.Model) { m.Steal = true }) // 0/1KP
 }
 
 func BenchmarkSpilledRun(b *testing.B) {
@@ -288,21 +248,10 @@ func BenchmarkSpilledRun(b *testing.B) {
 }
 
 func BenchmarkStragglerSim(b *testing.B) {
-	spec := bench.Specs()[0]
-	for n := 0; n < b.N; n++ {
-		pat, tile := spec.Build(3_000_000, 240)
-		h, w := pat.Bounds()
-		model := tile.Model(6)
-		model.PlaceSpeed = []float64{6: 4}
-		model.Steal = true
-		sim, err := simcluster.New(pat, dist.NewBlockRow(h, w, 12), model)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sim.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	simBench(b, bench.Specs()[0], 3_000_000, 6, func(m *simcluster.Model) {
+		m.PlaceSpeed = []float64{6: 4}
+		m.Steal = true
+	})
 }
 
 func BenchmarkSaveLoadResult(b *testing.B) {

@@ -88,10 +88,10 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
+		dead := -1 // the killed place, left out of the util range
 		if *faultAt >= 0 {
 			sim.RunUntil(int64(float64(sim.Active()) * *faultAt))
-			dead := *kill
-			if dead < 0 {
+			if dead = *kill; dead < 0 {
 				dead = places - 1
 			}
 			if _, err := sim.Fault(dead, *restore); err != nil {
@@ -107,6 +107,9 @@ func main() {
 		}
 		minU, maxU := 1.0, 0.0
 		for p := 0; p < places; p++ {
+			if p == dead {
+				continue
+			}
 			u := sim.Utilization(p)
 			if u < minU {
 				minU = u

@@ -22,9 +22,9 @@ type chaosArm struct {
 // messages to act on however much the engine batches — under a ladder of seeded
 // chaos plans — drops, duplicates, delays, a transient partition — with the
 // heartbeat detector and retry/backoff delivery absorbing the damage; every
-// arm must still produce the exact serial result. The second report sweeps
-// the simulator's expectation model over drop probability, extrapolating
-// the same degradation to paper-scale grids no laptop run can cover.
+// arm must still produce the exact serial result. Its simulated companion,
+// chaosSimSweep (figure "chaos-sim"), extrapolates the same degradation to
+// paper-scale grids no laptop run can cover.
 func AblationChaos(quick bool) ([]Report, error) {
 	side := 300
 	if quick {
@@ -100,11 +100,7 @@ func AblationChaos(quick bool) ([]Report, error) {
 		"injected = messages dropped/duplicated/delayed/partitioned by the seeded plan",
 		"retries/dedup = damage absorbed by sequence-numbered idempotent delivery")
 
-	sim, err := chaosSimSweep(quick)
-	if err != nil {
-		return nil, err
-	}
-	return []Report{engine, sim}, nil
+	return []Report{engine}, nil
 }
 
 // chaosSimSweep runs the simulator's expectation model over drop
@@ -132,7 +128,7 @@ func chaosSimSweep(quick bool) (Report, error) {
 	}
 	var base float64
 	for _, pt := range sweep {
-		res, err := simApp(spec, totalCells, nodes, func(m *simcluster.Model) {
+		res, err := SimApp(spec, totalCells, nodes, func(m *simcluster.Model) {
 			m.ChaosDropProb = pt.drop
 			m.ChaosDelayMean = pt.delay * m.NetLatency
 		})

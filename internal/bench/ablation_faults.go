@@ -29,7 +29,7 @@ func AblationFaults(quick bool) (Report, error) {
 		for k := 1; k <= faults; k++ {
 			kills = append(kills, places-k)
 		}
-		res, err := simApp(spec, totalCells, nodes, nil, kills...)
+		res, err := SimApp(spec, totalCells, nodes, nil, kills...)
 		if err != nil {
 			return rep, fmt.Errorf("faults=%d: %w", faults, err)
 		}

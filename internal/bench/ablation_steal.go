@@ -26,11 +26,11 @@ func AblationSteal(quick bool) (Report, error) {
 	}
 	var baseLocal, baseSteal float64
 	for _, nodes := range fig10Nodes {
-		local, err := simApp(spec, totalCells, nodes, nil)
+		local, err := SimApp(spec, totalCells, nodes, nil)
 		if err != nil {
 			return rep, fmt.Errorf("steal ablation nodes=%d: %w", nodes, err)
 		}
-		steal, err := simApp(spec, totalCells, nodes, func(m *simcluster.Model) { m.Steal = true })
+		steal, err := SimApp(spec, totalCells, nodes, func(m *simcluster.Model) { m.Steal = true })
 		if err != nil {
 			return rep, fmt.Errorf("steal ablation nodes=%d: %w", nodes, err)
 		}

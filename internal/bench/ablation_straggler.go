@@ -26,7 +26,7 @@ func AblationStraggler(quick bool) (Report, error) {
 		Header: []string{"slowdown", "local(s)", "vs healthy", "steal(s)", "vs healthy", "steal gain"},
 	}
 	run := func(slow float64, steal bool) (float64, error) {
-		res, err := simApp(spec, totalCells, nodes, func(m *simcluster.Model) {
+		res, err := SimApp(spec, totalCells, nodes, func(m *simcluster.Model) {
 			m.Steal = steal
 			m.PlaceSpeed = make([]float64, places)
 			m.PlaceSpeed[places/2] = slow

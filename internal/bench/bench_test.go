@@ -457,10 +457,10 @@ func TestAblationChaosShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reports) != 2 {
-		t.Fatalf("%d reports, want engine ladder + sim sweep", len(reports))
+	if len(reports) != 1 {
+		t.Fatalf("%d reports, want the engine ladder", len(reports))
 	}
-	engine, sim := reports[0], reports[1]
+	engine := reports[0]
 	if len(engine.Rows) != 5 {
 		t.Fatalf("engine ladder has %d rows, want 5", len(engine.Rows))
 	}
@@ -473,6 +473,13 @@ func TestAblationChaosShape(t *testing.T) {
 		if cellFloat(t, row[3]) <= 0 {
 			t.Errorf("arm %q injected nothing", row[0])
 		}
+	}
+}
+
+func TestChaosSimSweepShape(t *testing.T) {
+	sim, err := chaosSimSweep(true)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(sim.Rows) != 7 {
 		t.Fatalf("sim sweep has %d rows, want 7", len(sim.Rows))
@@ -511,7 +518,7 @@ func TestSimulatedTablesMatchResults(t *testing.T) {
 	if raceEnabled {
 		t.Skip("paper-scale simulation is slow under the race detector")
 	}
-	for _, fig := range []string{"10", "11", "13", "faults", "steal", "straggler"} {
+	for _, fig := range []string{"10", "11", "13", "chaos-sim", "faults", "steal", "straggler"} {
 		reports, err := Figures[fig](false)
 		if err != nil {
 			t.Fatalf("fig %s: %v", fig, err)

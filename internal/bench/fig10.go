@@ -23,7 +23,7 @@ func Fig10(quick bool) ([]Report, error) {
 		}
 		var base float64
 		for _, nodes := range fig10Nodes {
-			res, err := simApp(spec, totalCells, nodes, nil)
+			res, err := SimApp(spec, totalCells, nodes, nil)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %s nodes=%d: %w", spec.Name, nodes, err)
 			}

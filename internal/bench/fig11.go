@@ -25,7 +25,7 @@ func Fig11(quick bool) (Report, error) {
 		total := size * unit
 		row := []string{d(size * unit / million)}
 		for _, spec := range Specs() {
-			res, err := simApp(spec, total, nodes, nil)
+			res, err := SimApp(spec, total, nodes, nil)
 			if err != nil {
 				return rep, fmt.Errorf("fig11 %s size=%dM: %w", spec.Name, size, err)
 			}

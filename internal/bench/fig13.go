@@ -35,12 +35,12 @@ func Fig13(quick bool) (Report, Report, error) {
 		recRow := []string{d(size * unit / million)}
 		normRow := []string{d(size * unit / million)}
 		for _, nodes := range nodeCounts {
-			clean, err := simApp(spec, total, nodes, nil)
+			clean, err := SimApp(spec, total, nodes, nil)
 			if err != nil {
 				return recRep, normRep, fmt.Errorf("fig13 clean nodes=%d: %w", nodes, err)
 			}
 			// Kill the last place, as the paper's manual fault does.
-			faulted, err := simApp(spec, total, nodes, nil, nodesToPlaces(nodes)-1)
+			faulted, err := SimApp(spec, total, nodes, nil, nodesToPlaces(nodes)-1)
 			if err != nil {
 				return recRep, normRep, fmt.Errorf("fig13 fault nodes=%d: %w", nodes, err)
 			}

@@ -4,7 +4,7 @@
 // Figures 10, 11 and 13 ran on up to 12 Tianhe-1A nodes with 100M–1B
 // vertices; those, and the steal, multi-fault, straggler and chaos-cost
 // extensions, are reproduced on the discrete-event cluster simulator
-// (internal/simcluster) at tile granularity, each through simApp, with
+// (internal/simcluster) at tile granularity, each through SimApp, with
 // the mapping and cost calibration documented in spec.go and
 // EXPERIMENTS.md. The simulator is deterministic, so those tables are
 // reproducible byte for byte and a test pins them to results/. Figure 12

@@ -27,6 +27,10 @@ var Figures = map[string]func(quick bool) ([]Report, error){
 	},
 	"agg":   AblationAgg,
 	"chaos": AblationChaos,
+	"chaos-sim": func(quick bool) ([]Report, error) {
+		r, err := chaosSimSweep(quick)
+		return []Report{r}, err
+	},
 	"sched": func(quick bool) ([]Report, error) {
 		r, err := AblationSched(quick)
 		return []Report{r}, err

@@ -138,12 +138,12 @@ func Specs() []AppSpec {
 // simulate (~58k tiles).
 const simGrid = 240
 
-// simApp runs spec at totalCells DP cells on nodes×2 block-row places
+// SimApp runs spec at totalCells DP cells on nodes×2 block-row places
 // under the calibrated tile model, adjusted by tune when it is non-nil.
 // Every simulated table is built through it. The places in kills die one
 // after another, the k-th of n once k/(n+1) of the tiles have finished:
 // the paper's single mid-run fault, generalized.
-func simApp(spec AppSpec, totalCells int64, nodes int, tune func(*simcluster.Model), kills ...int) (simcluster.Result, error) {
+func SimApp(spec AppSpec, totalCells int64, nodes int, tune func(*simcluster.Model), kills ...int) (simcluster.Result, error) {
 	pat, tile := spec.Build(totalCells, simGrid)
 	h, w := pat.Bounds()
 	model := tile.Model(threadsPerPlace)

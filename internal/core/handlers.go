@@ -261,31 +261,37 @@ type outMsg struct {
 // planHandover works out what this place owes the new epoch from the new
 // chunk and the cells it hands over (out), never from the old chunk: each
 // handed-over value goes to its new owner, and each anti-dependency edge of a
-// finished cell is one decrement of the target's tile — none when both ends
-// have one new owner (its resume scan reads the source's flag), a TileAdd
-// here when a handed-over cell's edge comes back into this place, which can
-// only take the counter below zero before the scan, and otherwise one in the
-// target owner's replay record. Each destination gets one handover: its
-// values, then its replay record.
+// finished cell whose ends have two new owners is one decrement of the
+// target's tile (an edge within one place needs none: its resume scan reads
+// the source's flag). ReplayDecrements hands those edges over a run of
+// targets at a time, which is cut here where the owner's tiles end: a TileAdd
+// per piece when a handed-over cell's edges come back into this place, which
+// can only take the counter below zero before the scan, and otherwise one
+// count per piece in the target owner's replay record. Each destination gets
+// one handover: its values, a cell at a time as ever, then its replay record.
 func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transfer[T], prev *distarray.Chunk[T]) *handover[T] {
 	counts := make([][]uint32, pe.cfg.Places) // by owner, by tile of its grid
-	distarray.ReplayDecrements(st.chunk, out, pe.cfg.Pattern, func(from int, target dag.VertexID) {
-		owner, off := st.d.PlaceOffset(target.I, target.J)
-		switch {
-		case owner == from:
-		case owner == pe.self:
-			st.chunk.TileAdd(st.chunk.TileOf(off), 1)
-		default:
-			if counts[owner] == nil {
-				counts[owner] = make([]uint32, st.grids[st.rank[owner]].NumTiles())
+	distarray.ReplayDecrements(st.chunk, out, pe.cfg.Pattern, func(_, owner, off, n int) {
+		g := &st.grids[st.rank[owner]]
+		if owner != pe.self && counts[owner] == nil {
+			counts[owner] = make([]uint32, g.NumTiles())
+		}
+		for end, k := off+n, 0; off < end; off += k {
+			t := g.TileOf(off)
+			k = min(end, g.RunEnd(off)) - off
+			if owner == pe.self {
+				st.chunk.TileAdd(t, int32(k))
+			} else {
+				counts[owner][t] += uint32(k)
 			}
-			counts[owner][st.tileOf(owner, off)]++
 		}
 	})
 	h := &handover[T]{prev: prev}
 	byDest := make([][]distarray.Transfer[T], pe.cfg.Places)
+	cells := make([]int, pe.cfg.Places)
 	for _, tr := range out {
 		byDest[tr.To] = append(byDest[tr.To], tr)
+		cells[tr.To] += len(tr.Values)
 	}
 	for dest, trs := range byDest {
 		b := decrBatch[T]{epoch: st.epoch}
@@ -299,8 +305,14 @@ func (pe *placeEngine[T]) planHandover(st *epochState[T], out []distarray.Transf
 		} else if len(trs) == 0 {
 			continue
 		}
-		h.msgs = append(h.msgs, outMsg{to: dest, payload: encodeHandover(pe.cfg.Codec, &b, len(trs), func(k int) (dag.VertexID, T) {
-			return trs[k].ID, trs[k].Value
+		// encodeHandover asks for the cells in order: walk the runs with it.
+		run, base := 0, 0
+		h.msgs = append(h.msgs, outMsg{to: dest, payload: encodeHandover(pe.cfg.Codec, &b, cells[dest], func(k int) (dag.VertexID, T) {
+			for ; k-base >= len(trs[run].Values); run++ {
+				base += len(trs[run].Values)
+			}
+			tr := trs[run]
+			return dag.VertexID{I: tr.ID.I, J: tr.ID.J + int32(k-base)}, tr.Values[k-base]
 		})})
 	}
 	return h

@@ -112,6 +112,18 @@ func (c *Chunk[T]) SetValue(off int, v T) {
 	c.values[off] = v
 }
 
+// SetValues stores the values of the len(src) cells from off on, which its
+// caller owns, as SetValue would one at a time.
+func (c *Chunk[T]) SetValues(off int, src []T) {
+	if c.store == nil {
+		copy(c.values[off:off+len(src)], src)
+		return
+	}
+	for k, v := range src {
+		c.store.Set(off+k, v)
+	}
+}
+
 // Close releases value storage (the spill scratch file, if any).
 func (c *Chunk[T]) Close() error {
 	if c.store != nil {

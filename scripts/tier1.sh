@@ -56,8 +56,10 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # The recovery rounds fan out concurrently, so survivors rebuild while others
 # still run the old epoch, and a place that dies inside a round restarts the
 # recovery: the recovery tests (kept, restored, snapshot, spilled) and the
-# restart matrix repeat here too.
-go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$|TestKillMidRunRecovers$|TestSnapshotRecovery$|TestSpilledRestoreRemoteRecovery$|TestRecoveryRestartsWhenPlaceDiesMidRecovery$' -count=5 ./internal/core/
+# restart matrix repeat here too. With them, the rebuild's run-wise carry-over
+# and replay against their per-cell oracle (every fuzz seed) and the replay's
+# emit-count bound.
+go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$|TestKillMidRunRecovers$|TestSnapshotRecovery$|TestSpilledRestoreRemoteRecovery$|TestRecoveryRestartsWhenPlaceDiesMidRecovery$|FuzzRecoveryRuns$|TestReplayRunsScaleWithRows$' -count=5 ./internal/core/ ./internal/distarray/
 # ... and that race in isolation, many times: every tile reported ready
 # exactly once, by the scan or by a decrement, with the decrements aimed at
 # restored cells applied, not absorbed. With it, rows published from two
