@@ -36,9 +36,6 @@ func main() {
 	flag.IntVar(&p.Threads, "threads", 2, "worker threads (X10_NTHREADS)")
 	flag.IntVar(&p.Jobs, "jobs", 1, "concurrent identical jobs on the deployment (must match across places)")
 	flag.StringVar(&p.Strategy, "strategy", "local", "scheduling: local | random | mincomm | steal")
-	flag.BoolVar(&p.Lifelines, "lifelines", false, "GLB lifeline load balancing (implies -strategy steal; must match across places)")
-	flag.IntVar(&p.LifelineProbes, "lifeline-probes", 0, "lifelines: random steal probes before parking (0 = default 2)")
-	flag.IntVar(&p.LifelineEdges, "lifeline-edges", 0, "lifelines: outgoing lifeline edges per place (0 = auto)")
 	flag.StringVar(&p.Dist, "dist", "blockrow", "distribution: blockrow | blockcol | cyclicrow | cycliccol")
 	flag.IntVar(&p.Cache, "cache", 0, "remote-vertex cache entries per place")
 	flag.IntVar(&p.TileSize, "tile", 0, "cells per tile, about; the engine picks the rectangle (0 = auto, 1 = per-vertex; must match across places)")

@@ -234,8 +234,9 @@ func (m *transposedMTP) AppFinished(*dpx10.Dag[int64]) {}
 
 // TestAggregationIsSelfClocked runs SWLAG over every producer path of the
 // decrement aggregator: cyclic rows (every row crosses places; single-cell
-// tiles), block rows (tile walks), stealing (completions arrive through
-// the steal-done handler) and lifelines. No timer backs the flusher, so
+// tiles), block rows (tile walks) and stealing (completions arrive through
+// the steal-done handler, and lifeline pushes land in the inbox) over
+// block columns and over cyclic rows. No timer backs the flusher, so
 // each path must kick it itself; one that did not would sit on its last
 // partial batch until the timeout below.
 func TestAggregationIsSelfClocked(t *testing.T) {
@@ -245,7 +246,7 @@ func TestAggregationIsSelfClocked(t *testing.T) {
 		"cyclic-rows": {dpx10.WithDist(dpx10.CyclicRowDist)},
 		"block-rows":  {},
 		"steal":       {dpx10.WithStrategy(dpx10.StealScheduling), dpx10.WithDist(dpx10.BlockColDist)},
-		"lifelines":   {dpx10.WithLifelines(2, 0), dpx10.WithDist(dpx10.BlockColDist)},
+		"lifelines":   {dpx10.WithStrategy(dpx10.StealScheduling), dpx10.WithDist(dpx10.CyclicRowDist)},
 	}
 	for name, arm := range arms {
 		arm := arm

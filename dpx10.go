@@ -42,8 +42,8 @@
 //
 // Cluster-scoped options (Places, Threads, transport, chaos, metrics,
 // MaxActiveJobs) belong to NewCluster; job-scoped options (strategy,
-// cache, tile size, codec, distribution, recovery, WithWeight) belong to
-// Submit; Run and Launch accept both. A misplaced option is rejected
+// cache, tile size, codec, distribution, recovery) belong to Submit; Run
+// and Launch accept both. A misplaced option is rejected
 // with an *OptionScopeError.
 //
 // For fault-tolerance work the package also exposes a chaos-testing

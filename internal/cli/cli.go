@@ -44,13 +44,6 @@ type Params struct {
 	TileSize      int // scheduling granularity in cells; 0 auto, 1 per-vertex
 	RestoreRemote bool
 
-	// Lifelines enables GLB-style lifeline load balancing (implies the
-	// steal strategy); LifelineProbes (w) and LifelineEdges (z) tune the
-	// probe budget and lifeline fan-out, 0 keeping the defaults.
-	Lifelines      bool
-	LifelineProbes int
-	LifelineEdges  int
-
 	Verify bool
 	Kill   int  // place to kill at ~50% progress; -1 disables
 	Trace  bool // print per-place cells, busy time, utilization and fetch-wait after the run
@@ -123,11 +116,6 @@ func (p *Params) normalize() error {
 	if p.Jobs <= 0 {
 		p.Jobs = 1
 	}
-	if p.Lifelines {
-		// Lifelines ride the steal protocol; any other strategy has no
-		// idle-probe path to park from.
-		p.Strategy = "steal"
-	}
 	if p.Strategy == "" {
 		p.Strategy = "local"
 	}
@@ -189,9 +177,6 @@ func jobOptions[T any](p Params) []dpx10.Option[T] {
 	}
 	if p.RestoreRemote {
 		opts = append(opts, dpx10.RestoreRemote())
-	}
-	if p.Lifelines {
-		opts = append(opts, dpx10.WithLifelines(p.LifelineProbes, p.LifelineEdges))
 	}
 	return opts
 }
@@ -540,19 +525,16 @@ func driveWorker[T any](p Params, self int, addrs []string, w io.Writer,
 	st, _ := sched.ParseStrategy(p.Strategy)
 	cfg := core.Config[T]{
 		Common: core.Common{
-			Places:         len(addrs),
-			Threads:        p.Threads,
-			Jobs:           p.Jobs,
-			Pattern:        pattern,
-			Strategy:       st,
-			CacheSize:      p.Cache,
-			TileSize:       p.TileSize,
-			RestoreRemote:  p.RestoreRemote,
-			Lifelines:      p.Lifelines,
-			LifelineProbes: p.LifelineProbes,
-			LifelineEdges:  p.LifelineEdges,
-			NewDist:        distFactory(p.Dist),
-			Metrics:        p.metricsOn(),
+			Places:        len(addrs),
+			Threads:       p.Threads,
+			Jobs:          p.Jobs,
+			Pattern:       pattern,
+			Strategy:      st,
+			CacheSize:     p.Cache,
+			TileSize:      p.TileSize,
+			RestoreRemote: p.RestoreRemote,
+			NewDist:       distFactory(p.Dist),
+			Metrics:       p.metricsOn(),
 		},
 		Compute: compute,
 		Codec:   cd,

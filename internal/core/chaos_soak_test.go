@@ -79,10 +79,10 @@ func soakSeeds(t *testing.T) int {
 
 // soakRun executes one chaos arm and verifies every cell against the
 // fault-free Kahn reference. killPlace < 0 runs without an injected crash
-// (the chaos plan still fires). lifelines runs the arm under GLB lifeline
-// load balancing, so registrations, deliveries and steal-done results all
-// cross the lossy links too.
-func soakRun(t *testing.T, pat dag.Pattern, plan *transport.FaultPlan, killPlace int, lifelines bool) {
+// (the chaos plan still fires). steal runs the arm under the Steal
+// strategy's lifeline load balancing, so registrations, deliveries and
+// steal-done results all cross the lossy links too.
+func soakRun(t *testing.T, pat dag.Pattern, plan *transport.FaultPlan, killPlace int, steal bool) {
 	t.Helper()
 	const places = 3
 	var (
@@ -95,9 +95,8 @@ func soakRun(t *testing.T, pat dag.Pattern, plan *transport.FaultPlan, killPlace
 	} else {
 		cfg = baseConfig(pat, places)
 	}
-	if lifelines {
+	if steal {
 		cfg.Strategy = sched.Steal
-		cfg.Lifelines = true
 		cfg.TileSize = 2
 	}
 	cfg.Chaos = plan
@@ -260,7 +259,8 @@ func lifelineChaosProfiles() []chaosProfile {
 	}
 }
 
-// TestChaosSoakLifelines soaks the lifeline protocol under seeded chaos:
+// TestChaosSoakLifelines is the soak's Steal arm: it soaks the lifeline
+// protocol under seeded chaos:
 // a skewed last-wave DAG (so parks, pushes and steal-done results really
 // flow) over lossy links, with and without a mid-run kill of a thief
 // place, every run verified cell-for-cell.

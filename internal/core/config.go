@@ -81,20 +81,6 @@ type Common struct {
 	// layout is the tile layout of a job's latest epoch, shared by the job's
 	// in-process places; newJobRun gives every job its own.
 	layout *epochLayout
-	// Lifelines enables GLB-style lifeline load balancing for Steal jobs:
-	// an idle place makes LifelineProbes bounded random-victim steal
-	// attempts, then parks on its LifelineEdges lifeline buddies (a cyclic
-	// hypercube over the places); a buddy that later enqueues ready tiles
-	// pushes whole tiles to its parked thieves instead of waiting to be
-	// probed. Requires (and with
-	// WithLifelines, implies) Strategy == Steal.
-	Lifelines bool
-	// LifelineProbes is w: random steal probes an idle worker makes before
-	// parking on its lifelines. Default 2.
-	LifelineProbes int
-	// LifelineEdges is z: outgoing lifeline edges per place. 0 (default)
-	// auto-sizes to the binary-hypercube fanout ceil(log2(places)).
-	LifelineEdges int
 	// RestoreRemote, when set, copies finished vertices to their new
 	// owners during recovery instead of recomputing them (§VI-E).
 	RestoreRemote bool
@@ -174,11 +160,6 @@ type Common struct {
 	// submissions beyond the bound queue FIFO until a slot frees. 0 means
 	// the default of 2; negative removes the bound.
 	MaxActiveJobs int
-	// Weight is a job's fair-share weight on the shared worker pools: the
-	// number of tiles a worker runs for the job per scheduling pass before
-	// moving to the next job. Default 8. Equal weights give tile-granular
-	// round-robin; a heavier job gets proportionally longer bursts.
-	Weight int
 	// Jobs is how many identical jobs a TCP deployment runs concurrently
 	// on the shared places (every node must agree). Default 1. The
 	// in-process runtime ignores it — jobs arrive through Submit there.
@@ -249,20 +230,6 @@ func (c *Common) normalize() error {
 	if c.TileSize < 0 {
 		return fmt.Errorf("core: TileSize = %d, need >= 0 (0 = auto)", c.TileSize)
 	}
-	if c.Lifelines {
-		if c.Strategy != sched.Steal {
-			return fmt.Errorf("core: Lifelines requires Strategy = steal, have %v", c.Strategy)
-		}
-		if c.LifelineProbes == 0 {
-			c.LifelineProbes = 2
-		}
-		if c.LifelineProbes < 0 {
-			return fmt.Errorf("core: LifelineProbes = %d, need >= 1", c.LifelineProbes)
-		}
-		if c.LifelineEdges < 0 {
-			return fmt.Errorf("core: LifelineEdges = %d, need >= 0 (0 = auto)", c.LifelineEdges)
-		}
-	}
 	if c.Spill != nil {
 		c.Spill.normalize()
 	}
@@ -273,12 +240,6 @@ func (c *Common) normalize() error {
 	}
 	if c.MaxActiveJobs == 0 {
 		c.MaxActiveJobs = 2
-	}
-	if c.Weight == 0 {
-		c.Weight = 8
-	}
-	if c.Weight < 0 {
-		return fmt.Errorf("core: Weight = %d, need >= 1", c.Weight)
 	}
 	if c.Jobs == 0 {
 		c.Jobs = 1

@@ -324,7 +324,6 @@ func (s *stealReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // reason is unknown or belongs to the other direction.
 func TestWireIDsVetted(t *testing.T) {
 	cfg := stealConfig(patterns.NewDiagonal(9, 9), 3)
-	cfg.Lifelines = true
 	pe := runAndCheck(t, cfg).engines[1]                   // block rows: owns rows 3..5
 	st, cd, mine := pe.current(), codec.Int64{}, uint32(0) // (3,0), place 1's first cell
 	sc, steal := pe.getScratch(), &stealReply{Transport: pe.tr}

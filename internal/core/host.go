@@ -22,21 +22,16 @@ type jobRunner interface {
 	parkDelay(w int) time.Duration
 }
 
-// hostSlot is one active job on a host plus its fair-share weight: the
-// maximum number of tiles a worker runs for the job in one scheduling
-// pass before moving to the next job. Equal weights yield round-robin
-// interleaving at tile granularity; a heavier job gets proportionally
-// longer bursts, not priority.
-type hostSlot struct {
-	runner jobRunner
-	weight int
-}
+// tilesPerPass is how many tiles a worker runs for one job in a scheduling
+// pass before moving to the next job: concurrent jobs interleave at this
+// granularity, round-robin, with no job given priority.
+const tilesPerPass = 8
 
 // placeHost owns one place's worker pool, shared by every active job.
 // Jobs come and go (admission attaches a slot, completion removes it);
 // the pool's lifetime is the cluster's, which is what decouples place
 // lifetime from job lifetime. Workers scan the active slots in order,
-// running up to `weight` tiles per slot per pass, and park on the wake
+// running up to tilesPerPass tiles per job per pass, and park on the wake
 // semaphore when no slot has work.
 type placeHost struct {
 	threads int
@@ -52,7 +47,7 @@ type placeHost struct {
 	wg       sync.WaitGroup
 
 	mu    sync.Mutex // guards slot list replacement
-	slots atomic.Pointer[[]hostSlot]
+	slots atomic.Pointer[[]jobRunner]
 
 	mParks *metrics.Counter
 }
@@ -67,7 +62,7 @@ func newPlaceHost(threads int, reg *metrics.Registry) *placeHost {
 		stopCh:  make(chan struct{}),
 		mParks:  reg.Counter(metrics.SchedDequeParksID),
 	}
-	empty := []hostSlot{}
+	empty := []jobRunner{}
 	h.slots.Store(&empty)
 	for w := 0; w < threads; w++ {
 		h.wg.Add(1)
@@ -155,14 +150,11 @@ func (ps *placeStack) newDetector(targets []int, onDead func(int)) *detector {
 }
 
 // attach adds a job's runner to the scan list.
-func (h *placeHost) attach(r jobRunner, weight int) {
-	if weight < 1 {
-		weight = 1
-	}
+func (h *placeHost) attach(r jobRunner) {
 	h.mu.Lock()
 	old := *h.slots.Load()
-	upd := new([]hostSlot)
-	*upd = append(append(make([]hostSlot, 0, len(old)+1), old...), hostSlot{runner: r, weight: weight})
+	upd := new([]jobRunner)
+	*upd = append(append(make([]jobRunner, 0, len(old)+1), old...), r)
 	h.slots.Store(upd)
 	h.mu.Unlock()
 	h.wakeAll()
@@ -173,10 +165,10 @@ func (h *placeHost) attach(r jobRunner, weight int) {
 func (h *placeHost) detach(r jobRunner) {
 	h.mu.Lock()
 	old := *h.slots.Load()
-	upd := new([]hostSlot)
-	*upd = make([]hostSlot, 0, len(old))
+	upd := new([]jobRunner)
+	*upd = make([]jobRunner, 0, len(old))
 	for _, s := range old {
-		if s.runner != r {
+		if s != r {
 			*upd = append(*upd, s)
 		}
 	}
@@ -211,7 +203,7 @@ func (h *placeHost) wakeAll() {
 	}
 }
 
-// worker is the shared scheduling loop: weighted round-robin over the
+// worker is the shared scheduling loop: round-robin over the
 // active jobs' deques, then the idle path (remote stealing) per job,
 // then park. One goroutine per worker index for the host's lifetime —
 // jobs never spawn or join workers.
@@ -231,9 +223,9 @@ func (h *placeHost) worker(w int) {
 		}
 		slots := *h.slots.Load()
 		progressed := false
-		for _, s := range slots {
-			for q := 0; q < s.weight; q++ {
-				if !s.runner.tryRun(w) {
+		for _, r := range slots {
+			for q := 0; q < tilesPerPass; q++ {
+				if !r.tryRun(w) {
 					break
 				}
 				progressed = true
@@ -246,13 +238,13 @@ func (h *placeHost) worker(w int) {
 		// jobs act on it). Any success re-enters the scan loop.
 		steal := false
 		delay := stealRetryDelay
-		for _, s := range slots {
-			if s.runner.usesSteal() {
-				if !steal || s.runner.parkDelay(w) < delay {
-					delay = s.runner.parkDelay(w)
+		for _, r := range slots {
+			if r.usesSteal() {
+				if !steal || r.parkDelay(w) < delay {
+					delay = r.parkDelay(w)
 				}
 				steal = true
-				if s.runner.idlePull(w) {
+				if r.idlePull(w) {
 					progressed = true
 					break
 				}

@@ -66,9 +66,6 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 	cfg.MetricsObserver = nil
 	cfg.Events = nil
 	cfg.layout = new(epochLayout)
-	if cfg.Weight == 0 {
-		cfg.Weight = m.common.Weight
-	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -181,7 +178,7 @@ func (jr *JobRun[T]) execute() error {
 	// Only now may the shared workers see this job: the slot scan starts
 	// after epoch-0 state is installed everywhere.
 	for k, pe := range jr.engines {
-		jr.m.stacks[k].host.attach(pe, jr.cfg.Weight)
+		jr.m.stacks[k].host.attach(pe)
 	}
 	// A job submitted after a place died never hears the original death;
 	// replay the known dead set so its first epoch recovers immediately.

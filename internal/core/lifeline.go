@@ -9,10 +9,11 @@ import (
 )
 
 // Lifeline-based global load balancing (GLB, Saraswat et al.), adapted to
-// tiled DP DAGs. An idle place spends a bounded budget of random steal
-// probes (Config.LifelineProbes); when all are spent it registers itself
-// as a parked buddy on its lifeline edges — a cyclic hypercube over the
-// epoch's alive places (internal/sched.LifelineEdges) — and goes quiet.
+// tiled DP DAGs: the Steal strategy's protocol. An idle place spends a
+// bounded budget of random steal probes (lifelineProbes); when all are
+// spent it registers itself as a parked buddy on its lifeline edges — a
+// cyclic hypercube of ceil(log2 P) edges over the epoch's P alive places
+// (internal/sched.LifelineEdges) — and goes quiet.
 // A victim that later has surplus ready tiles pushes whole tiles to its
 // parked buddies (transfer.go). Registrations are persistent: a buddy stays
 // in the victim's parked list across any number of pushes, and only new
@@ -22,10 +23,15 @@ import (
 // excess along its own lifelines, so work diffuses over the strongly
 // connected lifeline graph no matter where it appears.
 
-// lifelineParkDelay is the park interval of a worker whose steal probes
-// are all spent: progress is then message-driven (a push wakes the pool),
-// so the timer is only a belt-and-braces rescan.
-const lifelineParkDelay = 5 * time.Millisecond
+const (
+	// lifelineProbes is GLB's w: the random steal probes an idle worker
+	// makes before it parks its place on its lifelines.
+	lifelineProbes = 2
+	// lifelineParkDelay is the park interval of a worker whose steal probes
+	// are all spent: progress is then message-driven (a push wakes the
+	// pool), so the timer is only a belt-and-braces rescan.
+	lifelineParkDelay = 5 * time.Millisecond
+)
 
 // lifelineState is the epoch-owned lifeline bookkeeping of one place: the
 // buddies parked on this place and the kick channel that wakes the epoch's

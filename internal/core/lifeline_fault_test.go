@@ -11,11 +11,11 @@ import (
 	"github.com/dpx10/dpx10/internal/transport"
 )
 
-// lifelineConfig enables lifelines over the steal strategy on a tiled run.
+// lifelineConfig runs the steal strategy, and with it lifelines, on a tiled
+// run.
 func lifelineConfig(pat dag.Pattern, places int) Config[int64] {
 	cfg := baseConfig(pat, places)
 	cfg.Strategy = sched.Steal
-	cfg.Lifelines = true
 	cfg.TileSize = 2
 	return cfg
 }
@@ -159,7 +159,6 @@ func TestLifelineVictimKilled(t *testing.T) {
 	pat := patterns.NewTriangle(24)
 	cfg, gate, release := gatedConfig(pat, 4, 100)
 	cfg.Strategy = sched.Steal
-	cfg.Lifelines = true
 	cfg.TileSize = 2
 	cl, err := NewCluster(cfg)
 	if err != nil {

@@ -34,35 +34,33 @@ func TestMetricsInvariants(t *testing.T) {
 		"swlag":   patterns.NewGrid(32, 32), // Smith-Waterman-style grid
 		"colwave": patterns.NewColWave(24, 30),
 	}
+	// suffix only names the run: it keeps each subtest's name across the
+	// project's history, from when lifelines were a switch on Steal.
 	cases := []struct {
-		pat       string
-		strategy  sched.Strategy
-		tile      int
-		cache     int
-		lifelines bool
+		pat      string
+		strategy sched.Strategy
+		tile     int
+		cache    int
+		suffix   string
 	}{
-		{"swlag", sched.Local, 0, 128, false},
-		{"swlag", sched.Steal, 1, 16, false},
-		{"swlag", sched.Steal, 0, 512, false},
-		{"swlag", sched.Steal, 2, 64, true},
-		{"colwave", sched.Local, 1, 0, false},
-		{"colwave", sched.MinComm, 0, 128, false},
-		{"colwave", sched.Random, 4, 64, false},
-		{"colwave", sched.Steal, 1, 128, true},
+		{"swlag", sched.Local, 0, 128, ""},
+		{"swlag", sched.Steal, 1, 16, ""},
+		{"swlag", sched.Steal, 0, 512, ""},
+		{"swlag", sched.Steal, 2, 64, "/lifelines"},
+		{"colwave", sched.Local, 1, 0, ""},
+		{"colwave", sched.MinComm, 0, 128, ""},
+		{"colwave", sched.Random, 4, 64, ""},
+		{"colwave", sched.Steal, 1, 128, "/lifelines"},
 	}
 	for _, tc := range cases {
 		tc := tc
-		name := fmt.Sprintf("%s/%v/tile=%d/cache=%d", tc.pat, tc.strategy, tc.tile, tc.cache)
-		if tc.lifelines {
-			name += "/lifelines"
-		}
+		name := fmt.Sprintf("%s/%v/tile=%d/cache=%d", tc.pat, tc.strategy, tc.tile, tc.cache) + tc.suffix
 		t.Run(name, func(t *testing.T) {
 			cfg := baseConfig(pats[tc.pat], 4)
 			cfg.Metrics = true
 			cfg.Strategy = tc.strategy
 			cfg.TileSize = tc.tile
 			cfg.CacheSize = tc.cache
-			cfg.Lifelines = tc.lifelines
 			cfg.ProbeInterval = -1 // no heartbeats: deterministic traffic
 			cfg.Spans = trace.NewSpanLog(0)
 			cl := runAndCheck(t, cfg)
@@ -197,13 +195,13 @@ func TestMetricsInvariants(t *testing.T) {
 			if migrated != st.TilesMigrated {
 				t.Errorf("sched.tiles_migrated = %d, Stats.TilesMigrated = %d", migrated, st.TilesMigrated)
 			}
-			if !tc.lifelines {
+			if tc.strategy != sched.Steal {
 				for _, name := range []string{
 					metrics.SchedLifelineProbes, metrics.SchedLifelineParks,
 					metrics.SchedLifelinePushes, metrics.SchedTilesMigrated,
 				} {
 					if got := agg.Counters[name]; got != 0 {
-						t.Errorf("%s = %d with lifelines off", name, got)
+						t.Errorf("%s = %d under %v, which has no lifelines", name, got, tc.strategy)
 					}
 				}
 			} else {

@@ -13,9 +13,9 @@ import (
 
 // This file is the skew-regression harness for lifeline load balancing:
 // deterministic DAG generators whose work lands almost entirely on one
-// place, plus assertions that lifelines actually flatten the per-place
-// execution profile and silence the idle-tail steal probing that the
-// plain random-victim policy burns while it waits.
+// place, plus assertions that the Steal strategy's lifelines actually
+// flatten the per-place execution profile and keep the idle tail quiet
+// instead of probing while it waits.
 
 // --- skewed pattern generators ----------------------------------------
 
@@ -196,8 +196,9 @@ func spreadOf(perPlace []int64, skip int) float64 {
 }
 
 // checkMigrationStats pins the cross-place migration ledger after a run:
-// with lifelines on, every accepted push was counted by exactly one
-// receiver; with lifelines off the whole subsystem must stay silent.
+// with lifelines on (the Steal strategy), every accepted push was counted
+// by exactly one receiver; with them off the whole subsystem must stay
+// silent.
 func checkMigrationStats(t *testing.T, st Stats, lifelines bool) {
 	t.Helper()
 	if st.LifelinePushes != st.TilesMigrated {
@@ -233,8 +234,8 @@ func TestSkewPatternsWellFormed(t *testing.T) {
 }
 
 // TestSkewCorrectnessWithLifelines runs every generator with lifelines on
-// and off across place counts: migration must never change results, and
-// the push/migrate ledger must balance.
+// (Steal) and off (Local) across place counts: migration must never change
+// results, and the push/migrate ledger must balance.
 func TestSkewCorrectnessWithLifelines(t *testing.T) {
 	cases := []struct {
 		name string
@@ -251,8 +252,9 @@ func TestSkewCorrectnessWithLifelines(t *testing.T) {
 				tc, places, lifelines := tc, places, lifelines
 				t.Run(fmt.Sprintf("%s/p%d/lifelines=%v", tc.name, places, lifelines), func(t *testing.T) {
 					cfg := baseConfig(tc.pat, places)
-					cfg.Strategy = sched.Steal
-					cfg.Lifelines = lifelines
+					if lifelines {
+						cfg.Strategy = sched.Steal
+					}
 					cfg.TileSize = 3
 					if tc.nd != nil {
 						cfg.NewDist = tc.nd
@@ -266,78 +268,74 @@ func TestSkewCorrectnessWithLifelines(t *testing.T) {
 }
 
 // TestSkewSpreadAndProbeRegression is the headline ablation, pinned as a
-// test: on the last-wave scenario at 8 places, lifelines must (a) flatten
-// the per-place execution spread at least spreadGain-fold versus plain
-// random-victim stealing and (b) cut steal-probe traffic at least
-// probeGain-fold — parked places are woken by pushes, not by polling.
+// test: on the last-wave scenario at 8 places, Steal's lifelines must (a)
+// flatten the per-place execution spread under spreadCeiling and (b) keep
+// steal-probe traffic under probeCeiling — parked places are woken by
+// pushes, not by polling. Local scheduling runs the same scenario as the
+// reference that shows the skew is there.
 //
-// Timing-sensitive by nature, so the budgets leave wide margins over the
+// The ceilings are the gains lifelines were held to against plain
+// random-victim stealing, the policy Steal had before it: 2x its spread and
+// 5x its probes, at that policy's best over twelve runs of this scenario
+// (spread 4.475, 1 835 probes).
+//
+// Timing-sensitive by nature, so the bounds leave margins over the
 // measured behaviour (see scripts/bench_skew.sh for the min-of-N gate on
-// the same scenario) and each mode takes the best of two attempts.
+// the same scenario) and Steal takes the best of two attempts.
 func TestSkewSpreadAndProbeRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive skew ablation")
 	}
 	const (
-		places      = 8
-		gatePlace   = 0   // owns the sequential chain; excluded from spread
-		spreadLimit = 3.0 // lifelines must stay under; baseline must exceed
-		spreadGain  = 2.0
-		probeGain   = 5.0
+		places        = 8
+		gatePlace     = 0   // owns the sequential chain; excluded from spread
+		spreadLimit   = 3.0 // Steal must stay under; Local must exceed
+		spreadCeiling = 4.475 / 2.0
+		probeCeiling  = 1835 / 5.0
 	)
 	pat := lastWave{h: 32, w: 64, hot: 28}
 	compute := skewCompute(func(i, j int32) bool { return i == 0 }, 400*time.Microsecond, 300*time.Microsecond)
 
-	run := func(lifelines bool) skewRun {
+	run := func(s sched.Strategy) skewRun {
 		cfg := baseConfig(pat, places)
 		cfg.Compute = compute
-		cfg.Strategy = sched.Steal
-		cfg.Lifelines = lifelines
+		cfg.Strategy = s
 		cfg.TileSize = 1
 		cfg.CacheSize = 256
 		return runSkew(t, cfg)
 	}
-	// Best of two per mode: lowest spread for lifelines (its steady
-	// state), highest for the baseline would bias the gate, so the
-	// baseline also keeps its *lowest* spread and *lowest* probe count —
-	// the comparison is against the baseline's best behaviour.
-	best := func(lifelines bool) skewRun {
-		a, b := run(lifelines), run(lifelines)
-		out := a
-		if spreadOf(b.perPlace, gatePlace) < spreadOf(out.perPlace, gatePlace) {
-			out.perPlace = b.perPlace
-		}
-		if b.probes < out.probes {
-			out.probes = b.probes
-		}
-		return out
+	// Best of two for Steal: its lowest spread and its lowest probe count.
+	a, b := run(sched.Steal), run(sched.Steal)
+	on := a
+	if spreadOf(b.perPlace, gatePlace) < spreadOf(on.perPlace, gatePlace) {
+		on.perPlace = b.perPlace
 	}
-	off := best(false)
-	on := best(true)
+	if b.probes < on.probes {
+		on.probes = b.probes
+	}
+	ref := run(sched.Local)
 
-	spreadOff, spreadOn := spreadOf(off.perPlace, gatePlace), spreadOf(on.perPlace, gatePlace)
-	t.Logf("spread: off=%.2f on=%.2f (per-place off=%v on=%v)", spreadOff, spreadOn, off.perPlace, on.perPlace)
-	t.Logf("probes: off=%d on=%d (random=%d) ; on parks=%d pushes=%d migrated=%d runs=%d; elapsed off=%v on=%v",
-		off.probes, on.probes, on.random, on.parks, on.pushes, on.stats.TilesMigrated, on.stats.MigratedRuns,
-		off.elapsed, on.elapsed)
+	spreadRef, spreadOn := spreadOf(ref.perPlace, gatePlace), spreadOf(on.perPlace, gatePlace)
+	t.Logf("spread: local=%.2f steal=%.2f (per-place local=%v steal=%v)", spreadRef, spreadOn, ref.perPlace, on.perPlace)
+	t.Logf("probes: steal=%d (random=%d) ; parks=%d pushes=%d migrated=%d runs=%d; elapsed local=%v steal=%v",
+		on.probes, on.random, on.parks, on.pushes, on.stats.TilesMigrated, on.stats.MigratedRuns,
+		ref.elapsed, on.elapsed)
 
 	if spreadOn > spreadLimit {
-		t.Errorf("lifelines-on spread = %.2f, want <= %.2f", spreadOn, spreadLimit)
+		t.Errorf("steal spread = %.2f, want <= %.2f", spreadOn, spreadLimit)
 	}
-	if spreadOff <= spreadLimit {
-		t.Errorf("lifelines-off spread = %.2f, want > %.2f (scenario lost its skew)", spreadOff, spreadLimit)
+	if spreadRef <= spreadLimit {
+		t.Errorf("local spread = %.2f, want > %.2f (scenario lost its skew)", spreadRef, spreadLimit)
 	}
-	if spreadOff < spreadGain*spreadOn {
-		t.Errorf("spread improvement = %.2fx (off %.2f / on %.2f), want >= %.1fx",
-			spreadOff/spreadOn, spreadOff, spreadOn, spreadGain)
+	if spreadOn > spreadCeiling {
+		t.Errorf("steal spread = %.2f, want <= %.3f", spreadOn, spreadCeiling)
 	}
-	if float64(off.probes) < probeGain*float64(on.probes) {
-		t.Errorf("probe reduction = %.2fx (off %d / on %d), want >= %.1fx",
-			float64(off.probes)/float64(on.probes), off.probes, on.probes, probeGain)
+	if float64(on.probes) > probeCeiling {
+		t.Errorf("steal probes = %d, want <= %.0f", on.probes, probeCeiling)
 	}
 
 	checkMigrationStats(t, on.stats, true)
-	checkMigrationStats(t, off.stats, false)
+	checkMigrationStats(t, ref.stats, false)
 	if on.stats.TilesMigrated == 0 {
 		t.Errorf("lifelines on but no tiles migrated")
 	}
@@ -346,8 +344,9 @@ func TestSkewSpreadAndProbeRegression(t *testing.T) {
 // TestSkewBudgetRaggedAndHotCol asserts the budget half of the harness on
 // the other two generators: with lifelines on, the per-place profile must
 // stay under the spread budget. (The comparative gates live on lastWave —
-// ragged's chains keep every place's deque nonempty, so plain stealing
-// also balances it; the regression there would be a weak signal.)
+// ragged's chains keep every place's deque nonempty, so even plain
+// random-victim stealing balanced it; the regression there would be a weak
+// signal.)
 func TestSkewBudgetRaggedAndHotCol(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive skew ablation")
@@ -385,7 +384,6 @@ func TestSkewBudgetRaggedAndHotCol(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg()
 			cfg.Strategy = sched.Steal
-			cfg.Lifelines = true
 			cfg.TileSize = 2
 			cfg.CacheSize = 256
 			run := runSkew(t, cfg)

@@ -66,7 +66,8 @@ func wantArm(pat dag.Pattern, d dist.Dist) string {
 }
 
 // tilingParity is the tiling acceptance matrix: every scheduling arm (the
-// four strategies, and stealing with lifelines), under every tile geometry
+// four strategies, and stealing on one thread a place, where every idle
+// worker parks its place on its lifelines), under every tile geometry
 // given, with values in memory and spilled to disk, must compute every active
 // cell exactly once and produce a matrix identical to the serial reference; a
 // stencil must do so with the capability exposed and hidden, and say which
@@ -88,8 +89,8 @@ func tilingParity(t *testing.T, pat dag.Pattern, places int, newDist func(h, w i
 						cfg.Compute = compute
 						cfg.NewDist = newDist
 						cfg.TileSize, cfg.TileShape = tile.size, tile.shape
-						if cfg.Lifelines = arm == "lifelines"; cfg.Lifelines {
-							cfg.Strategy = sched.Steal
+						if arm == "lifelines" {
+							cfg.Strategy, cfg.Threads = sched.Steal, 1
 						} else {
 							cfg.Strategy, _ = sched.ParseStrategy(arm)
 						}

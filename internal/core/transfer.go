@@ -125,7 +125,7 @@ func (pe *placeEngine[T]) handleTransfer(from int, payload []byte) ([]byte, erro
 	case err != nil:
 		return nil, err
 	case reason == transferLifeline && st.life == nil:
-		return nil, fmt.Errorf("core: place %d received a lifeline push with lifelines disabled", pe.self)
+		return nil, fmt.Errorf("core: place %d received a lifeline push for a job that does not steal", pe.self)
 	}
 	pe.depositMigrated(st, migratedTile{reason: reason, cells: cells})
 	if reason == transferLifeline {

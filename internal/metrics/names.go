@@ -28,8 +28,8 @@ const (
 	SchedCellsExecuted = "sched.cells_executed"
 	SchedBusyNs        = "sched.busy_ns"
 
-	// Lifeline load balancing: bounded random-victim steal probes made
-	// before parking, completed park episodes (all probes spent,
+	// Lifeline load balancing (the Steal strategy): bounded random-victim
+	// steal probes made before parking, completed park episodes (all probes spent,
 	// registrations placed on the lifeline edges), ready tiles pushed to
 	// parked buddies, and migrated tiles accepted.
 	SchedLifelineProbes = "sched.lifeline_probes"

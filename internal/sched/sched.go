@@ -34,8 +34,9 @@ const (
 	// MinComm executes each vertex at the place that minimizes the
 	// modeled communication volume.
 	MinComm
-	// Steal keeps owner-local execution but lets idle workers pull ready
-	// vertices from busy places — the work-stealing direction the paper
+	// Steal keeps owner-local execution and balances load with GLB
+	// lifelines: idle places probe, then park on lifeline buddies that
+	// push them surplus ready tiles — the work-stealing direction the paper
 	// cites as future work (SLAW, X10's work-stealing scheduler).
 	Steal
 )

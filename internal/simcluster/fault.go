@@ -69,7 +69,7 @@ func (s *Sim) Fault(dead int, restoreRemote bool) (float64, error) {
 	}
 	recovery := float64(slices.Max(perPlaceCells)) * s.m.RecoveryCellCost
 	if restoreBytes > 0 {
-		recovery += s.msgCost(restoreBytes)
+		recovery += s.msgCost(1, restoreBytes)
 		s.res.Messages++
 		s.res.BytesMoved += restoreBytes
 	}

@@ -236,19 +236,20 @@ func (s *Sim) push(t float64, kind evKind, id dag.VertexID) {
 	heap.Push(&s.events, event{t: t, seq: s.seq, kind: kind, id: id})
 }
 
-// msgCost is the virtual transfer time for one message of n bytes between
-// distinct places. The chaos fields fold fault injection in expectation:
-// drops multiply the cost by the expected retransmission count, duplicates
-// burn extra bandwidth, and injected delay adds its mean.
-func (s *Sim) msgCost(n int64) float64 {
-	c := s.m.NetLatency + float64(n)/s.m.NetBandwidth
+// msgCost is the virtual transfer time for msgs messages carrying n bytes
+// in all between distinct places. The chaos fields fold fault injection in
+// expectation: drops multiply the cost by the expected retransmission
+// count, duplicates burn extra bandwidth, and injected delay adds its mean
+// per message.
+func (s *Sim) msgCost(msgs, n int64) float64 {
+	c := float64(msgs)*s.m.NetLatency + float64(n)/s.m.NetBandwidth
 	if d := s.m.ChaosDropProb; d > 0 && d < 1 {
 		c /= 1 - d
 	}
 	if s.m.ChaosDupProb > 0 {
 		c += s.m.ChaosDupProb * float64(n) / s.m.NetBandwidth
 	}
-	return c + s.m.ChaosDelayMean
+	return c + float64(msgs)*s.m.ChaosDelayMean
 }
 
 // computeCostAt is the per-vertex compute time at place p, scaled by its
@@ -285,7 +286,7 @@ func (s *Sim) schedule(id dag.VertexID, readyAt float64) {
 	fetch := 0.0
 	if p != owner {
 		// Stolen vertex: the thief returns the result to the owner.
-		fetch += s.msgCost(s.m.FetchBytes)
+		fetch += s.msgCost(1, s.m.FetchBytes)
 		s.res.Messages++
 		s.res.BytesMoved += s.m.FetchBytes
 	}
@@ -297,7 +298,7 @@ func (s *Sim) schedule(id dag.VertexID, readyAt float64) {
 		// Request/response serialized per owner; scattered dependencies
 		// pay the latency once per message.
 		bytes := n * s.m.FetchBytes
-		fetch += float64(msgs)*s.m.NetLatency + float64(bytes)/s.m.NetBandwidth
+		fetch += s.msgCost(msgs, bytes)
 		s.res.RemoteFetches += n
 		s.res.Messages += msgs
 		s.res.BytesMoved += bytes
@@ -318,13 +319,13 @@ func (s *Sim) pickStealPlace(readyAt float64, owner int) int {
 	ownerFetch := 0.0
 	for _, n := range s.remoteByOwner(owner) {
 		if n > 0 {
-			ownerFetch += s.msgCost(n * s.m.FetchBytes)
+			ownerFetch += s.msgCost(1, n*s.m.FetchBytes)
 		}
 	}
 	// Thieves fetch every dependency and return the result to the owner.
-	thiefFetch := s.msgCost(s.m.FetchBytes)
+	thiefFetch := s.msgCost(1, s.m.FetchBytes)
 	if len(s.deps) > 0 {
-		thiefFetch += s.msgCost(s.m.FetchBytes * int64(len(s.deps)))
+		thiefFetch += s.msgCost(1, s.m.FetchBytes*int64(len(s.deps)))
 	}
 
 	bestPlace := owner
@@ -391,7 +392,7 @@ func (s *Sim) step() bool {
 			}
 			s.res.Messages++
 			s.res.BytesMoved += s.m.DecrBytes
-			s.push(s.now+s.msgCost(s.m.DecrBytes), evDecr, a)
+			s.push(s.now+s.msgCost(1, s.m.DecrBytes), evDecr, a)
 		}
 	case evDecr:
 		s.indeg[lin]--

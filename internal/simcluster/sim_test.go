@@ -335,3 +335,34 @@ func TestSimChaosInflatesMakespan(t *testing.T) {
 		t.Fatalf("drop 0.5 makespan %g below drop 0.2 makespan %g", worse.Makespan, chaos.Makespan)
 	}
 }
+
+// TestSimChaosPricesFetches pins that the chaos model reaches dependency
+// fetches, not only decrements: on a single column dealt row by row over
+// two places, every step of the chain is one decrement and one fetch
+// across the link, and with compute and bandwidth negligible the makespan
+// is all latency. A drop probability of 1/2 doubles the expected cost of
+// every message, so it must double the makespan; pricing the fetch
+// without the chaos fields leaves it at 1.5x.
+func TestSimChaosPricesFetches(t *testing.T) {
+	const h = 64
+	pat := patterns.NewGrid(h, 1)
+	run := func(drop float64) float64 {
+		m := DefaultModel(1)
+		m.ComputeCost = 1e-12
+		m.NetBandwidth = 1e18
+		m.ChaosDropProb = drop
+		s, err := New(pat, dist.NewCyclicRow(h, 1, 2), m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Makespan
+	}
+	calm, lossy := run(0), run(0.5)
+	if r := lossy / calm; math.Abs(r-2) > 1e-3 {
+		t.Fatalf("drop 0.5 makespan %g = %.4fx fault-free %g, want 2x", lossy, r, calm)
+	}
+}

@@ -141,15 +141,6 @@ func MaxActiveJobs(n int) UntypedOption {
 	return clusterOpt("MaxActiveJobs", func(c *core.Common) { c.MaxActiveJobs = n })
 }
 
-// WithWeight sets a job's fair-share weight on the shared worker pools:
-// the number of tiles a worker runs for this job per scheduling pass
-// before moving on to the next job's slot. Equal weights (the default, 8)
-// give tile-granular round-robin between concurrent jobs; a heavier job
-// gets proportionally longer bursts. Job-scoped.
-func WithWeight(n int) UntypedOption {
-	return jobOpt("WithWeight", func(c *core.Common) { c.Weight = n })
-}
-
 // Strategy selects the vertex scheduling policy (paper §VI-C).
 type Strategy = sched.Strategy
 
@@ -158,36 +149,19 @@ const (
 	LocalScheduling   = sched.Local
 	RandomScheduling  = sched.Random
 	MinCommScheduling = sched.MinComm
-	// StealScheduling keeps execution owner-local but lets idle workers
-	// pull ready vertices from busy places — this repository's extension
-	// in the direction of the work-stealing schedulers the paper cites.
+	// StealScheduling keeps execution owner-local and balances load with
+	// GLB lifelines (Saraswat et al.) — this repository's extension in the
+	// direction of the work-stealing schedulers the paper cites. An idle
+	// place makes two random steal probes, then parks on its ceil(log2 P)
+	// lifeline buddies (a cyclic hypercube over the alive places) and goes
+	// quiet; a victim with surplus ready tiles pushes whole tiles to its
+	// parked buddies, which forward their own excess along their lifelines.
 	StealScheduling = sched.Steal
 )
 
 // WithStrategy sets the scheduling strategy (default local). Job-scoped.
 func WithStrategy(s Strategy) UntypedOption {
 	return jobOpt("WithStrategy", func(c *core.Common) { c.Strategy = s })
-}
-
-// WithLifelines enables GLB-style lifeline load balancing and implies the
-// Steal strategy: an idle place makes w bounded random-victim steal probes,
-// then parks on its z lifeline buddies (a cyclic hypercube over the alive
-// places) and goes quiet; a victim with surplus ready tiles pushes whole
-// tiles, dependencies attached, to its parked buddies, and the buddies
-// forward their own excess so work diffuses along the lifeline graph.
-// w <= 0 keeps the default of 2 probes; z <= 0 auto-sizes to
-// ceil(log2(places)) edges. Job-scoped.
-func WithLifelines(w, z int) UntypedOption {
-	return jobOpt("WithLifelines", func(c *core.Common) {
-		c.Strategy = sched.Steal
-		c.Lifelines = true
-		if w > 0 {
-			c.LifelineProbes = w
-		}
-		if z > 0 {
-			c.LifelineEdges = z
-		}
-	})
 }
 
 // CacheSize sets the per-place remote-vertex cache capacity in entries
@@ -241,8 +215,8 @@ func RestoreRemote() UntypedOption {
 // WithHeartbeat configures the failure detector: place 0 heartbeats every
 // other place (and every other place heartbeats place 0 in the TCP
 // deployment) once per interval, and threshold consecutive missed
-// heartbeats declare a place dead. interval 0 disables the detector;
-// threshold 0 keeps the default of 3. Cluster-scoped: one detector serves
+// heartbeats declare a place dead. A negative interval disables the
+// detector; 0 keeps the default of 25ms, and threshold 0 the default of 3. Cluster-scoped: one detector serves
 // every job.
 //
 // The detection window for an unannounced crash is therefore bounded by

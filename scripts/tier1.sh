@@ -71,8 +71,10 @@ go test -race -run 'TestActivationRacesEarlyDecrements$|TestSetResultLifecycle$'
 # handed back settles what it owes through the same path as a walk. A tile
 # that leaves frees its push box, which handlers fill and workers empty; a
 # stencil tile pours its box straight into its ghost slab, dropping what
-# falls outside it, while handlers deposit into other boxes.
-go test -race -run 'TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit|TestPushedBoxesBounded|TestStencilBoxRunOutsideSlabDropped' -count=3 ./internal/core/
+# falls outside it, while handlers deposit into other boxes. The Steal arm of
+# the chaos soak runs here too: lifeline registrations, pushes and steal-done
+# results over lossy links.
+go test -race -run 'TestChaosSoakLifelines|TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit|TestPushedBoxesBounded|TestStencilBoxRunOutsideSlabDropped' -count=3 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
 # and the admission queue hands slots across goroutines.
