@@ -12,8 +12,9 @@ test:
 
 # Static analysis: standard go vet plus the repo's own analyzers
 # (placeleak, lockorder, lockheld, goroleak, errdrop, allowlint — see
-# cmd/dpx10-vet). The wire protocol's invariants are not linted:
-# internal/core/proto.go declares each kind once, and its tests and
+# cmd/dpx10-vet; lockorder and lockheld are two reports of one lock-set
+# pass, internal/analysis/locks). The wire protocol's invariants are not
+# linted: internal/core/proto.go declares each kind once, and its tests and
 # `make fuzz` hold the codecs to it. Metric names and atomics are typed:
 # a bad instrument lookup or a plain access to an atomic word does not
 # compile, and `go test ./cmd/dpx10-vet` rejects function-style atomics.

@@ -23,6 +23,10 @@
 //	errdrop     (warning)  transport Send/Call errors must be consumed
 //	allowlint   (info)     //dpx10:allow suppressions name analyzers and a rationale
 //
+// lockorder and lockheld are two reports of one lock-set pass over every
+// function body (internal/analysis/locks), computed once per run.
+// TestPlantedFindings pins the suite's -json output on a planted package.
+//
 // Metric lookups and atomics need no analyzer: the metrics Registry takes
 // only typed instrument handles, every shared word is a typed sync/atomic
 // value, and this package's TestNoFunctionStyleAtomics fails on any
@@ -41,6 +45,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -48,16 +53,15 @@ import (
 	"github.com/dpx10/dpx10/internal/analysis/errdrop"
 	"github.com/dpx10/dpx10/internal/analysis/framework"
 	"github.com/dpx10/dpx10/internal/analysis/goroleak"
-	"github.com/dpx10/dpx10/internal/analysis/lockheld"
-	"github.com/dpx10/dpx10/internal/analysis/lockorder"
+	"github.com/dpx10/dpx10/internal/analysis/locks"
 	"github.com/dpx10/dpx10/internal/analysis/placeleak"
 )
 
 func analyzers() []*framework.Analyzer {
 	as := []*framework.Analyzer{
 		placeleak.Analyzer,
-		lockorder.Analyzer,
-		lockheld.Analyzer,
+		locks.Lockorder,
+		locks.Lockheld,
 		goroleak.Analyzer,
 		errdrop.Analyzer,
 	}
@@ -88,11 +92,11 @@ func main() {
 			fmt.Fprintln(os.Stderr, "usage: dpx10-vet [-list] [-json | -sarif] [packages]")
 			return
 		default:
-			os.Exit(run(as, mode, args))
+			os.Exit(run(os.Stdout, as, mode, args))
 		}
 		args = args[1:]
 	}
-	os.Exit(run(as, mode, nil))
+	os.Exit(run(os.Stdout, as, mode, nil))
 }
 
 func list(as []*framework.Analyzer) {
@@ -106,7 +110,9 @@ func list(as []*framework.Analyzer) {
 	}
 }
 
-func run(as []*framework.Analyzer, mode string, patterns []string) int {
+// run analyzes the packages matching patterns and writes the findings to
+// stdout in mode ("text", "json" or "sarif"), returning the exit status.
+func run(stdout io.Writer, as []*framework.Analyzer, mode string, patterns []string) int {
 	fset, pkgs, err := framework.Load(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dpx10-vet: %v\n", err)
@@ -128,18 +134,18 @@ func run(as []*framework.Analyzer, mode string, patterns []string) int {
 
 	switch mode {
 	case "json":
-		if err := framework.WriteJSON(os.Stdout, findings); err != nil {
+		if err := framework.WriteJSON(stdout, findings); err != nil {
 			fmt.Fprintf(os.Stderr, "dpx10-vet: %v\n", err)
 			return 2
 		}
 	case "sarif":
-		if err := framework.WriteSARIF(os.Stdout, as, findings); err != nil {
+		if err := framework.WriteSARIF(stdout, as, findings); err != nil {
 			fmt.Fprintf(os.Stderr, "dpx10-vet: %v\n", err)
 			return 2
 		}
 	default:
 		for _, f := range findings {
-			fmt.Printf("%s:%d:%d: %s: %s (%s)\n", f.File, f.Line, f.Column, f.Severity, f.Message, f.Analyzer)
+			fmt.Fprintf(stdout, "%s:%d:%d: %s: %s (%s)\n", f.File, f.Line, f.Column, f.Severity, f.Message, f.Analyzer)
 		}
 	}
 	if len(findings) > 0 {

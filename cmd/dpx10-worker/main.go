@@ -27,7 +27,7 @@ func main() {
 	var addrList string
 	flag.IntVar(&place, "place", -1, "this process's place id (0..len(addrs)-1)")
 	flag.StringVar(&addrList, "addrs", "", "comma-separated host:port of every place, in place order")
-	flag.StringVar(&p.App, "app", "swlag", "application: swlag | mtp | lps | lcs | knapsack")
+	flag.StringVar(&p.App, "app", "swlag", "application: "+strings.Join(cli.AppNames(), " | "))
 	flag.IntVar(&p.M, "m", 200, "first dimension")
 	flag.IntVar(&p.N, "n", 0, "second dimension (defaults to -m)")
 	flag.IntVar(&p.Items, "items", 50, "knapsack: number of items")

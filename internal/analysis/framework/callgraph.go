@@ -4,8 +4,8 @@ package framework
 // syntactically through go/types: direct calls of package functions and
 // methods with a concrete receiver. Interface dispatch and function
 // values resolve to nil callees — the analyzers that consume the graph
-// (goroleak, lockorder, lockheld summaries) treat unresolved calls
-// conservatively at their own policy layer.
+// (goroleak's summaries) treat unresolved calls conservatively at their
+// own policy layer.
 
 import (
 	"go/ast"

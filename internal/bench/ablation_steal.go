@@ -43,6 +43,6 @@ func AblationSteal(quick bool) (Report, error) {
 	}
 	rep.Notes = append(rep.Notes,
 		"paper Fig 10d: 0/1KP reaches only ~3x at 12 nodes under local scheduling",
-		"steal = idle places pull ready vertices, paying full dependency fetches + result write-back")
+		"steal = idle places pull ready vertices, paying the owner's fetch cost for each dependency they do not hold + result write-back")
 	return rep, nil
 }

@@ -111,7 +111,10 @@ func (rt *reliableTransport) Call(to int, kind uint8, payload []byte) ([]byte, e
 		return rt.Transport.Call(to, kind, payload)
 	}
 	seq := rt.seq.Add(1)
-	env := appendEnvelope(make([]byte, 0, 8+len(payload)), seq, payload)
+	buf := envelopes.Get().(*[]byte)
+	defer envelopes.Put(buf)
+	*buf = appendEnvelope((*buf)[:0], seq, payload)
+	env := *buf
 	delay := rt.retryBase
 	for attempt := 1; ; attempt++ {
 		reply, err := rt.Transport.Call(to, kind, env)

@@ -91,8 +91,6 @@ func (r *jobRouter) dispatch(kind uint8) transport.Handler {
 		if h == nil {
 			return nil, transport.ErrNoHandler
 		}
-		p.stats.MsgsIn.Add(1)
-		p.stats.BytesIn.Add(int64(len(body)))
 		//dpx10:allow placeleak reply comes from the job's registered handler, which itself honors the no-alias contract; body is never returned
 		return h(from, body)
 	}
@@ -142,14 +140,18 @@ func (p *jobPort) Send(to int, kind uint8, payload []byte) error {
 	if !jobScopedKind[kind] {
 		return p.router.tr.Send(to, kind, payload)
 	}
-	env := appendJobEnvelope(make([]byte, 0, 4+len(payload)), p.job, payload)
-	if err := p.router.tr.Send(to, kind, env); err != nil {
+	buf := envelopes.Get().(*[]byte)
+	*buf = appendJobEnvelope((*buf)[:0], p.job, payload)
+	n := int64(len(*buf))
+	err := p.router.tr.Send(to, kind, *buf)
+	envelopes.Put(buf)
+	if err != nil {
 		return err
 	}
 	p.stats.SendsOut.Add(1)
-	p.stats.BytesOut.Add(int64(len(env)))
+	p.stats.BytesOut.Add(n)
 	p.router.mJobMsgs.Add(p.jobKey, 1)
-	p.router.mJobBytes.Add(p.jobKey, int64(len(env)))
+	p.router.mJobBytes.Add(p.jobKey, n)
 	return nil
 }
 
@@ -157,14 +159,24 @@ func (p *jobPort) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 	if !jobScopedKind[kind] {
 		return p.router.tr.Call(to, kind, payload)
 	}
-	env := appendJobEnvelope(make([]byte, 0, 4+len(payload)), p.job, payload)
-	reply, err := p.router.tr.Call(to, kind, env)
+	buf := envelopes.Get().(*[]byte)
+	*buf = appendJobEnvelope((*buf)[:0], p.job, payload)
+	n := int64(len(*buf))
+	reply, err := p.router.tr.Call(to, kind, *buf)
+	envelopes.Put(buf)
 	if err == nil {
 		p.stats.CallsOut.Add(1)
-		p.stats.BytesOut.Add(int64(len(env)))
-		p.stats.RepliesIn.Add(1)
+		p.stats.BytesOut.Add(n)
 		p.router.mJobMsgs.Add(p.jobKey, 1)
-		p.router.mJobBytes.Add(p.jobKey, int64(len(env)))
+		p.router.mJobBytes.Add(p.jobKey, n)
 	}
 	return reply, err
 }
+
+// envelopes recycles the outbound envelope buffers of job ports and of the
+// reliable layer. Every transport below them copies a payload before it
+// keeps it — LocalFabric into a pooled receive buffer, FaultFabric for the
+// sends it delays or duplicates, TCP by writing the frame before Send or
+// Call returns — so a buffer is free again once the call that carried it
+// returns.
+var envelopes = sync.Pool{New: func() any { return new([]byte) }}

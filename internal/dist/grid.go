@@ -128,6 +128,23 @@ func NewCyclicCol(h, w int32, n int) *Grid {
 	return newGrid("cycliccol", h, w, Whole, Dealt, 1, identityPlaces(n), 1, n)
 }
 
+// Named returns the constructor of the whole-axis layout called name —
+// "blockrow", "blockcol", "cyclicrow" or "cycliccol" — or nil for any
+// other name.
+func Named(name string) func(h, w int32, n int) Dist {
+	switch name {
+	case "blockrow":
+		return func(h, w int32, n int) Dist { return NewBlockRow(h, w, n) }
+	case "blockcol":
+		return func(h, w int32, n int) Dist { return NewBlockCol(h, w, n) }
+	case "cyclicrow":
+		return func(h, w int32, n int) Dist { return NewCyclicRow(h, w, n) }
+	case "cycliccol":
+		return func(h, w int32, n int) Dist { return NewCyclicCol(h, w, n) }
+	}
+	return nil
+}
+
 // NewBlockCyclicRow deals blocks of block rows round-robin over n places —
 // the classic HPC compromise between block rows' locality and cyclic rows'
 // balance. Block size 1 owns the cells cyclic rows do; block size ≥ h/n

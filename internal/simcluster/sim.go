@@ -66,9 +66,9 @@ type Model struct {
 	// or straggling nodes; places past its end, or at 0, are nominal.
 	PlaceSpeed []float64
 	// Steal lets a ready vertex execute at whichever place completes it
-	// earliest instead of only at its owner: remote execution pays a
-	// fetch of every dependency from wherever it lives plus a result
-	// write-back. This models the engine's work-stealing strategy in
+	// earliest instead of only at its owner: remote execution pays the
+	// owner's kind of fetch for every dependency the thief does not hold,
+	// plus a result write-back. This models the engine's work-stealing strategy in
 	// steady state (an idle place pulls work exactly when doing so beats
 	// waiting for the owner's cores). Ties go to the owner, then to the
 	// lowest place id.
@@ -283,26 +283,7 @@ func (s *Sim) schedule(id dag.VertexID, readyAt float64) {
 	if s.m.Steal {
 		p = s.pickStealPlace(readyAt, owner)
 	}
-	fetch := 0.0
-	if p != owner {
-		// Stolen vertex: the thief returns the result to the owner.
-		fetch += s.msgCost(1, s.m.FetchBytes)
-		s.res.Messages++
-		s.res.BytesMoved += s.m.FetchBytes
-	}
-	msgs := max(s.m.FetchMsgs, 1)
-	for _, n := range s.remoteByOwner(p) {
-		if n == 0 {
-			continue
-		}
-		// Request/response serialized per owner; scattered dependencies
-		// pay the latency once per message.
-		bytes := n * s.m.FetchBytes
-		fetch += s.msgCost(msgs, bytes)
-		s.res.RemoteFetches += n
-		s.res.Messages += msgs
-		s.res.BytesMoved += bytes
-	}
+	fetch := s.fetch(p, owner, true)
 	cs := s.cores[p]
 	ci := freeCore(cs)
 	start := max(readyAt, cs[ci])
@@ -312,29 +293,48 @@ func (s *Sim) schedule(id dag.VertexID, readyAt float64) {
 	s.push(finish, evFinish, id)
 }
 
-// pickStealPlace returns the place that completes the vertex earliest:
-// the owner with its normal fetch cost, or a thief paying a full remote
-// fetch of every dependency plus the result write-back.
-func (s *Sim) pickStealPlace(readyAt float64, owner int) int {
-	ownerFetch := 0.0
-	for _, n := range s.remoteByOwner(owner) {
-		if n > 0 {
-			ownerFetch += s.msgCost(1, n*s.m.FetchBytes)
+// fetch is the virtual time place p spends gathering s.deps from their
+// remote owners — one serialized request/response of FetchMsgs messages
+// per owner, since scattered dependencies pay the latency once per
+// message — plus, when p is not the vertex's owner, the write-back of the
+// result. With charge it also counts the traffic into the result; the same
+// function prices every candidate place of a steal.
+func (s *Sim) fetch(p, owner int, charge bool) float64 {
+	cost := 0.0
+	if p != owner {
+		cost += s.msgCost(1, s.m.FetchBytes)
+		if charge {
+			s.res.Messages++
+			s.res.BytesMoved += s.m.FetchBytes
 		}
 	}
-	// Thieves fetch every dependency and return the result to the owner.
-	thiefFetch := s.msgCost(1, s.m.FetchBytes)
-	if len(s.deps) > 0 {
-		thiefFetch += s.msgCost(1, s.m.FetchBytes*int64(len(s.deps)))
+	msgs := max(s.m.FetchMsgs, 1)
+	for _, n := range s.remoteByOwner(p) {
+		if n == 0 {
+			continue
+		}
+		bytes := n * s.m.FetchBytes
+		cost += s.msgCost(msgs, bytes)
+		if charge {
+			s.res.RemoteFetches += n
+			s.res.Messages += msgs
+			s.res.BytesMoved += bytes
+		}
 	}
+	return cost
+}
 
+// pickStealPlace returns the place that completes the vertex earliest,
+// each paying its own fetch: the owner gathers its remote dependencies, a
+// thief the ones it does not hold and writes the result back.
+func (s *Sim) pickStealPlace(readyAt float64, owner int) int {
 	bestPlace := owner
-	bestFinish := s.coreStart(owner, readyAt) + ownerFetch + s.computeCostAt(owner)
+	bestFinish := s.coreStart(owner, readyAt) + s.fetch(owner, owner, false) + s.computeCostAt(owner)
 	for q, cs := range s.cores {
 		if cs == nil || q == owner {
 			continue
 		}
-		finish := s.coreStart(q, readyAt) + thiefFetch + s.computeCostAt(q)
+		finish := s.coreStart(q, readyAt) + s.fetch(q, owner, false) + s.computeCostAt(q)
 		if finish < bestFinish-1e-15 {
 			bestFinish, bestPlace = finish, q
 		}
