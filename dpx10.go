@@ -152,10 +152,12 @@ const (
 // App is the user-facing interface of a DPX10 application, mirroring the
 // paper's DPX10App (Figure 2). Compute is executed once per active vertex,
 // concurrently across places and worker threads, with the vertex's
-// dependencies resolved and passed in the order the pattern lists them.
-// The deps slice is reused between calls on the same worker — read it
-// during the call, copy what must outlive it. AppFinished is invoked
-// once, after every vertex completed.
+// dependencies resolved and passed in deps, in the order the pattern's
+// Dependencies lists them. deps is read-only and valid only during the
+// call: the engine reuses it between calls on the same worker, so copy what
+// must outlive the call, and do not write to it (the engine rewrites every
+// entry before each call, so a write is lost, never seen by another cell).
+// AppFinished is invoked once, after every vertex completed.
 type App[T any] interface {
 	Compute(i, j int32, deps []Cell[T]) T
 	AppFinished(dag *Dag[T])

@@ -224,6 +224,29 @@ type appRun[T any] struct {
 	codec     dpx10.Codec[T]
 	verify    func(*dpx10.Dag[T]) error
 	summarize func(*dpx10.Dag[T]) string
+	// answer is the cell worker mode reads the app's result from, with its
+	// value in the app's serial reference.
+	answer func() (i, j int32, want T)
+}
+
+// corner is the answer of a grid app: the last cell of its serial table.
+func corner[T any](serial func() [][]T) func() (int32, int32, T) {
+	return func() (int32, int32, T) {
+		t := serial()
+		i := len(t) - 1
+		j := len(t[i]) - 1
+		return int32(i), int32(j), t[i][j]
+	}
+}
+
+// topRight is the answer of an interval app over n items: cell (0, n-1),
+// which spans them all.
+func topRight[T any](serial func() [][]T) func() (int32, int32, T) {
+	return func() (int32, int32, T) {
+		t := serial()
+		j := len(t[0]) - 1
+		return 0, int32(j), t[0][j]
+	}
 }
 
 // runner is an appRun with its value type erased.
@@ -262,7 +285,7 @@ var appTable = []struct {
 		app := apps.NewLCS(seqs(p))
 		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
 			return fmt.Sprintf("LCS length = %d, subsequence = %q", app.Length(d), clip(app.Backtrack(d)))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"sw", func(p Params) (runner, error) {
 		app := apps.NewSW(seqs(p))
@@ -270,31 +293,31 @@ var appTable = []struct {
 			best, at := app.Best(d)
 			a, b := app.Backtrack(d)
 			return fmt.Sprintf("best local alignment score = %d at %v\n  %s\n  %s", best, at, clip(a), clip(b))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"swlag", func(p Params) (runner, error) {
 		app := apps.NewSWLAG(seqs(p))
 		return appRun[apps.AffineCell]{app, app.Pattern(), app.Codec(), app.Verify, func(d *dpx10.Dag[apps.AffineCell]) string {
 			return fmt.Sprintf("best affine-gap local alignment score = %d", app.Best(d))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"editdist", func(p Params) (runner, error) {
 		app := apps.NewEditDistance(seqs(p))
 		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
 			return fmt.Sprintf("edit distance = %d", app.Distance(d))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"mtp", func(p Params) (runner, error) {
 		app := apps.NewMTP(int32(p.M), int32(p.N), 100, p.Seed)
 		return appRun[int64]{app, app.Pattern(), codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
 			return fmt.Sprintf("heaviest monotone path weight = %d (%d steps)", app.Best(d), len(app.Path(d))-1)
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"lps", func(p Params) (runner, error) {
 		app := apps.NewLPS(workload.Sequence(p.M, workload.DNA, p.Seed))
 		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
 			return fmt.Sprintf("longest palindromic subsequence length = %d: %q", app.Length(d), clip(app.Subsequence(d)))
-		}}, nil
+		}, topRight(app.Serial)}, nil
 	}},
 	{"knapsack", func(p Params) (runner, error) {
 		app := apps.NewRandomKnapsack(p.Items, 10, 100, int32(p.Capacity), p.Seed)
@@ -304,34 +327,34 @@ var appTable = []struct {
 		}
 		return appRun[int64]{app, pat, codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
 			return fmt.Sprintf("best knapsack value = %d using items %v", app.Best(d), app.Chosen(d))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"nw", func(p Params) (runner, error) {
 		app := apps.NewNW(seqs(p))
 		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
 			a, b := app.Backtrack(d)
 			return fmt.Sprintf("global alignment score = %d\n  %s\n  %s", app.Score(d), clip(a), clip(b))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"lcsubstr", func(p Params) (runner, error) {
 		app := apps.NewLCSubstr(seqs(p))
 		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
 			sub, n := app.Longest(d)
 			return fmt.Sprintf("longest common substring = %q (length %d)", clip(sub), n)
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"matrixchain", func(p Params) (runner, error) {
 		app := apps.NewRandomMatrixChain(p.M, 60, p.Seed)
 		return appRun[int64]{app, app.Pattern(), codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
 			return fmt.Sprintf("optimal chain cost = %d: %s", app.Cost(d), clip(app.Parenthesization(d)))
-		}}, nil
+		}, topRight(app.Serial)}, nil
 	}},
 	{"viterbi", func(p Params) (runner, error) {
 		app := apps.NewRandomViterbi(p.N, 6, p.M, p.Seed)
 		return appRun[float64]{app, app.Pattern(), codec.Float64{}, app.Verify, func(d *dpx10.Dag[float64]) string {
 			path := app.Path(d)
 			return fmt.Sprintf("most likely path log-probability = %.3f (%d steps)", app.Best(d), len(path))
-		}}, nil
+		}, corner(app.Serial)}, nil
 	}},
 	{"floydwarshall", func(p Params) (runner, error) {
 		app := apps.NewRandomFloydWarshall(int32(p.M), 4, 50, p.Seed)
@@ -341,6 +364,9 @@ var appTable = []struct {
 				return fmt.Sprintf("all-pairs shortest paths over %d vertices; 0 -> %d unreachable", app.N, app.N-1)
 			}
 			return fmt.Sprintf("all-pairs shortest paths over %d vertices; dist(0, %d) = %d", app.N, app.N-1, dist01)
+		}, func() (int32, int32, int64) {
+			// dist(0, N-1): stage N's cell for the pair (0, N-1)
+			return app.N, app.N - 1, app.Serial()[app.N-1]
 		}}, nil
 	}},
 	{"obst", func(p Params) (runner, error) {
@@ -353,14 +379,14 @@ var appTable = []struct {
 				}
 			}
 			return fmt.Sprintf("optimal BST over %d keys: weighted cost %d, root key %d", app.N(), app.Cost(d), root)
-		}}, nil
+		}, topRight(app.Serial)}, nil
 	}},
 	{"cyk", func(p Params) (runner, error) {
 		app := apps.NewRandomCYK(12, 40, p.M, p.Seed)
 		return appRun[uint64]{app, app.Pattern(), app.Codec(), app.Verify, func(d *dpx10.Dag[uint64]) string {
 			return fmt.Sprintf("CYK over %d symbols: accepted=%v, %d derivable spans",
 				len(app.Input), app.Accepts(d), app.Parseable(d))
-		}}, nil
+		}, topRight(app.Serial)}, nil
 	}},
 }
 
@@ -624,13 +650,18 @@ func driveWorker[T any](p Params, self int, addrs []string, w io.Writer, r appRu
 		}
 	}
 	if self == 0 {
-		h, wd := r.pattern.Bounds()
+		// Place 0 holds no Dag to verify: it checks each job's answer cell
+		// against the serial reference instead.
+		i, j, want := r.answer()
 		for jb := 0; jb < p.Jobs; jb++ {
-			v, err := node.JobValue(jb, h-1, wd-1)
+			v, err := node.JobValue(jb, i, j)
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "job %d corner vertex (%d,%d) = %v; recoveries=%d\n", jb, h-1, wd-1, v, s.Recoveries)
+			fmt.Fprintf(w, "job %d answer (%d,%d) = %v; recoveries=%d\n", jb, i, j, v, s.Recoveries)
+			if any(v) != any(want) {
+				return fmt.Errorf("job %d: answer (%d,%d) = %v, the serial reference has %v", jb, i, j, v, want)
+			}
 		}
 	}
 	return nil

@@ -128,48 +128,84 @@ func boundAddrs(n int) (exchange func(self int, bound string) []string, giveUp f
 	return exchange, giveUp
 }
 
+// runWorkers runs p as three TCP places in one process and returns what each
+// printed, reporting each place's error.
+func runWorkers(t *testing.T, p Params) []bytes.Buffer {
+	t.Helper()
+	addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
+	exchange, giveUp := boundAddrs(len(addrs))
+	p.exchangeAddrs = exchange
+	var wg sync.WaitGroup
+	outs := make([]bytes.Buffer, len(addrs))
+	errs := make([]error, len(addrs))
+	for place := range addrs {
+		wg.Add(1)
+		go func(place int) {
+			defer wg.Done()
+			defer giveUp(place)
+			errs[place] = RunWorker(p, place, addrs, &outs[place])
+		}(place)
+	}
+	wg.Wait()
+	for place, err := range errs {
+		if err != nil {
+			t.Errorf("place %d: %v\n%s", place, err, outs[place].String())
+		}
+	}
+	return outs
+}
+
+// TestRunWorkerAllApps runs every app in worker mode: place 0 fails the run
+// unless the app's answer cell holds the serial reference's value.
+func TestRunWorkerAllApps(t *testing.T) {
+	for _, app := range AppNames() {
+		t.Run(app, func(t *testing.T) {
+			p := smallParams(app)
+			switch app {
+			case "matrixchain":
+				p.M = 14
+			case "viterbi":
+				p.M, p.N = 30, 5
+			}
+			runWorkers(t, p)
+		})
+	}
+}
+
 // TestRunWorkerCluster runs apps as three TCP places in one process: the
-// stencil SWLAG and the triangular matrix chain, which worker mode runs
-// from the same app table as RunLocal. The places' computed counts must
-// sum to the pattern's active cells, and the coordinator prints the
-// summary.
+// stencil SWLAG, the triangular matrix chain and the RowWave Viterbi, which
+// worker mode runs from the same app table as RunLocal. The places' computed
+// counts must sum to the pattern's active cells, and the coordinator prints
+// the app's answer cell, whose value is the serial reference's.
 func TestRunWorkerCluster(t *testing.T) {
 	for _, tc := range []struct {
 		app     string
-		m       int
+		m, n    int
 		pattern func(p Params) dag.Pattern
+		answer  func(p Params) string // what the coordinator prints for job 0
 	}{
-		{"swlag", 40, func(p Params) dag.Pattern { return apps.NewSWLAG(seqs(p)).Pattern() }},
-		{"matrixchain", 14, func(p Params) dag.Pattern { return apps.NewRandomMatrixChain(p.M, 60, p.Seed).Pattern() }},
+		{"swlag", 40, 36, func(p Params) dag.Pattern { return apps.NewSWLAG(seqs(p)).Pattern() },
+			func(p Params) string {
+				return fmt.Sprintf("job 0 answer (%d,%d) = %v;", p.M, p.N, apps.NewSWLAG(seqs(p)).Serial()[p.M][p.N])
+			}},
+		{"matrixchain", 14, 36, func(p Params) dag.Pattern { return apps.NewRandomMatrixChain(p.M, 60, p.Seed).Pattern() },
+			func(p Params) string {
+				return fmt.Sprintf("job 0 answer (0,%d) = %v;", p.M-1, apps.NewRandomMatrixChain(p.M, 60, p.Seed).Serial()[0][p.M-1])
+			}},
+		{"viterbi", 30, 5, func(p Params) dag.Pattern { return apps.NewRandomViterbi(p.N, 6, p.M, p.Seed).Pattern() },
+			func(p Params) string {
+				return fmt.Sprintf("job 0 answer (%d,%d) = %v;", p.M-1, p.N-1, apps.NewRandomViterbi(p.N, 6, p.M, p.Seed).Serial()[p.M-1][p.N-1])
+			}},
 	} {
 		t.Run(tc.app, func(t *testing.T) {
 			p := smallParams(tc.app)
-			p.M = tc.m
-			addrs := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-			exchange, giveUp := boundAddrs(len(addrs))
-			p.exchangeAddrs = exchange
-			var wg sync.WaitGroup
-			outs := make([]bytes.Buffer, 3)
-			errs := make([]error, 3)
-			for place := 0; place < 3; place++ {
-				wg.Add(1)
-				go func(place int) {
-					defer wg.Done()
-					defer giveUp(place)
-					errs[place] = RunWorker(p, place, addrs, &outs[place])
-				}(place)
-			}
-			wg.Wait()
-			for place, err := range errs {
-				if err != nil {
-					t.Errorf("place %d: %v\n%s", place, err, outs[place].String())
-				}
-			}
+			p.M, p.N = tc.m, tc.n
+			outs := runWorkers(t, p)
 			if t.Failed() {
 				return
 			}
-			if !strings.Contains(outs[0].String(), "corner vertex") {
-				t.Fatalf("coordinator summary missing:\n%s", outs[0].String())
+			if want := tc.answer(p); !strings.Contains(outs[0].String(), want) {
+				t.Fatalf("coordinator summary lacks %q:\n%s", want, outs[0].String())
 			}
 			computed := 0
 			for place := range outs {

@@ -129,7 +129,7 @@ func TestWorkerProcessCrashE2E(t *testing.T) {
 	}
 
 	out0 := outs[0].String()
-	if !strings.Contains(out0, "corner vertex") {
+	if !strings.Contains(out0, "answer (") {
 		t.Fatalf("coordinator produced no result:\n%s", out0)
 	}
 	// The kill lands mid-run with huge margin; if the run somehow finished

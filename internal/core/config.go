@@ -17,16 +17,20 @@ import (
 // Cell is a dependency handed to Compute: the identity and finished value
 // of one vertex the computing cell depends on. It corresponds to the
 // paper's Vertex parameter of compute() (Figure 2) — users match cells by
-// ID and read the value, without knowing where the data lived.
+// ID and read the value, without knowing where the data lived. A Cell in
+// Compute's deps is read-only and valid only during the call.
 type Cell[T any] struct {
 	ID    dag.VertexID
 	Value T
 }
 
 // ComputeFunc is the user's compute() method: given the cell coordinates
-// and its dependencies (in the order the pattern lists them), return the
-// cell's value. It runs concurrently on the place worker pools and must be
-// safe for concurrent invocation.
+// and its dependencies, return the cell's value. deps is in the order the
+// pattern's Dependencies lists them, read-only, and valid only during the
+// call: the walk reuses the slice for the worker's next cell and rewrites
+// every entry, ID and Value, before each call, so nothing a call writes to
+// it is read back. It runs concurrently on the place worker pools and must
+// be safe for concurrent invocation.
 type ComputeFunc[T any] func(i, j int32, deps []Cell[T]) T
 
 // RecoveryMode selects how lost state is reconstructed after a failure.

@@ -179,6 +179,7 @@ type scratch[T any] struct {
 	mark             []uint32   // what the frame put at each index, as mark[x]-gen (markPoured …)
 	gen              uint32     // moves on every walk, so mark is never cleared
 	ghostReads       []int32    // per tile row: the reads of other places' values
+	dx               []int      // per offset of the row being walked: its slab delta (rowFrame)
 	pushed           []pushSpan // what remote tiles read of the walk's cells (settleRow)
 
 	remote [][]dag.VertexID // by owning place: ids to fetch (cachedOrQueued)

@@ -19,11 +19,19 @@ import (
 // been computed, giving the test a deterministic window to inject faults.
 // Call the returned release() exactly once after killing.
 func gatedConfig(pat dag.Pattern, places, gateAt int) (Config[int64], chan struct{}, func()) {
+	cfg := baseConfig(pat, places)
+	var gate chan struct{}
+	var release func()
+	cfg.Compute, gate, release = gatedCompute(sumCompute, gateAt)
+	return cfg, gate, release
+}
+
+// gatedCompute is compute blocked after gateAt cells, as gatedConfig's is.
+func gatedCompute(compute ComputeFunc[int64], gateAt int) (ComputeFunc[int64], chan struct{}, func()) {
 	gate := make(chan struct{})
 	resume := make(chan struct{})
 	var count atomic.Int64
-	cfg := baseConfig(pat, places)
-	cfg.Compute = func(i, j int32, deps []Cell[int64]) int64 {
+	gated := func(i, j int32, deps []Cell[int64]) int64 {
 		n := count.Add(1)
 		if n == int64(gateAt) {
 			close(gate)
@@ -31,7 +39,7 @@ func gatedConfig(pat dag.Pattern, places, gateAt int) (Config[int64], chan struc
 		if n >= int64(gateAt) {
 			<-resume
 		}
-		return sumCompute(i, j, deps)
+		return compute(i, j, deps)
 	}
 	var released atomic.Bool
 	release := func() {
@@ -39,7 +47,7 @@ func gatedConfig(pat dag.Pattern, places, gateAt int) (Config[int64], chan struc
 			close(resume)
 		}
 	}
-	return cfg, gate, release
+	return gated, gate, release
 }
 
 func checkResult(t *testing.T, cl *Cluster[int64], pat dag.Pattern) {

@@ -13,20 +13,29 @@ import (
 	"github.com/dpx10/dpx10/internal/sched"
 )
 
+// weigh is a compute() whose value is a function of the cell and of each
+// dependency's value by position, so a reordered, substituted or stale
+// dependency changes it.
+func weigh(i, j int32, deps []Cell[int64]) int64 {
+	v := int64(i)*31 + int64(j)*17
+	for k, d := range deps {
+		v = v*1000003 + int64(k+1)*d.Value
+	}
+	return v
+}
+
 // orderedCompute is a compute() that sees a reordered, substituted or stale
 // dependency: it weighs deps[k] by its position and panics unless deps[k] is
 // the pattern's k-th dependency.
 func orderedCompute(pat dag.Pattern) ComputeFunc[int64] {
 	return func(i, j int32, deps []Cell[int64]) int64 {
 		want := pat.Dependencies(i, j, nil)
-		v := int64(i)*31 + int64(j)*17
 		for k, d := range deps {
 			if d.ID != want[k] {
 				panic(fmt.Sprintf("cell (%d,%d): deps[%d] is %v, the pattern says %v", i, j, k, d.ID, want[k]))
 			}
-			v = v*1000003 + int64(k+1)*d.Value
 		}
-		return v
+		return weigh(i, j, deps)
 	}
 }
 

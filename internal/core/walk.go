@@ -345,18 +345,24 @@ func (pe *placeEngine[T]) walk(st *epochState[T], sc *scratch[T], td *tileDesc) 
 // walkStencil runs own tile t of a stencil run (distarray.Stencil) the way
 // native.RunStrip runs a strip: row-major, in one loop over the tile's
 // ghost-framed slab. A cell reads each dependency at its own slab index plus
-// DI·stride + DJ and stores its value in the slab and the chunk; a row whose
-// one test of its finished bits found no restored cell is published whole.
-// What a row's cells owe other tiles is parked a run at a time (settleRow).
-// It reports how many cells it computed.
+// DI·stride + DJ and stores its value in the slab. A fresh row — one test of
+// its finished bits found no restored cell — whose columns are contiguous is
+// resolved once (rowFrame): from the first column where every offset lands
+// inside the grid, its cells step the slab index instead of locating each
+// cell, and the row goes into the chunk as one copy. The other cells — left
+// of that column, on a row with a restored cell, or on a dealt column axis —
+// each test the grid's bounds and are stored one at a time. A fresh row is
+// published whole. What a row's cells owe other tiles is parked a run at a
+// time (settleRow). It reports how many cells it computed.
 func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) (done int) {
 	ch, s := st.chunk, st.chunk.Stencil()
 	b := ch.TileBox(t)
-	top, left := b.Lo/b.Stride, b.Lo%b.Stride
+	top, left, right := b.Lo/b.Stride, b.Lo%b.Stride, b.Lo%b.Stride+b.W
 	if pe.ghostFrame(st, sc, s, t) != nil {
 		return 0 // a dead peer or superseded epoch: the recovery reschedules the tile
 	}
 	defer func() { pe.pushSettled(st, sc); done = pe.settle(st, sc) }()
+	compute, slab := pe.cfg.Compute, sc.slab
 	for r := top; r < top+b.Rows; r++ {
 		select {
 		case <-st.quit:
@@ -366,28 +372,43 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 		i, lo := s.RowOf[r], r*b.Stride+left
 		offs, fresh := s.Offsets(i), ch.FinishedRun(lo, b.W) == 0
 		cells := slices.Grow(sc.cells[:0], len(offs))[:len(offs)]
-		pe.settleRow(st, sc, s, b, r)             // before the row runs, which it then does whole
+		pe.settleRow(st, sc, s, b, r) // before the row runs, which it then does whole
+		rowStore, interior, prev := fresh && !s.DealtCols(), right, -1
+		if rowStore {
+			interior, prev = sc.rowFrame(s, i, offs, left, right)
+		}
 		n, reads := 0, -int(sc.ghostReads[r-top]) // the ghost frame counted those
-		for c := left; c < left+b.W; c++ {
+		for c := left; c < interior; c++ {
 			off, j := lo+c-left, s.ColOf[c]
 			x := sc.at(i, j)
 			if !fresh && ch.Finished(off) {
-				sc.slab[x] = ch.Value(off) // restored by a recovery; later cells read it
+				slab[x] = ch.Value(off) // restored by a recovery; later cells read it
 				continue
 			}
 			k := 0
 			for _, o := range offs {
 				if i+o.DI >= 0 && j+o.DJ >= 0 { // inside the grid
-					cells[k] = Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}, Value: sc.slab[x+int(o.DI)*sc.stride+int(o.DJ)]}
+					cells[k] = Cell[T]{ID: dag.VertexID{I: i + o.DI, J: j + o.DJ}, Value: slab[x+int(o.DI)*sc.stride+int(o.DJ)]}
 					k++
 				}
 			}
-			v := pe.cfg.Compute(i, j, cells[:k])
-			sc.slab[x], n, reads = v, n+1, reads+k
-			ch.SetValue(off, v)
-			if !fresh {
-				ch.Publish(off, 1)
+			v := compute(i, j, cells[:k])
+			slab[x], n, reads = v, n+1, reads+k
+			if !rowStore {
+				ch.SetValue(off, v)
+				if !fresh {
+					ch.Publish(off, 1)
+				}
 			}
+		}
+		if interior < right {
+			j := s.ColOf[interior]
+			stencilInterior(compute, cells, slab, sc.dx, offs, prev, i, j, sc.at(i, j), right-interior)
+			n, reads = n+right-interior, reads+(right-interior)*len(offs)
+		}
+		if rowStore {
+			x := sc.at(i, s.ColOf[left])
+			ch.SetValues(lo, slab[x:x+b.W])
 		}
 		if fresh {
 			ch.Publish(lo, b.W)
@@ -399,6 +420,52 @@ func (pe *placeEngine[T]) walkStencil(st *epochState[T], sc *scratch[T], t int) 
 		}
 	}
 	return // the deferred settle reports the count
+}
+
+// rowFrame is the preamble of row i of a stencil tile whose columns run
+// contiguously over local columns [left, right): it fills sc.dx with each
+// offset's slab delta, DI·stride + DJ, and returns the first local column
+// from which every offset lands inside the grid — right when some offset's
+// row is outside it — and the index of the (0, -1) offset in offs, or -1.
+func (sc *scratch[T]) rowFrame(s *distarray.Stencil, i int32, offs []dag.Offset, left, right int) (interior, prev int) {
+	sc.dx, prev = sc.dx[:0], -1
+	j0 := int32(0) // the first global column every offset reaches inside the grid from
+	for k, o := range offs {
+		if i+o.DI < 0 {
+			return right, -1
+		}
+		if o == (dag.Offset{DJ: -1}) {
+			prev = k
+		}
+		j0 = max(j0, -o.DJ)
+		sc.dx = append(sc.dx, int(o.DI)*sc.stride+int(o.DJ))
+	}
+	return left + int(min(max(j0-s.ColOf[left], 0), int32(right-left))), prev
+}
+
+// stencilInterior computes the n cells of row i from column j on, at slab
+// index x on, where every offset in offs lands inside the grid at dx from the
+// cell. Before each call it rewrites every Cell of deps, ID and Value, but
+// the one of the (0, -1) offset at index prev, which it stores as soon as the
+// previous call returns the value, not through the slab.
+func stencilInterior[T any](compute ComputeFunc[T], deps []Cell[T], slab []T, dx []int, offs []dag.Offset, prev int, i, j int32, x, n int) {
+	deps, dx = deps[:len(offs)], dx[:len(offs)]
+	if prev >= 0 {
+		deps[prev].Value = slab[x-1]
+	}
+	for end := x + n; x < end; j, x = j+1, x+1 {
+		for k, o := range offs {
+			deps[k].ID = dag.VertexID{I: i + o.DI, J: j + o.DJ}
+			if k != prev {
+				deps[k].Value = slab[x+dx[k]]
+			}
+		}
+		v := compute(i, j, deps)
+		slab[x] = v
+		if prev >= 0 {
+			deps[prev].Value = v
+		}
+	}
 }
 
 // settleRow parks, by park's rules, what the unfinished cells of local row r

@@ -60,6 +60,11 @@ go test -race -run 'TestMetrics' -count=1 ./internal/core/
 # and replay against their per-cell oracle (every fuzz seed) and the replay's
 # emit-count bound.
 go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$|TestKillMidRunRecovers$|TestSnapshotRecovery$|TestSpilledRestoreRemoteRecovery$|TestRecoveryRestartsWhenPlaceDiesMidRecovery$|FuzzRecoveryRuns$|TestReplayRunsScaleWithRows$' -count=5 ./internal/core/ ./internal/distarray/
+# ... and the stencil walk's dependency oracle beside them: every Compute
+# call's deps against the pattern and the serial table, fault-free, with a
+# Compute that writes over deps, and with a kill mid-run whose recovery walks
+# rows with restored cells.
+go test -race -run 'TestStencilWalkDependencyOracle$' -count=3 ./internal/core/
 # ... and that race in isolation, many times: every tile reported ready
 # exactly once, by the scan or by a decrement, with the decrements aimed at
 # restored cells applied, not absorbed. With it, rows published from two
