@@ -51,7 +51,19 @@ func mustDep[T any](deps []dpx10.Cell[T], i, j int32) T {
 // reads position k and checks that it holds (i, j).
 func depAt[T any](deps []dpx10.Cell[T], k int, i, j int32) T {
 	if k >= len(deps) || deps[k].ID != (dpx10.VertexID{I: i, J: j}) {
-		panic(fmt.Sprintf("apps: dependency (%d,%d) not provided at position %d", i, j, k))
+		panic(depMissing{i, j, k})
 	}
 	return deps[k].Value
+}
+
+// depMissing is depAt's panic value. It formats its message only when
+// printed: a call to a formatting helper would cost depAt more than the
+// inliner's budget, and depAt runs for every dependency a compute reads.
+type depMissing struct {
+	i, j int32
+	k    int
+}
+
+func (e depMissing) Error() string {
+	return fmt.Sprintf("apps: dependency (%d,%d) not provided at position %d", e.i, e.j, e.k)
 }

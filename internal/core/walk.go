@@ -742,8 +742,9 @@ func (pe *placeEngine[T]) drainBox(st *epochState[T], t int, put func(i, j int32
 
 // fetchValues reads the finished values of ids, all owned by owner, into
 // sc.vals in id order: one kindFetch call per fetchMaxIDs ids, each timed
-// into engine.fetch_wait_ns when the registry is on. Every value is offered
-// to the vertex cache, and the entries that evicts are counted.
+// into engine.fetch_wait_ns when the registry is on. Each reply, once
+// decoded whole, goes into the vertex cache in one PutAll, and the entries
+// that evicts are counted.
 func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner int, ids []dag.VertexID) ([]T, error) {
 	sc.vals = sc.vals[:0]
 	for len(ids) > 0 {
@@ -763,21 +764,18 @@ func (pe *placeEngine[T]) fetchValues(st *epochState[T], sc *scratch[T], owner i
 			pe.peerError(owner, err)
 			return nil, err
 		}
-		var evicted int64
-		for _, id := range req {
+		start := len(sc.vals)
+		for range req {
 			v, n, derr := pe.cfg.Codec.Decode(reply)
 			if derr != nil {
 				return nil, fmt.Errorf("core: fetch decode from place %d: %w", owner, derr)
 			}
 			reply = reply[n:]
 			sc.vals = append(sc.vals, v)
-			if st.cache.Put(id, v) {
-				evicted++
-			}
 		}
 		pe.remoteFetches.Add(int64(len(req)))
-		if evicted > 0 {
-			pe.mVCEvict.Add(metrics.VCacheKey, evicted)
+		if evicted := st.cache.PutAll(req, sc.vals[start:]); evicted > 0 {
+			pe.mVCEvict.Add(metrics.VCacheKey, int64(evicted))
 		}
 	}
 	return sc.vals, nil

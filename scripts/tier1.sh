@@ -41,6 +41,8 @@ go test ./...
 # per-edge lookups.
 go test -run '^$' -bench 'SchedulePerVertex|GenericArm|StencilTile' -benchtime 1x ./internal/core/
 go test -run '^$' -bench 'DistLookup' -benchtime 1x ./internal/dist/
+# BenchmarkVCacheChurn checks that each of its Gets misses and each Put evicts.
+go test -run '^$' -bench VCache -benchtime 1x ./internal/vcache/
 # cmd/dpx10-sim has no test of its own: one smoke run of the simulator CLI
 # over two cluster sizes with stealing on and a fault at half progress.
 go run ./cmd/dpx10-sim -pattern triangle -h 48 -w 48 -nodes 2,4 -steal -fault 0.5 >/dev/null
@@ -48,6 +50,9 @@ go test -race -timeout 10m ./...
 # Metrics-invariant suite again under the race detector: every snapshot
 # read races against live increments unless the registry is correct.
 go test -race -run 'TestMetrics' -count=1 ./internal/core/
+# The vertex cache's open-addressed index against the map-plus-ring
+# reference, over fresh random sequences of Put, PutAll and Get.
+go test -race -run 'TestMatchesReference$' -count=5 ./internal/vcache/
 # The stencil arm against the generic one (the capability exposed and
 # hidden) and recovery under it, repeated under the race detector: a
 # recovery's activation scan adds to tile counters that early decrements
