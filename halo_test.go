@@ -16,11 +16,12 @@ import (
 // functions of the tile layout, not of the cell count. In process, no wall
 // clock; every run is verified cell by cell against Serial().
 
-// TestHaloFetchCallsBoundedByTiles is the benchmark's kp-tcp-fetch shape:
-// knapsack on block columns, where place 0 runs ahead and its pushed values
-// are evicted from the small cache unread. A per-dependency fetch pays one
-// round trip for each of them (Σw ≈ 20 000 here); a halo pays at most one
-// per tile per other place.
+// TestHaloFetchCallsBoundedByTiles is the benchmark's kp-tcp-fetch shape —
+// knapsack on block columns with a small cache — with value push off, so
+// place 1 fetches each value of place 0's it reads that the cache does not
+// hold. (With push on it keeps every pushed value and fetches none.) A
+// per-dependency fetch pays one round trip for each of them (Σw ≈ 20 000
+// here); a halo pays at most one per tile per other place.
 func TestHaloFetchCallsBoundedByTiles(t *testing.T) {
 	const places = 2
 	app := apps.NewRandomKnapsack(200, 200, 100, 1000, 1)
@@ -30,7 +31,7 @@ func TestHaloFetchCallsBoundedByTiles(t *testing.T) {
 	}
 	d, err := dpx10.Run[int64](app, pat,
 		dpx10.Places(places), dpx10.WithDist(dpx10.BlockColDist), dpx10.CacheSize(256),
-		dpx10.WithCodec[int64](dpx10.Int64Codec{}))
+		dpx10.WithoutValuePush(), dpx10.WithCodec[int64](dpx10.Int64Codec{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestHaloFetchCallsBoundedByTiles(t *testing.T) {
 	}
 	st := d.Stats()
 	if st.RemoteFetches == 0 {
-		t.Fatal("no value was fetched: the scenario no longer evicts pushed values unread")
+		t.Fatal("no value was fetched: the scenario no longer reads remote values")
 	}
 	if bound := st.TilesExecuted * (places - 1); st.FetchCalls > bound {
 		t.Fatalf("FetchCalls = %d over %d tiles on %d places, want <= %d (one per tile per other place)",

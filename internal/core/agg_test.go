@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -265,14 +264,14 @@ func boxState(pe *placeEngine[int64]) (peak, pinned int, allFree bool) {
 }
 
 // TestPushedBoxesBounded pins the push boxes' promises. A place pins at most
-// CacheSize pushed values, drops the rest and fetches them, and the result
-// is bit-exact; every box is empty after the run and its storage is back on
-// the free list, also when tiles leave by exec (Random) or steal; after a
-// kill the live epoch's boxes are its own and drain too; and a deposit for a
-// tile the activation scan retired is dropped, or freed by the scan if it
-// landed first.
+// as many pushed values as it owns cells, whatever the vertex cache's size,
+// drops the rest and fetches them, and the result is bit-exact; every box is
+// empty after the run and its storage is back on the free list, also when
+// tiles leave by exec (Random) or steal; after a kill the live epoch's boxes
+// are its own and drain too; and a deposit for a tile the activation scan
+// retired is dropped, or freed by the scan if it landed first.
 func TestPushedBoxesBounded(t *testing.T) {
-	const limit = 16
+	const cache = 16
 	pat := patterns.NewDiagonal(40, 60) // block rows over two places: rows 0..19 and 20..39
 	drained := func(cl *Cluster[int64], skip int) {
 		t.Helper()
@@ -281,32 +280,24 @@ func TestPushedBoxesBounded(t *testing.T) {
 				continue
 			}
 			peak, pinned, free := boxState(pe)
-			if peak > limit || pinned != 0 || !free {
-				t.Fatalf("place %d: peak %d pinned values (bound %d), %d pinned after the run, all storage free: %v", p, peak, limit, pinned, free)
+			if bound := pe.current().chunk.Len(); peak > bound || pinned != 0 || !free {
+				t.Fatalf("place %d: peak %d pinned values (bound %d), %d pinned after the run, all storage free: %v", p, peak, bound, pinned, free)
 			}
 		}
 	}
 
-	// Place 1 computes nothing until place 0 has computed its whole block:
-	// place 0's bottom row, 60 values and one more per tile boundary, piles
-	// up in the boxes of place 1's top tiles.
-	cfg := baseConfig(pat, 2)
-	cfg.CacheSize = limit
-	hold := make(chan struct{})
-	var upper atomic.Int64
-	cfg.Compute = func(i, j int32, deps []Cell[int64]) int64 {
-		if i >= 20 {
-			<-hold
-		} else if upper.Add(1) == 20*60 {
-			close(hold)
-		}
-		return sumCompute(i, j, deps)
-	}
-	cl := runAndCheck(t, cfg)
+	// Fan-in: place 1's first row, 15 tiles of 1x4, reads all of place 0's
+	// last row, so 15 x 60 values are pushed to a place of 120 cells. No such
+	// tile is ready before every tile of that row settled, and two of the
+	// fifteen settlements reach the bound, so the boxes fill to exactly it
+	// and the rest is dropped and fetched.
+	fanIn := baseConfig(patterns.NewRowWave(4, 60), 2)
+	fanIn.CacheSize, fanIn.TileShape = cache, [2]int{1, 4}
+	cl := runAndCheck(t, fanIn)
 	s := cl.Stats()
-	if peak, _, _ := boxState(cl.engines[1]); peak != limit || s.PushDeposits >= s.ValuesPushed || s.CacheMisses == 0 {
-		t.Fatalf("peak %d pinned, %d of %d pushed values kept, %d fetched; want the bound %d reached, some dropped and fetched",
-			peak, s.PushDeposits, s.ValuesPushed, s.CacheMisses, limit)
+	if peak, _, _ := boxState(cl.engines[1]); peak != 120 || s.PushDeposits >= s.ValuesPushed || s.CacheMisses == 0 {
+		t.Fatalf("peak %d pinned, %d of %d pushed values kept, %d fetched; want the bound 120 reached, some dropped and fetched",
+			peak, s.PushDeposits, s.ValuesPushed, s.CacheMisses)
 	}
 	// Every value pushed to a tile is a remote dependency it reads: kept
 	// ones from its box, dropped ones from the cache or a fetch.
@@ -315,9 +306,19 @@ func TestPushedBoxesBounded(t *testing.T) {
 	}
 	drained(cl, -1)
 
+	// Without fan-in every pushed value fits: place 1 keeps all of place 0's
+	// bottom row, far more than the vertex cache holds, and fetches nothing.
+	cfg := baseConfig(pat, 2)
+	cfg.CacheSize = cache
+	cl = runAndCheck(t, cfg)
+	if s := cl.Stats(); s.PushDeposits != s.ValuesPushed || s.PushDeposits <= cache || s.FetchCalls != 0 {
+		t.Fatalf("%d of %d pushed values kept, %d fetch calls; want all kept, more than %d, and none", s.PushDeposits, s.ValuesPushed, s.FetchCalls, cache)
+	}
+	drained(cl, -1)
+
 	for _, strat := range []sched.Strategy{sched.Random, sched.Steal} {
 		cfg := baseConfig(pat, 3)
-		cfg.CacheSize, cfg.Strategy = limit, strat
+		cfg.CacheSize, cfg.Strategy = cache, strat
 		cl := runAndCheck(t, cfg)
 		if strat == sched.Random && cl.Stats().ExecMigrated == 0 {
 			t.Fatal("random placement handed no tile away")
@@ -327,7 +328,7 @@ func TestPushedBoxesBounded(t *testing.T) {
 	// The wave of 32 two-cell tiles reads place 0's last chain cell; its
 	// place pushes most of them down its lifelines.
 	life := lifelineConfig(lastWave{h: 16, w: 32, hot: 14}, 4)
-	life.CacheSize = limit
+	life.CacheSize = cache
 	life.Compute = skewCompute(func(i, j int32) bool { return i == 0 }, 300*time.Microsecond, 100*time.Microsecond)
 	if cl := runAndCheck(t, life); cl.Stats().TilesMigrated == 0 {
 		t.Fatal("no tile went down a lifeline")
@@ -336,7 +337,7 @@ func TestPushedBoxesBounded(t *testing.T) {
 	}
 
 	kill, gate, release := gatedConfig(pat, 3, 900)
-	kill.CacheSize = limit
+	kill.CacheSize = cache
 	cl, err := NewCluster(kill)
 	if err != nil {
 		t.Fatal(err)
@@ -365,7 +366,7 @@ func TestPushedBoxesBounded(t *testing.T) {
 	for off := 0; off < 16; off++ {
 		ch.SetResult(off, 1)
 	}
-	bx := newPushBoxes[int64](ch.NumTiles(), limit)
+	bx := newPushBoxes[int64](ch.NumTiles(), ch.Len())
 	deposit := func(t1, t2 uint32) int {
 		two := tileVals[int64]{runs: []valRun{{off: 0, n: 2}}, vals: []int64{1, 2}}
 		return bx.deposit(ch, 1, &decrBatch[int64]{tiles: []tileCount{{tile: t1, count: 1}, {tile: t2, count: 1}}, vals: []tileVals[int64]{two, two}})

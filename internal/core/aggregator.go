@@ -12,6 +12,8 @@ import (
 // the unit's cells that the tile reads, as runs of this place's local
 // offsets; the receiver deposits them in that tile's box (boxes.go), where
 // the tile's halo step finds them instead of issuing kindFetch round-trips.
+// Push is on when Config.CacheSize > 0 and PushDisabled is not set; what the
+// receiver keeps is bounded by its own cell count, not by CacheSize.
 //
 // Flushing is self-clocked, and the producers are the only clock. Every
 // unit kicks the flusher goroutine when it settles, at the end of its
@@ -77,7 +79,8 @@ type aggBuf struct {
 func newAggregator[T any](pe *placeEngine[T], epoch uint64) *aggregator[T] {
 	return &aggregator[T]{
 		pe: pe, epoch: epoch,
-		// CacheSize bounds the values a receiver pins (boxes.go): 0 pins none.
+		// CacheSize 0 turns value push off with the vertex cache; the
+		// receiver's own cell count bounds what it pins (boxes.go).
 		push:    !pe.cfg.PushDisabled && pe.cfg.CacheSize > 0,
 		maxRecs: pe.cfg.AggMaxBatch,
 		kicked:  make(chan struct{}, 1),

@@ -19,9 +19,13 @@ import (
 // lifeline); its storage then goes back to the epoch's free list. A deposit
 // for a tile that will not run here — one that ran or left already, or one
 // the activation scan retired — is dropped. So is a deposit past the bound:
-// a place pins at most Config.CacheSize pushed values across its boxes,
-// keeps the oldest, and the tile fetches the rest. The boxes belong to one
-// epoch and are discarded with it.
+// a place pins at most as many pushed values across its boxes as it owns
+// cells, so the boxes at most double the chunk; it keeps the oldest, and the
+// tile fetches the rest. The bound is the place's own size, not the vertex
+// cache's, because every value pushed here has a tile here that reads it: a
+// value dropped at arrival costs the tile a round trip for a value that
+// already crossed the wire. The boxes belong to one epoch and are discarded
+// with it.
 
 // pushBoxes is one epoch's boxes. Without value push there are none: a nil
 // *pushBoxes takes, drops and sweeps nothing, and no deposit reaches it.
@@ -32,7 +36,7 @@ type pushBoxes[T any] struct {
 	free   []*boxStore[T] // storage no box holds
 	made   int            // storage allocated this epoch, in a box or free
 	pinned int            // values held across the boxes
-	limit  int            // Config.CacheSize
+	limit  int            // the chunk's cell count
 	peak   int            // the most values ever pinned at once
 }
 

@@ -64,10 +64,11 @@ type Common struct {
 	NewDist func(h, w int32, places int) dist.Dist
 	// Strategy selects the scheduling policy (paper §VI-C); default Local.
 	Strategy sched.Strategy
-	// CacheSize bounds, per place, two stores of remote values, each
-	// separately: the vertex cache of fetched values, in entries (paper
-	// §VI-C), and the values other places pushed that wait in the boxes of
-	// the tiles that read them. 0 disables both, and with them value push.
+	// CacheSize bounds, per place, the vertex cache of fetched values, in
+	// entries (paper §VI-C). 0 disables the cache and, with it, value push.
+	// With push on, the values other places pushed wait in the boxes of the
+	// tiles that read them; those are bounded by the place's own cell count,
+	// not by CacheSize (boxes.go).
 	CacheSize int
 	// TileSize is the scheduling granularity: each place cuts its local
 	// index box into rectangular tiles of about this many cells — the engine
@@ -117,7 +118,7 @@ type Common struct {
 	AggMaxBatch int
 	// PushDisabled stops piggybacking finished vertex values onto
 	// aggregated decrements. Push is on by default but only takes effect
-	// when CacheSize > 0 — the bound on the values a receiver pins.
+	// when CacheSize > 0.
 	PushDisabled bool
 	// Reliable turns on sequence-numbered, retried, idempotent delivery:
 	// engine messages carry a [seq u64] envelope, tracked one-way sends

@@ -7,6 +7,7 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/dpx10/dpx10/internal/metrics"
@@ -21,13 +22,52 @@ func debugf(format string, args ...interface{}) {
 	}
 }
 
-// coEvent is a notification delivered to the coordinator on place 0:
-// either "place p finished all local vertices in epoch e" or "place p
-// looks dead".
-type coEvent struct {
-	fault bool
-	place int
-	epoch uint64
+// coInbox is what the places report to the coordinator on place 0, kept as
+// per-place state rather than queued: whether the place was reported dead,
+// and the latest epoch it reported finishing all of its local vertices in.
+// A report sets its state and then fills the one-slot wake channel, which
+// the coordinator drains before it scans the state, so a report made during
+// a scan wakes the next one. No report waits for the coordinator — a
+// transport handler or a job's fault delivery returns at once — duplicate
+// reports collapse into the state they set, and the inbox costs O(places)
+// however many reports arrive.
+type coInbox struct {
+	fault []atomic.Bool
+	done  []atomic.Uint64 // 1 + the latest epoch the place reported done in; 0 for none
+	wake  chan struct{}
+}
+
+func newCoInbox(places int) *coInbox {
+	return &coInbox{
+		fault: make([]atomic.Bool, places),
+		done:  make([]atomic.Uint64, places),
+		wake:  make(chan struct{}, 1),
+	}
+}
+
+// reportFault records that place p looks dead.
+func (in *coInbox) reportFault(p int) {
+	in.fault[p].Store(true)
+	in.kick()
+}
+
+// reportDone records that place p finished its local vertices in epoch. A
+// report from an older epoch than one already recorded changes nothing.
+func (in *coInbox) reportDone(p int, epoch uint64) {
+	for {
+		old := in.done[p].Load()
+		if old > epoch || in.done[p].CompareAndSwap(old, epoch+1) {
+			break
+		}
+	}
+	in.kick()
+}
+
+func (in *coInbox) kick() {
+	select {
+	case in.wake <- struct{}{}:
+	default:
+	}
 }
 
 // coordinator runs on place 0 (paper §VI-A: execution starts at Place 0).
@@ -37,7 +77,7 @@ type coEvent struct {
 // begins after every survivor completed the previous one.
 type coordinator[T any] struct {
 	pe       *placeEngine[T]
-	events   chan coEvent
+	in       *coInbox
 	abort    <-chan struct{}
 	abortErr func() error
 
@@ -61,7 +101,7 @@ type coordinator[T any] struct {
 func newCoordinator[T any](pe *placeEngine[T], abort <-chan struct{}, abortErr func() error) *coordinator[T] {
 	co := &coordinator[T]{
 		pe:       pe,
-		events:   make(chan coEvent, 4096),
+		in:       newCoInbox(pe.cfg.Places),
 		abort:    abort,
 		abortErr: abortErr,
 		alive:    make(map[int]bool, pe.cfg.Places),
@@ -91,42 +131,53 @@ func (co *coordinator[T]) places(alive bool) []int {
 	return out
 }
 
-// run processes events until the computation completes or aborts. It
-// returns nil on success.
+// run scans the places' reports until the computation completes or aborts.
+// It returns nil on success.
 func (co *coordinator[T]) run() error {
 	co.epochT0 = time.Now()
 	for {
+		if finished, err := co.scan(); finished || err != nil {
+			return err
+		}
 		select {
 		case <-co.abort:
 			if err := co.abortErr(); err != nil {
 				return err
 			}
 			return errors.New("core: run aborted")
-		case ev := <-co.events:
-			if ev.fault {
-				debugf("fault event: place %d (epoch %d)", ev.place, ev.epoch)
-				if ev.place == 0 {
-					return placeDead(0)
-				}
-				if !co.alive[ev.place] {
-					continue // duplicate report, already recovered
-				}
-				if err := co.recoverFrom(ev.place); err != nil {
-					return err
-				}
-			} else {
-				debugf("done event: place %d (epoch %d/%d)", ev.place, ev.epoch, co.epoch)
-				if ev.epoch != co.epoch {
-					continue // completion report from a superseded epoch
-				}
-				co.done[ev.place] = true
-			}
-			if co.allDone() {
-				co.endEpochSpan()
-				return nil
+		case <-co.in.wake:
+		}
+	}
+}
+
+// scan acts on the inbox: it recovers from each place newly reported dead —
+// the death of place 0 ends the run — then counts the survivors that
+// reported done in the current epoch, and reports whether all of them have.
+// A fault report for a place already recovered from, and a done report from
+// a superseded epoch, change nothing.
+func (co *coordinator[T]) scan() (finished bool, err error) {
+	if co.in.fault[0].Load() {
+		return false, placeDead(0)
+	}
+	for p := 1; p < len(co.in.fault); p++ {
+		if co.in.fault[p].Load() && co.alive[p] {
+			debugf("fault: place %d (epoch %d)", p, co.epoch)
+			if err := co.recoverFrom(p); err != nil {
+				return false, err
 			}
 		}
 	}
+	for _, p := range co.places(true) {
+		if !co.done[p] && co.in.done[p].Load() == co.epoch+1 {
+			debugf("done: place %d (epoch %d)", p, co.epoch)
+			co.done[p] = true
+		}
+	}
+	if !co.allDone() {
+		return false, nil
+	}
+	co.endEpochSpan()
+	return true, nil
 }
 
 func (co *coordinator[T]) allDone() bool {

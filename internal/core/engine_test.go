@@ -324,7 +324,8 @@ func (s *stealReply) Call(to int, kind uint8, payload []byte) ([]byte, error) {
 // reason is unknown or belongs to the other direction.
 func TestWireIDsVetted(t *testing.T) {
 	cfg := stealConfig(patterns.NewDiagonal(9, 9), 3)
-	pe := runAndCheck(t, cfg).engines[1]                   // block rows: owns rows 3..5
+	cl := runAndCheck(t, cfg)
+	pe := cl.engines[1]                                    // block rows: owns rows 3..5
 	st, cd, mine := pe.current(), codec.Int64{}, uint32(0) // (3,0), place 1's first cell
 	sc, steal := pe.getScratch(), &stealReply{Transport: pe.tr}
 	pe.tr = steal
@@ -417,5 +418,13 @@ func TestWireIDsVetted(t *testing.T) {
 	}
 	if n := st.inbox.len(); n != 0 {
 		t.Errorf("%d refused tiles reached the inbox", n)
+	}
+	// A place event names a place the coordinator keeps state for.
+	for _, fault := range []bool{false, true} {
+		for _, p := range []int{3, 1<<32 - 1} {
+			if _, err := cl.engines[0].handleCoordinatorEvent(fault)(1, encodePlaceEvent(nil, st.epoch, p)); err == nil {
+				t.Errorf("a place event (fault %v) naming place %d of 3: no error", fault, p)
+			}
+		}
 	}
 }

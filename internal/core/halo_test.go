@@ -219,8 +219,9 @@ func TestChaosSoakStaleHalo(t *testing.T) {
 // columns past its right edge, which a missing column bound would wrap onto
 // the tile's own row. They are dropped: no slab index of the tile's cells is
 // marked, nothing outside the slab is written (that would panic), and the
-// tile's values are bit-exact. The box is also cut at the CacheSize bound, so
-// the rest of the row above comes from a fetch into the slab.
+// tile's values are bit-exact. The box is also cut at a bound below the
+// values it is given, so the rest of the row above comes from a fetch into
+// the slab.
 func TestStencilBoxRunOutsideSlabDropped(t *testing.T) {
 	const h, bj, kept = 6, 16, 10 // place 1 walks row 3, columns [bj, 2bj): it reads row 2 of place 0
 	pat := patterns.NewDiagonal(h, 3*bj)

@@ -32,21 +32,24 @@ func handlePing(_ int, payload []byte) ([]byte, error) {
 	return encodePing(nil, seq, sent), err
 }
 
-// handleCoordinatorEvent adapts placeDone/fault notifications into
-// coordinator events. Only place 0 has a coordinator; other places ignore
+// handleCoordinatorEvent records placeDone/fault notifications in the
+// coordinator's inbox. Only place 0 has a coordinator; other places ignore
 // the traffic (it should never reach them).
 func (pe *placeEngine[T]) handleCoordinatorEvent(fault bool) func(int, []byte) ([]byte, error) {
 	return func(from int, payload []byte) ([]byte, error) {
-		if pe.events == nil {
+		if pe.inbox == nil {
 			return nil, nil
 		}
 		epoch, place, err := decodePlaceEvent(payload)
-		if err != nil {
+		switch {
+		case err != nil:
 			return nil, err
-		}
-		select {
-		case pe.events <- coEvent{fault: fault, place: place, epoch: epoch}:
-		case <-pe.stopCh:
+		case uint(place) >= uint(pe.cfg.Places):
+			return nil, fmt.Errorf("core: event from place %d names place %d of %d", from, place, pe.cfg.Places)
+		case fault:
+			pe.inbox.reportFault(place)
+		default:
+			pe.inbox.reportDone(place, epoch)
 		}
 		return nil, nil
 	}

@@ -97,7 +97,7 @@ func newJobRun[T any](m *JobManager, cfg Config[T]) (*JobRun[T], error) {
 	if pe := jr.engines[0]; pe.self == 0 {
 		jr.co = newCoordinator(pe, jr.abortCh, jr.abortError)
 		jr.co.sink = m.sink
-		pe.events = jr.co.events
+		pe.inbox = jr.co.in
 	}
 	return jr, nil
 }
@@ -286,11 +286,7 @@ func (jr *JobRun[T]) fault(p int) {
 	if jr.co == nil {
 		return
 	}
-	select {
-	case jr.co.events <- coEvent{fault: true, place: p}:
-	case <-jr.abortCh:
-	case <-jr.m.closeCh:
-	}
+	jr.co.in.reportFault(p)
 }
 
 // placeKilled tears down this job's local state on a killed place, as a

@@ -106,8 +106,9 @@ type placeEngine[T any] struct {
 
 	// abort tears the whole run down (unrecoverable error).
 	abort func(error)
-	// events feeds the coordinator; non-nil only on place 0.
-	events chan coEvent
+	// inbox takes the places' reports to the coordinator; non-nil only on
+	// place 0.
+	inbox *coInbox
 
 	stopCh   chan struct{}
 	stopOnce sync.Once
@@ -359,7 +360,7 @@ func (pe *placeEngine[T]) newEpochState(epoch uint64, d dist.Dist, chunk *distar
 		agg:   newAggregator(pe, epoch),
 	}
 	if st.agg.push {
-		st.boxes = newPushBoxes[T](chunk.NumTiles(), pe.cfg.CacheSize)
+		st.boxes = newPushBoxes[T](chunk.NumTiles(), chunk.Len())
 	}
 	go st.agg.loop(st.quit)
 	if pe.usesSteal() && pe.cfg.Places > 1 { // one place has no one to balance with

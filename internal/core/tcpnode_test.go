@@ -7,7 +7,9 @@ import (
 	"time"
 
 	"github.com/dpx10/dpx10/internal/codec"
+	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dag/patterns"
+	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/metrics"
 	"github.com/dpx10/dpx10/internal/sched"
 )
@@ -229,6 +231,49 @@ func TestTCPNodeStatsCountTiles(t *testing.T) {
 	}
 	if want := metrics.MergeAll(snaps).Counters[metrics.SchedTilesExecuted]; tiles == 0 || tiles != want || jobTiles != want {
 		t.Fatalf("Stats count %d tiles, JobStats %d, sched.tiles_executed %d; want all equal and > 0", tiles, jobTiles, want)
+	}
+	nodes[0].Close()
+	if err := <-worker; err != nil {
+		t.Fatalf("place 1: %v", err)
+	}
+}
+
+// TestTCPNodePushedValuesAllKept runs a knapsack table dealt by column
+// blocks over two TCP nodes with a 256-entry vertex cache, as the kp-tcp-fetch
+// benchmark does: place 0 pushes every value of its block that place 1 reads,
+// thousands per job, and place 1 keeps every one until its tile runs, so it
+// fetches nothing. (With the boxes bounded by the cache's size it kept at
+// most 256 and fetched the rest back in about fifty round trips.)
+func TestTCPNodePushedValuesAllKept(t *testing.T) {
+	const items, capacity = 100, 500
+	weights := make([]int32, items)
+	for k := range weights {
+		weights[k] = int32(k*37)%200 + 1
+	}
+	pat, err := patterns.NewKnapsack(weights, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config[int64]{
+		Common: Common{Places: 2, Threads: 1, Pattern: pat, CacheSize: 256,
+			NewDist: func(h, w int32, n int) dist.Dist { return dist.NewBlockCol(h, w, n) }},
+		Compute: sumCompute,
+		Codec:   codec.Int64{},
+	}
+	nodes := startTCPNodes(t, cfg, 2)
+	worker := make(chan error, 1)
+	go func() { worker <- nodes[1].Run() }()
+	if err := nodes[0].Run(); err != nil {
+		t.Fatalf("coordinator: %v", err)
+	}
+	want, corner := refValues(pat), dag.VertexID{I: items, J: capacity}
+	if got, err := nodes[0].Value(corner.I, corner.J); err != nil || got != want[corner] {
+		t.Fatalf("corner %v = %d (err %v), want %d", corner, got, err, want[corner])
+	}
+	pushed, kept, calls := nodes[0].Stats().ValuesPushed, nodes[1].Stats().PushDeposits, nodes[1].Stats().FetchCalls
+	if pushed <= 256 || kept != pushed || calls != 0 {
+		t.Fatalf("place 1 kept %d of the %d values place 0 pushed and made %d fetch calls; want more than 256 pushed, all kept and none fetched",
+			kept, pushed, calls)
 	}
 	nodes[0].Close()
 	if err := <-worker; err != nil {

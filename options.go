@@ -165,9 +165,10 @@ func WithStrategy(s Strategy) UntypedOption {
 }
 
 // CacheSize sets the per-place remote-vertex cache capacity in entries
-// (paper §VI-E "Cache size") and, separately, the most values other places'
-// value push may pin at a place until the tiles that read them run; 0
-// disables both. Job-scoped: every job has its own cache and bound.
+// (paper §VI-E "Cache size"); 0 disables the cache and, with it, value push.
+// Values other places push wait at a place until the tiles that read them
+// run, bounded by the place's own cell count, not by this size. Job-scoped:
+// every job has its own cache.
 func CacheSize(entries int) UntypedOption {
 	return jobOpt("CacheSize", func(c *core.Common) { c.CacheSize = entries })
 }
