@@ -84,7 +84,11 @@ func AblationSched(quick bool) (Report, error) {
 
 // AblationCache sweeps the per-place vertex cache capacity (§VI-E "Cache
 // size ... to achieve maximum benefit") on a workload with reusable remote
-// dependencies, showing hit rate and traffic reduction.
+// dependencies, showing hit rate and traffic reduction. The sweep runs with
+// value push off: pushed values wait in the reading tile's box, not in the
+// cache, and a place keeps every one of them, so with push on no capacity
+// moves the cache. One push-on row at the largest capacity stands beside the
+// sweep for comparison; its hits are the boxes'.
 func AblationCache(quick bool) (Report, error) {
 	h, w := int32(24), int32(96)
 	if quick {
@@ -95,25 +99,34 @@ func AblationCache(quick bool) (Report, error) {
 	pattern := dpx10.RowWavePattern(h, w)
 	rep := Report{
 		Title:  "Ablation — cache capacity (RowWave, real runtime)",
-		Header: []string{"cacheSize", "remoteFetches", "cacheHits", "hitRate", "bytes", "time(s)"},
+		Header: []string{"cacheSize", "push", "remoteFetches", "cacheHits", "hitRate", "bytes", "time(s)"},
 	}
-	for _, size := range []int{0, 4, 16, 64, 256} {
+	type arm struct {
+		size int
+		push bool
+	}
+	arms := []arm{{0, false}, {4, false}, {16, false}, {64, false}, {256, false}, {256, true}}
+	for _, a := range arms {
 		app := &sumApp{}
-		dag, err := dpx10.Run[int64](app, pattern,
-			append(extra[int64](),
-				dpx10.Places(4),
-				dpx10.WithCodec[int64](dpx10.Int64Codec{}),
-				dpx10.WithDist(dpx10.BlockColDist),
-				dpx10.CacheSize(size))...)
+		opts := append(extra[int64](),
+			dpx10.Places(4),
+			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
+			dpx10.WithDist(dpx10.BlockColDist),
+			dpx10.CacheSize(a.size))
+		push := "on"
+		if !a.push {
+			opts, push = append(opts, dpx10.WithoutValuePush()), "off"
+		}
+		dag, err := dpx10.Run[int64](app, pattern, opts...)
 		if err != nil {
-			return rep, fmt.Errorf("cache ablation size=%d: %w", size, err)
+			return rep, fmt.Errorf("cache ablation size=%d push %s: %w", a.size, push, err)
 		}
 		s := dag.Stats()
 		hitRate := 0.0
 		if s.CacheHits+s.CacheMisses > 0 {
 			hitRate = float64(s.CacheHits) / float64(s.CacheHits+s.CacheMisses)
 		}
-		rep.Add(d(int64(size)), d(s.RemoteFetches), d(s.CacheHits),
+		rep.Add(d(int64(a.size)), push, d(s.RemoteFetches), d(s.CacheHits),
 			fmt.Sprintf("%.0f%%", 100*hitRate), d(s.BytesSent),
 			fmt.Sprintf("%.3f", dag.Elapsed().Seconds()))
 	}

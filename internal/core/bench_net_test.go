@@ -71,6 +71,56 @@ func BenchmarkNetPerVertex(b *testing.B) {
 	b.ReportMetric(float64(writeCalls)/n, "writes/vertex")
 }
 
+// BenchmarkTCPPush is the in-process gate of the pushed-value path, on the
+// swlag-tcp-push workload's shape: SWLAG's dependencies on a 300 × 300
+// grid, cyclic rows, so every row reads the other place's, a vertex cache of
+// 1024, so finished values are pushed to the tiles that read them, and two
+// TCP nodes of one worker each on loopback. Each iteration boots the nodes,
+// runs the job — the timed part — and checks every cell's value against
+// refValues on the node that owns it. It reports ns/cell of the runs and the
+// settlements each decrement batch carried (DecrsCoalesced / AggBatches).
+func BenchmarkTCPPush(b *testing.B) {
+	const side = 300
+	pat := patterns.NewDiagonal(side, side)
+	want := refValues(pat)
+	newDist := func(h, w int32, n int) dist.Dist { return dist.NewCyclicRow(h, w, n) }
+	owner := newDist(side, side, 2)
+	cfg := Config[int64]{
+		Common:  Common{Places: 2, Threads: 1, Pattern: pat, CacheSize: 1024, NewDist: newDist},
+		Compute: sumCompute,
+		Codec:   codec.Int64{},
+	}
+	var batches, settlements int64
+	b.StopTimer()
+	for range b.N {
+		nodes := startBenchTCPNodes(b, cfg, 2)
+		worker := make(chan error, 1)
+		b.StartTimer()
+		go func() { worker <- nodes[1].Run() }()
+		err := nodes[0].Run()
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		nodes[0].Close()
+		if err := <-worker; err != nil {
+			b.Fatal(err)
+		}
+		for id, v := range want {
+			if got, err := nodes[owner.Place(id.I, id.J)].Value(id.I, id.J); err != nil || got != v {
+				b.Fatalf("%v = %d (err %v), want %d", id, got, err, v)
+			}
+		}
+		for _, n := range nodes {
+			st := n.Stats()
+			batches, settlements = batches+st.AggBatches, settlements+st.DecrsCoalesced
+		}
+		nodes[1].Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(want))), "ns/cell")
+	b.ReportMetric(float64(settlements)/float64(max(batches, 1)), "settlements/batch")
+}
+
 // startBenchTCPNodes is startTCPNodes without t.Cleanup: benchmark
 // iterations boot and tear down a deployment each, so nodes must close
 // inside the loop, not at benchmark end.

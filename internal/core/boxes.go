@@ -10,10 +10,11 @@ import (
 // decrement record's tile entry carries the sender's cells that the named
 // tile reads (proto.go); the receiver deposits them in that tile's box
 // before it applies the entry's count, and the tile's halo step pours the
-// box (walk.go: drainBox) into what the walk reads — the halo of a generic
-// tile (fillHalo), the ghost slab of a stencil tile (ghostFrame), which drops
-// a value outside the slab — and fetches only what the box did not hold. The
-// vertex cache never sees a pushed value.
+// box into what the walk reads — the halo of a generic tile a value at a
+// time (fillHalo, drainBox), the ghost slab of a stencil tile a run at a
+// time, each run cut where the sender's box rows end and clipped to the slab
+// (ghostFrame, pourBox), which drops what falls outside it — and fetches
+// only what the box did not hold. The vertex cache never sees a pushed value.
 //
 // A box is pinned until its tile runs here or leaves (steal, exec,
 // lifeline); its storage then goes back to the epoch's free list. A deposit

@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/dag"
@@ -364,6 +365,20 @@ func (tv *tileVals[T]) add(off uint32, v T) {
 		}
 	}
 	tv.runs, tv.vals = append(tv.runs, valRun{off: off, n: 1}), append(tv.vals, v)
+}
+
+// grow appends the sender's cells [off, off+n), which lie past every cell
+// the entry holds, as one run — the last run's extension when off follows
+// it — and returns the n slots their values go in.
+func (tv *tileVals[T]) grow(off uint32, n int) []T {
+	if k := len(tv.runs) - 1; k >= 0 && tv.runs[k].off+tv.runs[k].n == off {
+		tv.runs[k].n += uint32(n)
+	} else {
+		tv.runs = append(tv.runs, valRun{off: off, n: uint32(n)})
+	}
+	at := len(tv.vals)
+	tv.vals = slices.Grow(tv.vals, n)[:at+n]
+	return tv.vals[at:]
 }
 
 // nextVals extends vs by one empty entry, reusing the storage an earlier use

@@ -83,5 +83,15 @@ func (s *Stencil) Locate(r, c int, i, j, di, dj int32) (ref CellRef, ok bool) {
 // DealtCols reports whether every place's column axis is dist.Dealt.
 func (s *Stencil) DealtCols() bool { return s.dealtJ }
 
+// RowEnd is where the run of place p's local offsets from off that lie at
+// consecutive columns of one global row ends: with p's box row, or along a
+// dealt column axis at off+1.
+func (s *Stencil) RowEnd(p, off int) int {
+	if s.dealtJ {
+		return off + 1
+	}
+	return off + s.boxCols[p] - off%s.boxCols[p]
+}
+
 // Stencil is the last activation scan's stencil view, nil on the generic arm.
 func (c *Chunk[T]) Stencil() *Stencil { return c.sten.Load() }

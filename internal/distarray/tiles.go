@@ -292,7 +292,7 @@ func (c *Chunk[T]) Border(s *Stencil, b TileBox, r int, visit func(BorderRun)) {
 				case p == c.place:
 					n = min(int(end-J), c.RunEnd(off)-off)
 				default:
-					n = min(int(end-J), s.boxCols[p]-off%s.boxCols[p])
+					n = min(int(end-J), s.RowEnd(p, off)-off)
 				}
 				if p != c.place || !b.Holds(off) {
 					visit(BorderRun{Ref: ref, I: i + o.DI, J: J, N: n, Done: done})

@@ -102,6 +102,58 @@ func TestTCPSendOneWay(t *testing.T) {
 	}
 }
 
+// TestTCPOneWayHandlersRunInOrder holds TCP to the delivery order the
+// Transport interface documents: one place's one-way messages to another
+// are handled in the order they were sent, one at a time. The first handler
+// sleeps, so a handler that ran on a goroutine of its own would let later
+// ones overtake it and overlap it.
+func TestTCPOneWayHandlersRunInOrder(t *testing.T) {
+	const n = 200
+	eps := newTCPCluster(t, 2)
+	var running, overlaps atomic.Int32
+	var mu sync.Mutex
+	order := make([]uint32, 0, n)
+	done := make(chan struct{})
+	eps[1].Handle(3, func(_ int, payload []byte) ([]byte, error) {
+		if running.Add(1) > 1 {
+			overlaps.Add(1)
+		}
+		defer running.Add(-1)
+		seq := binary.LittleEndian.Uint32(payload)
+		if seq == 0 {
+			time.Sleep(50 * time.Millisecond)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if order = append(order, seq); len(order) == n {
+			close(done)
+		}
+		return nil, nil
+	})
+	var buf [4]byte
+	for seq := range uint32(n) {
+		binary.LittleEndian.PutUint32(buf[:], seq)
+		if err := eps[0].Send(1, 3, buf[:]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("%d of %d one-way messages handled", len(order), n)
+	}
+	if k := overlaps.Load(); k > 0 {
+		t.Fatalf("%d handlers ran while another was running", k)
+	}
+	for k, seq := range order {
+		if seq != uint32(k) {
+			t.Fatalf("handled message %d as the %d-th: %v", seq, k, order)
+		}
+	}
+}
+
 func TestTCPHandlerError(t *testing.T) {
 	eps := newTCPCluster(t, 2)
 	eps[1].Handle(1, func(int, []byte) ([]byte, error) {

@@ -37,6 +37,15 @@ var ErrNoHandler = errors.New("transport: no handler for message kind")
 
 // Handler processes one inbound message. For Call traffic the returned
 // bytes are delivered to the caller; for Send traffic they are discarded.
+//
+// A one-way (Send) message's handler runs on a delivery goroutine of the
+// receiving endpoint — LocalFabric's one dispatch loop per place, the reader
+// of the sender's connection on TCP — one message at a time in arrival
+// order, so it must not block: no Call or Send, and no lock that any
+// goroutine holds across one. What waits behind it is everything else that
+// goroutine delivers: on TCP, every frame from that sender, replies to this
+// place's Calls included. A request's handler runs on a goroutine of its own
+// and may block.
 type Handler func(from int, payload []byte) ([]byte, error)
 
 // Transport is one place's view of the fabric.

@@ -37,9 +37,10 @@ go test -short -run TestChaosSoak -count=1 ./internal/core/
 go test ./...
 # The in-process benchmarks, once each: `go test ./...` compiles them but runs
 # none, and each checks its own results (BenchmarkStencilTile: the tile's
-# values against native.Strip's). BenchmarkDistLookup times the layouts'
-# per-edge lookups.
-go test -run '^$' -bench 'SchedulePerVertex|GenericArm|StencilTile' -benchtime 1x ./internal/core/
+# values against native.Strip's; BenchmarkTCPPush, the pushed-value path over
+# two TCP nodes: every cell against the reference). BenchmarkDistLookup times
+# the layouts' per-edge lookups.
+go test -run '^$' -bench 'SchedulePerVertex|GenericArm|StencilTile|TCPPush' -benchtime 1x ./internal/core/
 go test -run '^$' -bench 'DistLookup' -benchtime 1x ./internal/dist/
 # BenchmarkVCacheChurn checks that each of its Gets misses and each Put evicts.
 go test -run '^$' -bench VCache -benchtime 1x ./internal/vcache/
