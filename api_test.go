@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/dpx10/dpx10"
+	"github.com/dpx10/dpx10/internal/bench"
 )
 
 // checkSW verifies a completed Smith-Waterman dag against the serial
@@ -63,16 +64,21 @@ func TestOptionsMixUntypedTyped(t *testing.T) {
 	checkSW(t, dag, a, b)
 }
 
-// TestRunContextCancellation: canceling the context aborts the run like
-// Cancel, and the returned error wraps the context's error (not just the
-// internal ErrCanceled).
-func TestRunContextCancellation(t *testing.T) {
+// TestSubmitContextCancelsRunningJob: canceling Submit's context aborts a
+// running job like Cancel, and Wait's error wraps the context's error (not
+// just the internal ErrCanceled).
+func TestSubmitContextCancelsRunningJob(t *testing.T) {
 	a := "GATTACAGATTACAGATTACAGATTACA"
 	app, gate, release := gatedApp(a, a, 20)
+	c, err := dpx10.NewCluster(dpx10.Places(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	job, err := dpx10.LaunchContext[int32](ctx, app,
-		dpx10.DiagonalPattern(int32(len(a)+1), int32(len(a)+1)), dpx10.Places(3))
+	job, err := dpx10.Submit[int32](ctx, c, app,
+		dpx10.DiagonalPattern(int32(len(a)+1), int32(len(a)+1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +94,22 @@ func TestRunContextCancellation(t *testing.T) {
 	}
 }
 
-// TestLaunchContextRejectsDeadContext: a context already expired at launch
-// fails fast without starting a cluster.
-func TestLaunchContextRejectsDeadContext(t *testing.T) {
+// TestSubmitRejectsDeadContext: a context already expired at submission
+// fails fast without starting the job.
+func TestSubmitRejectsDeadContext(t *testing.T) {
+	c, err := dpx10.NewCluster(dpx10.Places(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	app := &swApp{a: "ACGT", b: "ACGT"}
-	if _, err := dpx10.LaunchContext[int32](ctx, app, dpx10.DiagonalPattern(5, 5)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("launch with dead context = %v, want context.Canceled", err)
+	if _, err := dpx10.Submit[int32](ctx, c, app, dpx10.DiagonalPattern(5, 5)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("submit with dead context = %v, want context.Canceled", err)
+	}
+	if jobs := c.Jobs(); len(jobs) != 0 {
+		t.Fatalf("cluster lists %d jobs after a rejected submission, want 0", len(jobs))
 	}
 }
 
@@ -253,7 +267,7 @@ func TestWithRetryBudgetDeclaresUnreachablePeer(t *testing.T) {
 		dpx10.DiagonalPattern(int32(len(a)+1), int32(len(a)+1)),
 		dpx10.Places(2),
 		dpx10.WithChaos(plan),
-		dpx10.WithRetry(8, 100*time.Microsecond, time.Millisecond))
+		bench.WithRetry(8, 100*time.Microsecond, time.Millisecond))
 	if err != nil {
 		t.Fatalf("Run across a severed link: %v", err)
 	}

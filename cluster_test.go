@@ -69,29 +69,31 @@ func TestSubmitRejectsClusterOptions(t *testing.T) {
 	checkSWApp(t, app, dag)
 }
 
-// TestBadDistributionFailsAtSubmit gives distribution options their
+// TestBadDistributionFailsAtSubmit gives WithDist layouts their
 // constructors reject — a zero block, a zero grid side, a mapping past the
-// last place — and a grid that does not cover the cluster's places. Each is
-// an error from Run, and from Submit on a persistent cluster, which then still
-// runs a valid job; none panics on a job's goroutine.
+// last place, a DistKind that names no built-in layout — and a grid that
+// does not cover the cluster's places. Each is an error from Run, and from
+// Submit on a persistent cluster, which then still runs a valid job; none
+// panics on a job's goroutine.
 func TestBadDistributionFailsAtSubmit(t *testing.T) {
-	bad := map[string]dpx10.UntypedOption{
-		"blockcyclic(0)": dpx10.WithBlockCyclicDist(0),
-		"block2d(0x4)":   dpx10.WithBlock2DDist(0, 4),
-		"block2d(3x3)":   dpx10.WithBlock2DDist(3, 3),
-		"custom(n)":      dpx10.WithCustomDist(func(_, _ int32, n int) int { return n }),
+	bad := map[string]dpx10.Layout{
+		"blockcyclic(0)": dpx10.BlockCyclicRowDist(0),
+		"block2d(0x4)":   dpx10.Block2DDist(0, 4),
+		"block2d(3x3)":   dpx10.Block2DDist(3, 3),
+		"custom(n)":      dpx10.CustomDist(func(_, _ int32, n int) int { return n }),
+		"kind(diagonal)": dpx10.DistKind("diagonal"),
 	}
 	c, err := dpx10.NewCluster(dpx10.Places(4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	for name, opt := range bad {
+	for name, l := range bad {
 		app, pat := newSWPair()
-		if _, err := dpx10.Run[int32](app, pat, dpx10.Places(4), opt); err == nil {
+		if _, err := dpx10.Run[int32](app, pat, dpx10.Places(4), dpx10.WithDist(l)); err == nil {
 			t.Errorf("%s: Run succeeded", name)
 		}
-		if _, err := dpx10.Submit[int32](context.Background(), c, app, pat, opt); err == nil {
+		if _, err := dpx10.Submit[int32](context.Background(), c, app, pat, dpx10.WithDist(l)); err == nil {
 			t.Errorf("%s: Submit succeeded", name)
 		}
 	}

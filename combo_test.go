@@ -7,7 +7,9 @@ import (
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
+	"github.com/dpx10/dpx10/internal/core"
 	"github.com/dpx10/dpx10/internal/metrics"
+	"github.com/dpx10/dpx10/internal/option"
 	"github.com/dpx10/dpx10/internal/workload"
 )
 
@@ -124,6 +126,16 @@ func TestSpillStealTraceTogether(t *testing.T) {
 	}
 }
 
+// withSnapshotOverheadOnly keeps the paper's recovery mechanism but also
+// writes periodic snapshots, to measure the snapshot baseline's fault-free
+// cost.
+func withSnapshotOverheadOnly(store *dpx10.SnapshotStore[int64], every int64) dpx10.Option[int64] {
+	return option.Typed("WithSnapshotOverheadOnly", func(c *core.Config[int64]) {
+		c.Snapshot = store
+		c.SnapshotEvery = every
+	})
+}
+
 func TestSnapshotOverheadOnlyMode(t *testing.T) {
 	// Snapshots are written but recovery stays redistribution-based.
 	app := apps.NewMTP(50, 50, 100, 4)
@@ -135,7 +147,7 @@ func TestSnapshotOverheadOnlyMode(t *testing.T) {
 	job, err := dpx10.Launch[int64](gapp, app.Pattern(),
 		dpx10.Places(4),
 		dpx10.WithCodec[int64](dpx10.Int64Codec{}),
-		dpx10.WithSnapshotOverheadOnly[int64](store, 200))
+		withSnapshotOverheadOnly(store, 200))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,8 +25,8 @@
 // The number of places and worker threads per place mirror X10's
 // X10_NPLACES and X10_NTHREADS environment variables. Most options are
 // untyped; only value-typed ones (WithCodec, WithSnapshotRecovery) take a
-// type argument. RunContext and LaunchContext accept a context whose
-// cancellation aborts the run.
+// type argument. A layout is one value — a DistKind, BlockCyclicRowDist,
+// Block2DDist or CustomDist — passed to WithDist.
 //
 // Run builds an ephemeral cluster for one computation. To amortize the
 // places across many computations, build a persistent cluster and submit
@@ -48,11 +48,11 @@
 //
 // For fault-tolerance work the package also exposes a chaos-testing
 // surface: WithChaos injects seeded message drop/duplication/delay/
-// partition faults, WithHeartbeat bounds how long an unannounced place
-// death goes unnoticed, WithRetry tunes the reliable delivery layer that
-// makes the protocol immune to lost and replayed messages, and WithEvents
-// streams structured run events (suspicions, deaths, recoveries,
-// injections) to the application.
+// partition faults over the reliable delivery layer that makes the protocol
+// immune to lost and replayed messages, WithHeartbeat bounds how long an
+// unannounced place death goes unnoticed, and WithEvents streams structured
+// run events (suspicions, deaths, recoveries, injections) to the
+// application.
 package dpx10
 
 import (
@@ -65,6 +65,7 @@ import (
 	"github.com/dpx10/dpx10/internal/core"
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/metrics"
+	"github.com/dpx10/dpx10/internal/option"
 )
 
 // VertexID identifies one cell (i, j) of the DP matrix.
@@ -125,8 +126,8 @@ func MergeMetrics(snaps []*MetricsSnapshot) *MetricsSnapshot {
 var ErrPlaceZeroDead = core.ErrPlaceZeroDead
 
 // ErrCanceled is returned by Wait after Cancel. When the cancellation came
-// from a context (RunContext/LaunchContext), Wait instead returns an error
-// wrapping the context's error.
+// from Submit's context, Wait instead returns an error wrapping the
+// context's error.
 var ErrCanceled = core.ErrCanceled
 
 // PlaceDeadError reports the death of a specific place; unwrap it with
@@ -214,11 +215,8 @@ type Cluster struct {
 // The places start lazily with the first admitted job.
 func NewCluster(opts ...UntypedOption) (*Cluster, error) {
 	cfg := core.Config[any]{Common: core.Common{Places: 1}}
-	for _, opt := range opts {
-		if name, scope := opt.optionInfo(); scope != scopeCluster {
-			return nil, &OptionScopeError{Option: name, Scope: scope.String(), Call: "NewCluster"}
-		}
-		opt.applyTo(&cfg)
+	if err := option.Apply(&cfg, option.ScopeCluster, "NewCluster", opts...); err != nil {
+		return nil, err
 	}
 	m, err := core.NewJobManager(cfg.Common)
 	if err != nil {
@@ -293,11 +291,8 @@ func Submit[T any](ctx context.Context, c *Cluster, app App[T], pattern Pattern,
 		Compute: app.Compute,
 	}
 	cfg.Pattern = pattern
-	for _, opt := range opts {
-		if name, scope := opt.optionInfo(); scope != scopeJob {
-			return nil, &OptionScopeError{Option: name, Scope: scope.String(), Call: "Submit"}
-		}
-		opt.applyTo(&cfg)
+	if err := option.Apply(&cfg, option.ScopeJob, "Submit", opts...); err != nil {
+		return nil, err
 	}
 	jr, err := core.SubmitJob(c.m, cfg)
 	if err != nil {
@@ -326,16 +321,6 @@ func Run[T any](app App[T], pattern Pattern, opts ...Option[T]) (*Dag[T], error)
 	return job.Wait()
 }
 
-// RunContext is Run with a context: cancellation or deadline expiry aborts
-// the run like Cancel, and the returned error wraps the context's error.
-func RunContext[T any](ctx context.Context, app App[T], pattern Pattern, opts ...Option[T]) (*Dag[T], error) {
-	job, err := LaunchContext[T](ctx, app, pattern, opts...)
-	if err != nil {
-		return nil, err
-	}
-	return job.Wait()
-}
-
 // Job is one running DPX10 computation — started one-shot by Launch or
 // submitted to a persistent Cluster. It exposes the handles the paper's
 // fault-tolerance experiments need: progress polling and failure
@@ -351,43 +336,18 @@ type Job[T any] struct {
 }
 
 // Launch starts app over pattern asynchronously on an ephemeral
-// single-use cluster.
+// single-use cluster. It is a thin wrapper over the session API: it splits
+// the option list by scope, builds a cluster from the cluster-scoped
+// options, submits one job with the job-scoped ones, and closes the cluster
+// when the job completes. To cancel a run through a context, use NewCluster
+// and Submit.
 func Launch[T any](app App[T], pattern Pattern, opts ...Option[T]) (*Job[T], error) {
-	return LaunchContext[T](context.Background(), app, pattern, opts...)
-}
-
-// LaunchContext is Launch with a context: when ctx is canceled the run is
-// aborted as if Cancel had been called, and Wait returns an error wrapping
-// ctx.Err().
-//
-// LaunchContext is a thin wrapper over the session API: it splits the
-// option list by scope, builds an ephemeral cluster from the
-// cluster-scoped options, submits one job with the job-scoped ones, and
-// closes the cluster when the job completes.
-func LaunchContext[T any](ctx context.Context, app App[T], pattern Pattern, opts ...Option[T]) (*Job[T], error) {
-	if app == nil {
-		return nil, fmt.Errorf("dpx10: nil app")
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("dpx10: launch: %w", err)
-	}
-	var clusterOpts []UntypedOption
-	var jobOpts []Option[T]
-	for _, opt := range opts {
-		if _, scope := opt.optionInfo(); scope == scopeCluster {
-			clusterOpts = append(clusterOpts, opt)
-		} else {
-			jobOpts = append(jobOpts, opt)
-		}
-	}
+	clusterOpts, jobOpts := option.Split(opts)
 	c, err := NewCluster(clusterOpts...)
 	if err != nil {
 		return nil, err
 	}
-	job, err := Submit[T](ctx, c, app, pattern, jobOpts...)
+	job, err := Submit[T](context.Background(), c, app, pattern, jobOpts...)
 	if err != nil {
 		c.Close()
 		return nil, err

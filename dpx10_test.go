@@ -146,9 +146,9 @@ func TestRunOptions(t *testing.T) {
 		check(t, dpx10.Places(3), dpx10.WithStrategy(dpx10.RandomScheduling))
 	})
 	t.Run("customdist", func(t *testing.T) {
-		check(t, dpx10.Places(3), dpx10.WithCustomDist(func(i, j int32, places int) int {
+		check(t, dpx10.Places(3), dpx10.WithDist(dpx10.CustomDist(func(i, j int32, places int) int {
 			return int((i + j)) % places
-		}))
+		})))
 	})
 }
 
@@ -265,7 +265,7 @@ func TestJobCancel(t *testing.T) {
 func TestBlock2DDistOption(t *testing.T) {
 	app := &swApp{a: "ACGTACGTACGTACGT", b: "TGCATGCATGCATGCA"}
 	dag, err := dpx10.Run[int32](app, dpx10.DiagonalPattern(17, 17),
-		dpx10.Places(4), dpx10.WithBlock2DDist(2, 2))
+		dpx10.Places(4), dpx10.WithDist(dpx10.Block2DDist(2, 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestBlockCyclicDistOption(t *testing.T) {
 	a, b := "GATTACAGATTACAGATTACA", "CATACGATTACATACGAT"
 	app := &swApp{a: a, b: b}
 	dag, err := dpx10.Run[int32](app, dpx10.DiagonalPattern(int32(len(a)+1), int32(len(b)+1)),
-		dpx10.Places(3), dpx10.WithBlockCyclicDist(2))
+		dpx10.Places(3), dpx10.WithDist(dpx10.BlockCyclicRowDist(2)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
+	"github.com/dpx10/dpx10/internal/bench"
 	"github.com/dpx10/dpx10/internal/dag"
 	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/distarray"
@@ -31,7 +32,7 @@ func TestHaloFetchCallsBoundedByTiles(t *testing.T) {
 	}
 	d, err := dpx10.Run[int64](app, pat,
 		dpx10.Places(places), dpx10.WithDist(dpx10.BlockColDist), dpx10.CacheSize(256),
-		dpx10.WithoutValuePush(), dpx10.WithCodec[int64](dpx10.Int64Codec{}))
+		bench.WithoutValuePush(), dpx10.WithCodec[int64](dpx10.Int64Codec{}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,15 @@ import (
 	"github.com/dpx10/dpx10/internal/workload"
 )
 
-// aggArm is one configuration of the aggregation ablation.
-type aggArm struct {
+// aggArms are the configurations of the aggregation ablation, shared by its
+// two tables.
+var aggArms = []struct {
 	name string
-	opts []dpx10.Option[apps.AffineCell]
+	opts []dpx10.UntypedOption
+}{
+	{"off (1 msg/vertex)", []dpx10.UntypedOption{withoutAggregation(), dpx10.WithTileSize(1)}},
+	{"agg only", []dpx10.UntypedOption{WithoutValuePush()}},
+	{"agg+push (default)", nil},
 }
 
 // AblationAgg measures cross-place decrement aggregation and value push on
@@ -38,21 +43,14 @@ func AblationAgg(quick bool) ([]Report, error) {
 		Header: []string{"arm", "time(s)", "sendsOut", "fetchCalls",
 			"batches", "coalesce", "pushUsed", "bytes"},
 	}
-	arms := []aggArm{
-		{"off (1 msg/vertex)", []dpx10.Option[apps.AffineCell]{
-			dpx10.WithoutAggregation(), dpx10.WithTileSize(1)}},
-		{"agg only", []dpx10.Option[apps.AffineCell]{
-			dpx10.WithoutValuePush()}},
-		{"agg+push (default)", nil},
-	}
-	for _, arm := range arms {
+	for _, arm := range aggArms {
 		app := apps.NewSWLAG(a, b)
 		opts := append([]dpx10.Option[apps.AffineCell]{
 			dpx10.Places(6),
 			dpx10.WithCodec[apps.AffineCell](app.Codec()),
 			dpx10.CacheSize(cache),
-		}, arm.opts...)
-		opts = append(opts, extra[apps.AffineCell]()...)
+		}, typed[apps.AffineCell](arm.opts)...)
+		opts = append(opts, typed[apps.AffineCell](ExtraRunOptions)...)
 		dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(), opts...)
 		if err != nil {
 			return nil, fmt.Errorf("agg ablation swlag %s: %w", arm.name, err)
@@ -74,15 +72,7 @@ func AblationAgg(quick bool) ([]Report, error) {
 		Header: []string{"arm", "time(s)", "sendsOut", "fetchCalls",
 			"batches", "coalesce", "pushUsed", "bytes"},
 	}
-	kpArms := []struct {
-		name string
-		opts []dpx10.Option[int64]
-	}{
-		{"off (1 msg/vertex)", []dpx10.Option[int64]{dpx10.WithoutAggregation(), dpx10.WithTileSize(1)}},
-		{"agg only", []dpx10.Option[int64]{dpx10.WithoutValuePush()}},
-		{"agg+push (default)", nil},
-	}
-	for _, arm := range kpArms {
+	for _, arm := range aggArms {
 		app := apps.NewRandomKnapsack(items, 25, 100, capacity, 11)
 		pat, err := app.Pattern()
 		if err != nil {
@@ -92,8 +82,8 @@ func AblationAgg(quick bool) ([]Report, error) {
 			dpx10.Places(6),
 			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 			dpx10.CacheSize(cache),
-		}, arm.opts...)
-		opts = append(opts, extra[int64]()...)
+		}, typed[int64](arm.opts)...)
+		opts = append(opts, typed[int64](ExtraRunOptions)...)
 		dag, err := dpx10.Run[int64](app, pat, opts...)
 		if err != nil {
 			return nil, fmt.Errorf("agg ablation knapsack %s: %w", arm.name, err)

@@ -64,7 +64,7 @@ func AblationChaos(quick bool) ([]Report, error) {
 	var base float64
 	for _, arm := range arms {
 		app := apps.NewSWLAG(a, b)
-		opts := append(extra[apps.AffineCell](),
+		opts := append(typed[apps.AffineCell](ExtraRunOptions),
 			dpx10.Places(4),
 			dpx10.WithDist(dpx10.CyclicRowDist),
 			dpx10.WithCodec[apps.AffineCell](app.Codec()),
@@ -74,7 +74,7 @@ func AblationChaos(quick bool) ([]Report, error) {
 		if arm.plan != nil {
 			plan = arm.plan()
 			opts = append(opts, dpx10.WithChaos(plan),
-				dpx10.WithRetry(0, 200*time.Microsecond, 5*time.Millisecond))
+				WithRetry(0, 200*time.Microsecond, 5*time.Millisecond))
 		}
 		dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(), opts...)
 		if err != nil {

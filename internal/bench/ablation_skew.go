@@ -83,7 +83,7 @@ type skewArmResult struct {
 // strategy s and returns the balance/traffic profile.
 func runSkewArm(pat benchWave, places int, s dpx10.Strategy) (skewArmResult, error) {
 	run, err := dpx10.Run[int64](skewApp{}, pat,
-		append(extra[int64](),
+		append(typed[int64](ExtraRunOptions),
 			dpx10.Places(places),
 			dpx10.Threads(2),
 			dpx10.WithStrategy(s),

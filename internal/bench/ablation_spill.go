@@ -26,7 +26,7 @@ func AblationSpill(quick bool) (Report, error) {
 	}
 	run := func(pages int) (float64, error) {
 		app := apps.NewSWLAG(a, b)
-		opts := append(extra[apps.AffineCell](),
+		opts := append(typed[apps.AffineCell](ExtraRunOptions),
 			dpx10.Places(4),
 			dpx10.WithCodec[apps.AffineCell](app.Codec()),
 		)

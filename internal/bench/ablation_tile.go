@@ -29,7 +29,7 @@ func AblationTileSize(quick bool) (Report, error) {
 	for _, tile := range []int{1, 4, 16, 64, 256, 0} {
 		app := apps.NewSWLAG(a, b)
 		dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(),
-			append(extra[apps.AffineCell](),
+			append(typed[apps.AffineCell](ExtraRunOptions),
 				dpx10.Places(4),
 				dpx10.WithCodec[apps.AffineCell](app.Codec()),
 				dpx10.WithTileSize(tile))...)

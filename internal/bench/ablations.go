@@ -38,7 +38,7 @@ func AblationSched(quick bool) (Report, error) {
 	for _, st := range strategies {
 		app := apps.NewSWLAG(a, b)
 		dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(),
-			append(extra[apps.AffineCell](),
+			append(typed[apps.AffineCell](ExtraRunOptions),
 				dpx10.Places(6),
 				dpx10.WithCodec[apps.AffineCell](app.Codec()),
 				dpx10.WithStrategy(st),
@@ -58,7 +58,7 @@ func AblationSched(quick bool) (Report, error) {
 	for _, st := range strategies {
 		app := apps.NewRandomMatrixChain(chain, 50, 7)
 		dag, err := dpx10.Run[int64](app, app.Pattern(),
-			append(extra[int64](),
+			append(typed[int64](ExtraRunOptions),
 				dpx10.Places(6),
 				dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 				dpx10.WithStrategy(st),
@@ -108,14 +108,14 @@ func AblationCache(quick bool) (Report, error) {
 	arms := []arm{{0, false}, {4, false}, {16, false}, {64, false}, {256, false}, {256, true}}
 	for _, a := range arms {
 		app := &sumApp{}
-		opts := append(extra[int64](),
+		opts := append(typed[int64](ExtraRunOptions),
 			dpx10.Places(4),
 			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 			dpx10.WithDist(dpx10.BlockColDist),
 			dpx10.CacheSize(a.size))
 		push := "on"
 		if !a.push {
-			opts, push = append(opts, dpx10.WithoutValuePush()), "off"
+			opts, push = append(opts, WithoutValuePush()), "off"
 		}
 		dag, err := dpx10.Run[int64](app, pattern, opts...)
 		if err != nil {
@@ -192,7 +192,7 @@ func AblationRecovery(quick bool) (Report, error) {
 			dpx10.Places(6),
 			dpx10.WithCodec[apps.AffineCell](app.Codec()),
 		}, m.opts(store)...)
-		opts = append(opts, extra[apps.AffineCell]()...)
+		opts = append(opts, typed[apps.AffineCell](ExtraRunOptions)...)
 		job, err := dpx10.Launch[apps.AffineCell](gated, app.Pattern(), opts...)
 		if err != nil {
 			return rep, fmt.Errorf("recovery ablation %s: %w", m.name, err)

@@ -86,7 +86,7 @@ func fig12Point(places int, cells int64, work int, nodes int64) ([]string, error
 	app := apps.NewSWLAG(a, b)
 	app.Work = work
 	dag, err := dpx10.Run[apps.AffineCell](app, app.Pattern(),
-		append(extra[apps.AffineCell](),
+		append(typed[apps.AffineCell](ExtraRunOptions),
 			dpx10.Places(places),
 			dpx10.Threads(2),
 			dpx10.WithCodec[apps.AffineCell](app.Codec()),

@@ -179,16 +179,6 @@ func jobOptions[T any](p Params) []dpx10.Option[T] {
 	return opts
 }
 
-// options combines both scopes for the one-shot entry points, which
-// accept a mixed list.
-func options[T any](p Params) []dpx10.Option[T] {
-	opts := jobOptions[T](p)
-	for _, o := range clusterOptions(p) {
-		opts = append(opts, o)
-	}
-	return opts
-}
-
 // RunLocal executes the named app on the single-process runtime and
 // prints a summary to w.
 func RunLocal(p Params, w io.Writer) error {
@@ -416,13 +406,18 @@ func clip(s string) string {
 // drive runs one app through the public API, optionally injecting a
 // fault, then verifies and summarizes.
 func drive[T any](p Params, w io.Writer, r appRun[T]) error {
-	opts := append(options[T](p), dpx10.WithCodec[T](r.codec))
+	opts := append(jobOptions[T](p), dpx10.WithCodec[T](r.codec))
 	var spans *dpx10.SpanLog
 	if p.TraceOut != "" {
 		spans = dpx10.NewSpanLog(0)
 		opts = append(opts, dpx10.WithSpans(spans))
 	}
-	job, err := dpx10.Launch[T](r.app, r.pattern, opts...)
+	cluster, err := dpx10.NewCluster(clusterOptions(p)...)
+	if err != nil {
+		return err
+	}
+	defer cluster.Close()
+	job, err := dpx10.Submit[T](context.Background(), cluster, r.app, r.pattern, opts...)
 	if err != nil {
 		return err
 	}

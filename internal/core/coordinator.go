@@ -132,22 +132,37 @@ func (co *coordinator[T]) places(alive bool) []int {
 }
 
 // run scans the places' reports until the computation completes or aborts.
-// It returns nil on success.
+// It returns nil on success. An abort outranks a finished scan: a job
+// aborted before its last report was counted ends with the abort's error.
 func (co *coordinator[T]) run() error {
 	co.epochT0 = time.Now()
 	for {
-		if finished, err := co.scan(); finished || err != nil {
+		finished, err := co.scan()
+		if err != nil {
 			return err
+		}
+		if finished {
+			select {
+			case <-co.abort:
+				return co.aborted()
+			default:
+				return nil
+			}
 		}
 		select {
 		case <-co.abort:
-			if err := co.abortErr(); err != nil {
-				return err
-			}
-			return errors.New("core: run aborted")
+			return co.aborted()
 		case <-co.in.wake:
 		}
 	}
+}
+
+// aborted is run's error once abort is closed.
+func (co *coordinator[T]) aborted() error {
+	if err := co.abortErr(); err != nil {
+		return err
+	}
+	return errors.New("core: run aborted")
 }
 
 // scan acts on the inbox: it recovers from each place newly reported dead —

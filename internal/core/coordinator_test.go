@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync"
 	"testing"
 )
@@ -41,5 +42,23 @@ func TestCoInboxReports(t *testing.T) {
 	case <-in.wake:
 	default:
 		t.Fatal("no wake-up left for the coordinator")
+	}
+}
+
+// TestCoordinatorAbortOutranksFinishedScan: a coordinator whose abort is
+// already closed when it finds every place done returns the abort's error,
+// not success — a job canceled or closed at its last cell must not report
+// a result.
+func TestCoordinatorAbortOutranksFinishedScan(t *testing.T) {
+	const places = 3
+	pe := &placeEngine[int32]{cfg: &Config[int32]{Common: Common{Places: places}}}
+	abort := make(chan struct{})
+	close(abort)
+	co := newCoordinator(pe, abort, func() error { return ErrCanceled })
+	for p := 0; p < places; p++ {
+		co.in.reportDone(p, 0)
+	}
+	if err := co.run(); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("run with abort closed and every place done = %v, want ErrCanceled", err)
 	}
 }

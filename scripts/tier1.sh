@@ -88,13 +88,15 @@ go test -race -run 'TestActivationRacesEarlyDecrements$|TestSetResultLifecycle$'
 go test -race -run 'TestChaosSoakLifelines|TestLifeline|TestSteal|TestRunAcrossStrategies|TestWireIDsVetted|TestSkewCorrectnessWithLifelines|TestExecTargetKilled|TestSettlementPerUnit|TestPushedBoxesBounded|TestStencilBoxRunOutsideSlabDropped' -count=3 ./internal/core/
 # Multi-job scheduling and the session API again under the race
 # detector: concurrent jobs' tiles interleave on shared worker deques,
-# and the admission queue hands slots across goroutines.
-go test -race -run 'TestMultiJob|TestManagerClose' -count=1 ./internal/core/
+# and the admission queue hands slots across goroutines. Repeated, with
+# the coordinator's abort-versus-finish ordering: a job closed at its last
+# cell must still end with the abort's error.
+go test -race -run 'TestMultiJob|TestManagerClose|TestCoordinatorAbortOutranksFinishedScan$' -count=20 ./internal/core/
 # The TCP job lifecycle, repeated: stop is acknowledged rather than timed, so
 # the interleavings of stop, Close and the failure detector have to hold
 # every time (~5 s; TestTCPNodeFaultRecovery takes 10 s a run and stays out).
 go test -race -run 'TestTCPNode(EndToEnd|MultiJob|CloseWaitsForStop|StopOutranksAbort)$' -count=25 ./internal/core/
-go test -race -run 'TestCluster|TestSubmit|TestNewCluster' -count=1 .
+go test -race -run 'TestCluster|TestSubmit|TestNewCluster|TestBadDistribution|TestPublicSurface' -count=1 .
 # Concurrent TCP senders, repeated under the race detector: each send writes
 # its own frame under the connection's write lock, so per-peer order, the
 # release of senders blocked on that lock when the connection goes, and the
