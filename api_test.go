@@ -115,14 +115,19 @@ func TestSubmitRejectsDeadContext(t *testing.T) {
 
 // TestPlaceDeadErrorUnwrap pins the typed-error contract: killing place 0
 // surfaces a *PlaceDeadError naming the place, which also matches
-// ErrPlaceZeroDead under errors.Is.
+// ErrPlaceZeroDead under errors.Is. The kill lands while Compute is held at
+// the 50th of 441 cells, and the gate stays shut until Wait has returned, so
+// the job cannot finish first.
 func TestPlaceDeadErrorUnwrap(t *testing.T) {
-	app := &swApp{a: "AAAAAAAAAAAAAAAAAAAA", b: "AAAAAAAAAAAAAAAAAAAA"}
+	a := "AAAAAAAAAAAAAAAAAAAA"
+	app, gate, release := gatedApp(a, a, 50)
 	job, err := dpx10.Launch[int32](app, dpx10.DiagonalPattern(21, 21), dpx10.Places(3))
 	if err != nil {
 		t.Fatal(err)
 	}
+	<-gate
 	job.Kill(0)
+	defer release()
 	_, err = job.Wait()
 	var pd *dpx10.PlaceDeadError
 	if !errors.As(err, &pd) {

@@ -56,7 +56,10 @@ type Common struct {
 	// Places is the number of places (X10_NPLACES). Must be >= 1.
 	Places int
 	// Threads is the per-place worker pool width (X10_NTHREADS).
-	// Defaults to 2.
+	// Defaults to 2. It also shapes the tile layout: the auto tile count
+	// is about 16 tiles per worker (TileSize), so the places of a TCP
+	// deployment, which derive the layout each on its own, must agree on
+	// it — as on every other field of the one Config they run.
 	Threads int
 	// Pattern is the DAG pattern describing the computation.
 	Pattern dag.Pattern
@@ -74,10 +77,13 @@ type Common struct {
 	// index box into rectangular tiles of about this many cells — the engine
 	// picks the shape (tileShape) — and tracks readiness per tile, executing
 	// a ready tile as one task in intra-tile dependency order. 0 (the
-	// default) auto-sizes per place; 1 schedules per vertex, exactly the
-	// pre-tiling behaviour. When coarsening would deadlock — the tile
-	// quotient graph of the pattern under the current distribution is
-	// cyclic — every place independently falls back to 1.
+	// default) auto-sizes per place: about 16 tiles per worker (Threads),
+	// at least 64 under a column split, in [8, 2048] cells; 1 schedules per
+	// vertex, exactly the pre-tiling behaviour. The shape rounds its row
+	// count up, so a tile may pass the count by less than one row. When
+	// coarsening would deadlock — the tile quotient graph of the pattern
+	// under the current distribution is cyclic — every place independently
+	// falls back to 1.
 	TileSize int
 	// TileShape, when non-zero, is the tile's height and width in cells on
 	// every place, overriding the engine's pick. For tests and

@@ -56,6 +56,47 @@ func autoLayout(pat dag.Pattern, d dist.Dist) ([]distarray.TileGrid, tileLayout)
 	return c.tileGrids(d)
 }
 
+// TestAutoTileShape pins the auto tile of one place's box: about 16 tiles per
+// worker (Threads 0 counts as the default 2), at least 64 under a column
+// split, clamped to [8, 2048] cells before the row count is rounded up. The
+// boxes are the benchmark's: sw-smalljobs (SW 128² on two block-row places),
+// swlag-local, swlag-tcp-push's dealt rows and kp-tcp-fetch's column bands.
+func TestAutoTileShape(t *testing.T) {
+	const W, B, D = dist.Whole, dist.Block, dist.Dealt
+	for _, tc := range []struct {
+		name                string
+		box                 dist.Box
+		threads, size       int
+		wantBI, wantBJ, num int
+	}{
+		{"sw-smalljobs top, 1 thread", dist.Box{Rows: 64, Cols: 129, RowAxis: B, ColAxis: W}, 1, 0, 8, 65, 16},
+		{"sw-smalljobs bottom, 1 thread", dist.Box{Rows: 65, Cols: 129, RowAxis: B, ColAxis: W}, 1, 0, 9, 65, 16},
+		{"sw-smalljobs top, 2 threads", dist.Box{Rows: 64, Cols: 129, RowAxis: B, ColAxis: W}, 2, 0, 4, 65, 32},
+		{"sw-smalljobs bottom, 2 threads", dist.Box{Rows: 65, Cols: 129, RowAxis: B, ColAxis: W}, 2, 0, 5, 65, 26},
+		{"sw-smalljobs top, default threads", dist.Box{Rows: 64, Cols: 129, RowAxis: B, ColAxis: W}, 0, 0, 4, 65, 32},
+		{"sw-smalljobs top, 4 threads", dist.Box{Rows: 64, Cols: 129, RowAxis: B, ColAxis: W}, 4, 0, 2, 65, 64},
+		{"sw-smalljobs bottom, 4 threads", dist.Box{Rows: 65, Cols: 129, RowAxis: B, ColAxis: W}, 4, 0, 3, 65, 44},
+		{"swlag-local, at the cap", dist.Box{Rows: 700, Cols: 1401, RowAxis: B, ColAxis: W}, 1, 0, 12, 176, 59 * 8},
+		{"swlag-tcp-push, dealt rows", dist.Box{Rows: 151, Cols: 301, RowAxis: D, ColAxis: W}, 1, 0, 1, 76, 151 * 4},
+		{"kp-tcp-fetch band, 1 thread", dist.Box{Rows: 201, Cols: 500, RowAxis: W, ColAxis: B}, 1, 0, 4, 500, 51},
+		{"kp-tcp-fetch band, 4 threads", dist.Box{Rows: 201, Cols: 500, RowAxis: W, ColAxis: B}, 4, 0, 4, 500, 51},
+		{"kp-tcp-fetch band, 8 threads", dist.Box{Rows: 201, Cols: 500, RowAxis: W, ColAxis: B}, 8, 0, 2, 500, 101},
+		{"8-cell floor", dist.Box{Rows: 10, Cols: 10, RowAxis: B, ColAxis: W}, 1, 0, 1, 8, 20},
+		{"2048-cell cap, passed by less than a row", dist.Box{Rows: 1000, Cols: 1000, RowAxis: W, ColAxis: W}, 1, 0, 3, 1000, 334},
+		{"TileSize honoured, 1 thread", dist.Box{Rows: 64, Cols: 129, RowAxis: B, ColAxis: W}, 1, 100, 2, 65, 64},
+		{"TileSize honoured, 4 threads", dist.Box{Rows: 64, Cols: 129, RowAxis: B, ColAxis: W}, 4, 100, 2, 65, 64},
+	} {
+		c := Common{Threads: tc.threads, TileSize: tc.size}
+		bi, bj := c.tileShape(tc.box, shapeRect)
+		g := distarray.NewTileGrid(tc.box.Rows, tc.box.Cols, bi, bj)
+		num := g.NumTiles()
+		if bi != tc.wantBI || bj != tc.wantBJ || num != tc.num {
+			t.Errorf("%s: %dx%d in %dx%d, %d tiles; want %dx%d, %d tiles",
+				tc.name, tc.box.Rows, tc.box.Cols, bi, bj, num, tc.wantBI, tc.wantBJ, tc.num)
+		}
+	}
+}
+
 // TestAutoShapeExposesParallelism is the host-independent half of the
 // tentpole's claim: the tile DAG the auto shape produces is not a chain.
 // tiles / longest chain must reach half the shorter side of a place's grid of

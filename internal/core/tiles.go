@@ -16,14 +16,35 @@ import (
 // back to per-vertex scheduling.
 const maxQuotientEdges = 1 << 22
 
+// tilesPerWorker is how many tiles an auto-sized place cuts per worker.
+const tilesPerWorker = 16
+
+// autoTiles is how many tiles a place of threads workers (<= 0: the default,
+// 2) asks for when no TileSize is configured: tilesPerWorker a worker. More
+// buy nothing under a row split: the strip cut (stripExtent) already sets
+// when the place below can start, and tilePriorities drains strip by strip,
+// so a lower tile inside a strip only adds per-tile cost (its ghost frame,
+// its settled rows, one scheduling step). Under a column split the band
+// height is the unit the place to the right pipelines on, so the count
+// there stays at least 64, the 4-worker count.
+func autoTiles(threads int, box dist.Box) int {
+	if threads <= 0 {
+		threads = 2
+	}
+	tiles := tilesPerWorker * threads
+	if box.ColAxis != dist.Whole {
+		tiles = max(tiles, 64)
+	}
+	return tiles
+}
+
 // tileCells resolves the configured cells per tile for a box of n local
-// cells. 0 auto-sizes: roughly 64 tiles per place, clamped so a tile
-// amortizes scheduling overhead (>= 8 cells) without starving the worker
-// pool or a recovery of parallelism, or growing a walk's scratch (<= 2048
-// cells).
-func tileCells(cfgSize, n int) int {
+// cells. 0 auto-sizes to n / tiles, clamped so a tile amortizes scheduling
+// overhead (>= 8 cells) without starving the worker pool or a recovery of
+// parallelism, or growing a walk's scratch (<= 2048 cells).
+func tileCells(cfgSize, n, tiles int) int {
 	if cfgSize <= 0 {
-		cfgSize = min(max(n/64, 8), 2048)
+		cfgSize = min(max(n/tiles, 8), 2048)
 	}
 	return max(min(cfgSize, n), 1)
 }
@@ -50,11 +71,14 @@ const (
 	shapeCell
 )
 
-// tileShape picks the tile of one place's box: the configured cell count,
-// as wide (along the contiguous axis) as the box allows — one row or one
-// column of it when cand asks for that. Two things bound it. Across a dealt
-// axis neighbouring local indexes are not neighbours in the grid, and a
-// tile spanning two of them makes the tile quotient cyclic: the extent
+// tileShape picks the tile of one place's box: the configured cell count (or
+// the auto one, from the box and the place's worker count: autoTiles), as
+// wide (along the contiguous axis) as the box allows — one row or one column
+// of it when cand asks for that. The row count is rounded up, so a tile may
+// pass the count, and the 2048 cap, by less than one row: SWLAG 1400² on two
+// block-row places cuts 12x176 = 2 112 cells. Two things bound it. Across a
+// dealt axis neighbouring local indexes are not neighbours in the grid, and
+// a tile spanning two of them makes the tile quotient cyclic: the extent
 // there is 1. And along an axis the dist leaves whole, a tile stops at a
 // strip (stripExtent) whenever the other axis is split.
 func (c *Common) tileShape(box dist.Box, cand int) (bi, bj int) {
@@ -77,7 +101,7 @@ func (c *Common) tileShape(box dist.Box, cand int) (bi, bj int) {
 	if box.ColAxis == dist.Dealt || cand == shapeCol {
 		maxBJ = 1
 	}
-	cells := tileCells(c.TileSize, box.Rows*box.Cols)
+	cells := tileCells(c.TileSize, box.Rows*box.Cols, autoTiles(c.Threads, box))
 	bj = max(min(cells, maxBJ), 1)
 	bi = max(min((cells+bj-1)/bj, maxBI), 1) // rounded up: no more tiles than the count asked for
 	return bi, bj

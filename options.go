@@ -48,6 +48,7 @@ func Places(n int) UntypedOption {
 
 // Threads sets the per-place worker pool width — X10_NTHREADS (default 2).
 // Cluster-scoped: the worker pools are shared by every job on the places.
+// The auto tile size follows it: about 16 tiles per worker (WithTileSize).
 func Threads(n int) UntypedOption {
 	return option.Cluster("Threads", func(c *core.Common) { c.Threads = n })
 }
@@ -96,10 +97,11 @@ func CacheSize(entries int) UntypedOption {
 // picks the shape from the distribution, and Stats.TileLayout reports it —
 // tracks readiness per tile and executes a ready tile as one task in
 // intra-tile dependency order — removing per-vertex queueing and intra-tile
-// decrement traffic. 0 (the default) auto-sizes per place; 1 restores
-// per-vertex scheduling. Patterns whose tile quotient graph would be cyclic
-// under the chosen tile fall back to per-vertex scheduling automatically
-// (the run stays correct, just untiled). Job-scoped.
+// decrement traffic. 0 (the default) auto-sizes per place, about 16 tiles
+// per worker thread; 1 restores per-vertex scheduling. Patterns whose tile
+// quotient graph would be cyclic under the chosen tile fall back to
+// per-vertex scheduling automatically (the run stays correct, just
+// untiled). Job-scoped.
 func WithTileSize(cells int) UntypedOption {
 	return option.Job("WithTileSize", func(c *core.Common) { c.TileSize = cells })
 }

@@ -64,8 +64,8 @@ go test -race -run 'TestMatchesReference$' -count=5 ./internal/vcache/
 # recovery: the recovery tests (kept, restored, snapshot, spilled) and the
 # restart matrix repeat here too. With them, the rebuild's run-wise carry-over
 # and replay against their per-cell oracle (every fuzz seed) and the replay's
-# emit-count bound.
-go test -race -run 'TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$|TestKillMidRunRecovers$|TestSnapshotRecovery$|TestSpilledRestoreRemoteRecovery$|TestRecoveryRestartsWhenPlaceDiesMidRecovery$|FuzzRecoveryRuns$|TestReplayRunsScaleWithRows$' -count=5 ./internal/core/ ./internal/distarray/
+# emit-count bound. With them, the auto tile shape's table (tiles per worker).
+go test -race -run 'TestAutoTileShape$|TestTiling(StrategyParity|NoDepCacheParity|ShapeParity|KillMidRunRecovers)$|TestShapeKillMidRunRecovers$|TestStencilWalkMakesNoPatternCalls$|TestStencilWalkPausesBetweenRows$|TestKillMidRunRecovers$|TestSnapshotRecovery$|TestSpilledRestoreRemoteRecovery$|TestRecoveryRestartsWhenPlaceDiesMidRecovery$|FuzzRecoveryRuns$|TestReplayRunsScaleWithRows$' -count=5 ./internal/core/ ./internal/distarray/
 # ... and the stencil walk's dependency oracle beside them: every Compute
 # call's deps against the pattern and the serial table, fault-free, with a
 # Compute that writes over deps, and with a kill mid-run whose recovery walks
@@ -97,6 +97,10 @@ go test -race -run 'TestMultiJob|TestManagerClose|TestCoordinatorAbortOutranksFi
 # every time (~5 s; TestTCPNodeFaultRecovery takes 10 s a run and stays out).
 go test -race -run 'TestTCPNode(EndToEnd|MultiJob|CloseWaitsForStop|StopOutranksAbort)$' -count=25 ./internal/core/
 go test -race -run 'TestCluster|TestSubmit|TestNewCluster|TestBadDistribution|TestPublicSurface' -count=1 .
+# Killing place 0 mid-run must end the job with a *PlaceDeadError, every
+# time: the kill lands while Compute is held at a gate, so a job that
+# finishes first is a bug, not a lost race.
+go test -race -run 'TestPlaceDeadErrorUnwrap$' -count=50 .
 # Concurrent TCP senders, repeated under the race detector: each send writes
 # its own frame under the connection's write lock, so per-peer order, the
 # release of senders blocked on that lock when the connection goes, and the
