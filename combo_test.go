@@ -139,7 +139,7 @@ func withSnapshotOverheadOnly(store *dpx10.SnapshotStore[int64], every int64) dp
 func TestSnapshotOverheadOnlyMode(t *testing.T) {
 	// Snapshots are written but recovery stays redistribution-based.
 	app := apps.NewMTP(50, 50, 100, 4)
-	store := dpx10.NewSnapshotStore[int64](8)
+	store := dpx10.NewSnapshotStore[int64]()
 	gate := make(chan struct{})
 	resume := make(chan struct{})
 	var count atomic.Int64

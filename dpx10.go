@@ -93,10 +93,10 @@ type Stencil = dag.Stencil
 // Offset is one dependency of a Stencil: (i, j) depends on (i+DI, j+DJ).
 type Offset = dag.Offset
 
-// Codec serializes vertex values for cross-place transfer. Int32Codec,
-// Int64Codec and Float64Codec cover the common scalar cases; any other
-// value type defaults to gob encoding unless WithCodec supplies a custom
-// implementation.
+// Codec serializes vertex values for cross-place transfer. A run without
+// WithCodec picks one from T: Int32Codec, Int64Codec or Float64Codec for
+// exactly int32, int64 or float64, gob for any other type, named scalar
+// types included. Dag.Save and LoadResult take one explicitly.
 type Codec[T any] = codec.Codec[T]
 
 // Built-in scalar codecs.

@@ -132,8 +132,7 @@ func main() {
 	fmt.Println("custom pattern validated: dependencies mirror anti-dependencies, DAG is acyclic")
 
 	dag, err := dpx10.Run[int64](app, app.unboundedPattern,
-		dpx10.Places(4),
-		dpx10.WithCodec[int64](dpx10.Int64Codec{}))
+		dpx10.Places(4))
 	if err != nil {
 		log.Fatal(err)
 	}

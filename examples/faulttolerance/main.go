@@ -29,10 +29,7 @@ func main() {
 	fmt.Printf("MTP %dx%d on %d places; correct answer (serial): %d\n", n, n, places, want)
 
 	for _, restore := range []bool{false, true} {
-		opts := []dpx10.Option[int64]{
-			dpx10.Places(places),
-			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
-		}
+		opts := []dpx10.Option[int64]{dpx10.Places(places)}
 		mode := "default (recompute moved vertices)"
 		if restore {
 			opts = append(opts, dpx10.RestoreRemote())
@@ -65,7 +62,7 @@ func main() {
 
 	fmt.Println("\nkilling place 0 instead aborts the run (Resilient X10 limitation):")
 	job, err := dpx10.Launch[int64](app, app.Pattern(),
-		dpx10.Places(places), dpx10.WithCodec[int64](dpx10.Int64Codec{}))
+		dpx10.Places(places))
 	if err != nil {
 		log.Fatal(err)
 	}

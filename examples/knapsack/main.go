@@ -38,8 +38,7 @@ func main() {
 
 	// Steps 2-3: the app implements Compute/AppFinished; run it.
 	dag, err := dpx10.Run[int64](app, pattern,
-		dpx10.Places(*places),
-		dpx10.WithCodec[int64](dpx10.Int64Codec{}))
+		dpx10.Places(*places))
 	if err != nil {
 		log.Fatal(err)
 	}

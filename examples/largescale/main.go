@@ -28,10 +28,7 @@ func main() {
 	cells := int64(*n) * int64(*n)
 
 	run := func(opts ...dpx10.Option[int64]) *dpx10.Dag[int64] {
-		base := []dpx10.Option[int64]{
-			dpx10.Places(*places),
-			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
-		}
+		base := []dpx10.Option[int64]{dpx10.Places(*places)}
 		dag, err := dpx10.Run[int64](app, app.Pattern(), append(base, opts...)...)
 		if err != nil {
 			log.Fatal(err)

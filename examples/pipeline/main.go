@@ -35,7 +35,7 @@ func main() {
 
 	// --- phase 1: compute and persist -----------------------------------
 	dag, err := dpx10.Run[int32](app, app.Pattern(),
-		dpx10.Places(4), dpx10.WithCodec[int32](dpx10.Int32Codec{}))
+		dpx10.Places(4))
 	if err != nil {
 		log.Fatal(err)
 	}

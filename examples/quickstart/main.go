@@ -57,8 +57,7 @@ func main() {
 
 	dag, err := dpx10.Run[int32](app, dpx10.DiagonalPattern(h, w),
 		dpx10.Places(4),  // X10_NPLACES
-		dpx10.Threads(2), // X10_NTHREADS
-		dpx10.WithCodec[int32](dpx10.Int32Codec{}))
+		dpx10.Threads(2)) // X10_NTHREADS
 	if err != nil {
 		log.Fatal(err)
 	}

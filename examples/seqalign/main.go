@@ -32,7 +32,6 @@ func main() {
 	sw := apps.NewSW(a, b)
 	swDag, err := dpx10.Run[int32](sw, sw.Pattern(),
 		dpx10.Places(*places),
-		dpx10.WithCodec[int32](dpx10.Int32Codec{}),
 		dpx10.CacheSize(64))
 	if err != nil {
 		log.Fatal(err)

@@ -80,7 +80,6 @@ func AblationAgg(quick bool) ([]Report, error) {
 		}
 		opts := append([]dpx10.Option[int64]{
 			dpx10.Places(6),
-			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 			dpx10.CacheSize(cache),
 		}, typed[int64](arm.opts)...)
 		opts = append(opts, typed[int64](ExtraRunOptions)...)

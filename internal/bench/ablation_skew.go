@@ -89,7 +89,6 @@ func runSkewArm(pat benchWave, places int, s dpx10.Strategy) (skewArmResult, err
 			dpx10.WithStrategy(s),
 			dpx10.WithTileSize(1),
 			dpx10.CacheSize(256),
-			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 			dpx10.WithMetrics(),
 			// No heartbeats: every probe in the count is a steal.
 			dpx10.WithHeartbeat(-1, 0))...)

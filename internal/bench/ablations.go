@@ -60,7 +60,6 @@ func AblationSched(quick bool) (Report, error) {
 		dag, err := dpx10.Run[int64](app, app.Pattern(),
 			append(typed[int64](ExtraRunOptions),
 				dpx10.Places(6),
-				dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 				dpx10.WithStrategy(st),
 				dpx10.WithMetrics())...)
 		if err != nil {
@@ -110,7 +109,6 @@ func AblationCache(quick bool) (Report, error) {
 		app := &sumApp{}
 		opts := append(typed[int64](ExtraRunOptions),
 			dpx10.Places(4),
-			dpx10.WithCodec[int64](dpx10.Int64Codec{}),
 			dpx10.WithDist(dpx10.BlockColDist),
 			dpx10.CacheSize(a.size))
 		push := "on"
@@ -179,7 +177,7 @@ func AblationRecovery(quick bool) (Report, error) {
 		}},
 	}
 	for _, m := range modes {
-		store := dpx10.NewSnapshotStore[apps.AffineCell](12)
+		store := dpx10.NewSnapshotStore[apps.AffineCell]()
 		app := apps.NewSWLAG(a, b)
 
 		gate := make(chan struct{})

@@ -13,7 +13,6 @@ import (
 
 	"github.com/dpx10/dpx10"
 	"github.com/dpx10/dpx10/internal/apps"
-	"github.com/dpx10/dpx10/internal/codec"
 	"github.com/dpx10/dpx10/internal/core"
 	"github.com/dpx10/dpx10/internal/dist"
 	"github.com/dpx10/dpx10/internal/metrics"
@@ -211,7 +210,7 @@ func RunWorker(p Params, self int, addrs []string, w io.Writer) error {
 type appRun[T any] struct {
 	app       dpx10.App[T]
 	pattern   dpx10.Pattern
-	codec     dpx10.Codec[T]
+	codec     dpx10.Codec[T] // the app's own codec; nil lets the run pick one from T
 	verify    func(*dpx10.Dag[T]) error
 	summarize func(*dpx10.Dag[T]) string
 	// answer is the cell worker mode reads the app's result from, with its
@@ -246,9 +245,6 @@ type runner interface {
 }
 
 func (r appRun[T]) local(p Params, w io.Writer) error {
-	if p.Jobs > 1 {
-		return driveMulti(p, w, r)
-	}
 	return drive(p, w, r)
 }
 
@@ -273,13 +269,13 @@ var appTable = []struct {
 }{
 	{"lcs", func(p Params) (runner, error) {
 		app := apps.NewLCS(seqs(p))
-		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
+		return appRun[int32]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int32]) string {
 			return fmt.Sprintf("LCS length = %d, subsequence = %q", app.Length(d), clip(app.Backtrack(d)))
 		}, corner(app.Serial)}, nil
 	}},
 	{"sw", func(p Params) (runner, error) {
 		app := apps.NewSW(seqs(p))
-		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
+		return appRun[int32]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int32]) string {
 			best, at := app.Best(d)
 			a, b := app.Backtrack(d)
 			return fmt.Sprintf("best local alignment score = %d at %v\n  %s\n  %s", best, at, clip(a), clip(b))
@@ -293,19 +289,19 @@ var appTable = []struct {
 	}},
 	{"editdist", func(p Params) (runner, error) {
 		app := apps.NewEditDistance(seqs(p))
-		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
+		return appRun[int32]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int32]) string {
 			return fmt.Sprintf("edit distance = %d", app.Distance(d))
 		}, corner(app.Serial)}, nil
 	}},
 	{"mtp", func(p Params) (runner, error) {
 		app := apps.NewMTP(int32(p.M), int32(p.N), 100, p.Seed)
-		return appRun[int64]{app, app.Pattern(), codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
+		return appRun[int64]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int64]) string {
 			return fmt.Sprintf("heaviest monotone path weight = %d (%d steps)", app.Best(d), len(app.Path(d))-1)
 		}, corner(app.Serial)}, nil
 	}},
 	{"lps", func(p Params) (runner, error) {
 		app := apps.NewLPS(workload.Sequence(p.M, workload.DNA, p.Seed))
-		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
+		return appRun[int32]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int32]) string {
 			return fmt.Sprintf("longest palindromic subsequence length = %d: %q", app.Length(d), clip(app.Subsequence(d)))
 		}, topRight(app.Serial)}, nil
 	}},
@@ -315,40 +311,40 @@ var appTable = []struct {
 		if err != nil {
 			return nil, err
 		}
-		return appRun[int64]{app, pat, codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
+		return appRun[int64]{app, pat, nil, app.Verify, func(d *dpx10.Dag[int64]) string {
 			return fmt.Sprintf("best knapsack value = %d using items %v", app.Best(d), app.Chosen(d))
 		}, corner(app.Serial)}, nil
 	}},
 	{"nw", func(p Params) (runner, error) {
 		app := apps.NewNW(seqs(p))
-		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
+		return appRun[int32]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int32]) string {
 			a, b := app.Backtrack(d)
 			return fmt.Sprintf("global alignment score = %d\n  %s\n  %s", app.Score(d), clip(a), clip(b))
 		}, corner(app.Serial)}, nil
 	}},
 	{"lcsubstr", func(p Params) (runner, error) {
 		app := apps.NewLCSubstr(seqs(p))
-		return appRun[int32]{app, app.Pattern(), codec.Int32{}, app.Verify, func(d *dpx10.Dag[int32]) string {
+		return appRun[int32]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int32]) string {
 			sub, n := app.Longest(d)
 			return fmt.Sprintf("longest common substring = %q (length %d)", clip(sub), n)
 		}, corner(app.Serial)}, nil
 	}},
 	{"matrixchain", func(p Params) (runner, error) {
 		app := apps.NewRandomMatrixChain(p.M, 60, p.Seed)
-		return appRun[int64]{app, app.Pattern(), codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
+		return appRun[int64]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int64]) string {
 			return fmt.Sprintf("optimal chain cost = %d: %s", app.Cost(d), clip(app.Parenthesization(d)))
 		}, topRight(app.Serial)}, nil
 	}},
 	{"viterbi", func(p Params) (runner, error) {
 		app := apps.NewRandomViterbi(p.N, 6, p.M, p.Seed)
-		return appRun[float64]{app, app.Pattern(), codec.Float64{}, app.Verify, func(d *dpx10.Dag[float64]) string {
+		return appRun[float64]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[float64]) string {
 			path := app.Path(d)
 			return fmt.Sprintf("most likely path log-probability = %.3f (%d steps)", app.Best(d), len(path))
 		}, corner(app.Serial)}, nil
 	}},
 	{"floydwarshall", func(p Params) (runner, error) {
 		app := apps.NewRandomFloydWarshall(int32(p.M), 4, 50, p.Seed)
-		return appRun[int64]{app, app.Pattern(), codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
+		return appRun[int64]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int64]) string {
 			dist01, ok := app.Dist(d, 0, app.N-1)
 			if !ok {
 				return fmt.Sprintf("all-pairs shortest paths over %d vertices; 0 -> %d unreachable", app.N, app.N-1)
@@ -361,7 +357,7 @@ var appTable = []struct {
 	}},
 	{"obst", func(p Params) (runner, error) {
 		app := apps.NewRandomOBST(p.M, 50, p.Seed)
-		return appRun[int64]{app, app.Pattern(), codec.Int64{}, app.Verify, func(d *dpx10.Dag[int64]) string {
+		return appRun[int64]{app, app.Pattern(), nil, app.Verify, func(d *dpx10.Dag[int64]) string {
 			root := -1
 			for k, par := range app.Tree(d) {
 				if par == -1 {
@@ -403,8 +399,12 @@ func clip(s string) string {
 	return s
 }
 
-// drive runs one app through the public API, optionally injecting a
-// fault, then verifies and summarizes.
+// drive submits p.Jobs identical copies of the app to one persistent
+// cluster through the session API, optionally killing a place once the
+// first job is half done, then verifies and summarizes them: one job with
+// its full statistics, several with a line each. The Prometheus endpoint
+// and the final metrics dump show the per-job vectors (job.tiles_executed,
+// ...) keyed by job ID.
 func drive[T any](p Params, w io.Writer, r appRun[T]) error {
 	opts := append(jobOptions[T](p), dpx10.WithCodec[T](r.codec))
 	var spans *dpx10.SpanLog
@@ -412,71 +412,6 @@ func drive[T any](p Params, w io.Writer, r appRun[T]) error {
 		spans = dpx10.NewSpanLog(0)
 		opts = append(opts, dpx10.WithSpans(spans))
 	}
-	cluster, err := dpx10.NewCluster(clusterOptions(p)...)
-	if err != nil {
-		return err
-	}
-	defer cluster.Close()
-	job, err := dpx10.Submit[T](context.Background(), cluster, r.app, r.pattern, opts...)
-	if err != nil {
-		return err
-	}
-	if p.MetricsAddr != "" {
-		stop, err := ServeMetrics(p.MetricsAddr, job.Metrics, w)
-		if err != nil {
-			return err
-		}
-		defer stop()
-	}
-	if p.Kill >= 0 {
-		h, wd := r.pattern.Bounds()
-		half := int64(h) * int64(wd) / 2
-		go func() {
-			for job.Progress() < half {
-				time.Sleep(time.Millisecond)
-			}
-			fmt.Fprintf(w, "killing place %d at ~50%% progress...\n", p.Kill)
-			job.Kill(p.Kill)
-		}()
-	}
-	d, err := job.Wait()
-	if err != nil {
-		return err
-	}
-	if p.Verify {
-		if err := r.verify(d); err != nil {
-			return fmt.Errorf("verification FAILED: %w", err)
-		}
-		fmt.Fprintln(w, "verified against serial reference: OK")
-	}
-	fmt.Fprintln(w, r.summarize(d))
-	printStats(w, d.Stats(), d.Elapsed())
-	if p.Trace {
-		threads := p.Threads
-		if threads <= 0 {
-			threads = 2
-		}
-		printUtilization(w, d.Metrics(), d.Elapsed(), threads)
-	}
-	if p.Metrics || p.MetricsJSON {
-		if err := DumpMetrics(w, d.Metrics(), p.MetricsJSON); err != nil {
-			return err
-		}
-	}
-	if spans != nil {
-		if err := WriteChromeTrace(p.TraceOut, spans, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// driveMulti runs p.Jobs identical copies of the app concurrently on one
-// persistent cluster through the session API, reporting per-job elapsed
-// time and counters. The Prometheus endpoint and the final metrics dump
-// show the per-job vectors (job.tiles_executed, ...) keyed job0, job1, ...
-func driveMulti[T any](p Params, w io.Writer, r appRun[T]) error {
-
 	cluster, err := dpx10.NewCluster(append(clusterOptions(p), dpx10.MaxActiveJobs(-1))...)
 	if err != nil {
 		return err
@@ -489,12 +424,13 @@ func driveMulti[T any](p Params, w io.Writer, r appRun[T]) error {
 		}
 		defer stop()
 	}
-	jobOpts := append(jobOptions[T](p), dpx10.WithCodec[T](r.codec))
-	fmt.Fprintf(w, "submitting %d concurrent jobs to a %d-place cluster\n", p.Jobs, p.Places)
+	if p.Jobs > 1 {
+		fmt.Fprintf(w, "submitting %d concurrent jobs to a %d-place cluster\n", p.Jobs, p.Places)
+	}
 	t0 := time.Now()
 	jobs := make([]*dpx10.Job[T], p.Jobs)
 	for i := range jobs {
-		if jobs[i], err = dpx10.Submit[T](context.Background(), cluster, r.app, r.pattern, jobOpts...); err != nil {
+		if jobs[i], err = dpx10.Submit[T](context.Background(), cluster, r.app, r.pattern, opts...); err != nil {
 			return err
 		}
 	}
@@ -505,38 +441,59 @@ func driveMulti[T any](p Params, w io.Writer, r appRun[T]) error {
 			for jobs[0].Progress() < half {
 				time.Sleep(time.Millisecond)
 			}
-			fmt.Fprintf(w, "killing place %d at ~50%% progress of job %d...\n", p.Kill, jobs[0].ID())
+			fmt.Fprintf(w, "killing place %d at ~50%% progress...\n", p.Kill)
 			cluster.Kill(p.Kill)
 		}()
 	}
 	var first *dpx10.Dag[T]
+	var elapsed time.Duration // the longest job's, the span -trace divides busy time by
 	var totalTiles int64
 	for _, job := range jobs {
 		d, err := job.Wait()
 		if err != nil {
 			return fmt.Errorf("job %d: %w", job.ID(), err)
 		}
-		if first == nil {
-			first = d
-		}
 		if p.Verify {
 			if err := r.verify(d); err != nil {
 				return fmt.Errorf("job %d verification FAILED: %w", job.ID(), err)
 			}
 		}
-		s := job.Stats()
+		if first == nil {
+			first = d
+		}
+		elapsed = max(elapsed, d.Elapsed())
+		s := d.Stats()
 		totalTiles += s.TilesExecuted
-		fmt.Fprintf(w, "job %d: elapsed %.3fs queueWait %.3fs cells=%d tiles=%d recoveries=%d\n",
-			job.ID(), job.Elapsed().Seconds(), job.QueueWait().Seconds(),
-			s.ComputedCells, s.TilesExecuted, s.Recoveries)
+		if p.Jobs > 1 {
+			fmt.Fprintf(w, "job %d: elapsed %.3fs queueWait %.3fs cells=%d tiles=%d recoveries=%d\n",
+				job.ID(), d.Elapsed().Seconds(), job.QueueWait().Seconds(),
+				s.ComputedCells, s.TilesExecuted, s.Recoveries)
+		}
 	}
 	if p.Verify {
-		fmt.Fprintf(w, "verified %d jobs against serial reference: OK\n", p.Jobs)
+		fmt.Fprintln(w, "verified against serial reference: OK")
 	}
 	fmt.Fprintln(w, r.summarize(first))
-	fmt.Fprintf(w, "all %d jobs done in %.3fs (%d tiles total)\n", p.Jobs, time.Since(t0).Seconds(), totalTiles)
+	if p.Jobs > 1 {
+		fmt.Fprintf(w, "all %d jobs done in %.3fs (%d tiles total)\n", p.Jobs, time.Since(t0).Seconds(), totalTiles)
+	} else {
+		printStats(w, first.Stats(), elapsed)
+	}
+	snaps := cluster.Metrics()
+	if p.Trace {
+		threads := p.Threads
+		if threads <= 0 {
+			threads = 2
+		}
+		printUtilization(w, snaps, elapsed, threads)
+	}
 	if p.Metrics || p.MetricsJSON {
-		if err := DumpMetrics(w, cluster.Metrics(), p.MetricsJSON); err != nil {
+		if err := DumpMetrics(w, snaps, p.MetricsJSON); err != nil {
+			return err
+		}
+	}
+	if spans != nil {
+		if err := WriteChromeTrace(p.TraceOut, spans, w); err != nil {
 			return err
 		}
 	}

@@ -2,10 +2,10 @@
 //
 // DPX10 limits framework-managed state to a single value per vertex
 // (paper §V), so all cross-place traffic reduces to encoding values of
-// one user-chosen type T. A Codec[T] performs that encoding. Fixed-width
-// codecs are provided for the common scalar DP value types; GobCodec is
-// the catch-all for arbitrary structs, and apps with hot custom types can
-// implement the two methods directly (as the SWLAG app does).
+// one user-chosen type T. A Codec[T] performs that encoding. For returns a
+// run's codec when the caller names none: a fixed-width codec for the
+// scalar DP value types, Gob for every other type. Apps with hot custom
+// types implement the two methods directly (as the SWLAG app does).
 package codec
 
 import (
@@ -102,9 +102,29 @@ func (Gob[T]) Decode(src []byte) (T, int, error) {
 	return v, 4 + n, nil
 }
 
-// Size estimates the encoded width of one value by encoding a zero value.
-// Fixed-width codecs report their exact width; Gob reports a baseline that
-// the communication-cost models use as an approximation.
+// For returns the codec a run uses when none is given: Int32, Int64 or
+// Float64 when T is exactly int32, int64 or float64, and Gob[T] otherwise.
+// A named type such as `type score int32` is not one of the three, so it
+// falls to Gob; supply a codec for it when its values are hot.
+func For[T any]() Codec[T] {
+	var c any
+	switch any(*new(T)).(type) {
+	case int32:
+		c = Int32{}
+	case int64:
+		c = Int64{}
+	case float64:
+		c = Float64{}
+	default:
+		return Gob[T]{}
+	}
+	return c.(Codec[T])
+}
+
+// Size estimates the encoded width of one value by encoding a zero value:
+// a run's one value width, read by the MinComm cost model, fetch-reply
+// sizing and the snapshot baseline. Fixed-width codecs report their exact
+// width; Gob reports a baseline, an approximation.
 func Size[T any](c Codec[T]) int {
 	var zero T
 	return len(c.Encode(nil, zero))

@@ -116,3 +116,29 @@ func TestSize(t *testing.T) {
 		t.Fatalf("Size(Gob) = %d", got)
 	}
 }
+
+type score int32
+
+// TestFor pins the codec a run picks from T when it names none: the three
+// scalar types get their fixed-width codecs, every other type gob — a named
+// scalar type included.
+func TestFor(t *testing.T) {
+	for _, tc := range []struct {
+		t              string
+		got, want      any
+		size, wantSize int // the pick's Size; wantSize 0 for gob, whose size need only be positive
+	}{
+		{"int32", For[int32](), Int32{}, Size(For[int32]()), 4},
+		{"int64", For[int64](), Int64{}, Size(For[int64]()), 8},
+		{"float64", For[float64](), Float64{}, Size(For[float64]()), 8},
+		{"score", For[score](), Gob[score]{}, Size(For[score]()), 0},
+		{"swCell", For[swCell](), Gob[swCell]{}, Size(For[swCell]()), 0},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("For[%s] = %T, want %T", tc.t, tc.got, tc.want)
+		}
+		if tc.size <= 0 || tc.wantSize > 0 && tc.size != tc.wantSize {
+			t.Errorf("Size(For[%s]) = %d, want %d", tc.t, tc.size, tc.wantSize)
+		}
+	}
+}

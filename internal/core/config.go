@@ -270,7 +270,8 @@ type Config[T any] struct {
 	Common
 	// Compute is the user's per-vertex function.
 	Compute ComputeFunc[T]
-	// Codec serializes vertex values; defaults to codec.Gob[T].
+	// Codec serializes vertex values. Nil means codec.For[T]: fixed width
+	// for int32, int64 and float64, gob for any other type.
 	Codec codec.Codec[T]
 	// Snapshot, if non-nil, receives a full snapshot of finished vertices
 	// every SnapshotEvery local completions per place — the periodic
@@ -278,8 +279,8 @@ type Config[T any] struct {
 	Snapshot      *distarray.SnapshotStore[T]
 	SnapshotEvery int64
 
-	// valueWidth memoizes the encoded width of the zero value, computed
-	// once at validation instead of per worker spawn.
+	// valueWidth memoizes codec.Size of the run's codec, computed once at
+	// validation instead of per worker spawn.
 	valueWidth int
 }
 
@@ -300,10 +301,9 @@ func (c *Config[T]) validate() error {
 		return err
 	}
 	if c.Codec == nil {
-		c.Codec = codec.Gob[T]{}
+		c.Codec = codec.For[T]()
 	}
-	var zero T
-	c.valueWidth = len(c.Codec.Encode(nil, zero))
+	c.valueWidth = codec.Size(c.Codec)
 	return nil
 }
 

@@ -3,8 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log"
-	"os"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -14,13 +12,6 @@ import (
 	"github.com/dpx10/dpx10/internal/trace"
 	"github.com/dpx10/dpx10/internal/transport"
 )
-
-// debugf logs coordinator-side protocol progress when DPX10_DEBUG is set.
-func debugf(format string, args ...interface{}) {
-	if os.Getenv("DPX10_DEBUG") != "" {
-		log.Printf("dpx10: "+format, args...)
-	}
-}
 
 // coInbox is what the places report to the coordinator on place 0, kept as
 // per-place state rather than queued: whether the place was reported dead,
@@ -176,7 +167,6 @@ func (co *coordinator[T]) scan() (finished bool, err error) {
 	}
 	for p := 1; p < len(co.in.fault); p++ {
 		if co.in.fault[p].Load() && co.alive[p] {
-			debugf("fault: place %d (epoch %d)", p, co.epoch)
 			if err := co.recoverFrom(p); err != nil {
 				return false, err
 			}
@@ -184,7 +174,6 @@ func (co *coordinator[T]) scan() (finished bool, err error) {
 	}
 	for _, p := range co.places(true) {
 		if !co.done[p] && co.in.done[p].Load() == co.epoch+1 {
-			debugf("done: place %d (epoch %d)", p, co.epoch)
 			co.done[p] = true
 		}
 	}
@@ -317,7 +306,6 @@ func phase(tr transport.Transport, places []int, kind uint8, payload []byte, onR
 		go func() {
 			defer wg.Done()
 			replies[k], errs[k] = tr.Call(p, kind, payload)
-			debugf("phase %s <- place %d (err=%v)", KindName(kind), p, errs[k])
 		}()
 	}
 	wg.Wait()

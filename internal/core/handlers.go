@@ -105,7 +105,7 @@ func (pe *placeEngine[T]) handleFetch(from int, payload []byte) ([]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	reply := make([]byte, 0, len(ids)*pe.valueSize())
+	reply := make([]byte, 0, len(ids)*pe.cfg.valueWidth)
 	for _, id := range ids {
 		off, ok := st.ownedOffset(id, pe.self)
 		if !ok {

@@ -406,7 +406,7 @@ func (pe *placeEngine[T]) workerFor(st *epochState[T], w int) *workerCtx[T] {
 	wc := &pe.workers[w]
 	if wc.pkSt != st {
 		seed := int64(pe.self)<<32 | int64(w)<<8 | int64(st.epoch&0xff)
-		wc.pk = sched.NewPicker(pe.cfg.Strategy, st.d, pe.isAlive, pe.valueSize(), seed)
+		wc.pk = sched.NewPicker(pe.cfg.Strategy, st.d, pe.isAlive, pe.cfg.valueWidth, seed)
 		if pe.usesSteal() { // only trySteal draws from it
 			wc.rng = rand.New(rand.NewPCG(uint64(seed^0x5bd1e995), 0))
 		}
@@ -619,10 +619,6 @@ func (pe *placeEngine[T]) stealFrom(st *epochState[T], sc *scratch[T], victim in
 func (pe *placeEngine[T]) isAlive(p int) bool {
 	return p >= 0 && p < len(pe.alive) && pe.alive[p].Load()
 }
-
-// valueSize returns the encoded width of the zero value, memoized in the
-// config at validation (it used to be re-encoded on every worker spawn).
-func (pe *placeEngine[T]) valueSize() int { return pe.cfg.valueWidth }
 
 // newChunk allocates this place's chunk under d, disk-backed when the
 // run is configured to spill vertex values (paper §X future work). A
@@ -844,7 +840,7 @@ func (pe *placeEngine[T]) maybeSnapshot(st *epochState[T], n int64) {
 	if after, every := pe.snapSeq.Add(n), pe.cfg.SnapshotEvery; after/every == (after-n)/every {
 		return
 	}
-	pe.cfg.Snapshot.Save(st.chunk, pe.cfg.Pattern)
+	pe.cfg.Snapshot.Save(st.chunk, pe.cfg.Pattern, pe.cfg.valueWidth)
 	pe.cfg.Snapshot.Commit()
 }
 

@@ -339,7 +339,7 @@ func TestSnapshotRecovery(t *testing.T) {
 	pat := patterns.NewDiagonal(20, 16)
 	cfg, gate, release := gatedConfig(pat, 4, 120)
 	cfg.Recovery = RecoverSnapshot
-	cfg.Snapshot = distarray.NewSnapshotStore[int64](8)
+	cfg.Snapshot = distarray.NewSnapshotStore[int64]()
 	cfg.SnapshotEvery = 10
 	cl, err := NewCluster(cfg)
 	if err != nil {

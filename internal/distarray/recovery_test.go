@@ -357,9 +357,9 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 	for n := 0; n < 12; n++ {
 		mc.step()
 	}
-	store := NewSnapshotStore[int64](8)
+	store := NewSnapshotStore[int64]()
 	for _, c := range mc.chunks {
-		store.Save(c, pat)
+		store.Save(c, pat, 8)
 	}
 	store.Commit()
 	if store.Len() != 12 {
@@ -383,7 +383,7 @@ func TestSnapshotStoreRoundTrip(t *testing.T) {
 
 	// A second snapshot of the same state moves no new bytes.
 	for _, c := range mc.chunks {
-		store.Save(c, pat)
+		store.Save(c, pat, 8)
 	}
 	store.Commit()
 	if _, b := store.Stats(); b != 12*8 {

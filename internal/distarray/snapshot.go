@@ -19,30 +19,26 @@ import (
 type SnapshotStore[T any] struct {
 	mu        sync.Mutex
 	data      map[dag.VertexID]T
-	valueSize int
 	snapshots int
 	bytes     int64
 }
 
-// NewSnapshotStore creates an empty store. valueSize is the modeled
-// encoded width of one value, used for cost accounting.
-func NewSnapshotStore[T any](valueSize int) *SnapshotStore[T] {
-	if valueSize <= 0 {
-		valueSize = 1
-	}
-	return &SnapshotStore[T]{data: make(map[dag.VertexID]T), valueSize: valueSize}
+// NewSnapshotStore creates an empty store.
+func NewSnapshotStore[T any]() *SnapshotStore[T] {
+	return &SnapshotStore[T]{data: make(map[dag.VertexID]T)}
 }
 
 // Save copies every finished active value of chunk into the store,
-// overwriting earlier copies. Call it for each place's chunk to complete
-// one global snapshot, then call Commit once.
-func (s *SnapshotStore[T]) Save(chunk *Chunk[T], pat dag.Pattern) {
+// overwriting earlier copies, and charges width bytes — the run's encoded
+// value width — for each value not stored before. Call it for each place's
+// chunk to complete one global snapshot, then call Commit once.
+func (s *SnapshotStore[T]) Save(chunk *Chunk[T], pat dag.Pattern, width int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	chunk.ForEachFinished(pat, func(i, j int32, _ int, v T) {
 		id := dag.VertexID{I: i, J: j}
 		if _, dup := s.data[id]; !dup {
-			s.bytes += int64(s.valueSize)
+			s.bytes += int64(width)
 		}
 		s.data[id] = v
 	})

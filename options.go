@@ -191,8 +191,8 @@ func WithSpans(sl *SpanLog) UntypedOption {
 	return option.Job("WithSpans", func(c *core.Common) { c.Spans = sl })
 }
 
-// WithCodec overrides the value codec (default: gob; use the fixed-width
-// scalar codecs or a custom implementation on hot paths). Job-scoped.
+// WithCodec sets the value codec, for a hot struct type: without it int32,
+// int64 and float64 travel fixed-width and every other type as gob. Job-scoped.
 func WithCodec[T any](cd Codec[T]) Option[T] {
 	return option.Typed("WithCodec", func(c *core.Config[T]) { c.Codec = cd })
 }
@@ -278,10 +278,10 @@ func WithDist(l Layout) UntypedOption {
 // baseline (X10's ResilientDistArray), exposed for the ablation benchmark.
 type SnapshotStore[T any] = distarray.SnapshotStore[T]
 
-// NewSnapshotStore creates a snapshot store; valueSize is the modeled
-// encoded width of one vertex value.
-func NewSnapshotStore[T any](valueSize int) *SnapshotStore[T] {
-	return distarray.NewSnapshotStore[T](valueSize)
+// NewSnapshotStore creates a snapshot store. Its byte count charges each
+// saved value the encoded width of the run's codec.
+func NewSnapshotStore[T any]() *SnapshotStore[T] {
+	return distarray.NewSnapshotStore[T]()
 }
 
 // WithSnapshotRecovery switches recovery to the periodic-snapshot

@@ -96,7 +96,10 @@ go test -race -run 'TestMultiJob|TestManagerClose|TestCoordinatorAbortOutranksFi
 # the interleavings of stop, Close and the failure detector have to hold
 # every time (~5 s; TestTCPNodeFaultRecovery takes 10 s a run and stays out).
 go test -race -run 'TestTCPNode(EndToEnd|MultiJob|CloseWaitsForStop|StopOutranksAbort)$' -count=25 ./internal/core/
-go test -race -run 'TestCluster|TestSubmit|TestNewCluster|TestBadDistribution|TestPublicSurface' -count=1 .
+# The session API under the race detector, and with it the codec a run picks
+# from T: a codec-less int32 run sends the bytes an Int32Codec run sends, and
+# snapshots charge that width per value.
+go test -race -run 'TestCluster|TestSubmit|TestNewCluster|TestBadDistribution|TestPublicSurface|TestInferredCodecMatchesExplicit$|TestSnapshotBytesUseValueWidth$' -count=1 .
 # Killing place 0 mid-run must end the job with a *PlaceDeadError, every
 # time: the kill lands while Compute is held at a gate, so a job that
 # finishes first is a bug, not a lost race.
